@@ -1,7 +1,10 @@
 //! Host-time cost of the sharing manager's calls — the paper's "well
 //! below 1% of end-to-end time" claim depends on `startSISCAN`,
 //! `updateSISCANLocation`, `pr()` and `endSISCAN` being cheap even with
-//! many concurrent scans.
+//! many concurrent scans. Against a simulated extent (microseconds of
+//! host time) they are not: with 64 ongoing scans `update_location` takes
+//! 2.0 µs and `start_scan` + `end_scan` 17 µs (9.8 µs and 445 µs before
+//! ISSUE 14), about a quarter of a 64-stream run — DESIGN.md §9d.
 
 use scanshare::{
     Location, ObjectId, ScanDesc, ScanId, ScanKind, ScanSharingManager, SharingConfig,

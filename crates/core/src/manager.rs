@@ -13,9 +13,17 @@
 //! * [`ScanSharingManager::end_scan`] → deregistration.
 //!
 //! The manager is thread-safe (a single mutex around its state); calls
-//! arrive once per extent per scan, so contention is negligible — the
-//! papers report well under 1 % overhead and the micro-benchmarks in
-//! `scanshare-bench` confirm the same for this implementation.
+//! arrive once per extent per scan. The papers report well under 1 %
+//! overhead for this bookkeeping, on an engine where an extent costs
+//! milliseconds of I/O. In the simulator an extent costs microseconds of
+//! host time, so the manager is a visible share of a run: every
+//! `update_location` re-forms the groups (O(L log L) for L ongoing scans,
+//! see [`crate::grouping`]) and every `start_scan` scores the compatible
+//! scans (O(|S|² log |S|) per anchor group, see [`crate::placement`]).
+//! On the repo benchmark's 64-stream pull workload that is about a
+//! quarter of host time; it was over half until ISSUE 14 removed a cubic
+//! loop from placement and a quadratic one from grouping (DESIGN.md §9d
+//! has the before/after).
 
 use parking_lot::Mutex;
 use scanshare_storage::{PagePriority, SimDuration, SimTime};
@@ -25,7 +33,7 @@ use std::collections::HashMap;
 use crate::anchor::AnchorTable;
 use crate::config::SharingConfig;
 use crate::decision::{DecisionEvent, DecisionLog};
-use crate::grouping::{find_leaders_trailers, GroupInfo, Groups, Role};
+use crate::grouping::{group_chains, GroupInfo, Groups, Role};
 use crate::obs::span::{SpanProfiler, Track};
 use crate::policy::{policy_for, FinishedView, PolicyView, ScanView, SharingPolicy};
 use crate::scan::{Location, ObjectId, ScanDesc, ScanId, ScanKind, ScanState};
@@ -142,7 +150,10 @@ struct FinishedScan {
 }
 
 struct Inner {
-    scans: HashMap<ScanId, ScanState>,
+    /// Ongoing scans, ascending by id (ids are issued ascending, so a new
+    /// scan is pushed at the back). Every walk over the scans is thereby
+    /// in the deterministic order placement and provenance need.
+    scans: Vec<ScanState>,
     anchors: AnchorTable,
     /// Canonical anchor per table object: table-scan locations are
     /// directly comparable page numbers, so every table scan on an object
@@ -160,14 +171,22 @@ struct Inner {
 }
 
 impl Inner {
+    fn index_of(&self, id: ScanId) -> Option<usize> {
+        self.scans.binary_search_by_key(&id, |s| s.id).ok()
+    }
+
+    fn scan(&self, id: ScanId) -> Option<&ScanState> {
+        self.index_of(id).map(|i| &self.scans[i])
+    }
+
     fn compute_groups(&self, pool_pages: u64) -> Groups {
-        let mut triples: Vec<_> = self
-            .scans
-            .values()
-            .map(|s| (s.id, s.anchor, s.anchor_offset))
-            .collect();
-        triples.sort_by_key(|t| t.0);
-        find_leaders_trailers(&triples, pool_pages)
+        group_chains(
+            self.scans
+                .iter()
+                .map(|s| (s.anchor, s.anchor_offset, s.id))
+                .collect(),
+            pool_pages,
+        )
     }
 }
 
@@ -194,7 +213,7 @@ impl ScanSharingManager {
             policy: policy_for(cfg.policy),
             cfg,
             inner: Mutex::new(Inner {
-                scans: HashMap::new(),
+                scans: Vec::new(),
                 anchors: AnchorTable::default(),
                 table_anchors: HashMap::new(),
                 last_finished: HashMap::new(),
@@ -260,13 +279,13 @@ impl ScanSharingManager {
 
     /// Snapshot the state a [`SharingPolicy`] may consult when placing a
     /// new scan on `object`, taken under the manager's lock.
-    fn policy_view(&self, inner: &Inner, object: ObjectId) -> PolicyView {
-        let mut scans: Vec<ScanView> = inner
+    fn policy_view<'a>(&'a self, inner: &'a Inner, object: ObjectId) -> PolicyView<'a> {
+        let scans = inner
             .scans
-            .values()
+            .iter()
             .map(|s| ScanView {
                 id: s.id,
-                desc: s.desc.clone(),
+                desc: &s.desc,
                 location: s.location,
                 remaining_pages: s.remaining_pages,
                 speed: s.speed,
@@ -274,11 +293,8 @@ impl ScanSharingManager {
                 anchor_offset: s.anchor_offset,
             })
             .collect();
-        // HashMap iteration order is arbitrary; sort so candidate
-        // tie-breaks (and therefore whole runs) are deterministic.
-        scans.sort_by_key(|s| s.id);
         PolicyView {
-            cfg: self.cfg.clone(),
+            cfg: &self.cfg,
             scans,
             last_finished: inner.last_finished.get(&object).map(|f| FinishedView {
                 location: f.location,
@@ -328,7 +344,7 @@ impl ScanSharingManager {
                 },
                 _,
             ) => {
-                let o = &inner.scans[other];
+                let o = inner.scan(*other).expect("policies join ongoing scans");
                 (o.anchor, o.anchor_offset, *location)
             }
             (
@@ -375,9 +391,10 @@ impl ScanSharingManager {
                 // ongoing scans exist; the last-finished special case
                 // only fires when none do. Disjoint, so attribution by
                 // presence of ongoing same-kind scans is exact.
-                let any_ongoing = inner.scans.values().any(|s| {
-                    s.desc.object == desc.object && s.desc.kind == desc.kind && s.id != id
-                });
+                let any_ongoing = inner
+                    .scans
+                    .iter()
+                    .any(|s| s.desc.object == desc.object && s.desc.kind == desc.kind);
                 if any_ongoing {
                     inner.stats.scans_placed_optimal += 1;
                 } else {
@@ -388,7 +405,7 @@ impl ScanSharingManager {
         }
         let object = desc.object;
         let state = ScanState::new(id, desc, location, anchor, offset, now);
-        inner.scans.insert(id, state);
+        inner.scans.push(state);
         let threshold_pages = self.placement_threshold();
         self.span_instant(
             "mgr.place",
@@ -457,8 +474,9 @@ impl ScanSharingManager {
         location: Location,
         pages_advanced: u64,
     ) -> UpdateOutcome {
-        let mut inner = self.inner.lock();
-        let Some(mut state) = inner.scans.remove(&id) else {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let Some(idx) = inner.index_of(id) else {
             // Unknown scan (already ended): act as a no-op.
             return UpdateOutcome {
                 wait: scanshare_storage::SimDuration::ZERO,
@@ -466,44 +484,45 @@ impl ScanSharingManager {
                 role: Role::Singleton,
             };
         };
-        state.advance(now, location, pages_advanced);
+        inner.scans[idx].advance(now, location, pages_advanced);
         inner.total_pages_advanced += pages_advanced;
 
         // §7.1 anchor merge: if this scan's new location coincides with
         // another ongoing scan's location, they are provably at the same
         // point — adopt that scan's anchor and offset so the partial
-        // order now relates the two groups.
+        // order now relates the two groups. Of several coinciding scans
+        // the oldest (lowest id, first in `scans`) wins.
         if location.pos != UNKNOWN_POS {
+            let state = &inner.scans[idx];
             let hit = inner
                 .scans
-                .values()
-                .filter(|o| {
+                .iter()
+                .find(|o| {
                     o.anchor != state.anchor
                         && o.desc.object == state.desc.object
                         && o.desc.kind == state.desc.kind
                         && o.location == location
                 })
-                .min_by_key(|o| o.id)
                 .map(|o| (o.anchor, o.anchor_offset));
             if let Some((anchor, offset)) = hit {
+                let state = &mut inner.scans[idx];
                 state.anchor = anchor;
                 state.anchor_offset = offset;
                 inner.stats.anchor_merges += 1;
             }
         }
-        inner.scans.insert(id, state);
 
         let groups = inner.compute_groups(self.cfg.pool_pages);
         let role = groups.role(id).unwrap_or(Role::Singleton);
-        let group = groups.group_of(id).cloned();
+        let group = groups.group_of(id);
 
         // Provenance: role reclassification (first classification sets
         // the baseline without an event).
         {
-            let state = inner.scans.get_mut(&id).expect("scan present");
+            let state = &mut inner.scans[idx];
             let prev = state.last_role;
             state.last_role = Some(role);
-            if let (Some(prev), Some(g)) = (prev, group.as_ref()) {
+            if let (Some(prev), Some(g)) = (prev, group) {
                 if prev != role {
                     self.emit(
                         now,
@@ -523,13 +542,13 @@ impl ScanSharingManager {
         let threshold_pages = self.cfg.throttle_threshold_pages();
         let mut wait = scanshare_storage::SimDuration::ZERO;
         if self.cfg.enable_throttling && self.policy.throttles() && role == Role::Leader {
-            let g = group.as_ref().expect("leader has a group");
+            let g = group.expect("leader has a group");
             let trailer = g.trailer();
-            let trailer_speed = inner.scans[&trailer].speed;
+            let trailer_speed = inner.scan(trailer).expect("trailer is ongoing").speed;
             let distance = g.extent;
             let (exempt_before, was_throttled, accumulated, exempt_after, budget);
             {
-                let state = inner.scans.get_mut(&id).expect("scan present");
+                let state = &mut inner.scans[idx];
                 exempt_before = state.throttle_exempt;
                 was_throttled = state.throttled;
                 wait = throttle::throttle(&self.cfg, state, distance, trailer_speed);
@@ -580,11 +599,10 @@ impl ScanSharingManager {
         } else {
             // No longer a throttling leader: a scan that was being slowed
             // is implicitly released.
-            let state = inner.scans.get_mut(&id).expect("scan present");
+            let state = &mut inner.scans[idx];
             if state.throttled {
                 state.throttled = false;
                 let (anchor, extent) = group
-                    .as_ref()
                     .map(|g| (g.anchor, g.extent))
                     .unwrap_or((state.anchor, 0));
                 self.emit(
@@ -599,19 +617,11 @@ impl ScanSharingManager {
             }
         }
 
-        let priority = if self.cfg.enable_priorities && self.policy.prioritizes() {
-            match role {
-                Role::Leader => PagePriority::High,
-                Role::Trailer => PagePriority::Low,
-                Role::Middle | Role::Singleton => PagePriority::Normal,
-            }
-        } else {
-            PagePriority::Normal
-        };
+        let priority = self.release_priority(role);
         // Provenance: the release priority for this scan's pages changed
         // with its role (pages enter the pool at `Normal`).
         {
-            let state = inner.scans.get_mut(&id).expect("scan present");
+            let state = &mut inner.scans[idx];
             let prev = state.last_priority.unwrap_or(PagePriority::Normal);
             state.last_priority = Some(priority);
             if prev != priority {
@@ -640,15 +650,15 @@ impl ScanSharingManager {
     /// new page offset.
     pub fn wrap_scan(&self, id: ScanId, now: SimTime, location: Location) {
         let mut inner = self.inner.lock();
-        let Some(state) = inner.scans.get(&id) else {
+        let Some(idx) = inner.index_of(id) else {
             return;
         };
-        let (kind, object) = (state.desc.kind, state.desc.object);
+        let (kind, object) = (inner.scans[idx].desc.kind, inner.scans[idx].desc.object);
         let (anchor, offset) = match kind {
             ScanKind::Table => (Self::table_anchor(&mut inner, object), location.pos as i64),
             ScanKind::Index => (inner.anchors.fresh(), 0),
         };
-        let state = inner.scans.get_mut(&id).expect("checked above");
+        let state = &mut inner.scans[idx];
         state.anchor = anchor;
         state.anchor_offset = offset;
         state.location = location;
@@ -659,7 +669,8 @@ impl ScanSharingManager {
     /// later lone scan can pick up the leftovers.
     pub fn end_scan(&self, id: ScanId, _now: SimTime) {
         let mut inner = self.inner.lock();
-        if let Some(state) = inner.scans.remove(&id) {
+        if let Some(idx) = inner.index_of(id) {
+            let state = inner.scans.remove(idx);
             inner.stats.scans_finished += 1;
             let churn_at_end = inner.total_pages_advanced;
             inner.last_finished.insert(
@@ -785,13 +796,14 @@ impl ScanSharingManager {
     /// pass, so its trailing pages are not a complete prefix.
     pub fn evict_scan(&self, id: ScanId, now: SimTime, reason: &str) {
         let mut inner = self.inner.lock();
-        let Some(state) = inner.scans.remove(&id) else {
+        let Some(idx) = inner.index_of(id) else {
             return;
         };
+        let state = inner.scans.remove(idx);
         inner.evicted_by_fault += 1;
         let evicted_total = inner.evicted_by_fault;
         let anchor = state.anchor;
-        let remaining = inner.scans.values().filter(|s| s.anchor == anchor).count();
+        let remaining = inner.scans.iter().filter(|s| s.anchor == anchor).count();
         self.emit(
             now,
             DecisionEvent::ScanEvicted {
@@ -825,15 +837,13 @@ impl ScanSharingManager {
         // location update: lift throttling and reclassify roles.
         let groups = inner.compute_groups(self.cfg.pool_pages);
         let threshold_pages = self.cfg.throttle_threshold_pages();
-        let mut ids: Vec<ScanId> = inner.scans.keys().copied().collect();
-        ids.sort();
-        for sid in ids {
+        for s in inner.scans.iter_mut() {
+            let sid = s.id;
             let role = groups.role(sid).unwrap_or(Role::Singleton);
             let group = groups.group_of(sid);
             let (g_anchor, g_extent, g_members) = group
                 .map(|g| (g.anchor, g.extent, g.members.len()))
                 .unwrap_or((anchor, 0, 1));
-            let s = inner.scans.get_mut(&sid).expect("scan present");
             if s.throttled {
                 s.throttled = false;
                 self.emit(
@@ -870,18 +880,30 @@ impl ScanSharingManager {
         self.inner.lock().evicted_by_fault
     }
 
-    /// `ISM.pr()`: the release priority for a scan's pages right now.
+    /// Whether leader/trailer page re-prioritization is in effect: the
+    /// configuration enables it and the policy uses it.
+    fn prioritizes(&self) -> bool {
+        self.cfg.enable_priorities && self.policy.prioritizes()
+    }
+
+    /// The release priority for the pages of a scan in `role`.
+    fn release_priority(&self, role: Role) -> PagePriority {
+        match role {
+            Role::Leader if self.prioritizes() => PagePriority::High,
+            Role::Trailer if self.prioritizes() => PagePriority::Low,
+            _ => PagePriority::Normal,
+        }
+    }
+
+    /// `ISM.pr()`: the release priority for a scan's pages right now —
+    /// what [`ScanSharingManager::update_location`] would return for it.
     pub fn page_priority(&self, id: ScanId) -> PagePriority {
-        if !self.cfg.enable_priorities {
+        if !self.prioritizes() {
             return PagePriority::Normal;
         }
         let inner = self.inner.lock();
         let groups = inner.compute_groups(self.cfg.pool_pages);
-        match groups.role(id) {
-            Some(Role::Leader) => PagePriority::High,
-            Some(Role::Trailer) => PagePriority::Low,
-            _ => PagePriority::Normal,
-        }
+        self.release_priority(groups.role(id).unwrap_or(Role::Singleton))
     }
 
     /// Snapshot of the current groups (diagnostics, tests, examples).
@@ -897,9 +919,9 @@ impl ScanSharingManager {
     pub fn probe(&self) -> ManagerProbe {
         let inner = self.inner.lock();
         let groups = inner.compute_groups(self.cfg.pool_pages);
-        let mut scans: Vec<ScanProbe> = inner
+        let scans: Vec<ScanProbe> = inner
             .scans
-            .values()
+            .iter()
             .map(|s| {
                 let budget = throttle::slowdown_budget(&self.cfg, &s.desc);
                 let frac = if budget == SimDuration::ZERO {
@@ -923,7 +945,6 @@ impl ScanSharingManager {
                 }
             })
             .collect();
-        scans.sort_by_key(|p| p.id);
         ManagerProbe {
             groups: groups.groups,
             scans,
@@ -942,7 +963,7 @@ impl ScanSharingManager {
 
     /// The current speed estimate of a scan, in pages/second (tests).
     pub fn scan_speed(&self, id: ScanId) -> Option<f64> {
-        self.inner.lock().scans.get(&id).map(|s| s.speed)
+        self.inner.lock().scan(id).map(|s| s.speed)
     }
 }
 
@@ -1161,8 +1182,12 @@ mod tests {
         let m = mgr(1000);
         let (s1, _) = m.start_scan(table_desc(0, 1000, 10), SimTime::ZERO);
         m.end_scan(s1, SimTime::from_secs(1));
+        let log = DecisionLog::new(16);
+        m.attach_decision_log(log.clone());
         m.evict_scan(s1, SimTime::from_secs(2), "already gone");
+        m.evict_scan(ScanId(99), SimTime::from_secs(2), "never issued");
         assert_eq!(m.scans_evicted(), 0);
+        assert!(log.records().is_empty());
     }
 
     #[test]
@@ -1281,6 +1306,28 @@ mod tests {
         let o = m.update_location(s1, SimTime::from_secs(2), Location::new(5, 5), 5);
         assert_eq!(o.wait, SimDuration::ZERO);
         assert_eq!(m.stats().scans_finished, 1);
+
+        // The same for an id from the middle of the live set and for one
+        // that was never issued; the neighbours stay addressable.
+        let ids: Vec<ScanId> = (0..3)
+            .map(|_| m.start_scan(table_desc(0, 100, 1), SimTime::from_secs(2)).0)
+            .collect();
+        m.end_scan(ids[1], SimTime::from_secs(3));
+        for gone in [ids[1], ScanId(99)] {
+            let o = m.update_location(gone, SimTime::from_secs(4), Location::new(5, 5), 5);
+            assert_eq!(
+                (o.wait, o.priority, o.role),
+                (SimDuration::ZERO, PagePriority::Normal, Role::Singleton)
+            );
+            m.wrap_scan(gone, SimTime::from_secs(4), Location::new(0, 0));
+            m.end_scan(gone, SimTime::from_secs(4));
+            assert_eq!(m.scan_speed(gone), None);
+        }
+        assert_eq!(m.stats().scans_finished, 2);
+        assert_eq!(m.num_active(), 2);
+        let probed: Vec<ScanId> = m.probe().scans.iter().map(|s| s.id).collect();
+        assert_eq!(probed, vec![ids[0], ids[2]]);
+        assert!(m.scan_speed(ids[0]).is_some() && m.scan_speed(ids[2]).is_some());
     }
 
     #[test]
@@ -1617,6 +1664,96 @@ mod tests {
         }
         assert_eq!(m.num_active(), 0);
         assert_eq!(m.stats().scans_finished, 4);
+    }
+
+    // ---- ordering pins: what a keyed map would leave to chance ----
+
+    #[test]
+    fn probe_lists_scans_by_id_and_groups_by_anchor_then_offset() {
+        let m = ScanSharingManager::new(SharingConfig {
+            enable_placement: false,
+            ..SharingConfig::new(50)
+        });
+        // Object 1 is registered first and so gets the lower anchor.
+        let descs = [1, 0, 1, 0, 1, 0].map(|object| table_desc(object, 10_000, 100));
+        let ids: Vec<ScanId> = descs
+            .into_iter()
+            .map(|d| m.start_scan(d, SimTime::ZERO).0)
+            .collect();
+        // Offsets chosen against id order; 5000/5010 are close enough to
+        // share a group under the 50-page budget, the rest are not.
+        let pages = [5000u64, 900, 20, 300, 5010, 40];
+        for (&id, &p) in ids.iter().zip(&pages) {
+            m.update_location(id, SimTime::from_secs(1), Location::new(p as i64, p), p);
+        }
+        m.end_scan(ids[3], SimTime::from_secs(2));
+        let (late, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::from_secs(2));
+
+        let p = m.probe();
+        let probed: Vec<ScanId> = p.scans.iter().map(|s| s.id).collect();
+        assert_eq!(probed, vec![ids[0], ids[1], ids[2], ids[4], ids[5], late]);
+        let members: Vec<Vec<ScanId>> = p.groups.iter().map(|g| g.members.clone()).collect();
+        assert_eq!(
+            members,
+            vec![
+                vec![ids[2]],         // object 1 @ 20
+                vec![ids[0], ids[4]], // object 1 @ 5000..5010
+                vec![late],           // object 0 @ 0
+                vec![ids[5]],         // object 0 @ 40
+                vec![ids[1]],         // object 0 @ 900
+            ]
+        );
+        assert_eq!(m.groups(), p.groups);
+    }
+
+    #[test]
+    fn anchor_merge_adopts_the_lowest_id_among_coinciding_scans() {
+        let m = ScanSharingManager::new(SharingConfig {
+            enable_placement: false,
+            ..SharingConfig::new(10_000)
+        });
+        let ids: Vec<ScanId> = (0..3)
+            .map(|_| {
+                m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::ZERO)
+                    .0
+            })
+            .collect();
+        // s1 reaches a location; s0 lands on the same one by wrapping,
+        // which founds a fresh anchor and merges nothing.
+        let here = Location::new(10, 512);
+        m.update_location(ids[1], SimTime::from_millis(10), here, 512);
+        m.wrap_scan(ids[0], SimTime::from_millis(10), here);
+        assert_eq!(m.groups().len(), 3);
+        // s2 arrives: both coincide, the older s0 defines its coordinates.
+        m.update_location(ids[2], SimTime::from_millis(20), here, 200);
+        assert_eq!(m.stats().anchor_merges, 1);
+        let members: Vec<Vec<ScanId>> = m.groups().into_iter().map(|g| g.members).collect();
+        assert_eq!(members, vec![vec![ids[1]], vec![ids[0], ids[2]]]);
+    }
+
+    #[test]
+    fn page_priority_agrees_with_update_location_under_every_policy() {
+        for kind in [
+            SharingPolicyKind::Grouping,
+            SharingPolicyKind::Attach,
+            SharingPolicyKind::Elevator,
+        ] {
+            let m = mgr_with_policy(1000, kind);
+            let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
+            let t1 = SimTime::from_secs(5);
+            m.update_location(s1, t1, Location::new(500, 500), 500);
+            let (s2, _) = m.start_scan(table_desc(0, 10_000, 100), t1);
+            let t2 = SimTime::from_secs(6);
+            let o1 = m.update_location(s1, t2, Location::new(610, 610), 110);
+            let o2 = m.update_location(s2, t2, Location::new(600, 600), 100);
+            assert_eq!((o1.role, o2.role), (Role::Leader, Role::Trailer), "{kind}");
+            let want = match kind {
+                SharingPolicyKind::Grouping => (PagePriority::High, PagePriority::Low),
+                _ => (PagePriority::Normal, PagePriority::Normal),
+            };
+            assert_eq!((o1.priority, o2.priority), want, "{kind}");
+            assert_eq!((m.page_priority(s1), m.page_priority(s2)), want, "{kind}");
+        }
     }
 
     // ---- policy-framework pinning: the 3-scan micro-workload ----

@@ -28,9 +28,22 @@
 //! * [`best_start_optimal`] — the O(|S|³) "interesting locations" search
 //!   of §6.2: candidate starts where the new scan's trace enters, centers
 //!   on, or leaves an ongoing scan's envelope at each event time,
-//! * [`best_start_practical`] — the O(|S|²) algorithm of §6.3 used by the
+//! * [`best_start_practical`] — the algorithm of §6.3 used by the
 //!   manager: candidates are the current locations of the ongoing scans
 //!   in the anchor groups overlapping the new scan's key range.
+//!
+//! # Cost
+//!
+//! One estimate sorts the ≤ |S|+1 visits of each of the
+//! [`ESTIMATOR_CELLS`] cells and looks the churn rate of every adjacent
+//! visit pair up in a step table built once per search, so it costs
+//! O(cells · |S| log |S|) and the practical search, one estimate per
+//! *distinct* member location, O(cells · |S|² log |S|) — the paper's
+//! O(|S|²) up to the sort. Until ISSUE 14 the churn rate was re-derived
+//! with a loop over all traces (one division each) for every visit pair,
+//! which made the search cells · |S|³: at |S| = 64 one
+//! `best_start_practical` call took 25.7 ms against 3.8 ms now
+//! (`placement_cost` micro-benchmark; DESIGN.md §9d).
 
 use serde::{Deserialize, Serialize};
 
@@ -119,87 +132,157 @@ impl ReadsEstimate {
 /// assert!(est.savings_per_page() > 0.9);
 /// ```
 pub fn calculate_reads(traces: &[Trace], cand: Trace, pool_pages: f64) -> ReadsEstimate {
-    let span = cand.end_pos - cand.pos0;
-    if span <= 0.0 {
-        return ReadsEstimate {
-            reads: 0.0,
-            baseline: 0.0,
-            span: 0.0,
-        };
+    Estimator::new(traces).reads(cand, pool_pages)
+}
+
+/// The ongoing traces' aggregate churn rate as a step function of time:
+/// every trace contributes its speed until it ends (ongoing traces have
+/// been running since before now, so they are active for all
+/// `t <= end_time`), hence the rate only changes at the ≤ |S| distinct
+/// end times. Built once per placement search and shared by all of its
+/// estimates.
+struct ChurnSteps {
+    /// The distinct trace end times, ascending (never NaN: `end_time`
+    /// clamps through `f64::max`).
+    ends: Vec<f64>,
+    /// `rates[j]` is the rate at any `t` with `ends[j-1] < t <= ends[j]`;
+    /// the last entry (after every trace has ended) is 0.
+    rates: Vec<f64>,
+}
+
+impl ChurnSteps {
+    fn new(traces: &[Trace]) -> Self {
+        let end_times: Vec<f64> = traces.iter().map(Trace::end_time).collect();
+        let mut ends = end_times.clone();
+        ends.sort_unstable_by(f64::total_cmp);
+        ends.dedup();
+        // Each step sums its active traces in slice order, not as a
+        // running prefix over the sorted ends: f64 addition is not
+        // associative, and the estimate is pinned bit for bit to the
+        // left-to-right sum (see the oracle test).
+        let mut rates: Vec<f64> = ends
+            .iter()
+            .map(|&end| {
+                let mut rate = 0.0;
+                for (tr, &e) in traces.iter().zip(&end_times) {
+                    if e >= end {
+                        rate += tr.speed;
+                    }
+                }
+                rate
+            })
+            .collect();
+        rates.push(0.0);
+        ChurnSteps { ends, rates }
     }
-    let cells = ESTIMATOR_CELLS;
-    let cell_w = span / cells as f64;
-    let mut reads = 0.0;
-    let mut baseline = 0.0;
 
-    // Active churn rate at time t: every ongoing trace contributes its
-    // speed until it ends; ongoing traces have been running since before
-    // now, so they are active for all t <= end_time. The candidate is
-    // active in [0, its end].
-    let churn_at = |t: f64| -> f64 {
-        let mut rate = 0.0;
-        for tr in traces {
-            if t <= tr.end_time() {
-                rate += tr.speed;
+    /// Summed speed of the traces still running at time `t`. A NaN `t`
+    /// (the midpoint of visits at -inf and +inf) is before no end time
+    /// and gets rate 0.
+    fn at(&self, t: f64) -> f64 {
+        self.rates[self.ends.partition_point(|&end| t > end || t.is_nan())]
+    }
+}
+
+/// [`calculate_reads`] for many candidates against one set of traces:
+/// the churn table is built once, and `visits` is scratch space reused
+/// across cells and candidates.
+struct Estimator<'a> {
+    traces: &'a [Trace],
+    churn: ChurnSteps,
+    visits: Vec<f64>,
+}
+
+impl<'a> Estimator<'a> {
+    fn new(traces: &'a [Trace]) -> Self {
+        Estimator {
+            traces,
+            churn: ChurnSteps::new(traces),
+            visits: Vec::with_capacity(traces.len() + 1),
+        }
+    }
+
+    fn reads(&mut self, cand: Trace, pool_pages: f64) -> ReadsEstimate {
+        let Estimator {
+            traces,
+            churn,
+            visits,
+        } = self;
+        let span = cand.end_pos - cand.pos0;
+        if span <= 0.0 {
+            return ReadsEstimate {
+                reads: 0.0,
+                baseline: 0.0,
+                span: 0.0,
+            };
+        }
+        let cells = ESTIMATOR_CELLS;
+        let cell_w = span / cells as f64;
+        let mut reads = 0.0;
+        let mut baseline = 0.0;
+
+        // Active churn rate at time t: the ongoing traces' step function,
+        // plus the candidate while it runs, in [0, its end].
+        let cand_end_time = cand.end_time();
+        let churn_at = |t: f64| -> f64 {
+            let mut rate = churn.at(t);
+            if (0.0..=cand_end_time).contains(&t) {
+                rate += cand.speed;
             }
-        }
-        if (0.0..=cand.end_time()).contains(&t) {
-            rate += cand.speed;
-        }
-        rate.max(1e-9)
-    };
+            rate.max(1e-9)
+        };
 
-    let mut visits: Vec<f64> = Vec::with_capacity(traces.len() + 1);
-    for c in 0..cells {
-        let x = cand.pos0 + (c as f64 + 0.5) * cell_w;
-        visits.clear();
-        for tr in traces {
-            if let Some(t) = tr.crossing(x) {
+        for c in 0..cells {
+            let x = cand.pos0 + (c as f64 + 0.5) * cell_w;
+            visits.clear();
+            for tr in traces.iter() {
+                if let Some(t) = tr.crossing(x) {
+                    visits.push(t);
+                }
+            }
+            if let Some(t) = cand.crossing(x) {
                 visits.push(t);
             }
-        }
-        if let Some(t) = cand.crossing(x) {
-            visits.push(t);
-        }
-        visits.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            visits.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
 
-        // Future visits each pay a read unless sharing merges them.
-        baseline += visits.iter().filter(|&&t| t >= 0.0).count() as f64 * cell_w;
+            // Future visits each pay a read unless sharing merges them.
+            baseline += visits.iter().filter(|&&t| t >= 0.0).count() as f64 * cell_w;
 
-        // Cluster consecutive visits: a visit rides the previous one's
-        // page if the pool has not cycled in between.
-        let mut cell_reads = 0u32;
-        let mut cluster_paid = false; // current cluster already paid/free
-        let mut prev: Option<f64> = None;
-        for &t in visits.iter() {
-            let same_cluster = match prev {
-                Some(p) => {
-                    let mid = (p + t) / 2.0;
-                    (t - p) * churn_at(mid) <= pool_pages
+            // Cluster consecutive visits: a visit rides the previous one's
+            // page if the pool has not cycled in between.
+            let mut cell_reads = 0u32;
+            let mut cluster_paid = false; // current cluster already paid/free
+            let mut prev: Option<f64> = None;
+            for &t in visits.iter() {
+                let same_cluster = match prev {
+                    Some(p) => {
+                        let mid = (p + t) / 2.0;
+                        (t - p) * churn_at(mid) <= pool_pages
+                    }
+                    None => false,
+                };
+                if !same_cluster {
+                    cluster_paid = false;
                 }
-                None => false,
-            };
-            if !same_cluster {
-                cluster_paid = false;
-            }
-            if !cluster_paid {
-                if t < 0.0 {
-                    // Read already happened in the past: free for the
-                    // cluster, costs nothing now.
-                    cluster_paid = true;
-                } else {
-                    cell_reads += 1;
-                    cluster_paid = true;
+                if !cluster_paid {
+                    if t < 0.0 {
+                        // Read already happened in the past: free for the
+                        // cluster, costs nothing now.
+                        cluster_paid = true;
+                    } else {
+                        cell_reads += 1;
+                        cluster_paid = true;
+                    }
                 }
+                prev = Some(t);
             }
-            prev = Some(t);
+            reads += cell_reads as f64 * cell_w;
         }
-        reads += cell_reads as f64 * cell_w;
-    }
-    ReadsEstimate {
-        reads,
-        baseline,
-        span,
+        ReadsEstimate {
+            reads,
+            baseline,
+            span,
+        }
     }
 }
 
@@ -234,20 +317,30 @@ pub fn conservative_end(start: f64, est_pages: f64, members: &[Trace]) -> f64 {
 ///
 /// `members` are the ongoing scans of one anchor group, in the group's
 /// offset coordinate. `cand_speed`/`cand_pages` are the new scan's
-/// estimates. Cost: one `calculate_reads` per member — O(|S|²) overall,
-/// as in the paper.
+/// estimates. Cost: one estimate per distinct member location —
+/// O(cells · |S|² log |S|), see the module docs.
 pub fn best_start_practical(
     members: &[Trace],
     cand_speed: f64,
     cand_pages: f64,
     pool_pages: f64,
 ) -> Option<PlacementCandidate> {
+    let mut estimator = Estimator::new(members);
     let mut best: Option<PlacementCandidate> = None;
     for (i, m) in members.iter().enumerate() {
         let start = m.pos0;
+        // The estimate is a pure function of `start`, and only a strictly
+        // better candidate replaces `best`: a member on the same page as
+        // an earlier one (grouped scans usually are) can never win.
+        if members[..i]
+            .iter()
+            .any(|p| p.pos0.to_bits() == start.to_bits())
+        {
+            continue;
+        }
         let end = conservative_end(start, cand_pages, members);
         let cand = Trace::new(start, cand_speed, end);
-        let estimate = calculate_reads(members, cand, pool_pages);
+        let estimate = estimator.reads(cand, pool_pages);
         let c = PlacementCandidate {
             start,
             member: i,
@@ -267,7 +360,8 @@ pub fn best_start_practical(
 /// ongoing scan and every event time (now, plus each scan's end time),
 /// consider starts where the candidate's trace enters, centers on, or
 /// leaves that scan's envelope. O(|S|²) candidates, each evaluated with
-/// the O(|S|) estimator — O(|S|³) total, exactly the paper's bound.
+/// the O(|S| log |S|)-per-cell estimator — the paper's O(|S|³) bound up
+/// to the sort.
 ///
 /// `range` is the feasible start interval (the new scan's own range in
 /// offset coordinates). Returns the candidate with minimal estimated
@@ -309,11 +403,12 @@ pub fn best_start_optimal(
     starts.sort_by(|a, b| a.partial_cmp(b).unwrap());
     starts.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
 
+    let mut estimator = Estimator::new(members);
     let mut best: Option<PlacementCandidate> = None;
     for start in starts {
         let end = (start + cand_pages).min(range.1 + cand_pages);
         let cand = Trace::new(start, cand_speed, end);
-        let estimate = calculate_reads(members, cand, pool_pages);
+        let estimate = estimator.reads(cand, pool_pages);
         let c = PlacementCandidate {
             start,
             member: usize::MAX,
@@ -483,5 +578,170 @@ mod tests {
         assert_eq!(est.reads, 0.0);
         assert_eq!(est.span, 0.0);
         assert_eq!(est.savings_per_page(), 0.0);
+    }
+
+    /// The traces' churn rate at `t` as first written: one pass over all
+    /// of them, an end time (a division) each.
+    fn naive_churn(traces: &[Trace], t: f64) -> f64 {
+        let mut rate = 0.0;
+        for tr in traces {
+            if t <= tr.end_time() {
+                rate += tr.speed;
+            }
+        }
+        rate
+    }
+
+    /// The estimator as first written — that pass repeated for every
+    /// visit pair — kept as the oracle the step table must match bit for
+    /// bit.
+    fn naive_reads(traces: &[Trace], cand: Trace, pool_pages: f64) -> ReadsEstimate {
+        let span = cand.end_pos - cand.pos0;
+        if span <= 0.0 {
+            return calculate_reads(&[], cand, pool_pages);
+        }
+        let cell_w = span / ESTIMATOR_CELLS as f64;
+        let churn_at = |t: f64| {
+            let mut rate = naive_churn(traces, t);
+            if (0.0..=cand.end_time()).contains(&t) {
+                rate += cand.speed;
+            }
+            rate.max(1e-9)
+        };
+        let (mut reads, mut baseline) = (0.0, 0.0);
+        for c in 0..ESTIMATOR_CELLS {
+            let x = cand.pos0 + (c as f64 + 0.5) * cell_w;
+            let mut visits: Vec<f64> = traces.iter().filter_map(|tr| tr.crossing(x)).collect();
+            visits.extend(cand.crossing(x));
+            visits.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            baseline += visits.iter().filter(|&&t| t >= 0.0).count() as f64 * cell_w;
+            let (mut cell_reads, mut paid, mut prev) = (0u32, false, None::<f64>);
+            for &t in &visits {
+                if !prev.is_some_and(|p| (t - p) * churn_at((p + t) / 2.0) <= pool_pages) {
+                    paid = false;
+                }
+                if !paid && t >= 0.0 {
+                    cell_reads += 1;
+                }
+                paid = true;
+                prev = Some(t);
+            }
+            reads += cell_reads as f64 * cell_w;
+        }
+        ReadsEstimate {
+            reads,
+            baseline,
+            span,
+        }
+    }
+
+    /// §6.3 as first written: one estimate per member, duplicates and all.
+    fn naive_best(
+        members: &[Trace],
+        speed: f64,
+        pages: f64,
+        pool: f64,
+    ) -> Option<(usize, ReadsEstimate)> {
+        let mut best: Option<(usize, ReadsEstimate)> = None;
+        for (i, m) in members.iter().enumerate() {
+            let end = conservative_end(m.pos0, pages, members);
+            let est = naive_reads(members, Trace::new(m.pos0, speed, end), pool);
+            if best.is_none_or(|(_, b)| est.savings_per_page() > b.savings_per_page()) {
+                best = Some((i, est));
+            }
+        }
+        best.filter(|(_, b)| b.savings_per_page() > 0.0)
+    }
+
+    fn bits(e: ReadsEstimate) -> [u64; 3] {
+        [e.reads.to_bits(), e.baseline.to_bits(), e.span.to_bits()]
+    }
+
+    /// 2 500 seeded inputs built from small palettes, so that duplicate
+    /// starts, duplicate end times, stopped and backwards traces, and
+    /// crossing times of ±inf (a subnormal speed; their midpoint is NaN)
+    /// all occur many times over.
+    #[test]
+    fn step_table_matches_the_naive_estimator_bit_for_bit() {
+        use scanshare_prng::Rng;
+        // 0.1, 33.3 and 1e17 make the order of summation visible.
+        let speeds = [
+            0.0,
+            -5.0,
+            f64::from_bits(1),
+            0.1,
+            33.3,
+            100.0,
+            100.0,
+            250.0,
+            1e17,
+            -1e17,
+            f64::INFINITY,
+        ];
+        let lengths = [0.0, 64.0, 500.0, 500.0, 2000.0, f64::INFINITY];
+        let pools = [0.0, 16.0, 80.0, 500.0, 1e9, f64::INFINITY];
+        let pages = [0.0, 16.0, 1000.0, 2000.0, 1e18];
+        let mut rng = Rng::seed_from_u64(14);
+        let (mut joined, mut refused) = (0, 0);
+        for case in 0..2500 {
+            let n = if case % 100 == 0 {
+                40
+            } else {
+                rng.bounded_u64(13) as usize
+            };
+            let members: Vec<Trace> = (0..n)
+                .map(|_| {
+                    let pos = rng.bounded_u64(24) as f64 * 16.0 - 64.0;
+                    Trace::new(
+                        pos,
+                        *rng.choose(&speeds).unwrap(),
+                        pos + *rng.choose(&lengths).unwrap(),
+                    )
+                })
+                .collect();
+            let speed = *rng.choose(&speeds).unwrap();
+            let pages = *rng.choose(&pages).unwrap();
+            let pool = *rng.choose(&pools).unwrap();
+
+            let got = best_start_practical(&members, speed, pages, pool);
+            let want = naive_best(&members, speed, pages, pool);
+            assert_eq!(
+                got.map(|c| (c.member, c.start.to_bits(), bits(c.estimate))),
+                want.map(|(i, e)| (i, members[i].pos0.to_bits(), bits(e))),
+                "case {case}: {members:?} speed {speed} pages {pages} pool {pool}"
+            );
+            if got.is_some() {
+                joined += 1;
+            } else {
+                refused += 1;
+            }
+
+            // The step table itself, at and around every end time.
+            let churn = ChurnSteps::new(&members);
+            let mut times = vec![f64::NAN, f64::NEG_INFINITY, -1.0, 0.0];
+            for m in &members {
+                let e = m.end_time();
+                times.extend([e, e * 0.5, e + 1.0, e * 2.0]);
+            }
+            for t in times {
+                let want = naive_churn(&members, t);
+                assert_eq!(churn.at(t).to_bits(), want.to_bits(), "case {case}: t {t}");
+            }
+
+            let cand = Trace::new(
+                rng.bounded_u64(24) as f64 * 16.0 - 64.0,
+                speed,
+                rng.bounded_u64(40) as f64 * 16.0,
+            );
+            assert_eq!(
+                bits(calculate_reads(&members, cand, pool)),
+                bits(naive_reads(&members, cand, pool)),
+                "case {case}: {members:?} cand {cand:?} pool {pool}"
+            );
+        }
+        assert!(
+            joined > 100 && refused > 100,
+            "{joined} joined, {refused} refused"
+        );
     }
 }

@@ -28,7 +28,6 @@
 //! command line.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use crate::anchor::AnchorId;
 use crate::config::{PlacementStrategy, SharingConfig};
@@ -83,16 +82,16 @@ impl std::str::FromStr for SharingPolicyKind {
     }
 }
 
-/// Snapshot of one ongoing scan, as a policy sees it. A read-only copy of
+/// Snapshot of one ongoing scan, as a policy sees it. A read-only view of
 /// the manager's internal per-scan state (§5.2's attribute set) so that
 /// policies can be implemented outside the manager without access to its
 /// private bookkeeping.
 #[derive(Debug, Clone)]
-pub struct ScanView {
+pub struct ScanView<'a> {
     /// The scan's id (ascending in start order — higher id = newer scan).
     pub id: ScanId,
     /// The scan's static description (object, kind, key range, estimates).
-    pub desc: ScanDesc,
+    pub desc: &'a ScanDesc,
     /// Last reported location.
     pub location: Location,
     /// Estimated pages left in the scan range.
@@ -123,11 +122,11 @@ pub struct FinishedView {
 /// snapshot of the manager's state taken under its lock at `start_scan`
 /// time.
 #[derive(Debug, Clone)]
-pub struct PolicyView {
+pub struct PolicyView<'a> {
     /// The configuration in effect.
-    pub cfg: SharingConfig,
+    pub cfg: &'a SharingConfig,
     /// All ongoing scans (every object, every kind), ascending by id.
-    pub scans: Vec<ScanView>,
+    pub scans: Vec<ScanView<'a>>,
     /// The most recently finished scan on the new scan's object, if any.
     pub last_finished: Option<FinishedView>,
     /// Total pages advanced by all scans since the manager was created —
@@ -198,7 +197,7 @@ pub fn policy_for(kind: SharingPolicyKind) -> Box<dyn SharingPolicy> {
 /// kind, current key inside the new scan's range (a scan whose location
 /// is outside the range cannot be joined — §6). `view.scans` is sorted by
 /// id, so the result is too.
-fn compatible<'a>(view: &'a PolicyView, desc: &ScanDesc) -> Vec<&'a ScanView> {
+fn compatible<'a>(view: &'a PolicyView<'_>, desc: &ScanDesc) -> Vec<&'a ScanView<'a>> {
     view.scans
         .iter()
         .filter(|s| {
@@ -232,8 +231,8 @@ impl SharingPolicy for GroupingPolicy {
         desc: &ScanDesc,
         candidates: &mut Vec<PlacementCandidate>,
     ) -> StartDecision {
-        let cfg = &view.cfg;
-        let members = compatible(view, desc);
+        let cfg = view.cfg;
+        let mut members = compatible(view, desc);
 
         if members.is_empty() {
             // Figure 13 line 2: join the last finished scan's leftovers.
@@ -341,17 +340,13 @@ impl SharingPolicy for GroupingPolicy {
         }
 
         // Evaluate per anchor group (offsets are only comparable within a
-        // group), then take the best savings across groups.
-        let mut by_group: HashMap<AnchorId, Vec<&ScanView>> = HashMap::new();
-        for m in &members {
-            by_group.entry(m.anchor).or_default().push(m);
-        }
-        let mut groups: Vec<_> = by_group.into_iter().collect();
-        groups.sort_by_key(|(a, _)| *a);
+        // group), then take the best savings across groups. The sort is
+        // stable: groups come in anchor order, their members in id order.
+        members.sort_by_key(|m| m.anchor);
 
         let cand_speed = desc.est_speed();
         let mut best: Option<(f64, ScanId, Location)> = None;
-        for (_, group_members) in groups {
+        for group_members in members.chunk_by(|a, b| a.anchor == b.anchor) {
             let traces: Vec<Trace> = group_members
                 .iter()
                 .map(|m| {

@@ -24,6 +24,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
+echo "== benchmark crate (metric-name drift + --quick smoke) =="
+# benchmark/ is its own workspace with path dependencies on crates/*, so
+# nothing above compiles it: an API change that breaks it would first
+# fail in the pipeline. Its tests also check that what the program prints
+# still matches BENCHMARK.json.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== perf-regression gate (smoke baseline) =="
 scripts/bench_gate.sh results/baseline_smoke.json
 
