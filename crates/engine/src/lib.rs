@@ -48,6 +48,6 @@ pub use query::{Access, AggSpec, Pred, Query, QueryResult, ScanSpec};
 pub use slo::{SloConfig, SloOp, SloRule, SloVerdict};
 pub use trace::{TraceEvent, TraceRecord, Tracer};
 pub use workload::{
-    run_workload, run_workload_hooked, run_workload_traced, RunHooks, SharingMode, Stream,
-    WatchFrame, WatchObserver, WorkloadSpec,
+    run_workload, run_workload_hooked, RunHooks, SharingMode, Stream, WatchFrame, WatchObserver,
+    WorkloadSpec,
 };

@@ -5,44 +5,49 @@
 //! shared page, and the sharing manager spends its effort keeping the
 //! cursors close enough that those fixes are hits. Push mode removes
 //! the N cursors altogether: per (table, range) cohort a single *group
-//! driver* cursor performs `fetch_extent` → fix → unpin exactly once
-//! per extent and hands a borrowed view of the fixed pages to every
-//! attached consumer's compiled row pipeline before release.
+//! driver* — one `Cursor` with a list of `Consumer`s — runs
+//! `step_extent`, which fetches, fixes and unpins each extent exactly
+//! once and hands the fixed pages to every member's row pipeline before
+//! release. The step itself is the one a pull scan runs with a single
+//! consumer; what this module adds is what is genuinely push: admission
+//! (found a driver or attach to one), parking, catch-up, handoff, and
+//! the run's [`PushSummary`].
 //!
 //! The driver is not a task of its own: the event loop stays one event
-//! per stream, and the *owning* consumer's events advance the shared
-//! cursor. Riders park on the driver's next wake-up and pay only their
-//! CPU share. A late joiner replays the prefix it missed through a
-//! private, unmanaged pull cursor (`Plan::prefix`) driven by its own
-//! stream events, concurrently with riding the ongoing lap — push's
-//! analogue of the pull executor's wrap phase.
+//! per stream, and the events of the *owner* — the head of the member
+//! list — advance the shared cursor. Riders park on the driver's next
+//! wake-up and pay only their CPU share. A late joiner replays the
+//! prefix it missed through a private, unmanaged cursor
+//! (`Plan::prefix`) driven by its own stream events, concurrently with
+//! riding the ongoing lap — push's analogue of the pull executor's wrap
+//! phase.
 //!
-//! Throttling throttles the *driver*: each extent's `update_location`
-//! calls report every consumer at the same location (so groups, roles
-//! and provenance stay meaningful), but only the owner's returned wait
-//! and release priority are applied — there is no leader-trailer drift
-//! to arbitrate inside a cohort, because there is only one cursor.
+//! Throttling throttles the *driver*: every member reports each extent's
+//! location (so groups, roles and provenance stay meaningful), but only
+//! the owner's returned wait and release priority are applied — there
+//! is no leader-trailer drift to arbitrate inside a cohort, because
+//! there is only one cursor.
 //!
-//! Fault handling mirrors pull's graceful degradation. A read fault on
-//! the shared cursor evicts the owner (partial answer, same eviction
-//! reason format) and hands the cursor to the first surviving rider —
-//! recorded as a [`scanshare::DecisionEvent::DriverHandoff`] — so the
-//! cohort keeps its single-fix property across the failure. A fault on
-//! a private catch-up cursor evicts only that consumer.
+//! Fault handling is the step's: whoever owns the faulting cursor is
+//! evicted with a partial answer. When that cursor is a driver's, the
+//! head of the member list is dropped and the next member inherits the
+//! cursor — recorded as a [`scanshare::DecisionEvent::DriverHandoff`] —
+//! so the cohort keeps its single-fix property across the failure. A
+//! fault on a private catch-up cursor evicts only that consumer.
 
 use std::collections::HashMap;
 
-use scanshare::{ObjectId, PagePriority, ScanId, ScanKind};
-use scanshare_storage::{FileId, PageId, SimTime, StorageError};
+use scanshare::{ObjectId, ScanId, ScanKind};
+use scanshare_storage::{SimDuration, SimTime};
 
-use crate::cost::CpuClass;
 use crate::db::Database;
 use crate::error::EngineResult;
 use crate::exec::ExecWorld;
 use crate::metrics::PushSummary;
-use crate::query::{QueryResult, ScanSpec};
+use crate::query::{Access, QueryResult, ScanSpec};
 use crate::scan_exec::{
-    consume_all_rows, plan_scan, AggState, Plan, PlannedScan, RowPipeline, ScanMetrics,
+    plan_scan, shareable, step_extent, Consumer, Cursor, PlannedScan, ScanMetrics, Step,
+    StepScratch,
 };
 
 /// Handle of one admitted push consumer (index into the engine's
@@ -62,16 +67,14 @@ struct DriverKey {
     end_key: i64,
 }
 
-/// One shared cursor: the *advance the cursor* half of a whole cohort.
+/// One shared cursor and the cohort it feeds.
 #[derive(Debug)]
 struct GroupDriver {
-    plan: Plan,
-    file: FileId,
+    cursor: Cursor,
     object: ObjectId,
-    /// Consumer whose stream events step the cursor.
-    owner: usize,
-    /// Riding consumers, in attach order (owner excluded).
-    attached: Vec<usize>,
+    /// The consumers the cursor delivers to, in attach order. The head
+    /// is the owner: its stream events step the cursor.
+    members: Vec<usize>,
     /// When the cursor next advances — what parked riders wait on.
     next_wake: SimTime,
     /// The lap is over (or the cohort died out); consumers finalize at
@@ -79,22 +82,12 @@ struct GroupDriver {
     done: bool,
 }
 
-/// One admitted scan: the *consume rows* half, plus its catch-up state.
-struct Consumer {
-    scan: ScanId,
+/// Where an admitted consumer sits: its driver, and its catch-up state.
+struct Seat {
     driver: usize,
-    pipeline: RowPipeline,
-    width: usize,
-    cpu: CpuClass,
-    agg: AggState,
-    metrics: ScanMetrics,
-    /// When this consumer's share of the last delivered extent is
-    /// processed; it cannot finish (or absorb the next extent) earlier.
-    ready_at: SimTime,
-    /// Private pull cursor over the prefix missed before attaching.
-    catchup: Option<Plan>,
-    /// Died to a fault: finished with a partial answer.
-    aborted: bool,
+    /// Private cursor over the prefix missed before attaching. Boxed:
+    /// most consumers never have one, and seats are never freed.
+    catchup: Option<Box<Cursor>>,
     /// Placement narration for the trace (`push-driver`, `push-rider`).
     label: String,
 }
@@ -106,15 +99,13 @@ struct Consumer {
 pub struct PushEngine {
     drivers: Vec<GroupDriver>,
     consumers: Vec<Consumer>,
+    /// Parallel to `consumers`.
+    seats: Vec<Seat>,
     by_key: HashMap<DriverKey, Vec<usize>>,
     summary: PushSummary,
-    // Reusable step buffers (drivers and catch-up cursors never step
-    // concurrently within one call).
-    ids: Vec<PageId>,
-    rids: Vec<(PageId, u16)>,
-    pages: Vec<(PageId, u32)>,
-    prefetch: Vec<PageId>,
-    faults: Vec<crate::faults::FaultEvent>,
+    /// Step buffers lent to whichever cursor steps (drivers and catch-up
+    /// cursors never step concurrently within one call).
+    scratch: StepScratch,
 }
 
 impl PushEngine {
@@ -128,20 +119,20 @@ impl PushEngine {
         self.summary.clone()
     }
 
-    /// The manager id of an admitted consumer.
-    pub fn scan_id(&self, id: ConsumerId) -> ScanId {
+    /// The manager id of an admitted consumer, while it is registered.
+    pub fn scan_id(&self, id: ConsumerId) -> Option<ScanId> {
         self.consumers[id.0].scan
     }
 
     /// How the consumer joined its cohort (for tracing).
     pub fn placement_label(&self, id: ConsumerId) -> &str {
-        &self.consumers[id.0].label
+        &self.seats[id.0].label
     }
 
     /// The finished consumer's answer and measurements.
     pub fn take_result(&mut self, id: ConsumerId) -> (QueryResult, ScanMetrics) {
         let c = &mut self.consumers[id.0];
-        (c.agg.result(), std::mem::take(&mut c.metrics))
+        (c.result(), std::mem::take(&mut c.metrics))
     }
 
     /// Try to admit `spec` into push delivery at time `now`. Returns
@@ -166,13 +157,12 @@ impl PushEngine {
         let Some(mgr) = world.mgr.clone() else {
             return Ok(None);
         };
-        let shareable = !spec.require_order
-            && match &spec.access {
-                crate::query::Access::FullTable => world.cfg.share_table_scans,
-                crate::query::Access::IndexRange { .. } => world.cfg.share_index_scans,
-                crate::query::Access::RidRange { .. } => false,
-            };
-        if !shareable {
+        let kind = match spec.access {
+            Access::FullTable => ScanKind::Table,
+            Access::IndexRange { .. } => ScanKind::Index,
+            Access::RidRange { .. } => return Ok(None),
+        };
+        if !shareable(&world.cfg, spec, kind) {
             return Ok(None);
         }
         let PlannedScan {
@@ -181,12 +171,9 @@ impl PushEngine {
             plan,
             desc,
         } = plan_scan(db, world, spec)?;
-        if plan.is_rid() {
-            return Ok(None);
-        }
         let key = DriverKey {
             object: desc.object.0,
-            kind: match desc.kind {
+            kind: match kind {
                 ScanKind::Table => 0,
                 ScanKind::Index => 1,
             },
@@ -205,60 +192,50 @@ impl PushEngine {
             if drv.done {
                 continue;
             }
-            let missed = drv.plan.visited_pages();
-            if mgr.attach_push(missed, drv.plan.total_pages()) {
+            let missed = drv.cursor.plan.visited_pages();
+            if mgr.attach_push(missed, drv.cursor.plan.total_pages()) {
                 joined = Some((di, missed));
                 break;
             }
         }
-        let (driver, label, catchup) = match joined {
+        let seat = match joined {
             Some((di, missed)) => {
                 let drv = &mut self.drivers[di];
-                drv.attached.push(cid);
+                let owner_scan = self.consumers[drv.members[0]]
+                    .scan
+                    .expect("a live driver's owner is registered");
+                drv.members.push(cid);
                 self.summary.attaches += 1;
-                let owner_scan = self.consumers[drv.owner].scan;
-                let label = format!("push-rider(driver s{}, catch-up {missed}p)", owner_scan.0);
-                let catchup = (missed > 0).then(|| drv.plan.prefix());
-                mgr.note_driver_attach(
-                    scan,
-                    owner_scan,
-                    object,
-                    now,
-                    missed,
-                    drv.attached.len() + 1,
-                );
-                (di, label, catchup)
+                mgr.note_driver_attach(scan, owner_scan, object, now, missed, drv.members.len());
+                Seat {
+                    driver: di,
+                    catchup: (missed > 0)
+                        .then(|| Box::new(Cursor::new(file, drv.cursor.plan.prefix()))),
+                    label: format!("push-rider(driver s{}, catch-up {missed}p)", owner_scan.0),
+                }
             }
             None => {
                 let di = self.drivers.len();
                 self.drivers.push(GroupDriver {
-                    plan,
-                    file,
+                    cursor: Cursor::new(file, plan),
                     object,
-                    owner: cid,
-                    attached: Vec::new(),
+                    members: vec![cid],
                     next_wake: now,
                     done: false,
                 });
                 self.by_key.entry(key).or_default().push(di);
                 self.summary.drivers += 1;
                 mgr.note_driver_attach(scan, scan, object, now, 0, 1);
-                (di, "push-driver".to_string(), None)
+                Seat {
+                    driver: di,
+                    catchup: None,
+                    label: "push-driver".to_string(),
+                }
             }
         };
-        self.consumers.push(Consumer {
-            scan,
-            driver,
-            pipeline: RowPipeline::compile(&spec.pred, &spec.agg, &schema),
-            width: schema.row_width(),
-            cpu: spec.cpu,
-            agg: AggState::new(spec.agg.sum_cols.len()),
-            metrics: ScanMetrics::default(),
-            ready_at: now,
-            catchup,
-            aborted: false,
-            label,
-        });
+        self.seats.push(seat);
+        self.consumers
+            .push(Consumer::new(Some(scan), spec, &schema, now));
         Ok(Some(ConsumerId(cid)))
     }
 
@@ -277,29 +254,30 @@ impl PushEngine {
         if self.consumers[ci].aborted {
             return Ok(None);
         }
-        let di = self.consumers[ci].driver;
-        let driving = self.drivers[di].owner == ci && !self.drivers[di].done;
-        if driving {
+        let di = self.seats[ci].driver;
+        let drv = &self.drivers[di];
+        if !drv.done && drv.members[0] == ci {
             return self.step_driver(world, di, now);
         }
         // Catch-up first: the missed prefix replays while the lap goes
         // on (the owner interleaves its catch-up after the lap is done).
-        if self.consumers[ci].catchup.is_some() {
+        if self.seats[ci].catchup.is_some() {
             return self.step_catchup(world, ci, now);
         }
-        let c = &self.consumers[ci];
-        if self.drivers[di].done && now >= c.ready_at {
-            return Ok(self.finish_consumer(world, ci, now));
+        let c = &mut self.consumers[ci];
+        if drv.done && now >= c.ready_at {
+            c.end(world, now);
+            return Ok(None);
         }
         // Parked: wake when the cursor next moves or our CPU share of
         // the last extent completes, whichever is later. The +1µs floor
         // guarantees forward progress on ties (heap order breaks the
         // tie by sequence, and the driver may advance at exactly
         // `next_wake`).
-        let wake = self.drivers[di]
+        let wake = drv
             .next_wake
             .max(c.ready_at)
-            .max(now + scanshare_storage::SimDuration::from_micros(1));
+            .max(now + SimDuration::from_micros(1));
         Ok(Some(wake))
     }
 
@@ -310,139 +288,41 @@ impl PushEngine {
         di: usize,
         now: SimTime,
     ) -> EngineResult<Option<SimTime>> {
-        let oi = self.drivers[di].owner;
-        if self.drivers[di].plan.done() {
-            // Lap over: riders finalize at their next wake; the owner
-            // replays its own catch-up (if it inherited one via a
-            // handoff... no: via attach then promotion) before ending.
-            self.drivers[di].done = true;
-            return self.step_consumer(world, ConsumerId(oi), now);
+        let drv = &mut self.drivers[di];
+        if drv.cursor.plan.done() {
+            // Lap over: riders finalize at their next wake; an owner that
+            // attached late and inherited the cursor in a handoff still
+            // has its own catch-up to replay before ending.
+            drv.done = true;
+            let owner = drv.members[0];
+            return self.step_consumer(world, ConsumerId(owner), now);
         }
-
-        // Gather + fetch once for the whole cohort.
-        let mut ids = std::mem::take(&mut self.ids);
-        let mut rids = std::mem::take(&mut self.rids);
-        let mut pages = std::mem::take(&mut self.pages);
-        ids.clear();
-        rids.clear();
-        let (work, location, units, _wrap) = self.drivers[di].plan.gather(
-            self.drivers[di].file,
-            world.cfg.extent_pages,
-            &mut ids,
-            &mut rids,
-        );
-        let fetched = world.fetch_extent(now, &ids, &mut pages);
-        self.report_faults(world, oi, now);
-        let fetch = match fetched {
-            Ok(f) => f,
-            Err(StorageError::ReadFault {
-                device,
-                addr,
-                transient,
-            }) => {
-                self.ids = ids;
-                self.rids = rids;
-                self.pages = pages;
-                self.abort_owner(world, di, now, device, addr, transient);
-                return Ok(None);
+        let stepped = step_extent(
+            world,
+            now,
+            &mut drv.cursor,
+            &mut self.scratch,
+            &mut self.consumers,
+            &drv.members,
+            true,
+        )?;
+        match stepped {
+            Step::Delivered { next, pages, .. } => {
+                self.summary.extents_delivered += 1;
+                self.summary.pages_delivered += pages;
+                self.summary.consumer_pages += pages * drv.members.len() as u64;
+                drv.done = drv.cursor.plan.done();
+                drv.next_wake = next;
+                Ok(Some(next))
             }
-            Err(e) => {
-                self.ids = ids;
-                self.rids = rids;
-                self.pages = pages;
-                return Err(e.into());
-            }
-        };
-        let n_pages = ids.len() as u64;
-        self.summary.extents_delivered += 1;
-        self.summary.pages_delivered += n_pages;
-        {
-            let o = &mut self.consumers[oi];
-            o.metrics.io_wait += fetch.ready.since(now);
-            o.metrics.logical_reads += n_pages;
-            o.metrics.physical_reads += fetch.misses;
-        }
-
-        // Every attached consumer's pipeline runs over the fixed pages
-        // before release: owner first, then riders in attach order. Each
-        // pays its own CPU share; the shared pool fix is paid once above.
-        let pages_advanced = self.drivers[di].plan.pages_advanced(work, units);
-        let mgr = world.mgr.clone();
-        let mut owner_next = fetch.ready;
-        let mut priority = PagePriority::Normal;
-        let n_attached = self.drivers[di].attached.len();
-        for k in 0..=n_attached {
-            let ci = if k == 0 {
-                oi
-            } else {
-                self.drivers[di].attached[k - 1]
-            };
-            let c = &mut self.consumers[ci];
-            let rows = consume_all_rows(&world.pool, &pages, c.width, &c.pipeline, &mut c.agg)?;
-            let cost = c.cpu.extent_cost(n_pages, rows);
-            let done = world.run_cpu(fetch.ready, cost);
-            c.metrics.cpu += cost;
-            c.ready_at = done;
-            self.summary.consumer_pages += n_pages;
-            // Lockstep location updates keep the manager's groups, roles
-            // and provenance meaningful; distance stays 0 inside the
-            // cohort, and only the owner's wait/priority are applied —
-            // throttling throttles the driver.
-            if let Some(mgr) = &mgr {
-                let out = mgr.update_location(c.scan, done, location, pages_advanced);
-                if k == 0 {
-                    let wait = out.wait;
-                    priority = out.priority;
-                    owner_next = done + wait;
-                    if wait > scanshare_storage::SimDuration::ZERO {
-                        c.metrics.throttle_wait += wait;
-                        world.throttle_hist.record(wait.as_micros());
-                        if let Some(tr) = &world.tracer {
-                            tr.record(
-                                done,
-                                crate::trace::TraceEvent::Throttled {
-                                    scan: c.scan,
-                                    wait,
-                                    role: crate::trace::role_label(out.role).to_string(),
-                                },
-                            );
-                        }
-                    }
-                }
-            } else if k == 0 {
-                owner_next = done;
+            Step::Faulted(evicted) => {
+                self.hand_off(world, di, now, evicted);
+                Ok(None)
             }
         }
-        world.release_pages(&pages, priority)?;
-
-        // Advance and prefetch the next extent, exactly like pull.
-        self.drivers[di].plan.advance(units);
-        if self.drivers[di].plan.done() {
-            self.drivers[di].done = true;
-        } else if world.cfg.prefetch_extents > 0 {
-            let mut pf = std::mem::take(&mut self.prefetch);
-            pf.clear();
-            self.drivers[di].plan.peek_next_pages(
-                self.drivers[di].file,
-                world.cfg.extent_pages,
-                &mut pf,
-            );
-            if !pf.is_empty() {
-                world.prefetch(fetch.ready, &pf)?;
-            }
-            self.prefetch = pf;
-        }
-        self.drivers[di].next_wake = owner_next;
-        self.ids = ids;
-        self.rids = rids;
-        self.pages = pages;
-        Ok(Some(owner_next))
     }
 
-    /// One extent of a private catch-up cursor: a plain unmanaged pull
-    /// step (no `update_location` — the consumer's managed location is
-    /// the driver's, and a second moving location would corrupt the
-    /// lockstep the cohort reports).
+    /// One extent of a private catch-up cursor: the same step, unmanaged.
     fn step_catchup(
         &mut self,
         world: &mut ExecWorld<'_>,
@@ -455,175 +335,261 @@ impl PushEngine {
         if now < ready {
             return Ok(Some(ready));
         }
-        let plan = self.consumers[ci].catchup.as_mut().expect("catch-up plan");
-        if plan.done() {
-            self.consumers[ci].catchup = None;
+        let seat = &mut self.seats[ci];
+        let cursor = seat.catchup.as_mut().expect("catch-up cursor");
+        if cursor.plan.done() {
+            seat.catchup = None;
             return self.step_consumer(world, ConsumerId(ci), now);
         }
-        let mut ids = std::mem::take(&mut self.ids);
-        let mut rids = std::mem::take(&mut self.rids);
-        let mut pages = std::mem::take(&mut self.pages);
-        ids.clear();
-        rids.clear();
-        let file = self.drivers[self.consumers[ci].driver].file;
-        let plan = self.consumers[ci].catchup.as_mut().expect("catch-up plan");
-        let (_work, _location, units, _wrap) =
-            plan.gather(file, world.cfg.extent_pages, &mut ids, &mut rids);
-        let fetched = world.fetch_extent(now, &ids, &mut pages);
-        self.report_faults(world, ci, now);
-        let fetch = match fetched {
-            Ok(f) => f,
-            Err(StorageError::ReadFault {
-                device,
-                addr,
-                transient,
-            }) => {
-                self.ids = ids;
-                self.rids = rids;
-                self.pages = pages;
-                self.abort_rider(world, ci, now, device, addr, transient);
-                return Ok(None);
+        let stepped = step_extent(
+            world,
+            now,
+            cursor,
+            &mut self.scratch,
+            &mut self.consumers,
+            &[ci],
+            false,
+        )?;
+        match stepped {
+            Step::Delivered { next, pages, .. } => {
+                self.summary.catchup_pages += pages;
+                Ok(Some(next))
             }
-            Err(e) => {
-                self.ids = ids;
-                self.rids = rids;
-                self.pages = pages;
-                return Err(e.into());
+            // Only this consumer is gone; the driver and the other
+            // riders are untouched.
+            Step::Faulted(_) => {
+                seat.catchup = None;
+                self.drivers[seat.driver].members.retain(|&c| c != ci);
+                Ok(None)
             }
-        };
-        let n_pages = ids.len() as u64;
-        self.summary.catchup_pages += n_pages;
-        let c = &mut self.consumers[ci];
-        c.metrics.io_wait += fetch.ready.since(now);
-        c.metrics.logical_reads += n_pages;
-        c.metrics.physical_reads += fetch.misses;
-        let rows = consume_all_rows(&world.pool, &pages, c.width, &c.pipeline, &mut c.agg)?;
-        let cost = c.cpu.extent_cost(n_pages, rows);
-        let done = world.run_cpu(fetch.ready, cost);
-        c.metrics.cpu += cost;
-        c.ready_at = done;
-        c.catchup.as_mut().expect("catch-up plan").advance(units);
-        world.release_pages(&pages, PagePriority::Normal)?;
-        self.ids = ids;
-        self.rids = rids;
-        self.pages = pages;
-        Ok(Some(done))
+        }
     }
 
-    /// Deregister a consumer whose lap (and catch-up) is complete.
-    fn finish_consumer(
+    /// The shared cursor's read died for good and took the owner with it
+    /// (evicted by the step as `evicted`). Drop the head of the member
+    /// list: the next member inherits the cursor so the cohort keeps
+    /// going; with no survivors the driver ends.
+    fn hand_off(
         &mut self,
-        world: &mut ExecWorld<'_>,
-        ci: usize,
-        now: SimTime,
-    ) -> Option<SimTime> {
-        let scan = self.consumers[ci].scan;
-        if let Some(mgr) = world.mgr.clone() {
-            mgr.end_scan(scan, now);
-        }
-        if let Some(tr) = &world.tracer {
-            tr.record(now, crate::trace::TraceEvent::ScanFinished { scan });
-        }
-        None
-    }
-
-    /// The shared cursor's read died for good. Evict the owner (partial
-    /// answer, same reason format as pull) and hand the cursor to the
-    /// first surviving rider so the cohort keeps going; with no
-    /// survivors the driver ends.
-    fn abort_owner(
-        &mut self,
-        world: &mut ExecWorld<'_>,
+        world: &ExecWorld<'_>,
         di: usize,
         now: SimTime,
-        device: u32,
-        addr: u64,
-        transient: bool,
+        evicted: Option<ScanId>,
     ) {
-        let oi = self.drivers[di].owner;
-        self.evict_consumer(world, oi, now, device, addr, transient);
-        match self.drivers[di].attached.first().copied() {
-            Some(heir) => {
-                self.drivers[di].attached.retain(|&c| c != heir);
-                self.drivers[di].owner = heir;
-                self.summary.handoffs += 1;
-                let remaining =
-                    self.drivers[di].plan.total_pages() - self.drivers[di].plan.visited_pages();
-                if let Some(mgr) = &world.mgr {
-                    mgr.note_driver_handoff(
-                        self.consumers[heir].scan,
-                        self.consumers[oi].scan,
-                        self.drivers[di].object,
-                        now,
-                        remaining,
-                        self.drivers[di].attached.len() + 1,
-                    );
-                }
-                // The heir retries the extent at its next parked event.
-                self.drivers[di].next_wake = now + scanshare_storage::SimDuration::from_micros(1);
-            }
-            None => self.drivers[di].done = true,
-        }
-    }
-
-    /// A private catch-up read died for good: evict that consumer only;
-    /// the driver and the other riders are untouched.
-    fn abort_rider(
-        &mut self,
-        world: &mut ExecWorld<'_>,
-        ci: usize,
-        now: SimTime,
-        device: u32,
-        addr: u64,
-        transient: bool,
-    ) {
-        self.evict_consumer(world, ci, now, device, addr, transient);
-        let di = self.consumers[ci].driver;
-        self.drivers[di].attached.retain(|&c| c != ci);
-    }
-
-    fn evict_consumer(
-        &mut self,
-        world: &mut ExecWorld<'_>,
-        ci: usize,
-        now: SimTime,
-        device: u32,
-        addr: u64,
-        transient: bool,
-    ) {
-        let kind = if transient {
-            "exhausted retries on a transient"
-        } else {
-            "permanent"
-        };
-        let reason = format!("{kind} read fault on device {device} at page {addr}");
-        let scan = self.consumers[ci].scan;
-        if let Some(mgr) = world.mgr.clone() {
-            mgr.evict_scan(scan, now, &reason);
-        }
-        if let Some(tr) = &world.tracer {
-            tr.record(now, crate::trace::TraceEvent::ScanFinished { scan });
-        }
-        world.note_scan_aborted();
-        self.consumers[ci].aborted = true;
-        self.consumers[ci].catchup = None;
-    }
-
-    /// Attribute fault events observed during this consumer's I/O
-    /// (including transient faults a retry absorbed) to the decision log.
-    fn report_faults(&mut self, world: &mut ExecWorld<'_>, ci: usize, now: SimTime) {
-        if !world.faults_enabled() {
+        let drv = &mut self.drivers[di];
+        drv.members.remove(0);
+        let Some(&heir) = drv.members.first() else {
+            drv.done = true;
             return;
+        };
+        self.summary.handoffs += 1;
+        let plan = &drv.cursor.plan;
+        let remaining = plan.total_pages() - plan.visited_pages();
+        if let (Some(mgr), Some(heir), Some(evicted)) =
+            (&world.mgr, self.consumers[heir].scan, evicted)
+        {
+            mgr.note_driver_handoff(heir, evicted, drv.object, now, remaining, drv.members.len());
         }
-        self.faults.clear();
-        let mut events = std::mem::take(&mut self.faults);
-        world.take_fault_events(&mut events);
-        if let Some(mgr) = &world.mgr {
-            let scan = self.consumers[ci].scan;
-            for e in events.iter() {
-                mgr.note_fault(scan, now, e.device, e.addr, e.transient, e.attempt);
+        // The heir retries the extent at its next parked event.
+        drv.next_wake = now + SimDuration::from_micros(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use std::sync::Arc;
+
+    use scanshare::{DecisionEvent, DecisionLog, DeliveryMode, ScanSharingManager, SharingConfig};
+    use scanshare_relstore::{ColType, Column, Schema, Value};
+    use scanshare_storage::{
+        BufferPool, FaultKind, FaultPlan, FaultRule, PoolConfig, ReplacementPolicy,
+    };
+
+    use super::*;
+    use crate::cost::{CpuClass, EngineConfig};
+    use crate::faults::FaultsConfig;
+    use crate::query::{AggSpec, Pred};
+
+    const POOL_PAGES: usize = 64;
+
+    fn build_db() -> Database {
+        let mut db = Database::new(16);
+        let schema = Schema::new(vec![
+            Column::new("month", ColType::Int32),
+            Column::new("amount", ColType::Float64),
+        ]);
+        db.create_mdc_table(
+            "lineitem",
+            schema,
+            16,
+            (0..120_000).map(|i| ((i % 12) as i64, vec![Value::I32(i % 12), Value::F64(1.0)])),
+        )
+        .unwrap();
+        db
+    }
+
+    fn world(db: &Database) -> ExecWorld<'_> {
+        let mut cfg = SharingConfig::new(POOL_PAGES as u64);
+        cfg.delivery = DeliveryMode::Push;
+        let mgr = Arc::new(ScanSharingManager::new(cfg));
+        mgr.attach_decision_log(DecisionLog::new(1 << 12));
+        let pool = BufferPool::new(PoolConfig::new(POOL_PAGES, ReplacementPolicy::PriorityLru));
+        ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr))
+    }
+
+    fn full_range(cpu: CpuClass) -> ScanSpec {
+        ScanSpec {
+            table: "lineitem".into(),
+            access: Access::IndexRange { lo: 0, hi: 11 },
+            pred: Pred::True,
+            agg: AggSpec::sums(vec![1]),
+            cpu,
+            require_order: false,
+            query_priority: Default::default(),
+            repeat: 1,
+        }
+    }
+
+    /// What [`drive`] saw of one consumer.
+    struct Seen {
+        scan: ScanId,
+        /// The virtual time of each of its events.
+        events: Vec<SimTime>,
+        result: QueryResult,
+    }
+
+    /// Run `cohort` — `(spec, start µs)` per consumer — to completion
+    /// the way the workload loop does: one pending event per consumer,
+    /// earliest first, ties in push order.
+    fn drive(
+        db: &Database,
+        world: &mut ExecWorld<'_>,
+        cohort: &[(ScanSpec, u64)],
+    ) -> (PushEngine, Vec<Seen>) {
+        let mut pe = PushEngine::new();
+        let mut ids: Vec<Option<ConsumerId>> = vec![None; cohort.len()];
+        let mut seen: Vec<Seen> = Vec::new();
+        let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = cohort
+            .iter()
+            .enumerate()
+            .map(|(i, (_, start_us))| Reverse((*start_us, i, i)))
+            .collect();
+        let mut seq = cohort.len();
+        while let Some(Reverse((t_us, _, i))) = heap.pop() {
+            let now = SimTime::from_micros(t_us);
+            let id = *ids[i].get_or_insert_with(|| {
+                let id = pe
+                    .admit(db, world, &cohort[i].0, now)
+                    .expect("plans")
+                    .expect("push-shareable");
+                seen.push(Seen {
+                    scan: pe.scan_id(id).expect("just registered"),
+                    events: Vec::new(),
+                    result: QueryResult::default(),
+                });
+                id
+            });
+            seen[i].events.push(now);
+            match pe.step_consumer(world, id, now).expect("no hard error") {
+                Some(next) => {
+                    heap.push(Reverse((next.as_micros(), seq, i)));
+                    seq += 1;
+                }
+                None => seen[i].result = pe.take_result(id).0,
             }
         }
-        self.faults = events;
+        (pe, seen)
+    }
+
+    #[test]
+    fn owner_fault_hands_the_cursor_to_the_oldest_rider() {
+        let db = build_db();
+        // A fast founder and two slower riders, attached within the
+        // founder's first extent.
+        let cohort = [
+            (full_range(CpuClass::io_bound()), 0),
+            (full_range(CpuClass::cpu_bound()), 1_000),
+            (full_range(CpuClass::balanced()), 2_000),
+        ];
+        // Fault-free reference; it also times the founder's steps.
+        let mut clean_world = world(&db);
+        let (clean_pe, clean) = drive(&db, &mut clean_world, &cohort);
+        assert_eq!(clean_pe.summary().drivers, 1);
+        assert_eq!(clean_pe.summary().attaches, 2);
+        assert_eq!(clean_pe.summary().handoffs, 0);
+        assert_eq!(clean[0].result.count, 120_000);
+
+        // Kill the disk for the one microsecond in which the founder
+        // issues its sixth read. The heir retries 1µs later and passes.
+        let at = clean[0].events[5].as_micros();
+        let mut w = world(&db);
+        w.enable_faults(&FaultsConfig {
+            plan: FaultPlan {
+                seed: 0,
+                rules: vec![FaultRule {
+                    device: None,
+                    pages: None,
+                    from_us: at,
+                    until_us: Some(at + 1),
+                    fault: FaultKind::PermanentError,
+                }],
+            },
+            ..FaultsConfig::default()
+        });
+        let (pe, seen) = drive(&db, &mut w, &cohort);
+
+        let summary = pe.summary();
+        assert_eq!(summary.handoffs, 1, "{summary:?}");
+        assert_eq!(
+            summary.drivers, 1,
+            "the cohort kept its cursor: {summary:?}"
+        );
+        let faults = w.fault_summary().expect("armed");
+        assert_eq!(faults.permanent_errors, 1, "{faults:?}");
+        assert_eq!(faults.scans_aborted, 1, "{faults:?}");
+        // The evicted founder stopped where the fault hit; the cursor
+        // did not move, so the survivors still saw every page.
+        assert_eq!(seen[0].events.len(), 6);
+        assert!(
+            seen[0].result.count > 0 && seen[0].result.count < clean[0].result.count,
+            "founder's answer must be partial: {:?}",
+            seen[0].result
+        );
+        for i in [1, 2] {
+            assert_eq!(seen[i].result, clean[i].result, "survivor {i}");
+        }
+        // Provenance names the heir (the oldest rider) and the evicted
+        // owner, and the eviction carries pull's reason format.
+        let mgr = w.mgr.clone().expect("sharing world");
+        let decisions = mgr.decision_log().expect("attached").records();
+        let handoff = decisions
+            .iter()
+            .find_map(|d| match d.event {
+                DecisionEvent::DriverHandoff {
+                    scan,
+                    from,
+                    consumers,
+                    ..
+                } => Some((d.at, scan, from, consumers)),
+                _ => None,
+            })
+            .expect("handoff narrated");
+        assert_eq!(
+            handoff,
+            (SimTime::from_micros(at), seen[1].scan, seen[0].scan, 2)
+        );
+        assert!(decisions.iter().any(|d| matches!(
+            &d.event,
+            DecisionEvent::ScanEvicted { scan, reason, .. }
+                if *scan == seen[0].scan && reason.contains("permanent read fault")
+        )));
+        // Everyone is deregistered and nothing is left pinned — neither
+        // by the failed fetch nor by the retried one.
+        assert_eq!(mgr.num_active(), 0);
+        let resident = w.pool.resident_pages();
+        assert!(!resident.is_empty());
+        assert!(resident.iter().all(|p| !p.pinned), "a pin leaked");
     }
 }

@@ -1,31 +1,41 @@
 //! Scan operators: plain and sharing table scans, IXSCAN and SISCAN.
 //!
-//! One [`ScanExec`] is the engine-side state machine of a single scan.
-//! Each `step` processes one extent (a 16-page run for table scans, one
-//! MDC block for index scans), paying I/O and CPU through the
-//! [`ExecWorld`], and — when a sharing manager is attached — performing
-//! the paper's three extra calls: register at start (with placement),
-//! update location per extent (receiving throttle waits and release
-//! priorities), deregister at the end.
+//! A scan is two halves. A `Cursor` decides which extent comes next (a
+//! 16-page run for table scans, one MDC block for index scans) and a
+//! `Consumer` folds the rows of whatever pages it is handed into one
+//! query's aggregate. `step_extent` is the one place they meet: gather
+//! an extent, fetch and fix it once, run every consumer's row pipeline
+//! and CPU share over the fixed pages, make the paper's per-extent
+//! manager call (location update in, throttle wait and release priority
+//! out), release, advance, read ahead.
+//!
+//! A [`ScanExec`] is a cursor with exactly one consumer — the pull
+//! delivery of the papers, which adds the other two manager calls:
+//! register at start (with placement) and deregister at the end. A push
+//! group driver ([`crate::push`]) is a cursor with a list of consumers,
+//! and a late joiner's catch-up replay an unmanaged cursor feeding one
+//! of them; both run the same step.
 //!
 //! A scan placed mid-range runs in two phases, exactly like the paper's
 //! SISCAN (Figure 3): from the assigned start location to the end of the
 //! range, then a wrap back to the original start key for the remainder.
 
+use std::collections::VecDeque;
+
 use scanshare::{Location, ObjectId, ScanDesc, ScanId, ScanKind};
 use scanshare_relstore::{Entry, HeapPage, Rid, Schema};
-use scanshare_storage::{FileId, PageId, PagePriority, SimDuration, SimTime, StorageError};
+use scanshare_storage::{
+    BufferPool, FileId, PageId, PagePriority, SimDuration, SimTime, StorageError,
+};
 
-use crate::cost::CpuClass;
+use crate::cost::{CpuClass, EngineConfig};
 use crate::db::Database;
 use crate::error::{EngineError, EngineResult};
 use crate::exec::ExecWorld;
 use crate::query::{Access, AggSpec, Pred, QueryResult, ScanSpec};
 
-/// Scan progress plan: the *cursor* half of a scan, advanced one extent
-/// per [`Plan::gather`]/[`Plan::advance`] pair. The pull executor owns
-/// one per scan; the push engine owns one per group driver (and one per
-/// late joiner's private catch-up cursor).
+/// Scan progress plan: where a [`Cursor`] is in its range, advanced one
+/// extent per [`Plan::gather`]/[`Plan::advance`] pair.
 #[derive(Debug)]
 pub(crate) enum Plan {
     /// Circular walk over all table pages, starting at `start_page`.
@@ -72,19 +82,75 @@ impl Plan {
         }
     }
 
-    /// Whether this is a RID-fetch plan (push delivery excludes these:
-    /// their page sets are per-predicate, not a shareable linear range).
-    pub(crate) fn is_rid(&self) -> bool {
-        matches!(self, Plan::Rid { .. })
+    /// Apply a placement decision: start at the joined location `loc`,
+    /// backed up by `back_up_pages` (the joined scan's leftovers in the
+    /// pool), instead of at the range start.
+    fn start_at(&mut self, loc: Location, back_up_pages: u64) {
+        let (entries, start_idx, pages_per_entry) = match self {
+            Plan::Table {
+                num_pages,
+                start_page,
+                ..
+            } => {
+                let at = (loc.pos as u32).min(num_pages.saturating_sub(1));
+                *start_page = at.saturating_sub(back_up_pages as u32);
+                return;
+            }
+            Plan::Index {
+                entries,
+                block_pages,
+                start_idx,
+                ..
+            } => (entries, start_idx, *block_pages as u64),
+            // ~1 page per entry: back up one entry per page.
+            Plan::Rid {
+                entries, start_idx, ..
+            } => (entries, start_idx, 1),
+        };
+        // Find the exact joined entry; fall back to the first entry at
+        // or after the joined key; then back up by the hinted number of
+        // pages.
+        let exact = entries
+            .iter()
+            .position(|e| e.key == loc.key && e.payload == loc.pos);
+        let near = entries.iter().position(|e| e.key >= loc.key);
+        let at = exact.or(near).unwrap_or(0);
+        *start_idx = at.saturating_sub((back_up_pages / pages_per_entry) as usize);
+    }
+
+    /// Mark the whole range consumed, so `done()` holds: how a scan
+    /// that died to a fault finishes early.
+    fn finish(&mut self) {
+        match self {
+            Plan::Table {
+                num_pages, visited, ..
+            } => *visited = *num_pages,
+            Plan::Index {
+                entries, visited, ..
+            }
+            | Plan::Rid {
+                entries, visited, ..
+            } => *visited = entries.len(),
+        }
+    }
+
+    /// The location of the range start — where a cursor that was placed
+    /// mid-range is once its first phase ends and it wraps.
+    fn range_start(&self) -> Location {
+        match self {
+            Plan::Table { .. } => Location::new(0, 0),
+            Plan::Index { entries, .. } | Plan::Rid { entries, .. } => {
+                Location::new(entries[0].key, entries[0].payload)
+            }
+        }
     }
 
     /// Gather the next extent's pages into `ids` (and, for RID plans, the
-    /// `(page, slot)` work list into `rids`): the *advance the cursor*
-    /// half of a scan step, shared by pull scans and push group drivers.
-    /// Returns what to evaluate, the location to report afterwards, the
-    /// units consumed, and whether the step ends the first phase (the
-    /// cursor wraps after it).
-    pub(crate) fn gather(
+    /// `(page, slot)` work list into `rids`). Returns what to evaluate,
+    /// the location to report afterwards, the units consumed, and
+    /// whether the step ends the first phase (the cursor wraps after
+    /// it).
+    fn gather(
         &self,
         file: FileId,
         extent_pages: u32,
@@ -174,7 +240,7 @@ impl Plan {
 
     /// How many pages a gathered step advances the scan's location by
     /// (what `update_location` reports to the sharing manager).
-    pub(crate) fn pages_advanced(&self, work: StepWork, units: u64) -> u64 {
+    fn pages_advanced(&self, work: StepWork, units: u64) -> u64 {
         match (self, work) {
             (Plan::Table { .. }, _) => units,
             (Plan::Index { block_pages, .. }, _) => units * *block_pages as u64,
@@ -184,7 +250,7 @@ impl Plan {
     }
 
     /// Consume the units a [`Plan::gather`] returned.
-    pub(crate) fn advance(&mut self, units: u64) {
+    fn advance(&mut self, units: u64) {
         match self {
             Plan::Table { visited, .. } => *visited += units as u32,
             Plan::Index { visited, .. } | Plan::Rid { visited, .. } => *visited += units as usize,
@@ -253,7 +319,7 @@ impl Plan {
     /// The pages the *next* step will touch (table and block index
     /// plans; RID chunks are not predicted), appended to `out`. Used for
     /// prefetching.
-    pub(crate) fn peek_next_pages(&self, file: FileId, extent_pages: u32, out: &mut Vec<PageId>) {
+    fn peek_next_pages(&self, file: FileId, extent_pages: u32, out: &mut Vec<PageId>) {
         match self {
             Plan::Table {
                 num_pages,
@@ -295,11 +361,14 @@ pub(crate) enum StepWork {
     Rids { distinct_pages: u64 },
 }
 
-/// Reusable per-scan buffers for `step`'s extent loop. Capacity survives
-/// between steps, so the per-extent hot path performs no allocation in
-/// steady state.
+/// Reusable buffers for [`step_extent`]. Capacity survives between
+/// steps, so the per-extent hot path performs no allocation in steady
+/// state. The buffers are *lent* to each step, not owned by the cursor:
+/// a [`ScanExec`] holds one, and the push engine holds one for all its
+/// drivers and catch-up cursors (which never step concurrently), so a
+/// run's hundreds of finished drivers keep no buffers alive.
 #[derive(Debug, Default)]
-struct StepScratch {
+pub(crate) struct StepScratch {
     /// The extent's page ids, in scan order.
     ids: Vec<PageId>,
     /// RID work list for [`Plan::Rid`] chunks.
@@ -401,11 +470,10 @@ impl RowPipeline {
     }
 }
 
-/// Aggregation state qualifying rows fold into — the *consume rows* half
-/// of a scan, owned by a pull [`ScanExec`] or by one push consumer. Kept
-/// apart from [`RowPipeline`] so the compiled (immutable) pipeline and
-/// the mutable state can be borrowed independently while row bytes
-/// borrowed from the pool are live.
+/// Aggregation state qualifying rows fold into. Kept apart from
+/// [`RowPipeline`] so the compiled (immutable) pipeline and the mutable
+/// state can be borrowed independently while row bytes borrowed from
+/// the pool are live.
 #[derive(Debug, Default)]
 pub(crate) struct AggState {
     count: u64,
@@ -468,12 +536,10 @@ impl AggState {
 }
 
 /// Run `pipe` over every row of the fetched `pages`, folding qualifiers
-/// into `agg` — the shared row loop of both delivery modes. A pull scan
-/// calls it on the pages it fetched itself; the push engine calls it
-/// once per attached consumer on the pages the group driver fixed.
-/// Returns the number of rows examined (the CPU-cost driver).
-pub(crate) fn consume_all_rows(
-    pool: &scanshare_storage::BufferPool,
+/// into `agg`. Returns the number of rows examined (the CPU-cost
+/// driver).
+fn consume_all_rows(
+    pool: &BufferPool,
     pages: &[(PageId, u32)],
     width: usize,
     pipe: &RowPipeline,
@@ -518,45 +584,387 @@ pub struct ScanMetrics {
     pub physical_reads: u64,
 }
 
-/// One executing scan.
+impl ScanMetrics {
+    /// Add another scan's measurements to these (a query sums its scans).
+    pub fn absorb(&mut self, other: &ScanMetrics) {
+        self.cpu += other.cpu;
+        self.io_wait += other.io_wait;
+        self.throttle_wait += other.throttle_wait;
+        self.logical_reads += other.logical_reads;
+        self.physical_reads += other.physical_reads;
+    }
+}
+
+/// The cursor half of a scan: which extent comes next.
 #[derive(Debug)]
-pub struct ScanExec {
+pub(crate) struct Cursor {
     file: FileId,
-    schema: Schema,
-    /// Predicate + aggregate columns compiled against `schema`.
-    pipeline: RowPipeline,
-    cpu: CpuClass,
-    plan: Plan,
-    mgr_scan: Option<ScanId>,
-    /// Human-readable description of the placement decision (tracing).
-    placement: String,
-    /// Ring of this scan's recently released pages, when the scan is
+    pub(crate) plan: Plan,
+    /// Ring of this cursor's recently released pages, when the scan is
     /// unshared and large: vanilla engines recycle sequential-scan
     /// buffers through a small ring instead of letting one scan flush
     /// the pool. `None` when sharing manages retention instead.
-    ring: Option<(std::collections::VecDeque<PageId>, usize)>,
+    ring: Option<(VecDeque<PageId>, usize)>,
+}
+
+impl Cursor {
+    /// A ringless cursor over `plan`'s range of `file`.
+    pub(crate) fn new(file: FileId, plan: Plan) -> Cursor {
+        Cursor {
+            file,
+            plan,
+            ring: None,
+        }
+    }
+}
+
+/// The consumer half of a scan: one query's row pipeline and aggregate,
+/// fed the pages some [`Cursor`] fixed, plus what the run records about
+/// it.
+#[derive(Debug)]
+pub(crate) struct Consumer {
+    /// The manager id, while the scan is registered: `None` for an
+    /// unshared scan, and again once the scan has ended or been evicted.
+    pub(crate) scan: Option<ScanId>,
+    /// Predicate + aggregate columns compiled against the table schema.
+    pipeline: RowPipeline,
+    width: usize,
+    cpu: CpuClass,
+    agg: AggState,
+    pub(crate) metrics: ScanMetrics,
+    /// When this consumer's share of the last delivered extent is
+    /// processed; it cannot finish (or absorb another extent) earlier.
+    pub(crate) ready_at: SimTime,
+    /// The scan died to a fault: it is finished with a partial answer,
+    /// and was evicted from sharing.
+    pub(crate) aborted: bool,
+}
+
+impl Consumer {
+    /// A consumer for `spec` over a table with `schema`, registered with
+    /// the manager as `scan` (if shared), idle since `now`.
+    pub(crate) fn new(
+        scan: Option<ScanId>,
+        spec: &ScanSpec,
+        schema: &Schema,
+        now: SimTime,
+    ) -> Consumer {
+        Consumer {
+            scan,
+            pipeline: RowPipeline::compile(&spec.pred, &spec.agg, schema),
+            width: schema.row_width(),
+            cpu: spec.cpu,
+            agg: AggState::new(spec.agg.sum_cols.len()),
+            metrics: ScanMetrics::default(),
+            ready_at: now,
+            aborted: false,
+        }
+    }
+
+    /// The aggregate answer accumulated so far.
+    pub(crate) fn result(&self) -> QueryResult {
+        self.agg.result()
+    }
+
+    /// Deregister a consumer whose range is complete.
+    pub(crate) fn end(&mut self, world: &ExecWorld<'_>, now: SimTime) {
+        if let (Some(id), Some(mgr)) = (self.scan.take(), &world.mgr) {
+            mgr.end_scan(id, now);
+            if let Some(tr) = &world.tracer {
+                tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
+            }
+        }
+    }
+
+    /// Evaluate the predicate and aggregate qualifiers over one fetched
+    /// extent. Row bytes are borrowed straight from the pinned pool
+    /// frames and fields read at the pipeline's precompiled offsets.
+    /// Returns the number of rows examined.
+    fn consume(
+        &mut self,
+        pool: &BufferPool,
+        work: StepWork,
+        scratch: &StepScratch,
+    ) -> EngineResult<u64> {
+        let pipe = &self.pipeline;
+        match work {
+            StepWork::AllRows => {
+                consume_all_rows(pool, &scratch.pages, self.width, pipe, &mut self.agg)
+            }
+            StepWork::Rids { .. } => {
+                // Evaluate exactly the indexed rows; `scratch.pages` is
+                // sorted by page id, so each page resolves by binary
+                // search (no per-step map allocation).
+                let pages = &scratch.pages;
+                for &(pid, slot) in &scratch.rids {
+                    let at = pages
+                        .binary_search_by_key(&pid, |&(id, _)| id)
+                        .expect("page fetched");
+                    let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
+                    let row_bytes = page.row_bytes(slot)?;
+                    if pipe.matches(row_bytes) {
+                        self.agg.accumulate(pipe, row_bytes);
+                    }
+                }
+                Ok(scratch.rids.len() as u64)
+            }
+        }
+    }
+}
+
+/// How one [`step_extent`] ended.
+pub(crate) enum Step {
+    /// Every consumer absorbed the extent.
+    Delivered {
+        /// When the cursor may take its next step: the owner's CPU share
+        /// done, plus its throttle wait.
+        next: SimTime,
+        /// Pages fixed (once, whatever the number of consumers).
+        pages: u64,
+        /// The step ended the cursor's first phase: it wraps next.
+        wraps: bool,
+    },
+    /// The extent read died for good (a permanent fault, or a transient
+    /// one that outlasted its retries). The owner was evicted — under
+    /// this manager id, if it was registered — and marked aborted; the
+    /// cursor did not move.
+    Faulted(Option<ScanId>),
+}
+
+/// Advance `cursor` by one extent and deliver it to `consumers[i]` for
+/// each `i` of `order`. The head of `order` is the *owner*: its event
+/// drives the step, so it is charged the I/O wait and the pool fixes,
+/// faults are attributed to it, and it is the one evicted if the read
+/// dies. Every consumer pays its own CPU share.
+///
+/// `managed` says the cursor is where the manager believes its consumers
+/// to be. Each registered consumer then reports the new location — in
+/// lockstep, so groups, roles and provenance stay meaningful — but only
+/// the owner's returned wait, release priority and role are applied:
+/// throttling throttles the cursor. A catch-up replay is unmanaged: its
+/// consumer's registered location is its driver's, and a second moving
+/// location would corrupt that lockstep. An unmanaged cursor does not
+/// read ahead either.
+pub(crate) fn step_extent(
+    world: &mut ExecWorld<'_>,
+    now: SimTime,
+    cursor: &mut Cursor,
+    scratch: &mut StepScratch,
+    consumers: &mut [Consumer],
+    order: &[usize],
+    managed: bool,
+) -> EngineResult<Step> {
+    let owner = order[0];
+    scratch.ids.clear();
+    scratch.rids.clear();
+    let (work, location, units, wraps) = cursor.plan.gather(
+        cursor.file,
+        world.cfg.extent_pages,
+        &mut scratch.ids,
+        &mut scratch.rids,
+    );
+
+    // I/O, once for all consumers.
+    let prof = world.profiler.clone();
+    let fetch_span = prof
+        .as_ref()
+        .map(|p| p.begin_child("extent.fetch", now))
+        .unwrap_or_else(scanshare::SpanId::none);
+    let fetched = world.fetch_extent(now, &scratch.ids, &mut scratch.pages);
+    // Attribute the fault events the world observed during this I/O
+    // (including transient faults a retry absorbed) to the owner in the
+    // manager's decision log.
+    if world.faults_enabled() {
+        scratch.faults.clear();
+        world.take_fault_events(&mut scratch.faults);
+        if let (Some(id), Some(mgr)) = (consumers[owner].scan, &world.mgr) {
+            for e in &scratch.faults {
+                mgr.note_fault(id, now, e.device, e.addr, e.transient, e.attempt);
+            }
+        }
+    }
+    let fetch = match fetched {
+        Ok(f) => f,
+        // Graceful degradation: under a fault plan the fetch can fail
+        // for good. That costs the owner its scan, not the run: evict it
+        // from sharing (its group re-forms and any throttle it justified
+        // is lifted) and count the abort; what becomes of the cursor is
+        // the caller's call.
+        Err(StorageError::ReadFault {
+            device,
+            addr,
+            transient,
+        }) => {
+            if let Some(p) = &prof {
+                p.attr(fetch_span, "error", "read_fault");
+                p.attr(fetch_span, "device", device.to_string());
+                p.end(fetch_span, now);
+            }
+            let kind = if transient {
+                "exhausted retries on a transient"
+            } else {
+                "permanent"
+            };
+            let reason = format!("{kind} read fault on device {device} at page {addr}");
+            let victim = &mut consumers[owner];
+            let evicted = victim.scan.take();
+            if let (Some(id), Some(mgr)) = (evicted, &world.mgr) {
+                mgr.evict_scan(id, now, &reason);
+                if let Some(tr) = &world.tracer {
+                    tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
+                }
+            }
+            victim.aborted = true;
+            world.note_scan_aborted();
+            return Ok(Step::Faulted(evicted));
+        }
+        Err(e) => return Err(e.into()),
+    };
+    if let Some(p) = &prof {
+        p.attr(fetch_span, "hits", fetch.hits.to_string());
+        p.attr(fetch_span, "misses", fetch.misses.to_string());
+        p.attr(fetch_span, "requests", fetch.requests.to_string());
+        p.end(fetch_span, fetch.ready);
+    }
+    let pages = scratch.ids.len() as u64;
+    let o = &mut consumers[owner];
+    o.metrics.io_wait += fetch.ready.since(now);
+    o.metrics.logical_reads += pages;
+    o.metrics.physical_reads += fetch.misses;
+
+    // CPU: every consumer's pipeline runs over the fixed pages before
+    // release, owner first. One span covers them all and closes at the
+    // owner's completion (the step's track is the owner's stream).
+    let cpu_span = prof
+        .as_ref()
+        .map(|p| p.begin_child("cpu.process", fetch.ready))
+        .unwrap_or_else(scanshare::SpanId::none);
+    let mut rows = 0u64;
+    for &ci in order {
+        let c = &mut consumers[ci];
+        let seen = c.consume(&world.pool, work, scratch)?;
+        let cost = c.cpu.extent_cost(pages, seen);
+        c.ready_at = world.run_cpu(fetch.ready, cost);
+        c.metrics.cpu += cost;
+        rows += seen;
+    }
+    let done = consumers[owner].ready_at;
+    if let Some(p) = &prof {
+        p.attr(cpu_span, "rows", rows.to_string());
+        p.end(cpu_span, done);
+    }
+
+    // Sharing-manager update: throttle wait + release priority.
+    let mut wait = SimDuration::ZERO;
+    let mut priority = PagePriority::Normal;
+    let mut grouped = false;
+    if let (true, Some(mgr)) = (managed, &world.mgr) {
+        let pages_advanced = cursor.plan.pages_advanced(work, units);
+        for &ci in order {
+            let c = &mut consumers[ci];
+            let Some(id) = c.scan else { continue };
+            let out = mgr.update_location(id, c.ready_at, location, pages_advanced);
+            // Riders only report; the owner's outcome is the cursor's.
+            if ci != owner {
+                continue;
+            }
+            wait = out.wait;
+            priority = out.priority;
+            grouped = out.role != scanshare::Role::Singleton;
+            c.metrics.throttle_wait += wait;
+            if wait > SimDuration::ZERO {
+                let role = crate::trace::role_label(out.role);
+                if let Some(p) = &prof {
+                    let s = p.begin_child("throttle.wait", done);
+                    p.attr(s, "wait_us", wait.as_micros().to_string());
+                    p.attr(s, "role", role.to_string());
+                    p.end(s, done + wait);
+                }
+                world.throttle_hist.record(wait.as_micros());
+                if let Some(tr) = &world.tracer {
+                    tr.record(
+                        done,
+                        crate::trace::TraceEvent::Throttled {
+                            scan: id,
+                            wait,
+                            role: role.to_string(),
+                        },
+                    );
+                }
+            }
+        }
+    }
+    world.release_pages(&scratch.pages, priority)?;
+    // The ring discards before the read-ahead below, which evicts: the
+    // other order would change its victims.
+    if let Some((ring, cap)) = &mut cursor.ring {
+        if grouped {
+            // Retention belongs to the manager now; forget the ring
+            // so the group's pages stay pool-managed.
+            ring.clear();
+        } else {
+            for &(id, _) in &scratch.pages {
+                ring.push_back(id);
+            }
+            while ring.len() > *cap {
+                let old = ring.pop_front().expect("nonempty");
+                world.pool.discard(old);
+            }
+        }
+    }
+
+    // Advance.
+    cursor.plan.advance(units);
+    if managed && world.cfg.prefetch_extents > 0 && !cursor.plan.done() {
+        scratch.prefetch.clear();
+        cursor
+            .plan
+            .peek_next_pages(cursor.file, world.cfg.extent_pages, &mut scratch.prefetch);
+        if !scratch.prefetch.is_empty() {
+            world.prefetch(fetch.ready, &scratch.prefetch)?;
+        }
+    }
+    Ok(Step::Delivered {
+        next: done + wait,
+        pages,
+        wraps,
+    })
+}
+
+/// One executing pull scan: a cursor with exactly one consumer.
+#[derive(Debug)]
+pub struct ScanExec {
+    cursor: Cursor,
+    consumer: Consumer,
+    /// Human-readable description of the placement decision (tracing).
+    placement: String,
     /// Pending wrap notification (phase 1 just ended).
     needs_wrap: bool,
-    /// The scan died to a fault: it is `finished()` with a partial
-    /// answer, and was evicted from sharing.
-    aborted: bool,
-    /// Aggregation state.
-    agg: AggState,
     /// Reusable step buffers.
     scratch: StepScratch,
-    /// Metrics.
-    pub metrics: ScanMetrics,
 }
 
 /// A planned-but-unstarted scan: the access path resolved into a
-/// [`Plan`] cursor plus the manager registration record. Shared by the
-/// pull executor ([`ScanExec::start`]) and the push engine's group
-/// drivers, so the two delivery modes plan identically.
+/// [`Plan`] plus the manager registration record. Shared by the pull
+/// executor ([`ScanExec::start`]) and the push engine's group drivers,
+/// so the two delivery modes plan identically.
 pub(crate) struct PlannedScan {
     pub(crate) file: FileId,
     pub(crate) schema: Schema,
     pub(crate) plan: Plan,
     pub(crate) desc: ScanDesc,
+}
+
+/// Whether `spec` registers with the sharing manager at all. Scope
+/// toggles let experiments run table-scan sharing alone (ICDE scope) or
+/// with the index-scan extension (VLDB scope); a scan that must deliver
+/// its rows in order can not be placed mid-range.
+pub(crate) fn shareable(cfg: &EngineConfig, spec: &ScanSpec, kind: ScanKind) -> bool {
+    !spec.require_order
+        && match kind {
+            ScanKind::Table => cfg.share_table_scans,
+            ScanKind::Index => cfg.share_index_scans,
+        }
 }
 
 /// Resolve a [`ScanSpec`] against the database: pick the access path,
@@ -678,66 +1086,22 @@ impl ScanExec {
             desc,
         } = plan_scan(db, world, spec)?;
 
-        // Placement: ask the manager where to start. Scope toggles let
-        // experiments run table-scan sharing alone (ICDE scope) or with
-        // the index-scan extension (VLDB scope).
-        let kind_shared = !spec.require_order
-            && match desc.kind {
-                ScanKind::Table => world.cfg.share_table_scans,
-                ScanKind::Index => world.cfg.share_index_scans,
-            };
+        // Placement: ask the manager where to start.
+        let kind_shared = shareable(&world.cfg, spec, desc.kind);
         let est_pages = desc.est_pages;
         let mut mgr_scan = None;
         let mut placement = "unmanaged".to_string();
-        if let (Some(mgr), true) = (world.mgr.clone(), kind_shared) {
+        if let (Some(mgr), true) = (&world.mgr, kind_shared) {
             let (id, decision) = mgr.start_scan(desc, now);
             mgr_scan = Some(id);
             placement = crate::trace::placement_label(&decision);
             if let scanshare::StartDecision::JoinAt {
-                location: loc,
+                location,
                 back_up_pages,
                 ..
             } = decision
             {
-                match &mut plan {
-                    Plan::Table {
-                        num_pages,
-                        start_page,
-                        ..
-                    } => {
-                        let at = (loc.pos as u32).min(num_pages.saturating_sub(1));
-                        *start_page = at.saturating_sub(back_up_pages as u32);
-                    }
-                    Plan::Index {
-                        entries,
-                        block_pages,
-                        start_idx,
-                        ..
-                    } => {
-                        // Find the exact joined entry; fall back to the
-                        // first entry at or after the joined key; then
-                        // back up by the hinted number of pages (the
-                        // finished scan's leftovers in the pool).
-                        let exact = entries
-                            .iter()
-                            .position(|e| e.key == loc.key && e.payload == loc.pos);
-                        let near = entries.iter().position(|e| e.key >= loc.key);
-                        let at = exact.or(near).unwrap_or(0);
-                        let back = (back_up_pages / *block_pages as u64) as usize;
-                        *start_idx = at.saturating_sub(back);
-                    }
-                    Plan::Rid {
-                        entries, start_idx, ..
-                    } => {
-                        // ~1 page per entry: back up one entry per page.
-                        let exact = entries
-                            .iter()
-                            .position(|e| e.key == loc.key && e.payload == loc.pos);
-                        let near = entries.iter().position(|e| e.key >= loc.key);
-                        let at = exact.or(near).unwrap_or(0);
-                        *start_idx = at.saturating_sub(back_up_pages as usize);
-                    }
-                }
+                plan.start_at(location, back_up_pages);
             }
         }
 
@@ -755,24 +1119,14 @@ impl ScanExec {
         };
         let large = est_pages as usize > world.pool.capacity() / 4;
         let ring = (ring_pages > 0 && world.cfg.seq_ring_pages > 0 && large)
-            .then(|| (std::collections::VecDeque::new(), ring_pages));
+            .then(|| (VecDeque::new(), ring_pages));
 
-        let n_sums = spec.agg.sum_cols.len();
-        let pipeline = RowPipeline::compile(&spec.pred, &spec.agg, &schema);
         Ok(ScanExec {
-            file,
-            schema,
-            pipeline,
-            cpu: spec.cpu,
-            plan,
-            mgr_scan,
+            cursor: Cursor { file, plan, ring },
+            consumer: Consumer::new(mgr_scan, spec, &schema, now),
             placement,
-            ring,
             needs_wrap: false,
-            aborted: false,
-            agg: AggState::new(n_sums),
             scratch: StepScratch::default(),
-            metrics: ScanMetrics::default(),
         })
     }
 
@@ -799,80 +1153,27 @@ impl ScanExec {
 
     /// Whether the scan has processed its whole range.
     pub fn finished(&self) -> bool {
-        self.plan.done()
+        self.cursor.plan.done()
     }
 
     /// The scan's answer (valid once finished).
     pub fn result(&self) -> QueryResult {
-        self.agg.result()
+        self.consumer.result()
+    }
+
+    /// What the scan cost so far.
+    pub fn metrics(&self) -> &ScanMetrics {
+        &self.consumer.metrics
     }
 
     /// The manager id of this scan, if shared.
     pub fn scan_id(&self) -> Option<ScanId> {
-        self.mgr_scan
+        self.consumer.scan
     }
 
     /// Whether the scan died to a fault (its result is partial).
     pub fn aborted(&self) -> bool {
-        self.aborted
-    }
-
-    /// Attribute fault events the world observed during this scan's I/O
-    /// (including transient faults a retry absorbed) to the manager's
-    /// decision log.
-    fn report_faults(&mut self, world: &mut ExecWorld<'_>, now: SimTime) {
-        if !world.faults_enabled() {
-            return;
-        }
-        let events = &mut self.scratch.faults;
-        events.clear();
-        world.take_fault_events(events);
-        if let (Some(id), Some(mgr)) = (self.mgr_scan, world.mgr.clone()) {
-            for e in events.iter() {
-                mgr.note_fault(id, now, e.device, e.addr, e.transient, e.attempt);
-            }
-        }
-    }
-
-    /// Graceful degradation: the extent read died for good. Evict the
-    /// scan from sharing (its group re-forms and any throttle it
-    /// justified is lifted), count the abort, and finish the scan early
-    /// with its partial answer — the run keeps going.
-    fn abort_on_fault(
-        &mut self,
-        world: &mut ExecWorld<'_>,
-        now: SimTime,
-        device: u32,
-        addr: u64,
-        transient: bool,
-    ) {
-        let kind = if transient {
-            "exhausted retries on a transient"
-        } else {
-            "permanent"
-        };
-        let reason = format!("{kind} read fault on device {device} at page {addr}");
-        if let (Some(id), Some(mgr)) = (self.mgr_scan.take(), world.mgr.clone()) {
-            mgr.evict_scan(id, now, &reason);
-            if let Some(tr) = &world.tracer {
-                tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
-            }
-        }
-        world.note_scan_aborted();
-        self.aborted = true;
-        // Mark the plan consumed so `finished()` holds and the stream
-        // moves on.
-        match &mut self.plan {
-            Plan::Table {
-                num_pages, visited, ..
-            } => *visited = *num_pages,
-            Plan::Index {
-                entries, visited, ..
-            }
-            | Plan::Rid {
-                entries, visited, ..
-            } => *visited = entries.len(),
-        }
+        self.consumer.aborted
     }
 
     /// How placement started this scan (for tracing).
@@ -889,191 +1190,42 @@ impl ScanExec {
         now: SimTime,
     ) -> EngineResult<Option<SimTime>> {
         if self.finished() {
-            if let (Some(id), Some(mgr)) = (self.mgr_scan.take(), world.mgr.clone()) {
-                mgr.end_scan(id, now);
-                if let Some(tr) = &world.tracer {
-                    tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
-                }
-            }
+            self.consumer.end(world, now);
             return Ok(None);
         }
-
-        // Gather this extent's pages (into the reusable scratch), what to
-        // evaluate on them, and the location reported afterwards — the
-        // *advance the cursor* half of the step, shared with push-mode
-        // group drivers via [`Plan::gather`].
-        self.scratch.ids.clear();
-        self.scratch.rids.clear();
-        let (work, location, units, wrap_after) = self.plan.gather(
-            self.file,
-            world.cfg.extent_pages,
-            &mut self.scratch.ids,
-            &mut self.scratch.rids,
-        );
-
         // A pending wrap from the previous step is reported before new
         // work: the scan is now at the start of its second phase.
         if self.needs_wrap {
-            if let (Some(id), Some(mgr)) = (self.mgr_scan, world.mgr.clone()) {
-                let first_loc = match &self.plan {
-                    Plan::Table { .. } => {
-                        let first = self.scratch.ids[0].page;
-                        Location::new(first as i64, first as u64)
-                    }
-                    Plan::Index { entries, .. } | Plan::Rid { entries, .. } => {
-                        Location::new(entries[0].key, entries[0].payload)
-                    }
-                };
-                mgr.wrap_scan(id, now, first_loc);
+            if let (Some(id), Some(mgr)) = (self.consumer.scan, &world.mgr) {
+                mgr.wrap_scan(id, now, self.cursor.plan.range_start());
                 if let Some(tr) = &world.tracer {
                     tr.record(now, crate::trace::TraceEvent::ScanWrapped { scan: id });
                 }
             }
             self.needs_wrap = false;
         }
-
-        // I/O. Under a fault plan the fetch can fail for good (permanent
-        // fault or exhausted retries): that aborts this scan, not the run.
-        let prof = world.profiler.clone();
-        let fetch_span = prof
-            .as_ref()
-            .map(|p| p.begin_child("extent.fetch", now))
-            .unwrap_or_else(scanshare::SpanId::none);
-        let fetched = world.fetch_extent(now, &self.scratch.ids, &mut self.scratch.pages);
-        self.report_faults(world, now);
-        let fetch = match fetched {
-            Ok(f) => f,
-            Err(StorageError::ReadFault {
-                device,
-                addr,
-                transient,
-            }) => {
-                if let Some(p) = &prof {
-                    p.attr(fetch_span, "error", "read_fault");
-                    p.attr(fetch_span, "device", device.to_string());
-                    p.end(fetch_span, now);
-                }
-                self.abort_on_fault(world, now, device, addr, transient);
-                return Ok(None);
+        let consumer = std::slice::from_mut(&mut self.consumer);
+        let stepped = step_extent(
+            world,
+            now,
+            &mut self.cursor,
+            &mut self.scratch,
+            consumer,
+            &[0],
+            true,
+        )?;
+        match stepped {
+            Step::Delivered { next, wraps, .. } => {
+                self.needs_wrap = wraps;
+                Ok(Some(next))
             }
-            Err(e) => return Err(e.into()),
-        };
-        if let Some(p) = &prof {
-            p.attr(fetch_span, "hits", fetch.hits.to_string());
-            p.attr(fetch_span, "misses", fetch.misses.to_string());
-            p.attr(fetch_span, "requests", fetch.requests.to_string());
-            p.end(fetch_span, fetch.ready);
-        }
-        self.metrics.io_wait += fetch.ready.since(now);
-        self.metrics.logical_reads += self.scratch.ids.len() as u64;
-        self.metrics.physical_reads += fetch.misses;
-
-        // CPU: evaluate the predicate, aggregate qualifiers. Row bytes
-        // are borrowed straight from the pinned pool frames and fields
-        // read at the pipeline's precompiled offsets.
-        let cpu_span = prof
-            .as_ref()
-            .map(|p| p.begin_child("cpu.process", fetch.ready))
-            .unwrap_or_else(scanshare::SpanId::none);
-        let mut rows = 0u64;
-        let width = self.schema.row_width();
-        let pipe = &self.pipeline;
-        match work {
-            StepWork::AllRows => {
-                rows =
-                    consume_all_rows(&world.pool, &self.scratch.pages, width, pipe, &mut self.agg)?;
-            }
-            StepWork::Rids { .. } => {
-                // Evaluate exactly the indexed rows; `scratch.pages` is
-                // sorted by page id, so each page resolves by binary
-                // search (no per-step map allocation).
-                let pages = &self.scratch.pages;
-                for &(pid, slot) in &self.scratch.rids {
-                    rows += 1;
-                    let at = pages
-                        .binary_search_by_key(&pid, |&(id, _)| id)
-                        .expect("page fetched");
-                    let page = HeapPage::new(world.pool.slot_buf(pages[at].1))?;
-                    let row_bytes = page.row_bytes(slot)?;
-                    if pipe.matches(row_bytes) {
-                        self.agg.accumulate(pipe, row_bytes);
-                    }
-                }
+            // The scan finishes early with its partial answer; the run
+            // keeps going.
+            Step::Faulted(_) => {
+                self.cursor.plan.finish();
+                Ok(None)
             }
         }
-        let pages_advanced = self.plan.pages_advanced(work, units);
-        let cost = self.cpu.extent_cost(self.scratch.ids.len() as u64, rows);
-        let done = world.run_cpu(fetch.ready, cost);
-        self.metrics.cpu += cost;
-        if let Some(p) = &prof {
-            p.attr(cpu_span, "rows", rows.to_string());
-            p.end(cpu_span, done);
-        }
-
-        // Sharing-manager update: throttle wait + release priority.
-        let mut wait = SimDuration::ZERO;
-        let mut priority = PagePriority::Normal;
-        let mut grouped = false;
-        if let (Some(id), Some(mgr)) = (self.mgr_scan, world.mgr.clone()) {
-            let out = mgr.update_location(id, done, location, pages_advanced);
-            wait = out.wait;
-            priority = out.priority;
-            grouped = out.role != scanshare::Role::Singleton;
-            self.metrics.throttle_wait += wait;
-            if wait > SimDuration::ZERO {
-                if let Some(p) = &prof {
-                    let s = p.begin_child("throttle.wait", done);
-                    p.attr(s, "wait_us", wait.as_micros().to_string());
-                    p.attr(s, "role", crate::trace::role_label(out.role).to_string());
-                    p.end(s, done + wait);
-                }
-                world.throttle_hist.record(wait.as_micros());
-                if let Some(tr) = &world.tracer {
-                    tr.record(
-                        done,
-                        crate::trace::TraceEvent::Throttled {
-                            scan: id,
-                            wait,
-                            role: crate::trace::role_label(out.role).to_string(),
-                        },
-                    );
-                }
-            }
-        }
-        world.release_pages(&self.scratch.pages, priority)?;
-        if let Some((ring, cap)) = &mut self.ring {
-            if grouped {
-                // Retention belongs to the manager now; forget the ring
-                // so the group's pages stay pool-managed.
-                ring.clear();
-            } else {
-                for &(id, _) in &self.scratch.pages {
-                    ring.push_back(id);
-                }
-                while ring.len() > *cap {
-                    let old = ring.pop_front().expect("nonempty");
-                    world.pool.discard(old);
-                }
-            }
-        }
-
-        // Advance.
-        self.plan.advance(units);
-        if wrap_after {
-            self.needs_wrap = true;
-        }
-        if world.cfg.prefetch_extents > 0 && !self.finished() {
-            self.scratch.prefetch.clear();
-            self.plan.peek_next_pages(
-                self.file,
-                world.cfg.extent_pages,
-                &mut self.scratch.prefetch,
-            );
-            if !self.scratch.prefetch.is_empty() {
-                world.prefetch(fetch.ready, &self.scratch.prefetch)?;
-            }
-        }
-        Ok(Some(done + wait))
     }
 }
 
@@ -1141,7 +1293,7 @@ mod tests {
         while let Some(next) = scan.step(world, t).unwrap() {
             t = next;
         }
-        (scan.result(), scan.metrics.clone())
+        (scan.result(), scan.metrics().clone())
     }
 
     fn table_spec(pred: Pred) -> ScanSpec {

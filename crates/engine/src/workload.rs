@@ -161,44 +161,34 @@ impl<'q> StreamTask<'q> {
                 let spec = &q.scans[self.scan_pos];
                 // Push delivery first; specs it cannot share (RID
                 // fetches, order-requiring scans) fall back to pull.
-                let cur = match push.as_mut().map(|pe| pe.admit(db, world, spec, now)) {
-                    Some(admitted) => admitted?.map(CurScan::Push),
+                let admitted = match push.as_mut() {
+                    Some(pe) => pe.admit(db, world, spec, now)?,
                     None => None,
                 };
-                let cur = match cur {
-                    Some(cur) => {
-                        if let (Some(tr), Some(pe)) = (&world.tracer, push.as_ref()) {
-                            let CurScan::Push(cid) = &cur else {
-                                unreachable!("just admitted")
-                            };
-                            tr.record(
-                                now,
-                                crate::trace::TraceEvent::ScanStarted {
-                                    scan: pe.scan_id(*cid),
-                                    query: q.name.clone(),
-                                    stream: self.stream_idx,
-                                    placement: pe.placement_label(*cid).to_string(),
-                                },
-                            );
-                        }
-                        cur
-                    }
-                    None => {
-                        let scan = ScanExec::start(db, world, spec, now)?;
-                        if let (Some(tr), Some(id)) = (&world.tracer, scan.scan_id()) {
-                            tr.record(
-                                now,
-                                crate::trace::TraceEvent::ScanStarted {
-                                    scan: id,
-                                    query: q.name.clone(),
-                                    stream: self.stream_idx,
-                                    placement: scan.placement_label().to_string(),
-                                },
-                            );
-                        }
-                        CurScan::Pull(Box::new(scan))
-                    }
+                let cur = match admitted {
+                    Some(cid) => CurScan::Push(cid),
+                    None => CurScan::Pull(Box::new(ScanExec::start(db, world, spec, now)?)),
                 };
+                if let Some(tr) = &world.tracer {
+                    let (scan, placement) = match &cur {
+                        CurScan::Pull(scan) => (scan.scan_id(), scan.placement_label()),
+                        CurScan::Push(cid) => {
+                            let pe = push.as_ref().expect("push scan implies push engine");
+                            (pe.scan_id(*cid), pe.placement_label(*cid))
+                        }
+                    };
+                    if let Some(scan) = scan {
+                        tr.record(
+                            now,
+                            crate::trace::TraceEvent::ScanStarted {
+                                scan,
+                                query: q.name.clone(),
+                                stream: self.stream_idx,
+                                placement: placement.to_string(),
+                            },
+                        );
+                    }
+                }
                 self.current = Some(cur);
             }
             let stepped = match self.current.as_mut().expect("just set") {
@@ -212,15 +202,11 @@ impl<'q> StreamTask<'q> {
                 Some(next) => return Ok(Some(next)),
                 None => {
                     let (result, m) = match self.current.take().expect("present") {
-                        CurScan::Pull(scan) => (scan.result(), scan.metrics.clone()),
+                        CurScan::Pull(scan) => (scan.result(), scan.metrics().clone()),
                         CurScan::Push(cid) => push.as_mut().expect("push engine").take_result(cid),
                     };
                     self.qresult.absorb(result);
-                    self.qmetrics.cpu += m.cpu;
-                    self.qmetrics.io_wait += m.io_wait;
-                    self.qmetrics.throttle_wait += m.throttle_wait;
-                    self.qmetrics.logical_reads += m.logical_reads;
-                    self.qmetrics.physical_reads += m.physical_reads;
+                    self.qmetrics.absorb(&m);
                     self.rep += 1;
                 }
             }
@@ -259,6 +245,8 @@ pub type WatchObserver = Arc<dyn Fn(&WatchFrame) + Send + Sync>;
 #[derive(Default)]
 pub struct RunHooks {
     /// Event tracer; its retained records are embedded in the report.
+    /// Clones share the log, so a caller that keeps a handle reads the
+    /// events afterwards.
     pub tracer: Option<crate::trace::Tracer>,
     /// Decision-provenance log handed to the sharing manager. When
     /// `None`, sharing-mode runs still attach a fresh log (capacity
@@ -280,23 +268,6 @@ pub const DEFAULT_DECISION_CAP: usize = 1 << 16;
 /// Run a workload to completion and report the measurements.
 pub fn run_workload(db: &Database, spec: &WorkloadSpec) -> EngineResult<RunReport> {
     run_inner(db, spec, RunHooks::default())
-}
-
-/// Like [`run_workload`], but with a [`crate::trace::Tracer`] attached;
-/// the caller keeps the tracer handle and reads the event log afterwards.
-pub fn run_workload_traced(
-    db: &Database,
-    spec: &WorkloadSpec,
-    tracer: crate::trace::Tracer,
-) -> EngineResult<RunReport> {
-    run_inner(
-        db,
-        spec,
-        RunHooks {
-            tracer: Some(tracer),
-            ..RunHooks::default()
-        },
-    )
 }
 
 /// Like [`run_workload`], but with arbitrary [`RunHooks`] attached —
@@ -910,7 +881,11 @@ mod tests {
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
         let tracer = Tracer::new(1024);
-        run_workload_traced(&db, &spec, tracer.clone()).unwrap();
+        let hooks = RunHooks {
+            tracer: Some(tracer.clone()),
+            ..RunHooks::default()
+        };
+        run_workload_hooked(&db, &spec, hooks).unwrap();
         let records = tracer.records();
         let starts = records
             .iter()
@@ -1010,7 +985,11 @@ mod tests {
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
         let tracer = Tracer::new(4096);
-        let r = run_workload_traced(&db, &spec, tracer.clone()).unwrap();
+        let hooks = RunHooks {
+            tracer: Some(tracer.clone()),
+            ..RunHooks::default()
+        };
+        let r = run_workload_hooked(&db, &spec, hooks).unwrap();
         assert_eq!(r.trace.len(), tracer.records().len());
         assert!(!r.trace.is_empty());
         let spans = spans(&r.trace);
@@ -1262,74 +1241,78 @@ mod tests {
     #[test]
     fn profiled_run_exports_a_valid_span_tree() {
         use scanshare::obs::span::validate_chrome_trace;
+        use scanshare::DeliveryMode;
         let db = build_db();
         // Throttling workload (fast leader + slow trailer) so the span
-        // tree covers fetch, cpu, throttle, and manager phases.
+        // tree covers fetch, cpu, throttle, and manager phases. Under
+        // push the trailer arrives late enough to be refused as a rider
+        // and found a driver of its own: inside a cohort there is one
+        // cursor and nothing to throttle.
         let fast = q6_like("fast", 0, 11);
         let mut slow = q6_like("slow", 0, 11);
         slow.scans[0].cpu = CpuClass::cpu_bound();
-        let streams = vec![
-            Stream {
-                queries: vec![fast],
-                start_offset: SimDuration::ZERO,
-            },
-            Stream {
-                queries: vec![slow],
-                start_offset: SimDuration::from_millis(10),
-            },
-        ];
-        let spec = spec(
-            &db,
-            streams,
-            SharingMode::ScanSharing(SharingConfig::new(0)),
-        );
-        let profiler = SpanProfiler::default();
-        let r = run_workload_hooked(
-            &db,
-            &spec,
-            RunHooks {
-                profiler: Some(profiler.clone()),
-                ..RunHooks::default()
-            },
-        )
-        .unwrap();
-        // The export is a valid Chrome trace.
-        let trace = profiler.perfetto();
-        validate_chrome_trace(&trace).expect("valid chrome trace");
-        // The root engine.run span covers the whole makespan, and the
-        // expected phases all appear.
-        let sum = profiler.summary();
-        let run = sum.phases.iter().find(|p| p.name == "engine.run").unwrap();
-        assert_eq!(run.vt_incl_us, r.makespan.as_micros());
-        for phase in ["scan.step", "extent.fetch", "cpu.process", "throttle.wait"] {
-            assert!(
-                sum.phases.iter().any(|p| p.name == phase),
-                "missing phase {phase}"
+        for (delivery, stagger_ms) in [(DeliveryMode::Pull, 10), (DeliveryMode::Push, 100)] {
+            let streams = vec![
+                Stream {
+                    queries: vec![fast.clone()],
+                    start_offset: SimDuration::ZERO,
+                },
+                Stream {
+                    queries: vec![slow.clone()],
+                    start_offset: SimDuration::from_millis(stagger_ms),
+                },
+            ];
+            let mut cfg = SharingConfig::new(0);
+            cfg.delivery = delivery;
+            let spec = spec(&db, streams, SharingMode::ScanSharing(cfg));
+            let profiler = SpanProfiler::default();
+            let r = run_workload_hooked(
+                &db,
+                &spec,
+                RunHooks {
+                    profiler: Some(profiler.clone()),
+                    ..RunHooks::default()
+                },
+            )
+            .unwrap();
+            // The export is a valid Chrome trace.
+            let trace = profiler.perfetto();
+            validate_chrome_trace(&trace).expect("valid chrome trace");
+            // The root engine.run span covers the whole makespan, and the
+            // expected phases all appear.
+            let sum = profiler.summary();
+            let run = sum.phases.iter().find(|p| p.name == "engine.run").unwrap();
+            assert_eq!(run.vt_incl_us, r.makespan.as_micros());
+            for phase in ["scan.step", "extent.fetch", "cpu.process", "throttle.wait"] {
+                assert!(
+                    sum.phases.iter().any(|p| p.name == phase),
+                    "{delivery:?}: missing phase {phase}"
+                );
+            }
+            let records = profiler.records();
+            assert!(records.iter().any(|s| s.name == "mgr.place"));
+            assert!(records.iter().any(|s| s.name == "io.miss"
+                && s.attrs.iter().any(|(k, _)| k == "device")
+                && s.attrs.iter().any(|(k, _)| k == "seek_distance_pages")));
+            // Virtual exclusive time measures aggregate stream-seconds: with
+            // concurrently simulated streams it meets or exceeds the
+            // makespan. Wall-clock exclusive time partitions the recording
+            // exactly (the event loop is single-threaded on the host).
+            let excl: u64 = sum.phases.iter().map(|p| p.vt_excl_us).sum();
+            assert!(excl >= sum.total_vt_us, "{excl} < {}", sum.total_vt_us);
+            let wall = sum.wall.as_ref().unwrap();
+            let wall_excl: u64 = wall.phases.iter().map(|p| p.excl_ns).sum();
+            assert_eq!(wall_excl, wall.total_ns);
+            // The run itself reports no profile section (the profiler's
+            // owner embeds it) and the profiled run's report matches an
+            // unprofiled one byte for byte.
+            let plain = run_workload(&db, &spec).unwrap();
+            assert_eq!(
+                serde_json::to_string(&plain).unwrap(),
+                serde_json::to_string(&r).unwrap(),
+                "{delivery:?}: profiling must not perturb the report"
             );
         }
-        let records = profiler.records();
-        assert!(records.iter().any(|s| s.name == "mgr.place"));
-        assert!(records.iter().any(|s| s.name == "io.miss"
-            && s.attrs.iter().any(|(k, _)| k == "device")
-            && s.attrs.iter().any(|(k, _)| k == "seek_distance_pages")));
-        // Virtual exclusive time measures aggregate stream-seconds: with
-        // concurrently simulated streams it meets or exceeds the
-        // makespan. Wall-clock exclusive time partitions the recording
-        // exactly (the event loop is single-threaded on the host).
-        let excl: u64 = sum.phases.iter().map(|p| p.vt_excl_us).sum();
-        assert!(excl >= sum.total_vt_us, "{excl} < {}", sum.total_vt_us);
-        let wall = sum.wall.as_ref().unwrap();
-        let wall_excl: u64 = wall.phases.iter().map(|p| p.excl_ns).sum();
-        assert_eq!(wall_excl, wall.total_ns);
-        // The run itself reports no profile section (the profiler's
-        // owner embeds it) and the profiled run's report matches an
-        // unprofiled one byte for byte.
-        let plain = run_workload(&db, &spec).unwrap();
-        assert_eq!(
-            serde_json::to_string(&plain).unwrap(),
-            serde_json::to_string(&r).unwrap(),
-            "profiling must not perturb the report"
-        );
     }
 
     #[test]

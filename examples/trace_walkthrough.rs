@@ -7,7 +7,7 @@
 //! ```
 
 use scanshare_repro::core::SharingConfig;
-use scanshare_repro::engine::{run_workload_traced, SharingMode, Tracer};
+use scanshare_repro::engine::{run_workload_hooked, RunHooks, SharingMode, Tracer};
 use scanshare_repro::storage::SimDuration;
 use scanshare_repro::tpch::{generate, q6, staggered_workload, TpchConfig};
 
@@ -28,7 +28,11 @@ fn main() {
         SharingMode::ScanSharing(SharingConfig::new(0)),
     );
     let tracer = Tracer::new(10_000);
-    let report = run_workload_traced(&db, &spec, tracer.clone()).expect("run");
+    let hooks = RunHooks {
+        tracer: Some(tracer.clone()),
+        ..RunHooks::default()
+    };
+    let report = run_workload_hooked(&db, &spec, hooks).expect("run");
 
     println!("\n--- event log ---");
     print!("{}", tracer.render());

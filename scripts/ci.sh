@@ -134,4 +134,9 @@ echo "== policy-ablation smoke (informational, not gated) =="
 # separately by the bench_gate run and the policy_identity test).
 cargo run --offline --release -q -p scanshare-bench --bin exp_policy -- --smoke
 
+echo "== first-party line counts (informational, not gated) =="
+# Production vs test lines per crate, the figure each CHANGES.md entry
+# quotes before/after (north-star aim 2: net lines tracked per PR).
+scripts/loc.sh
+
 echo "CI green."

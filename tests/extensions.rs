@@ -3,8 +3,8 @@
 
 use scanshare_repro::core::{PlacementStrategy, QueryPriority, SharingConfig};
 use scanshare_repro::engine::{
-    run_workload, run_workload_traced, Access, AggSpec, CpuClass, Database, EngineConfig, Pred,
-    Query, ScanSpec, SharingMode, Stream, TraceEvent, Tracer, WorkloadSpec,
+    run_workload, run_workload_hooked, Access, AggSpec, CpuClass, Database, EngineConfig, Pred,
+    Query, RunHooks, ScanSpec, SharingMode, Stream, TraceEvent, Tracer, WorkloadSpec,
 };
 use scanshare_repro::relstore::{ColType, Column, Schema, Value};
 use scanshare_repro::storage::{ReplacementPolicy, SimDuration};
@@ -322,7 +322,11 @@ fn trace_records_the_whole_lifecycle() {
         SharingMode::ScanSharing(SharingConfig::new(0)),
     );
     let tracer = Tracer::new(4096);
-    let report = run_workload_traced(&db, &spec, tracer.clone()).unwrap();
+    let hooks = RunHooks {
+        tracer: Some(tracer.clone()),
+        ..RunHooks::default()
+    };
+    let report = run_workload_hooked(&db, &spec, hooks).unwrap();
     let records = tracer.records();
     let starts = records
         .iter()

@@ -6,7 +6,7 @@
 use scanshare_cli::{load_artifact_trace, load_report, render};
 use scanshare_engine::trace::{records_from_jsonl, records_to_jsonl};
 use scanshare_repro::core::SharingConfig;
-use scanshare_repro::engine::{run_workload_traced, CpuClass, SharingMode, Tracer};
+use scanshare_repro::engine::{run_workload_hooked, CpuClass, RunHooks, SharingMode, Tracer};
 use scanshare_repro::storage::SimDuration;
 use scanshare_repro::tpch::{generate, q6, staggered_workload, TpchConfig};
 
@@ -30,8 +30,11 @@ fn shared_run_artifact_replays_through_the_cli_layer() {
         scan.cpu = CpuClass::cpu_bound();
     }
 
-    let tracer = Tracer::new(1 << 14);
-    let report = run_workload_traced(&db, &spec, tracer).expect("traced run");
+    let hooks = RunHooks {
+        tracer: Some(Tracer::new(1 << 14)),
+        ..RunHooks::default()
+    };
+    let report = run_workload_hooked(&db, &spec, hooks).expect("traced run");
 
     // The acceptance triad: leader-trailer distance series, slowdown-cap
     // series, and a populated latency histogram.
