@@ -24,7 +24,7 @@ use scanshare::{DeliveryMode, SharingConfig};
 use scanshare_bench::gate::{
     collect_metrics, compare, has_regression, render_diffs, GateBaseline, Provenance, WallSection,
 };
-use scanshare_bench::history::{self, HistoryEntry, MetricSample, WallStats};
+use scanshare_bench::history::{self, HistoryEntry, WallStats};
 use scanshare_bench::stats::{self, ReplicateStats};
 use scanshare_engine::{run_workloads, FaultsConfig, RunReport, SharingMode};
 use scanshare_tpch::{generate, throughput_workload, TpchConfig};
@@ -33,8 +33,9 @@ use scanshare_tpch::{generate, throughput_workload, TpchConfig};
 const SMOKE_STREAMS: usize = 3;
 
 fn smoke_config() -> TpchConfig {
-    // Deliberately NOT experiment_config(): the gate must ignore
-    // SCANSHARE_SCALE/SEED so the committed baseline always matches.
+    // Deliberately not the experiment runner's configuration: the gate
+    // must ignore SCANSHARE_SCALE/SEED so the committed baseline always
+    // matches.
     TpchConfig::tiny()
 }
 
@@ -325,20 +326,9 @@ fn record_and_check_history(runs: &SmokeRuns, opts: &Options) -> Result<bool, St
         Vec::new()
     };
     let entry = HistoryEntry {
-        git_sha: history::git_sha(),
-        recorded_at: history::utc_now_iso(),
-        source: "bench_gate".to_string(),
-        policy: runs.ss.policy.map(|p| p.to_string()),
         faults: opts.faults_path.clone(),
-        delivery: runs.ss.push.as_ref().map(|_| "push".to_string()),
-        metrics: collect_metrics(&runs.base, &runs.ss)
-            .into_iter()
-            .map(|m| MetricSample {
-                name: m.name,
-                value: m.value,
-            })
-            .collect(),
         wall: Some(runs.wall_stats.clone()),
+        ..HistoryEntry::of_pair("bench_gate", &runs.base, &runs.ss)
     };
     history::append(path, &entry)?;
     eprintln!(

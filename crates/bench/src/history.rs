@@ -16,6 +16,7 @@
 //! ledger as per-metric trend tables; `bench_gate --history` appends
 //! to one and runs the trailing-window change-point check against it.
 
+use scanshare_engine::RunReport;
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
 
@@ -55,7 +56,8 @@ pub struct HistoryEntry {
     /// the host clock is unavailable). Informational only — nothing
     /// deterministic reads it back.
     pub recorded_at: String,
-    /// The binary that produced the entry (`bench_gate`, `exp_*`, …).
+    /// What produced the entry: `bench_gate`, or `exp_<id>` for a row
+    /// of the experiment table.
     pub source: String,
     /// Sharing policy of the measured run, when not the default.
     pub policy: Option<String>,
@@ -73,6 +75,31 @@ pub struct HistoryEntry {
 }
 
 impl HistoryEntry {
+    /// The entry `source` records for a base/scan-sharing pair, stamped
+    /// with the working tree's git SHA and the current time: the 8
+    /// virtual-clock metrics the CI gate pins, no fault plan, no wall
+    /// section.
+    pub fn of_pair(source: &str, base: &RunReport, ss: &RunReport) -> HistoryEntry {
+        HistoryEntry {
+            git_sha: git_sha(),
+            recorded_at: utc_now_iso(),
+            source: source.to_string(),
+            policy: ss.policy.map(|p| p.to_string()),
+            faults: None,
+            // A push-mode run stamps its summary on the report; pull runs
+            // stay untagged so old and new ledgers trend the same series.
+            delivery: ss.push.as_ref().map(|_| "push".to_string()),
+            metrics: crate::gate::collect_metrics(base, ss)
+                .into_iter()
+                .map(|m| MetricSample {
+                    name: m.name,
+                    value: m.value,
+                })
+                .collect(),
+            wall: None,
+        }
+    }
+
     /// Value of metric `name`, if the entry recorded it.
     pub fn metric(&self, name: &str) -> Option<f64> {
         self.metrics

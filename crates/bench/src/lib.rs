@@ -1,376 +1,16 @@
-//! Experiment harness regenerating every table and figure of the paper.
+//! Experiment harness regenerating every table and figure of the paper,
+//! plus the perf gate, the run-history ledger and the in-repo
+//! micro-benchmark harness.
 //!
-//! Each binary in `src/bin/` reproduces one experiment:
-//!
-//! | binary         | paper artifact |
-//! |----------------|----------------|
-//! | `exp_overhead` | §8 text: single-stream overhead well below 1 % |
-//! | `exp_fig15`    | Figure 15: 3 staggered Q6 streams (I/O-intensive) |
-//! | `exp_fig16`    | Figure 16: 3 staggered Q1 streams (CPU-intensive) |
-//! | `exp_fig17`    | Figure 17: disk reads over time, base vs SS |
-//! | `exp_fig18`    | Figure 18: disk seeks over time, base vs SS |
-//! | `exp_table1`   | Table 1: 5-stream TPC-H end-to-end/read/seek gains |
-//! | `exp_fig19`    | Figure 19: per-stream gains |
-//! | `exp_fig20`    | Figure 20: per-query gains |
-//! | `exp_fig8_9`   | Figures 8/9: sharing-potential estimates |
-//! | `exp_ablation` | A1: placement / throttling / priorities toggles |
-//! | `exp_scope`    | A2: table-scan-only (ICDE) vs +index (VLDB) scope |
-//! | `exp_fairness` | A3: fairness-cap sweep |
-//! | `exp_policy`   | A9: sharing-policy ablation (grouping / attach / elevator) |
-//!
-//! Every binary prints a human-readable table and writes the raw numbers
-//! as JSON under `results/`. Scale via `SCANSHARE_SCALE` (default 1.0)
+//! The experiments are rows of one table, [`exp::TABLE`], run by one
+//! binary: `exp list` prints the index (id, paper artifact, claims),
+//! `exp all` or `exp <id>…` runs rows, prints their tables, checks the
+//! paper's claims each row carries and — only under `--out DIR` — writes
+//! the raw numbers as JSON. Scale via `SCANSHARE_SCALE` (default 1.0)
 //! and seed via `SCANSHARE_SEED` (default 42).
 
+pub mod exp;
 pub mod gate;
 pub mod history;
 pub mod micro;
 pub mod stats;
-
-use scanshare::SharingConfig;
-use scanshare_engine::{run_workload, Database, RunReport, SharingMode, WorkloadSpec};
-use scanshare_storage::TimeSeries;
-use scanshare_tpch::{generate, TpchConfig};
-use serde::Serialize;
-
-/// Scale/seed configuration read from the environment.
-pub fn experiment_config() -> TpchConfig {
-    let scale: f64 = std::env::var("SCANSHARE_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0);
-    let seed: u64 = std::env::var("SCANSHARE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    TpchConfig {
-        scale,
-        seed,
-        ..TpchConfig::default()
-    }
-}
-
-/// Generate the experiment database, logging its size.
-pub fn build_database(cfg: &TpchConfig) -> Database {
-    eprintln!(
-        "generating TPC-H-like database (scale {}, seed {}) ...",
-        cfg.scale, cfg.seed
-    );
-    let db = generate(cfg);
-    eprintln!(
-        "  tables: {:?}, total pages: {}",
-        db.table_names(),
-        db.total_table_pages()
-    );
-    db
-}
-
-/// The full-featured scan-sharing mode (pool size filled in by the run).
-pub fn ss_mode() -> SharingMode {
-    SharingMode::ScanSharing(SharingConfig::new(0))
-}
-
-/// [`ss_mode`] with push delivery: one group driver fixes each page
-/// once and pushes it through every attached consumer's row pipeline.
-pub fn push_mode() -> SharingMode {
-    let mut cfg = SharingConfig::new(0);
-    cfg.delivery = scanshare::DeliveryMode::Push;
-    SharingMode::ScanSharing(cfg)
-}
-
-/// Worker threads for fanning a sweep's independent runs out in
-/// parallel: `SCANSHARE_JOBS` (default 1). Every run is a deterministic
-/// simulation over virtual time, so the job count changes only the
-/// sweep's wall-clock time, never a reported number.
-pub fn sweep_jobs() -> usize {
-    std::env::var("SCANSHARE_JOBS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&j| j >= 1)
-        .unwrap_or(1)
-}
-
-/// Stagger offset proportional to a query's solo runtime: run the query
-/// once alone and take `frac` of its elapsed time. The paper staggers by
-/// 10 s against a 100 GB database; a fixed fraction keeps the overlap
-/// geometry identical across scales.
-pub fn calibrated_stagger(
-    db: &Database,
-    query: &scanshare_engine::Query,
-    frac: f64,
-) -> scanshare_storage::SimDuration {
-    let solo = scanshare_tpch::staggered_workload(
-        db,
-        query,
-        1,
-        scanshare_storage::SimDuration::ZERO,
-        SharingMode::Base,
-    );
-    let r = run_workload(db, &solo).expect("solo calibration run");
-    let us = (r.makespan.as_micros() as f64 * frac) as u64;
-    eprintln!(
-        "calibration: solo run {:.2}s -> stagger {:.2}s",
-        r.makespan.as_secs_f64(),
-        us as f64 / 1e6
-    );
-    scanshare_storage::SimDuration::from_micros(us.max(1))
-}
-
-/// Run base and scan-sharing variants of a workload. When the binary was
-/// invoked with `--metrics-out PATH` (or `SCANSHARE_METRICS_OUT` is set),
-/// both runs' observability snapshots are appended to that file as
-/// labeled JSON-lines.
-pub fn run_pair(db: &Database, base: &WorkloadSpec, ss: &WorkloadSpec) -> (RunReport, RunReport) {
-    eprintln!("running base ...");
-    let rb = run_workload(db, base).expect("base run");
-    eprintln!(
-        "  base makespan: {} ({} pages read, {} seeks)",
-        rb.makespan, rb.disk.pages_read, rb.disk.seeks
-    );
-    eprintln!("running scan-sharing ...");
-    let rs = run_workload(db, ss).expect("ss run");
-    eprintln!(
-        "  ss makespan:   {} ({} pages read, {} seeks)",
-        rs.makespan, rs.disk.pages_read, rs.disk.seeks
-    );
-    record_metrics("base", &rb);
-    record_metrics("scan-sharing", &rs);
-    record_history(&rb, &rs);
-    (rb, rs)
-}
-
-/// Extract `--metrics-out PATH` from an argument vector.
-pub fn metrics_out_from(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// The metrics sink path, resolved once per process: `--metrics-out`
-/// beats `SCANSHARE_METRICS_OUT`. The file is truncated on first use so
-/// each experiment invocation starts a fresh log.
-fn metrics_out_file() -> Option<&'static str> {
-    static PATH: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    PATH.get_or_init(|| {
-        let argv: Vec<String> = std::env::args().collect();
-        let path =
-            metrics_out_from(&argv).or_else(|| std::env::var("SCANSHARE_METRICS_OUT").ok())?;
-        if let Err(e) = std::fs::write(&path, "") {
-            eprintln!("cannot open metrics sink {path}: {e}");
-            return None;
-        }
-        Some(path)
-    })
-    .as_deref()
-}
-
-/// Append one labeled metrics snapshot to the `--metrics-out` sink (a
-/// no-op when none is configured). Public so experiment binaries can log
-/// runs that do not go through [`run_pair`].
-pub fn record_metrics(label: &str, report: &RunReport) {
-    let Some(path) = metrics_out_file() else {
-        return;
-    };
-    #[derive(Serialize)]
-    struct Line {
-        label: String,
-        makespan_us: u64,
-        metrics: scanshare::MetricsSnapshot,
-    }
-    let line = Line {
-        label: label.to_string(),
-        makespan_us: report.makespan.as_micros(),
-        metrics: report.metrics.clone(),
-    };
-    match serde_json::to_string(&line) {
-        Ok(json) => {
-            use std::io::Write as _;
-            if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(path) {
-                let _ = writeln!(f, "{json}");
-                eprintln!("  metrics[{label}] appended to {path}");
-            }
-        }
-        Err(e) => eprintln!("metrics serialize failed: {e}"),
-    }
-}
-
-/// Extract `--history PATH` from an argument vector.
-pub fn history_out_from(args: &[String]) -> Option<String> {
-    args.iter()
-        .position(|a| a == "--history")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// The run-history ledger path, resolved once per process:
-/// `--history` beats `SCANSHARE_HISTORY`. Unlike the metrics sink the
-/// ledger is append-only — it accumulates trajectory across
-/// invocations, so it is never truncated here.
-fn history_out_file() -> Option<&'static str> {
-    static PATH: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    PATH.get_or_init(|| {
-        let argv: Vec<String> = std::env::args().collect();
-        history_out_from(&argv).or_else(|| std::env::var("SCANSHARE_HISTORY").ok())
-    })
-    .as_deref()
-}
-
-/// Append a [`history::HistoryEntry`] for a base/scan-sharing pair to
-/// the `--history` (or `SCANSHARE_HISTORY`) ledger — a no-op when none
-/// is configured. The entry carries the same 8 virtual-clock metrics
-/// the CI gate pins, stamped with the producing binary's name and the
-/// working tree's git SHA, so every `exp_*` sweep can feed the same
-/// trajectory `scanshare history` renders.
-pub fn record_history(base: &RunReport, ss: &RunReport) {
-    let Some(path) = history_out_file() else {
-        return;
-    };
-    let source = std::env::args()
-        .next()
-        .and_then(|p| {
-            std::path::Path::new(&p)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-        })
-        .unwrap_or_else(|| "unknown".to_string());
-    let entry = history::HistoryEntry {
-        git_sha: history::git_sha(),
-        recorded_at: history::utc_now_iso(),
-        source,
-        policy: ss.policy.map(|p| p.to_string()),
-        faults: None,
-        // A push-mode run stamps its summary on the report; pull runs
-        // stay untagged so old and new ledgers trend the same series.
-        delivery: ss.push.as_ref().map(|_| "push".to_string()),
-        metrics: gate::collect_metrics(base, ss)
-            .into_iter()
-            .map(|m| history::MetricSample {
-                name: m.name,
-                value: m.value,
-            })
-            .collect(),
-        wall: None,
-    };
-    match history::append(path, &entry) {
-        Ok(()) => eprintln!("  history entry appended to {path}"),
-        Err(e) => eprintln!("history append failed: {e}"),
-    }
-}
-
-/// Percent improvement of `ss` over `base`.
-pub fn pct_gain(base: f64, ss: f64) -> f64 {
-    scanshare_engine::metrics::gain(base, ss) * 100.0
-}
-
-/// Render a compact ASCII bar chart of a series (re-binned to `bins`).
-pub fn ascii_series(label: &str, series: &TimeSeries, bins: usize, peak: u64) -> String {
-    let data = series.rebin(bins);
-    let peak = peak.max(1);
-    let ramp: &[u8] = b" .:-=+*#%@";
-    let mut out = format!("{label:>6} |");
-    for v in &data {
-        let h = ((v * 9) / peak).min(9) as usize;
-        out.push(ramp[h] as char);
-    }
-    out.push('|');
-    out
-}
-
-/// Write an experiment's raw numbers to `results/<name>.json`.
-pub fn dump_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if std::fs::write(&path, s).is_ok() {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("json dump failed: {e}"),
-    }
-}
-
-/// A two-column (base vs SS) summary row.
-#[derive(Debug, Serialize)]
-pub struct GainRow {
-    /// Metric name.
-    pub metric: String,
-    /// Base value.
-    pub base: f64,
-    /// Scan-sharing value.
-    pub ss: f64,
-    /// Percent gain.
-    pub gain_pct: f64,
-}
-
-impl GainRow {
-    /// Build a row.
-    pub fn new(metric: impl Into<String>, base: f64, ss: f64) -> Self {
-        let metric = metric.into();
-        GainRow {
-            gain_pct: pct_gain(base, ss),
-            metric,
-            base,
-            ss,
-        }
-    }
-}
-
-/// Print rows as an aligned table.
-pub fn print_gain_table(title: &str, rows: &[GainRow]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<28} {:>14} {:>14} {:>9}",
-        "metric", "base", "scan-sharing", "gain"
-    );
-    for r in rows {
-        println!(
-            "{:<28} {:>14.2} {:>14.2} {:>8.1}%",
-            r.metric, r.base, r.ss, r.gain_pct
-        );
-    }
-}
-
-/// Print the CPU breakdown of a run as percentages (Figures 15/16 left).
-pub fn print_breakdown(label: &str, report: &RunReport) {
-    let (u, s, i, w) = report.breakdown.percentages();
-    println!("{label:<6} user {u:5.1}%  system {s:5.1}%  idle {i:5.1}%  iowait {w:5.1}%");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use scanshare_storage::SimTime;
-
-    #[test]
-    fn metrics_out_flag_is_extracted_from_argv() {
-        let args = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
-        assert_eq!(
-            metrics_out_from(&args("exp_table1 --metrics-out m.jsonl")),
-            Some("m.jsonl".into())
-        );
-        assert_eq!(metrics_out_from(&args("exp_table1")), None);
-        assert_eq!(metrics_out_from(&args("exp_table1 --metrics-out")), None);
-    }
-
-    #[test]
-    fn gain_row_computes_percentage() {
-        let r = GainRow::new("x", 100.0, 79.0);
-        assert!((r.gain_pct - 21.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ascii_series_is_fixed_width() {
-        let mut s = TimeSeries::new(1000);
-        for i in 0..100 {
-            s.add(SimTime::from_micros(i * 1000), i);
-        }
-        let line = ascii_series("base", &s, 40, s.buckets().iter().copied().max().unwrap());
-        assert_eq!(line.chars().filter(|&c| c == '|').count(), 2);
-        assert!(line.len() >= 40);
-    }
-}

@@ -1,7 +1,7 @@
 //! `scanshare history` — render a run-history ledger as trend tables.
 //!
 //! The ledger (`results/history.jsonl`, written by `bench_gate
-//! --history` and the `exp_*` binaries) accumulates one JSON line per
+//! --history` and the `exp` runner) accumulates one JSON line per
 //! run. This module turns a ledger into a per-metric trend view: one
 //! row per recorded metric with a unicode sparkline over the selected
 //! entries (oldest → newest), first/last values, and the net change.

@@ -72,7 +72,7 @@ pub struct EngineConfig {
     /// current one arrives, overlapping I/O with row processing — how
     /// the paper's DB2 actually reads ("prefetch extents" are its unit
     /// of throttling distance). Off by default so the headline
-    /// experiments stay at the calibrated baseline; `exp_prefetch`
+    /// experiments stay at the calibrated baseline; `exp prefetch`
     /// re-runs Table 1 with it on.
     pub prefetch_extents: u32,
     /// Ring size (in pages) through which an *unshared* large scan

@@ -45,19 +45,20 @@ impl Database {
     }
 
     /// Bulk-load a heap table from rows in insertion order.
-    pub fn create_heap_table<I>(
+    pub fn create_heap_table<I, R>(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
         rows: I,
     ) -> StorageResult<&TableMeta>
     where
-        I: IntoIterator<Item = Vec<Value>>,
+        I: IntoIterator<Item = R>,
+        R: AsRef<[Value]>,
     {
         let name = name.into();
         let mut w = HeapWriter::create(&mut self.store, schema);
         for row in rows {
-            w.append(&mut self.store, &row)?;
+            w.append(&mut self.store, row.as_ref())?;
         }
         let heap = w.finish(&mut self.store)?;
         self.tables.insert(
@@ -115,7 +116,7 @@ impl Database {
     /// Bulk-load an MDC table from `(cell key, row)` pairs in insertion
     /// order. Rows of different cells may arrive interleaved — that is
     /// what produces the realistic interleaved block layout.
-    pub fn create_mdc_table<I>(
+    pub fn create_mdc_table<I, R>(
         &mut self,
         name: impl Into<String>,
         schema: Schema,
@@ -123,12 +124,13 @@ impl Database {
         rows: I,
     ) -> StorageResult<&TableMeta>
     where
-        I: IntoIterator<Item = (i64, Vec<Value>)>,
+        I: IntoIterator<Item = (i64, R)>,
+        R: AsRef<[Value]>,
     {
         let name = name.into();
         let mut b = MdcTableBuilder::create(&mut self.store, schema, block_pages);
         for (cell, row) in rows {
-            b.append(&mut self.store, cell, &row)?;
+            b.append(&mut self.store, cell, row.as_ref())?;
         }
         let table = b.finish(&mut self.store)?;
         self.tables.insert(

@@ -2,7 +2,7 @@
 //!
 //! A single simulated run is inherently sequential — it is one
 //! discrete-event loop over virtual time — but experiments rarely need
-//! just one run. Sweeps (`exp_fairness`, `exp_disks`), the perf gate's
+//! just one run. Sweeps (`exp fairness`, `exp disks`), the perf gate's
 //! base/scan-sharing pair, and parameter studies all execute *independent*
 //! `run_workload` invocations that only meet again at reporting time.
 //! This module spreads those invocations over a bounded pool of scoped

@@ -184,7 +184,7 @@ pub fn generate(cfg: &TpchConfig) -> Database {
         let day = month as i32 * 30 + rng.random_range(0..30);
         let qty = rng.random_range(1..=50) as f64;
         let price = qty * rng.random_range(900.0..=10_000.0_f64) / 10.0;
-        let row = vec![
+        let row = [
             Value::I64(i as i64 / 4),
             Value::F64(qty),
             Value::F64((price * 100.0).round() / 100.0),
@@ -203,7 +203,7 @@ pub fn generate(cfg: &TpchConfig) -> Database {
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x6f72646572);
     let n_orders = cfg.orders_rows();
     let orders_rows = (0..n_orders).map(|i| {
-        vec![
+        [
             Value::I64(i as i64),
             Value::I64(rng.random_range(0..cfg.customer_rows().max(1)) as i64),
             Value::F64(rng.random_range(1000.0..500_000.0_f64)),
@@ -215,7 +215,7 @@ pub fn generate(cfg: &TpchConfig) -> Database {
 
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x70617274);
     let part_rows = (0..cfg.part_rows()).map(|i| {
-        vec![
+        [
             Value::I64(i as i64),
             Value::I32(rng.random_range(1..=50)),
             Value::F64(rng.random_range(900.0..2000.0_f64)),
@@ -226,7 +226,7 @@ pub fn generate(cfg: &TpchConfig) -> Database {
 
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x63757374);
     let cust_rows = (0..cfg.customer_rows()).map(|i| {
-        vec![
+        [
             Value::I64(i as i64),
             Value::I32(rng.random_range(0..25)),
             Value::F64(rng.random_range(-999.0..10_000.0_f64)),

@@ -127,12 +127,25 @@ fi
 cargo run --offline --release -q -p scanshare-bench --bin bench_gate -- \
     --gate results/baseline_smoke.json --faults results/fault_plans/transient_1pct.json
 
-echo "== policy-ablation smoke (informational, not gated) =="
-# Three-policy comparison on the pinned smoke workload. Informational:
-# the numbers are printed for the log but nothing is asserted beyond
-# the binary running to completion (grouping-policy identity is gated
-# separately by the bench_gate run and the policy_identity test).
-cargo run --offline --release -q -p scanshare-bench --bin exp_policy -- --smoke
+echo "== experiment table: claims + results/ byte identity =="
+# Every row of `exp all` at the documented settings (scale 1.0, seed 42):
+# the paper's claims each row carries are evaluated (a violated one is a
+# non-zero exit, which fails CI here), and every file written must equal
+# its committed copy under results/ — the same byte-identity contract
+# policy_grouping_smoke_report.json has. A behaviour-changing PR
+# regenerates results/ on purpose (`exp all --out results`) or fails.
+exp_out=$(mktemp -d)
+env -u SCANSHARE_SCALE -u SCANSHARE_SEED \
+    cargo run --offline --release -q -p scanshare-bench --bin exp -- all --out "$exp_out"
+for f in "$exp_out"/*.json; do
+    if ! cmp -s "$f" "results/$(basename "$f")"; then
+        echo "FAIL: $(basename "$f") drifted from results/ (regenerate: exp all --out results)"
+        rm -rf "$exp_out"
+        exit 1
+    fi
+done
+echo "$(ls "$exp_out" | wc -l) experiment files byte-identical to results/"
+rm -rf "$exp_out"
 
 echo "== first-party line counts (informational, not gated) =="
 # Production vs test lines per crate, the figure each CHANGES.md entry
