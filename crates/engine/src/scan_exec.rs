@@ -379,12 +379,19 @@ pub(crate) struct StepScratch {
     prefetch: Vec<PageId>,
     /// Fault events drained from the world after each fetch.
     faults: Vec<crate::faults::FaultEvent>,
+    /// The row kernel's selection vector: indexes of the rows of the
+    /// region being folded that passed the predicate so far.
+    sel: Vec<u32>,
+    /// Rows that do not already sit in one dense region — a RID batch in
+    /// key order, a page that is not fixed-width — copied side by side so
+    /// the kernel sees one.
+    gathered: Vec<u8>,
 }
 
 /// One predicate leaf with its column byte offset resolved against the
 /// scan's schema. [`RowPipeline::compile`] flattens a [`Pred`] tree into
-/// a conjunction of these so the per-row loop reads fields straight out
-/// of the row bytes — no `Box` chasing, no per-access offset lookup.
+/// a conjunction of these so the row kernel reads fields straight out of
+/// the row bytes — no `Box` chasing, no per-access offset lookup.
 #[derive(Debug)]
 enum PredLeaf {
     /// `lo <= i32 at off <= hi`.
@@ -395,27 +402,53 @@ enum PredLeaf {
     CharEq { off: usize, c: u8 },
 }
 
+#[inline(always)]
+fn f64_at(row: &[u8], off: usize) -> f64 {
+    f64::from_le_bytes(row[off..off + 8].try_into().unwrap())
+}
+
+/// Row `i` of a dense region of `width`-byte rows.
+#[inline(always)]
+fn row_at(region: &[u8], width: usize, i: u32) -> &[u8] {
+    &region[i as usize * width..][..width]
+}
+
 impl PredLeaf {
-    #[inline]
-    fn eval(&self, bytes: &[u8]) -> bool {
+    /// Keep the rows of `sel` that pass this leaf, in order. Every
+    /// candidate is written and the write cursor advances only past a
+    /// survivor, so the loop has no data-dependent branch to mispredict
+    /// (Q6's predicate passes 29 % of its rows).
+    fn filter(&self, region: &[u8], width: usize, sel: &mut Vec<u32>) {
+        #[inline(always)]
+        fn compact(region: &[u8], width: usize, sel: &mut Vec<u32>, pass: impl Fn(&[u8]) -> bool) {
+            let mut kept = 0;
+            for at in 0..sel.len() {
+                let i = sel[at];
+                sel[kept] = i;
+                kept += pass(row_at(region, width, i)) as usize;
+            }
+            sel.truncate(kept);
+        }
+        // The leaf kind is matched once per page, not once per row.
         match *self {
-            PredLeaf::I32Between { off, lo, hi } => {
-                let v = i32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
+            PredLeaf::I32Between { off, lo, hi } => compact(region, width, sel, |row| {
+                let v = i32::from_le_bytes(row[off..off + 4].try_into().unwrap());
                 lo <= v && v <= hi
-            }
+            }),
             PredLeaf::F64LessThan { off, x } => {
-                f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap()) < x
+                compact(region, width, sel, |row| f64_at(row, off) < x)
             }
-            PredLeaf::CharEq { off, c } => bytes[off] == c,
+            PredLeaf::CharEq { off, c } => compact(region, width, sel, |row| row[off] == c),
         }
     }
 }
 
 /// The scan's per-row work, compiled once at [`ScanExec::start`]: the
 /// predicate flattened into [`PredLeaf`] conjuncts (left-to-right source
-/// order, so evaluation order matches [`Pred::eval`]'s short-circuit)
-/// and the aggregate's column indexes resolved to byte offsets. The row
-/// loop dominates simulator wall time, so it must not touch `Schema`.
+/// order; leaves are pure, so filtering leaf by leaf keeps exactly the
+/// rows [`Pred::eval`]'s short-circuit does) and the aggregate's column
+/// indexes resolved to byte offsets. The row kernel dominates simulator
+/// wall time, so it must not touch `Schema`.
 #[derive(Debug)]
 pub(crate) struct RowPipeline {
     /// Conjunction of leaves; empty means every row qualifies.
@@ -462,11 +495,20 @@ impl RowPipeline {
         }
     }
 
-    /// Does the row qualify? Conjuncts are checked in the same order as
-    /// the source predicate's short-circuit evaluation.
-    #[inline]
-    fn matches(&self, bytes: &[u8]) -> bool {
-        self.leaves.iter().all(|l| l.eval(bytes))
+    /// The row kernel, one dense `region` of `width`-byte rows at a
+    /// time. *Select*: each leaf in turn narrows the selection vector
+    /// `sel` to the rows that pass it. *Fold*: one pass over the
+    /// survivors, in row order, adds them to `agg`.
+    fn fold_region(&self, agg: &mut AggState, sel: &mut Vec<u32>, region: &[u8], width: usize) {
+        if self.leaves.is_empty() {
+            return agg.fold(self, region.chunks_exact(width));
+        }
+        sel.clear();
+        sel.extend(0..(region.len() / width) as u32);
+        for leaf in &self.leaves {
+            leaf.filter(region, width, sel);
+        }
+        agg.fold(self, sel.iter().map(|&i| row_at(region, width, i)));
     }
 }
 
@@ -474,99 +516,193 @@ impl RowPipeline {
 /// [`RowPipeline`] so the compiled (immutable) pipeline and the mutable
 /// state can be borrowed independently while row bytes borrowed from
 /// the pool are live.
+///
+/// Every accumulator — the count, each sum, each group's count and sums
+/// — receives its addends one row at a time in delivery order, whatever
+/// the page boundaries: `QueryResult`s are compared bit for bit across
+/// commits, and f64 addition does not associate.
 #[derive(Debug, Default)]
 pub(crate) struct AggState {
     count: u64,
     sums: Vec<f64>,
-    /// Per-group aggregates, kept sorted by packed group key. The paper
-    /// workloads group by at most a handful of `Char` values (TPC-H Q1
-    /// has six groups), so a sorted vec beats hashing every row.
-    groups: Vec<(i64, crate::query::GroupAgg)>,
+    /// Packed group keys, in order of first appearance. Nothing is
+    /// allocated for groups until a grouped row arrives: the push engine
+    /// keeps every finished consumer's state until the run ends.
+    keys: Vec<i64>,
+    /// Rows per group, parallel to `keys`.
+    counts: Vec<u64>,
+    /// Sums per group: `sums.len()` consecutive values for each key.
+    group_sums: Vec<f64>,
+    /// Open-addressed index over `keys` (linear probing, a power of two
+    /// long, at most a quarter full): a slot holds a group's position
+    /// plus one, or 0 while free.
+    slots: Vec<u32>,
+}
+
+/// Where the probe for `key` starts in a table of `mask + 1` slots.
+#[inline(always)]
+fn home_slot(key: i64, mask: usize) -> usize {
+    // Packed chars differ in a few low bits of each byte; the upper half
+    // of a Fibonacci-hash product spreads them.
+    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+}
+
+/// The position in `keys` of `key`'s group, if it has one.
+#[inline(always)]
+fn find_group(slots: &[u32], keys: &[i64], key: i64) -> Option<usize> {
+    let mask = slots.len().checked_sub(1)?;
+    let mut at = home_slot(key, mask);
+    loop {
+        match slots[at] as usize {
+            0 => return None,
+            g if keys[g - 1] == key => return Some(g - 1),
+            _ => at = (at + 1) & mask,
+        }
+    }
 }
 
 impl AggState {
     pub(crate) fn new(n_sums: usize) -> AggState {
         AggState {
-            count: 0,
             sums: vec![0.0; n_sums],
-            groups: Vec::new(),
+            ..AggState::default()
         }
     }
 
     /// The aggregate answer accumulated so far.
     pub(crate) fn result(&self) -> QueryResult {
+        let n = self.sums.len();
+        let mut by_key: Vec<usize> = (0..self.keys.len()).collect();
+        by_key.sort_unstable_by_key(|&g| self.keys[g]);
+        let group = |g: usize| crate::query::GroupAgg {
+            count: self.counts[g],
+            sums: self.group_sums[g * n..][..n].to_vec(),
+        };
         QueryResult {
             count: self.count,
             sums: self.sums.clone(),
-            groups: self.groups.clone(),
+            groups: by_key
+                .into_iter()
+                .map(|g| (self.keys[g], group(g)))
+                .collect(),
         }
     }
 
-    /// Fold one qualifying row in.
-    #[inline]
-    fn accumulate(&mut self, pipe: &RowPipeline, bytes: &[u8]) {
-        let field = |off: usize| f64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-        self.count += 1;
-        for (i, &off) in pipe.sum_offs.iter().enumerate() {
-            self.sums[i] += field(off);
-        }
-        if !pipe.group_offs.is_empty() {
-            let mut key = 0i64;
-            for &off in &pipe.group_offs {
-                key = (key << 8) | bytes[off] as i64;
-            }
-            let at = match self.groups.binary_search_by_key(&key, |g| g.0) {
-                Ok(at) => at,
-                Err(at) => {
-                    let agg = crate::query::GroupAgg {
-                        count: 0,
-                        sums: vec![0.0; pipe.sum_offs.len()],
-                    };
-                    self.groups.insert(at, (key, agg));
-                    at
+    /// Fold qualifying `rows` in, in order. The running sums are copied
+    /// out of `self` for the duration — into an array when there are at
+    /// most eight, so they stay in registers across the page instead of
+    /// being loaded and stored through `&mut self` for every row — and
+    /// continue from the totals so far.
+    fn fold<'a>(&mut self, pipe: &RowPipeline, rows: impl Iterator<Item = &'a [u8]>) {
+        macro_rules! with_array_of {
+            ($($n:literal)*) => {
+                match pipe.sum_offs.len() {
+                    $($n => {
+                        let offs: [usize; $n] = pipe.sum_offs[..].try_into().expect("length matched");
+                        let sums: [f64; $n] = self.sums[..].try_into().expect("one sum per offset");
+                        let sums = self.fold_into(sums, offs, &pipe.group_offs, rows);
+                        self.sums.copy_from_slice(&sums);
+                    })*
+                    _ => {
+                        let sums = std::mem::take(&mut self.sums);
+                        self.sums = self.fold_into(sums, &pipe.sum_offs[..], &pipe.group_offs, rows);
+                    }
                 }
             };
-            let g = &mut self.groups[at].1;
-            g.count += 1;
-            for (i, &off) in pipe.sum_offs.iter().enumerate() {
-                g.sums[i] += field(off);
-            }
         }
+        with_array_of!(0 1 2 3 4 5 6 7 8);
     }
-}
 
-/// Run `pipe` over every row of the fetched `pages`, folding qualifiers
-/// into `agg`. Returns the number of rows examined (the CPU-cost
-/// driver).
-fn consume_all_rows(
-    pool: &BufferPool,
-    pages: &[(PageId, u32)],
-    width: usize,
-    pipe: &RowPipeline,
-    agg: &mut AggState,
-) -> EngineResult<u64> {
-    let mut rows = 0u64;
-    for &(_, slot) in pages {
-        let page = HeapPage::new(pool.slot_buf(slot))?;
-        // Fixed-width heap pages iterate without per-slot descriptor
-        // decoding; odd layouts take the slow path.
-        if let Some(dense) = page.rows_dense(width) {
-            for row_bytes in dense {
-                rows += 1;
-                if pipe.matches(row_bytes) {
-                    agg.accumulate(pipe, row_bytes);
+    /// The one fold body, over running `sums` held in an array or a
+    /// `Vec` (with the byte offset of each sum's column in `offs`).
+    /// Returns the sums.
+    #[inline(always)]
+    fn fold_into<'a, A: AsMut<[f64]>>(
+        &mut self,
+        mut sums: A,
+        offs: impl AsRef<[usize]>,
+        group_offs: &[usize],
+        mut rows: impl Iterator<Item = &'a [u8]>,
+    ) -> A {
+        let (acc, offs) = (sums.as_mut(), offs.as_ref());
+        let n = acc.len();
+        let mut count = self.count;
+        if group_offs.is_empty() {
+            for row in rows {
+                count += 1;
+                for (a, &off) in acc.iter_mut().zip(offs) {
+                    *a += f64_at(row, off);
                 }
             }
-        } else {
-            for row_bytes in page.rows() {
-                rows += 1;
-                if pipe.matches(row_bytes) {
-                    agg.accumulate(pipe, row_bytes);
-                }
-            }
+            self.count = count;
+            return sums;
         }
+        // One byte per group column, packed most significant first
+        // (columns past the eighth shift the first ones out).
+        let pack = |row: &[u8]| {
+            group_offs
+                .iter()
+                .fold(0i64, |key, &off| (key << 8) | row[off] as i64)
+        };
+        // Each field is decoded once, for the total and for the group.
+        let add = |row: &[u8], acc: &mut [f64], group: &mut [f64]| {
+            for ((a, s), &off) in acc.iter_mut().zip(group).zip(offs) {
+                let v = f64_at(row, off);
+                *a += v;
+                *s += v;
+            }
+        };
+        loop {
+            // The loop proper runs over plain slices of the group state;
+            // a row of a group not seen before leaves it.
+            let (slots, keys) = (&self.slots[..], &self.keys[..]);
+            let (counts, group_sums) = (&mut self.counts[..], &mut self.group_sums[..]);
+            let mut newcomer = None;
+            for row in rows.by_ref() {
+                count += 1;
+                let key = pack(row);
+                let Some(g) = find_group(slots, keys, key) else {
+                    newcomer = Some((row, key));
+                    break;
+                };
+                counts[g] += 1;
+                add(row, acc, &mut group_sums[g * n..][..n]);
+            }
+            let Some((row, key)) = newcomer else { break };
+            let g = self.add_group(key, n);
+            self.counts[g] += 1;
+            add(row, acc, &mut self.group_sums[g * n..][..n]);
+        }
+        self.count = count;
+        sums
     }
-    Ok(rows)
+
+    /// Start an empty group for `key`; returns its position.
+    #[cold]
+    fn add_group(&mut self, key: i64, n_sums: usize) -> usize {
+        let new = self.keys.len();
+        self.keys.push(key);
+        self.counts.push(0);
+        self.group_sums.resize((new + 1) * n_sums, 0.0);
+        // Index the new group — or, when that would fill the table past a
+        // quarter, every group into a larger one.
+        let mut unindexed = new..new + 1;
+        if self.slots.len() < (new + 1) * 4 {
+            self.slots.clear();
+            self.slots
+                .resize(((new + 1) * 8).next_power_of_two().max(64), 0);
+            unindexed = 0..new + 1;
+        }
+        let mask = self.slots.len() - 1;
+        for g in unindexed {
+            let mut at = home_slot(self.keys[g], mask);
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = g as u32 + 1;
+        }
+        new
+    }
 }
 
 /// Measurements a finished scan hands back to its query.
@@ -676,37 +812,76 @@ impl Consumer {
         }
     }
 
-    /// Evaluate the predicate and aggregate qualifiers over one fetched
-    /// extent. Row bytes are borrowed straight from the pinned pool
-    /// frames and fields read at the pipeline's precompiled offsets.
-    /// Returns the number of rows examined.
+    /// Run the row kernel over one fetched extent. Row bytes are borrowed
+    /// straight from the pinned pool frames and fields read at the
+    /// pipeline's precompiled offsets. Returns the number of rows
+    /// examined (the CPU-cost driver), whatever the number selected.
     fn consume(
         &mut self,
         pool: &BufferPool,
         work: StepWork,
-        scratch: &StepScratch,
+        scratch: &mut StepScratch,
     ) -> EngineResult<u64> {
-        let pipe = &self.pipeline;
+        let StepScratch {
+            pages,
+            rids,
+            sel,
+            gathered,
+            ..
+        } = scratch;
+        let (pipe, agg, width) = (&self.pipeline, &mut self.agg, self.width);
+        // A zero-column row still takes a byte, so it still counts.
+        let stride = width.max(1);
+        let gather = |gathered: &mut Vec<u8>, row: &[u8]| {
+            let fields = row.get(..width).ok_or_else(|| {
+                StorageError::Corrupt(format!("{}-byte record, schema has {width}", row.len()))
+            })?;
+            gathered.extend_from_slice(fields);
+            gathered.resize(gathered.len() + stride - width, 0);
+            Ok::<(), StorageError>(())
+        };
         match work {
             StepWork::AllRows => {
-                consume_all_rows(pool, &scratch.pages, self.width, pipe, &mut self.agg)
-            }
-            StepWork::Rids { .. } => {
-                // Evaluate exactly the indexed rows; `scratch.pages` is
-                // sorted by page id, so each page resolves by binary
-                // search (no per-step map allocation).
-                let pages = &scratch.pages;
-                for &(pid, slot) in &scratch.rids {
-                    let at = pages
-                        .binary_search_by_key(&pid, |&(id, _)| id)
-                        .expect("page fetched");
-                    let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
-                    let row_bytes = page.row_bytes(slot)?;
-                    if pipe.matches(row_bytes) {
-                        self.agg.accumulate(pipe, row_bytes);
+                let mut rows = 0u64;
+                for &(_, slot) in pages.iter() {
+                    let page = HeapPage::new(pool.slot_buf(slot))?;
+                    rows += page.num_rows() as u64;
+                    // Fixed-width heap pages are folded where they lie;
+                    // odd layouts are decoded slot by slot first.
+                    if let Some(region) = page.dense_region(width) {
+                        pipe.fold_region(agg, sel, region, width);
+                    } else {
+                        gathered.clear();
+                        for row in page.rows() {
+                            gather(gathered, row)?;
+                        }
+                        pipe.fold_region(agg, sel, gathered, stride);
                     }
                 }
-                Ok(scratch.rids.len() as u64)
+                Ok(rows)
+            }
+            StepWork::Rids { .. } => {
+                // Exactly the indexed rows, in key order. `pages` is
+                // sorted by page id, so a page resolves by binary search
+                // — once per run of RIDs on the same page, not per row.
+                gathered.clear();
+                let mut last: Option<(PageId, HeapPage<'_>)> = None;
+                for &(pid, slot) in rids.iter() {
+                    let page = match last {
+                        Some((id, page)) if id == pid => page,
+                        _ => {
+                            let at = pages
+                                .binary_search_by_key(&pid, |&(id, _)| id)
+                                .expect("page fetched");
+                            let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
+                            last = Some((pid, page));
+                            page
+                        }
+                    };
+                    gather(gathered, page.row_bytes(slot)?)?;
+                }
+                pipe.fold_region(agg, sel, gathered, stride);
+                Ok(rids.len() as u64)
             }
         }
     }
@@ -1576,5 +1751,475 @@ mod tests {
         }
         assert_eq!(s1.result().count, 20_000);
         assert_eq!(mgr.num_active(), 0);
+    }
+}
+
+#[cfg(test)]
+/// Naive answer oracle for the row kernel (the row-level slice of
+/// ROADMAP item 1a). The reference evaluator is the public one no
+/// production code calls — [`Pred::eval`], [`AggSpec::group_key`] and
+/// `RowRef::get_f64` — folded one row at a time in delivery order; the
+/// kernel must agree with it on every count and on every sum bit for
+/// bit. Written and run green against the per-row
+/// `matches`/`accumulate` loop before that loop was replaced.
+mod kernel_oracle {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use scanshare_prng::Rng;
+    use scanshare_relstore::{ColType, Column, HeapPageBuilder, RowRef, Value};
+    use scanshare_storage::{FileStore, PoolConfig, ReplacementPolicy};
+
+    const N_F64: usize = 10;
+    const N_CHAR: usize = 3;
+    /// Column indexes: two `Int32`, then the floats, then the chars.
+    const F0: usize = 2;
+    const C0: usize = F0 + N_F64;
+
+    fn schema() -> Schema {
+        let mut cols = vec![
+            Column::new("a", ColType::Int32),
+            Column::new("b", ColType::Int32),
+        ];
+        cols.extend((0..N_F64).map(|i| Column::new(format!("f{i}"), ColType::Float64)));
+        cols.extend((0..N_CHAR).map(|i| Column::new(format!("c{i}"), ColType::Char)));
+        Schema::new(cols)
+    }
+
+    /// A float whose magnitude spans ~24 decimal orders, so a changed
+    /// summation order changes low bits; `special` cases add signed
+    /// zeros, one infinity and the one canonical NaN.
+    fn float(rng: &mut Rng, special: bool) -> f64 {
+        if special {
+            match rng.bounded_u64(12) {
+                0 => return -0.0,
+                1 => return 0.0,
+                2 => return f64::INFINITY,
+                3 => return f64::NAN,
+                _ => {}
+            }
+        }
+        let mag = 10f64.powi(rng.random_range(-12..12i32));
+        (rng.next_f64() - 0.5) * mag
+    }
+
+    /// One heap file of dense, partly filled, empty and slotted-fallback
+    /// pages. Returns the store, the file and every page's rows.
+    fn build_file(
+        rng: &mut Rng,
+        s: &Schema,
+        n_pages: usize,
+        alphabet: u64,
+        special: bool,
+    ) -> (FileStore, FileId, Vec<Vec<Vec<u8>>>) {
+        let mut store = FileStore::new(16);
+        let file = store.create_file();
+        let width = s.row_width();
+        let full = (scanshare_storage::PAGE_SIZE - 4) / (width + 4);
+        let mut pages = Vec::new();
+        for _ in 0..n_pages {
+            let shape = rng.bounded_u64(8);
+            let n_rows = match shape {
+                0 => 0,
+                1 | 2 => rng.random_range(1..full),
+                _ => full - 1,
+            };
+            // Shape 3: one record carries trailing bytes, so the page is
+            // not fixed-width and takes the slotted `rows()` path.
+            let long_at = (shape == 3).then(|| rng.random_range(0..n_rows));
+            let mut b = HeapPageBuilder::new();
+            let mut rows = Vec::new();
+            for r in 0..n_rows {
+                let mut vals = vec![
+                    Value::I32(rng.random_range(-20..20i32)),
+                    Value::I32(rng.random_range(0..1000i32)),
+                ];
+                vals.extend((0..N_F64).map(|_| Value::F64(float(rng, special))));
+                vals.extend((0..N_CHAR).map(|_| Value::Ch(b'A' + rng.bounded_u64(alphabet) as u8)));
+                let extra = if long_at == Some(r) { 5 } else { 0 };
+                let mut buf = vec![0xEEu8; width + extra];
+                s.encode_row(&vals, &mut buf);
+                b.push(&buf).expect("row fits");
+                rows.push(buf);
+            }
+            store.append_page(file, b.finish()).unwrap();
+            pages.push(rows);
+        }
+        (store, file, pages)
+    }
+
+    fn leaf(rng: &mut Rng, alphabet: u64) -> Pred {
+        match rng.bounded_u64(10) {
+            0..=2 => {
+                let lo = rng.random_range(-22..22i32);
+                Pred::I32Between(0, lo, lo + rng.random_range(0..30i32))
+            }
+            3..=5 => Pred::F64LessThan(
+                F0 + rng.bounded_u64(N_F64 as u64) as usize,
+                float(rng, false),
+            ),
+            6 | 7 => Pred::CharEq(
+                C0 + rng.bounded_u64(N_CHAR as u64) as usize,
+                b'A' + rng.bounded_u64(alphabet) as u8,
+            ),
+            // Always false: an empty interval, or a char no row has.
+            8 => Pred::I32Between(1, 10, 9),
+            _ => Pred::CharEq(C0, b'!'),
+        }
+    }
+
+    fn pred(rng: &mut Rng, alphabet: u64) -> Pred {
+        let and = |a, b| Pred::And(Box::new(a), Box::new(b));
+        match rng.bounded_u64(8) {
+            0 => Pred::True,
+            1 => leaf(rng, alphabet),
+            2 => and(leaf(rng, alphabet), leaf(rng, alphabet)),
+            // Three leaves, nested to the left or to the right, with a
+            // `True` (the conjunction identity) in between.
+            3 => and(
+                and(leaf(rng, alphabet), Pred::True),
+                and(leaf(rng, alphabet), leaf(rng, alphabet)),
+            ),
+            4 => and(
+                and(leaf(rng, alphabet), leaf(rng, alphabet)),
+                leaf(rng, alphabet),
+            ),
+            // Contradictions: each leaf passes rows, no row passes both.
+            5 => and(Pred::CharEq(C0, b'A'), Pred::CharEq(C0, b'B')),
+            6 => and(Pred::I32Between(0, -20, 0), Pred::I32Between(0, 1, 19)),
+            // A selective first leaf with survivors for the second.
+            _ => and(Pred::I32Between(0, -5, 5), Pred::F64LessThan(F0 + 1, 0.0)),
+        }
+    }
+
+    /// `wide` groups every row by all three chars, for hundreds of keys.
+    fn spec(rng: &mut Rng, alphabet: u64, n_groups: usize, wide: bool) -> ScanSpec {
+        let n_sums = rng.bounded_u64(11) as usize;
+        let pick = |rng: &mut Rng, base: usize, n: usize| base + rng.bounded_u64(n as u64) as usize;
+        let group_by = match wide {
+            true => (C0..C0 + N_CHAR).collect(),
+            false => (0..n_groups).map(|_| pick(rng, C0, N_CHAR)).collect(),
+        };
+        ScanSpec {
+            table: "t".into(),
+            access: Access::FullTable,
+            pred: if wide {
+                Pred::True
+            } else {
+                pred(rng, alphabet)
+            },
+            agg: AggSpec::grouped_sums(
+                (0..n_sums).map(|_| pick(rng, F0, N_F64)).collect(),
+                group_by,
+            ),
+            cpu: CpuClass::io_bound(),
+            require_order: false,
+            query_priority: Default::default(),
+            repeat: 1,
+        }
+    }
+
+    /// The reference fold: one row at a time, through the public
+    /// evaluator.
+    #[derive(Default)]
+    struct Naive {
+        count: u64,
+        sums: Vec<f64>,
+        groups: BTreeMap<i64, (u64, Vec<f64>)>,
+    }
+
+    impl Naive {
+        fn fold(&mut self, spec: &ScanSpec, row: &RowRef<'_>) {
+            if !spec.pred.eval(row) {
+                return;
+            }
+            let n = spec.agg.sum_cols.len();
+            self.sums.resize(n, 0.0);
+            self.count += 1;
+            for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
+                self.sums[i] += row.get_f64(c);
+            }
+            if !spec.agg.group_by.is_empty() {
+                let g = self
+                    .groups
+                    .entry(spec.agg.group_key(row))
+                    .or_insert_with(|| (0, vec![0.0; n]));
+                g.0 += 1;
+                for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
+                    g.1[i] += row.get_f64(c);
+                }
+            }
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same(case: u64, spec: &ScanSpec, got: &QueryResult, want: &Naive) {
+        let ctx = format!("case {case}: {:?} / {:?}", spec.pred, spec.agg);
+        assert_eq!(got.count, want.count, "{ctx}");
+        let mut want_sums = want.sums.clone();
+        want_sums.resize(spec.agg.sum_cols.len(), 0.0);
+        assert_eq!(bits(&got.sums), bits(&want_sums), "{ctx}");
+        let got_groups: Vec<_> = got
+            .groups
+            .iter()
+            .map(|(k, g)| (*k, g.count, bits(&g.sums)))
+            .collect();
+        let want_groups: Vec<_> = want
+            .groups
+            .iter()
+            .map(|(k, g)| (*k, g.0, bits(&g.1)))
+            .collect();
+        assert_eq!(got_groups, want_groups, "{ctx}");
+    }
+
+    /// What the cases reached, so the matrix cannot quietly stop
+    /// exercising what it was built for.
+    #[derive(Default)]
+    struct Reached {
+        wrapped_table: u32,
+        wrapped_rid: u32,
+        rid_page_revisited_out_of_order: u32,
+        slotted_pages: u32,
+        empty_pages: u32,
+        empty_result: u32,
+        sums_over_8: u32,
+        groups_17_to_300: u32,
+        groups_over_300: u32,
+    }
+
+    /// The push engine keeps every finished consumer until the run ends,
+    /// so an aggregate that never groups must own its sums and nothing
+    /// else (an eager 1 KB table per consumer once cost `tpch64_push` 7 %
+    /// of its peak RSS).
+    #[test]
+    fn ungrouped_state_owns_only_its_sums() {
+        for n in [0, 2, 8, 11] {
+            let mut agg = AggState::new(n);
+            let pipe = RowPipeline::compile(
+                &Pred::True,
+                &AggSpec::sums((F0..F0 + n).map(|c| F0 + (c - F0) % N_F64).collect()),
+                &schema(),
+            );
+            let row = vec![0u8; schema().row_width()];
+            pipe.fold_region(&mut agg, &mut Vec::new(), &row, row.len());
+            assert_eq!((agg.count, agg.sums.capacity()), (1, n));
+            assert_eq!(agg.keys.capacity(), 0);
+            assert_eq!(agg.counts.capacity(), 0);
+            assert_eq!(agg.group_sums.capacity(), 0);
+            assert_eq!(agg.slots.capacity(), 0);
+        }
+    }
+
+    /// A table without columns has zero-byte records; they still count,
+    /// and a record shorter than its schema is an error, not a panic.
+    #[test]
+    fn zero_width_rows_count_and_short_records_are_rejected() {
+        let mut db = Database::new(16);
+        db.create_heap_table(
+            "t",
+            Schema::new(vec![]),
+            (0..500).map(|_| Vec::<Value>::new()),
+        )
+        .unwrap();
+        let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+        let mut world = ExecWorld::new(db.store(), pool, EngineConfig::default(), None);
+        let spec = ScanSpec {
+            agg: AggSpec::count_only(),
+            pred: Pred::True,
+            ..spec(&mut Rng::seed_from_u64(1), 1, 0, false)
+        };
+        let mut scan = ScanExec::start(&db, &mut world, &spec, SimTime::ZERO).unwrap();
+        let mut now = SimTime::ZERO;
+        while let Some(next) = scan.step(&mut world, now).unwrap() {
+            now = next;
+        }
+        assert_eq!(scan.result().count, 500);
+
+        let s = schema();
+        let mut store = FileStore::new(16);
+        let file = store.create_file();
+        let mut page = HeapPageBuilder::new();
+        page.push(&vec![0u8; s.row_width() - 1]).unwrap();
+        store.append_page(file, page.finish()).unwrap();
+        let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+        let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+        let plan = Plan::Table {
+            num_pages: 1,
+            start_page: 0,
+            visited: 0,
+        };
+        let stepped = step_extent(
+            &mut world,
+            SimTime::ZERO,
+            &mut Cursor::new(file, plan),
+            &mut StepScratch::default(),
+            &mut [Consumer::new(None, &spec, &s, SimTime::ZERO)],
+            &[0],
+            false,
+        );
+        assert!(matches!(
+            stepped,
+            Err(EngineError::Storage(StorageError::Corrupt(_)))
+        ));
+    }
+
+    #[test]
+    fn kernel_matches_the_naive_fold_bit_for_bit() {
+        let s = schema();
+        let mut reached = Reached::default();
+        for case in 0..640u64 {
+            let mut rng = Rng::seed_from_u64(0x0A11_CE00 + case);
+            let n_groups = rng.bounded_u64(4) as usize;
+            // Alphabet 7 over three columns reaches 343 keys, 16 over
+            // three 4096; small alphabets keep most cases at a handful.
+            let wide = case % 16 == 9;
+            let alphabet = match wide {
+                true => 16,
+                false => *rng.choose(&[1, 2, 3, 3, 5, 7, 7, 16]).unwrap(),
+            };
+            let special = case % 8 == 5;
+            let n_pages = match rng.bounded_u64(10) {
+                0 if !wide => rng.bounded_u64(3) as usize,
+                _ => rng.random_range(3..40usize),
+            };
+            let (store, file, pages) = build_file(&mut rng, &s, n_pages, alphabet, special);
+            let specs: Vec<ScanSpec> = (0..rng.random_range(1..4usize))
+                .map(|_| spec(&mut rng, alphabet, n_groups, wide))
+                .collect();
+
+            // The delivery order the plan promises, as (page, slot).
+            let all: Vec<(usize, usize)> = pages
+                .iter()
+                .enumerate()
+                .flat_map(|(p, rows)| (0..rows.len()).map(move |r| (p, r)))
+                .collect();
+            let rid_plan = case % 3 == 2 && !all.is_empty();
+            let (plan, order): (Plan, Vec<(usize, usize)>) = if rid_plan {
+                // A RID index over a random key: key order is not page
+                // order, and some rows are indexed twice.
+                let mut entries: Vec<Entry> = all
+                    .iter()
+                    .chain(all.iter().take(all.len() / 7))
+                    .filter_map(|&(p, r)| {
+                        let key = rng.bounded_u64(50) as i64;
+                        let rid = Rid::new(p as u32, r as u16).pack();
+                        (rng.bounded_u64(4) > 0).then(|| Entry::new(key, rid))
+                    })
+                    .collect();
+                if entries.is_empty() {
+                    entries.push(Entry::new(
+                        0,
+                        Rid::new(all[0].0 as u32, all[0].1 as u16).pack(),
+                    ));
+                }
+                entries.sort();
+                let start_idx = rng.bounded_u64(entries.len() as u64) as usize;
+                reached.wrapped_rid += (start_idx > 0) as u32;
+                let order: Vec<(usize, usize)> = (0..entries.len())
+                    .map(|i| Rid::unpack(entries[(start_idx + i) % entries.len()].payload))
+                    .map(|rid| (rid.page as usize, rid.slot as usize))
+                    .collect();
+                let revisits = order.windows(3).any(|w| w[1].0 < w[0].0 && w[2].0 > w[1].0);
+                reached.rid_page_revisited_out_of_order += revisits as u32;
+                (
+                    Plan::Rid {
+                        entries,
+                        start_idx,
+                        visited: 0,
+                    },
+                    order,
+                )
+            } else {
+                let start_page = match n_pages {
+                    0 => 0,
+                    n => rng.bounded_u64(n as u64) as usize,
+                };
+                reached.wrapped_table += (start_page > 0) as u32;
+                let order = (start_page..n_pages)
+                    .chain(0..start_page)
+                    .flat_map(|p| (0..pages[p].len()).map(move |r| (p, r)))
+                    .collect();
+                (
+                    Plan::Table {
+                        num_pages: n_pages as u32,
+                        start_page: start_page as u32,
+                        visited: 0,
+                    },
+                    order,
+                )
+            };
+            for rows in &pages {
+                reached.empty_pages += rows.is_empty() as u32;
+                reached.slotted_pages += rows.iter().any(|r| r.len() != s.row_width()) as u32;
+            }
+
+            // The kernel: one cursor feeding every consumer of the case
+            // through one lent scratch, as a push driver does.
+            let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+            let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+            let mut cursor = Cursor::new(file, plan);
+            let mut scratch = StepScratch::default();
+            let mut consumers: Vec<Consumer> = specs
+                .iter()
+                .map(|sp| Consumer::new(None, sp, &s, SimTime::ZERO))
+                .collect();
+            let fan_out: Vec<usize> = (0..consumers.len()).collect();
+            let mut now = SimTime::ZERO;
+            while !cursor.plan.done() {
+                match step_extent(
+                    &mut world,
+                    now,
+                    &mut cursor,
+                    &mut scratch,
+                    &mut consumers,
+                    &fan_out,
+                    false,
+                )
+                .unwrap()
+                {
+                    Step::Delivered { next, .. } => now = next,
+                    Step::Faulted(_) => panic!("no fault plan"),
+                }
+            }
+
+            for (sp, c) in specs.iter().zip(&consumers) {
+                let mut want = Naive::default();
+                for &(p, r) in &order {
+                    want.fold(
+                        sp,
+                        &RowRef {
+                            bytes: &pages[p][r],
+                            schema: &s,
+                        },
+                    );
+                }
+                let got = c.result();
+                assert_same(case, sp, &got, &want);
+                reached.empty_result += (got.count == 0 && !order.is_empty()) as u32;
+                reached.sums_over_8 += (sp.agg.sum_cols.len() > 8 && got.count > 0) as u32;
+                reached.groups_17_to_300 += (17..=300).contains(&got.groups.len()) as u32;
+                reached.groups_over_300 += (got.groups.len() > 300) as u32;
+            }
+        }
+        let r = &reached;
+        for (what, n) in [
+            ("table scans that wrap", r.wrapped_table),
+            ("RID scans that wrap", r.wrapped_rid),
+            (
+                "RID batches revisiting pages out of order",
+                r.rid_page_revisited_out_of_order,
+            ),
+            ("slotted-fallback pages", r.slotted_pages),
+            ("empty pages", r.empty_pages),
+            ("predicates nothing passes", r.empty_result),
+            ("more than 8 sum columns", r.sums_over_8),
+            ("17..=300 groups", r.groups_17_to_300),
+            ("more than 300 groups", r.groups_over_300),
+        ] {
+            assert!(n >= 5, "only {n} cases reached: {what}");
+        }
     }
 }

@@ -105,16 +105,16 @@ impl<'a> HeapPage<'a> {
         (0..self.num_rows()).map(move |s| self.row_bytes(s).expect("validated slot"))
     }
 
-    /// Fast path for the pages [`HeapWriter`] produces from a fixed-width
-    /// schema: every record is `width` bytes and they sit contiguously
-    /// after the header, so iteration is a bounds-check-free
-    /// `chunks_exact` with no per-slot descriptor decoding. The layout is
-    /// verified in O(1) from the first and last slot descriptors (the
-    /// writer assigns offsets monotonically, so those two pin down every
-    /// slot in between for fixed-width records); any mismatch returns
-    /// `None` and the caller falls back to [`HeapPage::rows`]. Yields
-    /// exactly the same byte slices as `rows()` when it applies.
-    pub fn rows_dense(&self, width: usize) -> Option<std::slice::ChunksExact<'a, u8>> {
+    /// The record bytes of a page [`HeapWriter`] produced from a
+    /// fixed-width schema: every record is `width` bytes and they sit
+    /// contiguously after the header, so row `i` is
+    /// `region[i * width..][..width]` with no per-slot descriptor
+    /// decoding. The layout is verified in O(1) from the first and last
+    /// slot descriptors (the writer assigns offsets monotonically, so
+    /// those two pin down every slot in between for fixed-width records);
+    /// any mismatch — and an empty page — returns `None` and the caller
+    /// falls back to [`HeapPage::rows`].
+    pub fn dense_region(&self, width: usize) -> Option<&'a [u8]> {
         let n = self.num_rows() as usize;
         if width == 0 || n == 0 {
             return None;
@@ -139,7 +139,13 @@ impl<'a> HeapPage<'a> {
         {
             return None;
         }
-        Some(self.bytes[HEADER_LEN..end].chunks_exact(width))
+        Some(&self.bytes[HEADER_LEN..end])
+    }
+
+    /// [`HeapPage::dense_region`] as an iterator over its rows: exactly
+    /// the byte slices `rows()` yields, when it applies.
+    pub fn rows_dense(&self, width: usize) -> Option<std::slice::ChunksExact<'a, u8>> {
+        self.dense_region(width).map(|r| r.chunks_exact(width))
     }
 }
 
@@ -354,14 +360,34 @@ mod tests {
         let dense: Vec<_> = page.rows_dense(21).expect("fixed-width page").collect();
         let slow: Vec<_> = page.rows().collect();
         assert_eq!(dense, slow);
-        // Wrong width or variable-length records fall back to None.
-        assert!(page.rows_dense(20).is_none());
-        assert!(page.rows_dense(0).is_none());
+        assert_eq!(page.dense_region(21).unwrap(), slow.concat());
+        // Wrong width, variable-length records and an empty page fall
+        // back to None — for the region and the iterator alike.
         let mut v = HeapPageBuilder::new();
         v.push(b"short").unwrap();
         v.push(b"a bit longer").unwrap();
         let vbytes = v.finish();
-        assert!(HeapPage::new(&vbytes).unwrap().rows_dense(5).is_none());
+        let ebytes = HeapPageBuilder::new().finish();
+        for (bytes, width) in [(&bytes, 20), (&bytes, 0), (&vbytes, 5), (&ebytes, 21)] {
+            let page = HeapPage::new(bytes).unwrap();
+            assert!(page.dense_region(width).is_none());
+            assert!(page.rows_dense(width).is_none());
+        }
+        // Partly filled fixed-width pages are dense at every fill.
+        let mut b = HeapPageBuilder::new();
+        for n in 1..=40u8 {
+            b.push(&[n; 33]).unwrap();
+            let bytes = HeapPageBuilder {
+                buf: b.buf.clone(),
+                ..HeapPageBuilder::new()
+            }
+            .finish();
+            let page = HeapPage::new(&bytes).unwrap();
+            let rows: Vec<_> = page.rows().collect();
+            assert_eq!(rows.len(), n as usize);
+            assert_eq!(page.dense_region(33).unwrap(), rows.concat());
+            assert!(page.rows_dense(33).unwrap().eq(rows.iter().copied()));
+        }
     }
 
     #[test]

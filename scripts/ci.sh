@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+# The paired host-time measurement is not a CI leg; its script must parse.
+bash -n scripts/paired_bench.sh
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
