@@ -37,13 +37,17 @@ fn parse(args: &[String]) -> Result<(Ctx, Vec<&'static Experiment>, Option<PathB
     let mut history = std::env::var("SCANSHARE_HISTORY").ok();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        let mut value = || args.next().cloned().ok_or(format!("{arg} needs a value"));
+        let mut value = || {
+            args.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} needs a value"))
+        };
         match arg.as_str() {
             "--out" => out = Some(PathBuf::from(value()?)),
             "--metrics-out" => metrics_out = Some(value()?),
             "--history" => history = Some(value()?),
             "all" => rows.extend(TABLE.iter().filter(|e| e.in_all)),
-            id => rows.push(exp::find(id).ok_or(format!("unknown experiment '{id}'"))?),
+            id => rows.push(exp::find(id).ok_or_else(|| format!("unknown experiment '{id}'"))?),
         }
     }
     if rows.is_empty() {

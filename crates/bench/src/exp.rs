@@ -441,7 +441,7 @@ fn check(e: &Experiment, output: &Output, scale: f64) -> usize {
             Cmp::Eq => ("==", f64::eq),
         };
         let holds = fact.is_some_and(|f| holds(&f, &c.bound));
-        let value = fact.map_or("(no such fact)".to_string(), number);
+        let value = fact.map_or_else(|| "(no such fact)".to_string(), number);
         let text = format!("{} = {value} (claimed {op} {})", c.fact, number(c.bound));
         let asserted = scale >= c.from_scale;
         let verdict = match (holds, asserted) {
@@ -544,7 +544,7 @@ pub fn render(json: &Value) -> String {
             let items = v.as_array().unwrap_or_default();
             write!(tables, "{key}:\n{}", object_table(items)).expect("write to string");
         } else {
-            let values = v.as_array().unwrap_or(std::slice::from_ref(v));
+            let values = v.as_array().unwrap_or_else(|| std::slice::from_ref(v));
             let cells = values.iter().map(cell);
             lines.push(std::iter::once(key.to_string()).chain(cells).collect());
         }

@@ -25,6 +25,7 @@ pub mod span;
 use parking_lot::Mutex;
 use scanshare_storage::SimTime;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -414,21 +415,22 @@ impl MetricsSnapshot {
     }
 }
 
+/// Instruments by name. Ordered maps, so a snapshot walks each kind in
+/// name order and a lookup costs a handful of comparisons however many
+/// names a long run has registered.
 #[derive(Default)]
 struct RegistryInner {
-    counters: Vec<(String, Counter)>,
-    gauges: Vec<(String, Gauge)>,
-    histograms: Vec<(String, Histogram)>,
-    series: Vec<(String, Series)>,
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
+    histograms: BTreeMap<String, Histogram>,
+    series: BTreeMap<String, Series>,
 }
 
-fn get_or_insert<T: Clone + Default>(list: &mut Vec<(String, T)>, name: &str) -> T {
-    if let Some((_, v)) = list.iter().find(|(n, _)| n == name) {
+fn get_or_insert<T: Clone + Default>(map: &mut BTreeMap<String, T>, name: &str) -> T {
+    if let Some(v) = map.get(name) {
         return v.clone();
     }
-    let v = T::default();
-    list.push((name.to_string(), v.clone()));
-    v
+    map.entry(name.to_string()).or_default().clone()
 }
 
 /// A shared name → instrument map. Cloning the registry (or an instrument
@@ -480,39 +482,22 @@ impl MetricsRegistry {
     /// sorted by name, so snapshots of identical runs are identical.
     pub fn snapshot(&self, at: SimTime) -> MetricsSnapshot {
         let inner = self.inner.lock();
-        let mut counters: Vec<CounterSample> = inner
-            .counters
-            .iter()
-            .map(|(n, c)| CounterSample {
-                name: n.clone(),
-                value: c.get(),
-            })
-            .collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut gauges: Vec<GaugeSample> = inner
-            .gauges
-            .iter()
-            .map(|(n, g)| GaugeSample {
-                name: n.clone(),
-                value: g.get(),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut histograms: Vec<HistogramSnapshot> = inner
-            .histograms
-            .iter()
-            .map(|(n, h)| h.snapshot(n))
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut series: Vec<SeriesSnapshot> =
-            inner.series.iter().map(|(n, s)| s.snapshot(n)).collect();
-        series.sort_by(|a, b| a.name.cmp(&b.name));
+        let counters = inner.counters.iter().map(|(n, c)| CounterSample {
+            name: n.clone(),
+            value: c.get(),
+        });
+        let gauges = inner.gauges.iter().map(|(n, g)| GaugeSample {
+            name: n.clone(),
+            value: g.get(),
+        });
+        let histograms = inner.histograms.iter().map(|(n, h)| h.snapshot(n));
+        let series = inner.series.iter().map(|(n, s)| s.snapshot(n));
         MetricsSnapshot {
             at,
-            counters,
-            gauges,
-            histograms,
-            series,
+            counters: counters.collect(),
+            gauges: gauges.collect(),
+            histograms: histograms.collect(),
+            series: series.collect(),
         }
     }
 }

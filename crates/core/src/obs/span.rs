@@ -444,11 +444,13 @@ pub fn validate_chrome_trace(v: &serde::Value) -> Result<(), String> {
     let mut open: Vec<(u64, Vec<String>)> = Vec::new();
     let mut last_ts: Vec<(u64, u64)> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev.as_object().ok_or(format!("event {i} not an object"))?;
+        let obj = ev
+            .as_object()
+            .ok_or_else(|| format!("event {i} not an object"))?;
         let ph = obj
             .get("ph")
             .and_then(|p| p.as_str())
-            .ok_or(format!("event {i} missing ph"))?;
+            .ok_or_else(|| format!("event {i} missing ph"))?;
         match ph {
             "M" => continue,
             "B" | "E" | "i" => {}
@@ -457,11 +459,11 @@ pub fn validate_chrome_trace(v: &serde::Value) -> Result<(), String> {
         let ts = obj
             .get("ts")
             .and_then(|t| t.as_u64())
-            .ok_or(format!("event {i} missing numeric ts"))?;
+            .ok_or_else(|| format!("event {i} missing numeric ts"))?;
         let tid = obj
             .get("tid")
             .and_then(|t| t.as_u64())
-            .ok_or(format!("event {i} missing numeric tid"))?;
+            .ok_or_else(|| format!("event {i} missing numeric tid"))?;
         if obj.get("pid").and_then(|p| p.as_u64()).is_none() {
             return Err(format!("event {i} missing numeric pid"));
         }
@@ -490,7 +492,7 @@ pub fn validate_chrome_trace(v: &serde::Value) -> Result<(), String> {
                 let name = obj
                     .get("name")
                     .and_then(|n| n.as_str())
-                    .ok_or(format!("event {i}: B without a name"))?;
+                    .ok_or_else(|| format!("event {i}: B without a name"))?;
                 stack.push(name.to_string());
             }
             "E" => {

@@ -8,7 +8,7 @@
 //! [`ExecWorld::release_pages`] to unpin with the manager's priority.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use scanshare::obs::span::SpanProfiler;
@@ -66,10 +66,6 @@ pub struct ExecWorld<'a> {
     /// Each injected throttle wait (µs) — recorded by the scan executor.
     pub(crate) throttle_hist: Histogram,
     cpus: BinaryHeap<Reverse<u64>>,
-    /// When each resident page became (or becomes) available — lets a
-    /// scan ride an in-flight read issued by another scan instead of
-    /// double-reading the page.
-    available_at: HashMap<PageId, SimTime>,
     /// Reusable `(page, physical address)` miss buffer for
     /// `fetch_extent`/`prefetch`, so the per-extent hot path allocates
     /// nothing in steady state.
@@ -115,7 +111,6 @@ impl<'a> ExecWorld<'a> {
             read_hist,
             throttle_hist,
             cpus,
-            available_at: HashMap::new(),
             miss_scratch: Vec::new(),
             faults: None,
             user_time: SimDuration::ZERO,
@@ -262,10 +257,9 @@ impl<'a> ExecWorld<'a> {
             match self.pool.fix_slot(id) {
                 Some(slot) => {
                     hits += 1;
-                    if let Some(&avail) = self.available_at.get(&id) {
-                        // Ride another scan's in-flight read.
-                        ready = ready.max(avail);
-                    }
+                    // Ride another scan's in-flight read: the frame
+                    // knows when the read that filled it completes.
+                    ready = ready.max(self.pool.slot_available_at(slot));
                     pages.push((id, slot));
                 }
                 None => {
@@ -294,8 +288,8 @@ impl<'a> ExecWorld<'a> {
                     // The fetch failed partway: unpin everything it
                     // pinned (hits and earlier miss runs) so the caller
                     // can abort the scan without leaking pins.
-                    for &(id, _) in pages.iter() {
-                        let _ = self.pool.release(id, PagePriority::Normal);
+                    for &(id, slot) in pages.iter() {
+                        let _ = self.pool.release_slot(id, slot, PagePriority::Normal);
                     }
                     pages.clear();
                     self.miss_scratch = misses;
@@ -324,8 +318,7 @@ impl<'a> ExecWorld<'a> {
             ready = ready.max(completion.done);
             for &(id, _) in &misses[i..j] {
                 let buf = self.store.read_page(id)?;
-                let slot = self.pool.complete_miss_slot(id, buf)?;
-                self.available_at.insert(id, completion.done);
+                let slot = self.pool.complete_miss_at(id, buf, completion.done)?;
                 pages.push((id, slot));
             }
             i = j;
@@ -345,10 +338,10 @@ impl<'a> ExecWorld<'a> {
     }
 
     /// Issue an asynchronous read for pages a scan will need soon. The
-    /// pages are installed unpinned with normal priority and their
-    /// availability time recorded, so the scan's next `fetch_extent`
-    /// finds them resident and only waits out the remaining disk time.
-    /// No-op for pages already resident.
+    /// pages are installed unpinned, their availability time with them,
+    /// so the scan's next `fetch_extent` finds them resident and only
+    /// waits out the remaining disk time. No-op for pages already
+    /// resident.
     pub fn prefetch(&mut self, now: SimTime, page_ids: &[PageId]) -> StorageResult<()> {
         let mut misses = std::mem::take(&mut self.miss_scratch);
         misses.clear();
@@ -393,13 +386,12 @@ impl<'a> ExecWorld<'a> {
             self.sys_time += self.cfg.sys_per_request;
             for &(id, _) in &misses[i..j] {
                 let buf = self.store.read_page(id)?;
-                self.pool.complete_miss(id, buf)?;
+                let slot = self.pool.complete_miss_at(id, buf, completion.done)?;
                 // A prefetched page is needed immediately: release it
                 // high so a priority-aware pool does not victimize it
                 // before the scan arrives. The scan's own release
                 // re-prioritizes it according to its group role.
-                self.pool.release(id, PagePriority::High)?;
-                self.available_at.insert(id, completion.done);
+                self.pool.release_slot(id, slot, PagePriority::High)?;
             }
             i = j;
         }
@@ -425,8 +417,8 @@ impl<'a> ExecWorld<'a> {
         pages: &[(PageId, u32)],
         priority: PagePriority,
     ) -> StorageResult<()> {
-        for &(id, _) in pages {
-            self.pool.release(id, priority)?;
+        for &(id, slot) in pages {
+            self.pool.release_slot(id, slot, priority)?;
         }
         Ok(())
     }
@@ -526,6 +518,91 @@ mod tests {
         w.release_pages(&p1, PagePriority::Normal).unwrap();
         w.release_pages(&p2, PagePriority::Normal).unwrap();
         w.release_pages(&p1, PagePriority::Normal).unwrap_err();
+    }
+
+    #[test]
+    fn a_reread_page_is_available_at_its_newest_completion() {
+        let store = store_with_pages(32);
+        let mut w = world(&store, 16);
+        let (a, b) = (&pids(32)[..16], &pids(32)[16..]);
+        let mut p1 = Vec::new();
+        let mut p2 = Vec::new();
+        // Read extent A, let extent B evict it, read it again later.
+        let first = w.fetch_extent(SimTime::ZERO, a, &mut p1).unwrap();
+        w.release_pages(&p1, PagePriority::Normal).unwrap();
+        let r = w.fetch_extent(first.ready, b, &mut p1).unwrap();
+        assert_eq!(r.misses, 16);
+        w.release_pages(&p1, PagePriority::Normal).unwrap();
+        let t = SimTime::from_secs(1);
+        let second = w.fetch_extent(t, a, &mut p1).unwrap();
+        assert_eq!(second.misses, 16, "extent A was evicted");
+        assert!(second.ready > t);
+        // A second scan fixes A while that second read is in flight: it
+        // waits for the second completion, not the first and not `t`.
+        let rider = w.fetch_extent(t, a, &mut p2).unwrap();
+        assert_eq!((rider.hits, rider.misses), (16, 0));
+        assert_eq!(rider.ready, second.ready);
+        w.release_pages(&p1, PagePriority::Normal).unwrap();
+        w.release_pages(&p2, PagePriority::Normal).unwrap();
+        // Once the read has landed a hit costs nothing.
+        let late = second.ready + SimDuration::from_micros(1);
+        let r = w.fetch_extent(late, a, &mut p1).unwrap();
+        assert_eq!(r.ready, late);
+        w.release_pages(&p1, PagePriority::Normal).unwrap();
+    }
+
+    #[test]
+    fn a_prefetched_pages_first_fix_waits_out_the_remaining_disk_time() {
+        let store = store_with_pages(16);
+        // What the read costs, from a twin world that demands it cold.
+        let mut pages = Vec::new();
+        let cold = world(&store, 64)
+            .fetch_extent(SimTime::ZERO, &pids(16), &mut pages)
+            .unwrap();
+        let mut w = world(&store, 64);
+        w.prefetch(SimTime::ZERO, &pids(16)).unwrap();
+        let soon = SimTime::from_micros(1);
+        assert!(cold.ready > soon);
+        let r = w.fetch_extent(soon, &pids(16), &mut pages).unwrap();
+        assert_eq!((r.hits, r.misses, r.requests), (16, 0, 0));
+        assert_eq!(r.ready, cold.ready, "the prefetch is still in flight");
+        w.release_pages(&pages, PagePriority::Normal).unwrap();
+        assert_eq!(w.disk.stats().pages_read, 16);
+    }
+
+    #[test]
+    fn a_recycled_slot_does_not_leak_its_previous_tenants_availability() {
+        let store = store_with_pages(32);
+        let mut w = world(&store, 16);
+        let all = pids(32);
+        let mut pages = Vec::new();
+        // Extent A becomes available a little after t = 1 s.
+        let t = SimTime::from_secs(1);
+        let r = w.fetch_extent(t, &all[..16], &mut pages).unwrap();
+        assert!(r.ready > t);
+        w.release_pages(&pages, PagePriority::Normal).unwrap();
+        // Something other than the world's own reads installs page 16
+        // over one of A's frames: no availability time comes with it.
+        let x = all[16];
+        let slot = w
+            .pool
+            .complete_miss_slot(x, store.read_page(x).unwrap())
+            .unwrap();
+        assert_eq!(w.pool.len(), 16, "page 16 took over a frame of extent A");
+        w.pool.release(x, PagePriority::Normal).unwrap();
+        let early = SimTime::from_millis(500);
+        let r = w.fetch_extent(early, &[x], &mut pages).unwrap();
+        assert_eq!(pages, vec![(x, slot)]);
+        assert_eq!((r.hits, r.ready), (1, early));
+        w.release_pages(&pages, PagePriority::Normal).unwrap();
+        // And a frame the world refills carries the new read's time.
+        let t2 = SimTime::from_secs(2);
+        let second = w.fetch_extent(t2, &all[16..], &mut pages).unwrap();
+        assert_eq!(second.misses, 15);
+        w.release_pages(&pages, PagePriority::Normal).unwrap();
+        let r = w.fetch_extent(t2, &all[16..], &mut pages).unwrap();
+        assert_eq!((r.hits, r.ready), (16, second.ready));
+        w.release_pages(&pages, PagePriority::Normal).unwrap();
     }
 
     #[test]

@@ -110,11 +110,11 @@ impl Plan {
         // Find the exact joined entry; fall back to the first entry at
         // or after the joined key; then back up by the hinted number of
         // pages.
-        let exact = entries
+        let at = entries
             .iter()
-            .position(|e| e.key == loc.key && e.payload == loc.pos);
-        let near = entries.iter().position(|e| e.key >= loc.key);
-        let at = exact.or(near).unwrap_or(0);
+            .position(|e| e.key == loc.key && e.payload == loc.pos)
+            .or_else(|| entries.iter().position(|e| e.key >= loc.key))
+            .unwrap_or(0);
         *start_idx = at.saturating_sub((back_up_pages / pages_per_entry) as usize);
     }
 
@@ -200,32 +200,32 @@ impl Plan {
                 visited,
             } => {
                 // Consume entries until the chunk spans one extent's
-                // worth of distinct pages (or the phase boundary).
+                // worth of distinct pages. The candidates are one slice:
+                // up to the range's end (a chunk never crosses the wrap
+                // boundary), the entries still unvisited, or the cap.
                 let len = entries.len();
                 let extent = extent_pages as usize;
-                let max_entries = extent * 32;
+                let pos = (start_idx + visited) % len;
+                let chunk = &entries[pos..len.min(pos + (len - visited).min(extent * 32))];
                 let mut taken = 0usize;
-                let mut last = entries[(start_idx + visited) % len];
-                while visited + taken < len && taken < max_entries {
-                    let e = entries[(start_idx + visited + taken) % len];
+                let mut prev = None;
+                for e in chunk {
                     let rid = Rid::unpack(e.payload);
                     let pid = PageId::new(file, rid.page);
-                    if !ids.contains(&pid) {
+                    // Consecutive keys mostly share a page: compare with
+                    // the previous RID's before searching the extent's.
+                    if prev != Some(pid) && !ids.contains(&pid) {
                         if ids.len() == extent {
                             break;
                         }
                         ids.push(pid);
                     }
+                    prev = Some(pid);
                     rids.push((pid, rid.slot));
-                    last = e;
                     taken += 1;
-                    // Never cross the wrap boundary within one chunk.
-                    if (start_idx + visited + taken).is_multiple_of(len) {
-                        break;
-                    }
                 }
-                let after = visited + taken;
-                let wraps = (start_idx + after).is_multiple_of(len) && after < len;
+                let last = entries[pos + taken.saturating_sub(1)];
+                let wraps = pos + taken == len && visited + taken < len;
                 (
                     StepWork::Rids {
                         distinct_pages: ids.len() as u64,
@@ -382,9 +382,9 @@ pub(crate) struct StepScratch {
     /// The row kernel's selection vector: indexes of the rows of the
     /// region being folded that passed the predicate so far.
     sel: Vec<u32>,
-    /// Rows that do not already sit in one dense region — a RID batch in
-    /// key order, a page that is not fixed-width — copied side by side so
-    /// the kernel sees one.
+    /// The rows of a page that is not fixed-width (all of them, or the
+    /// ones a run of RIDs names), copied side by side so the kernel sees
+    /// one dense region.
     gathered: Vec<u8>,
 }
 
@@ -505,6 +505,12 @@ impl RowPipeline {
         }
         sel.clear();
         sel.extend(0..(region.len() / width) as u32);
+        self.fold_selected(agg, sel, region, width);
+    }
+
+    /// The kernel over the rows of `region` that `sel` names, in its
+    /// order (a row named twice is folded twice).
+    fn fold_selected(&self, agg: &mut AggState, sel: &mut Vec<u32>, region: &[u8], width: usize) {
         for leaf in &self.leaves {
             leaf.filter(region, width, sel);
         }
@@ -861,26 +867,36 @@ impl Consumer {
                 Ok(rows)
             }
             StepWork::Rids { .. } => {
-                // Exactly the indexed rows, in key order. `pages` is
-                // sorted by page id, so a page resolves by binary search
-                // — once per run of RIDs on the same page, not per row.
-                gathered.clear();
-                let mut last: Option<(PageId, HeapPage<'_>)> = None;
-                for &(pid, slot) in rids.iter() {
-                    let page = match last {
-                        Some((id, page)) if id == pid => page,
-                        _ => {
-                            let at = pages
-                                .binary_search_by_key(&pid, |&(id, _)| id)
-                                .expect("page fetched");
-                            let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
-                            last = Some((pid, page));
-                            page
+                // Exactly the indexed rows, in key order, one run of RIDs
+                // on the same page at a time. `pages` is sorted by page
+                // id, so a run's page resolves by binary search.
+                for run in rids.chunk_by(|a, b| a.0 == b.0) {
+                    let at = pages
+                        .binary_search_by_key(&run[0].0, |&(id, _)| id)
+                        .expect("page fetched");
+                    let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
+                    if let Some(region) = page.dense_region(width) {
+                        // A fixed-width page is folded where it lies: the
+                        // run's slots are the selection.
+                        sel.clear();
+                        let n_rows = page.num_rows();
+                        for &(_, slot) in run {
+                            if slot >= n_rows {
+                                // Not a slot of this page: `row_bytes`
+                                // has the error for that.
+                                page.row_bytes(slot)?;
+                            }
+                            sel.push(slot as u32);
                         }
-                    };
-                    gather(gathered, page.row_bytes(slot)?)?;
+                        pipe.fold_selected(agg, sel, region, width);
+                    } else {
+                        gathered.clear();
+                        for &(_, slot) in run {
+                            gather(gathered, page.row_bytes(slot)?)?;
+                        }
+                        pipe.fold_region(agg, sel, gathered, stride);
+                    }
                 }
-                pipe.fold_region(agg, sel, gathered, stride);
                 Ok(rids.len() as u64)
             }
         }
@@ -1510,6 +1526,121 @@ mod tests {
         }
     }
 
+    /// The RID gather as first written — an index modulo the entry count
+    /// per entry and a linear `contains` per RID — kept as the reference
+    /// the slice walk is held to.
+    fn rid_gather_by_modulo(
+        entries: &[Entry],
+        start_idx: usize,
+        visited: usize,
+        file: FileId,
+        extent_pages: u32,
+        ids: &mut Vec<PageId>,
+        rids: &mut Vec<(PageId, u16)>,
+    ) -> (u64, Location, u64, bool) {
+        let len = entries.len();
+        let extent = extent_pages as usize;
+        let max_entries = extent * 32;
+        let mut taken = 0usize;
+        let mut last = entries[(start_idx + visited) % len];
+        while visited + taken < len && taken < max_entries {
+            let e = entries[(start_idx + visited + taken) % len];
+            let rid = Rid::unpack(e.payload);
+            let pid = PageId::new(file, rid.page);
+            if !ids.contains(&pid) {
+                if ids.len() == extent {
+                    break;
+                }
+                ids.push(pid);
+            }
+            rids.push((pid, rid.slot));
+            last = e;
+            taken += 1;
+            if (start_idx + visited + taken).is_multiple_of(len) {
+                break;
+            }
+        }
+        let after = visited + taken;
+        let wraps = (start_idx + after).is_multiple_of(len) && after < len;
+        (
+            ids.len() as u64,
+            Location::new(last.key, last.payload),
+            taken as u64,
+            wraps,
+        )
+    }
+
+    #[test]
+    fn rid_gather_walks_the_same_chunks_as_the_per_entry_modulo_loop() {
+        // 300 entries over 40 pages: runs of one to five RIDs on a page
+        // (a duplicate RID now and then), and pages that come back later
+        // in key order — inside one chunk and chunks apart.
+        let mut rng = scanshare_prng::Rng::seed_from_u64(0x51D);
+        let mut entries: Vec<Entry> = Vec::new();
+        while entries.len() < 300 {
+            let page = match rng.next_u64() % 4 {
+                0 => rng.next_u64() % 4,
+                _ => rng.next_u64() % 40,
+            } as u32;
+            for _ in 0..1 + rng.next_u64() % 5 {
+                let rid = match entries.last() {
+                    Some(prev) if rng.next_u64().is_multiple_of(8) => Rid::unpack(prev.payload),
+                    _ => Rid::new(page, (rng.next_u64() % 50) as u16),
+                };
+                entries.push(Entry::new(entries.len() as i64 / 3, rid.pack()));
+            }
+        }
+        entries.truncate(300);
+        let file = FileId(3);
+        let (mut ids, mut rids) = (Vec::new(), Vec::new());
+        let (mut want_ids, mut want_rids) = (Vec::new(), Vec::new());
+        let mut chunks_cut_by_the_wrap = 0;
+        let mut plan = Plan::Rid {
+            entries: entries.clone(),
+            start_idx: 0,
+            visited: 0,
+        };
+        for extent_pages in [1, 4, 16] {
+            for start_idx in 0..entries.len() {
+                for visited in 0..entries.len() {
+                    let Plan::Rid {
+                        start_idx: s,
+                        visited: v,
+                        ..
+                    } = &mut plan
+                    else {
+                        unreachable!()
+                    };
+                    (*s, *v) = (start_idx, visited);
+                    ids.clear();
+                    rids.clear();
+                    want_ids.clear();
+                    want_rids.clear();
+                    let (work, location, units, wraps) =
+                        plan.gather(file, extent_pages, &mut ids, &mut rids);
+                    let StepWork::Rids { distinct_pages } = work else {
+                        panic!("a RID plan gathers RID work");
+                    };
+                    let want = rid_gather_by_modulo(
+                        &entries,
+                        start_idx,
+                        visited,
+                        file,
+                        extent_pages,
+                        &mut want_ids,
+                        &mut want_rids,
+                    );
+                    let at = format!("extent {extent_pages} start {start_idx} visited {visited}");
+                    assert_eq!((distinct_pages, location, units, wraps), want, "{at}");
+                    assert_eq!(ids, want_ids, "{at}");
+                    assert_eq!(rids, want_rids, "{at}");
+                    chunks_cut_by_the_wrap += wraps as usize;
+                }
+            }
+        }
+        assert!(chunks_cut_by_the_wrap > 300, "the wrap was hardly reached");
+    }
+
     #[test]
     fn rid_scan_full_range_sees_every_row() {
         let db = small_db();
@@ -2064,6 +2195,81 @@ mod kernel_oracle {
             stepped,
             Err(EngineError::Storage(StorageError::Corrupt(_)))
         ));
+    }
+
+    /// A RID that names a slot its page does not have, or a record
+    /// shorter than the schema, is `Corrupt` whether its page is
+    /// fixed-width (folded where it lies) or slotted (gathered first) —
+    /// and the same RIDs without the bad one are counted.
+    #[test]
+    fn rid_steps_reject_bad_slots_and_short_records() {
+        let s = schema();
+        let width = s.row_width();
+        let mut store = FileStore::new(16);
+        let file = store.create_file();
+        let page_of = |lens: &[usize]| {
+            let mut page = HeapPageBuilder::new();
+            for &len in lens {
+                page.push(&vec![0u8; len]).unwrap();
+            }
+            page.finish()
+        };
+        // Page 0 is fixed-width, page 1 has a long record (slotted), page
+        // 2 a short one.
+        store
+            .append_page(file, page_of(&[width, width, width]))
+            .unwrap();
+        store
+            .append_page(file, page_of(&[width, width + 3, width]))
+            .unwrap();
+        store
+            .append_page(file, page_of(&[width, width - 1]))
+            .unwrap();
+        let spec = ScanSpec {
+            agg: AggSpec::count_only(),
+            pred: Pred::True,
+            ..spec(&mut Rng::seed_from_u64(1), 1, 0, false)
+        };
+        let run = |rids: &[(u32, u16)]| {
+            let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+            let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+            let entries = rids
+                .iter()
+                .enumerate()
+                .map(|(k, &(page, slot))| Entry::new(k as i64, Rid::new(page, slot).pack()))
+                .collect();
+            let plan = Plan::Rid {
+                entries,
+                start_idx: 0,
+                visited: 0,
+            };
+            let mut consumers = [Consumer::new(None, &spec, &s, SimTime::ZERO)];
+            step_extent(
+                &mut world,
+                SimTime::ZERO,
+                &mut Cursor::new(file, plan),
+                &mut StepScratch::default(),
+                &mut consumers,
+                &[0],
+                false,
+            )
+            .map(|_| consumers[0].result().count)
+        };
+        let good = [(0, 0), (0, 2), (0, 2), (1, 1), (1, 0), (0, 1), (2, 0)];
+        assert_eq!(run(&good).unwrap(), 7);
+        for bad in [(0, 3), (0, u16::MAX), (1, 3), (2, 1), (2, 2)] {
+            for at in [0, 3, good.len()] {
+                let mut rids = good.to_vec();
+                rids.insert(at, bad);
+                assert!(
+                    matches!(
+                        run(&rids),
+                        Err(EngineError::Storage(StorageError::Corrupt(_)))
+                    ),
+                    "RID {bad:?} at {at} was not rejected"
+                );
+            }
+        }
     }
 
     #[test]

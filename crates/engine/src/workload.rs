@@ -10,13 +10,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use scanshare::anchor::AnchorId;
+use scanshare::obs::{Gauge, Series};
 use scanshare::{
-    DecisionLog, ManagerProbe, MetricsRegistry, ScanSharingManager, SharingConfig, SpanProfiler,
-    Track,
+    DecisionLog, ManagerProbe, MetricsRegistry, ScanId, ScanSharingManager, SharingConfig,
+    SpanProfiler, Track,
 };
 use scanshare_storage::{
-    BufferPool, DiskStats, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage, SimDuration,
-    SimTime,
+    BufferPool, DiskStats, IdMap, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage,
+    SimDuration, SimTime,
 };
 use serde::{Deserialize, Serialize};
 
@@ -345,6 +347,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         seq += 1;
     }
     let mut makespan = SimTime::ZERO;
+    let mut sampler = Sampler::new(&world);
     let interval = spec.engine.metrics_interval;
     let mut next_sample = SimTime::ZERO + interval;
     // The engine's root span: every scan.step tree nests beneath it.
@@ -357,7 +360,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
             // Sample state *before* processing the event, so each point
             // reflects the world as of its nominal timestamp.
             while next_sample <= now {
-                sample_metrics(&world, mgr.as_deref(), next_sample);
+                sampler.sample_metrics(&world, next_sample);
                 if let Some(obs) = &observer {
                     obs(&watch_frame(&world, mgr.as_deref(), &tasks, next_sample));
                 }
@@ -399,7 +402,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         p.end(s, makespan);
     }
     // One closing sample so every series extends to the makespan.
-    sample_metrics(&world, mgr.as_deref(), makespan);
+    sampler.sample_metrics(&world, makespan);
     if let Some(obs) = &observer {
         obs(&watch_frame(&world, mgr.as_deref(), &tasks, makespan));
     }
@@ -493,32 +496,95 @@ fn watch_frame(
     }
 }
 
-/// Record one observation of every sampled signal at virtual time `at`:
-/// pool hit ratio and evictions, cumulative disk seek distance, and —
-/// when a sharing manager is attached — the group count, active-scan
-/// count, each group's leader-trailer distance
-/// (`group.<anchor>.distance_pages`) and each scan's accumulated slowdown
-/// as a fraction of its fairness-cap budget (`scan.<id>.slowdown_frac`).
-fn sample_metrics(world: &ExecWorld<'_>, mgr: Option<&ScanSharingManager>, at: SimTime) {
-    let reg: &MetricsRegistry = &world.metrics;
-    let pool = world.pool.stats();
-    reg.series("pool.hit_ratio").push(at, pool.hit_ratio());
-    reg.series("pool.evictions").push(at, pool.evictions as f64);
-    reg.series("disk.seek_distance")
-        .push(at, world.disk.stats().seek_distance_pages as f64);
-    let Some(mgr) = mgr else { return };
-    let probe = mgr.probe();
-    reg.gauge("mgr.groups").set(probe.groups.len() as f64);
-    reg.gauge("mgr.active_scans").set(probe.scans.len() as f64);
-    reg.series("mgr.shared_groups")
-        .push(at, probe.shared_groups() as f64);
-    for g in &probe.groups {
-        reg.series(&format!("group.{}.distance_pages", g.anchor.0))
-            .push(at, g.extent as f64);
+/// Series handles by id: `name(id)` is looked up in the registry the
+/// first time `id` is pushed to and kept under `id` after that.
+struct SeriesById<K> {
+    registry: MetricsRegistry,
+    name: fn(K) -> String,
+    handles: IdMap<K, Series>,
+}
+
+impl<K: Copy + Eq + std::hash::Hash> SeriesById<K> {
+    fn push(&mut self, id: K, at: SimTime, value: f64) {
+        let (registry, name) = (&self.registry, self.name);
+        let series = self.handles.entry(id);
+        series
+            .or_insert_with(|| registry.series(&name(id)))
+            .push(at, value);
     }
-    for s in &probe.scans {
-        reg.series(&format!("scan.{}.slowdown_frac", s.id.0))
-            .push(at, s.slowdown_frac);
+}
+
+/// The interval sampler's *series handles*: every instrument it records
+/// into, taken out of the registry once — the fixed ones when the run
+/// starts, a group's or a scan's the first time a probe shows it — so a
+/// tick costs one push per signal, however many names the run has
+/// registered by then.
+struct Sampler {
+    pool_hit_ratio: Series,
+    pool_evictions: Series,
+    disk_seek_distance: Series,
+    /// `mgr.groups`, `mgr.active_scans` and `mgr.shared_groups`: only a
+    /// run with a sharing manager registers them.
+    mgr: Option<(Gauge, Gauge, Series)>,
+    group_distance: SeriesById<AnchorId>,
+    scan_slowdown: SeriesById<ScanId>,
+}
+
+impl Sampler {
+    fn new(world: &ExecWorld<'_>) -> Sampler {
+        let registry = &world.metrics;
+        let mgr = || {
+            (
+                registry.gauge("mgr.groups"),
+                registry.gauge("mgr.active_scans"),
+                registry.series("mgr.shared_groups"),
+            )
+        };
+        Sampler {
+            pool_hit_ratio: registry.series("pool.hit_ratio"),
+            pool_evictions: registry.series("pool.evictions"),
+            disk_seek_distance: registry.series("disk.seek_distance"),
+            mgr: world.mgr.is_some().then(mgr),
+            group_distance: SeriesById {
+                registry: registry.clone(),
+                name: |anchor| format!("group.{}.distance_pages", anchor.0),
+                handles: IdMap::default(),
+            },
+            scan_slowdown: SeriesById {
+                registry: registry.clone(),
+                name: |scan| format!("scan.{}.slowdown_frac", scan.0),
+                handles: IdMap::default(),
+            },
+        }
+    }
+
+    /// Record one observation of every sampled signal at virtual time
+    /// `at`: pool hit ratio and evictions, cumulative disk seek distance,
+    /// and — when a sharing manager is attached — the group count,
+    /// active-scan count, each group's leader-trailer distance
+    /// (`group.<anchor>.distance_pages`) and each scan's accumulated
+    /// slowdown as a fraction of its fairness-cap budget
+    /// (`scan.<id>.slowdown_frac`).
+    fn sample_metrics(&mut self, world: &ExecWorld<'_>, at: SimTime) {
+        let pool = world.pool.stats();
+        self.pool_hit_ratio.push(at, pool.hit_ratio());
+        self.pool_evictions.push(at, pool.evictions as f64);
+        self.disk_seek_distance
+            .push(at, world.disk.stats().seek_distance_pages as f64);
+        let (Some(mgr), Some((groups, active_scans, shared_groups))) = (&world.mgr, &self.mgr)
+        else {
+            return;
+        };
+        let probe = mgr.probe();
+        groups.set(probe.groups.len() as f64);
+        active_scans.set(probe.scans.len() as f64);
+        shared_groups.push(at, probe.shared_groups() as f64);
+        for g in &probe.groups {
+            self.group_distance.push(g.anchor, at, g.extent as f64);
+        }
+        for s in &probe.scans {
+            self.scan_slowdown.push(s.id, at, s.slowdown_frac);
+        }
     }
 }
 
@@ -972,6 +1038,127 @@ mod tests {
         let hit = r.metrics.series("pool.hit_ratio").expect("hit ratio");
         assert_eq!(hit.points.len(), 1);
         assert_eq!(hit.points[0].at_us, r.makespan.as_micros());
+    }
+
+    /// The interval sampler as first written — every series looked up in
+    /// the registry by a freshly formatted name at every tick — fed from
+    /// the watch frames, which see the same probe and counters at the
+    /// same instants as the run's own sampler.
+    fn sample_by_name(reg: &MetricsRegistry, f: &WatchFrame) {
+        reg.series("pool.hit_ratio").push(f.at, f.pool.hit_ratio());
+        reg.series("pool.evictions")
+            .push(f.at, f.pool.evictions as f64);
+        reg.series("disk.seek_distance")
+            .push(f.at, f.disk.seek_distance_pages as f64);
+        let Some(probe) = &f.probe else { return };
+        reg.gauge("mgr.groups").set(probe.groups.len() as f64);
+        reg.gauge("mgr.active_scans").set(probe.scans.len() as f64);
+        reg.series("mgr.shared_groups")
+            .push(f.at, probe.shared_groups() as f64);
+        for g in &probe.groups {
+            reg.series(&format!("group.{}.distance_pages", g.anchor.0))
+                .push(f.at, g.extent as f64);
+        }
+        for s in &probe.scans {
+            reg.series(&format!("scan.{}.slowdown_frac", s.id.0))
+                .push(f.at, s.slowdown_frac);
+        }
+    }
+
+    /// Run `spec` and return its report beside the gauges and series the
+    /// by-name sampler records over the same run.
+    fn run_beside_the_by_name_sampler(
+        db: &Database,
+        spec: &WorkloadSpec,
+    ) -> (RunReport, scanshare::MetricsSnapshot) {
+        let reference = MetricsRegistry::new();
+        let sink = reference.clone();
+        let hooks = RunHooks {
+            observer: Some(Arc::new(move |f: &WatchFrame| sample_by_name(&sink, f))),
+            ..RunHooks::default()
+        };
+        let r = run_workload_hooked(db, spec, hooks).unwrap();
+        let sampled = reference.snapshot(SimTime::ZERO + r.makespan);
+        (r, sampled)
+    }
+
+    #[test]
+    fn the_sampler_records_what_sampling_by_name_records() {
+        let db = build_db();
+        // Two scans group under one anchor; the fast one finishes and the
+        // group dissolves; a range disjoint from the survivor's founds a
+        // second anchor, where a later pair re-forms a group; the last
+        // scan runs on alone.
+        let fast = q6_like("fast", 0, 5);
+        let mut slow = q6_like("slow", 0, 5);
+        slow.scans[0].cpu = CpuClass::cpu_bound();
+        let stream = |queries: Vec<Query>, ms| Stream {
+            queries,
+            start_offset: SimDuration::from_millis(ms),
+        };
+        let streams = vec![
+            stream(vec![fast, q6_like("late", 6, 11)], 0),
+            stream(vec![slow], 10),
+            stream(vec![q6_like("later", 6, 11), table_q("alone")], 400),
+        ];
+        let mut spec = spec(
+            &db,
+            streams,
+            SharingMode::ScanSharing(SharingConfig::new(0)),
+        );
+        spec.engine.metrics_interval = SimDuration::from_millis(5);
+        let (r, sampled) = run_beside_the_by_name_sampler(&db, &spec);
+        let expected = scanshare::MetricsSnapshot {
+            gauges: sampled.gauges.clone(),
+            series: sampled.series.clone(),
+            ..r.metrics.clone()
+        };
+        assert_eq!(r.metrics, expected);
+        assert_eq!(
+            serde_json::to_string(&r.metrics).unwrap(),
+            serde_json::to_string(&expected).unwrap()
+        );
+
+        // The run did what the comment above says it does.
+        let end = r.makespan.as_micros();
+        let scans: Vec<_> = sampled.series_with_prefix("scan.").collect();
+        assert_eq!(scans.len(), 5);
+        assert!(
+            scans.iter().any(|s| s.points.last().unwrap().at_us < end),
+            "no scan finished before the run did"
+        );
+        let anchors: Vec<_> = sampled.series_with_prefix("group.").collect();
+        assert!(anchors.len() >= 2, "one anchor served the whole run");
+        let shared: Vec<f64> = sampled
+            .series("mgr.shared_groups")
+            .unwrap()
+            .values()
+            .collect();
+        let formed = shared
+            .iter()
+            .position(|&n| n > 0.0)
+            .expect("no group formed");
+        let dissolved = formed + shared[formed..].iter().position(|&n| n == 0.0).unwrap();
+        assert!(
+            shared[dissolved..].iter().any(|&n| n > 0.0),
+            "no group re-formed after the first dissolved"
+        );
+        assert_eq!(*shared.last().unwrap(), 0.0);
+        let ticks = sampled.series("pool.hit_ratio").unwrap().points.len();
+        assert!(ticks > 100 && shared.len() == ticks);
+
+        // With interval sampling off, both record the closing sample only.
+        spec.engine.metrics_interval = SimDuration::ZERO;
+        let (r, sampled) = run_beside_the_by_name_sampler(&db, &spec);
+        assert_eq!(r.metrics.series, sampled.series);
+        assert_eq!(r.metrics.gauges, sampled.gauges);
+        assert!(r.metrics.series.iter().all(|s| s.points.len() == 1));
+        // A base run has no manager and so no manager series.
+        spec.mode = SharingMode::Base;
+        let (r, sampled) = run_beside_the_by_name_sampler(&db, &spec);
+        assert_eq!(r.metrics.series, sampled.series);
+        assert_eq!(r.metrics.series.len(), 3);
+        assert!(r.metrics.gauges.is_empty() && sampled.gauges.is_empty());
     }
 
     #[test]

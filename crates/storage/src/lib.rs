@@ -41,7 +41,7 @@ pub use array::DiskArray;
 pub use disk::{Disk, DiskConfig, DiskStats, ReadCompletion};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultInjector, FaultKind, FaultOutcome, FaultPlan, FaultRule, FaultStats};
-pub use page::{FileId, PageBuf, PageId, PAGE_SIZE};
+pub use page::{FileId, IdHasher, IdMap, PageBuf, PageId, PAGE_SIZE};
 pub use pool::{
     BufferPool, FixOutcome, PagePriority, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage,
 };

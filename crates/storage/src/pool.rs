@@ -18,11 +18,14 @@
 //! # Frame table
 //!
 //! Frames live in a slab (`Vec<Frame>` indexed by a `u32` slot, with a
-//! free-slot list) and a `HashMap<PageId, u32>` maps resident pages to
-//! their slot. Eviction candidates — unpinned frames — are threaded onto
-//! one intrusive doubly-linked list per priority class, ordered by
-//! ascending `last_use` from the head; the victim is the head of the
-//! lowest non-empty class. Because a scan's releases may arrive out of
+//! free-slot list) and the *page table*, an [`IdMap`] from `PageId` to
+//! slot, maps resident pages to theirs. A caller that keeps the slot its
+//! fix returned needs the page table once per visit: the frame's bytes,
+//! its availability time and its release are all reached by slot.
+//! Eviction candidates — unpinned frames — are threaded onto one
+//! intrusive doubly-linked list per priority class, ordered by ascending
+//! `last_use` from the head; the victim is the head of the lowest
+//! non-empty class. Because a scan's releases may arrive out of
 //! fix order (extents release in sorted-page order, RID fetches in RID
 //! order), enqueueing walks back from the list tail to the frame's
 //! `last_use` position — O(1) amortized for the common mostly-in-order
@@ -39,12 +42,13 @@
 //! ([`BufferPool::fix_slot`], [`BufferPool::slot_buf`]) to borrow the page
 //! bytes without cloning the `Bytes` handle on every hit.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{StorageError, StorageResult};
-use crate::page::{PageBuf, PageId};
+use crate::page::{IdMap, PageBuf, PageId};
+use crate::sim::SimTime;
 
 /// Priority assigned to a page when it is released.
 ///
@@ -157,6 +161,9 @@ struct Frame {
     last_use: u64,
     /// Second-to-last access (0 until the page is re-referenced).
     prev_use: u64,
+    /// When the read that installed this tenant completes (see
+    /// [`BufferPool::complete_miss_at`]).
+    available_at: SimTime,
     /// Intrusive candidate-list links; `NIL` when pinned or free.
     prev: u32,
     next: u32,
@@ -205,7 +212,7 @@ pub struct BufferPool {
     /// Slots available for reuse (their frames are not resident).
     free: Vec<u32>,
     /// Resident page → slot.
-    map: HashMap<PageId, u32>,
+    map: IdMap<PageId, u32>,
     /// Candidate lists indexed by priority class. Under plain LRU every
     /// candidate lives in the `Normal` class; under priority-LRU a frame
     /// lives in the class of its current priority.
@@ -225,7 +232,7 @@ impl BufferPool {
         BufferPool {
             frames: Vec::with_capacity(cfg.capacity),
             free: Vec::new(),
-            map: HashMap::with_capacity(cfg.capacity),
+            map: IdMap::with_capacity_and_hasher(cfg.capacity, Default::default()),
             lists: [CandidateList::empty(); CLASSES],
             lru2: BTreeSet::new(),
             use_seq: 0,
@@ -405,6 +412,13 @@ impl BufferPool {
         self.frames[slot as usize].id
     }
 
+    /// When a pinned frame's bytes are (or were) available: the time its
+    /// page was installed with, [`SimTime::ZERO`] if none was given. A
+    /// fix that hits before then rides the read still in flight.
+    pub fn slot_available_at(&self, slot: u32) -> SimTime {
+        self.frames[slot as usize].available_at
+    }
+
     /// Install a page after a miss, evicting if necessary. The page is
     /// pinned for the caller. Fails with [`StorageError::PoolExhausted`]
     /// if every frame is pinned.
@@ -415,10 +429,24 @@ impl BufferPool {
     /// [`BufferPool::complete_miss`], returning the installed slot for
     /// the zero-clone path.
     pub fn complete_miss_slot(&mut self, id: PageId, buf: PageBuf) -> StorageResult<u32> {
+        self.complete_miss_at(id, buf, SimTime::ZERO)
+    }
+
+    /// [`BufferPool::complete_miss_slot`] for a read that completes at
+    /// `available_at`: the time stays with the frame for as long as this
+    /// page does, for [`BufferPool::slot_available_at`] to report.
+    pub fn complete_miss_at(
+        &mut self,
+        id: PageId,
+        buf: PageBuf,
+        available_at: SimTime,
+    ) -> StorageResult<u32> {
         if let Some(&slot) = self.map.get(&id) {
             // Someone else installed it while we were loading; just pin
-            // (their bytes win — both loaders read the same page).
+            // (their bytes win — both loaders read the same page, and the
+            // newest read's completion is the one a rider waits for).
             self.pin_resident(slot);
+            self.frames[slot as usize].available_at = available_at;
             return Ok(slot);
         }
         let slot = if self.map.len() >= self.cfg.capacity {
@@ -441,6 +469,7 @@ impl BufferPool {
                 priority: PagePriority::Normal,
                 last_use: 0,
                 prev_use: 0,
+                available_at,
                 prev: NIL,
                 next: NIL,
             });
@@ -454,6 +483,7 @@ impl BufferPool {
         f.priority = PagePriority::Normal;
         f.last_use = self.use_seq;
         f.prev_use = 0;
+        f.available_at = available_at;
         f.prev = NIL;
         f.next = NIL;
         self.map.insert(id, slot);
@@ -466,9 +496,30 @@ impl BufferPool {
     /// exactly the leader/trailer semantics of §7.3.
     pub fn release(&mut self, id: PageId, priority: PagePriority) -> StorageResult<()> {
         let &slot = self.map.get(&id).ok_or(StorageError::NotResident(id))?;
+        self.unpin(slot, priority)
+    }
+
+    /// [`BufferPool::release`] for a caller that kept the slot its fix
+    /// returned: a pinned frame cannot change tenant, so a pinned frame
+    /// holding `id` is its page-table entry and no lookup is needed. Any
+    /// other slot gets release-by-id's answer.
+    pub fn release_slot(
+        &mut self,
+        id: PageId,
+        slot: u32,
+        priority: PagePriority,
+    ) -> StorageResult<()> {
+        match self.frames.get(slot as usize) {
+            Some(f) if f.id == id && f.pin_count > 0 => self.unpin(slot, priority),
+            _ => self.release(id, priority),
+        }
+    }
+
+    /// Drop one pin of the resident frame in `slot`.
+    fn unpin(&mut self, slot: u32, priority: PagePriority) -> StorageResult<()> {
         let f = &mut self.frames[slot as usize];
         if f.pin_count == 0 {
-            return Err(StorageError::PinViolation(id));
+            return Err(StorageError::PinViolation(f.id));
         }
         f.pin_count -= 1;
         if f.priority != priority {
@@ -850,6 +901,72 @@ mod tests {
         assert_eq!(p.slot_buf(s0)[0], 0);
         p.release(pid(0), PagePriority::Normal).unwrap();
         p.release(pid(2), PagePriority::Normal).unwrap();
+    }
+
+    #[test]
+    fn release_by_slot_is_release_by_id() {
+        // Two pools through the same schedule, one releasing by id and
+        // one by the slot its fix returned: same priority, pin count,
+        // victim order and counters.
+        let mut by_id = pool(3, ReplacementPolicy::PriorityLru);
+        let mut by_slot = pool(3, ReplacementPolicy::PriorityLru);
+        for (page, prio) in [
+            (0, PagePriority::High),
+            (1, PagePriority::Low),
+            (0, PagePriority::Low),
+            (2, PagePriority::Normal),
+            (3, PagePriority::High),
+            (0, PagePriority::Low),
+        ] {
+            visit(&mut by_id, pid(page), prio);
+            let slot = match by_slot.fix_slot(pid(page)) {
+                Some(slot) => slot,
+                None => by_slot
+                    .complete_miss_slot(pid(page), buf(page as u8))
+                    .unwrap(),
+            };
+            by_slot.release_slot(pid(page), slot, prio).unwrap();
+            assert_eq!(by_slot.next_victim(), by_id.next_victim());
+        }
+        assert_eq!(by_slot.resident_pages(), by_id.resident_pages());
+        assert_eq!(
+            format!("{:?}", by_slot.stats()),
+            format!("{:?}", by_id.stats())
+        );
+        assert_eq!(by_id.stats().reprioritizations, 4);
+
+        // A double pin needs two releases, by either route.
+        let mut p = pool(2, ReplacementPolicy::Lru);
+        let slot = p.complete_miss_slot(pid(0), buf(0)).unwrap();
+        assert_eq!(p.fix_slot(pid(0)), Some(slot));
+        p.release_slot(pid(0), slot, PagePriority::Normal).unwrap();
+        assert_eq!(p.next_victim(), None);
+        p.release(pid(0), PagePriority::Normal).unwrap();
+        assert_eq!(p.next_victim(), Some(pid(0)));
+        // The errors are release-by-id's: an unpinned page, a page that
+        // is not resident (its old slot now free, or past the table).
+        assert!(matches!(
+            p.release_slot(pid(0), slot, PagePriority::Normal)
+                .unwrap_err(),
+            StorageError::PinViolation(_)
+        ));
+        p.discard(pid(0));
+        for unfixed in [slot, 7] {
+            assert!(matches!(
+                p.release_slot(pid(0), unfixed, PagePriority::Normal)
+                    .unwrap_err(),
+                StorageError::NotResident(_)
+            ));
+        }
+        // A slot that has changed tenant does not unpin the new one.
+        let s1 = p.complete_miss_slot(pid(1), buf(1)).unwrap();
+        assert_eq!(s1, slot, "the freed slot is reused");
+        assert!(matches!(
+            p.release_slot(pid(0), slot, PagePriority::Normal)
+                .unwrap_err(),
+            StorageError::NotResident(_)
+        ));
+        p.release_slot(pid(1), s1, PagePriority::Normal).unwrap();
     }
 
     #[test]

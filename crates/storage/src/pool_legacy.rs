@@ -207,6 +207,20 @@ mod equivalence {
         PageId::new(FileId(0), p as u32)
     }
 
+    /// The same universe spread over four files and page numbers 2³¹
+    /// apart, `PageId::new(FileId(u32::MAX), u32::MAX)` included: a page
+    /// table may neither size itself by key magnitude nor confuse two
+    /// ids that agree in their low bits.
+    fn sparse_pid(p: u64) -> PageId {
+        let file = [0, 1, 7, u32::MAX][(p % 4) as usize];
+        let page = match (p / 4) % 3 {
+            0 => (p / 12) as u32,
+            1 => (1 << 31) + (p / 12) as u32,
+            _ => u32::MAX - (p / 12) as u32,
+        };
+        PageId::new(FileId(file), page)
+    }
+
     fn buf(tag: u64) -> PageBuf {
         let mut b = zeroed_page();
         b[0] = tag as u8;
@@ -227,14 +241,24 @@ mod equivalence {
     /// Drive both pools through one randomized schedule, asserting at
     /// every step that the observable behavior matches: hit/miss
     /// outcomes, error kinds, the next eviction victim, residency, and
-    /// (at the end) the full stats block.
-    fn drive(policy: ReplacementPolicy, seed: u64) {
+    /// (at the end) the full stats block. The frame-table pool is driven
+    /// through its slot API and releases half its pins by slot, so
+    /// release-by-slot is held to the oracle's release-by-id.
+    fn drive(policy: ReplacementPolicy, seed: u64, pid: fn(u64) -> PageId) {
         let mut fast = BufferPool::new(PoolConfig::new(CAPACITY, policy));
         let mut oracle = LegacyPool::new(PoolConfig::new(CAPACITY, policy));
         let mut rng = Rng::seed_from_u64(seed);
         // Outstanding pins (with multiplicity), so releases are mostly
         // legal and the pool never livelocks fully pinned.
-        let mut pinned: Vec<PageId> = Vec::new();
+        let mut pinned: Vec<(PageId, u32)> = Vec::new();
+        // Release the frame-table pool's pin by slot or by id, as drawn.
+        let release = |fast: &mut BufferPool, by_slot: bool, id, slot, prio| {
+            if by_slot {
+                fast.release_slot(id, slot, prio)
+            } else {
+                fast.release(id, prio)
+            }
+        };
 
         for step in 0..STEPS {
             let roll = rng.next_u64() % 100;
@@ -242,42 +266,51 @@ mod equivalence {
                 // Visit: fix a random page, complete on a miss, then
                 // either release immediately or keep the pin around.
                 let id = pid(rng.next_u64() % UNIVERSE);
-                let a = fast.fix(id);
+                let a = fast.fix_slot(id);
                 let b = oracle.fix(id);
                 assert_eq!(
-                    matches!(a, FixOutcome::Hit(_)),
+                    a.is_some(),
                     matches!(b, FixOutcome::Hit(_)),
                     "{policy:?} seed {seed} step {step}: fix({id:?}) outcome diverged"
                 );
-                if matches!(a, FixOutcome::Miss) {
-                    let ra = fast.complete_miss(id, buf(id.page as u64));
-                    let rb = oracle.complete_miss(id, buf(id.page as u64));
-                    match (&ra, &rb) {
-                        (Ok(()), Ok(())) => {}
-                        (Err(ea), Err(eb)) if same_error(ea, eb) => {
-                            // Not installed (all frames pinned); no pin
-                            // to track. Continue with the next op.
-                            assert_eq!(fast.next_victim(), oracle.next_victim());
-                            continue;
+                let slot = match a {
+                    Some(slot) => slot,
+                    None => {
+                        let ra = fast.complete_miss_slot(id, buf(id.page as u64));
+                        let rb = oracle.complete_miss(id, buf(id.page as u64));
+                        match (&ra, &rb) {
+                            (Ok(slot), Ok(())) => *slot,
+                            (Err(ea), Err(eb)) if same_error(ea, eb) => {
+                                // Not installed (all frames pinned); no pin
+                                // to track. Continue with the next op.
+                                assert_eq!(fast.next_victim(), oracle.next_victim());
+                                continue;
+                            }
+                            _ => panic!(
+                                "{policy:?} seed {seed} step {step}: complete_miss diverged: {ra:?} vs {rb:?}"
+                            ),
                         }
-                        _ => panic!(
-                            "{policy:?} seed {seed} step {step}: complete_miss diverged: {ra:?} vs {rb:?}"
-                        ),
                     }
-                }
+                };
+                assert_eq!(fast.slot_page(slot), id);
+                assert!(
+                    (slot as usize) < CAPACITY,
+                    "slot {slot} past the frame table"
+                );
                 if rng.next_u64() % 10 < 7 {
                     let prio = priority(rng.next_u64());
-                    fast.release(id, prio).unwrap();
+                    release(&mut fast, step % 2 == 0, id, slot, prio).unwrap();
                     oracle.release(id, prio).unwrap();
                 } else {
-                    pinned.push(id);
+                    pinned.push((id, slot));
                 }
             } else if roll < 85 && !pinned.is_empty() {
                 // Release one outstanding pin with a random priority.
                 let idx = (rng.next_u64() as usize) % pinned.len();
-                let id = pinned.swap_remove(idx);
+                let (id, slot) = pinned.swap_remove(idx);
+                assert_eq!(fast.slot_page(slot), id, "a pinned frame changed tenant");
                 let prio = priority(rng.next_u64());
-                fast.release(id, prio).unwrap();
+                release(&mut fast, step % 2 == 0, id, slot, prio).unwrap();
                 oracle.release(id, prio).unwrap();
             } else if roll < 92 {
                 // Discard a random page (may be absent or pinned: no-op).
@@ -286,11 +319,15 @@ mod equivalence {
                 oracle.discard(id);
             } else if roll < 97 {
                 // Error path: release a page that may not be resident or
-                // may be unpinned — both pools must fail the same way.
+                // may be unpinned — both pools must fail the same way,
+                // whatever slot (free, someone else's, past the table)
+                // the caller claims for it.
                 let id = pid(rng.next_u64() % UNIVERSE);
-                if !pinned.contains(&id) {
+                if !pinned.iter().any(|&(p, _)| p == id) {
                     let prio = priority(rng.next_u64());
-                    match (fast.release(id, prio), oracle.release(id, prio)) {
+                    let slot = (rng.next_u64() % (CAPACITY as u64 + 4)) as u32;
+                    let got = release(&mut fast, step % 2 == 0, id, slot, prio);
+                    match (got, oracle.release(id, prio)) {
                         (Ok(()), Ok(())) => panic!(
                             "{policy:?} seed {seed} step {step}: release of unpinned {id:?} succeeded"
                         ),
@@ -349,7 +386,8 @@ mod equivalence {
             ReplacementPolicy::Lru2,
         ] {
             for seed in [1, 7, 42, 0xC0FFEE] {
-                drive(policy, seed);
+                drive(policy, seed, pid);
+                drive(policy, seed, sparse_pid);
             }
         }
     }

@@ -104,9 +104,11 @@ impl FileStore {
                 file_pages: pages.len() as u32,
             });
         }
-        self.volume.lookup(id).ok_or(StorageError::Corrupt(format!(
-            "page {id} exists but its extent was never allocated"
-        )))
+        self.volume.lookup(id).ok_or_else(|| {
+            StorageError::Corrupt(format!(
+                "page {id} exists but its extent was never allocated"
+            ))
+        })
     }
 
     /// The underlying volume (for layout inspection in tests/benches).

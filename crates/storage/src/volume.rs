@@ -7,9 +7,7 @@
 //! is what makes index-order traversal seek, and what the scan-sharing
 //! machinery ultimately saves.
 
-use std::collections::HashMap;
-
-use crate::page::{FileId, PageId};
+use crate::page::{FileId, IdMap, PageId};
 
 /// Maps logical file pages to physical page addresses, allocating
 /// extent-sized contiguous runs on first touch.
@@ -17,7 +15,7 @@ use crate::page::{FileId, PageId};
 pub struct Volume {
     extent_pages: u32,
     next_base: u64,
-    extents: HashMap<(FileId, u32), u64>,
+    extents: IdMap<(FileId, u32), u64>,
 }
 
 impl Volume {
@@ -27,7 +25,7 @@ impl Volume {
         Volume {
             extent_pages,
             next_base: 0,
-            extents: HashMap::new(),
+            extents: IdMap::default(),
         }
     }
 
@@ -77,7 +75,7 @@ impl Volume {
     /// Rebuild a volume from persisted state.
     pub fn from_entries(extent_pages: u32, entries: &[(FileId, u32, u64)]) -> Self {
         assert!(extent_pages > 0, "extent size must be positive");
-        let mut extents = HashMap::with_capacity(entries.len());
+        let mut extents = IdMap::with_capacity_and_hasher(entries.len(), Default::default());
         let mut next_base = 0u64;
         for &(f, e, b) in entries {
             extents.insert((f, e), b);
