@@ -9,10 +9,9 @@
 //! ```
 //!
 //! Environment: `SCANSHARE_SCALE` (default 1.0), `SCANSHARE_SEED` (42),
-//! `SCANSHARE_JOBS` (1), and `SCANSHARE_METRICS_OUT` / `SCANSHARE_HISTORY`
-//! as defaults for `--metrics-out FILE` / `--history FILE`. Exit codes:
-//! 0 = every claim holds, 1 = a claim is violated, 2 = usage or I/O
-//! error.
+//! `SCANSHARE_JOBS` (1), and `SCANSHARE_METRICS_OUT` as the default for
+//! `--metrics-out FILE`. Exit codes: 0 = every claim holds, 1 = a claim
+//! is violated, 2 = usage or I/O error.
 
 use std::path::PathBuf;
 
@@ -34,7 +33,6 @@ fn parse(args: &[String]) -> Result<(Ctx, Vec<&'static Experiment>, Option<PathB
     let mut rows: Vec<&'static Experiment> = Vec::new();
     let mut out = None;
     let mut metrics_out = std::env::var("SCANSHARE_METRICS_OUT").ok();
-    let mut history = std::env::var("SCANSHARE_HISTORY").ok();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         let mut value = || {
@@ -45,7 +43,6 @@ fn parse(args: &[String]) -> Result<(Ctx, Vec<&'static Experiment>, Option<PathB
         match arg.as_str() {
             "--out" => out = Some(PathBuf::from(value()?)),
             "--metrics-out" => metrics_out = Some(value()?),
-            "--history" => history = Some(value()?),
             "all" => rows.extend(TABLE.iter().filter(|e| e.in_all)),
             id => rows.push(exp::find(id).ok_or_else(|| format!("unknown experiment '{id}'"))?),
         }
@@ -67,7 +64,7 @@ fn parse(args: &[String]) -> Result<(Ctx, Vec<&'static Experiment>, Option<PathB
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create --out {}: {e}", dir.display()))?;
     }
-    let ctx = Ctx::new(cfg, jobs, metrics_out, history)?;
+    let ctx = Ctx::new(cfg, jobs, metrics_out)?;
     Ok((ctx, rows, out))
 }
 
@@ -82,7 +79,7 @@ fn main() {
         Err(problem) => {
             let ids: Vec<&str> = TABLE.iter().map(|e| e.id).collect();
             eprintln!(
-                "exp: {problem}; usage: exp list | all | <id>... [--out DIR] [--metrics-out FILE] [--history FILE]; ids: {}",
+                "exp: {problem}; usage: exp list | all | <id>... [--out DIR] [--metrics-out FILE]; ids: {}",
                 ids.join(" ")
             );
             2

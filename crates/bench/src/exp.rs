@@ -13,7 +13,7 @@
 
 mod table;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::ops::Deref;
@@ -24,19 +24,16 @@ use scanshare_engine::{par_map, run_workload, Database, RunReport, WorkloadSpec}
 use scanshare_tpch::{generate, TpchConfig};
 use serde::{Serialize, Value};
 
-use crate::history::{self, HistoryEntry};
-
 pub use table::TABLE;
 
-/// Label of a row's no-sharing variant. A row with both a [`BASE`] and
-/// an [`SS`] variant is a base/scan-sharing pair and feeds the ledger.
+/// Label of a row's no-sharing variant.
 pub const BASE: &str = "base";
 /// Label of a row's full scan-sharing variant.
 pub const SS: &str = "scan-sharing";
 
 /// One row of the experiment table.
 pub struct Experiment {
-    /// What `exp <id>` runs; the ledger stamps it as `exp_<id>`.
+    /// What `exp <id>` runs.
     pub id: &'static str,
     /// The paper artifact (`Table 1`) or this repo's ablation (`A3`).
     pub artifact: &'static str,
@@ -206,23 +203,20 @@ impl Output {
 }
 
 /// Everything an invocation reads from outside — scale, seed, jobs and
-/// the two sinks, handed over as values by `main` — plus the memo that
-/// lets rows share databases and runs.
+/// the metrics sink, handed over as values by `main` — plus the memo
+/// that lets rows share databases and runs.
 pub struct Ctx {
     /// The experiment database's configuration (`SCANSHARE_SCALE`,
     /// `SCANSHARE_SEED`; months and block size are the paper's).
     pub cfg: TpchConfig,
     jobs: usize,
     metrics_out: Option<String>,
-    history: Option<String>,
-    /// Id of the row being run: labels sink lines, stamps the ledger.
+    /// Id of the row being run: labels sink lines.
     current: &'static str,
     /// Prefix sink labels with the row id (several rows, one file).
     prefix_labels: bool,
     dbs: HashMap<String, Rc<Database>>,
     runs: HashMap<String, Rc<RunReport>>,
-    /// Base/scan-sharing pairs already in the ledger.
-    pairs: HashSet<(String, String)>,
     hits: usize,
 }
 
@@ -230,13 +224,8 @@ impl Ctx {
     /// A context for one invocation. `jobs` worker threads fan out a
     /// row's independent variants (reports are bit-identical for any
     /// count). The metrics sink is truncated here, once, so each
-    /// invocation starts a fresh log; the ledger is append-only.
-    pub fn new(
-        cfg: TpchConfig,
-        jobs: usize,
-        metrics_out: Option<String>,
-        history: Option<String>,
-    ) -> Result<Ctx, String> {
+    /// invocation starts a fresh log.
+    pub fn new(cfg: TpchConfig, jobs: usize, metrics_out: Option<String>) -> Result<Ctx, String> {
         if let Some(path) = &metrics_out {
             std::fs::write(path, "")
                 .map_err(|e| format!("cannot open metrics sink {path}: {e}"))?;
@@ -245,12 +234,10 @@ impl Ctx {
             cfg,
             jobs,
             metrics_out,
-            history,
             current: "",
             prefix_labels: false,
             dbs: HashMap::new(),
             runs: HashMap::new(),
-            pairs: HashSet::new(),
             hits: 0,
         })
     }
@@ -281,9 +268,7 @@ impl Ctx {
     /// Reports for `variants`, in order. A variant an earlier row (or an
     /// earlier variant) already ran is served from the memo; the rest
     /// fan out over the worker threads. Each executed run is appended to
-    /// the metrics sink under its first reader's label, and a
-    /// base/scan-sharing pair is appended to the ledger once, stamped
-    /// with its first reader's id.
+    /// the metrics sink under its first reader's label.
     pub fn run_all(&mut self, variants: Vec<Variant>) -> Vec<Run> {
         let keys: Vec<String> = variants.iter().map(Variant::key).collect();
         let mut todo: Vec<usize> = Vec::new();
@@ -311,26 +296,12 @@ impl Ctx {
             self.record_metrics(label, &report);
             self.runs.insert(keys[i].clone(), Rc::new(report));
         }
-        let runs: Vec<Run> = std::iter::zip(variants, &keys)
+        std::iter::zip(variants, &keys)
             .map(|(v, key)| Run {
                 label: v.label,
                 report: self.runs[key].clone(),
             })
-            .collect();
-        let find = |label| runs.iter().position(|r| r.label == label);
-        if let (Some(b), Some(s), Some(path)) = (find(BASE), find(SS), &self.history) {
-            if self.pairs.insert((keys[b].clone(), keys[s].clone())) {
-                // `exp_<id>` is what the per-experiment binaries stamped,
-                // so existing ledgers keep trending the same series.
-                let source = format!("exp_{}", self.current);
-                let entry = HistoryEntry::of_pair(&source, &runs[b], &runs[s]);
-                match history::append(path, &entry) {
-                    Ok(()) => eprintln!("  history entry appended to {path}"),
-                    Err(e) => eprintln!("history append failed: {e}"),
-                }
-            }
-        }
-        runs
+            .collect()
     }
 
     /// Append one labeled metrics snapshot to the `--metrics-out` sink

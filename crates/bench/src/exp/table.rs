@@ -13,8 +13,8 @@ use scanshare::placement::{
 };
 use scanshare::{DeliveryMode, PlacementStrategy, SharingConfig, SharingPolicyKind};
 use scanshare_engine::{
-    Access, AggSpec, CpuClass, Database, EngineConfig, Pred, Query, RunReport, ScanSpec,
-    SharingMode, Stream, WorkloadSpec,
+    Access, AggSpec, CpuClass, Database, EngineConfig, FaultsConfig, Pred, Query, RunReport,
+    ScanSpec, SharingMode, Stream, WorkloadSpec,
 };
 use scanshare_prng::Rng;
 use scanshare_relstore::{ColType, Column, Schema, Value};
@@ -249,6 +249,27 @@ pub static TABLE: &[Experiment] = &[
         project: policies,
         claims: &[claim("ss_lead_over_lru2_pts", Gt, 0.0)],
     },
+    // The gate row: the workload ignores the experiment scale and seed,
+    // every number is written exactly, and `exp all`'s byte comparison
+    // with `results/smoke.json` is the behaviour gate. `policy` reads its
+    // base and grouping runs from the memo.
+    Experiment {
+        id: "smoke",
+        artifact: "E-SMOKE",
+        title: "pinned 3-stream smoke pair (tiny database): pull, push, and both under fault plans",
+        paper: "(ours) sharing gains on the pinned pair; an empty fault plan moves no number",
+        file: "smoke.json",
+        in_all: true,
+        specs: smoke_specs,
+        project: smoke,
+        claims: &[
+            claim("gain_time_pct", Gt, 0.0),
+            claim("pull_empty_plan_drift", Eq, 0.0),
+            claim("push_empty_plan_drift", Eq, 0.0),
+            claim("transient_gain_time_pct", Gt, 0.0),
+            claim("transient_scans_aborted", Eq, 0.0),
+        ],
+    },
     Experiment {
         id: "policy",
         artifact: "A9",
@@ -350,6 +371,15 @@ pub static TABLE: &[Experiment] = &[
 /// The full-featured scan-sharing mode (pool size filled in by the run).
 fn ss_mode() -> SharingMode {
     SharingMode::ScanSharing(SharingConfig::new(0))
+}
+
+/// Full scan sharing with push delivery: one group driver fixes each
+/// page once for all its consumers.
+fn push_mode() -> SharingMode {
+    SharingMode::ScanSharing(SharingConfig {
+        delivery: DeliveryMode::Push,
+        ..SharingConfig::new(0)
+    })
 }
 
 /// Percent improvement of `ss` over `base`.
@@ -730,9 +760,9 @@ struct Overhead {
 }
 
 /// The manager's *decisions* cost no virtual time (as in the paper, the
-/// calls are cheap; their host-time cost is the `manager_overhead`
-/// micro-benchmark's): what the row verifies is that placement and
-/// priorities never hurt a lone stream.
+/// calls are cheap; their host-time cost is `benchmark/`'s
+/// `core.manager.*_ns` drives'): what the row verifies is that placement
+/// and priorities never hurt a lone stream.
 fn overhead(r: &[Run]) -> Output {
     let (rb, rs) = (&r[0], &r[1]);
     let overhead_pct = (secs(rs) / secs(rb) - 1.0) * 100.0;
@@ -967,6 +997,139 @@ fn policies(r: &[Run]) -> Output {
     Output::new(&rows).fact("ss_lead_over_lru2_pts", lead)
 }
 
+/// The pinned smoke workload in `mode`: 3 TPC-H streams over
+/// `TpchConfig::tiny()`, whatever the experiment scale and seed, so its
+/// numbers are the same in every invocation.
+fn smoke_run(ctx: &mut Ctx, label: impl Into<String>, mode: SharingMode) -> Variant {
+    let cfg = TpchConfig::tiny();
+    let db = ctx.tpch(&cfg);
+    let spec = throughput_workload(&db, 3, cfg.months as i64, cfg.seed, mode);
+    Variant::new(label, &db, spec)
+}
+
+/// The canned fault plans the smoke pair is run under, beside no plan.
+const SMOKE_PLANS: [(&str, &str); 2] = [
+    (
+        "empty",
+        include_str!("../../../../results/fault_plans/empty.json"),
+    ),
+    (
+        "transient_1pct",
+        include_str!("../../../../results/fault_plans/transient_1pct.json"),
+    ),
+];
+
+/// No fault plan, then each of [`SMOKE_PLANS`] by name.
+fn smoke_plans() -> impl Iterator<Item = Option<(&'static str, &'static str)>> {
+    std::iter::once(None).chain(SMOKE_PLANS.map(Some))
+}
+
+/// Base, pull sharing and push sharing, under no fault plan and then
+/// under each of [`SMOKE_PLANS`].
+fn smoke_specs(ctx: &mut Ctx) -> Vec<Variant> {
+    let mut v = Vec::new();
+    for plan in smoke_plans() {
+        for (label, mode) in [
+            (BASE, SharingMode::Base),
+            (SS, ss_mode()),
+            ("push", push_mode()),
+        ] {
+            v.push(match plan {
+                None => smoke_run(ctx, label, mode),
+                Some((name, json)) => {
+                    let faults: FaultsConfig =
+                        serde_json::from_str(json).expect("canned fault plan parses");
+                    smoke_run(ctx, format!("{name}/{label}"), mode)
+                        .with(|spec| spec.faults = faults)
+                }
+            });
+        }
+    }
+    v
+}
+
+/// One base/sharing pair of the smoke workload: the eight headline
+/// numbers, integers as integers and ratios unrounded, so that a byte
+/// comparison of the row's file is an exact comparison of each.
+#[derive(Serialize)]
+struct SmokeLeg {
+    leg: String,
+    base_makespan_us: u64,
+    ss_makespan_us: u64,
+    base_pages_read: u64,
+    ss_pages_read: u64,
+    ss_seeks: u64,
+    ss_hit_ratio_pct: f64,
+    gain_time_pct: f64,
+    gain_reads_pct: f64,
+}
+
+impl SmokeLeg {
+    fn of(leg: String, base: &RunReport, ss: &RunReport) -> SmokeLeg {
+        let (base_us, ss_us) = (base.makespan.as_micros(), ss.makespan.as_micros());
+        SmokeLeg {
+            leg,
+            base_makespan_us: base_us,
+            ss_makespan_us: ss_us,
+            base_pages_read: base.disk.pages_read,
+            ss_pages_read: ss.disk.pages_read,
+            ss_seeks: ss.disk.seeks,
+            ss_hit_ratio_pct: ss.pool.hit_ratio() * 100.0,
+            gain_time_pct: pct_gain(base_us as f64, ss_us as f64),
+            gain_reads_pct: pct_gain(base.disk.pages_read as f64, ss.disk.pages_read as f64),
+        }
+    }
+
+    /// Sum over the eight numbers of |self - other|: 0 only if all agree.
+    fn drift_from(&self, other: &SmokeLeg) -> f64 {
+        let numbers = |l: &SmokeLeg| {
+            [
+                l.base_makespan_us as f64,
+                l.ss_makespan_us as f64,
+                l.base_pages_read as f64,
+                l.ss_pages_read as f64,
+                l.ss_seeks as f64,
+                l.ss_hit_ratio_pct,
+                l.gain_time_pct,
+                l.gain_reads_pct,
+            ]
+        };
+        let pairs = std::iter::zip(numbers(self), numbers(other));
+        pairs.map(|(a, b)| (a - b).abs()).sum()
+    }
+}
+
+/// `pull`, `push`, then the same two under each fault plan.
+fn smoke_legs(r: &[Run]) -> Vec<SmokeLeg> {
+    let mut legs = Vec::new();
+    for (plan, modes) in std::iter::zip(smoke_plans(), r.chunks(3)) {
+        for (delivery, ss) in [("pull", &modes[1]), ("push", &modes[2])] {
+            let leg = match plan {
+                None => delivery.to_string(),
+                Some((name, _)) => format!("{delivery}/{name}"),
+            };
+            legs.push(SmokeLeg::of(leg, &modes[0], ss));
+        }
+    }
+    legs
+}
+
+/// The row's output from its six legs and the number of scans the
+/// transient plan's three runs aborted.
+fn smoke_output(legs: Vec<SmokeLeg>, transient_scans_aborted: u64) -> Output {
+    Output::new(&legs)
+        .fact("gain_time_pct", legs[0].gain_time_pct)
+        .fact("pull_empty_plan_drift", legs[2].drift_from(&legs[0]))
+        .fact("push_empty_plan_drift", legs[3].drift_from(&legs[1]))
+        .fact("transient_gain_time_pct", legs[4].gain_time_pct)
+        .fact("transient_scans_aborted", transient_scans_aborted as f64)
+}
+
+fn smoke(r: &[Run]) -> Output {
+    let aborted = r[6..].iter().map(|run| run.faults.scans_aborted).sum();
+    smoke_output(smoke_legs(r), aborted)
+}
+
 const POLICIES: [SharingPolicyKind; 3] = [
     SharingPolicyKind::Grouping,
     SharingPolicyKind::Attach,
@@ -987,25 +1150,23 @@ struct PolicyRow {
     worst_stretch: f64,
 }
 
-/// Two legs, each base + the three policies. The smoke leg is exactly
-/// the spec `bench_gate` pins — the tiny database whatever the
-/// experiment scale — so its numbers compare directly against the gated
-/// baseline; the throughput leg is the Table-1-style 5-stream run.
+/// Two legs, each base + the three policies. The smoke leg is the
+/// workload row `smoke` pins — its base and grouping runs come from the
+/// memo — and the throughput leg is the Table-1-style 5-stream run.
 fn policy_specs(ctx: &mut Ctx) -> Vec<Variant> {
-    let mut v = Vec::new();
-    for (leg, cfg, streams) in [
-        ("smoke", TpchConfig::tiny(), 3),
-        ("throughput", ctx.cfg.clone(), 5),
-    ] {
-        let db = ctx.tpch(&cfg);
+    let modes = || {
         let policies = POLICIES.map(|p| {
             let mode = SharingMode::ScanSharing(SharingConfig::with_policy(0, p));
             (p.as_str(), mode)
         });
-        for (label, mode) in std::iter::once((BASE, SharingMode::Base)).chain(policies) {
-            let spec = throughput_workload(&db, streams, cfg.months as i64, cfg.seed, mode);
-            v.push(Variant::new(format!("{leg}/{label}"), &db, spec));
-        }
+        std::iter::once((BASE, SharingMode::Base)).chain(policies)
+    };
+    let mut v = Vec::new();
+    for (label, mode) in modes() {
+        v.push(smoke_run(ctx, format!("smoke/{label}"), mode));
+    }
+    for (label, mode) in modes() {
+        v.push(tput(ctx, format!("throughput/{label}"), 5, mode));
     }
     v
 }
@@ -1211,13 +1372,9 @@ struct StreamsRow {
 fn streams_specs(ctx: &mut Ctx, counts: &[usize]) -> Vec<Variant> {
     let mut v = Vec::new();
     for &n in counts {
-        let push = SharingMode::ScanSharing(SharingConfig {
-            delivery: DeliveryMode::Push,
-            ..SharingConfig::new(0)
-        });
         v.push(tput(ctx, format!("{n} streams/base"), n, SharingMode::Base));
         v.push(tput(ctx, format!("{n} streams/pull"), n, ss_mode()));
-        v.push(tput(ctx, format!("{n} streams/push"), n, push));
+        v.push(tput(ctx, format!("{n} streams/push"), n, push_mode()));
     }
     v
 }
@@ -1370,12 +1527,42 @@ fn disks(r: &[Run]) -> Output {
 
 #[cfg(test)]
 mod tests {
+    use super::super::{check, find};
     use super::*;
     use scanshare_storage::SimTime;
 
     #[test]
     fn gain_is_a_percentage_of_base() {
         assert!((pct_gain(100.0, 79.0) - 21.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_empty_plan_leg_one_page_off_its_twin_violates_exactly_its_claim() {
+        let leg = || SmokeLeg {
+            leg: String::new(),
+            base_makespan_us: 8_407_222,
+            ss_makespan_us: 7_450_866,
+            base_pages_read: 8290,
+            ss_pages_read: 7347,
+            ss_seeks: 1265,
+            ss_hit_ratio_pct: 27.08,
+            gain_time_pct: 11.37,
+            gain_reads_pct: 11.38,
+        };
+        // Six equal legs, but for the push/empty one's page count.
+        let legs = |push_empty_pages| {
+            let mut legs: Vec<SmokeLeg> = (0..6).map(|_| leg()).collect();
+            legs[3].ss_pages_read = push_empty_pages;
+            legs
+        };
+        let row = find("smoke").expect("the row exists");
+        let check = |out: &Output| check(row, out, 1.0);
+        assert_eq!(check(&smoke_output(legs(7347), 0)), 0);
+        let moved = smoke_output(legs(7348), 0);
+        assert_eq!(moved.get("push_empty_plan_drift"), Some(1.0));
+        assert_eq!(moved.get("pull_empty_plan_drift"), Some(0.0));
+        assert_eq!(check(&moved), 1);
+        assert_eq!(check(&smoke_output(legs(7347), 1)), 1, "an aborted scan");
     }
 
     #[test]

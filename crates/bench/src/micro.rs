@@ -18,7 +18,7 @@ const SAMPLES: usize = 7;
 /// Run one benchmark: report median ns/iteration of `f` under `name`.
 ///
 /// Respects a substring filter given as the process's first argument, so
-/// `cargo bench --bench pool_ops -- hot_hit` runs only matching benches.
+/// `cargo bench --bench uncovered -- btree` runs only matching benches.
 pub fn bench<F: FnMut()>(name: &str, mut f: F) {
     if let Some(filter) = std::env::args().nth(1) {
         if !filter.starts_with('-') && !name.contains(&filter) {

@@ -1,38 +1,9 @@
-//! Replication statistics for wall-clock measurements.
+//! The one statistic host-time measurements share.
 //!
-//! The simulator's virtual-time metrics are bit-identical across runs,
-//! so a single sample suffices for them. Wall-clock numbers are host
-//! noise around a true value, so `bench_gate --reps N` re-runs the
-//! smoke pair N times and summarizes the samples here: median and MAD
-//! (median absolute deviation) as the robust location/spread pair, and
-//! a **seeded bootstrap** 95% confidence interval for the median —
-//! resampling is driven by the in-repo xoshiro PRNG, so the same
-//! samples and seed always produce byte-identical interval bounds.
-//!
-//! On top of single-run summaries sits a trailing-window change-point
-//! check ([`change_point`]): pool the medians of the last K ledger
-//! entries, bootstrap a CI of *their* median, and flag the new
-//! measurement when it falls outside that pooled interval. Wall time
-//! varies across hosts, so the flag is informational by default;
-//! `bench_gate --trend-gate` promotes it to an exit code.
-
-use scanshare_prng::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Bootstrap resamples drawn for a confidence interval. 1000 keeps the
-/// interval stable to ~1% of the sample spread while staying instant.
-pub const BOOTSTRAP_RESAMPLES: usize = 1000;
-
-/// Default seed for every bootstrap in the repo's tooling. Fixed (and
-/// boring) on purpose: determinism matters more than seed variety here.
-pub const DEFAULT_SEED: u64 = 7;
-
-/// Default trailing-window length for [`change_point`].
-pub const DEFAULT_WINDOW: usize = 5;
-
-/// Fewest prior entries a change-point check needs: below this the
-/// pooled interval is too degenerate to mean anything.
-pub const MIN_WINDOW: usize = 3;
+//! Virtual-time metrics are bit-identical across runs, so one sample is
+//! enough for them. Host-time numbers are noise around a true value and
+//! are measured by `benchmark/` (replicated, alternating pairs); it
+//! summarises its samples with [`median`].
 
 /// Median of a sample (average of the two middle elements for even
 /// sizes). Returns 0.0 for an empty slice — callers render that as an
@@ -51,138 +22,6 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Median absolute deviation: `median(|x - median(xs)|)`. The robust
-/// analogue of a standard deviation (0.0 for fewer than two samples).
-pub fn mad(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = median(xs);
-    let devs: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&devs)
-}
-
-/// A two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Ci {
-    /// Lower bound.
-    pub lo: f64,
-    /// Upper bound.
-    pub hi: f64,
-}
-
-impl Ci {
-    /// Whether `v` lies inside the closed interval.
-    pub fn contains(&self, v: f64) -> bool {
-        v >= self.lo && v <= self.hi
-    }
-}
-
-/// Seeded-bootstrap 95% confidence interval for the median of `xs`.
-///
-/// Draws [`BOOTSTRAP_RESAMPLES`] resamples (with replacement, sized
-/// like the input) from a [`Rng`] seeded with `seed`, takes each
-/// resample's median, and returns the 2.5th/97.5th percentiles of that
-/// distribution. Deterministic: same samples + same seed ⇒ the same
-/// bounds, bit for bit. Degenerate inputs collapse cleanly: an empty
-/// sample yields `[0, 0]`, a single sample `[x, x]`.
-pub fn bootstrap_ci_median(xs: &[f64], seed: u64) -> Ci {
-    if xs.is_empty() {
-        return Ci { lo: 0.0, hi: 0.0 };
-    }
-    if xs.len() == 1 {
-        return Ci {
-            lo: xs[0],
-            hi: xs[0],
-        };
-    }
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut medians = Vec::with_capacity(BOOTSTRAP_RESAMPLES);
-    let mut resample = vec![0.0; xs.len()];
-    for _ in 0..BOOTSTRAP_RESAMPLES {
-        for slot in resample.iter_mut() {
-            *slot = xs[rng.bounded_u64(xs.len() as u64) as usize];
-        }
-        medians.push(median(&resample));
-    }
-    medians.sort_by(|a, b| a.partial_cmp(b).expect("medians are finite"));
-    // Nearest-rank percentiles of the bootstrap distribution.
-    let rank = |q: f64| {
-        let r = ((q * medians.len() as f64).ceil() as usize).max(1);
-        medians[r - 1]
-    };
-    Ci {
-        lo: rank(0.025),
-        hi: rank(0.975),
-    }
-}
-
-/// Outcome of a trailing-window change-point check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChangePoint {
-    /// The new measurement under test.
-    pub observed: f64,
-    /// Bootstrap CI of the pooled prior window's median.
-    pub pooled: Ci,
-    /// How many prior entries were pooled.
-    pub window: usize,
-    /// True when `observed` falls outside `pooled` — a candidate
-    /// regression (or improvement) worth a look.
-    pub flagged: bool,
-}
-
-/// Flag `observed` against the trailing window of `prior` measurements
-/// (most recent last). Pools the last `window` values, bootstraps a 95%
-/// CI of their median with `seed`, and flags when `observed` escapes
-/// it. Returns `None` when fewer than [`MIN_WINDOW`] priors exist —
-/// too little history to call anything a change.
-pub fn change_point(prior: &[f64], observed: f64, window: usize, seed: u64) -> Option<ChangePoint> {
-    if prior.len() < MIN_WINDOW {
-        return None;
-    }
-    let window = window.clamp(MIN_WINDOW, prior.len());
-    let pool = &prior[prior.len() - window..];
-    let pooled = bootstrap_ci_median(pool, seed);
-    Some(ChangePoint {
-        observed,
-        pooled,
-        window,
-        flagged: !pooled.contains(observed),
-    })
-}
-
-/// Robust summary of one replicated measurement, as stored in the
-/// run-history ledger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicateStats {
-    /// Median of the samples.
-    pub median: f64,
-    /// Median absolute deviation.
-    pub mad: f64,
-    /// Seeded-bootstrap 95% CI lower bound for the median.
-    pub ci95_lo: f64,
-    /// Seeded-bootstrap 95% CI upper bound for the median.
-    pub ci95_hi: f64,
-}
-
-impl ReplicateStats {
-    /// Summarize `xs` with the repo's [`DEFAULT_SEED`].
-    pub fn from_samples(xs: &[f64]) -> Self {
-        Self::from_samples_seeded(xs, DEFAULT_SEED)
-    }
-
-    /// Summarize `xs` with an explicit bootstrap seed.
-    pub fn from_samples_seeded(xs: &[f64], seed: u64) -> Self {
-        let ci = bootstrap_ci_median(xs, seed);
-        ReplicateStats {
-            median: median(xs),
-            mad: mad(xs),
-            ci95_lo: ci.lo,
-            ci95_hi: ci.hi,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,71 +33,5 @@ mod tests {
         assert_eq!(median(&[1.0, 3.0]), 2.0);
         assert_eq!(median(&[9.0, 1.0, 5.0]), 5.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-    }
-
-    #[test]
-    fn mad_is_a_robust_spread() {
-        assert_eq!(mad(&[7.0]), 0.0);
-        // Symmetric sample: deviations 2,1,0,1,2 -> median 1.
-        assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 5.0]), 1.0);
-        // One wild outlier barely moves it.
-        assert_eq!(mad(&[1.0, 2.0, 3.0, 4.0, 1000.0]), 1.0);
-    }
-
-    #[test]
-    fn bootstrap_is_deterministic_for_a_seed() {
-        let xs = [10.0, 11.0, 12.5, 9.8, 10.3, 11.7, 10.9];
-        let a = bootstrap_ci_median(&xs, 42);
-        let b = bootstrap_ci_median(&xs, 42);
-        assert_eq!(a, b);
-        // (Different seeds draw different resamples, but the nearest-rank
-        // percentile bounds come from a small discrete set of candidate
-        // medians and may legitimately coincide — so no inequality check.)
-        // The interval brackets the sample median and stays within the
-        // observed range.
-        let m = median(&xs);
-        assert!(a.lo <= m && m <= a.hi, "{a:?} vs median {m}");
-        assert!(a.lo >= 9.8 && a.hi <= 12.5, "{a:?}");
-    }
-
-    #[test]
-    fn bootstrap_degenerate_inputs_collapse_cleanly() {
-        assert_eq!(bootstrap_ci_median(&[], 1), Ci { lo: 0.0, hi: 0.0 });
-        assert_eq!(bootstrap_ci_median(&[3.5], 1), Ci { lo: 3.5, hi: 3.5 });
-        // All-identical samples give a zero-width interval, never NaN.
-        let ci = bootstrap_ci_median(&[2.0, 2.0, 2.0, 2.0], 1);
-        assert_eq!(ci, Ci { lo: 2.0, hi: 2.0 });
-    }
-
-    #[test]
-    fn change_point_needs_history_and_flags_escapes() {
-        // Too little history: no verdict at all.
-        assert!(change_point(&[1.0, 2.0], 99.0, 5, 1).is_none());
-        let prior = [10.0, 10.2, 9.9, 10.1, 10.05];
-        // A sample inside the pooled CI is not flagged.
-        let ok = change_point(&prior, 10.0, 5, 1).unwrap();
-        assert!(!ok.flagged, "{ok:?}");
-        assert_eq!(ok.window, 5);
-        // A 3x jump clearly escapes it.
-        let bad = change_point(&prior, 30.0, 5, 1).unwrap();
-        assert!(bad.flagged, "{bad:?}");
-        // The window clamps to the available history.
-        let clamped = change_point(&prior, 10.0, 50, 1).unwrap();
-        assert_eq!(clamped.window, 5);
-    }
-
-    #[test]
-    fn replicate_stats_summarize_consistently() {
-        let xs = [12.0, 11.5, 13.0, 12.2, 11.9];
-        let s = ReplicateStats::from_samples(&xs);
-        assert_eq!(s.median, median(&xs));
-        assert_eq!(s.mad, mad(&xs));
-        assert!(s.ci95_lo <= s.median && s.median <= s.ci95_hi);
-        // Same ledger + same seed => byte-identical bounds.
-        let again = ReplicateStats::from_samples(&xs);
-        assert_eq!(
-            serde_json::to_string(&s).unwrap(),
-            serde_json::to_string(&again).unwrap()
-        );
     }
 }

@@ -6,8 +6,8 @@
 //! serializes to the *same bytes* as the pre-refactor code produced.
 //! The committed artifact `results/policy_grouping_smoke_report.json`
 //! was generated from the pre-refactor tree on the pinned smoke workload
-//! (the same one `bench_gate` runs); this test replays the workload and
-//! compares the full serialized report byte-for-byte.
+//! (the one row `smoke` of `exp::TABLE` runs); this test replays the
+//! workload and compares the full serialized report byte-for-byte.
 //!
 //! To regenerate the artifact (only after an *intentional* report
 //! change, never to paper over a policy-refactor drift):
@@ -25,8 +25,8 @@ const ARTIFACT: &str = concat!(
     "/../../results/policy_grouping_smoke_report.json"
 );
 
-/// The pinned smoke workload: identical to `bench_gate`'s scan-sharing
-/// leg (tiny scale, fixed seed, 3 streams) so its report is bit-stable
+/// The pinned smoke workload: identical to row `smoke`'s pull-sharing
+/// run (tiny scale, fixed seed, 3 streams) so its report is bit-stable
 /// across machines.
 fn smoke_report_json() -> String {
     let cfg = TpchConfig::tiny();

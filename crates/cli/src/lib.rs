@@ -22,7 +22,6 @@ use serde::{Deserialize, Serialize};
 
 pub mod diff;
 pub mod explain;
-pub mod history;
 pub mod profile;
 pub mod render;
 pub mod watch;
@@ -114,22 +113,6 @@ pub enum Command {
         tail: usize,
         no_clear: bool,
     },
-    /// `bench [--streams N] [--scale S] [--seed X] [--runs R] [--jobs J]`:
-    /// wall-clock benchmark of the simulator itself — R independent
-    /// copies of the base and scan-sharing throughput runs, fanned over
-    /// J worker threads.
-    Bench {
-        streams: usize,
-        scale: f64,
-        seed: u64,
-        runs: usize,
-        jobs: usize,
-    },
-    /// `history [--ledger FILE] [--metric NAME] [--last K] [--json]
-    /// [--check [--strict]] [--window K]`: render a run-history ledger
-    /// as per-metric trend tables with sparklines; `--check` validates
-    /// the ledger and runs the wall-time change-point check.
-    History(history::HistoryOptions),
     /// `diff A.json B.json [--json]`: structural diff of two saved
     /// RunReports — headline deltas, per-scan stretch movement, group
     /// lifetimes, series endpoints, SLO flips, fault deltas.
@@ -304,22 +287,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
             tail: parse_flag(args, "--tail", 8)?,
             no_clear: args.iter().any(|a| a == "--no-clear"),
         }),
-        "bench" => Ok(Command::Bench {
-            streams: parse_flag(args, "--streams", 3)?,
-            scale: parse_flag(args, "--scale", 0.1)?,
-            seed: parse_flag(args, "--seed", 42)?,
-            runs: parse_flag(args, "--runs", 2)?,
-            jobs: parse_flag(args, "--jobs", 1)?,
-        }),
-        "history" => Ok(Command::History(history::HistoryOptions {
-            ledger: parse_flag(args, "--ledger", history::HistoryOptions::default().ledger)?,
-            metric: flag_value(args, "--metric").map(String::from),
-            last: parse_flag(args, "--last", 0)?,
-            json: args.iter().any(|a| a == "--json"),
-            check: args.iter().any(|a| a == "--check"),
-            strict: args.iter().any(|a| a == "--strict"),
-            window: parse_flag(args, "--window", scanshare_bench::stats::DEFAULT_WINDOW)?,
-        })),
         "diff" => {
             // Two positional report paths; flags may appear anywhere.
             let mut files = Vec::new();
@@ -425,25 +392,6 @@ USAGE:
       topology, per-scan throttle state, pool-residency heatmap, and
       the decision tail, redrawn every N ms (--no-clear appends frames
       instead of clearing, for piped output).
-  scanshare bench [--streams N] [--scale S] [--seed X] [--runs R]
-                  [--jobs J]
-      Wall-clock benchmark of the simulator itself: R independent
-      copies of the base and scan-sharing throughput runs fanned over
-      J worker threads. Prints wall time and simulated pages per
-      wall-second; simulated results are bit-identical for any J.
-  scanshare history [--ledger FILE] [--metric NAME] [--last K] [--json]
-                    [--check] [--strict] [--window K]
-      Render a run-history ledger (default results/history.jsonl,
-      written by `bench_gate --history`) as per-metric trend tables:
-      one sparkline row per recorded metric, oldest entry first, plus
-      wall_ms.median / pages_per_wall_sec.median pseudo-metrics.
-      --metric narrows to one metric, --last to the newest K entries,
-      --json emits the trend data as JSON. --check validates every
-      ledger line (exit 2 on a malformed ledger) and runs the
-      trailing-window change-point check on the wall medians — the
-      newest entry against the pooled bootstrap 95% CI of the --window
-      entries before it. The verdict is informational unless --strict
-      promotes a flagged trend to exit 1.
   scanshare diff A.json B.json [--json]
       Structural diff of two saved RunReports: headline counter deltas
       (makespan, reads, seeks, hit ratio), per-query stretch movement
@@ -643,13 +591,6 @@ pub fn execute(cmd: Command) -> i32 {
                 &outputs,
             )
         }
-        Command::Bench {
-            streams,
-            scale,
-            seed,
-            runs,
-            jobs,
-        } => run_bench(streams, scale, seed, runs, jobs),
         Command::Trace { artifact } => match load_artifact_trace(&artifact) {
             Ok(records) => {
                 print!("{}", render::render_trace(&records));
@@ -788,7 +729,6 @@ pub fn execute(cmd: Command) -> i32 {
                 }
             }
         }
-        Command::History(opts) => history::run_history(&opts),
         Command::Diff { a, b, json } => {
             let ra = match load_report(&a) {
                 Ok(r) => r,
@@ -942,76 +882,6 @@ fn slo_exit(r: &RunReport) -> i32 {
 
 fn run_maybe_compare(db: &Database, spec: &WorkloadSpec, compare: bool) -> i32 {
     run_maybe_compare_with(db, spec, compare, None, None, &RunOutputs::default())
-}
-
-/// `scanshare bench`: measure the simulator's own wall-clock throughput.
-///
-/// Builds `runs` copies each of the base and scan-sharing throughput
-/// workloads and fans all of them over `jobs` worker threads via
-/// [`scanshare_engine::run_workloads`]. Every run is a deterministic
-/// simulation, so repeats of the same spec must produce byte-identical
-/// reports no matter how they were scheduled — the command asserts this
-/// and reports wall time and simulated pages per wall-second.
-fn run_bench(streams: usize, scale: f64, seed: u64, runs: usize, jobs: usize) -> i32 {
-    let runs = runs.max(1);
-    let tpch = TpchConfig {
-        scale,
-        seed,
-        ..TpchConfig::default()
-    };
-    let db = generate(&tpch);
-    let months = tpch.months as i64;
-    let base = throughput_workload(&db, streams, months, seed, SharingMode::Base);
-    let ss = throughput_workload(
-        &db,
-        streams,
-        months,
-        seed,
-        SharingMode::ScanSharing(SharingConfig::new(0)),
-    );
-    // Interleave base/ss copies so both kinds are in flight at once.
-    let mut specs = Vec::with_capacity(runs * 2);
-    for _ in 0..runs {
-        specs.push(base.clone());
-        specs.push(ss.clone());
-    }
-    eprintln!(
-        "bench: {runs}x base + {runs}x scan-sharing ({streams} streams, scale {scale}), --jobs {jobs}"
-    );
-    let started = std::time::Instant::now();
-    let reports = scanshare_engine::run_workloads(&db, &specs, jobs);
-    let wall = started.elapsed();
-    let mut ok: Vec<RunReport> = Vec::with_capacity(reports.len());
-    for r in reports {
-        match r {
-            Ok(r) => ok.push(r),
-            Err(e) => {
-                eprintln!("bench run failed: {e}");
-                return 1;
-            }
-        }
-    }
-    // Repeats of one spec must be byte-identical regardless of which
-    // worker ran them — the simulator takes no wall-clock input.
-    let fingerprint = |r: &RunReport| serde_json::to_string(r).expect("report serializes");
-    let (b0, s0) = (fingerprint(&ok[0]), fingerprint(&ok[1]));
-    for pair in ok.chunks(2).skip(1) {
-        if fingerprint(&pair[0]) != b0 || fingerprint(&pair[1]) != s0 {
-            eprintln!("bench: FAIL — repeat runs diverged across workers");
-            return 1;
-        }
-    }
-    print_comparison(&ok[0], &ok[1]);
-    let pages: u64 = ok.iter().map(|r| r.pool.logical_reads).sum();
-    println!(
-        "{:<14} wall {:>7.2}s for {} runs  ({:.0} simulated pages / wall second, --jobs {jobs})",
-        "bench",
-        wall.as_secs_f64(),
-        runs * 2,
-        pages as f64 / wall.as_secs_f64(),
-    );
-    println!("repeat runs bit-identical across workers: yes");
-    0
 }
 
 /// Exit code for a completed run: 0 when every scan finished, 3 when a
@@ -1420,27 +1290,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_history_and_diff() {
-        assert_eq!(
-            parse_args(&args("history")).unwrap(),
-            Command::History(history::HistoryOptions::default())
-        );
-        assert_eq!(
-            parse_args(&args(
-                "history --ledger l.jsonl --metric wall_ms.median --last 5 \
-                 --json --check --strict --window 4"
-            ))
-            .unwrap(),
-            Command::History(history::HistoryOptions {
-                ledger: "l.jsonl".into(),
-                metric: Some("wall_ms.median".into()),
-                last: 5,
-                json: true,
-                check: true,
-                strict: true,
-                window: 4,
-            })
-        );
+    fn parses_diff() {
         assert_eq!(
             parse_args(&args("diff a.json b.json --json")).unwrap(),
             Command::Diff {
@@ -1453,14 +1303,11 @@ mod tests {
         assert!(parse_args(&args("diff a.json")).is_err());
         assert!(parse_args(&args("diff a.json b.json c.json")).is_err());
         assert!(parse_args(&args("diff a.json b.json --frob")).is_err());
-        assert!(parse_args(&args("history --last nope")).is_err());
     }
 
     #[test]
-    fn usage_documents_history_and_diff() {
-        assert!(USAGE.contains("scanshare history"));
+    fn usage_documents_diff() {
         assert!(USAGE.contains("scanshare diff A.json B.json"));
-        assert!(USAGE.contains("change-point"));
     }
 
     #[test]
