@@ -2,7 +2,9 @@
 //! fault-plan files exit 2 with a one-line diagnostic, a plan that
 //! aborts scans turns into the distinct "degraded run" exit 3, and an
 //! empty plan leaves the success path untouched. Scripted pipelines
-//! (CI fault matrices, bench gates) key off exactly these codes.
+//! (CI fault matrices, bench gates) key off exactly these codes. A spec
+//! the engine cannot run — a scan naming a column its table lacks — is
+//! the engine-error exit 1 with the engine's one line, never a panic.
 
 use std::process::Command;
 
@@ -24,6 +26,11 @@ fn stderr_of(out: &std::process::Output) -> String {
 
 /// Write a tiny but runnable spec file and return its path.
 fn tiny_spec(tag: &str) -> std::path::PathBuf {
+    spec_file(tag, |_| {})
+}
+
+/// Write the tiny spec after `edit` had its way with it.
+fn spec_file(tag: &str, edit: impl FnOnce(&mut RunSpec)) -> std::path::PathBuf {
     let tpch = TpchConfig::tiny();
     let db = generate(&tpch);
     let workload = throughput_workload(
@@ -33,7 +40,8 @@ fn tiny_spec(tag: &str) -> std::path::PathBuf {
         tpch.seed,
         SharingMode::ScanSharing(SharingConfig::new(0)),
     );
-    let spec = RunSpec { tpch, workload };
+    let mut spec = RunSpec { tpch, workload };
+    edit(&mut spec);
     let path = std::env::temp_dir().join(format!(
         "scanshare_fault_spec_{tag}_{}.json",
         std::process::id()
@@ -137,4 +145,31 @@ fn empty_fault_plan_keeps_the_success_exit_0() {
 
     std::fs::remove_file(&spec).ok();
     std::fs::remove_file(&plan).ok();
+}
+
+#[test]
+fn a_scan_over_a_column_its_table_lacks_is_exit_1_with_one_line() {
+    let spec = spec_file("badcolumn", |spec| {
+        for stream in &mut spec.workload.streams {
+            stream.queries[0].scans[0].agg.sum_cols = vec![99];
+        }
+    });
+    for delivery in ["pull", "push"] {
+        let out = scanshare(&[
+            "run",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--delivery",
+            delivery,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{delivery}: {:?}", out.status);
+        let err = stderr_of(&out);
+        assert_eq!(err.lines().count(), 1, "{delivery}: {err:?}");
+        assert!(
+            err.contains("has no Float64 column 99"),
+            "{delivery}: {err:?}"
+        );
+        assert!(!err.contains("internal error"), "{delivery}: {err:?}");
+    }
+    std::fs::remove_file(&spec).ok();
 }

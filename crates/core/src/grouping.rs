@@ -111,8 +111,8 @@ impl Groups {
 /// manager runs this on every location update, so it matters: until
 /// ISSUE 14 the total extent was recomputed from all chains after every
 /// greedy merge (O(L²)) around three hash maps — 9.5 µs per call for one
-/// group of 64 against 1.7 µs now (`grouping_cost` micro-benchmark;
-/// DESIGN.md §9d).
+/// group of 64 against 1.7 µs now (`find_leaders_trailers_one_group_64`
+/// in `crates/bench/benches/uncovered.rs`; DESIGN.md §9d).
 pub fn find_leaders_trailers(scans: &[(ScanId, AnchorId, i64)], pool_pages: u64) -> Groups {
     group_chains(
         scans

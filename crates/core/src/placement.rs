@@ -43,7 +43,8 @@
 //! with a loop over all traces (one division each) for every visit pair,
 //! which made the search cells · |S|³: at |S| = 64 one
 //! `best_start_practical` call took 25.7 ms against 3.8 ms now
-//! (`placement_cost` micro-benchmark; DESIGN.md §9d).
+//! (`best_start_practical_one_group_64` in
+//! `crates/bench/benches/uncovered.rs`; DESIGN.md §9d).
 
 use serde::{Deserialize, Serialize};
 

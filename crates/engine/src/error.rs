@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use scanshare_relstore::ColType;
 use scanshare_storage::StorageError;
 
 /// Errors raised while planning or executing a workload.
@@ -13,6 +14,16 @@ pub enum EngineError {
     UnknownTable(String),
     /// An index scan targeted a table that is not block-clustered.
     NotClustered(String),
+    /// A scan's predicate or aggregate named a column its table does not
+    /// have, or has as another type than the one read.
+    BadColumn {
+        /// The scanned table.
+        table: String,
+        /// The column index the spec named.
+        column: usize,
+        /// The type the predicate leaf, sum or group-by reads there.
+        expected: ColType,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -23,6 +34,11 @@ impl fmt::Display for EngineError {
             EngineError::NotClustered(t) => {
                 write!(f, "table '{t}' has no block index (not MDC-clustered)")
             }
+            EngineError::BadColumn {
+                table,
+                column,
+                expected,
+            } => write!(f, "table '{table}' has no {expected:?} column {column}"),
         }
     }
 }

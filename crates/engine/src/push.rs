@@ -7,8 +7,9 @@
 //! the N cursors altogether: per (table, range) cohort a single *group
 //! driver* — one `Cursor` with a list of `Consumer`s — runs
 //! `step_extent`, which fetches, fixes and unpins each extent exactly
-//! once and hands the fixed pages to every member's row pipeline before
-//! release. The step itself is the one a pull scan runs with a single
+//! once and runs each distinct row pipeline among the members once over
+//! the fixed pages, for all the members that share it, before release.
+//! The step itself is the one a pull scan runs with a single
 //! consumer; what this module adds is what is genuinely push: admission
 //! (found a driver or attach to one), parking, catch-up, handoff, and
 //! the run's [`PushSummary`].
@@ -171,6 +172,9 @@ impl PushEngine {
             plan,
             desc,
         } = plan_scan(db, world, spec)?;
+        // Before the manager hears of the scan: a spec that does not fit
+        // the table must not leave a registration behind.
+        let mut consumer = Consumer::new(spec, &schema, now)?;
         let key = DriverKey {
             object: desc.object.0,
             kind: match kind {
@@ -182,6 +186,7 @@ impl PushEngine {
         };
         let object = desc.object;
         let (scan, _placement) = mgr.start_scan(desc, now);
+        consumer.scan = Some(scan);
 
         // First live driver on this stream the policy lets us attach to;
         // otherwise found another one.
@@ -234,8 +239,7 @@ impl PushEngine {
             }
         };
         self.seats.push(seat);
-        self.consumers
-            .push(Consumer::new(Some(scan), spec, &schema, now));
+        self.consumers.push(consumer);
         Ok(Some(ConsumerId(cid)))
     }
 
@@ -591,5 +595,68 @@ mod tests {
         let resident = w.pool.resident_pages();
         assert!(!resident.is_empty());
         assert!(resident.iter().all(|p| !p.pinned), "a pin leaked");
+    }
+
+    /// A filter scan, a `Pred::True` scan and a second filter scan ride
+    /// one driver: two pipeline classes per extent, one of them folded
+    /// for two riders at once. The answers are the ones the commit before
+    /// the class-major step computed, bit for bit.
+    #[test]
+    fn mixed_pipelines_ride_one_driver_as_two_classes() {
+        let mut db = Database::new(16);
+        let schema = Schema::new(vec![
+            Column::new("month", ColType::Int32),
+            Column::new("amount", ColType::Float64),
+            Column::new("qty", ColType::Float64),
+        ]);
+        db.create_mdc_table(
+            "lineitem",
+            schema,
+            16,
+            (0..60_000).map(|i| {
+                let amount = ((i as f64).sqrt() * 0.37 - 20.0) * 10f64.powi(i % 7 - 3);
+                let qty = ((i * 7919) % 50) as f64 + 0.1;
+                (
+                    (i % 12) as i64,
+                    vec![Value::I32(i % 12), Value::F64(amount), Value::F64(qty)],
+                )
+            }),
+        )
+        .unwrap();
+        let filter = ScanSpec {
+            pred: Pred::And(
+                Box::new(Pred::F64LessThan(2, 24.0)),
+                Box::new(Pred::F64LessThan(1, 60.0)),
+            ),
+            ..full_range(CpuClass::cpu_bound())
+        };
+        let plain = ScanSpec {
+            agg: AggSpec::sums(vec![1, 2]),
+            ..full_range(CpuClass::io_bound())
+        };
+        // The CPU class is no part of a pipeline: the two filter scans
+        // differ in it and are one class all the same.
+        let founder = ScanSpec {
+            cpu: CpuClass::io_bound(),
+            ..filter.clone()
+        };
+        let cohort = [(founder, 0), (plain, 1_000), (filter, 12_000)];
+        let mut w = world(&db);
+        let fused_before = crate::scan_exec::fused_classes();
+        let (pe, seen) = drive(&db, &mut w, &cohort);
+        assert_eq!((pe.summary().drivers, pe.summary().attaches), (1, 2));
+        // The eleven extents all three rode: the filter scans as one class.
+        assert_eq!(crate::scan_exec::fused_classes() - fused_before, 11);
+        let got: Vec<(u64, Vec<u64>)> = seen
+            .iter()
+            .map(|s| {
+                let sums = s.result.sums.iter().map(|x| x.to_bits()).collect();
+                (s.result.count, sums)
+            })
+            .collect();
+        let filtered = (16_302, vec![13921842660361424980]);
+        let all = (60_000, vec![4735238167256630294, 4699090183448956746]);
+        assert_eq!(got, [filtered.clone(), all, filtered]);
+        assert_eq!(pe.summary().catchup_pages, 32, "both replayed an extent");
     }
 }

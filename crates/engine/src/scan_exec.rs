@@ -4,10 +4,11 @@
 //! 16-page run for table scans, one MDC block for index scans) and a
 //! `Consumer` folds the rows of whatever pages it is handed into one
 //! query's aggregate. `step_extent` is the one place they meet: gather
-//! an extent, fetch and fix it once, run every consumer's row pipeline
-//! and CPU share over the fixed pages, make the paper's per-extent
-//! manager call (location update in, throttle wait and release priority
-//! out), release, advance, read ahead.
+//! an extent, fetch and fix it once, run each distinct row pipeline once
+//! over the fixed pages for all the consumers that share it, charge
+//! every consumer its CPU share, make the paper's per-extent manager
+//! call (location update in, throttle wait and release priority out),
+//! release, advance, read ahead.
 //!
 //! A [`ScanExec`] is a cursor with exactly one consumer — the pull
 //! delivery of the papers, which adds the other two manager calls:
@@ -23,7 +24,7 @@
 use std::collections::VecDeque;
 
 use scanshare::{Location, ObjectId, ScanDesc, ScanId, ScanKind};
-use scanshare_relstore::{Entry, HeapPage, Rid, Schema};
+use scanshare_relstore::{ColType, Entry, HeapPage, Rid, Schema};
 use scanshare_storage::{
     BufferPool, FileId, PageId, PagePriority, SimDuration, SimTime, StorageError,
 };
@@ -380,19 +381,28 @@ pub(crate) struct StepScratch {
     /// Fault events drained from the world after each fetch.
     faults: Vec<crate::faults::FaultEvent>,
     /// The row kernel's selection vector: indexes of the rows of the
-    /// region being folded that passed the predicate so far.
+    /// region being folded that passed the predicate so far. Every
+    /// consumer of a step selects into this one buffer, and the consumers
+    /// of one class share the selection itself: it is made once a page.
     sel: Vec<u32>,
     /// The rows of a page that is not fixed-width (all of them, or the
     /// ones a run of RIDs names), copied side by side so the kernel sees
     /// one dense region.
     gathered: Vec<u8>,
+    /// The step's consumers class by class — consumers whose compiled
+    /// pipelines are equal sit side by side — in delivery order within a
+    /// class and classes in order of their first member.
+    members: Vec<usize>,
+    /// The aggregation states of the class being folded, lent by its
+    /// consumers for the fold.
+    states: Vec<AggState>,
 }
 
 /// One predicate leaf with its column byte offset resolved against the
 /// scan's schema. [`RowPipeline::compile`] flattens a [`Pred`] tree into
 /// a conjunction of these so the row kernel reads fields straight out of
 /// the row bytes — no `Box` chasing, no per-access offset lookup.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 enum PredLeaf {
     /// `lo <= i32 at off <= hi`.
     I32Between { off: usize, lo: i32, hi: i32 },
@@ -448,8 +458,9 @@ impl PredLeaf {
 /// order; leaves are pure, so filtering leaf by leaf keeps exactly the
 /// rows [`Pred::eval`]'s short-circuit does) and the aggregate's column
 /// indexes resolved to byte offsets. The row kernel dominates simulator
-/// wall time, so it must not touch `Schema`.
-#[derive(Debug)]
+/// wall time, so it must not touch `Schema`. Consumers whose pipelines
+/// are equal form one class of a step: they select and decode alike.
+#[derive(Debug, PartialEq)]
 pub(crate) struct RowPipeline {
     /// Conjunction of leaves; empty means every row qualifies.
     leaves: Vec<PredLeaf>,
@@ -457,64 +468,105 @@ pub(crate) struct RowPipeline {
     sum_offs: Vec<usize>,
     /// Byte offsets of the `Char` columns in `AggSpec::group_by`, in order.
     group_offs: Vec<usize>,
+    /// Bytes per row of the schema compiled against.
+    width: usize,
 }
 
 impl RowPipeline {
-    pub(crate) fn compile(pred: &Pred, agg: &AggSpec, schema: &Schema) -> RowPipeline {
+    /// Resolve `pred` and `agg` against `schema`, the schema of `table`.
+    /// Every column they name must exist, have the type its use reads
+    /// and lie inside the row: the kernel checks none of that per row.
+    pub(crate) fn compile(
+        pred: &Pred,
+        agg: &AggSpec,
+        schema: &Schema,
+        table: &str,
+    ) -> EngineResult<RowPipeline> {
+        let offset = |column: usize, expected: ColType| match schema.columns().get(column) {
+            Some(c)
+                if c.ty == expected
+                    && schema.offset(column) + expected.width() <= schema.row_width() =>
+            {
+                Ok(schema.offset(column))
+            }
+            _ => Err(EngineError::BadColumn {
+                table: table.to_string(),
+                column,
+                expected,
+            }),
+        };
+        let offsets = |columns: &[usize], expected| -> EngineResult<Vec<usize>> {
+            columns.iter().map(|&c| offset(c, expected)).collect()
+        };
         let mut leaves = Vec::new();
-        Self::flatten(pred, schema, &mut leaves);
-        RowPipeline {
+        Self::flatten(pred, &offset, &mut leaves)?;
+        Ok(RowPipeline {
             leaves,
-            sum_offs: agg.sum_cols.iter().map(|&c| schema.offset(c)).collect(),
-            group_offs: agg.group_by.iter().map(|&c| schema.offset(c)).collect(),
-        }
+            sum_offs: offsets(&agg.sum_cols, ColType::Float64)?,
+            group_offs: offsets(&agg.group_by, ColType::Char)?,
+            width: schema.row_width(),
+        })
     }
 
     /// Flatten an `And` tree left-to-right; `True` is the conjunction
-    /// identity and contributes no leaf.
-    fn flatten(pred: &Pred, schema: &Schema, out: &mut Vec<PredLeaf>) {
-        match pred {
+    /// identity and contributes no leaf. `offset` resolves a column of
+    /// the given type to its byte offset.
+    fn flatten(
+        pred: &Pred,
+        offset: &impl Fn(usize, ColType) -> EngineResult<usize>,
+        out: &mut Vec<PredLeaf>,
+    ) -> EngineResult<()> {
+        match *pred {
             Pred::True => {}
             Pred::I32Between(col, lo, hi) => out.push(PredLeaf::I32Between {
-                off: schema.offset(*col),
-                lo: *lo,
-                hi: *hi,
+                off: offset(col, ColType::Int32)?,
+                lo,
+                hi,
             }),
             Pred::F64LessThan(col, x) => out.push(PredLeaf::F64LessThan {
-                off: schema.offset(*col),
-                x: *x,
+                off: offset(col, ColType::Float64)?,
+                x,
             }),
             Pred::CharEq(col, c) => out.push(PredLeaf::CharEq {
-                off: schema.offset(*col),
-                c: *c,
+                off: offset(col, ColType::Char)?,
+                c,
             }),
-            Pred::And(a, b) => {
-                Self::flatten(a, schema, out);
-                Self::flatten(b, schema, out);
+            Pred::And(ref a, ref b) => {
+                Self::flatten(a, offset, out)?;
+                Self::flatten(b, offset, out)?;
             }
         }
+        Ok(())
     }
 
-    /// The row kernel, one dense `region` of `width`-byte rows at a
-    /// time. *Select*: each leaf in turn narrows the selection vector
-    /// `sel` to the rows that pass it. *Fold*: one pass over the
-    /// survivors, in row order, adds them to `agg`.
-    fn fold_region(&self, agg: &mut AggState, sel: &mut Vec<u32>, region: &[u8], width: usize) {
+    /// The row kernel, one dense `region` of rows at a time, for every
+    /// state of a class at once. *Select*: each leaf in turn narrows the
+    /// selection vector `sel` to the rows that pass it. *Fold*: the
+    /// survivors, in row order, are added to each of `states`.
+    fn fold_region(&self, states: &mut [AggState], sel: &mut Vec<u32>, region: &[u8]) {
         if self.leaves.is_empty() {
-            return agg.fold(self, region.chunks_exact(width));
+            return AggState::fold(states, self, region.chunks_exact(self.stride()));
         }
         sel.clear();
-        sel.extend(0..(region.len() / width) as u32);
-        self.fold_selected(agg, sel, region, width);
+        sel.extend(0..(region.len() / self.stride()) as u32);
+        self.fold_selected(states, sel, region);
     }
 
     /// The kernel over the rows of `region` that `sel` names, in its
     /// order (a row named twice is folded twice).
-    fn fold_selected(&self, agg: &mut AggState, sel: &mut Vec<u32>, region: &[u8], width: usize) {
+    fn fold_selected(&self, states: &mut [AggState], sel: &mut Vec<u32>, region: &[u8]) {
+        let width = self.stride();
         for leaf in &self.leaves {
             leaf.filter(region, width, sel);
         }
-        agg.fold(self, sel.iter().map(|&i| row_at(region, width, i)));
+        let rows = sel.iter().map(move |&i| row_at(region, width, i));
+        AggState::fold(states, self, rows);
+    }
+
+    /// Bytes from one row of a dense region to the next: a zero-column
+    /// row still takes a byte, so it still counts.
+    fn stride(&self) -> usize {
+        self.width.max(1)
     }
 }
 
@@ -525,8 +577,9 @@ impl RowPipeline {
 ///
 /// Every accumulator — the count, each sum, each group's count and sums
 /// — receives its addends one row at a time in delivery order, whatever
-/// the page boundaries: `QueryResult`s are compared bit for bit across
-/// commits, and f64 addition does not associate.
+/// the page boundaries and whoever else rides the same pages:
+/// `QueryResult`s are compared bit for bit across commits, and f64
+/// addition does not associate.
 #[derive(Debug, Default)]
 pub(crate) struct AggState {
     count: u64,
@@ -567,6 +620,15 @@ fn find_group(slots: &[u32], keys: &[i64], key: i64) -> Option<usize> {
     }
 }
 
+/// One state's group table as plain slices, for the length of a hot
+/// loop.
+struct GroupTable<'s> {
+    slots: &'s [u32],
+    keys: &'s [i64],
+    counts: &'s mut [u64],
+    sums: &'s mut [f64],
+}
+
 impl AggState {
     pub(crate) fn new(n_sums: usize) -> AggState {
         AggState {
@@ -594,92 +656,157 @@ impl AggState {
         }
     }
 
-    /// Fold qualifying `rows` in, in order. The running sums are copied
-    /// out of `self` for the duration — into an array when there are at
-    /// most eight, so they stay in registers across the page instead of
-    /// being loaded and stored through `&mut self` for every row — and
-    /// continue from the totals so far.
-    fn fold<'a>(&mut self, pipe: &RowPipeline, rows: impl Iterator<Item = &'a [u8]>) {
-        macro_rules! with_array_of {
+    /// Fold qualifying `rows` of `pipe`, in order, into each of
+    /// `states`: one pass over the rows per chunk of up to four states,
+    /// so a solitary consumer and a class of four alike walk them once.
+    fn fold<'a>(
+        states: &mut [AggState],
+        pipe: &RowPipeline,
+        rows: impl Iterator<Item = &'a [u8]> + Clone,
+    ) {
+        for chunk in states.chunks_mut(4) {
+            let rows = rows.clone();
+            match chunk.len() {
+                1 => Self::fold_chunk::<1>(chunk, pipe, rows),
+                2 => Self::fold_chunk::<2>(chunk, pipe, rows),
+                3 => Self::fold_chunk::<3>(chunk, pipe, rows),
+                _ => Self::fold_chunk::<4>(chunk, pipe, rows),
+            }
+        }
+    }
+
+    /// The running sums are copied out of the `K` states of `chunk` for
+    /// the length of the pass — into arrays when a solitary state has at
+    /// most eight and the states of a class at most four each (four by
+    /// four fill the vector registers, and every array length is one more
+    /// copy of the body), so they stay in registers across the page
+    /// instead of being loaded and stored through `&mut` for every row —
+    /// and continue from each state's totals so far.
+    fn fold_chunk<'a, const K: usize>(
+        chunk: &mut [AggState],
+        pipe: &RowPipeline,
+        rows: impl Iterator<Item = &'a [u8]>,
+    ) {
+        let states: &mut [AggState; K] = chunk.try_into().expect("a chunk of K states");
+        macro_rules! with_arrays_of {
             ($($n:literal)*) => {
                 match pipe.sum_offs.len() {
-                    $($n => {
+                    $($n if K == 1 || $n <= 4 => {
                         let offs: [usize; $n] = pipe.sum_offs[..].try_into().expect("length matched");
-                        let sums: [f64; $n] = self.sums[..].try_into().expect("one sum per offset");
-                        let sums = self.fold_into(sums, offs, &pipe.group_offs, rows);
-                        self.sums.copy_from_slice(&sums);
+                        let sums: [[f64; $n]; K] =
+                            states.each_ref().map(|s| s.sums[..].try_into().expect("one sum per offset"));
+                        let sums = Self::fold_into(states, sums, offs, &pipe.group_offs, rows);
+                        for (s, sums) in states.iter_mut().zip(sums) {
+                            s.sums.copy_from_slice(&sums);
+                        }
                     })*
                     _ => {
-                        let sums = std::mem::take(&mut self.sums);
-                        self.sums = self.fold_into(sums, &pipe.sum_offs[..], &pipe.group_offs, rows);
+                        let sums = states.each_mut().map(|s| std::mem::take(&mut s.sums));
+                        let sums = Self::fold_into(states, sums, &pipe.sum_offs[..], &pipe.group_offs, rows);
+                        for (s, sums) in states.iter_mut().zip(sums) {
+                            s.sums = sums;
+                        }
                     }
                 }
             };
         }
-        with_array_of!(0 1 2 3 4 5 6 7 8);
+        with_arrays_of!(0 1 2 3 4 5 6 7 8);
     }
 
-    /// The one fold body, over running `sums` held in an array or a
-    /// `Vec` (with the byte offset of each sum's column in `offs`).
-    /// Returns the sums.
-    #[inline(always)]
-    fn fold_into<'a, A: AsMut<[f64]>>(
-        &mut self,
-        mut sums: A,
+    /// The one fold body, over the `K` states' running `sums` held in
+    /// arrays or `Vec`s (with the byte offset of each sum's column in
+    /// `offs`). A row's fields are decoded once and added to each state's
+    /// own accumulators in turn: every accumulator gets the addends, in
+    /// the order, a fold of its state alone gives it, and the states' add
+    /// chains overlap instead of queueing. Returns the sums.
+    fn fold_into<'a, const K: usize, A: AsMut<[f64]> + Clone>(
+        states: &mut [AggState; K],
+        mut sums: [A; K],
         offs: impl AsRef<[usize]>,
         group_offs: &[usize],
         mut rows: impl Iterator<Item = &'a [u8]>,
-    ) -> A {
-        let (acc, offs) = (sums.as_mut(), offs.as_ref());
-        let n = acc.len();
-        let mut count = self.count;
+    ) -> [A; K] {
+        let offs = offs.as_ref();
+        let n = offs.len();
+        // The current row's fields, decoded for all the states (beyond
+        // the array lengths this buffer is the one allocation of a pass).
+        let mut vals = sums[0].clone();
+        let vals = vals.as_mut();
+        let decode = |vals: &mut [f64], row: &[u8]| {
+            for (v, &off) in vals.iter_mut().zip(offs) {
+                *v = f64_at(row, off);
+            }
+        };
+        let mut folded = 0u64;
         if group_offs.is_empty() {
             for row in rows {
-                count += 1;
-                for (a, &off) in acc.iter_mut().zip(offs) {
-                    *a += f64_at(row, off);
+                folded += 1;
+                decode(vals, row);
+                for totals in &mut sums {
+                    for (a, v) in totals.as_mut().iter_mut().zip(&*vals) {
+                        *a += v;
+                    }
                 }
             }
-            self.count = count;
-            return sums;
-        }
-        // One byte per group column, packed most significant first
-        // (columns past the eighth shift the first ones out).
-        let pack = |row: &[u8]| {
-            group_offs
-                .iter()
-                .fold(0i64, |key, &off| (key << 8) | row[off] as i64)
-        };
-        // Each field is decoded once, for the total and for the group.
-        let add = |row: &[u8], acc: &mut [f64], group: &mut [f64]| {
-            for ((a, s), &off) in acc.iter_mut().zip(group).zip(offs) {
-                let v = f64_at(row, off);
-                *a += v;
-                *s += v;
+        } else {
+            // One byte per group column, packed most significant first
+            // (columns past the eighth shift the first ones out).
+            let pack = |row: &[u8]| {
+                group_offs
+                    .iter()
+                    .fold(0i64, |key, &off| (key << 8) | row[off] as i64)
+            };
+            // A row goes to a state's totals and to its group's sums.
+            let add = |vals: &[f64], totals: &mut A, group: &mut [f64]| {
+                for ((a, s), v) in totals.as_mut().iter_mut().zip(group).zip(vals) {
+                    *a += v;
+                    *s += v;
+                }
+            };
+            loop {
+                // The loop proper runs over plain slices of the states'
+                // group tables; a row of a group some state has not seen
+                // before leaves it, before any state took the row.
+                let mut tables = states.each_mut().map(|s| GroupTable {
+                    slots: &s.slots,
+                    keys: &s.keys,
+                    counts: &mut s.counts,
+                    sums: &mut s.group_sums,
+                });
+                let mut newcomer = None;
+                'known: for row in rows.by_ref() {
+                    folded += 1;
+                    let key = pack(row);
+                    let mut at = [0; K];
+                    for (g, t) in at.iter_mut().zip(&tables) {
+                        let Some(found) = find_group(t.slots, t.keys, key) else {
+                            newcomer = Some((row, key));
+                            break 'known;
+                        };
+                        *g = found;
+                    }
+                    decode(vals, row);
+                    for k in 0..K {
+                        let (t, g) = (&mut tables[k], at[k]);
+                        t.counts[g] += 1;
+                        add(vals, &mut sums[k], &mut t.sums[g * n..][..n]);
+                    }
+                }
+                let Some((row, key)) = newcomer else { break };
+                decode(vals, row);
+                // Each state keeps its own first-appearance order: the
+                // states met the groups in different orders.
+                for (s, totals) in states.iter_mut().zip(&mut sums) {
+                    let g =
+                        find_group(&s.slots, &s.keys, key).unwrap_or_else(|| s.add_group(key, n));
+                    s.counts[g] += 1;
+                    add(vals, totals, &mut s.group_sums[g * n..][..n]);
+                }
             }
-        };
-        loop {
-            // The loop proper runs over plain slices of the group state;
-            // a row of a group not seen before leaves it.
-            let (slots, keys) = (&self.slots[..], &self.keys[..]);
-            let (counts, group_sums) = (&mut self.counts[..], &mut self.group_sums[..]);
-            let mut newcomer = None;
-            for row in rows.by_ref() {
-                count += 1;
-                let key = pack(row);
-                let Some(g) = find_group(slots, keys, key) else {
-                    newcomer = Some((row, key));
-                    break;
-                };
-                counts[g] += 1;
-                add(row, acc, &mut group_sums[g * n..][..n]);
-            }
-            let Some((row, key)) = newcomer else { break };
-            let g = self.add_group(key, n);
-            self.counts[g] += 1;
-            add(row, acc, &mut self.group_sums[g * n..][..n]);
         }
-        self.count = count;
+        for s in states {
+            s.count += folded;
+        }
         sums
     }
 
@@ -770,7 +897,6 @@ pub(crate) struct Consumer {
     pub(crate) scan: Option<ScanId>,
     /// Predicate + aggregate columns compiled against the table schema.
     pipeline: RowPipeline,
-    width: usize,
     cpu: CpuClass,
     agg: AggState,
     pub(crate) metrics: ScanMetrics,
@@ -783,24 +909,19 @@ pub(crate) struct Consumer {
 }
 
 impl Consumer {
-    /// A consumer for `spec` over a table with `schema`, registered with
-    /// the manager as `scan` (if shared), idle since `now`.
-    pub(crate) fn new(
-        scan: Option<ScanId>,
-        spec: &ScanSpec,
-        schema: &Schema,
-        now: SimTime,
-    ) -> Consumer {
-        Consumer {
-            scan,
-            pipeline: RowPipeline::compile(&spec.pred, &spec.agg, schema),
-            width: schema.row_width(),
+    /// A consumer for `spec` over a table with `schema`, not registered
+    /// with the manager yet, idle since `now`. Fails when `spec` names a
+    /// column `schema` does not have as the type it is used as.
+    pub(crate) fn new(spec: &ScanSpec, schema: &Schema, now: SimTime) -> EngineResult<Consumer> {
+        Ok(Consumer {
+            scan: None,
+            pipeline: RowPipeline::compile(&spec.pred, &spec.agg, schema, &spec.table)?,
             cpu: spec.cpu,
             agg: AggState::new(spec.agg.sum_cols.len()),
             metrics: ScanMetrics::default(),
             ready_at: now,
             aborted: false,
-        }
+        })
     }
 
     /// The aggregate answer accumulated so far.
@@ -817,13 +938,17 @@ impl Consumer {
             }
         }
     }
+}
 
-    /// Run the row kernel over one fetched extent. Row bytes are borrowed
-    /// straight from the pinned pool frames and fields read at the
-    /// pipeline's precompiled offsets. Returns the number of rows
-    /// examined (the CPU-cost driver), whatever the number selected.
-    fn consume(
-        &mut self,
+impl RowPipeline {
+    /// Run the row kernel over one fetched extent for a class of this
+    /// pipeline's consumers, whose states are lent in `scratch.states`:
+    /// every page is walked once, whatever the size of the class. Row
+    /// bytes are borrowed straight from the pinned pool frames and fields
+    /// read at the pipeline's precompiled offsets. Returns the number of
+    /// rows examined (the CPU-cost driver), whatever the number selected.
+    fn fold_extent(
+        &self,
         pool: &BufferPool,
         work: StepWork,
         scratch: &mut StepScratch,
@@ -833,11 +958,10 @@ impl Consumer {
             rids,
             sel,
             gathered,
+            states,
             ..
         } = scratch;
-        let (pipe, agg, width) = (&self.pipeline, &mut self.agg, self.width);
-        // A zero-column row still takes a byte, so it still counts.
-        let stride = width.max(1);
+        let (width, stride) = (self.width, self.stride());
         let gather = |gathered: &mut Vec<u8>, row: &[u8]| {
             let fields = row.get(..width).ok_or_else(|| {
                 StorageError::Corrupt(format!("{}-byte record, schema has {width}", row.len()))
@@ -855,13 +979,13 @@ impl Consumer {
                     // Fixed-width heap pages are folded where they lie;
                     // odd layouts are decoded slot by slot first.
                     if let Some(region) = page.dense_region(width) {
-                        pipe.fold_region(agg, sel, region, width);
+                        self.fold_region(states, sel, region);
                     } else {
                         gathered.clear();
                         for row in page.rows() {
                             gather(gathered, row)?;
                         }
-                        pipe.fold_region(agg, sel, gathered, stride);
+                        self.fold_region(states, sel, gathered);
                     }
                 }
                 Ok(rows)
@@ -888,19 +1012,40 @@ impl Consumer {
                             }
                             sel.push(slot as u32);
                         }
-                        pipe.fold_selected(agg, sel, region, width);
+                        self.fold_selected(states, sel, region);
                     } else {
                         gathered.clear();
                         for &(_, slot) in run {
                             gather(gathered, page.row_bytes(slot)?)?;
                         }
-                        pipe.fold_region(agg, sel, gathered, stride);
+                        self.fold_region(states, sel, gathered);
                     }
                 }
                 Ok(rids.len() as u64)
             }
         }
     }
+}
+
+/// Move the class of `members[start]` — the consumers further on whose
+/// pipelines equal its own — next to it, everyone else keeping their
+/// order, and return where the class ends. Only whole-page work is
+/// `fusable`: RID steps stay consumer-at-a-time, every consumer a class.
+fn gather_class(
+    consumers: &[Consumer],
+    members: &mut [usize],
+    start: usize,
+    fusable: bool,
+) -> usize {
+    let first = &consumers[members[start]].pipeline;
+    let mut end = start + 1;
+    for at in start + 1..members.len() {
+        if fusable && consumers[members[at]].pipeline == *first {
+            members[end..=at].rotate_right(1);
+            end += 1;
+        }
+    }
+    end
 }
 
 /// How one [`step_extent`] ended.
@@ -1023,17 +1168,41 @@ pub(crate) fn step_extent(
     o.metrics.logical_reads += pages;
     o.metrics.physical_reads += fetch.misses;
 
-    // CPU: every consumer's pipeline runs over the fixed pages before
-    // release, owner first. One span covers them all and closes at the
-    // owner's completion (the step's track is the owner's stream).
+    // CPU: every pipeline runs over the fixed pages before release —
+    // once per class of consumers, not once per consumer — and then each
+    // consumer is charged its own share, owner first. One span covers
+    // them all and closes at the owner's completion (the step's track is
+    // the owner's stream).
     let cpu_span = prof
         .as_ref()
         .map(|p| p.begin_child("cpu.process", fetch.ready))
         .unwrap_or_else(scanshare::SpanId::none);
+    scratch.members.clear();
+    scratch.members.extend_from_slice(order);
+    let fusable = matches!(work, StepWork::AllRows);
+    // Rows examined: the same for every class, they walk the same pages.
+    let mut seen = 0u64;
+    let mut start = 0;
+    while start < order.len() {
+        let end = gather_class(consumers, &mut scratch.members, start, fusable);
+        note_class(end - start);
+        let class = &scratch.members[start..end];
+        let lent = class
+            .iter()
+            .map(|&ci| std::mem::take(&mut consumers[ci].agg));
+        scratch.states.extend(lent);
+        let pipe = &consumers[class[0]].pipeline;
+        let folded = pipe.fold_extent(&world.pool, work, scratch);
+        let class = &scratch.members[start..end];
+        for (&ci, agg) in class.iter().zip(scratch.states.drain(..)) {
+            consumers[ci].agg = agg;
+        }
+        seen = folded?;
+        start = end;
+    }
     let mut rows = 0u64;
     for &ci in order {
         let c = &mut consumers[ci];
-        let seen = c.consume(&world.pool, work, scratch)?;
         let cost = c.cpu.extent_cost(pages, seen);
         c.ready_at = world.run_cpu(fetch.ready, cost);
         c.metrics.cpu += cost;
@@ -1276,15 +1445,17 @@ impl ScanExec {
             mut plan,
             desc,
         } = plan_scan(db, world, spec)?;
+        // Before the manager hears of the scan: a spec that does not fit
+        // the table must not leave a registration behind.
+        let mut consumer = Consumer::new(spec, &schema, now)?;
 
         // Placement: ask the manager where to start.
         let kind_shared = shareable(&world.cfg, spec, desc.kind);
         let est_pages = desc.est_pages;
-        let mut mgr_scan = None;
         let mut placement = "unmanaged".to_string();
         if let (Some(mgr), true) = (&world.mgr, kind_shared) {
             let (id, decision) = mgr.start_scan(desc, now);
-            mgr_scan = Some(id);
+            consumer.scan = Some(id);
             placement = crate::trace::placement_label(&decision);
             if let scanshare::StartDecision::JoinAt {
                 location,
@@ -1314,7 +1485,7 @@ impl ScanExec {
 
         Ok(ScanExec {
             cursor: Cursor { file, plan, ring },
-            consumer: Consumer::new(mgr_scan, spec, &schema, now),
+            consumer,
             placement,
             needs_wrap: false,
             scratch: StepScratch::default(),
@@ -1420,11 +1591,32 @@ impl ScanExec {
     }
 }
 
+/// Tests count the classes of more than one consumer that steps fold.
+#[cfg(not(test))]
+fn note_class(_consumers: usize) {}
+
+#[cfg(test)]
+fn note_class(consumers: usize) {
+    FUSED_CLASSES.with(|n| n.set(n.get() + (consumers > 1) as u64));
+}
+
+#[cfg(test)]
+thread_local! {
+    static FUSED_CLASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many classes of more than one consumer this thread's steps have
+/// folded so far.
+#[cfg(test)]
+pub(crate) fn fused_classes() -> u64 {
+    FUSED_CLASSES.with(|n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::EngineConfig;
-    use scanshare_relstore::{ColType, Column, Value};
+    use scanshare_relstore::{Column, Value};
     use scanshare_storage::{BufferPool, PoolConfig, ReplacementPolicy};
 
     fn small_db() -> Database {
@@ -1827,6 +2019,119 @@ mod tests {
         assert!(matches!(err, EngineError::UnknownTable(_)));
     }
 
+    /// A column index out of range, a sum over a non-float, a group-by
+    /// over a non-char and a predicate leaf on a column of another type
+    /// are diagnosed when the scan starts — under pull and under push,
+    /// and before the manager hears of the scan.
+    #[test]
+    fn specs_that_do_not_fit_the_schema_are_rejected_under_pull_and_push() {
+        use scanshare::{ScanSharingManager, SharingConfig};
+        use std::sync::Arc;
+        let db = small_db();
+        let pool = BufferPool::new(PoolConfig::new(256, ReplacementPolicy::PriorityLru));
+        let mgr = Arc::new(ScanSharingManager::new(SharingConfig::new(256)));
+        let mut w = ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr.clone()));
+        let and = |a, b| Pred::And(Box::new(a), Box::new(b));
+        // `orders` is (month: Int32, amount: Float64).
+        let cases = [
+            (Pred::True, AggSpec::sums(vec![99]), 99, ColType::Float64),
+            (Pred::True, AggSpec::sums(vec![1, 0]), 0, ColType::Float64),
+            (
+                Pred::True,
+                AggSpec::grouped_sums(vec![1], vec![1]),
+                1,
+                ColType::Char,
+            ),
+            (
+                Pred::I32Between(1, 0, 5),
+                AggSpec::count_only(),
+                1,
+                ColType::Int32,
+            ),
+            (
+                and(Pred::I32Between(0, 0, 5), Pred::F64LessThan(0, 1.0)),
+                AggSpec::sums(vec![1]),
+                0,
+                ColType::Float64,
+            ),
+            (
+                and(Pred::True, Pred::CharEq(2, b'A')),
+                AggSpec::sums(vec![1]),
+                2,
+                ColType::Char,
+            ),
+        ];
+        for (pred, agg, column, expected) in cases {
+            let spec = ScanSpec {
+                agg,
+                ..table_spec(pred)
+            };
+            let want = EngineError::BadColumn {
+                table: "orders".into(),
+                column,
+                expected,
+            };
+            let pull = ScanExec::start(&db, &mut w, &spec, SimTime::ZERO).unwrap_err();
+            assert_eq!(pull, want);
+            let push = crate::push::PushEngine::new()
+                .admit(&db, &mut w, &spec, SimTime::ZERO)
+                .unwrap_err();
+            assert_eq!(push, want);
+            assert_eq!(mgr.num_active(), 0, "a rejected scan stayed registered");
+        }
+        assert_eq!(
+            EngineError::BadColumn {
+                table: "orders".into(),
+                column: 0,
+                expected: ColType::Float64
+            }
+            .to_string(),
+            "table 'orders' has no Float64 column 0"
+        );
+        // The spec that fits still runs, pushed.
+        let ok = crate::push::PushEngine::new().admit(
+            &db,
+            &mut w,
+            &table_spec(Pred::True),
+            SimTime::ZERO,
+        );
+        assert!(matches!(ok, Ok(Some(_))));
+    }
+
+    /// Classes keep delivery order inside and first-member order among
+    /// themselves, and a RID step has no class of two.
+    #[test]
+    fn a_step_partitions_its_consumers_by_pipeline() {
+        let db = small_db();
+        let schema = db.table("orders").unwrap().schema().clone();
+        let consumer = |pred| Consumer::new(&table_spec(pred), &schema, SimTime::ZERO).unwrap();
+        let q6 = || consumer(Pred::I32Between(0, 0, 2));
+        // Seats 0..5: filter, plain, filter, another filter, plain.
+        let consumers = [
+            q6(),
+            consumer(Pred::True),
+            q6(),
+            consumer(Pred::I32Between(0, 0, 3)),
+            consumer(Pred::True),
+        ];
+        let classes = |order: &[usize], fusable| {
+            let mut members = order.to_vec();
+            let mut ends = Vec::new();
+            while ends.last().copied().unwrap_or(0) < members.len() {
+                let start = ends.last().copied().unwrap_or(0);
+                ends.push(gather_class(&consumers, &mut members, start, fusable));
+            }
+            (members, ends)
+        };
+        let order = [3, 0, 1, 2, 4];
+        assert_eq!(classes(&order, true), (vec![3, 0, 2, 1, 4], vec![1, 3, 5]));
+        assert_eq!(classes(&[2], true), (vec![2], vec![1]));
+        assert_eq!(
+            classes(&order, false),
+            (order.to_vec(), vec![1, 2, 3, 4, 5])
+        );
+    }
+
     #[test]
     fn index_scan_on_heap_table_is_rejected() {
         let db = small_db();
@@ -2128,14 +2433,17 @@ mod kernel_oracle {
     #[test]
     fn ungrouped_state_owns_only_its_sums() {
         for n in [0, 2, 8, 11] {
-            let mut agg = AggState::new(n);
+            let mut agg = [AggState::new(n)];
             let pipe = RowPipeline::compile(
                 &Pred::True,
                 &AggSpec::sums((F0..F0 + n).map(|c| F0 + (c - F0) % N_F64).collect()),
                 &schema(),
-            );
+                "t",
+            )
+            .unwrap();
             let row = vec![0u8; schema().row_width()];
-            pipe.fold_region(&mut agg, &mut Vec::new(), &row, row.len());
+            pipe.fold_region(&mut agg, &mut Vec::new(), &row);
+            let [agg] = agg;
             assert_eq!((agg.count, agg.sums.capacity()), (1, n));
             assert_eq!(agg.keys.capacity(), 0);
             assert_eq!(agg.counts.capacity(), 0);
@@ -2187,7 +2495,7 @@ mod kernel_oracle {
             SimTime::ZERO,
             &mut Cursor::new(file, plan),
             &mut StepScratch::default(),
-            &mut [Consumer::new(None, &spec, &s, SimTime::ZERO)],
+            &mut [Consumer::new(&spec, &s, SimTime::ZERO).unwrap()],
             &[0],
             false,
         );
@@ -2243,7 +2551,7 @@ mod kernel_oracle {
                 start_idx: 0,
                 visited: 0,
             };
-            let mut consumers = [Consumer::new(None, &spec, &s, SimTime::ZERO)];
+            let mut consumers = [Consumer::new(&spec, &s, SimTime::ZERO).unwrap()];
             step_extent(
                 &mut world,
                 SimTime::ZERO,
@@ -2370,7 +2678,7 @@ mod kernel_oracle {
             let mut scratch = StepScratch::default();
             let mut consumers: Vec<Consumer> = specs
                 .iter()
-                .map(|sp| Consumer::new(None, sp, &s, SimTime::ZERO))
+                .map(|sp| Consumer::new(sp, &s, SimTime::ZERO).unwrap())
                 .collect();
             let fan_out: Vec<usize> = (0..consumers.len()).collect();
             let mut now = SimTime::ZERO;
@@ -2424,6 +2732,183 @@ mod kernel_oracle {
             ("more than 8 sum columns", r.sums_over_8),
             ("17..=300 groups", r.groups_17_to_300),
             ("more than 300 groups", r.groups_over_300),
+        ] {
+            assert!(n >= 5, "only {n} cases reached: {what}");
+        }
+    }
+
+    /// Riders of one pipeline are folded together. K = 1..=9 consumers
+    /// of one spec (so register chunks of four and every remainder are
+    /// hit) first fold *different* seeded rows on their own — a RID
+    /// replay each, so they ride with different running totals and have
+    /// met the groups in different orders — then ride one cursor over
+    /// the same pages. The reference is consumer-at-a-time: one naive
+    /// fold per consumer over its own rows, then the shared ones.
+    #[test]
+    fn riders_of_one_pipeline_match_consumer_at_a_time_folds_bit_for_bit() {
+        #[derive(Default)]
+        struct Reached {
+            fused_over_8_sums: u32,
+            fused_no_sums: u32,
+            fused_grouped_over_4_riders: u32,
+            fused_ungrouped: u32,
+            fused_with_leaves: u32,
+            fused_without_leaves: u32,
+            fused_slotted_pages: u32,
+            newcomer_mid_page_in_some_riders_only: u32,
+            a_stranger_between_riders: u32,
+        }
+        let s = schema();
+        let mut reached = Reached::default();
+        for case in 0..360u64 {
+            let mut rng = Rng::seed_from_u64(0xF05E_D000 + case);
+            let k = 1 + (case % 9) as usize;
+            let alphabet = *rng.choose(&[2, 3, 5, 7, 16]).unwrap();
+            let n_groups = rng.bounded_u64(4) as usize;
+            let n_pages = rng.random_range(4..24usize);
+            let (store, file, pages) = build_file(&mut rng, &s, n_pages, alphabet, case % 8 == 5);
+            let all: Vec<(usize, usize)> = pages
+                .iter()
+                .enumerate()
+                .flat_map(|(p, rows)| (0..rows.len()).map(move |r| (p, r)))
+                .collect();
+            if all.is_empty() {
+                continue;
+            }
+            // The riders' spec, and in some cases a stranger with another
+            // one seated between them: its class must not disturb theirs.
+            let rider = spec(&mut rng, alphabet, n_groups, false);
+            let mut specs = vec![rider.clone(); k];
+            let mut riders: Vec<usize> = (0..k).collect();
+            if case % 4 == 1 {
+                let at = rng.bounded_u64(k as u64 + 1) as usize;
+                specs.insert(at, spec(&mut rng, alphabet, n_groups, false));
+                riders = (0..=k).filter(|&ci| ci != at).collect();
+                reached.a_stranger_between_riders += (0 < at && at < k) as u32;
+            }
+            let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+            let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+            let mut scratch = StepScratch::default();
+            let mut consumers: Vec<Consumer> = specs
+                .iter()
+                .map(|sp| Consumer::new(sp, &s, SimTime::ZERO).unwrap())
+                .collect();
+            let mut want: Vec<Naive> = specs.iter().map(|_| Naive::default()).collect();
+            let row_ref = |&(p, r): &(usize, usize)| RowRef {
+                bytes: &pages[p][r],
+                schema: &s,
+            };
+            let run = |world: &mut ExecWorld<'_>,
+                       scratch: &mut StepScratch,
+                       consumers: &mut [Consumer],
+                       plan: Plan,
+                       order: &[usize]| {
+                let mut cursor = Cursor::new(file, plan);
+                let mut now = SimTime::ZERO;
+                while !cursor.plan.done() {
+                    match step_extent(world, now, &mut cursor, scratch, consumers, order, false)
+                        .unwrap()
+                    {
+                        Step::Delivered { next, .. } => now = next,
+                        Step::Faulted(_) => panic!("no fault plan"),
+                    }
+                }
+            };
+
+            // Each consumer's own rows: a seeded sample, in a seeded order.
+            for ci in 0..specs.len() {
+                let own: Vec<(usize, usize)> = (0..rng.bounded_u64(200))
+                    .map(|_| *rng.choose(&all).unwrap())
+                    .collect();
+                if own.is_empty() {
+                    continue;
+                }
+                let entries = own
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(p, r))| Entry::new(i as i64, Rid::new(p as u32, r as u16).pack()))
+                    .collect();
+                let plan = Plan::Rid {
+                    entries,
+                    start_idx: 0,
+                    visited: 0,
+                };
+                run(&mut world, &mut scratch, &mut consumers, plan, &[ci]);
+                own.iter()
+                    .for_each(|at| want[ci].fold(&specs[ci], &row_ref(at)));
+            }
+
+            // A group some riders have met and others have not, arriving
+            // past the first row of a page of the shared lap.
+            let start_page = rng.bounded_u64(n_pages as u64) as usize;
+            let lap: Vec<(usize, usize)> = (start_page..n_pages)
+                .chain(0..start_page)
+                .flat_map(|p| (0..pages[p].len()).map(move |r| (p, r)))
+                .collect();
+            if !rider.agg.group_by.is_empty() {
+                let mut met_in_lap = std::collections::BTreeSet::new();
+                let split = lap.iter().any(|at| {
+                    let row = row_ref(at);
+                    let key = rider.agg.group_key(&row);
+                    if !rider.pred.eval(&row) || !met_in_lap.insert(key) {
+                        return false;
+                    }
+                    let knows = |ci: &usize| want[*ci].groups.contains_key(&key);
+                    at.1 > 0 && riders.iter().any(knows) && !riders.iter().all(knows)
+                });
+                reached.newcomer_mid_page_in_some_riders_only += split as u32;
+            }
+
+            // The shared lap, owner somewhere in the middle of the seats.
+            let mut order: Vec<usize> = (0..specs.len()).collect();
+            order.rotate_left(rng.bounded_u64(specs.len() as u64) as usize);
+            let plan = Plan::Table {
+                num_pages: n_pages as u32,
+                start_page: start_page as u32,
+                visited: 0,
+            };
+            let fused_before = fused_classes();
+            run(&mut world, &mut scratch, &mut consumers, plan, &order);
+            // One class of riders per step, and only with company.
+            let steps = ((n_pages - start_page).div_ceil(16) + start_page.div_ceil(16)) as u64;
+            let fused = fused_classes() - fused_before;
+            assert_eq!(fused, if k > 1 { steps } else { 0 }, "case {case}");
+            for ci in 0..specs.len() {
+                lap.iter()
+                    .for_each(|at| want[ci].fold(&specs[ci], &row_ref(at)));
+                assert_same(case, &specs[ci], &consumers[ci].result(), &want[ci]);
+            }
+
+            if k > 1 {
+                let (n_sums, grouped) = (rider.agg.sum_cols.len(), !rider.agg.group_by.is_empty());
+                let rows = want[riders[0]].count > 0;
+                reached.fused_over_8_sums += (n_sums > 8 && rows) as u32;
+                reached.fused_no_sums += (n_sums == 0 && rows) as u32;
+                reached.fused_grouped_over_4_riders += (grouped && k > 4 && rows) as u32;
+                reached.fused_ungrouped += (!grouped && rows) as u32;
+                reached.fused_with_leaves += (rider.pred != Pred::True && rows) as u32;
+                reached.fused_without_leaves += (rider.pred == Pred::True) as u32;
+                reached.fused_slotted_pages +=
+                    pages.iter().flatten().any(|r| r.len() != s.row_width()) as u32;
+            }
+        }
+        let r = &reached;
+        for (what, n) in [
+            ("riders with more than 8 sum columns", r.fused_over_8_sums),
+            ("riders that only count", r.fused_no_sums),
+            ("more than 4 grouped riders", r.fused_grouped_over_4_riders),
+            ("ungrouped riders", r.fused_ungrouped),
+            ("riders with a predicate", r.fused_with_leaves),
+            ("riders without a predicate", r.fused_without_leaves),
+            ("riders over slotted-fallback pages", r.fused_slotted_pages),
+            (
+                "a group new to some riders only, mid-page",
+                r.newcomer_mid_page_in_some_riders_only,
+            ),
+            (
+                "a stranger seated between riders",
+                r.a_stranger_between_riders,
+            ),
         ] {
             assert!(n >= 5, "only {n} cases reached: {what}");
         }

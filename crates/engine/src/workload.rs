@@ -824,6 +824,102 @@ mod tests {
         assert_eq!(fixes, ps.pages_delivered + ps.catchup_pages);
     }
 
+    /// Eight staggered riders of two pipelines — a Q1-like grouped
+    /// aggregate and a Q6-like filter, alternating — on one table.
+    #[test]
+    fn riders_of_one_pipeline_are_folded_together_under_push_only() {
+        use scanshare::DeliveryMode;
+        let mut db = Database::new(16);
+        let schema = Schema::new(vec![
+            Column::new("month", ColType::Int32),
+            Column::new("qty", ColType::Float64),
+            Column::new("price", ColType::Float64),
+            Column::new("disc", ColType::Float64),
+            Column::new("flag", ColType::Char),
+            Column::new("status", ColType::Char),
+        ]);
+        db.create_mdc_table(
+            "lineitem",
+            schema,
+            16,
+            (0..120_000i32).map(|i| {
+                let row = vec![
+                    Value::I32(i % 12),
+                    Value::F64(((i * 31) % 50) as f64 + 1.0),
+                    Value::F64((i as f64).sqrt() * 13.7 + 900.0),
+                    Value::F64(((i * 17) % 11) as f64 / 100.0),
+                    Value::Ch(b"ANR"[(i as usize * 7 / 3) % 3]),
+                    Value::Ch(b"FO"[(i as usize / 5) % 2]),
+                ];
+                ((i % 12) as i64, row)
+            }),
+        )
+        .unwrap();
+        let scan = |pred, agg, cpu| ScanSpec {
+            table: "lineitem".into(),
+            access: Access::IndexRange { lo: 0, hi: 11 },
+            pred,
+            agg,
+            cpu,
+            require_order: false,
+            query_priority: Default::default(),
+            repeat: 1,
+        };
+        let q1 = scan(
+            Pred::True,
+            AggSpec::grouped_sums(vec![1, 2, 3], vec![4, 5]),
+            CpuClass::cpu_bound(),
+        );
+        let q6 = scan(
+            Pred::And(
+                Box::new(Pred::F64LessThan(1, 24.0)),
+                Box::new(Pred::F64LessThan(3, 0.07)),
+            ),
+            AggSpec::sums(vec![2]),
+            CpuClass::io_bound(),
+        );
+        let streams: Vec<Stream> = (0..8)
+            .map(|i| Stream {
+                queries: vec![match i % 2 {
+                    0 => Query::single("Q1", q1.clone()),
+                    _ => Query::single("Q6", q6.clone()),
+                }],
+                start_offset: SimDuration::from_millis(i * 2),
+            })
+            .collect();
+        let mk = |delivery| {
+            let mut cfg = SharingConfig::new(0);
+            cfg.delivery = delivery;
+            spec(&db, streams.clone(), SharingMode::ScanSharing(cfg))
+        };
+        // Pull steps have one consumer each: nothing to fold together.
+        let fused = crate::scan_exec::fused_classes;
+        let before = fused();
+        let pull = run_workload(&db, &mk(DeliveryMode::Pull)).unwrap();
+        assert_eq!(fused(), before);
+        let push = run_workload(&db, &mk(DeliveryMode::Push)).unwrap();
+        assert!(fused() > before, "no class of riders was folded together");
+        let ps = push.push.as_ref().expect("push summary");
+        assert!(ps.attaches >= 6, "too few riders to fold together: {ps:?}");
+
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs());
+        assert_eq!(pull.queries.len(), 8);
+        for a in &pull.queries {
+            let b = push.queries.iter().find(|b| b.stream == a.stream);
+            let (a, b) = (&a.result, &b.expect("the same streams ran").result);
+            assert!(a.count > 0);
+            assert_eq!(a.count, b.count);
+            assert!(a.sums.iter().zip(&b.sums).all(|(x, y)| close(*x, *y)));
+            assert_eq!(a.groups.len(), b.groups.len());
+            for ((ka, ga), (kb, gb)) in a.groups.iter().zip(&b.groups) {
+                assert_eq!((ka, ga.count), (kb, gb.count));
+                assert!(ga.sums.iter().zip(&gb.sums).all(|(x, y)| close(*x, *y)));
+            }
+        }
+        let q1s = pull.queries.iter().filter(|q| q.name == "Q1");
+        assert!(q1s.clone().all(|q| q.result.groups.len() == 6) && q1s.count() == 4);
+    }
+
     #[test]
     fn push_runs_are_deterministic() {
         use scanshare::DeliveryMode;

@@ -45,6 +45,12 @@ leg "benchmark crate (metric-name drift + --quick smoke)"
 # still matches BENCHMARK.json.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+leg "row-kernel oracles, release build"
+# The kernel's register chunks (K states × N sums, const-generic) are
+# release codegen: the debug suite above proves the source, not what the
+# optimiser makes of it, and release is what every measurement runs.
+cargo test --release --offline -q -p scanshare-engine --lib kernel_oracle
+
 leg "span-profiler smoke (informational, not gated)"
 # Record and render a fresh profile of the built-in smoke run: exercises
 # the span subsystem end-to-end (begin/end nesting, Perfetto export

@@ -20,10 +20,11 @@
 #
 # The summary — both SHAs, seeds, per metric each side's runs, median and
 # quartiles, the host-speed factor of every run — is also written to
-# BENCH_<issue>.json at the repo root (--out to choose), the committed
-# trajectory north-star aim 1 asks for. Scratch files go to
-# $PAIRED_BENCH_DIR (default: $TMPDIR/paired_bench); nothing under
-# benchmark/ is written.
+# BENCH_<issue>.json at the repo root, the committed trajectory north-star
+# aim 1 asks for; <issue> is the number on the first line of ISSUE.md, and
+# without one the script wants --out before it builds anything. Scratch
+# files go to $PAIRED_BENCH_DIR (default: $TMPDIR/paired_bench); nothing
+# under benchmark/ is written.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +40,7 @@ workloads=$(awk -F'"' '/"workloads"/ { on = 1 } on && /"name"/ { print $4 } on &
     BENCHMARK.json | paste -sd, -)
 pairs=10
 seeds="7 11 3 19 23 101 5 42 2027 31"
-out=BENCH_$(sed -n '1s/^# ISSUE \([0-9]*\).*/\1/p' ISSUE.md 2>/dev/null).json
+out=
 while [ "$#" -gt 0 ]; do
     case $1 in
     --workloads) workloads=$2 ;;
@@ -50,6 +51,14 @@ while [ "$#" -gt 0 ]; do
     esac
     shift 2 || usage
 done
+if [ -z "$out" ]; then
+    issue=$(sed -n '1s/^# ISSUE \([0-9][0-9]*\).*/\1/p' ISSUE.md 2>/dev/null || true)
+    if [ -z "$issue" ]; then
+        echo "ISSUE.md names no issue number: say where the summary goes with --out" >&2
+        usage
+    fi
+    out=BENCH_$issue.json
+fi
 read -r -a seed_list <<<"$seeds"
 if [ "$pairs" -lt 10 ]; then
     echo "note: $pairs pairs — the ground rule asks for at least 10; verdicts are indicative only" >&2
