@@ -9,14 +9,20 @@
 //! scanshare run --spec myrun.json --compare         # base vs sharing
 //! ```
 //!
-//! Argument parsing is hand-rolled (no extra dependencies): flags are
-//! `--name value` pairs validated against each subcommand's schema.
+//! Each subcommand is one row of [`COMMANDS`]: its positionals, its
+//! flags, its help prose and its handler. [`parse`] checks a command line
+//! against that row, `help` is generated from the table and [`dispatch`]
+//! runs the handler, so a flag the table lacks is rejected, never ignored.
+
+use std::fmt::Display;
+use std::str::FromStr;
 
 use scanshare::{DeliveryMode, SharingConfig, SharingPolicyKind, SpanProfiler};
 use scanshare_engine::{
     run_workload, run_workload_hooked, Database, FaultsConfig, RunHooks, RunReport, SharingMode,
     Tracer, WorkloadSpec,
 };
+use scanshare_storage::SimDuration;
 use scanshare_tpch::{generate, q1, q6, staggered_workload, throughput_workload, TpchConfig};
 use serde::{Deserialize, Serialize};
 
@@ -55,74 +61,556 @@ impl RunSpec {
     }
 }
 
-/// Parsed command line.
+/// Whether a command needs one of its flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Need {
+    /// May be left out.
+    Optional,
+    /// Must be given.
+    Required,
+    /// Exactly one of the command's `Either` flags must be given.
+    Either,
+}
+
+/// One flag of a command.
+#[derive(Debug)]
+pub struct Flag {
+    /// The flag as typed: `--name`.
+    pub name: &'static str,
+    /// Placeholder of its value in the help (`FILE`, `pull|push`); `None`
+    /// for a switch.
+    pub value: Option<&'static str>,
+    /// Whether the command needs it.
+    need: Need,
+}
+
+impl Flag {
+    /// `--name VALUE`, or `--name` for a switch.
+    fn spelled(&self) -> String {
+        match self.value {
+            Some(v) => format!("{} {v}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+}
+
+const fn opt(name: &'static str, value: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        need: Need::Optional,
+    }
+}
+
+const fn req(name: &'static str, value: &'static str) -> Flag {
+    Flag {
+        name,
+        value: Some(value),
+        need: Need::Required,
+    }
+}
+
+const fn switch(name: &'static str) -> Flag {
+    Flag {
+        name,
+        value: None,
+        need: Need::Optional,
+    }
+}
+
+/// One subcommand: everything the parser, `help` and dispatch know of it.
+#[derive(Debug)]
+pub struct Cmd {
+    /// The subcommand as typed.
+    pub name: &'static str,
+    /// Placeholders of its positional arguments, every one required.
+    pub positionals: &'static [&'static str],
+    /// Every flag it accepts.
+    pub flags: &'static [Flag],
+    /// What it does, printed under its synopsis.
+    about: &'static str,
+    /// Runs it; `Ok` holds the exit code.
+    run: fn(&Args) -> Result<i32, CliError>,
+}
+
+/// Every subcommand, in the order `help` lists them.
+#[rustfmt::skip]
+pub const COMMANDS: &[Cmd] = &[
+    Cmd { name: "throughput", positionals: &[], run: cmd_throughput,
+        flags: &[opt("--streams", "N"), opt("--scale", "S"), opt("--seed", "X")],
+        about: "N-stream TPC-H throughput run, base vs scan-sharing (Table 1 setup).",
+    },
+    Cmd { name: "staggered", positionals: &[], run: cmd_staggered,
+        flags: &[opt("--query", "q1|q6"), opt("--copies", "N"), opt("--scale", "S"),
+                 opt("--seed", "X"), opt("--stagger-frac", "F")],
+        about: "\
+Staggered single-query run (Figure 15/16 setup): the copies start F of
+a solo run's makespan apart.",
+    },
+    Cmd { name: "run", positionals: &[], run: cmd_run,
+        flags: &[req("--spec", "FILE"), opt("--db", "FILE"), opt("--faults", "FILE"),
+                 switch("--compare"), opt("--policy", "grouping|attach|elevator"),
+                 opt("--delivery", "pull|push"), opt("--report", "OUT"),
+                 opt("--trace-out", "OUT"), opt("--profile-out", "OUT")],
+        about: "\
+Execute a JSON RunSpec (`scanshare spec-template` shows the shape). The
+spec's workload section may carry an optional \"faults\" subsection (a
+FaultsConfig: seeded fault plan plus retry/timeout policy) and an
+optional \"slo\" subsection of service-level rules (e.g. {\"name\":
+\"fair\", \"metric\": \"p99_stretch\", \"op\": \"<=\", \"value\": 1.5})
+evaluated at the end of the run into pass/fail verdicts in the report.
+--db loads a previously generated database instead of regenerating;
+--faults replaces the spec's \"faults\" subsection with a FaultsConfig
+JSON file; --compare runs base against the spec's sharing configuration
+(the default one for a base-mode spec);
+--policy overrides the sharing policy: grouping (the paper's grouping +
+throttling machinery), attach (join the newest compatible scan, never
+throttle), or elevator (one circulating read cursor per table);
+--delivery overrides how pages reach a group's consumers: pull (every
+scan fixes its own pages) or push (one group driver fixes each page
+once and pushes it through every attached consumer's row pipeline; the
+report gains a \"push\" section);
+--report saves the full RunReport (metrics + trace) as JSON,
+--trace-out saves the event log alone as JSON-lines, and
+--profile-out saves a hierarchical span profile as Chrome trace-event
+JSON (open at ui.perfetto.dev; one track per scan stream plus manager
+and driver tracks) and embeds its summary in the report for
+`scanshare profile`.
+Exits 0 on success, 1 on engine failure, 2 on bad input, 3 when
+injected faults aborted at least one scan (degraded run), and 4 when
+the run completed but breached at least one SLO rule.",
+    },
+    Cmd { name: "trace", positionals: &[], run: cmd_trace,
+        flags: &[req("--artifact", "FILE")],
+        about: "\
+Replay a saved RunReport (or raw JSON-lines trace): scan lifecycles
+with attributed throttle waits, then the event log.",
+    },
+    Cmd { name: "metrics", positionals: &[], run: cmd_metrics,
+        flags: &[req("--artifact", "FILE"), switch("--quantiles")],
+        about: "\
+Render a saved RunReport's metrics snapshot: counters, latency
+histograms, and per-group/per-scan timelines as text tables.
+--quantiles expands every histogram with p50/p90/p95/p99 rows and its
+full bucket table (inclusive upper bounds).",
+    },
+    Cmd { name: "profile", positionals: &[], run: cmd_profile,
+        flags: &[Flag { name: "--artifact", value: Some("FILE"), need: Need::Either },
+                 Flag { name: "--smoke", value: None, need: Need::Either },
+                 switch("--collapse"), opt("--top", "N")],
+        about: "\
+Render the self-profiler summary: per-phase inclusive/exclusive times
+on both clocks (deterministic virtual µs, host wall ns) and the N
+hottest spans. --artifact reads a report `scanshare run` saved with a
+span profile; --smoke records a fresh built-in run. --collapse instead
+prints flamegraph-folded stacks (`phase;child µs` per line) for
+flamegraph.pl or speedscope.",
+    },
+    Cmd { name: "explain", positionals: &[], run: cmd_explain,
+        flags: &[req("--artifact", "FILE"), opt("--scan", "ID")],
+        about: "\
+Narrate a saved RunReport's decision provenance: per-scan causal
+stories (placement candidates vs threshold, throttle distance vs
+threshold, slowdown vs fairness cap) and per-group timelines.
+With --scan, only that scan's narrative.",
+    },
+    Cmd { name: "watch", positionals: &[], run: cmd_watch,
+        flags: &[req("--spec", "FILE"), opt("--db", "FILE"), opt("--tick-ms", "N"),
+                 opt("--tail", "N"), switch("--no-clear")],
+        about: "\
+Execute a JSON RunSpec with a live ASCII dashboard: group topology,
+per-scan throttle state, pool-residency heatmap, and the decision tail,
+redrawn every N ms (--no-clear appends frames instead of clearing, for
+piped output).",
+    },
+    Cmd { name: "diff", positionals: &["A.json", "B.json"], run: cmd_diff,
+        flags: &[switch("--json")],
+        about: "\
+Structural diff of two saved RunReports: headline counter deltas
+(makespan, reads, seeks, hit ratio), per-query stretch movement
+matched by (stream, name, occurrence), sharing-group lifetimes that
+appeared/vanished/shifted, sampled-series endpoints, SLO verdict
+flips, fault-summary deltas, and the policy pair. --json prints the
+same as JSON. Exits like cmp: 0 when structurally identical, 1 when
+the reports differ, 2 on unreadable input.",
+    },
+    Cmd { name: "generate", positionals: &[], run: cmd_generate,
+        flags: &[opt("--scale", "S"), opt("--seed", "X"), req("--out", "FILE")],
+        about: "Generate the TPC-H-like database once and save it for reuse.",
+    },
+    Cmd { name: "spec-template", positionals: &[], flags: &[], run: cmd_spec_template,
+        about: "Print an editable RunSpec JSON to stdout.",
+    },
+    Cmd { name: "help", positionals: &[], flags: &[], run: cmd_help,
+        about: "This text.",
+    },
+];
+
+impl Cmd {
+    /// Its flags of one [`Need`].
+    fn flags_of(&self, need: Need) -> impl Iterator<Item = &Flag> + '_ {
+        self.flags.iter().filter(move |f| f.need == need)
+    }
+
+    /// The synopsis — `scanshare NAME POSITIONALS FLAGS`, wrapped under
+    /// the first argument — with the prose indented under it.
+    fn help(&self) -> String {
+        let either: Vec<String> = self.flags_of(Need::Either).map(Flag::spelled).collect();
+        let mut items: Vec<String> = self.positionals.iter().map(|p| p.to_string()).collect();
+        items.extend((!either.is_empty()).then(|| format!("({})", either.join(" | "))));
+        items.extend(self.flags.iter().filter_map(|f| match f.need {
+            Need::Required => Some(f.spelled()),
+            Need::Optional => Some(format!("[{}]", f.spelled())),
+            Need::Either => None,
+        }));
+        let mut out = format!("  scanshare {}", self.name);
+        let indent = out.len() + 1;
+        for item in items {
+            let width = out.len() - out.rfind('\n').map_or(0, |i| i + 1);
+            if width + 1 + item.len() > 76 {
+                out += &format!("\n{:indent$}{item}", "");
+            } else {
+                out += &format!(" {item}");
+            }
+        }
+        for line in self.about.lines() {
+            out += &format!("\n      {line}");
+        }
+        out
+    }
+}
+
+/// The `help` text: every row of [`COMMANDS`].
+fn usage() -> String {
+    let helps: Vec<String> = COMMANDS.iter().map(Cmd::help).collect();
+    format!(
+        "scanshare — scan-sharing reproduction driver\n\nUSAGE:\n{}",
+        helps.join("\n")
+    )
+}
+
+/// Why a command failed: the diagnostic for stderr and the exit code.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// `throughput --streams N --scale S --seed X` (always compares
-    /// base vs scan-sharing — that is the point of the run)
-    Throughput {
-        streams: usize,
-        scale: f64,
-        seed: u64,
-    },
-    /// `staggered --query q1|q6 --copies N --scale S [--stagger-frac F]`
-    Staggered {
-        query: String,
-        copies: usize,
-        scale: f64,
-        seed: u64,
-        stagger_frac: f64,
-    },
-    /// `run --spec FILE [--db FILE] [--faults FILE] [--compare]
-    /// [--policy grouping|attach|elevator] [--delivery pull|push]
-    /// [--report OUT] [--trace-out OUT]`
-    Run {
-        spec: String,
-        db: Option<String>,
-        faults: Option<String>,
-        compare: bool,
-        policy: Option<SharingPolicyKind>,
-        delivery: Option<DeliveryMode>,
-        outputs: RunOutputs,
-    },
-    /// `trace --artifact FILE`: replay a saved report's event log.
-    Trace { artifact: String },
-    /// `metrics --artifact FILE [--quantiles]`: render a saved report's
-    /// metrics; `--quantiles` expands each histogram into p50/p90/p95/p99
-    /// plus its bucket table.
-    Metrics { artifact: String, quantiles: bool },
-    /// `profile --artifact FILE | --smoke [--collapse] [--top N]`:
-    /// render the self-profiler summary of a saved profiled report, or
-    /// of a freshly recorded built-in smoke run.
-    Profile {
-        artifact: Option<String>,
-        smoke: bool,
-        collapse: bool,
-        top: usize,
-    },
-    /// `explain --artifact FILE [--scan ID]`: narrate a saved report's
-    /// decision provenance — why each scan was placed, throttled, capped,
-    /// and re-prioritized.
-    Explain { artifact: String, scan: Option<u64> },
-    /// `watch --spec FILE [--db FILE] [--tick-ms N] [--tail N]
-    /// [--no-clear]`: run a spec with a live ASCII dashboard.
-    Watch {
-        spec: String,
-        db: Option<String>,
-        tick_ms: u64,
-        tail: usize,
-        no_clear: bool,
-    },
-    /// `diff A.json B.json [--json]`: structural diff of two saved
-    /// RunReports — headline deltas, per-scan stretch movement, group
-    /// lifetimes, series endpoints, SLO flips, fault deltas.
-    Diff { a: String, b: String, json: bool },
-    /// `generate --scale S --seed X --out FILE`
-    Generate { scale: f64, seed: u64, out: String },
-    /// `spec-template`
-    SpecTemplate,
-    /// `help`
-    Help,
+pub struct CliError {
+    /// Process exit code.
+    pub code: i32,
+    /// What to print on stderr.
+    pub message: String,
+}
+
+impl CliError {
+    /// A bad command line: exit 2, one `error:` line naming the command,
+    /// then its usage.
+    fn usage(cmd: &Cmd, what: impl Display) -> Self {
+        let message = format!("error: {}: {what}\n\n{}", cmd.name, cmd.help());
+        CliError { code: 2, message }
+    }
+}
+
+/// Bad input — an unreadable or malformed file: exit 2.
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError { code: 2, message }
+    }
+}
+
+/// An engine or output failure: exit 1.
+fn fail(message: String) -> CliError {
+    CliError { code: 1, message }
+}
+
+/// A command line [`parse`] accepted.
+#[derive(Debug)]
+pub struct Args {
+    /// The command's row of [`COMMANDS`].
+    cmd: &'static Cmd,
+    /// Its positional arguments, exactly as many as the row names.
+    positionals: Vec<String>,
+    /// The flags given, each once, with their values.
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.given(flag).is_some()
+    }
+
+    /// The value given for `flag`, if it was.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.given(flag).flatten()
+    }
+
+    /// `flag`'s value as a `T`, if given; one that does not parse is a
+    /// usage error.
+    fn parsed<T: FromStr>(&self, flag: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: Display,
+    {
+        let Some(v) = self.value(flag) else {
+            return Ok(None);
+        };
+        let bad = |e: T::Err| CliError::usage(self.cmd, format!("{flag} '{v}': {e}"));
+        v.parse().map(Some).map_err(bad)
+    }
+
+    /// A [`Need::Required`] flag's value, which [`parse`] made sure of.
+    fn required(&self, flag: &str) -> &str {
+        self.value(flag).expect("parse enforces required flags")
+    }
+
+    fn given(&self, flag: &str) -> Option<Option<&str>> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|f| f.name == flag),
+            "`{}` has no flag {flag}",
+            self.cmd.name
+        );
+        let given = self.given.iter().find(|(name, _)| *name == flag);
+        given.map(|(_, v)| v.as_deref())
+    }
+}
+
+/// Check a full argument vector (without the program name) against its
+/// command's row of [`COMMANDS`]: no unknown or repeated flag, a value for
+/// every value flag, the row's positionals and needed flags, nothing else.
+/// No command (or `--help`, `-h`) is `help`.
+pub fn parse(argv: &[String]) -> Result<Args, CliError> {
+    let name = match argv.first().map(String::as_str) {
+        None | Some("--help" | "-h") => "help",
+        Some(name) => name,
+    };
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        let message = format!("error: unknown command '{name}'\n\n{}", usage());
+        return Err(CliError { code: 2, message });
+    };
+    let bad = |what: String| Err(CliError::usage(cmd, what));
+    let mut args = Args {
+        cmd,
+        positionals: Vec::new(),
+        given: Vec::new(),
+    };
+    let mut rest = argv.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        let Some(flag) = cmd.flags.iter().find(|f| f.name == arg) else {
+            if arg.starts_with("--") {
+                return bad(format!("unknown flag {arg}"));
+            } else if args.positionals.len() == cmd.positionals.len() {
+                return bad(format!("unexpected argument '{arg}'"));
+            }
+            args.positionals.push(arg.clone());
+            continue;
+        };
+        if args.has(flag.name) {
+            return bad(format!("{arg} given twice"));
+        }
+        let value = match flag.value {
+            None => None,
+            Some(placeholder) => match rest.next() {
+                Some(v) if !v.starts_with("--") => Some(v.clone()),
+                _ => return bad(format!("{arg} needs a value ({placeholder})")),
+            },
+        };
+        args.given.push((flag.name, value));
+    }
+    if args.positionals.len() < cmd.positionals.len() {
+        return bad(format!("expected {}", cmd.positionals.join(" ")));
+    }
+    if let Some(f) = cmd.flags_of(Need::Required).find(|f| !args.has(f.name)) {
+        return bad(format!("missing {}", f.spelled()));
+    }
+    let either: Vec<&Flag> = cmd.flags_of(Need::Either).collect();
+    if !either.is_empty() && either.iter().filter(|f| args.has(f.name)).count() != 1 {
+        let names: Vec<String> = either.iter().map(|f| f.spelled()).collect();
+        return bad(format!("give exactly one of {}", names.join(" | ")));
+    }
+    Ok(args)
+}
+
+/// Parse `argv` (without the program name) and run its command; returns
+/// the process exit code, after printing the diagnostic of a failure.
+pub fn dispatch(argv: &[String]) -> i32 {
+    match parse(argv).and_then(|args| (args.cmd.run)(&args)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{}", e.message);
+            e.code
+        }
+    }
+}
+
+fn cmd_help(_: &Args) -> Result<i32, CliError> {
+    println!("{}", usage());
+    Ok(0)
+}
+
+fn cmd_spec_template(_: &Args) -> Result<i32, CliError> {
+    let spec = serde_json::to_string_pretty(&RunSpec::template()).expect("spec serializes");
+    println!("{spec}");
+    Ok(0)
+}
+
+/// The database `--scale` and `--seed` describe.
+fn tpch_config(args: &Args) -> Result<TpchConfig, CliError> {
+    Ok(TpchConfig {
+        scale: args.parsed("--scale")?.unwrap_or(0.5),
+        seed: args.parsed("--seed")?.unwrap_or(42),
+        ..TpchConfig::default()
+    })
+}
+
+fn cmd_throughput(args: &Args) -> Result<i32, CliError> {
+    let streams = args.parsed("--streams")?.unwrap_or(3);
+    let tpch = tpch_config(args)?;
+    let db = generate(&tpch);
+    let sharing = SharingMode::ScanSharing(SharingConfig::new(0));
+    let spec = throughput_workload(&db, streams, tpch.months as i64, tpch.seed, sharing);
+    run_maybe_compare(&db, &spec, true)
+}
+
+fn cmd_staggered(args: &Args) -> Result<i32, CliError> {
+    let copies = args.parsed("--copies")?.unwrap_or(3);
+    let stagger_frac: f64 = args.parsed("--stagger-frac")?.unwrap_or(0.15);
+    let tpch = tpch_config(args)?;
+    let q = match args.value("--query").unwrap_or("q6") {
+        "q1" => q1(),
+        "q6" => q6(tpch.months as i64, tpch.seed),
+        other => {
+            let what = format!("unknown query '{other}' (expected q1 or q6)");
+            return Err(CliError::usage(args.cmd, what));
+        }
+    };
+    let db = generate(&tpch);
+    // Calibrate the stagger from a solo run.
+    let solo = staggered_workload(&db, &q, 1, SimDuration::ZERO, SharingMode::Base);
+    let solo = run_workload(&db, &solo).expect("solo run");
+    let stagger_us = (solo.makespan.as_micros() as f64 * stagger_frac).max(1.0) as u64;
+    let stagger = SimDuration::from_micros(stagger_us);
+    let sharing = SharingMode::ScanSharing(SharingConfig::new(0));
+    let spec = staggered_workload(&db, &q, copies, stagger, sharing);
+    run_maybe_compare(&db, &spec, true)
+}
+
+/// The `--spec` file, its fault plan replaced by the `faults` file if
+/// given, and the database it runs on: the `--db` file if given, else one
+/// generated from the spec. Every file is read before the generator runs.
+fn load_spec_and_db(args: &Args, faults: Option<&str>) -> Result<(RunSpec, Database), CliError> {
+    let path = args.required("--spec");
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut spec: RunSpec = serde_json::from_str(&text).map_err(|e| spec_error(path, e))?;
+    if let Some(path) = faults {
+        spec.workload.faults = load_fault_config(path)?;
+    }
+    let db = match args.value("--db") {
+        Some(path) => Database::load(path).map_err(|e| format!("cannot load {path}: {e}"))?,
+        None => generate(&spec.tpch),
+    };
+    Ok((spec, db))
+}
+
+fn cmd_run(args: &Args) -> Result<i32, CliError> {
+    let (policy, delivery) = (args.parsed("--policy")?, args.parsed("--delivery")?);
+    let (spec, db) = load_spec_and_db(args, args.value("--faults"))?;
+    let outputs = RunOutputs {
+        report: args.value("--report").map(String::from),
+        trace: args.value("--trace-out").map(String::from),
+        profile: args.value("--profile-out").map(String::from),
+    };
+    let compare = args.has("--compare");
+    run_maybe_compare_with(&db, &spec.workload, compare, policy, delivery, &outputs)
+}
+
+fn cmd_trace(args: &Args) -> Result<i32, CliError> {
+    let records = load_artifact_trace(args.required("--artifact"))?;
+    print!("{}", render::render_trace(&records));
+    Ok(0)
+}
+
+fn cmd_metrics(args: &Args) -> Result<i32, CliError> {
+    let report = load_report(args.required("--artifact"))?;
+    let quantiles = args.has("--quantiles");
+    print!("{}", render::render_metrics_detailed(&report, quantiles));
+    Ok(0)
+}
+
+fn cmd_profile(args: &Args) -> Result<i32, CliError> {
+    let top = args.parsed("--top")?.unwrap_or(10);
+    let summary = if let Some(path) = args.value("--artifact") {
+        load_report(path)?.profile.ok_or_else(|| {
+            format!(
+                "{path} has no profile section — record one with \
+                 `scanshare run ... --profile-out trace.json --report {path}`"
+            )
+        })?
+    } else {
+        // --smoke: record a fresh profile of a tiny built-in comparison
+        // run, so the profiler can be exercised (and CI can smoke-test
+        // it) without writing a spec.
+        let tpch = TpchConfig::tiny();
+        let db = generate(&tpch);
+        let sharing = SharingMode::ScanSharing(SharingConfig::new(0));
+        let w = throughput_workload(&db, 2, tpch.months as i64, tpch.seed, sharing);
+        let profiler = SpanProfiler::default();
+        let hooks = RunHooks {
+            profiler: Some(profiler.clone()),
+            ..RunHooks::default()
+        };
+        let smoke = run_workload_hooked(&db, &w, hooks);
+        smoke.map_err(|e| fail(format!("smoke run failed: {e}")))?;
+        profiler.summary()
+    };
+    if args.has("--collapse") {
+        print!("{}", profile::render_collapsed(&summary));
+    } else {
+        print!("{}", profile::render_profile(&summary, top));
+    }
+    Ok(0)
+}
+
+fn cmd_explain(args: &Args) -> Result<i32, CliError> {
+    let scan = args.parsed("--scan")?;
+    let report = load_report(args.required("--artifact"))?;
+    print!("{}", explain::render_explain(&report, scan)?);
+    Ok(0)
+}
+
+fn cmd_watch(args: &Args) -> Result<i32, CliError> {
+    let opts = watch::WatchOptions {
+        tick_ms: args.parsed("--tick-ms")?.unwrap_or(250),
+        clear: !args.has("--no-clear"),
+        tail: args.parsed("--tail")?.unwrap_or(8),
+    };
+    let (spec, db) = load_spec_and_db(args, None)?;
+    let r = watch::run_watch(&db, &spec.workload, &opts, &mut std::io::stdout()).map_err(fail)?;
+    print_report("watched run", &r);
+    Ok(0)
+}
+
+fn cmd_diff(args: &Args) -> Result<i32, CliError> {
+    let [a, b] = [&args.positionals[0], &args.positionals[1]];
+    let d = diff::compute_diff(&load_report(a)?, &load_report(b)?);
+    if args.has("--json") {
+        // Keep stdout pure JSON; the one-line verdict goes to stderr so
+        // `... --json | jq` just works.
+        let json = serde_json::to_string_pretty(&d).expect("diff serializes");
+        println!("{json}");
+        eprintln!("{}", d.summary_line());
+    } else {
+        print!("{}", render::render_report_diff(a, b, &d));
+        println!("{}", d.summary_line());
+    }
+    // Like cmp/diff: 0 identical, 1 different, 2 trouble.
+    Ok(if d.is_zero() { 0 } else { 1 })
+}
+
+fn cmd_generate(args: &Args) -> Result<i32, CliError> {
+    let tpch = tpch_config(args)?;
+    let out = args.required("--out");
+    let db = generate(&tpch);
+    db.save(out)
+        .map_err(|e| fail(format!("save failed: {e}")))?;
+    let (tables, pages) = (db.table_names().len(), db.total_table_pages());
+    println!("saved {tables} tables / {pages} pages to {out}");
+    Ok(0)
 }
 
 /// Where `run` saves its artifacts, if anywhere. The measured run (the
@@ -160,254 +648,6 @@ impl RunOutputs {
     }
 }
 
-/// Error from argument parsing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UsageError(pub String);
-
-impl std::fmt::Display for UsageError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-}
-
-fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-    default: T,
-) -> Result<T, UsageError> {
-    match flag_value(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| UsageError(format!("invalid value '{v}' for {name}"))),
-    }
-}
-
-/// Parse a full argument vector (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, UsageError> {
-    let Some(cmd) = args.first() else {
-        return Ok(Command::Help);
-    };
-    match cmd.as_str() {
-        "throughput" => Ok(Command::Throughput {
-            streams: parse_flag(args, "--streams", 3)?,
-            scale: parse_flag(args, "--scale", 0.5)?,
-            seed: parse_flag(args, "--seed", 42)?,
-        }),
-        "staggered" => {
-            let query: String = parse_flag(args, "--query", "q6".to_string())?;
-            if query != "q1" && query != "q6" {
-                return Err(UsageError(format!(
-                    "unknown query '{query}' (expected q1 or q6)"
-                )));
-            }
-            Ok(Command::Staggered {
-                query,
-                copies: parse_flag(args, "--copies", 3)?,
-                scale: parse_flag(args, "--scale", 0.5)?,
-                seed: parse_flag(args, "--seed", 42)?,
-                stagger_frac: parse_flag(args, "--stagger-frac", 0.15)?,
-            })
-        }
-        "run" => {
-            let spec = flag_value(args, "--spec")
-                .ok_or_else(|| UsageError("run requires --spec FILE".into()))?
-                .to_string();
-            Ok(Command::Run {
-                spec,
-                db: flag_value(args, "--db").map(String::from),
-                faults: flag_value(args, "--faults").map(String::from),
-                compare: args.iter().any(|a| a == "--compare"),
-                policy: match flag_value(args, "--policy") {
-                    None => None,
-                    Some(v) => Some(v.parse().map_err(UsageError)?),
-                },
-                delivery: match flag_value(args, "--delivery") {
-                    None => None,
-                    Some(v) => Some(v.parse().map_err(UsageError)?),
-                },
-                outputs: RunOutputs {
-                    report: flag_value(args, "--report").map(String::from),
-                    trace: flag_value(args, "--trace-out").map(String::from),
-                    profile: flag_value(args, "--profile-out").map(String::from),
-                },
-            })
-        }
-        "trace" => Ok(Command::Trace {
-            artifact: flag_value(args, "--artifact")
-                .ok_or_else(|| UsageError("trace requires --artifact FILE".into()))?
-                .to_string(),
-        }),
-        "metrics" => Ok(Command::Metrics {
-            artifact: flag_value(args, "--artifact")
-                .ok_or_else(|| UsageError("metrics requires --artifact FILE".into()))?
-                .to_string(),
-            quantiles: args.iter().any(|a| a == "--quantiles"),
-        }),
-        "profile" => {
-            let artifact = flag_value(args, "--artifact").map(String::from);
-            let smoke = args.iter().any(|a| a == "--smoke");
-            if artifact.is_none() && !smoke {
-                return Err(UsageError(
-                    "profile requires --artifact FILE or --smoke".into(),
-                ));
-            }
-            Ok(Command::Profile {
-                artifact,
-                smoke,
-                collapse: args.iter().any(|a| a == "--collapse"),
-                top: parse_flag(args, "--top", 10)?,
-            })
-        }
-        "explain" => Ok(Command::Explain {
-            artifact: flag_value(args, "--artifact")
-                .ok_or_else(|| UsageError("explain requires --artifact FILE".into()))?
-                .to_string(),
-            scan: match flag_value(args, "--scan") {
-                None => None,
-                Some(v) => Some(
-                    v.parse()
-                        .map_err(|_| UsageError(format!("invalid value '{v}' for --scan")))?,
-                ),
-            },
-        }),
-        "watch" => Ok(Command::Watch {
-            spec: flag_value(args, "--spec")
-                .ok_or_else(|| UsageError("watch requires --spec FILE".into()))?
-                .to_string(),
-            db: flag_value(args, "--db").map(String::from),
-            tick_ms: parse_flag(args, "--tick-ms", 250)?,
-            tail: parse_flag(args, "--tail", 8)?,
-            no_clear: args.iter().any(|a| a == "--no-clear"),
-        }),
-        "diff" => {
-            // Two positional report paths; flags may appear anywhere.
-            let mut files = Vec::new();
-            for a in &args[1..] {
-                if a == "--json" {
-                    continue;
-                }
-                if a.starts_with("--") {
-                    return Err(UsageError(format!("unknown flag '{a}' for diff")));
-                }
-                files.push(a.clone());
-            }
-            let [a, b] = files.as_slice() else {
-                return Err(UsageError(
-                    "diff requires exactly two report files: diff A.json B.json".into(),
-                ));
-            };
-            Ok(Command::Diff {
-                a: a.clone(),
-                b: b.clone(),
-                json: args.iter().any(|x| x == "--json"),
-            })
-        }
-        "generate" => Ok(Command::Generate {
-            scale: parse_flag(args, "--scale", 0.5)?,
-            seed: parse_flag(args, "--seed", 42)?,
-            out: flag_value(args, "--out")
-                .ok_or_else(|| UsageError("generate requires --out FILE".into()))?
-                .to_string(),
-        }),
-        "spec-template" => Ok(Command::SpecTemplate),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(UsageError(format!("unknown command '{other}'"))),
-    }
-}
-
-/// Usage text.
-pub const USAGE: &str = "\
-scanshare — scan-sharing reproduction driver
-
-USAGE:
-  scanshare throughput [--streams N] [--scale S] [--seed X]
-      N-stream TPC-H throughput run, base vs scan-sharing (Table 1 setup).
-  scanshare staggered [--query q1|q6] [--copies N] [--scale S] [--seed X]
-                      [--stagger-frac F]
-      Staggered single-query run (Figure 15/16 setup).
-  scanshare run --spec FILE [--db FILE] [--faults FILE] [--compare]
-                [--policy grouping|attach|elevator] [--delivery pull|push]
-                [--report OUT] [--trace-out OUT] [--profile-out OUT]
-      Execute a JSON RunSpec. The spec's workload section may carry an
-      optional \"faults\" subsection (a FaultsConfig: seeded fault plan
-      plus retry/timeout policy) — `scanshare spec-template` shows the
-      shape. --compare forces base vs scan-sharing;
-      --db loads a previously generated database instead of regenerating;
-      --faults overrides the spec's \"faults\" subsection with a
-      FaultsConfig JSON file;
-      --policy selects the scan-sharing policy: grouping (default; the
-      paper's grouping + throttling machinery), attach (join the newest
-      compatible scan, never throttle), or elevator (one circulating
-      read cursor per table);
-      --delivery selects how pages reach a group's consumers: pull
-      (default; every scan fixes its own pages) or push (one group
-      driver fixes each page once and pushes it through every attached
-      consumer's row pipeline; the report gains a \"push\" section with
-      driver/attach/catch-up counters);
-      --report saves the full RunReport (metrics + trace) as JSON,
-      --trace-out saves the event log alone as JSON-lines, and
-      --profile-out records a hierarchical span profile and saves it as
-      Chrome trace-event JSON (open at ui.perfetto.dev; one track per
-      scan stream plus manager and driver tracks). With --profile-out
-      the report also embeds a folded profile summary readable by
-      `scanshare profile`.
-      The spec's workload section may also carry an \"slo\" subsection:
-      declarative service-level rules (e.g. {\"name\": \"fair\",
-      \"metric\": \"p99_stretch\", \"op\": \"<=\", \"value\": 1.5})
-      evaluated at end of run into pass/fail verdicts in the report.
-      Exits 0 on success, 1 on engine failure, 2 on bad input, 3 when
-      injected faults aborted at least one scan (degraded run), and 4
-      when the run completed but breached at least one SLO rule.
-  scanshare trace --artifact FILE
-      Replay a saved RunReport (or raw JSON-lines trace): scan
-      lifecycles with attributed throttle waits, then the event log.
-  scanshare metrics --artifact FILE [--quantiles]
-      Render a saved RunReport's metrics snapshot: counters, latency
-      histograms, and per-group/per-scan timelines as text tables.
-      --quantiles expands every histogram with p50/p90/p95/p99 rows and
-      its full bucket table (inclusive upper bounds).
-  scanshare profile (--artifact FILE | --smoke) [--collapse] [--top N]
-      Render the self-profiler summary: per-phase inclusive/exclusive
-      times on both clocks (deterministic virtual µs, host wall ns) and
-      the hottest spans. --artifact reads a report saved by
-      `run --profile-out`; --smoke records a fresh built-in run.
-      --collapse instead prints flamegraph-folded stacks
-      (`phase;child µs` per line) for flamegraph.pl or speedscope.
-  scanshare explain --artifact FILE [--scan ID]
-      Narrate a saved RunReport's decision provenance: per-scan causal
-      stories (placement candidates vs threshold, throttle distance vs
-      threshold, slowdown vs fairness cap) and per-group timelines.
-      With --scan, only that scan's narrative.
-  scanshare watch --spec FILE [--db FILE] [--tick-ms N] [--tail N]
-                  [--no-clear]
-      Execute a JSON RunSpec with a live ASCII dashboard: group
-      topology, per-scan throttle state, pool-residency heatmap, and
-      the decision tail, redrawn every N ms (--no-clear appends frames
-      instead of clearing, for piped output).
-  scanshare diff A.json B.json [--json]
-      Structural diff of two saved RunReports: headline counter deltas
-      (makespan, reads, seeks, hit ratio), per-query stretch movement
-      matched by (stream, name, occurrence), sharing-group lifetimes
-      that appeared/vanished/shifted, sampled-series endpoints, SLO
-      verdict flips, fault-summary deltas, and the policy pair.
-      Exits like cmp: 0 when structurally identical, 1 when the
-      reports differ, 2 on unreadable input.
-  scanshare generate [--scale S] [--seed X] --out FILE
-      Generate the TPC-H-like database once and save it for reuse.
-  scanshare spec-template
-      Print an editable RunSpec JSON to stdout.
-  scanshare help
-      This text.
-";
-
 /// Print one run's headline numbers.
 pub fn print_report(label: &str, r: &RunReport) {
     println!(
@@ -438,354 +678,6 @@ fn force_mode(spec: &WorkloadSpec, mode: SharingMode) -> WorkloadSpec {
     WorkloadSpec {
         mode,
         ..spec.clone()
-    }
-}
-
-/// Execute a parsed command. Returns a process exit code.
-pub fn execute(cmd: Command) -> i32 {
-    match cmd {
-        Command::Help => {
-            println!("{USAGE}");
-            0
-        }
-        Command::SpecTemplate => {
-            let spec = RunSpec::template();
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&spec).expect("spec serializes")
-            );
-            0
-        }
-        Command::Throughput {
-            streams,
-            scale,
-            seed,
-        } => {
-            let tpch = TpchConfig {
-                scale,
-                seed,
-                ..TpchConfig::default()
-            };
-            let db = generate(&tpch);
-            let months = tpch.months as i64;
-            let ss_spec = throughput_workload(
-                &db,
-                streams,
-                months,
-                seed,
-                SharingMode::ScanSharing(SharingConfig::new(0)),
-            );
-            run_maybe_compare(&db, &ss_spec, true)
-        }
-        Command::Staggered {
-            query,
-            copies,
-            scale,
-            seed,
-            stagger_frac,
-        } => {
-            let tpch = TpchConfig {
-                scale,
-                seed,
-                ..TpchConfig::default()
-            };
-            let db = generate(&tpch);
-            let q = if query == "q1" {
-                q1()
-            } else {
-                q6(tpch.months as i64, seed)
-            };
-            // Calibrate the stagger from a solo run.
-            let solo = staggered_workload(
-                &db,
-                &q,
-                1,
-                scanshare_storage::SimDuration::ZERO,
-                SharingMode::Base,
-            );
-            let solo_run = run_workload(&db, &solo).expect("solo run");
-            let stagger = scanshare_storage::SimDuration::from_micros(
-                (solo_run.makespan.as_micros() as f64 * stagger_frac).max(1.0) as u64,
-            );
-            let ss_spec = staggered_workload(
-                &db,
-                &q,
-                copies,
-                stagger,
-                SharingMode::ScanSharing(SharingConfig::new(0)),
-            );
-            run_maybe_compare(&db, &ss_spec, true)
-        }
-        Command::Run {
-            spec,
-            db,
-            faults,
-            compare,
-            policy,
-            delivery,
-            outputs,
-        } => {
-            let text = match std::fs::read_to_string(&spec) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {spec}: {e}");
-                    return 2;
-                }
-            };
-            let mut parsed: RunSpec = match serde_json::from_str(&text) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{}", spec_error(&spec, e));
-                    return 2;
-                }
-            };
-            if let Some(p) = policy {
-                match &mut parsed.workload.mode {
-                    SharingMode::ScanSharing(cfg) => cfg.policy = p,
-                    SharingMode::Base | SharingMode::BasePolicy(_) if !compare => {
-                        eprintln!(
-                            "note: --policy {p} has no effect on a base-mode spec \
-                             (add --compare or set the spec's mode to ScanSharing)"
-                        );
-                    }
-                    SharingMode::Base | SharingMode::BasePolicy(_) => {}
-                }
-            }
-            if let Some(d) = delivery {
-                match &mut parsed.workload.mode {
-                    SharingMode::ScanSharing(cfg) => cfg.delivery = d,
-                    SharingMode::Base | SharingMode::BasePolicy(_) if !compare => {
-                        eprintln!(
-                            "note: --delivery {d} has no effect on a base-mode spec \
-                             (add --compare or set the spec's mode to ScanSharing)"
-                        );
-                    }
-                    SharingMode::Base | SharingMode::BasePolicy(_) => {}
-                }
-            }
-            if let Some(path) = faults {
-                match load_fault_config(&path) {
-                    Ok(cfg) => parsed.workload.faults = cfg,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return 2;
-                    }
-                }
-            }
-            let database = match db {
-                Some(path) => match Database::load(&path) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        eprintln!("cannot load {path}: {e}");
-                        return 2;
-                    }
-                },
-                None => generate(&parsed.tpch),
-            };
-            run_maybe_compare_with(
-                &database,
-                &parsed.workload,
-                compare,
-                policy,
-                delivery,
-                &outputs,
-            )
-        }
-        Command::Trace { artifact } => match load_artifact_trace(&artifact) {
-            Ok(records) => {
-                print!("{}", render::render_trace(&records));
-                0
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                2
-            }
-        },
-        Command::Metrics {
-            artifact,
-            quantiles,
-        } => match load_report(&artifact) {
-            Ok(report) => {
-                print!("{}", render::render_metrics_detailed(&report, quantiles));
-                0
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                2
-            }
-        },
-        Command::Profile {
-            artifact,
-            smoke,
-            collapse,
-            top,
-        } => {
-            let summary = if let Some(path) = artifact {
-                match load_report(&path) {
-                    Ok(report) => match report.profile {
-                        Some(s) => s,
-                        None => {
-                            eprintln!(
-                                "{path} has no profile section — record one with \
-                                 `scanshare run ... --profile-out trace.json --report {path}`"
-                            );
-                            return 2;
-                        }
-                    },
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return 2;
-                    }
-                }
-            } else {
-                // --smoke: record a fresh profile of a tiny built-in
-                // comparison run, so the profiler can be exercised (and
-                // CI can smoke-test it) without writing a spec.
-                let tpch = TpchConfig::tiny();
-                let db = generate(&tpch);
-                let w = throughput_workload(
-                    &db,
-                    2,
-                    tpch.months as i64,
-                    tpch.seed,
-                    SharingMode::ScanSharing(SharingConfig::new(0)),
-                );
-                let profiler = SpanProfiler::default();
-                let hooks = RunHooks {
-                    profiler: Some(profiler.clone()),
-                    ..RunHooks::default()
-                };
-                debug_assert!(smoke, "parse_args requires --artifact or --smoke");
-                if let Err(e) = run_workload_hooked(&db, &w, hooks) {
-                    eprintln!("smoke run failed: {e}");
-                    return 1;
-                }
-                profiler.summary()
-            };
-            if collapse {
-                print!("{}", profile::render_collapsed(&summary));
-            } else {
-                print!("{}", profile::render_profile(&summary, top));
-            }
-            0
-        }
-        Command::Explain { artifact, scan } => {
-            match load_report(&artifact).and_then(|report| explain::render_explain(&report, scan)) {
-                Ok(text) => {
-                    print!("{text}");
-                    0
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    2
-                }
-            }
-        }
-        Command::Watch {
-            spec,
-            db,
-            tick_ms,
-            tail,
-            no_clear,
-        } => {
-            let text = match std::fs::read_to_string(&spec) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {spec}: {e}");
-                    return 2;
-                }
-            };
-            let parsed: RunSpec = match serde_json::from_str(&text) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("{}", spec_error(&spec, e));
-                    return 2;
-                }
-            };
-            let database = match db {
-                Some(path) => match Database::load(&path) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        eprintln!("cannot load {path}: {e}");
-                        return 2;
-                    }
-                },
-                None => generate(&parsed.tpch),
-            };
-            let opts = watch::WatchOptions {
-                tick_ms,
-                clear: !no_clear,
-                tail,
-            };
-            let mut stdout = std::io::stdout();
-            match watch::run_watch(&database, &parsed.workload, &opts, &mut stdout) {
-                Ok(r) => {
-                    print_report("watched run", &r);
-                    0
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    1
-                }
-            }
-        }
-        Command::Diff { a, b, json } => {
-            let ra = match load_report(&a) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            };
-            let rb = match load_report(&b) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            };
-            let d = diff::compute_diff(&ra, &rb);
-            if json {
-                // Keep stdout pure JSON; the one-line verdict goes to
-                // stderr so `... --json | jq` just works.
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&d).expect("diff serializes")
-                );
-                eprintln!("{}", d.summary_line());
-            } else {
-                print!("{}", render::render_report_diff(&a, &b, &d));
-                println!("{}", d.summary_line());
-            }
-            // Like cmp/diff: 0 identical, 1 different, 2 trouble.
-            if d.is_zero() {
-                0
-            } else {
-                1
-            }
-        }
-        Command::Generate { scale, seed, out } => {
-            let tpch = TpchConfig {
-                scale,
-                seed,
-                ..TpchConfig::default()
-            };
-            let db = generate(&tpch);
-            match db.save(&out) {
-                Ok(()) => {
-                    println!(
-                        "saved {} tables / {} pages to {out}",
-                        db.table_names().len(),
-                        db.total_table_pages()
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("save failed: {e}");
-                    1
-                }
-            }
-        }
     }
 }
 
@@ -880,25 +772,32 @@ fn slo_exit(r: &RunReport) -> i32 {
     }
 }
 
-fn run_maybe_compare(db: &Database, spec: &WorkloadSpec, compare: bool) -> i32 {
-    run_maybe_compare_with(db, spec, compare, None, None, &RunOutputs::default())
-}
-
-/// Exit code for a completed run: 0 when every scan finished, 3 when a
-/// permanent (or retry-exhausted) fault aborted at least one scan and the
-/// run degraded to partial results.
-fn degraded_exit(r: &RunReport) -> i32 {
-    if r.faults.scans_aborted > 0 {
-        eprintln!(
-            "degraded run: {} scan(s) aborted by injected faults",
-            r.faults.scans_aborted
-        );
+/// Exit code for completed runs: 3 when a permanent (or retry-exhausted)
+/// fault aborted a scan of any of them and the run degraded to partial
+/// results, else 4 when an SLO rule was breached, else 0. Degradation
+/// outranks the breach: partial results explain breached rules, so
+/// report the root cause.
+fn exit_code(runs: &[&RunReport]) -> i32 {
+    let aborted: Vec<u64> = runs.iter().map(|r| r.faults.scans_aborted).collect();
+    for n in aborted.iter().filter(|&&n| n > 0) {
+        eprintln!("degraded run: {n} scan(s) aborted by injected faults");
+    }
+    let slo = runs.iter().map(|r| slo_exit(r)).max().unwrap_or(0);
+    if aborted.iter().any(|&n| n > 0) {
         3
     } else {
-        0
+        slo
     }
 }
 
+fn run_maybe_compare(db: &Database, spec: &WorkloadSpec, compare: bool) -> Result<i32, CliError> {
+    run_maybe_compare_with(db, spec, compare, None, None, &RunOutputs::default())
+}
+
+/// Run `spec` — under `compare`, a base run and a sharing run of it — and
+/// print the headline numbers. The sharing run measures the spec's own
+/// configuration (the default one when `compare` meets a base-mode spec)
+/// with `policy` and `delivery` on top; `outputs` describe that run.
 fn run_maybe_compare_with(
     db: &Database,
     spec: &WorkloadSpec,
@@ -906,55 +805,41 @@ fn run_maybe_compare_with(
     policy: Option<SharingPolicyKind>,
     delivery: Option<DeliveryMode>,
     outputs: &RunOutputs,
-) -> i32 {
-    if compare {
-        let base = force_mode(spec, SharingMode::Base);
-        let mut cfg = SharingConfig::with_policy(0, policy.unwrap_or_default());
-        cfg.delivery = delivery.unwrap_or_default();
-        let ss = force_mode(spec, SharingMode::ScanSharing(cfg));
-        let rb = match run_workload(db, &base) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("base run failed: {e}");
-                return 1;
-            }
-        };
-        // Artifacts describe the measured (scan-sharing) side.
-        let rs = match run_measured(db, &ss, outputs) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("scan-sharing {e}");
-                return 1;
-            }
-        };
-        print_comparison(&rb, &rs);
-        // Degradation (3) outranks an SLO breach (4): partial results
-        // explain breached rules, so report the root cause.
-        let degraded = degraded_exit(&rb).max(degraded_exit(&rs));
-        let slo = slo_exit(&rb).max(slo_exit(&rs));
-        if degraded != 0 {
-            degraded
-        } else {
-            slo
-        }
+) -> Result<i32, CliError> {
+    let mut sharing = match &spec.mode {
+        SharingMode::ScanSharing(cfg) => Some(cfg.clone()),
+        SharingMode::Base | SharingMode::BasePolicy(_) => compare.then(|| SharingConfig::new(0)),
+    };
+    if let Some(cfg) = &mut sharing {
+        cfg.policy = policy.unwrap_or(cfg.policy);
+        cfg.delivery = delivery.unwrap_or(cfg.delivery);
     } else {
-        match run_measured(db, spec, outputs) {
-            Ok(r) => {
-                print_report("run", &r);
-                let degraded = degraded_exit(&r);
-                let slo = slo_exit(&r);
-                if degraded != 0 {
-                    degraded
-                } else {
-                    slo
-                }
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                1
-            }
+        let ignored = [
+            policy.map(|p| format!("--policy {p}")),
+            delivery.map(|d| format!("--delivery {d}")),
+        ];
+        for flag in ignored.into_iter().flatten() {
+            eprintln!(
+                "note: {flag} has no effect on a base-mode spec \
+                 (add --compare or set the spec's mode to ScanSharing)"
+            );
         }
     }
+    let measured = match sharing {
+        Some(cfg) => force_mode(spec, SharingMode::ScanSharing(cfg)),
+        None => spec.clone(),
+    };
+    if !compare {
+        let r = run_measured(db, &measured, outputs).map_err(fail)?;
+        print_report("run", &r);
+        return Ok(exit_code(&[&r]));
+    }
+    let base = force_mode(spec, SharingMode::Base);
+    let rb = run_workload(db, &base).map_err(|e| fail(format!("base run failed: {e}")))?;
+    // Artifacts describe the measured (scan-sharing) side.
+    let rs = run_measured(db, &measured, outputs).map_err(|e| fail(format!("scan-sharing {e}")))?;
+    print_comparison(&rb, &rs);
+    Ok(exit_code(&[&rb, &rs]))
 }
 
 #[cfg(test)]
@@ -965,140 +850,98 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn parsed(s: &str) -> Args {
+        parse(&args(s)).unwrap_or_else(|e| panic!("{s}: {}", e.message))
+    }
+
     #[test]
     fn parses_throughput_with_defaults() {
-        let cmd = parse_args(&args("throughput")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Throughput {
-                streams: 3,
-                scale: 0.5,
-                seed: 42,
-            }
-        );
+        let a = parsed("throughput");
+        assert_eq!(a.cmd.name, "throughput");
+        assert_eq!(a.parsed::<usize>("--streams").unwrap(), None);
+        assert!(!a.has("--scale") && !a.has("--seed"));
     }
 
     #[test]
     fn parses_throughput_flags() {
-        let cmd = parse_args(&args("throughput --streams 5 --scale 0.1 --seed 7")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Throughput {
-                streams: 5,
-                scale: 0.1,
-                seed: 7,
-            }
-        );
+        let a = parsed("throughput --streams 5 --scale 0.1 --seed 7");
+        assert_eq!(a.parsed("--streams").unwrap(), Some(5usize));
+        assert_eq!(a.parsed("--scale").unwrap(), Some(0.1));
+        assert_eq!(a.parsed("--seed").unwrap(), Some(7u64));
     }
 
     #[test]
     fn parses_staggered() {
-        let cmd = parse_args(&args("staggered --query q1 --copies 4 --stagger-frac 0.3")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Staggered {
-                query: "q1".into(),
-                copies: 4,
-                scale: 0.5,
-                seed: 42,
-                stagger_frac: 0.3
-            }
-        );
+        let a = parsed("staggered --query q1 --copies 4 --stagger-frac 0.3");
+        assert_eq!(a.value("--query"), Some("q1"));
+        assert_eq!(a.parsed("--copies").unwrap(), Some(4usize));
+        assert_eq!(a.parsed("--stagger-frac").unwrap(), Some(0.3));
+        assert_eq!(a.parsed::<f64>("--scale").unwrap(), None);
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_args(&args("staggered --query q99")).is_err());
-        assert!(parse_args(&args("throughput --streams nope")).is_err());
-        assert!(parse_args(&args("run")).is_err());
-        assert!(parse_args(&args("generate")).is_err());
-        assert!(parse_args(&args("frobnicate")).is_err());
-        assert!(parse_args(&args("trace")).is_err());
-        assert!(parse_args(&args("metrics")).is_err());
-        assert!(parse_args(&args("explain")).is_err());
-        assert!(parse_args(&args("explain --artifact r.json --scan abc")).is_err());
-        assert!(parse_args(&args("watch")).is_err());
-        assert!(parse_args(&args("watch --spec s.json --tick-ms fast")).is_err());
+        // Each is refused with exit 2 by the parser or the handler's value
+        // check, naming the bad flag or value — not by a later failure to
+        // read `r.json` or `s.json`, neither of which exists.
+        let refused = |s: &str, named: &str| {
+            let e = parse(&args(s)).and_then(|a| (a.cmd.run)(&a)).unwrap_err();
+            assert_eq!(e.code, 2, "{s}: {}", e.message);
+            assert!(e.message.contains(named), "{s}: {}", e.message);
+        };
+        refused("staggered --query q99", "'q99'");
+        refused("throughput --streams nope", "--streams 'nope'");
+        refused("run", "missing --spec");
+        refused("generate", "missing --out");
+        refused("frobnicate", "'frobnicate'");
+        refused("trace", "missing --artifact");
+        refused("metrics", "missing --artifact");
+        refused("explain", "missing --artifact");
+        refused("explain --artifact r.json --scan abc", "--scan 'abc'");
+        refused("watch", "missing --spec");
+        refused("watch --spec s.json --tick-ms fast", "--tick-ms 'fast'");
     }
 
     #[test]
     fn parses_explain_and_watch() {
-        assert_eq!(
-            parse_args(&args("explain --artifact out.json")).unwrap(),
-            Command::Explain {
-                artifact: "out.json".into(),
-                scan: None,
-            }
-        );
-        assert_eq!(
-            parse_args(&args("explain --artifact out.json --scan 3")).unwrap(),
-            Command::Explain {
-                artifact: "out.json".into(),
-                scan: Some(3),
-            }
-        );
-        assert_eq!(
-            parse_args(&args(
-                "watch --spec s.json --tick-ms 100 --tail 5 --no-clear"
-            ))
-            .unwrap(),
-            Command::Watch {
-                spec: "s.json".into(),
-                db: None,
-                tick_ms: 100,
-                tail: 5,
-                no_clear: true,
-            }
-        );
+        let a = parsed("explain --artifact out.json");
+        assert_eq!(a.value("--artifact"), Some("out.json"));
+        assert_eq!(a.parsed::<u64>("--scan").unwrap(), None);
+        let a = parsed("explain --artifact out.json --scan 3");
+        assert_eq!(a.parsed("--scan").unwrap(), Some(3u64));
+        let a = parsed("watch --spec s.json --tick-ms 100 --tail 5 --no-clear");
+        assert_eq!(a.value("--spec"), Some("s.json"));
+        assert_eq!(a.value("--db"), None);
+        assert_eq!(a.parsed("--tick-ms").unwrap(), Some(100u64));
+        assert_eq!(a.parsed("--tail").unwrap(), Some(5usize));
+        assert!(a.has("--no-clear"));
     }
 
     #[test]
     fn parses_run_outputs_and_replay_commands() {
-        let cmd = parse_args(&args(
-            "run --spec s.json --report out.json --trace-out t.jsonl",
-        ))
-        .unwrap();
+        let a = parsed("run --spec s.json --report out.json --trace-out t.jsonl");
+        assert_eq!(a.value("--spec"), Some("s.json"));
+        assert_eq!(a.value("--report"), Some("out.json"));
+        assert_eq!(a.value("--trace-out"), Some("t.jsonl"));
+        for absent in [
+            "--db",
+            "--faults",
+            "--policy",
+            "--delivery",
+            "--profile-out",
+        ] {
+            assert_eq!(a.value(absent), None, "{absent}");
+        }
+        assert!(!a.has("--compare"));
+        let a = parsed("run --spec s.json --faults plan.json");
+        assert_eq!(a.value("--faults"), Some("plan.json"));
         assert_eq!(
-            cmd,
-            Command::Run {
-                spec: "s.json".into(),
-                db: None,
-                faults: None,
-                compare: false,
-                policy: None,
-                delivery: None,
-                outputs: RunOutputs {
-                    report: Some("out.json".into()),
-                    trace: Some("t.jsonl".into()),
-                    profile: None,
-                },
-            }
+            parsed("trace --artifact out.json").value("--artifact"),
+            Some("out.json")
         );
-        assert_eq!(
-            parse_args(&args("run --spec s.json --faults plan.json")).unwrap(),
-            Command::Run {
-                spec: "s.json".into(),
-                db: None,
-                faults: Some("plan.json".into()),
-                compare: false,
-                policy: None,
-                delivery: None,
-                outputs: RunOutputs::default(),
-            }
-        );
-        assert_eq!(
-            parse_args(&args("trace --artifact out.json")).unwrap(),
-            Command::Trace {
-                artifact: "out.json".into()
-            }
-        );
-        assert_eq!(
-            parse_args(&args("metrics --artifact out.json")).unwrap(),
-            Command::Metrics {
-                artifact: "out.json".into(),
-                quantiles: false,
-            }
-        );
+        let a = parsed("metrics --artifact out.json");
+        assert_eq!(a.value("--artifact"), Some("out.json"));
+        assert!(!a.has("--quantiles"));
     }
 
     #[test]
@@ -1123,7 +966,7 @@ mod tests {
         };
         assert_eq!(
             run_maybe_compare_with(&db, &w, false, None, None, &outputs),
-            0
+            Ok(0)
         );
 
         // The saved report replays: embedded trace matches the JSONL
@@ -1162,7 +1005,7 @@ mod tests {
         let loaded = Database::load(&db_path).unwrap();
         std::fs::remove_file(&db_path).ok();
         let w = throughput_workload(&loaded, 1, tpch.months as i64, 1, SharingMode::Base);
-        assert_eq!(run_maybe_compare(&loaded, &w, false), 0);
+        assert_eq!(run_maybe_compare(&loaded, &w, false), Ok(0));
     }
 
     #[test]
@@ -1172,16 +1015,19 @@ mod tests {
             ("attach", SharingPolicyKind::Attach),
             ("elevator", SharingPolicyKind::Elevator),
         ] {
-            match parse_args(&args(&format!("run --spec s.json --policy {name}"))).unwrap() {
-                Command::Run { policy, .. } => assert_eq!(policy, Some(kind)),
-                other => panic!("expected run command, got {other:?}"),
-            }
+            let a = parsed(&format!("run --spec s.json --policy {name}"));
+            assert_eq!(a.parsed("--policy").unwrap(), Some(kind));
         }
-        let err = parse_args(&args("run --spec s.json --policy zigzag")).unwrap_err();
-        assert!(err.0.contains("unknown policy 'zigzag'"), "got: {err}");
+        let a = parsed("run --spec s.json --policy zigzag");
+        let err = a.parsed::<SharingPolicyKind>("--policy").unwrap_err();
+        assert_eq!(err.code, 2);
         assert!(
-            err.0.contains("grouping, attach, or elevator"),
-            "got: {err}"
+            err.message.contains("unknown policy 'zigzag'"),
+            "got: {err:?}"
+        );
+        assert!(
+            err.message.contains("grouping, attach, or elevator"),
+            "got: {err:?}"
         );
     }
 
@@ -1206,7 +1052,7 @@ mod tests {
         };
         assert_eq!(
             run_maybe_compare_with(&db, &w, false, None, None, &outputs),
-            0
+            Ok(0)
         );
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         std::fs::remove_file(&report_path).ok();
@@ -1222,27 +1068,28 @@ mod tests {
 
     #[test]
     fn usage_documents_policy_and_faults_sections() {
-        // `run --help` must mention the --policy flag with all three
-        // policies, and the spec's optional "faults" subsection.
-        assert!(USAGE.contains("--policy grouping|attach|elevator"));
-        assert!(USAGE.contains("\"faults\" subsection"));
-        assert!(USAGE.contains("--delivery pull|push"));
+        // `help` must mention the --policy flag with all three policies,
+        // and the spec's optional "faults" subsection.
+        let usage = usage();
+        assert!(usage.contains("--policy grouping|attach|elevator"));
+        assert!(usage.contains("\"faults\" subsection"));
+        assert!(usage.contains("--delivery pull|push"));
     }
 
     #[test]
     fn parses_run_delivery_flag() {
         for (name, mode) in [("pull", DeliveryMode::Pull), ("push", DeliveryMode::Push)] {
-            match parse_args(&args(&format!("run --spec s.json --delivery {name}"))).unwrap() {
-                Command::Run { delivery, .. } => assert_eq!(delivery, Some(mode)),
-                other => panic!("expected run command, got {other:?}"),
-            }
+            let a = parsed(&format!("run --spec s.json --delivery {name}"));
+            assert_eq!(a.parsed("--delivery").unwrap(), Some(mode));
         }
-        match parse_args(&args("run --spec s.json")).unwrap() {
-            Command::Run { delivery, .. } => assert_eq!(delivery, None),
-            other => panic!("expected run command, got {other:?}"),
-        }
-        let err = parse_args(&args("run --spec s.json --delivery teleport")).unwrap_err();
-        assert!(err.0.contains("unknown delivery 'teleport'"), "got: {err}");
+        let a = parsed("run --spec s.json");
+        assert_eq!(a.parsed::<DeliveryMode>("--delivery").unwrap(), None);
+        let a = parsed("run --spec s.json --delivery teleport");
+        let err = a.parsed::<DeliveryMode>("--delivery").unwrap_err();
+        assert!(
+            err.message.contains("unknown delivery 'teleport'"),
+            "got: {err:?}"
+        );
     }
 
     #[test]
@@ -1269,7 +1116,7 @@ mod tests {
         };
         assert_eq!(
             run_maybe_compare_with(&db, &w, false, None, None, &outputs),
-            0
+            Ok(0)
         );
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         std::fs::remove_file(&report_path).ok();
@@ -1279,6 +1126,45 @@ mod tests {
         // The driver provenance survives the round trip and narrates.
         let text = explain::render_explain(&report, None).unwrap();
         assert!(text.contains("push driver"), "got: {text}");
+    }
+
+    /// `run --compare` measures the spec's own sharing configuration, not
+    /// the default one: a push spec's compared report has a push section,
+    /// and a spec with throttling off injects no wait.
+    #[test]
+    fn compare_keeps_the_specs_sharing_configuration() {
+        let tpch = TpchConfig::tiny();
+        let db = generate(&tpch);
+        let compared = |edit: fn(&mut SharingConfig), tag: &str| {
+            let mut cfg = SharingConfig::new(0);
+            edit(&mut cfg);
+            let sharing = SharingMode::ScanSharing(cfg);
+            let w = staggered_workload(&db, &q1(), 3, SimDuration::from_millis(10), sharing);
+            let path = std::env::temp_dir().join(format!(
+                "scanshare_compare_{tag}_{}.json",
+                std::process::id()
+            ));
+            let outputs = RunOutputs {
+                report: Some(path.to_string_lossy().into_owned()),
+                ..RunOutputs::default()
+            };
+            assert_eq!(
+                run_maybe_compare_with(&db, &w, true, None, None, &outputs),
+                Ok(0)
+            );
+            let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
+            std::fs::remove_file(&path).ok();
+            report
+        };
+        let push = compared(|c| c.delivery = DeliveryMode::Push, "push");
+        let ps = push.push.expect("push section in the compared report");
+        assert!(ps.drivers >= 1 && ps.pages_delivered > 0, "{ps:?}");
+        // The default configuration throttles these three close Q1 copies,
+        // so the throttling-off run's zero is the spec's doing.
+        assert!(compared(|_| {}, "default").sharing.waits_injected > 0);
+        let unthrottled = compared(|c| c.enable_throttling = false, "nothrottle");
+        assert_eq!(unthrottled.sharing.waits_injected, 0);
+        assert!(unthrottled.push.is_none());
     }
 
     #[test]
@@ -1291,29 +1177,58 @@ mod tests {
 
     #[test]
     fn parses_diff() {
-        assert_eq!(
-            parse_args(&args("diff a.json b.json --json")).unwrap(),
-            Command::Diff {
-                a: "a.json".into(),
-                b: "b.json".into(),
-                json: true,
-            }
-        );
+        let a = parsed("diff a.json b.json --json");
+        assert_eq!(a.positionals, ["a.json", "b.json"]);
+        assert!(a.has("--json"));
         // diff wants exactly two positional files and no stray flags.
-        assert!(parse_args(&args("diff a.json")).is_err());
-        assert!(parse_args(&args("diff a.json b.json c.json")).is_err());
-        assert!(parse_args(&args("diff a.json b.json --frob")).is_err());
+        assert!(parse(&args("diff a.json")).is_err());
+        assert!(parse(&args("diff a.json b.json c.json")).is_err());
+        assert!(parse(&args("diff a.json b.json --frob")).is_err());
     }
 
     #[test]
     fn usage_documents_diff() {
-        assert!(USAGE.contains("scanshare diff A.json B.json"));
+        assert!(usage().contains("scanshare diff A.json B.json"));
     }
 
     #[test]
     fn empty_and_help_yield_help() {
-        assert_eq!(parse_args(&[]).unwrap(), Command::Help);
-        assert_eq!(parse_args(&args("--help")).unwrap(), Command::Help);
+        assert_eq!(parse(&[]).unwrap().cmd.name, "help");
+        assert_eq!(parsed("--help").cmd.name, "help");
+        assert_eq!(parsed("-h").cmd.name, "help");
+    }
+
+    /// The help is generated from the table, so it cannot leave a flag
+    /// out; its hand-written prose must not name another command's flag.
+    #[test]
+    fn help_lists_every_flag_and_no_other() {
+        let usage = usage();
+        for cmd in COMMANDS {
+            let help = cmd.help();
+            assert!(usage.contains(&help), "{}", cmd.name);
+            let words: Vec<&str> = help
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .collect();
+            for f in cmd.flags {
+                assert!(
+                    words.contains(&f.name),
+                    "{}: {} not in\n{help}",
+                    cmd.name,
+                    f.name
+                );
+            }
+            for word in words.iter().filter(|w| w.starts_with("--")) {
+                assert!(
+                    cmd.flags.iter().any(|f| f.name == *word),
+                    "{}'s help names {word}, which is not its flag",
+                    cmd.name
+                );
+            }
+        }
+        let mut names: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), COMMANDS.len(), "a command is listed twice");
     }
 
     #[test]
@@ -1334,6 +1249,6 @@ mod tests {
         let workload =
             throughput_workload(&db, 1, tpch.months as i64, tpch.seed, SharingMode::Base);
         let code = run_maybe_compare(&db, &workload, true);
-        assert_eq!(code, 0);
+        assert_eq!(code, Ok(0));
     }
 }

@@ -14,14 +14,7 @@ fn main() {
             default_hook(info);
         }
     }));
-    let code = match std::panic::catch_unwind(|| match scanshare_cli::parse_args(&args) {
-        Ok(cmd) => scanshare_cli::execute(cmd),
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", scanshare_cli::USAGE);
-            2
-        }
-    }) {
+    let code = match std::panic::catch_unwind(|| scanshare_cli::dispatch(&args)) {
         Ok(code) => code,
         Err(payload) => {
             let msg = payload

@@ -22,7 +22,8 @@ use std::sync::{Arc, Mutex};
 /// Columns in the residency heatmap and slowdown bars.
 const STRIP_WIDTH: usize = 64;
 
-/// How the dashboard runs.
+/// How the dashboard runs: `scanshare watch`'s flags, whose defaults its
+/// handler supplies.
 #[derive(Debug, Clone)]
 pub struct WatchOptions {
     /// Wall-clock milliseconds between redraws.
@@ -31,16 +32,6 @@ pub struct WatchOptions {
     pub clear: bool,
     /// Decision-tail length.
     pub tail: usize,
-}
-
-impl Default for WatchOptions {
-    fn default() -> Self {
-        WatchOptions {
-            tick_ms: 250,
-            clear: true,
-            tail: 8,
-        }
-    }
 }
 
 fn bar(frac: f64, width: usize) -> String {

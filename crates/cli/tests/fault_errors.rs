@@ -129,6 +129,48 @@ fn permanent_fault_abort_is_the_distinct_exit_3() {
     std::fs::remove_file(&plan).ok();
 }
 
+/// The retry budget is exactly `max_retries`: one scan whose every read
+/// fails transiently is retried three times, then aborted — four
+/// injected errors, three retries, one abort, exit 3.
+#[test]
+fn a_transient_fault_on_every_read_spends_exactly_max_retries() {
+    let spec = spec_file("retry_budget", |spec| {
+        spec.workload.mode = SharingMode::Base;
+        spec.workload.streams.truncate(1);
+        let queries = &mut spec.workload.streams[0].queries;
+        queries.truncate(1);
+        queries[0].scans.truncate(1);
+    });
+    let plan = tmp_file(
+        "always",
+        r#"{"plan": {"seed": 1, "rules": [{"fault": {"TransientError": {"probability": 1.0}}}]},
+            "max_retries": 3}"#,
+    );
+    let report = std::env::temp_dir().join(format!(
+        "scanshare_retry_budget_report_{}.json",
+        std::process::id()
+    ));
+    let out = scanshare(&[
+        "run",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--faults",
+        plan.to_str().unwrap(),
+        "--report",
+        report.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(3), "{}", stderr_of(&out));
+    let faults = scanshare_cli::load_report(report.to_str().unwrap())
+        .unwrap()
+        .faults;
+    assert_eq!(faults.retries, 3, "{faults:?}");
+    assert_eq!(faults.transient_errors, 4, "{faults:?}");
+    assert_eq!(faults.scans_aborted, 1, "{faults:?}");
+    for path in [&spec, &plan, &report] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn empty_fault_plan_keeps_the_success_exit_0() {
     let spec = tiny_spec("empty");

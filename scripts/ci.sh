@@ -16,8 +16,11 @@ leg() {
 
 leg "cargo fmt --check"
 cargo fmt --all -- --check
-# The paired host-time measurement is not a CI leg; its script must parse.
-bash -n scripts/paired_bench.sh
+# Not every script is a CI leg (the paired host-time measurement, the
+# benchmark's repeatability check), but every one must parse.
+for script in scripts/*.sh benchmark/check_repeat.sh; do
+    bash -n "$script"
+done
 
 leg "cargo clippy (deny warnings)"
 # or_fun_call: `ok_or(format!(…))` and its kin build their argument on

@@ -4,7 +4,7 @@
 //! phases account for the whole recording, and declarative SLO rules
 //! turn into report verdicts and process exit codes.
 
-use scanshare_cli::{execute, Command, RunOutputs, RunSpec};
+use scanshare_cli::{dispatch, RunOutputs, RunSpec};
 use scanshare_prng::Rng;
 use scanshare_repro::core::obs::span::validate_chrome_trace;
 use scanshare_repro::core::{SharingConfig, SpanProfiler, Track};
@@ -128,15 +128,16 @@ fn tiny_spec(slo: SloConfig) -> RunSpec {
 }
 
 fn run_cmd(spec_path: &std::path::Path, outputs: RunOutputs) -> i32 {
-    execute(Command::Run {
-        spec: spec_path.to_string_lossy().into_owned(),
-        db: None,
-        faults: None,
-        compare: false,
-        policy: None,
-        delivery: None,
-        outputs,
-    })
+    let spec = spec_path.to_string_lossy().into_owned();
+    let mut argv = vec!["run".to_string(), "--spec".to_string(), spec];
+    for (flag, path) in [
+        ("--report", outputs.report),
+        ("--trace-out", outputs.trace),
+        ("--profile-out", outputs.profile),
+    ] {
+        argv.extend(path.map(|p| [flag.to_string(), p]).into_iter().flatten());
+    }
+    dispatch(&argv)
 }
 
 #[test]

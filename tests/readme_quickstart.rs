@@ -82,4 +82,75 @@ fn every_repo_path_the_docs_name_exists() {
         "documents name paths that do not exist:\n{}",
         missing.join("\n")
     );
+    // Line numbers drift with every edit; GLOSSARY names the item instead.
+    let glossary = std::fs::read_to_string(root.join("GLOSSARY.md")).unwrap();
+    let pinned: Vec<&str> = glossary
+        .split(".rs:")
+        .skip(1)
+        .filter(|rest| rest.starts_with(|c: char| c.is_ascii_digit()))
+        .collect();
+    assert!(
+        pinned.is_empty(),
+        "GLOSSARY.md pins {} `file.rs:<line>` anchors; name the item instead",
+        pinned.len()
+    );
+}
+
+/// Every `scanshare` command line in a fenced block of the documents —
+/// after `cargo run … --bin scanshare --`, after `$BIN`, or at the start
+/// of a line — parses against the CLI's flag table, so a recipe cannot
+/// name a command or flag that does not exist. `\` continuations are
+/// joined and a line is cut at `#`, `|`, `>` or `&&`; nothing is run.
+#[test]
+fn every_documented_scanshare_invocation_parses() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut refused = Vec::new();
+    for doc in [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("the document exists");
+        let (mut fenced, mut line, mut found) = (false, String::new(), 0);
+        for raw in text.lines() {
+            if raw.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            if !fenced {
+                continue;
+            }
+            if let Some(head) = raw.strip_suffix('\\') {
+                line += head;
+                continue;
+            }
+            line += raw;
+            let joined = std::mem::take(&mut line);
+            let cmd = joined.split(['#', '|', '>']).next().unwrap();
+            let cmd = cmd.split("&&").next().unwrap().trim();
+            let argv = ["--bin scanshare --", "$BIN "]
+                .iter()
+                .find_map(|prefix| cmd.split_once(prefix).map(|(_, argv)| argv))
+                .or_else(|| cmd.strip_prefix("scanshare "));
+            let Some(argv) = argv else {
+                continue;
+            };
+            found += 1;
+            let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+            if let Err(e) = scanshare_cli::parse(&argv) {
+                let why = e.message.lines().next().unwrap_or_default().to_string();
+                refused.push(format!("{doc}: `{cmd}`: {why}"));
+            }
+        }
+        assert!(
+            found > 0 || doc == "DESIGN.md",
+            "{doc}: no scanshare invocation found; did the recipe format change?"
+        );
+    }
+    assert!(
+        refused.is_empty(),
+        "documented invocations the CLI refuses:\n{}",
+        refused.join("\n")
+    );
 }
