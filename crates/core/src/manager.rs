@@ -1889,4 +1889,132 @@ mod tests {
             .iter()
             .all(|r| !matches!(r.event, DecisionEvent::PolicyChosen { .. })));
     }
+
+    // ---- identity: what the manager that re-formed every group per call decided ----
+
+    /// FNV-1a, 64 bit, folded into `h`.
+    fn fnv1a(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h ^= b as u64;
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// 400 seeded call sequences, one manager each: starts (placement on
+    /// or off, every policy), location updates (index scans on a palette
+    /// of shared locations, so anchors merge and offsets collide; table
+    /// scans moving by 0, 1, 16 or 64 pages), wraps, ends, fault
+    /// evictions and calls for ids that are gone, under budgets from 0 to
+    /// `u64::MAX`. Every returned value, every `page_priority`, `groups`
+    /// and `probe` snapshot and every decision record is digested. The
+    /// constants were computed by the commit whose manager rebuilt the
+    /// groups from all scans on every call; that the maintained grouping
+    /// state equals a bulk build after every call is asserted inside the
+    /// manager under `debug_assertions`.
+    #[test]
+    fn call_sequences_decide_as_the_rebuilding_manager_did() {
+        use scanshare_prng::Rng;
+        const PARENT: (u64, usize, u64) = (912_370_668_458_174_563, 27_134, 753);
+        let budgets = [0, 1, 16, 48, 200, 5000, u64::MAX];
+        let policies = [
+            SharingPolicyKind::Grouping,
+            SharingPolicyKind::Grouping,
+            SharingPolicyKind::Attach,
+            SharingPolicyKind::Elevator,
+        ];
+        let (mut digest, mut events, mut merges) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
+        let mut kinds = std::collections::BTreeMap::<String, usize>::new();
+        for seed in 0..400 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut cfg = SharingConfig::with_policy(
+                *rng.choose(&budgets).unwrap(),
+                *rng.choose(&policies).unwrap(),
+            );
+            cfg.enable_placement = rng.bounded_u64(4) != 0;
+            let m = ScanSharingManager::new(cfg);
+            let log = DecisionLog::new(1 << 16);
+            m.attach_decision_log(log.clone());
+            let (mut live, mut gone) = (Vec::<(ScanId, ScanKind)>::new(), vec![ScanId(999)]);
+            let mut now = SimTime::ZERO;
+            for _ in 0..150 {
+                now = now + SimDuration::from_millis(rng.bounded_u64(20));
+                let op = if live.is_empty() {
+                    0
+                } else {
+                    rng.bounded_u64(20)
+                };
+                let pick = if op % 7 == 6 {
+                    (*rng.choose(&gone).unwrap(), ScanKind::Index)
+                } else {
+                    live.get(rng.bounded_u64(live.len().max(1) as u64) as usize)
+                        .copied()
+                        .unwrap_or((ScanId(0), ScanKind::Table))
+                };
+                let (id, kind) = pick;
+                let out = match op {
+                    0..=3 => {
+                        let object = rng.bounded_u64(3);
+                        let secs = 1 + rng.bounded_u64(50);
+                        let desc = if rng.bounded_u64(2) == 0 {
+                            table_desc(object, 2000, secs)
+                        } else {
+                            let lo = rng.bounded_u64(10) as i64;
+                            let hi = lo + rng.bounded_u64(12) as i64;
+                            index_desc(object, lo, hi, 100 + rng.bounded_u64(4000), secs)
+                        };
+                        let kind = desc.kind;
+                        let (id, d) = m.start_scan(desc, now);
+                        live.push((id, kind));
+                        format!("{id:?} {d:?}")
+                    }
+                    4..=14 => {
+                        let pages = *rng.choose(&[0, 1, 16, 16, 64]).unwrap();
+                        let location = match kind {
+                            ScanKind::Table => {
+                                let page = rng.bounded_u64(2000);
+                                Location::new(page as i64, page)
+                            }
+                            ScanKind::Index if rng.bounded_u64(10) == 0 => {
+                                Location::new(rng.bounded_u64(20) as i64, UNKNOWN_POS)
+                            }
+                            ScanKind::Index => {
+                                let k = rng.bounded_u64(8);
+                                Location::new(k as i64, k * 64)
+                            }
+                        };
+                        format!("{:?}", m.update_location(id, now, location, pages))
+                    }
+                    15 => {
+                        let page = rng.bounded_u64(100);
+                        m.wrap_scan(id, now, Location::new(page as i64, page));
+                        String::new()
+                    }
+                    16 | 17 => {
+                        if rng.bounded_u64(2) == 0 {
+                            m.end_scan(id, now);
+                        } else {
+                            m.evict_scan(id, now, "fault");
+                        }
+                        live.retain(|&(s, _)| s != id);
+                        gone.push(id);
+                        String::new()
+                    }
+                    _ => format!("{:?} {:?} {:?}", m.page_priority(id), m.groups(), m.probe()),
+                };
+                fnv1a(&mut digest, out.as_bytes());
+            }
+            for r in log.records() {
+                let text = format!("{r:?}");
+                let kind = format!("{:?}", r.event);
+                *kinds
+                    .entry(kind.split([' ', '{']).next().unwrap().to_string())
+                    .or_default() += 1;
+                fnv1a(&mut digest, text.as_bytes());
+                events += 1;
+            }
+            fnv1a(&mut digest, format!("{:?}", m.stats()).as_bytes());
+            merges += m.stats().anchor_merges;
+        }
+        assert_eq!((digest, events, merges), PARENT, "{kinds:?}");
+    }
 }
