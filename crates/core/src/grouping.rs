@@ -107,85 +107,192 @@ impl Groups {
 /// process (this reproduces the paper's worked example exactly — see the
 /// `figure14_worked_example` test). Scan ids are expected to be distinct.
 ///
-/// Cost: O(L log L) for L scans — two sorts and linear passes. The
-/// manager runs this on every location update, so it matters: until
-/// ISSUE 14 the total extent was recomputed from all chains after every
-/// greedy merge (O(L²)) around three hash maps — 9.5 µs per call for one
-/// group of 64 against 1.7 µs now (`find_leaders_trailers_one_group_64`
-/// in `crates/bench/benches/uncovered.rs`; DESIGN.md §9d).
+/// Cost: O(L log L) for L scans — a bulk build of the `GroupIndex` the
+/// manager keeps, then one pass to materialise it. The manager does not
+/// call this: it keeps the index up to date as scans start, move and end
+/// and asks it for one scan's group per location update (DESIGN.md §9d).
 pub fn find_leaders_trailers(scans: &[(ScanId, AnchorId, i64)], pool_pages: u64) -> Groups {
-    group_chains(
-        scans
-            .iter()
-            .map(|&(id, anchor, offset)| (anchor, offset, id))
-            .collect(),
-        pool_pages,
-    )
+    let chain = scans.iter().map(|&(id, anchor, at)| (anchor, at, id));
+    GroupIndex::build(pool_pages, chain.collect()).groups()
 }
 
-/// [`find_leaders_trailers`] over `(anchor, offset, id)` triples, which
-/// is the order the pass sorts by: afterwards every anchor group is one
-/// contiguous chain in offset order, and gap `g` lies between
-/// `chain[g]` and `chain[g + 1]`.
-pub(crate) fn group_chains(mut chain: Vec<(AnchorId, i64, ScanId)>, pool_pages: u64) -> Groups {
-    chain.sort_unstable();
+/// A scan's place in the chain: by anchor (one contiguous run per anchor
+/// group), then offset, then id.
+pub(crate) type ChainKey = (AnchorId, i64, ScanId);
 
-    // Candidate pairs: consecutive scans of one anchor group, closest
-    // first (ties in anchor-then-offset order, which is gap order).
-    let mut pairs: Vec<(u64, usize)> = chain
-        .windows(2)
-        .enumerate()
-        .filter(|(_, w)| w[0].0 == w[1].0)
-        .map(|(g, w)| (w[1].1.abs_diff(w[0].1), g))
-        .collect();
-    pairs.sort_unstable();
+/// The gap between chain neighbours `l` and `r`, if both exist and share
+/// an anchor, keyed in merge order: closest first, ties in chain order.
+fn gap(l: Option<ChainKey>, r: Option<ChainKey>) -> Option<(u64, ChainKey)> {
+    let (l, r) = (l?, r?);
+    (l.0 == r.0).then(|| (r.1.abs_diff(l.1), l))
+}
 
-    // Greedy merge with the budget check. A group's extent is the sum of
-    // its merged gaps, so joining a gap of distance `d` raises the total
-    // extent by exactly `d`; a total past u64::MAX is over any budget.
-    let mut merged = vec![false; chain.len().saturating_sub(1)];
-    let mut total = 0u64;
-    for &(d, g) in &pairs {
-        match total.checked_add(d) {
-            Some(t) if t < pool_pages => total = t,
-            _ => break,
-        }
-        merged[g] = true;
+/// Figure 14's grouping, kept up to date as scans start, move and end.
+/// The greedy merges gaps in `(distance, left neighbour)` order and stops
+/// at the first that would bring the total extent to the budget, so the
+/// merged gaps are a prefix of that order: the index keeps the chain and
+/// the gaps sorted and remembers where the prefix ends.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct GroupIndex {
+    /// The extent budget (the pool size in pages).
+    budget: u64,
+    /// Every scan, sorted.
+    chain: Vec<ChainKey>,
+    /// Every gap between chain neighbours that share an anchor, sorted.
+    gaps: Vec<(u64, ChainKey)>,
+    /// The first gap the greedy rejects: exactly the gaps that sort
+    /// before it are merged (`None`: all of them are).
+    cut: Option<(u64, ChainKey)>,
+}
+
+/// One scan's group, as [`GroupIndex::member`] finds it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Membership {
+    pub role: Role,
+    /// The group's trailer (smallest offset).
+    pub trailer: ScanId,
+    /// Leader-to-trailer distance in pages.
+    pub extent: u64,
+    /// Number of scans in the group.
+    pub members: usize,
+}
+
+impl GroupIndex {
+    /// The index over `chain`, in any order, for a pool of `pool_pages`.
+    pub(crate) fn build(pool_pages: u64, mut chain: Vec<ChainKey>) -> Self {
+        chain.sort_unstable();
+        let pairs = chain.windows(2).map(|w| gap(Some(w[0]), Some(w[1])));
+        let mut gaps: Vec<_> = pairs.flatten().collect();
+        gaps.sort_unstable();
+        let mut index = GroupIndex {
+            budget: pool_pages,
+            chain,
+            gaps,
+            cut: None,
+        };
+        index.recut();
+        index
     }
 
-    // Materialize groups from the merged runs.
-    let mut groups = Groups {
-        groups: Vec::new(),
-        roles: Vec::with_capacity(chain.len()),
-    };
-    let mut run_start = 0usize;
-    for last in 0..chain.len() {
-        if last + 1 < chain.len() && merged[last] {
-            continue;
+    /// The extent budget.
+    pub(crate) fn budget(&self) -> u64 {
+        self.budget
+    }
+
+    /// Move a scan's key from `from` to `to`; `None` on either side adds
+    /// or removes the scan.
+    pub(crate) fn rekey(&mut self, from: Option<ChainKey>, to: Option<ChainKey>) {
+        if let Some(key) = from {
+            let i = self.chain.binary_search(&key).expect("the key is indexed");
+            self.chain.remove(i);
+            let (l, r) = self.around(i);
+            self.unlink(gap(l, from));
+            self.unlink(gap(from, r));
+            self.link(gap(l, r));
         }
-        let run = &chain[run_start..=last];
-        let gidx = groups.groups.len();
-        for (mi, &(_, _, id)) in run.iter().enumerate() {
-            let role = if run.len() == 1 {
-                Role::Singleton
-            } else if mi == 0 {
-                Role::Trailer
-            } else if mi == run.len() - 1 {
-                Role::Leader
-            } else {
-                Role::Middle
-            };
-            groups.roles.push((id, gidx, role));
+        if let Some(key) = to {
+            let i = self.chain.binary_search(&key).expect_err("a new key");
+            let (l, r) = self.around(i);
+            self.chain.insert(i, key);
+            self.unlink(gap(l, r));
+            self.link(gap(l, to));
+            self.link(gap(to, r));
         }
-        groups.groups.push(GroupInfo {
-            anchor: run[0].0,
-            members: run.iter().map(|&(_, _, id)| id).collect(),
-            extent: run[run.len() - 1].1.abs_diff(run[0].1),
+        self.recut();
+    }
+
+    /// The chain entries either side of a key that sits, or would sit, at
+    /// position `i`.
+    fn around(&self, i: usize) -> (Option<ChainKey>, Option<ChainKey>) {
+        let left = i.checked_sub(1).map(|j| self.chain[j]);
+        (left, self.chain.get(i).copied())
+    }
+
+    fn link(&mut self, gap: Option<(u64, ChainKey)>) {
+        if let Some(g) = gap {
+            let at = self.gaps.binary_search(&g).expect_err("gaps are distinct");
+            self.gaps.insert(at, g);
+        }
+    }
+
+    fn unlink(&mut self, gap: Option<(u64, ChainKey)>) {
+        if let Some(g) = gap {
+            let at = self.gaps.binary_search(&g).expect("the gap is indexed");
+            self.gaps.remove(at);
+        }
+    }
+
+    /// Merging a gap of distance `d` raises the total extent by exactly
+    /// `d`, so the cut is where a running sum first reaches the budget (a
+    /// total past `u64::MAX` is over any budget).
+    fn recut(&mut self) {
+        let mut total = 0u64;
+        self.cut = self.gaps.iter().copied().find(|g| {
+            total = total.saturating_add(g.0);
+            total >= self.budget
         });
-        run_start = last + 1;
     }
-    groups.roles.sort_unstable_by_key(|r| r.0);
-    groups
+
+    /// The first and last chain positions of the group at position `i`.
+    fn run(&self, i: usize) -> (usize, usize) {
+        let joined = |j: usize| {
+            let g = gap(Some(self.chain[j]), Some(self.chain[j + 1]));
+            g.is_some_and(|g| self.cut.is_none_or(|cut| g < cut))
+        };
+        let (mut first, mut last) = (i, i);
+        while first > 0 && joined(first - 1) {
+            first -= 1;
+        }
+        while last + 1 < self.chain.len() && joined(last) {
+            last += 1;
+        }
+        (first, last)
+    }
+
+    /// The group of the scan at `key`, or `None` if it is not indexed.
+    pub(crate) fn member(&self, key: ChainKey) -> Option<Membership> {
+        let i = self.chain.binary_search(&key).ok()?;
+        let (first, last) = self.run(i);
+        Some(Membership {
+            role: role_at(i - first, last - first + 1),
+            trailer: self.chain[first].2,
+            extent: self.chain[last].1.abs_diff(self.chain[first].1),
+            members: last - first + 1,
+        })
+    }
+
+    /// Every group with its members, and every scan's role.
+    pub(crate) fn groups(&self) -> Groups {
+        let mut groups = Groups::default();
+        groups.roles.reserve(self.chain.len());
+        let mut first = 0;
+        while first < self.chain.len() {
+            let run = &self.chain[first..=self.run(first).1];
+            let gidx = groups.groups.len();
+            for (mi, &(_, _, id)) in run.iter().enumerate() {
+                groups.roles.push((id, gidx, role_at(mi, run.len())));
+            }
+            groups.groups.push(GroupInfo {
+                anchor: run[0].0,
+                members: run.iter().map(|&(_, _, id)| id).collect(),
+                extent: run[run.len() - 1].1.abs_diff(run[0].1),
+            });
+            first += run.len();
+        }
+        groups.roles.sort_unstable_by_key(|r| r.0);
+        groups
+    }
+}
+
+/// The role of the member at position `mi` (0 = trailer) of a group of
+/// `len` scans.
+fn role_at(mi: usize, len: usize) -> Role {
+    match mi {
+        _ if len == 1 => Role::Singleton,
+        0 => Role::Trailer,
+        mi if mi == len - 1 => Role::Leader,
+        _ => Role::Middle,
+    }
 }
 
 #[cfg(test)]
@@ -305,6 +412,164 @@ mod tests {
         let groups = find_leaders_trailers(&scans, 40);
         assert_eq!(groups.groups.len(), 1);
         assert_eq!(groups.groups[0].members.len(), 4);
+    }
+
+    /// The pass the manager ran on every location update before it kept a
+    /// [`GroupIndex`]: sort the chain, sort the gaps by `(distance, chain
+    /// position)`, greedy-merge with a running total, materialise — kept
+    /// as the reference the index must equal after every change.
+    fn group_chains(mut chain: Vec<(AnchorId, i64, ScanId)>, pool_pages: u64) -> Groups {
+        chain.sort_unstable();
+
+        // Candidate pairs: consecutive scans of one anchor group, closest
+        // first (ties in anchor-then-offset order, which is gap order).
+        let mut pairs: Vec<(u64, usize)> = chain
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0].0 == w[1].0)
+            .map(|(g, w)| (w[1].1.abs_diff(w[0].1), g))
+            .collect();
+        pairs.sort_unstable();
+
+        // Greedy merge with the budget check. A group's extent is the sum of
+        // its merged gaps, so joining a gap of distance `d` raises the total
+        // extent by exactly `d`; a total past u64::MAX is over any budget.
+        let mut merged = vec![false; chain.len().saturating_sub(1)];
+        let mut total = 0u64;
+        for &(d, g) in &pairs {
+            match total.checked_add(d) {
+                Some(t) if t < pool_pages => total = t,
+                _ => break,
+            }
+            merged[g] = true;
+        }
+
+        // Materialize groups from the merged runs.
+        let mut groups = Groups {
+            groups: Vec::new(),
+            roles: Vec::with_capacity(chain.len()),
+        };
+        let mut run_start = 0usize;
+        for last in 0..chain.len() {
+            if last + 1 < chain.len() && merged[last] {
+                continue;
+            }
+            let run = &chain[run_start..=last];
+            let gidx = groups.groups.len();
+            for (mi, &(_, _, id)) in run.iter().enumerate() {
+                let role = if run.len() == 1 {
+                    Role::Singleton
+                } else if mi == 0 {
+                    Role::Trailer
+                } else if mi == run.len() - 1 {
+                    Role::Leader
+                } else {
+                    Role::Middle
+                };
+                groups.roles.push((id, gidx, role));
+            }
+            groups.groups.push(GroupInfo {
+                anchor: run[0].0,
+                members: run.iter().map(|&(_, _, id)| id).collect(),
+                extent: run[run.len() - 1].1.abs_diff(run[0].1),
+            });
+            run_start = last + 1;
+        }
+        groups.roles.sort_unstable_by_key(|r| r.0);
+        groups
+    }
+
+    /// 3 000 seeded sequences of inserts, removes, moves within an anchor
+    /// and moves to another anchor (onto another scan's offset, as an
+    /// anchor merge does), on up to four anchors sharing one budget, with
+    /// offsets that collide, gaps that tie and offsets at both ends of
+    /// i64, under budgets 0, 1, small, huge and u64::MAX. After every step
+    /// the maintained index equals a bulk build of the same keys, its
+    /// groups and roles equal the reference pass's, and every scan's
+    /// `member` view agrees with its reference group.
+    #[test]
+    fn the_maintained_index_equals_the_reference_after_every_step() {
+        use scanshare_prng::Rng;
+        let budgets = [0, 1, 2, 10, 50, 1000, 1 << 40, u64::MAX - 1, u64::MAX];
+        let mut rng = Rng::seed_from_u64(27);
+        let (mut steps, mut multi, mut cut_inside) = (0, 0, 0);
+        for case in 0..3000 {
+            let budget = match rng.bounded_u64(3) {
+                0 => rng.bounded_u64(100),
+                _ => *rng.choose(&budgets).unwrap(),
+            };
+            let n_anchors = 1 + rng.bounded_u64(4);
+            let wide = case % 3 == 0;
+            let offset = |rng: &mut Rng| {
+                let near = rng.bounded_u64(8) as i64 * 5;
+                match rng.bounded_u64(if wide { 6 } else { 3 }) {
+                    0 | 1 => near,
+                    2 => rng.bounded_u64(200) as i64 - 100,
+                    3 => i64::MIN + near,
+                    4 => i64::MAX - near,
+                    _ => rng.next_u64() as i64,
+                }
+            };
+            let mut index = GroupIndex::build(budget, Vec::new());
+            let mut keys: Vec<ChainKey> = Vec::new();
+            let mut next_id = 0;
+            for step in 0..(10 + rng.bounded_u64(40)) {
+                let op = if keys.is_empty() {
+                    0
+                } else {
+                    rng.bounded_u64(5)
+                };
+                let k = rng.bounded_u64(keys.len().max(1) as u64) as usize;
+                match op {
+                    0 | 1 => {
+                        let anchor = AnchorId(rng.bounded_u64(n_anchors));
+                        let key = (anchor, offset(&mut rng), ScanId(next_id));
+                        next_id += 1;
+                        index.rekey(None, Some(key));
+                        keys.push(key);
+                    }
+                    2 => index.rekey(Some(keys.swap_remove(k)), None),
+                    _ => {
+                        let (anchor, _, id) = keys[k];
+                        let to = if op == 3 {
+                            (anchor, offset(&mut rng), id)
+                        } else {
+                            let other = *rng.choose(&keys).unwrap();
+                            (other.0, other.1, id)
+                        };
+                        index.rekey(Some(keys[k]), Some(to));
+                        keys[k] = to;
+                    }
+                }
+                steps += 1;
+
+                let at = format!("case {case} step {step}: {keys:?} budget {budget}");
+                assert_eq!(index, GroupIndex::build(budget, keys.clone()), "{at}");
+                let want = group_chains(keys.clone(), budget);
+                let got = index.groups();
+                assert_eq!(got.groups, want.groups, "{at}");
+                assert_eq!(got.roles, want.roles, "{at}");
+                for &key in &keys {
+                    let g = want.group_of(key.2).unwrap();
+                    let m = Membership {
+                        role: want.role(key.2).unwrap(),
+                        trailer: g.trailer(),
+                        extent: g.extent,
+                        members: g.members.len(),
+                    };
+                    assert_eq!(index.member(key), Some(m), "{at}: {key:?}");
+                }
+                assert_eq!(index.member((AnchorId(0), 0, ScanId(next_id))), None);
+                multi += want.groups.iter().filter(|g| g.members.len() > 1).count();
+                cut_inside += usize::from(index.cut.is_some_and(|c| c != index.gaps[0]));
+            }
+        }
+        assert!(steps > 75_000, "only {steps} steps");
+        assert!(multi > 50_000, "only {multi} multi-scan groups formed");
+        assert!(
+            cut_inside > 10_000,
+            "the cut fell inside the gaps only {cut_inside} times"
+        );
     }
 
     /// Runs of one chain under its `merged` flags (`merged[g]`: scan `g`

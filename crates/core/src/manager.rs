@@ -16,24 +16,22 @@
 //! arrive once per extent per scan. The papers report well under 1 %
 //! overhead for this bookkeeping, on an engine where an extent costs
 //! milliseconds of I/O. In the simulator an extent costs microseconds of
-//! host time, so the manager is a visible share of a run: every
-//! `update_location` re-forms the groups (O(L log L) for L ongoing scans,
-//! see [`crate::grouping`]) and every `start_scan` scores the compatible
-//! scans (O(|S|² log |S|) per anchor group, see [`crate::placement`]).
-//! On the repo benchmark's 64-stream pull workload that is about a
-//! quarter of host time; it was over half until ISSUE 14 removed a cubic
-//! loop from placement and a quadratic one from grouping (DESIGN.md §9d
-//! has the before/after).
+//! host time, so the manager's per-call cost shows: a location update
+//! moves one scan in the [`crate::grouping`] index the manager keeps
+//! (binary searches and memmoves over the L ongoing scans, then a walk of
+//! the scan's own group), and every `start_scan` scores the compatible
+//! scans (O(|S|² log |S|) per anchor group, see [`crate::placement`]) —
+//! now the larger cost (DESIGN.md §9d).
 
 use parking_lot::Mutex;
 use scanshare_storage::{PagePriority, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-use crate::anchor::AnchorTable;
+use crate::anchor::{AnchorId, AnchorTable};
 use crate::config::SharingConfig;
 use crate::decision::{DecisionEvent, DecisionLog};
-use crate::grouping::{group_chains, GroupInfo, Groups, Role};
+use crate::grouping::{GroupIndex, GroupInfo, Membership, Role};
 use crate::obs::span::{SpanProfiler, Track};
 use crate::policy::{policy_for, FinishedView, PolicyView, ScanView, SharingPolicy};
 use crate::scan::{Location, ObjectId, ScanDesc, ScanId, ScanKind, ScanState};
@@ -154,11 +152,15 @@ struct Inner {
     /// scan is pushed at the back). Every walk over the scans is thereby
     /// in the deterministic order placement and provenance need.
     scans: Vec<ScanState>,
+    /// The scans' groups under the pool budget, kept up to date by
+    /// [`Inner::add`], [`Inner::move_to`] and [`Inner::remove`] — the only
+    /// writers of a registered scan's anchor and offset.
+    index: GroupIndex,
     anchors: AnchorTable,
     /// Canonical anchor per table object: table-scan locations are
     /// directly comparable page numbers, so every table scan on an object
     /// lives in one anchor group with offset = page number.
-    table_anchors: HashMap<ObjectId, crate::anchor::AnchorId>,
+    table_anchors: HashMap<ObjectId, AnchorId>,
     last_finished: HashMap<ObjectId, FinishedScan>,
     /// Total pages advanced by all scans — a proxy for buffer pool churn.
     total_pages_advanced: u64,
@@ -179,14 +181,52 @@ impl Inner {
         self.index_of(id).map(|i| &self.scans[i])
     }
 
-    fn compute_groups(&self, pool_pages: u64) -> Groups {
-        group_chains(
-            self.scans
-                .iter()
-                .map(|s| (s.anchor, s.anchor_offset, s.id))
-                .collect(),
-            pool_pages,
-        )
+    /// Register a scan, whose id is above every ongoing scan's.
+    fn add(&mut self, state: ScanState) {
+        self.index.rekey(None, Some(state.key()));
+        self.scans.push(state);
+        self.audit();
+    }
+
+    /// Move the scan at `idx` to offset `to.1` in anchor `to.0`'s
+    /// coordinates, and find its group there.
+    fn move_to(&mut self, idx: usize, to: (AnchorId, i64)) -> Membership {
+        let state = &mut self.scans[idx];
+        let from = state.key();
+        (state.anchor, state.anchor_offset) = to;
+        self.index.rekey(Some(from), Some(state.key()));
+        self.audit();
+        let moved = self.index.member(self.scans[idx].key());
+        moved.expect("ongoing scans are indexed")
+    }
+
+    /// Deregister the scan at `idx`.
+    fn remove(&mut self, idx: usize) -> ScanState {
+        let state = self.scans.remove(idx);
+        self.index.rekey(Some(state.key()), None);
+        self.audit();
+        state
+    }
+
+    /// Debug builds check the state after every change: the maintained
+    /// index equals a bulk build from the scans, the scans ascend by id,
+    /// every scan is in exactly one group, and no group's leader is
+    /// behind its trailer.
+    fn audit(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let keys = self.scans.iter().map(ScanState::key).collect();
+        assert_eq!(self.index, GroupIndex::build(self.index.budget(), keys));
+        assert!(self.scans.windows(2).all(|w| w[0].id < w[1].id));
+        let groups = self.index.groups().groups;
+        let mut grouped: Vec<&ScanId> = groups.iter().flat_map(|g| &g.members).collect();
+        grouped.sort_unstable();
+        assert!(grouped.into_iter().eq(self.scans.iter().map(|s| &s.id)));
+        let offset = |id| self.scan(id).expect("members are ongoing").anchor_offset;
+        assert!(groups
+            .iter()
+            .all(|g| offset(g.leader()) >= offset(g.trailer())));
     }
 }
 
@@ -211,9 +251,9 @@ impl ScanSharingManager {
     pub fn new(cfg: SharingConfig) -> Self {
         ScanSharingManager {
             policy: policy_for(cfg.policy),
-            cfg,
             inner: Mutex::new(Inner {
                 scans: Vec::new(),
+                index: GroupIndex::build(cfg.pool_pages, Vec::new()),
                 anchors: AnchorTable::default(),
                 table_anchors: HashMap::new(),
                 last_finished: HashMap::new(),
@@ -222,6 +262,7 @@ impl ScanSharingManager {
                 stats: SharingStats::default(),
                 evicted_by_fault: 0,
             }),
+            cfg,
             decisions: Mutex::new(None),
             profiler: Mutex::new(None),
         }
@@ -258,15 +299,21 @@ impl ScanSharingManager {
         *self.profiler.lock() = Some(profiler);
     }
 
-    /// Record an instant span on the manager track with `attrs`, when a
-    /// profiler is attached. Called once per scan lifetime event (start,
-    /// eviction), never per extent, so unprofiled runs pay one mutex
-    /// probe on a cold path only.
-    fn span_instant(&self, name: &str, at: SimTime, attrs: &[(&str, String)]) {
+    /// Record an instant span on the manager track with the attributes
+    /// `attrs` builds, when a profiler is attached. Called once per scan
+    /// lifetime event (start, eviction, push attach and handoff), never
+    /// per extent, and `attrs` runs only under a profiler, so unprofiled
+    /// runs pay one mutex probe on a cold path only.
+    fn span_instant<const N: usize>(
+        &self,
+        name: &str,
+        at: SimTime,
+        attrs: impl FnOnce() -> [(&'static str, String); N],
+    ) {
         if let Some(p) = self.profiler.lock().as_ref() {
             let id = p.instant_on(Track::Manager, name, at);
-            for (k, v) in attrs {
-                p.attr(id, k, v.clone());
+            for (k, v) in attrs() {
+                p.attr(id, k, v);
             }
         }
     }
@@ -404,13 +451,10 @@ impl ScanSharingManager {
             StartDecision::FromStart => inner.stats.scans_from_start += 1,
         }
         let object = desc.object;
-        let state = ScanState::new(id, desc, location, anchor, offset, now);
-        inner.scans.push(state);
+        inner.add(ScanState::new(id, desc, location, anchor, offset, now));
         let threshold_pages = self.placement_threshold();
-        self.span_instant(
-            "mgr.place",
-            now,
-            &[
+        self.span_instant("mgr.place", now, || {
+            [
                 ("scan", id.0.to_string()),
                 ("object", object.0.to_string()),
                 ("policy", self.policy.kind().to_string()),
@@ -423,8 +467,8 @@ impl ScanSharingManager {
                         StartDecision::JoinAt { scan: None, .. } => "join_location".to_string(),
                     },
                 ),
-            ],
-        );
+            ]
+        });
         match &decision {
             StartDecision::FromStart => self.emit(
                 now,
@@ -455,7 +499,7 @@ impl ScanSharingManager {
         (id, decision)
     }
 
-    fn table_anchor(inner: &mut Inner, object: ObjectId) -> crate::anchor::AnchorId {
+    fn table_anchor(inner: &mut Inner, object: ObjectId) -> AnchorId {
         if let Some(&a) = inner.table_anchors.get(&object) {
             return a;
         }
@@ -484,7 +528,9 @@ impl ScanSharingManager {
                 role: Role::Singleton,
             };
         };
-        inner.scans[idx].advance(now, location, pages_advanced);
+        let state = &mut inner.scans[idx];
+        state.advance(now, location, pages_advanced);
+        let mut to = (state.anchor, state.anchor_offset + pages_advanced as i64);
         inner.total_pages_advanced += pages_advanced;
 
         // §7.1 anchor merge: if this scan's new location coincides with
@@ -504,48 +550,40 @@ impl ScanSharingManager {
                         && o.location == location
                 })
                 .map(|o| (o.anchor, o.anchor_offset));
-            if let Some((anchor, offset)) = hit {
-                let state = &mut inner.scans[idx];
-                state.anchor = anchor;
-                state.anchor_offset = offset;
+            if let Some(hit) = hit {
+                to = hit;
                 inner.stats.anchor_merges += 1;
             }
         }
-
-        let groups = inner.compute_groups(self.cfg.pool_pages);
-        let role = groups.role(id).unwrap_or(Role::Singleton);
-        let group = groups.group_of(id);
+        let group = inner.move_to(idx, to);
+        let (role, anchor) = (group.role, to.0);
 
         // Provenance: role reclassification (first classification sets
         // the baseline without an event).
         {
             let state = &mut inner.scans[idx];
-            let prev = state.last_role;
-            state.last_role = Some(role);
-            if let (Some(prev), Some(g)) = (prev, group) {
-                if prev != role {
-                    self.emit(
-                        now,
-                        DecisionEvent::RoleChange {
-                            scan: id,
-                            group: g.anchor,
-                            from: prev,
-                            to: role,
-                            group_extent: g.extent,
-                            members: g.members.len(),
-                        },
-                    );
-                }
+            let prev = state.last_role.replace(role);
+            if let Some(prev) = prev.filter(|&prev| prev != role) {
+                self.emit(
+                    now,
+                    DecisionEvent::RoleChange {
+                        scan: id,
+                        group: anchor,
+                        from: prev,
+                        to: role,
+                        group_extent: group.extent,
+                        members: group.members,
+                    },
+                );
             }
         }
 
         let threshold_pages = self.cfg.throttle_threshold_pages();
         let mut wait = scanshare_storage::SimDuration::ZERO;
         if self.cfg.enable_throttling && self.policy.throttles() && role == Role::Leader {
-            let g = group.expect("leader has a group");
-            let trailer = g.trailer();
+            let trailer = group.trailer;
             let trailer_speed = inner.scan(trailer).expect("trailer is ongoing").speed;
-            let distance = g.extent;
+            let distance = group.extent;
             let (exempt_before, was_throttled, accumulated, exempt_after, budget);
             {
                 let state = &mut inner.scans[idx];
@@ -564,7 +602,7 @@ impl ScanSharingManager {
                     now,
                     DecisionEvent::Throttle {
                         scan: id,
-                        group: g.anchor,
+                        group: anchor,
                         distance_pages: distance,
                         threshold_pages,
                         wait,
@@ -590,7 +628,7 @@ impl ScanSharingManager {
                     now,
                     DecisionEvent::Unthrottle {
                         scan: id,
-                        group: g.anchor,
+                        group: anchor,
                         distance_pages: distance,
                         threshold_pages,
                     },
@@ -602,15 +640,12 @@ impl ScanSharingManager {
             let state = &mut inner.scans[idx];
             if state.throttled {
                 state.throttled = false;
-                let (anchor, extent) = group
-                    .map(|g| (g.anchor, g.extent))
-                    .unwrap_or((state.anchor, 0));
                 self.emit(
                     now,
                     DecisionEvent::Unthrottle {
                         scan: id,
                         group: anchor,
-                        distance_pages: extent,
+                        distance_pages: group.extent,
                         threshold_pages,
                     },
                 );
@@ -654,13 +689,12 @@ impl ScanSharingManager {
             return;
         };
         let (kind, object) = (inner.scans[idx].desc.kind, inner.scans[idx].desc.object);
-        let (anchor, offset) = match kind {
+        let to = match kind {
             ScanKind::Table => (Self::table_anchor(&mut inner, object), location.pos as i64),
             ScanKind::Index => (inner.anchors.fresh(), 0),
         };
+        inner.move_to(idx, to);
         let state = &mut inner.scans[idx];
-        state.anchor = anchor;
-        state.anchor_offset = offset;
         state.location = location;
         state.last_update = now;
     }
@@ -670,7 +704,7 @@ impl ScanSharingManager {
     pub fn end_scan(&self, id: ScanId, _now: SimTime) {
         let mut inner = self.inner.lock();
         if let Some(idx) = inner.index_of(id) {
-            let state = inner.scans.remove(idx);
+            let state = inner.remove(idx);
             inner.stats.scans_finished += 1;
             let churn_at_end = inner.total_pages_advanced;
             inner.last_finished.insert(
@@ -731,15 +765,13 @@ impl ScanSharingManager {
         missed_pages: u64,
         consumers: usize,
     ) {
-        self.span_instant(
-            "mgr.push_attach",
-            now,
-            &[
+        self.span_instant("mgr.push_attach", now, || {
+            [
                 ("scan", scan.0.to_string()),
                 ("driver", driver.0.to_string()),
                 ("missed_pages", missed_pages.to_string()),
-            ],
-        );
+            ]
+        });
         self.emit(
             now,
             DecisionEvent::DriverAttach {
@@ -765,15 +797,13 @@ impl ScanSharingManager {
         remaining_pages: u64,
         consumers: usize,
     ) {
-        self.span_instant(
-            "mgr.push_handoff",
-            now,
-            &[
+        self.span_instant("mgr.push_handoff", now, || {
+            [
                 ("scan", scan.0.to_string()),
                 ("from", from.0.to_string()),
                 ("remaining_pages", remaining_pages.to_string()),
-            ],
-        );
+            ]
+        });
         self.emit(
             now,
             DecisionEvent::DriverHandoff {
@@ -795,11 +825,12 @@ impl ScanSharingManager {
     /// remembered as joinable leftovers — the scan did not finish its
     /// pass, so its trailing pages are not a complete prefix.
     pub fn evict_scan(&self, id: ScanId, now: SimTime, reason: &str) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let Some(idx) = inner.index_of(id) else {
             return;
         };
-        let state = inner.scans.remove(idx);
+        let state = inner.remove(idx);
         inner.evicted_by_fault += 1;
         let evicted_total = inner.evicted_by_fault;
         let anchor = state.anchor;
@@ -822,55 +853,49 @@ impl ScanSharingManager {
                 active: inner.scans.len(),
             },
         );
-        self.span_instant(
-            "mgr.regroup",
-            now,
-            &[
+        self.span_instant("mgr.regroup", now, || {
+            [
                 ("scan", id.0.to_string()),
                 ("group", anchor.0.to_string()),
                 ("reason", reason.to_string()),
                 ("survivors", remaining.to_string()),
-            ],
-        );
+            ]
+        });
 
         // Re-evaluate the survivors now instead of waiting for their next
         // location update: lift throttling and reclassify roles.
-        let groups = inner.compute_groups(self.cfg.pool_pages);
         let threshold_pages = self.cfg.throttle_threshold_pages();
         for s in inner.scans.iter_mut() {
             let sid = s.id;
-            let role = groups.role(sid).unwrap_or(Role::Singleton);
-            let group = groups.group_of(sid);
-            let (g_anchor, g_extent, g_members) = group
-                .map(|g| (g.anchor, g.extent, g.members.len()))
-                .unwrap_or((anchor, 0, 1));
+            let g = inner
+                .index
+                .member(s.key())
+                .expect("ongoing scans are indexed");
             if s.throttled {
                 s.throttled = false;
                 self.emit(
                     now,
                     DecisionEvent::Unthrottle {
                         scan: sid,
-                        group: g_anchor,
-                        distance_pages: g_extent,
+                        group: s.anchor,
+                        distance_pages: g.extent,
                         threshold_pages,
                     },
                 );
             }
-            if let Some(prev) = s.last_role {
-                if prev != role {
-                    s.last_role = Some(role);
-                    self.emit(
-                        now,
-                        DecisionEvent::RoleChange {
-                            scan: sid,
-                            group: g_anchor,
-                            from: prev,
-                            to: role,
-                            group_extent: g_extent,
-                            members: g_members,
-                        },
-                    );
-                }
+            if let Some(prev) = s.last_role.filter(|&prev| prev != g.role) {
+                s.last_role = Some(g.role);
+                self.emit(
+                    now,
+                    DecisionEvent::RoleChange {
+                        scan: sid,
+                        group: s.anchor,
+                        from: prev,
+                        to: g.role,
+                        group_extent: g.extent,
+                        members: g.members,
+                    },
+                );
             }
         }
     }
@@ -902,14 +927,13 @@ impl ScanSharingManager {
             return PagePriority::Normal;
         }
         let inner = self.inner.lock();
-        let groups = inner.compute_groups(self.cfg.pool_pages);
-        self.release_priority(groups.role(id).unwrap_or(Role::Singleton))
+        let group = inner.scan(id).and_then(|s| inner.index.member(s.key()));
+        self.release_priority(group.map_or(Role::Singleton, |g| g.role))
     }
 
     /// Snapshot of the current groups (diagnostics, tests, examples).
     pub fn groups(&self) -> Vec<GroupInfo> {
-        let inner = self.inner.lock();
-        inner.compute_groups(self.cfg.pool_pages).groups
+        self.inner.lock().index.groups().groups
     }
 
     /// Full introspection snapshot: formed groups plus every scan's
@@ -918,7 +942,7 @@ impl ScanSharingManager {
     /// distance and per-scan slowdown series.
     pub fn probe(&self) -> ManagerProbe {
         let inner = self.inner.lock();
-        let groups = inner.compute_groups(self.cfg.pool_pages);
+        let groups = inner.index.groups();
         let scans: Vec<ScanProbe> = inner
             .scans
             .iter()
@@ -1937,7 +1961,7 @@ mod tests {
             let (mut live, mut gone) = (Vec::<(ScanId, ScanKind)>::new(), vec![ScanId(999)]);
             let mut now = SimTime::ZERO;
             for _ in 0..150 {
-                now = now + SimDuration::from_millis(rng.bounded_u64(20));
+                now += SimDuration::from_millis(rng.bounded_u64(20));
                 let op = if live.is_empty() {
                     0
                 } else {

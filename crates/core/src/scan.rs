@@ -4,7 +4,7 @@ use scanshare_storage::{PagePriority, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::anchor::AnchorId;
-use crate::grouping::Role;
+use crate::grouping::{ChainKey, Role};
 
 /// Identifier of a registered scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -182,15 +182,20 @@ impl ScanState {
         }
     }
 
-    /// Apply a location update: advance offset, refresh speed, shrink the
-    /// remaining-pages estimate.
+    /// Where the scan sits in the grouping chain.
+    pub(crate) fn key(&self) -> ChainKey {
+        (self.anchor, self.anchor_offset, self.id)
+    }
+
+    /// Apply a location update: refresh speed, shrink the remaining-pages
+    /// estimate. The offset moves with the grouping state, so the manager
+    /// advances it (`pages` further on).
     pub(crate) fn advance(&mut self, now: SimTime, location: Location, pages: u64) {
         let dt = now.since(self.last_update).as_secs_f64();
         if dt > 0.0 && pages > 0 {
             self.speed = pages as f64 / dt;
         }
         self.location = location;
-        self.anchor_offset += pages as i64;
         self.remaining_pages = self.remaining_pages.saturating_sub(pages);
         self.last_update = now;
     }
@@ -239,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn advance_updates_speed_offset_and_remaining() {
+    fn advance_updates_speed_and_remaining() {
         let mut s = ScanState::new(
             ScanId(1),
             desc(),
@@ -251,7 +256,7 @@ mod tests {
         assert!((s.speed - 100.0).abs() < 1e-9); // initial estimate
         s.advance(SimTime::from_secs(2), Location::new(12, 400), 400);
         assert!((s.speed - 200.0).abs() < 1e-9); // measured
-        assert_eq!(s.anchor_offset, 400);
+        assert_eq!(s.anchor_offset, 0, "the manager moves the offset");
         assert_eq!(s.remaining_pages, 600);
         assert_eq!(s.location, Location::new(12, 400));
     }
@@ -268,7 +273,6 @@ mod tests {
         );
         s.advance(SimTime::ZERO, Location::new(10, 16), 16);
         assert!((s.speed - 100.0).abs() < 1e-9);
-        assert_eq!(s.anchor_offset, 16);
     }
 
     #[test]

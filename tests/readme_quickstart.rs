@@ -96,6 +96,68 @@ fn every_repo_path_the_docs_name_exists() {
     );
 }
 
+/// Every Rust name in backticks in GLOSSARY's `code` column occurs, as a
+/// whole word, in at least one of the `.rs` files its row's `where`
+/// column cites — judged by the name's last `::` or `.` segment without
+/// `()` — so a renamed or deleted item cannot linger in the glossary.
+/// Spans that are not a path of identifiers (`run --policy`,
+/// `IdMap<PageId, u32>`) are prose, not names, and are skipped.
+#[test]
+fn every_glossary_name_occurs_in_a_file_its_row_cites() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let glossary = std::fs::read_to_string(root.join("GLOSSARY.md")).unwrap();
+    let ticked = |cell: &str| -> Vec<String> {
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_owned)
+            .collect()
+    };
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let (mut checked, mut missing) = (0, Vec::new());
+    for row in glossary.lines().filter(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.split('|').collect();
+        let [_, _, code, cited, _] = cells[..] else {
+            panic!("GLOSSARY.md row without three columns: {row}");
+        };
+        let files: Vec<String> = ticked(cited)
+            .into_iter()
+            .filter(|path| path.ends_with(".rs"))
+            .map(|path| std::fs::read_to_string(root.join(&path)).expect("cited files exist"))
+            .collect();
+        for span in ticked(code) {
+            let path = span.trim_end_matches("()");
+            let is_name = path.split("::").flat_map(|s| s.split('.')).all(|segment| {
+                segment.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                    && segment.chars().all(is_ident)
+            });
+            if !is_name {
+                continue;
+            }
+            let name = path.rsplit(['.', ':']).next().unwrap();
+            let occurs = |text: &String| {
+                text.match_indices(name).any(|(at, _)| {
+                    !text[..at].ends_with(is_ident)
+                        && !text[at + name.len()..].starts_with(is_ident)
+                })
+            };
+            checked += 1;
+            if !files.iter().any(occurs) {
+                missing.push(format!("`{span}` (row: {})", cells[1].trim()));
+            }
+        }
+    }
+    assert!(
+        checked >= 40,
+        "only {checked} glossary names found; did the table change shape?"
+    );
+    assert!(
+        missing.is_empty(),
+        "GLOSSARY.md names items no file of their row defines or uses:\n{}",
+        missing.join("\n")
+    );
+}
+
 /// Every `scanshare` command line in a fenced block of the documents —
 /// after `cargo run … --bin scanshare --`, after `$BIN`, or at the start
 /// of a line — parses against the CLI's flag table, so a recipe cannot
