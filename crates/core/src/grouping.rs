@@ -226,33 +226,34 @@ impl GroupIndex {
     /// `d`, so the cut is where a running sum first reaches the budget (a
     /// total past `u64::MAX` is over any budget).
     fn recut(&mut self) {
-        let mut total = 0u64;
+        let mut total = Some(0u64);
         self.cut = self.gaps.iter().copied().find(|g| {
-            total = total.saturating_add(g.0);
-            total >= self.budget
+            total = total
+                .and_then(|t| t.checked_add(g.0))
+                .filter(|&t| t < self.budget);
+            total.is_none()
         });
     }
 
-    /// The first and last chain positions of the group at position `i`.
-    fn run(&self, i: usize) -> (usize, usize) {
-        let joined = |j: usize| {
-            let g = gap(Some(self.chain[j]), Some(self.chain[j + 1]));
-            g.is_some_and(|g| self.cut.is_none_or(|cut| g < cut))
-        };
-        let (mut first, mut last) = (i, i);
-        while first > 0 && joined(first - 1) {
-            first -= 1;
+    /// Whether `chain[j]` and `chain[j + 1]` are in one group.
+    fn joined(&self, j: usize) -> bool {
+        let g = gap(Some(self.chain[j]), Some(self.chain[j + 1]));
+        g.is_some_and(|g| self.cut.is_none_or(|cut| g < cut))
+    }
+
+    /// The last chain position of the group that continues through `i`.
+    fn last_from(&self, mut i: usize) -> usize {
+        while i + 1 < self.chain.len() && self.joined(i) {
+            i += 1;
         }
-        while last + 1 < self.chain.len() && joined(last) {
-            last += 1;
-        }
-        (first, last)
+        i
     }
 
     /// The group of the scan at `key`, or `None` if it is not indexed.
     pub(crate) fn member(&self, key: ChainKey) -> Option<Membership> {
         let i = self.chain.binary_search(&key).ok()?;
-        let (first, last) = self.run(i);
+        let first = (0..i).rev().find(|&j| !self.joined(j)).map_or(0, |j| j + 1);
+        let last = self.last_from(i);
         Some(Membership {
             role: role_at(i - first, last - first + 1),
             trailer: self.chain[first].2,
@@ -267,7 +268,7 @@ impl GroupIndex {
         groups.roles.reserve(self.chain.len());
         let mut first = 0;
         while first < self.chain.len() {
-            let run = &self.chain[first..=self.run(first).1];
+            let run = &self.chain[first..=self.last_from(first)];
             let gidx = groups.groups.len();
             for (mi, &(_, _, id)) in run.iter().enumerate() {
                 groups.roles.push((id, gidx, role_at(mi, run.len())));

@@ -867,10 +867,7 @@ impl ScanSharingManager {
         let threshold_pages = self.cfg.throttle_threshold_pages();
         for s in inner.scans.iter_mut() {
             let sid = s.id;
-            let g = inner
-                .index
-                .member(s.key())
-                .expect("ongoing scans are indexed");
+            let g = inner.index.member(s.key()).expect("an ongoing scan");
             if s.throttled {
                 s.throttled = false;
                 self.emit(
