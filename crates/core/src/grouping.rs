@@ -161,8 +161,8 @@ impl GroupIndex {
     /// The index over `chain`, in any order, for a pool of `pool_pages`.
     pub(crate) fn build(pool_pages: u64, mut chain: Vec<ChainKey>) -> Self {
         chain.sort_unstable();
-        let pairs = chain.windows(2).map(|w| gap(Some(w[0]), Some(w[1])));
-        let mut gaps: Vec<_> = pairs.flatten().collect();
+        let mut gaps = Vec::with_capacity(chain.len());
+        gaps.extend(chain.windows(2).filter_map(|w| gap(Some(w[0]), Some(w[1]))));
         gaps.sort_unstable();
         let mut index = GroupIndex {
             budget: pool_pages,
