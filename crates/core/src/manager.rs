@@ -1934,9 +1934,39 @@ mod tests {
     /// manager under `debug_assertions`.
     #[test]
     fn call_sequences_decide_as_the_rebuilding_manager_did() {
-        use scanshare_prng::Rng;
         const PARENT: (u64, usize, u64) = (912_370_668_458_174_563, 27_134, 753);
+        let (got, kinds) = digest_call_sequences(false);
+        assert_eq!(got, PARENT, "{kinds:?}");
+    }
+
+    /// The same sequences, with every seed also drawing the placement
+    /// strategy and the throttling and priority switches, and digesting
+    /// the push-attach answers at and around the one-fifth threshold.
+    /// The constants were computed by the commit whose manager dispatched
+    /// placement, its gates and push attach through a boxed policy object
+    /// fed a snapshot of every ongoing scan.
+    #[test]
+    fn call_sequences_decide_as_the_policy_trait_did() {
+        const PARENT: (u64, usize, u64) = (12_816_590_952_254_690_473, 25_425, 813);
+        let (got, kinds) = digest_call_sequences(true);
+        assert_eq!(got, PARENT, "{kinds:?}");
+    }
+
+    /// Run the 400 sequences and return `(digest, decision records,
+    /// anchor merges)` plus the record count per event kind. With
+    /// `vary_config` each seed draws three more configuration fields and
+    /// one lap length after the budget, policy and placement switch.
+    fn digest_call_sequences(
+        vary_config: bool,
+    ) -> ((u64, usize, u64), std::collections::BTreeMap<String, usize>) {
+        use crate::config::PlacementStrategy;
+        use scanshare_prng::Rng;
         let budgets = [0, 1, 16, 48, 200, 5000, u64::MAX];
+        let strategies = [
+            PlacementStrategy::Practical,
+            PlacementStrategy::Optimal,
+            PlacementStrategy::AlwaysAttach,
+        ];
         let policies = [
             SharingPolicyKind::Grouping,
             SharingPolicyKind::Grouping,
@@ -1952,7 +1982,19 @@ mod tests {
                 *rng.choose(&policies).unwrap(),
             );
             cfg.enable_placement = rng.bounded_u64(4) != 0;
+            let mut lap = 0;
+            if vary_config {
+                cfg.placement_strategy = *rng.choose(&strategies).unwrap();
+                cfg.enable_throttling = rng.bounded_u64(2) != 0;
+                cfg.enable_priorities = rng.bounded_u64(2) != 0;
+                lap = rng.bounded_u64(10_000);
+            }
             let m = ScanSharingManager::new(cfg);
+            if vary_config {
+                let answers =
+                    [0, lap / 5, lap / 5 + 1, lap].map(|missed| m.attach_push(missed, lap));
+                fnv1a(&mut digest, format!("{answers:?}").as_bytes());
+            }
             let log = DecisionLog::new(1 << 16);
             m.attach_decision_log(log.clone());
             let (mut live, mut gone) = (Vec::<(ScanId, ScanKind)>::new(), vec![ScanId(999)]);
@@ -2036,6 +2078,6 @@ mod tests {
             fnv1a(&mut digest, format!("{:?}", m.stats()).as_bytes());
             merges += m.stats().anchor_merges;
         }
-        assert_eq!((digest, events, merges), PARENT, "{kinds:?}");
+        ((digest, events, merges), kinds)
     }
 }

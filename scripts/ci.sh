@@ -48,15 +48,16 @@ leg "benchmark crate (metric-name drift + --quick smoke)"
 # still matches BENCHMARK.json.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-leg "row-kernel, grouping and manager oracles, release build"
+leg "row-kernel, grouping, manager and policy oracles, release build"
 # The kernel's register chunks (K states × N sums, const-generic) and the
 # manager's grouping index are release codegen: the debug suite above
 # proves the source, not what the optimiser makes of it, and release is
 # what every measurement runs. The core crate's grouping and manager
 # tests hold the index's oracle against the re-forming pass and the
-# manager's decisions over seeded call sequences.
+# manager's decisions over seeded call sequences; its policy tests pin
+# the gates and push-attach answers each policy gives.
 cargo test --release --offline -q -p scanshare-engine --lib kernel_oracle
-cargo test --release --offline -q -p scanshare --lib -- grouping:: manager::
+cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: policy::
 
 leg "span-profiler smoke (informational, not gated)"
 # Record and render a fresh profile of the built-in smoke run: exercises
