@@ -114,7 +114,7 @@ pub struct SharingConfig {
     pub enable_throttling: bool,
     /// Master switch: leader/trailer page re-prioritization.
     pub enable_priorities: bool,
-    /// Which [`crate::policy::SharingPolicy`] the manager runs. Defaults
+    /// Which [`SharingPolicyKind`] the manager runs. Defaults
     /// to the paper's grouping+throttling; `attach` and `elevator` model
     /// the simpler sharing schemes of related work. Omitted in older
     /// workload specs, which therefore keep their exact behavior.

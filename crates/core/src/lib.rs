@@ -72,10 +72,7 @@ pub use grouping::{GroupInfo, Role};
 pub use manager::{ManagerProbe, ScanProbe, ScanSharingManager, StartDecision, UpdateOutcome};
 pub use obs::span::{ProfileSummary, SpanId, SpanProfiler, Track};
 pub use obs::{MetricsRegistry, MetricsSnapshot};
-pub use policy::{
-    AttachPolicy, ElevatorPolicy, GroupingPolicy, PolicyView, ScanView, SharingPolicy,
-    SharingPolicyKind,
-};
+pub use policy::SharingPolicyKind;
 pub use scan::{Location, ObjectId, QueryPriority, ScanDesc, ScanId, ScanKind};
 pub use stats::SharingStats;
 

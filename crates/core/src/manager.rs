@@ -33,7 +33,7 @@ use crate::config::SharingConfig;
 use crate::decision::{DecisionEvent, DecisionLog};
 use crate::grouping::{GroupIndex, GroupInfo, Membership, Role};
 use crate::obs::span::{SpanProfiler, Track};
-use crate::policy::{policy_for, FinishedView, PolicyView, ScanView, SharingPolicy};
+use crate::policy::{self, SharingPolicyKind};
 use crate::scan::{Location, ObjectId, ScanDesc, ScanId, ScanKind, ScanState};
 use crate::stats::SharingStats;
 use crate::throttle;
@@ -138,13 +138,15 @@ impl ManagerProbe {
     }
 }
 
-struct FinishedScan {
-    location: Location,
-    kind: ScanKind,
+/// Where the most recently finished scan on an object stopped — the
+/// "join the leftovers" input of placement (Figure 13 line 2).
+pub(crate) struct FinishedScan {
+    pub location: Location,
+    pub kind: ScanKind,
     /// Value of the global churn counter when the scan ended; if more
     /// than a pool's worth of pages has been read since, the leftovers
     /// are gone and joining this location buys nothing.
-    churn_at_end: u64,
+    pub churn_at_end: u64,
 }
 
 struct Inner {
@@ -232,10 +234,9 @@ impl Inner {
 
 /// The scan-sharing manager. One per buffer pool.
 pub struct ScanSharingManager {
+    /// The configuration in effect; [`crate::policy`] answers placement,
+    /// the throttle/priority gates and push attach from it.
     cfg: SharingConfig,
-    /// The sharing policy in effect, built from [`SharingConfig::policy`].
-    /// Placement and the throttle/priority gates dispatch through it.
-    policy: Box<dyn SharingPolicy>,
     inner: Mutex<Inner>,
     /// Optional decision-provenance sink; every policy decision is
     /// recorded here when attached (see [`crate::decision`]).
@@ -250,7 +251,6 @@ impl ScanSharingManager {
     /// Create a manager for a pool of `cfg.pool_pages` pages.
     pub fn new(cfg: SharingConfig) -> Self {
         ScanSharingManager {
-            policy: policy_for(cfg.policy),
             inner: Mutex::new(Inner {
                 scans: Vec::new(),
                 index: GroupIndex::build(cfg.pool_pages, Vec::new()),
@@ -318,40 +318,6 @@ impl ScanSharingManager {
         }
     }
 
-    /// Minimum absolute saving (pages) a placement candidate must offer,
-    /// as recorded on placement provenance events.
-    fn placement_threshold(&self) -> f64 {
-        self.policy.placement_threshold(&self.cfg)
-    }
-
-    /// Snapshot the state a [`SharingPolicy`] may consult when placing a
-    /// new scan on `object`, taken under the manager's lock.
-    fn policy_view<'a>(&'a self, inner: &'a Inner, object: ObjectId) -> PolicyView<'a> {
-        let scans = inner
-            .scans
-            .iter()
-            .map(|s| ScanView {
-                id: s.id,
-                desc: &s.desc,
-                location: s.location,
-                remaining_pages: s.remaining_pages,
-                speed: s.speed,
-                anchor: s.anchor,
-                anchor_offset: s.anchor_offset,
-            })
-            .collect();
-        PolicyView {
-            cfg: &self.cfg,
-            scans,
-            last_finished: inner.last_finished.get(&object).map(|f| FinishedView {
-                location: f.location,
-                kind: f.kind,
-                churn_at_end: f.churn_at_end,
-            }),
-            total_pages_advanced: inner.total_pages_advanced,
-        }
-    }
-
     /// Register a new scan and decide where it starts (`startSISCAN`).
     pub fn start_scan(&self, desc: ScanDesc, now: SimTime) -> (ScanId, StartDecision) {
         let mut inner = self.inner.lock();
@@ -363,23 +329,25 @@ impl ScanSharingManager {
         // scan, so `explain` can narrate which policy shaped the run. The
         // default policy stays silent to keep grouping-policy reports
         // byte-identical to pre-policy-framework builds.
-        if id.0 == 0 && self.policy.kind() != crate::policy::SharingPolicyKind::Grouping {
+        if id.0 == 0 && self.cfg.policy != SharingPolicyKind::Grouping {
             self.emit(
                 now,
                 DecisionEvent::PolicyChosen {
                     scan: id,
-                    policy: self.policy.kind(),
+                    policy: self.cfg.policy,
                 },
             );
         }
 
         let mut candidates = Vec::new();
-        let decision = if self.cfg.enable_placement {
-            let view = self.policy_view(&inner, desc.object);
-            self.policy.place(&view, &desc, &mut candidates)
-        } else {
-            StartDecision::FromStart
-        };
+        let decision = policy::place(
+            &self.cfg,
+            &inner.scans,
+            inner.last_finished.get(&desc.object),
+            inner.total_pages_advanced,
+            &desc,
+            &mut candidates,
+        );
 
         // Resolve the anchor/offset the new scan registers with.
         let (anchor, offset, location) = match (&decision, desc.kind) {
@@ -452,12 +420,12 @@ impl ScanSharingManager {
         }
         let object = desc.object;
         inner.add(ScanState::new(id, desc, location, anchor, offset, now));
-        let threshold_pages = self.placement_threshold();
+        let threshold_pages = policy::placement_threshold(&self.cfg);
         self.span_instant("mgr.place", now, || {
             [
                 ("scan", id.0.to_string()),
                 ("object", object.0.to_string()),
-                ("policy", self.policy.kind().to_string()),
+                ("policy", self.cfg.policy.to_string()),
                 ("candidates", candidates.len().to_string()),
                 (
                     "decision",
@@ -580,7 +548,7 @@ impl ScanSharingManager {
 
         let threshold_pages = self.cfg.throttle_threshold_pages();
         let mut wait = scanshare_storage::SimDuration::ZERO;
-        if self.cfg.enable_throttling && self.policy.throttles() && role == Role::Leader {
+        if policy::throttles(&self.cfg) && role == Role::Leader {
             let trailer = group.trailer;
             let trailer_speed = inner.scan(trailer).expect("trailer is ongoing").speed;
             let distance = group.extent;
@@ -744,10 +712,11 @@ impl ScanSharingManager {
 
     /// Push delivery: should a late joiner that missed `missed_pages` of
     /// a `range_pages` lap attach to the ongoing driver (replaying the
-    /// missed prefix privately) or found its own driver? Delegates to the
-    /// sharing policy's [`crate::policy::SharingPolicy::attach_push`].
+    /// missed prefix privately) or found its own driver? The sharing
+    /// policy's call: the grouping policy attaches while the missed
+    /// prefix is at most a fifth of the lap, the baselines always do.
     pub fn attach_push(&self, missed_pages: u64, range_pages: u64) -> bool {
-        self.policy.attach_push(missed_pages, range_pages)
+        policy::attach_push(&self.cfg, missed_pages, range_pages)
     }
 
     /// Push delivery: `scan` attached to `driver`'s shared page stream
@@ -755,7 +724,7 @@ impl ScanSharingManager {
     /// manager keeps no driver state of its own). `missed_pages` is the
     /// prefix the consumer replays privately; `consumers` counts the
     /// registry *after* the attach. Whether the attach happens at all is
-    /// the policy's call via [`crate::policy::SharingPolicy::attach_push`].
+    /// the policy's call via [`ScanSharingManager::attach_push`].
     pub fn note_driver_attach(
         &self,
         scan: ScanId,
@@ -902,17 +871,11 @@ impl ScanSharingManager {
         self.inner.lock().evicted_by_fault
     }
 
-    /// Whether leader/trailer page re-prioritization is in effect: the
-    /// configuration enables it and the policy uses it.
-    fn prioritizes(&self) -> bool {
-        self.cfg.enable_priorities && self.policy.prioritizes()
-    }
-
     /// The release priority for the pages of a scan in `role`.
     fn release_priority(&self, role: Role) -> PagePriority {
         match role {
-            Role::Leader if self.prioritizes() => PagePriority::High,
-            Role::Trailer if self.prioritizes() => PagePriority::Low,
+            Role::Leader if policy::prioritizes(&self.cfg) => PagePriority::High,
+            Role::Trailer if policy::prioritizes(&self.cfg) => PagePriority::Low,
             _ => PagePriority::Normal,
         }
     }
@@ -920,7 +883,7 @@ impl ScanSharingManager {
     /// `ISM.pr()`: the release priority for a scan's pages right now —
     /// what [`ScanSharingManager::update_location`] would return for it.
     pub fn page_priority(&self, id: ScanId) -> PagePriority {
-        if !self.prioritizes() {
+        if !policy::prioritizes(&self.cfg) {
             return PagePriority::Normal;
         }
         let inner = self.inner.lock();

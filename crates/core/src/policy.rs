@@ -1,4 +1,4 @@
-//! Pluggable sharing policies: *how* concurrent scans share pages.
+//! Sharing policies: *how* concurrent scans share pages.
 //!
 //! The papers' grouping+throttling machinery is one point in a design
 //! space that *From Cooperative Scans to Predictive Buffer Management*
@@ -7,21 +7,18 @@
 //! elevator cursor per table, and the paper under reproduction adds
 //! placement scoring, leader/trailer throttling, and page priorities.
 //!
-//! This module carves that axis out of [`crate::manager`]: a
-//! [`SharingPolicy`] decides **where a new scan starts** and **which of
-//! the manager's feedback mechanisms are active**, while the manager
-//! keeps the bookkeeping every policy needs (anchors, groups, speeds,
-//! statistics, provenance). Three implementations ship:
-//!
-//! * [`GroupingPolicy`] — the default; the paper's §6.3 placement plus
-//!   throttling and page re-prioritization. Runs under this policy are
-//!   byte-identical to the pre-refactor code (a property pinned by CI).
-//! * [`AttachPolicy`] — a new scan jumps to the *newest* compatible
-//!   scan's position, with no throttling and no priority hints; the
-//!   simplest sharing found in contemporary engines.
-//! * [`ElevatorPolicy`] — one circulating read cursor per table: a new
-//!   scan attaches at the front-most ongoing scan (the cursor), or where
-//!   the last scan left off when the table is idle, and wraps around.
+//! [`SharingPolicyKind`] names the policy a run uses, and this module is
+//! the one place that answers, from a [`SharingConfig`] (which carries
+//! the kind and the ablation switches), what the policy decides: **where
+//! a new scan starts** (`place`, gated by
+//! [`SharingConfig::enable_placement`]), **whether drifting leaders are
+//! throttled** (`throttles`) and **whether leader/trailer pages are
+//! re-prioritized** (`prioritizes`), both with their switch folded in,
+//! the threshold recorded on placement provenance
+//! (`placement_threshold`), and whether a push-mode joiner rides a
+//! running group driver (`attach_push`). The manager keeps the
+//! bookkeeping every policy needs (anchors, groups, speeds, statistics,
+//! provenance) and hands its own scan records to `place`.
 //!
 //! Select a policy per run via [`SharingConfig::policy`] in the workload
 //! spec, or `scanshare run --policy grouping|attach|elevator` on the
@@ -29,24 +26,44 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::anchor::AnchorId;
 use crate::config::{PlacementStrategy, SharingConfig};
 use crate::decision::PlacementCandidate;
-use crate::manager::{StartDecision, UNKNOWN_POS};
+use crate::manager::{FinishedScan, StartDecision, UNKNOWN_POS};
 use crate::placement::{best_start_optimal, best_start_practical, Trace};
-use crate::scan::{Location, ScanDesc, ScanId, ScanKind};
+use crate::scan::{Location, ScanDesc, ScanId, ScanKind, ScanState};
 
 /// Which sharing policy a run uses. Selected in [`SharingConfig::policy`]
 /// (and therefore in workload specs) or via `run --policy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SharingPolicyKind {
-    /// The paper's grouping+throttling machinery (the default).
+    /// The paper's policy (the default): §6.3 placement, with the optimal
+    /// and always-attach variants of [`PlacementStrategy`], leader
+    /// throttling and page re-prioritization. Runs under it are
+    /// byte-identical to the code before policies were selectable (a
+    /// property pinned by CI).
     #[default]
     Grouping,
-    /// Attach to the newest compatible ongoing scan; no throttling.
+    /// Baseline attach: a new scan jumps to the **newest** compatible
+    /// scan's position — no sharing-potential estimation, no throttling,
+    /// no page priorities. The newest scan is the one whose already-read
+    /// pages are most likely still pool-resident, which is the entire
+    /// intuition of attach-style sharing; contrast with
+    /// [`PlacementStrategy::AlwaysAttach`] under `Grouping`, which
+    /// attaches to the scan with the most *remaining work*.
     Attach,
-    /// One circulating read cursor per table; scans attach at the cursor
-    /// and wrap.
+    /// One circulating read cursor per table. The cursor is materialized
+    /// by the front-most ongoing scan (largest position); a new scan
+    /// attaches there and relies on the engine's wrap-around phase to
+    /// cover the part behind the cursor. When the table is idle the
+    /// cursor rests where the last scan ended, so the next scan resumes
+    /// from that position regardless of cache churn — elevator ordering
+    /// is positional, not cache-estimated. No throttling and no page
+    /// priorities: the cursor never waits for stragglers.
+    ///
+    /// Index-scan positions are only comparable within an anchor group,
+    /// so for index scans "front-most" is an approximation based on the
+    /// reported physical position; table scans (where positions are page
+    /// numbers) are the policy's home turf.
     Elevator,
 }
 
@@ -82,123 +99,92 @@ impl std::str::FromStr for SharingPolicyKind {
     }
 }
 
-/// Snapshot of one ongoing scan, as a policy sees it. A read-only view of
-/// the manager's internal per-scan state (§5.2's attribute set) so that
-/// policies can be implemented outside the manager without access to its
-/// private bookkeeping.
-#[derive(Debug, Clone)]
-pub struct ScanView<'a> {
-    /// The scan's id (ascending in start order — higher id = newer scan).
-    pub id: ScanId,
-    /// The scan's static description (object, kind, key range, estimates).
-    pub desc: &'a ScanDesc,
-    /// Last reported location.
-    pub location: Location,
-    /// Estimated pages left in the scan range.
-    pub remaining_pages: u64,
-    /// Recent speed in pages per second.
-    pub speed: f64,
-    /// The anchor group the scan's position is expressed in.
-    pub anchor: AnchorId,
-    /// Position relative to the anchor, in pages.
-    pub anchor_offset: i64,
-}
-
-/// Where the most recently finished scan on the target object stopped —
-/// the "join the leftovers" input (Figure 13 line 2).
-#[derive(Debug, Clone)]
-pub struct FinishedView {
-    /// Its final location.
-    pub location: Location,
-    /// Table or index scan.
-    pub kind: ScanKind,
-    /// Global churn counter when it ended; compared against
-    /// [`PolicyView::total_pages_advanced`] to decide whether its trailing
-    /// pages can still be in the pool.
-    pub churn_at_end: u64,
-}
-
-/// Everything a [`SharingPolicy`] may consult when placing a new scan: a
-/// snapshot of the manager's state taken under its lock at `start_scan`
-/// time.
-#[derive(Debug, Clone)]
-pub struct PolicyView<'a> {
-    /// The configuration in effect.
-    pub cfg: &'a SharingConfig,
-    /// All ongoing scans (every object, every kind), ascending by id.
-    pub scans: Vec<ScanView<'a>>,
-    /// The most recently finished scan on the new scan's object, if any.
-    pub last_finished: Option<FinishedView>,
-    /// Total pages advanced by all scans since the manager was created —
-    /// the buffer-churn proxy for the leftover-cache check.
-    pub total_pages_advanced: u64,
-}
-
-/// A sharing policy: decides where a new scan starts and which of the
-/// manager's feedback mechanisms (throttling, page priorities) apply.
-///
-/// Implementations must be deterministic: given the same [`PolicyView`]
-/// and descriptor they must return the same decision and push the same
-/// candidates, or runs stop being reproducible.
-pub trait SharingPolicy: Send + Sync {
-    /// Which policy this is (for provenance and reports).
-    fn kind(&self) -> SharingPolicyKind;
-
-    /// Decide where a new scan described by `desc` starts. Every start
-    /// location scored along the way — winners and rejected candidates
-    /// alike — is appended to `candidates` so the decision-provenance
-    /// event carries the full field the policy chose from.
-    fn place(
-        &self,
-        view: &PolicyView,
-        desc: &ScanDesc,
-        candidates: &mut Vec<PlacementCandidate>,
-    ) -> StartDecision;
-
-    /// Whether group leaders are throttled to keep groups together
-    /// (still subject to [`SharingConfig::enable_throttling`]).
-    fn throttles(&self) -> bool;
-
-    /// Whether leader/trailer page re-prioritization applies (still
-    /// subject to [`SharingConfig::enable_priorities`]).
-    fn prioritizes(&self) -> bool;
-
-    /// Minimum absolute saving (pages) a placement candidate must offer,
-    /// as recorded on placement provenance events.
-    fn placement_threshold(&self, cfg: &SharingConfig) -> f64;
-
-    /// Push delivery only: should a new consumer attach to a group
-    /// driver that has already delivered `missed_pages` of its
-    /// `range_pages`-page lap, replaying the missed prefix through a
-    /// private pull cursor — or found a fresh driver of its own?
-    ///
-    /// The default mirrors the grouping policy's sharing-potential
-    /// instinct: attach while the shared remainder dwarfs the private
-    /// replay (missed prefix at most a fifth of the lap — the replay is
-    /// pure duplicate fixing, so keeping it small is what holds a
-    /// group's fixes-per-page near one). Policies that attach
-    /// unconditionally in pull mode override this to do the same in
-    /// push mode.
-    fn attach_push(&self, missed_pages: u64, range_pages: u64) -> bool {
-        missed_pages.saturating_mul(5) <= range_pages
+/// Decide where a new scan described by `desc` starts, given the ongoing
+/// `scans` (every object, every kind, ascending by id), the most recently
+/// finished scan on `desc`'s object, and the pages advanced by all scans
+/// so far (the buffer-churn proxy for the leftover-cache check). Every
+/// start location scored along the way — winners and rejected candidates
+/// alike — is appended to `candidates` so the decision-provenance event
+/// carries the full field the policy chose from. Deterministic: the same
+/// inputs give the same decision and the same candidates.
+pub(crate) fn place(
+    cfg: &SharingConfig,
+    scans: &[ScanState],
+    last_finished: Option<&FinishedScan>,
+    total_pages_advanced: u64,
+    desc: &ScanDesc,
+    candidates: &mut Vec<PlacementCandidate>,
+) -> StartDecision {
+    if !cfg.enable_placement {
+        return StartDecision::FromStart;
+    }
+    match cfg.policy {
+        SharingPolicyKind::Grouping => place_grouping(
+            cfg,
+            scans,
+            last_finished,
+            total_pages_advanced,
+            desc,
+            candidates,
+        ),
+        SharingPolicyKind::Attach => place_attach(scans, desc, candidates),
+        SharingPolicyKind::Elevator => place_elevator(scans, last_finished, desc, candidates),
     }
 }
 
-/// Build the policy implementation for `kind`.
-pub fn policy_for(kind: SharingPolicyKind) -> Box<dyn SharingPolicy> {
-    match kind {
-        SharingPolicyKind::Grouping => Box::new(GroupingPolicy),
-        SharingPolicyKind::Attach => Box::new(AttachPolicy),
-        SharingPolicyKind::Elevator => Box::new(ElevatorPolicy),
+/// Whether group leaders are throttled to keep groups together: the
+/// configuration enables it and the policy uses it.
+pub(crate) fn throttles(cfg: &SharingConfig) -> bool {
+    cfg.enable_throttling && cfg.policy == SharingPolicyKind::Grouping
+}
+
+/// Whether leader/trailer page re-prioritization is in effect: the
+/// configuration enables it and the policy uses it.
+pub(crate) fn prioritizes(cfg: &SharingConfig) -> bool {
+    cfg.enable_priorities && cfg.policy == SharingPolicyKind::Grouping
+}
+
+/// Minimum absolute saving (pages) a placement candidate must offer, as
+/// recorded on placement provenance events. The grouping policy's
+/// scoring strategies require one extent's worth of saving;
+/// `AlwaysAttach` and the baseline policies join unconditionally, so
+/// their threshold is zero.
+pub(crate) fn placement_threshold(cfg: &SharingConfig) -> f64 {
+    if cfg.policy == SharingPolicyKind::Grouping
+        && cfg.enable_placement
+        && cfg.placement_strategy != PlacementStrategy::AlwaysAttach
+    {
+        cfg.extent_pages as f64
+    } else {
+        0.0
+    }
+}
+
+/// Push delivery only: should a new consumer attach to a group driver
+/// that has already delivered `missed_pages` of its `range_pages`-page
+/// lap, replaying the missed prefix through a private pull cursor — or
+/// found a fresh driver of its own?
+///
+/// The grouping policy follows its sharing-potential instinct: attach
+/// while the shared remainder dwarfs the private replay (missed prefix at
+/// most a fifth of the lap — the replay is pure duplicate fixing, so
+/// keeping it small is what holds a group's fixes-per-page near one).
+/// Attach-style sharing attaches unconditionally in pull mode, and the
+/// elevator cursor *is* a push driver that scans always ride and cover
+/// what they missed on the wrap, so both ride any driver.
+pub(crate) fn attach_push(cfg: &SharingConfig, missed_pages: u64, range_pages: u64) -> bool {
+    match cfg.policy {
+        SharingPolicyKind::Grouping => missed_pages.saturating_mul(5) <= range_pages,
+        SharingPolicyKind::Attach | SharingPolicyKind::Elevator => true,
     }
 }
 
 /// Ongoing scans a new scan could share pages with: same object, same
 /// kind, current key inside the new scan's range (a scan whose location
-/// is outside the range cannot be joined — §6). `view.scans` is sorted by
-/// id, so the result is too.
-fn compatible<'a>(view: &'a PolicyView<'_>, desc: &ScanDesc) -> Vec<&'a ScanView<'a>> {
-    view.scans
+/// is outside the range cannot be joined — §6). `scans` is sorted by id,
+/// so the result is too.
+fn compatible<'a>(scans: &'a [ScanState], desc: &ScanDesc) -> Vec<&'a ScanState> {
+    scans
         .iter()
         .filter(|s| {
             s.desc.object == desc.object
@@ -208,372 +194,268 @@ fn compatible<'a>(view: &'a PolicyView<'_>, desc: &ScanDesc) -> Vec<&'a ScanView
         .collect()
 }
 
-/// The paper's policy: §6.3 placement (with the optimal and
-/// always-attach strategy variants of [`PlacementStrategy`]), leader
-/// throttling, and page re-prioritization.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GroupingPolicy;
+/// The placement logic of §6.3 (Figure 13), generalized over scan kinds:
+/// collect the anchor groups on the same object that overlap the new
+/// scan's key range, score each member's current location with
+/// `calculateReads`, and pick the best-saving candidate. With no ongoing
+/// scans, fall back to the most recently finished scan's location.
+fn place_grouping(
+    cfg: &SharingConfig,
+    scans: &[ScanState],
+    last_finished: Option<&FinishedScan>,
+    total_pages_advanced: u64,
+    desc: &ScanDesc,
+    candidates: &mut Vec<PlacementCandidate>,
+) -> StartDecision {
+    let mut members = compatible(scans, desc);
 
-impl SharingPolicy for GroupingPolicy {
-    fn kind(&self) -> SharingPolicyKind {
-        SharingPolicyKind::Grouping
-    }
-
-    /// The placement logic of §6.3 (Figure 13), generalized over scan
-    /// kinds: collect the anchor groups on the same object that overlap
-    /// the new scan's key range, score each member's current location
-    /// with `calculateReads`, and pick the best-saving candidate. With no
-    /// ongoing scans, fall back to the most recently finished scan's
-    /// location.
-    fn place(
-        &self,
-        view: &PolicyView,
-        desc: &ScanDesc,
-        candidates: &mut Vec<PlacementCandidate>,
-    ) -> StartDecision {
-        let cfg = view.cfg;
-        let mut members = compatible(view, desc);
-
-        if members.is_empty() {
-            // Figure 13 line 2: join the last finished scan's leftovers.
-            let any_ongoing = view
-                .scans
-                .iter()
-                .any(|s| s.desc.object == desc.object && s.desc.kind == desc.kind);
-            if !any_ongoing {
-                if let Some(fin) = &view.last_finished {
-                    let still_cached =
-                        view.total_pages_advanced.saturating_sub(fin.churn_at_end) < cfg.pool_pages;
-                    if still_cached
-                        && fin.kind == desc.kind
-                        && desc.contains_key(fin.location.key)
-                        && fin.location.pos != UNKNOWN_POS
-                    {
-                        // Leftover-cache candidate: at most a pool's worth
-                        // of the finished scan's trailing pages survives.
-                        let saving = cfg.pool_pages.min(desc.est_pages) as f64;
-                        candidates.push(PlacementCandidate {
-                            scan: None,
-                            location: fin.location,
-                            saving_pages: saving,
-                            score: saving / desc.est_pages.max(1) as f64,
-                            speed: 0.0,
-                        });
-                        return StartDecision::JoinAt {
-                            location: fin.location,
-                            scan: None,
-                            back_up_pages: cfg.pool_pages,
-                        };
-                    }
-                }
-            }
-            return StartDecision::FromStart;
-        }
-
-        // Attach strategy (QPipe baseline): join the ongoing scan with
-        // the most remaining work, unconditionally.
-        if cfg.placement_strategy == PlacementStrategy::AlwaysAttach {
-            for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
-                let saving = m.remaining_pages.min(desc.est_pages) as f64;
-                candidates.push(PlacementCandidate {
-                    scan: Some(m.id),
-                    location: m.location,
-                    saving_pages: saving,
-                    score: saving / desc.est_pages.max(1) as f64,
-                    speed: m.speed,
-                });
-            }
-            let target = members
-                .iter()
-                .filter(|m| m.location.pos != UNKNOWN_POS)
-                .max_by_key(|m| (m.remaining_pages, std::cmp::Reverse(m.id)));
-            return match target {
-                Some(m) => StartDecision::JoinAt {
-                    location: m.location,
-                    scan: Some(m.id),
-                    back_up_pages: 0,
-                },
-                None => StartDecision::FromStart,
-            };
-        }
-
-        // Optimal strategy: table-scan locations form a known linear
-        // axis (page numbers), so the O(|S|^3) interesting-locations
-        // search of §6.2 can place the new scan anywhere in its range,
-        // not just at a member's position.
-        if cfg.placement_strategy == PlacementStrategy::Optimal && desc.kind == ScanKind::Table {
-            let traces: Vec<Trace> = members
-                .iter()
-                .map(|m| {
-                    Trace::new(
-                        m.location.pos as f64,
-                        m.speed,
-                        (m.location.pos + m.remaining_pages) as f64,
-                    )
-                })
-                .collect();
-            if let Some(c) = best_start_optimal(
-                &traces,
-                desc.est_speed(),
-                desc.est_pages as f64,
-                cfg.pool_pages as f64,
-                (desc.start_key as f64, desc.end_key as f64),
-            ) {
-                let saving = c.estimate.baseline - c.estimate.reads;
-                let page = c.start.round().max(0.0) as u64;
-                candidates.push(PlacementCandidate {
-                    scan: None,
-                    location: Location::new(page as i64, page),
-                    saving_pages: saving,
-                    score: c.estimate.savings_per_page(),
-                    speed: 0.0,
-                });
-                if saving >= cfg.extent_pages as f64 {
-                    return StartDecision::JoinAt {
-                        location: Location::new(page as i64, page),
+    if members.is_empty() {
+        // Figure 13 line 2: join the last finished scan's leftovers.
+        let any_ongoing = scans
+            .iter()
+            .any(|s| s.desc.object == desc.object && s.desc.kind == desc.kind);
+        if !any_ongoing {
+            if let Some(fin) = last_finished {
+                let still_cached =
+                    total_pages_advanced.saturating_sub(fin.churn_at_end) < cfg.pool_pages;
+                if still_cached
+                    && fin.kind == desc.kind
+                    && desc.contains_key(fin.location.key)
+                    && fin.location.pos != UNKNOWN_POS
+                {
+                    // Leftover-cache candidate: at most a pool's worth
+                    // of the finished scan's trailing pages survives.
+                    let saving = cfg.pool_pages.min(desc.est_pages) as f64;
+                    candidates.push(PlacementCandidate {
                         scan: None,
-                        back_up_pages: 0,
+                        location: fin.location,
+                        saving_pages: saving,
+                        score: saving / desc.est_pages.max(1) as f64,
+                        speed: 0.0,
+                    });
+                    return StartDecision::JoinAt {
+                        location: fin.location,
+                        scan: None,
+                        back_up_pages: cfg.pool_pages,
                     };
                 }
             }
-            return StartDecision::FromStart;
         }
-
-        // Evaluate per anchor group (offsets are only comparable within a
-        // group), then take the best savings across groups. The sort is
-        // stable: groups come in anchor order, their members in id order.
-        members.sort_by_key(|m| m.anchor);
-
-        let cand_speed = desc.est_speed();
-        let mut best: Option<(f64, ScanId, Location)> = None;
-        for group_members in members.chunk_by(|a, b| a.anchor == b.anchor) {
-            let traces: Vec<Trace> = group_members
-                .iter()
-                .map(|m| {
-                    Trace::new(
-                        m.anchor_offset as f64,
-                        m.speed,
-                        (m.anchor_offset + m.remaining_pages as i64) as f64,
-                    )
-                })
-                .collect();
-            if let Some(c) = best_start_practical(
-                &traces,
-                cand_speed,
-                desc.est_pages as f64,
-                cfg.pool_pages as f64,
-            ) {
-                // Require the join to save at least one extent's worth of
-                // reads in absolute terms: a scan about to finish offers a
-                // positive but useless per-page score over a tiny span
-                // (Figure 7's "sharing duration is limited" case).
-                let absolute_saving = c.estimate.baseline - c.estimate.reads;
-                let member = group_members[c.member];
-                let score = c.estimate.savings_per_page();
-                candidates.push(PlacementCandidate {
-                    scan: Some(member.id),
-                    location: member.location,
-                    saving_pages: absolute_saving,
-                    score,
-                    speed: member.speed,
-                });
-                if absolute_saving < cfg.extent_pages as f64 {
-                    continue;
-                }
-                if best.map(|(s, _, _)| score > s).unwrap_or(true) {
-                    best = Some((score, member.id, member.location));
-                }
-            }
-        }
-        match best {
-            Some((_, scan, location)) if location.pos != UNKNOWN_POS => StartDecision::JoinAt {
-                location,
-                scan: Some(scan),
-                back_up_pages: 0,
-            },
-            _ => StartDecision::FromStart,
-        }
+        return StartDecision::FromStart;
     }
 
-    fn throttles(&self) -> bool {
-        true
-    }
-
-    fn prioritizes(&self) -> bool {
-        true
-    }
-
-    /// `AlwaysAttach` joins unconditionally, so its threshold is zero;
-    /// the scoring strategies require one extent's worth of saving.
-    fn placement_threshold(&self, cfg: &SharingConfig) -> f64 {
-        if cfg.enable_placement && cfg.placement_strategy != PlacementStrategy::AlwaysAttach {
-            cfg.extent_pages as f64
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Baseline attach policy: a new scan jumps to the **newest** compatible
-/// scan's position — no sharing-potential estimation, no throttling, no
-/// page priorities. The newest scan is the one whose already-read pages
-/// are most likely still pool-resident, which is the entire intuition of
-/// attach-style sharing; contrast with [`PlacementStrategy::AlwaysAttach`]
-/// inside the grouping policy, which attaches to the scan with the most
-/// *remaining work*.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AttachPolicy;
-
-impl SharingPolicy for AttachPolicy {
-    fn kind(&self) -> SharingPolicyKind {
-        SharingPolicyKind::Attach
-    }
-
-    fn place(
-        &self,
-        view: &PolicyView,
-        desc: &ScanDesc,
-        candidates: &mut Vec<PlacementCandidate>,
-    ) -> StartDecision {
-        let members = compatible(view, desc);
+    // Attach strategy (QPipe baseline): join the ongoing scan with
+    // the most remaining work, unconditionally.
+    if cfg.placement_strategy == PlacementStrategy::AlwaysAttach {
         for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
             let saving = m.remaining_pages.min(desc.est_pages) as f64;
             candidates.push(PlacementCandidate {
                 scan: Some(m.id),
                 location: m.location,
                 saving_pages: saving,
-                // Rank by recency: ids ascend in start order, so the
-                // newest scan scores highest.
-                score: m.id.0 as f64,
+                score: saving / desc.est_pages.max(1) as f64,
                 speed: m.speed,
             });
         }
-        match members
+        let target = members
             .iter()
             .filter(|m| m.location.pos != UNKNOWN_POS)
-            .max_by_key(|m| m.id)
-        {
+            .max_by_key(|m| (m.remaining_pages, std::cmp::Reverse(m.id)));
+        return match target {
             Some(m) => StartDecision::JoinAt {
                 location: m.location,
                 scan: Some(m.id),
                 back_up_pages: 0,
             },
             None => StartDecision::FromStart,
-        }
+        };
     }
 
-    fn throttles(&self) -> bool {
-        false
-    }
-
-    fn prioritizes(&self) -> bool {
-        false
-    }
-
-    fn placement_threshold(&self, _cfg: &SharingConfig) -> f64 {
-        0.0
-    }
-
-    /// Attach-style sharing attaches unconditionally in pull mode, so it
-    /// rides any driver in push mode too, whatever the missed prefix.
-    fn attach_push(&self, _missed_pages: u64, _range_pages: u64) -> bool {
-        true
-    }
-}
-
-/// Elevator policy: one circulating read cursor per table. The cursor is
-/// materialized by the front-most ongoing scan (largest position); a new
-/// scan attaches there and relies on the engine's wrap-around phase to
-/// cover the part behind the cursor. When the table is idle the cursor
-/// rests where the last scan ended, so the next scan resumes from that
-/// position regardless of cache churn — elevator ordering is positional,
-/// not cache-estimated. No throttling and no page priorities: the cursor
-/// never waits for stragglers.
-///
-/// Index-scan positions are only comparable within an anchor group, so
-/// for index scans "front-most" is an approximation based on the reported
-/// physical position; table scans (where positions are page numbers) are
-/// the policy's home turf.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ElevatorPolicy;
-
-impl SharingPolicy for ElevatorPolicy {
-    fn kind(&self) -> SharingPolicyKind {
-        SharingPolicyKind::Elevator
-    }
-
-    /// The elevator cursor *is* a push driver: scans always ride it and
-    /// cover what they missed on the wrap, so push attach is
-    /// unconditional here too.
-    fn attach_push(&self, _missed_pages: u64, _range_pages: u64) -> bool {
-        true
-    }
-
-    fn place(
-        &self,
-        view: &PolicyView,
-        desc: &ScanDesc,
-        candidates: &mut Vec<PlacementCandidate>,
-    ) -> StartDecision {
-        let members = compatible(view, desc);
-        for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
-            let saving = m.remaining_pages.min(desc.est_pages) as f64;
-            candidates.push(PlacementCandidate {
-                scan: Some(m.id),
-                location: m.location,
-                saving_pages: saving,
-                // Rank by position: the cursor is the front-most scan.
-                score: m.location.pos as f64,
-                speed: m.speed,
-            });
-        }
-        // The cursor: the front-most ongoing scan (ties broken toward the
-        // older scan, which has been defining the cursor for longer).
-        if let Some(m) = members
+    // Optimal strategy: table-scan locations form a known linear
+    // axis (page numbers), so the O(|S|^3) interesting-locations
+    // search of §6.2 can place the new scan anywhere in its range,
+    // not just at a member's position.
+    if cfg.placement_strategy == PlacementStrategy::Optimal && desc.kind == ScanKind::Table {
+        let traces: Vec<Trace> = members
             .iter()
-            .filter(|m| m.location.pos != UNKNOWN_POS)
-            .max_by_key(|m| (m.location.pos, std::cmp::Reverse(m.id)))
-        {
-            return StartDecision::JoinAt {
-                location: m.location,
-                scan: Some(m.id),
-                back_up_pages: 0,
-            };
-        }
-        // Idle table: the cursor rests where the last scan stopped.
-        if let Some(fin) = &view.last_finished {
-            if fin.kind == desc.kind
-                && desc.contains_key(fin.location.key)
-                && fin.location.pos != UNKNOWN_POS
-            {
-                candidates.push(PlacementCandidate {
-                    scan: None,
-                    location: fin.location,
-                    saving_pages: 0.0,
-                    score: fin.location.pos as f64,
-                    speed: 0.0,
-                });
+            .map(|m| {
+                Trace::new(
+                    m.location.pos as f64,
+                    m.speed,
+                    (m.location.pos + m.remaining_pages) as f64,
+                )
+            })
+            .collect();
+        if let Some(c) = best_start_optimal(
+            &traces,
+            desc.est_speed(),
+            desc.est_pages as f64,
+            cfg.pool_pages as f64,
+            (desc.start_key as f64, desc.end_key as f64),
+        ) {
+            let saving = c.estimate.baseline - c.estimate.reads;
+            let page = c.start.round().max(0.0) as u64;
+            candidates.push(PlacementCandidate {
+                scan: None,
+                location: Location::new(page as i64, page),
+                saving_pages: saving,
+                score: c.estimate.savings_per_page(),
+                speed: 0.0,
+            });
+            if saving >= cfg.extent_pages as f64 {
                 return StartDecision::JoinAt {
-                    location: fin.location,
+                    location: Location::new(page as i64, page),
                     scan: None,
                     back_up_pages: 0,
                 };
             }
         }
-        StartDecision::FromStart
+        return StartDecision::FromStart;
     }
 
-    fn throttles(&self) -> bool {
-        false
-    }
+    // Evaluate per anchor group (offsets are only comparable within a
+    // group), then take the best savings across groups. The sort is
+    // stable: groups come in anchor order, their members in id order.
+    members.sort_by_key(|m| m.anchor);
 
-    fn prioritizes(&self) -> bool {
-        false
+    let cand_speed = desc.est_speed();
+    let mut best: Option<(f64, ScanId, Location)> = None;
+    for group_members in members.chunk_by(|a, b| a.anchor == b.anchor) {
+        let traces: Vec<Trace> = group_members
+            .iter()
+            .map(|m| {
+                Trace::new(
+                    m.anchor_offset as f64,
+                    m.speed,
+                    (m.anchor_offset + m.remaining_pages as i64) as f64,
+                )
+            })
+            .collect();
+        if let Some(c) = best_start_practical(
+            &traces,
+            cand_speed,
+            desc.est_pages as f64,
+            cfg.pool_pages as f64,
+        ) {
+            // Require the join to save at least one extent's worth of
+            // reads in absolute terms: a scan about to finish offers a
+            // positive but useless per-page score over a tiny span
+            // (Figure 7's "sharing duration is limited" case).
+            let absolute_saving = c.estimate.baseline - c.estimate.reads;
+            let member = group_members[c.member];
+            let score = c.estimate.savings_per_page();
+            candidates.push(PlacementCandidate {
+                scan: Some(member.id),
+                location: member.location,
+                saving_pages: absolute_saving,
+                score,
+                speed: member.speed,
+            });
+            if absolute_saving < cfg.extent_pages as f64 {
+                continue;
+            }
+            if best.map(|(s, _, _)| score > s).unwrap_or(true) {
+                best = Some((score, member.id, member.location));
+            }
+        }
     }
+    match best {
+        Some((_, scan, location)) if location.pos != UNKNOWN_POS => StartDecision::JoinAt {
+            location,
+            scan: Some(scan),
+            back_up_pages: 0,
+        },
+        _ => StartDecision::FromStart,
+    }
+}
 
-    fn placement_threshold(&self, _cfg: &SharingConfig) -> f64 {
-        0.0
+/// [`SharingPolicyKind::Attach`]: join the newest compatible scan.
+fn place_attach(
+    scans: &[ScanState],
+    desc: &ScanDesc,
+    candidates: &mut Vec<PlacementCandidate>,
+) -> StartDecision {
+    let members = compatible(scans, desc);
+    for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
+        let saving = m.remaining_pages.min(desc.est_pages) as f64;
+        candidates.push(PlacementCandidate {
+            scan: Some(m.id),
+            location: m.location,
+            saving_pages: saving,
+            // Rank by recency: ids ascend in start order, so the
+            // newest scan scores highest.
+            score: m.id.0 as f64,
+            speed: m.speed,
+        });
     }
+    match members
+        .iter()
+        .filter(|m| m.location.pos != UNKNOWN_POS)
+        .max_by_key(|m| m.id)
+    {
+        Some(m) => StartDecision::JoinAt {
+            location: m.location,
+            scan: Some(m.id),
+            back_up_pages: 0,
+        },
+        None => StartDecision::FromStart,
+    }
+}
+
+/// [`SharingPolicyKind::Elevator`]: join the cursor, or where the last
+/// scan stopped when the table is idle.
+fn place_elevator(
+    scans: &[ScanState],
+    last_finished: Option<&FinishedScan>,
+    desc: &ScanDesc,
+    candidates: &mut Vec<PlacementCandidate>,
+) -> StartDecision {
+    let members = compatible(scans, desc);
+    for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
+        let saving = m.remaining_pages.min(desc.est_pages) as f64;
+        candidates.push(PlacementCandidate {
+            scan: Some(m.id),
+            location: m.location,
+            saving_pages: saving,
+            // Rank by position: the cursor is the front-most scan.
+            score: m.location.pos as f64,
+            speed: m.speed,
+        });
+    }
+    // The cursor: the front-most ongoing scan (ties broken toward the
+    // older scan, which has been defining the cursor for longer).
+    if let Some(m) = members
+        .iter()
+        .filter(|m| m.location.pos != UNKNOWN_POS)
+        .max_by_key(|m| (m.location.pos, std::cmp::Reverse(m.id)))
+    {
+        return StartDecision::JoinAt {
+            location: m.location,
+            scan: Some(m.id),
+            back_up_pages: 0,
+        };
+    }
+    // Idle table: the cursor rests where the last scan stopped.
+    if let Some(fin) = last_finished {
+        if fin.kind == desc.kind
+            && desc.contains_key(fin.location.key)
+            && fin.location.pos != UNKNOWN_POS
+        {
+            candidates.push(PlacementCandidate {
+                scan: None,
+                location: fin.location,
+                saving_pages: 0.0,
+                score: fin.location.pos as f64,
+                speed: 0.0,
+            });
+            return StartDecision::JoinAt {
+                location: fin.location,
+                scan: None,
+                back_up_pages: 0,
+            };
+        }
+    }
+    StartDecision::FromStart
 }
 
 #[cfg(test)]
@@ -581,13 +463,15 @@ mod tests {
     use super::*;
     use std::str::FromStr;
 
+    const KINDS: [SharingPolicyKind; 3] = [
+        SharingPolicyKind::Grouping,
+        SharingPolicyKind::Attach,
+        SharingPolicyKind::Elevator,
+    ];
+
     #[test]
     fn kind_round_trips_through_strings() {
-        for kind in [
-            SharingPolicyKind::Grouping,
-            SharingPolicyKind::Attach,
-            SharingPolicyKind::Elevator,
-        ] {
+        for kind in KINDS {
             assert_eq!(SharingPolicyKind::from_str(kind.as_str()), Ok(kind));
         }
         assert!(SharingPolicyKind::from_str("lru").is_err());
@@ -596,29 +480,53 @@ mod tests {
     #[test]
     fn default_kind_is_grouping() {
         assert_eq!(SharingPolicyKind::default(), SharingPolicyKind::Grouping);
-        assert_eq!(
-            policy_for(SharingPolicyKind::default()).kind(),
-            SharingPolicyKind::Grouping
-        );
+        assert_eq!(SharingConfig::new(100).policy, SharingPolicyKind::Grouping);
     }
 
     #[test]
     fn grouping_is_the_only_policy_with_feedback_mechanisms() {
-        assert!(GroupingPolicy.throttles() && GroupingPolicy.prioritizes());
-        assert!(!AttachPolicy.throttles() && !AttachPolicy.prioritizes());
-        assert!(!ElevatorPolicy.throttles() && !ElevatorPolicy.prioritizes());
+        for kind in KINDS {
+            let on = SharingConfig::with_policy(100, kind);
+            let grouping = kind == SharingPolicyKind::Grouping;
+            assert_eq!((throttles(&on), prioritizes(&on)), (grouping, grouping));
+            // The ablation switches turn a mechanism off under every policy.
+            let off = SharingConfig {
+                enable_throttling: false,
+                enable_priorities: false,
+                ..on
+            };
+            assert!(!throttles(&off) && !prioritizes(&off), "{kind}");
+        }
+    }
+
+    #[test]
+    fn only_scoring_grouping_placement_has_a_threshold() {
+        let cfg = |kind, enable_placement, placement_strategy| SharingConfig {
+            enable_placement,
+            placement_strategy,
+            ..SharingConfig::with_policy(100, kind)
+        };
+        use PlacementStrategy::{AlwaysAttach, Optimal, Practical};
+        use SharingPolicyKind::{Attach, Elevator, Grouping};
+        assert_eq!(placement_threshold(&cfg(Grouping, true, Practical)), 16.0);
+        assert_eq!(placement_threshold(&cfg(Grouping, true, Optimal)), 16.0);
+        assert_eq!(placement_threshold(&cfg(Grouping, true, AlwaysAttach)), 0.0);
+        assert_eq!(placement_threshold(&cfg(Grouping, false, Practical)), 0.0);
+        assert_eq!(placement_threshold(&cfg(Attach, true, Practical)), 0.0);
+        assert_eq!(placement_threshold(&cfg(Elevator, true, Optimal)), 0.0);
     }
 
     #[test]
     fn push_attach_thresholds_follow_the_pull_instincts() {
+        let [grouping, attach, elevator] = KINDS.map(|k| SharingConfig::with_policy(100, k));
         // Grouping: attach while the missed prefix stays a small slice
         // of the lap; refuse once the private replay would rival the
         // shared remainder.
-        assert!(GroupingPolicy.attach_push(0, 1000));
-        assert!(GroupingPolicy.attach_push(200, 1000));
-        assert!(!GroupingPolicy.attach_push(201, 1000));
+        assert!(attach_push(&grouping, 0, 1000));
+        assert!(attach_push(&grouping, 200, 1000));
+        assert!(!attach_push(&grouping, 201, 1000));
         // Attach and elevator ride the cursor unconditionally.
-        assert!(AttachPolicy.attach_push(999, 1000));
-        assert!(ElevatorPolicy.attach_push(999, 1000));
+        assert!(attach_push(&attach, 999, 1000));
+        assert!(attach_push(&elevator, 999, 1000));
     }
 }
