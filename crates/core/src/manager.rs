@@ -30,7 +30,7 @@ use std::collections::HashMap;
 
 use crate::anchor::{AnchorId, AnchorTable};
 use crate::config::SharingConfig;
-use crate::decision::{DecisionEvent, DecisionLog};
+use crate::decision::{slowdown_frac, DecisionEvent, DecisionLog};
 use crate::grouping::{GroupIndex, GroupInfo, Membership, Role};
 use crate::obs::span::{SpanProfiler, Track};
 use crate::policy::{self, SharingPolicyKind};
@@ -908,15 +908,6 @@ impl ScanSharingManager {
             .iter()
             .map(|s| {
                 let budget = throttle::slowdown_budget(&self.cfg, &s.desc);
-                let frac = if budget == SimDuration::ZERO {
-                    if s.accumulated_slowdown == SimDuration::ZERO {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                } else {
-                    (s.accumulated_slowdown.as_micros() as f64 / budget.as_micros() as f64).min(1.0)
-                };
                 ScanProbe {
                     id: s.id,
                     role: groups.role(s.id).unwrap_or(Role::Singleton),
@@ -924,7 +915,7 @@ impl ScanSharingManager {
                     speed: s.speed,
                     accumulated_slowdown: s.accumulated_slowdown,
                     slowdown_budget: budget,
-                    slowdown_frac: frac,
+                    slowdown_frac: slowdown_frac(s.accumulated_slowdown, budget),
                     throttle_exempt: s.throttle_exempt,
                 }
             })

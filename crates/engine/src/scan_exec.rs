@@ -1233,7 +1233,7 @@ pub(crate) fn step_extent(
             grouped = out.role != scanshare::Role::Singleton;
             c.metrics.throttle_wait += wait;
             if wait > SimDuration::ZERO {
-                let role = crate::trace::role_label(out.role);
+                let role = scanshare::decision::role_name(out.role);
                 if let Some(p) = &prof {
                     let s = p.begin_child("throttle.wait", done);
                     p.attr(s, "wait_us", wait.as_micros().to_string());

@@ -6,7 +6,7 @@
 //! debugging a sharing decision ("why did scan 7 start in the middle?")
 //! and for the `adaptive_throttling`-style walkthroughs.
 
-use scanshare::{Role, ScanId, StartDecision};
+use scanshare::{ScanId, StartDecision};
 use scanshare_storage::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -293,16 +293,6 @@ pub fn placement_label(d: &StartDecision) -> String {
     }
 }
 
-/// Helper: describe a role for the trace.
-pub fn role_label(r: Role) -> &'static str {
-    match r {
-        Role::Leader => "leader",
-        Role::Trailer => "trailer",
-        Role::Middle => "middle",
-        Role::Singleton => "singleton",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,7 +361,6 @@ mod tests {
             back_up_pages: 320,
         };
         assert!(placement_label(&f).contains("finished"));
-        assert_eq!(role_label(Role::Leader), "leader");
     }
 
     #[test]
