@@ -1,7 +1,9 @@
 //! Byte-identity property of the default sharing policy.
 //!
-//! The `SharingPolicy` refactor moved the grouping+throttling machinery
-//! behind a trait. That refactor must be a pure re-plumbing: a run under
+//! Making the sharing policy selectable moved the grouping+throttling
+//! machinery into `core::policy`, where `SharingPolicyKind` and the
+//! configuration's switches decide placement, throttling, priorities and
+//! push attach. Every such re-plumbing must be pure: a run under
 //! `--policy grouping` (the default) has to produce a `RunReport` that
 //! serializes to the *same bytes* as the pre-refactor code produced.
 //! The committed artifact `results/policy_grouping_smoke_report.json`

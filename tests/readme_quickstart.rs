@@ -135,14 +135,8 @@ fn every_glossary_name_occurs_in_a_file_its_row_cites() {
                 continue;
             }
             let name = path.rsplit(['.', ':']).next().unwrap();
-            let occurs = |text: &String| {
-                text.match_indices(name).any(|(at, _)| {
-                    !text[..at].ends_with(is_ident)
-                        && !text[at + name.len()..].starts_with(is_ident)
-                })
-            };
             checked += 1;
-            if !files.iter().any(occurs) {
+            if !files.iter().any(|text| occurs_as_word(text, name)) {
                 missing.push(format!("`{span}` (row: {})", cells[1].trim()));
             }
         }
@@ -154,6 +148,73 @@ fn every_glossary_name_occurs_in_a_file_its_row_cites() {
     assert!(
         missing.is_empty(),
         "GLOSSARY.md names items no file of their row defines or uses:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// Whether `name` occurs in `text` with no identifier character on
+/// either side.
+fn occurs_as_word(text: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(name).any(|(at, _)| {
+        !text[..at].ends_with(is_ident) && !text[at + name.len()..].starts_with(is_ident)
+    })
+}
+
+/// Every backticked `core::…`, `engine::…` or `storage::…` path in
+/// DESIGN.md §2–3 (the inventory and the module map) resolves: the
+/// longest prefix of it that is a module file (`core::a::b` tries
+/// `crates/core/src/a/b.rs`, then `crates/core/src/a.rs`) exists, and the
+/// segments after that prefix, and every segment of each backticked name
+/// in the parentheses right after the path, occur as whole words in that
+/// file — so a renamed module or item cannot linger in the map.
+#[test]
+fn every_design_module_map_path_resolves() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let from = design.find("\n## 2. ").expect("DESIGN.md has a §2");
+    let to = design.find("\n## 4. ").expect("DESIGN.md has a §4");
+    let (mut checked, mut missing) = (0, Vec::new());
+    for line in design[from..to].lines() {
+        // Even pieces are prose, odd pieces are backticked spans.
+        let pieces: Vec<&str> = line.split('`').collect();
+        for (i, span) in pieces.iter().enumerate().skip(1).step_by(2) {
+            let Some((krate, rest)) = span.split_once("::") else {
+                continue;
+            };
+            if !["core", "engine", "storage"].contains(&krate) {
+                continue;
+            }
+            checked += 1;
+            let segments: Vec<&str> = rest.split("::").collect();
+            let src = root.join("crates").join(krate).join("src");
+            let Some((file, depth)) = (1..=segments.len()).rev().find_map(|n| {
+                let file = src.join(segments[..n].join("/") + ".rs");
+                std::fs::read_to_string(file).ok().map(|text| (text, n))
+            }) else {
+                missing.push(format!("`{span}`: no module file"));
+                continue;
+            };
+            let mut names = segments[depth..].to_vec();
+            let mut after = i + 1;
+            if pieces[after].starts_with(" (") {
+                while after + 1 < pieces.len() && !pieces[after].contains(')') {
+                    names.extend(pieces[after + 1].trim_end_matches("()").split("::"));
+                    after += 2;
+                }
+            }
+            for name in names.into_iter().filter(|n| !occurs_as_word(&file, n)) {
+                missing.push(format!("`{span}`: no `{name}` in its module file"));
+            }
+        }
+    }
+    assert!(
+        checked >= 15,
+        "only {checked} module paths found in DESIGN.md §2–3; did the map change shape?"
+    );
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md §2–3 names modules or items that do not exist:\n{}",
         missing.join("\n")
     );
 }
