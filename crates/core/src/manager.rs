@@ -320,7 +320,8 @@ impl ScanSharingManager {
 
     /// Register a new scan and decide where it starts (`startSISCAN`).
     pub fn start_scan(&self, desc: ScanDesc, now: SimTime) -> (ScanId, StartDecision) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let id = ScanId(inner.next_scan);
         inner.next_scan += 1;
         inner.stats.scans_started += 1;
@@ -347,6 +348,7 @@ impl ScanSharingManager {
             inner.total_pages_advanced,
             &desc,
             &mut candidates,
+            &mut inner.stats,
         );
 
         // Resolve the anchor/offset the new scan registers with.
@@ -370,7 +372,7 @@ impl ScanSharingManager {
                 },
                 ScanKind::Table,
             ) => {
-                let a = Self::table_anchor(&mut inner, desc.object);
+                let a = Self::table_anchor(inner, desc.object);
                 (a, location.pos as i64, *location)
             }
             (
@@ -386,7 +388,7 @@ impl ScanSharingManager {
                 (inner.anchors.fresh(), 0, *location)
             }
             (StartDecision::FromStart, ScanKind::Table) => {
-                let a = Self::table_anchor(&mut inner, desc.object);
+                let a = Self::table_anchor(inner, desc.object);
                 (
                     a,
                     desc.start_key,
@@ -399,25 +401,6 @@ impl ScanSharingManager {
                 Location::new(desc.start_key, UNKNOWN_POS),
             ),
         };
-        match &decision {
-            StartDecision::JoinAt { scan: Some(_), .. } => inner.stats.scans_joined += 1,
-            StartDecision::JoinAt { scan: None, .. } => {
-                // The optimal search places at arbitrary locations while
-                // ongoing scans exist; the last-finished special case
-                // only fires when none do. Disjoint, so attribution by
-                // presence of ongoing same-kind scans is exact.
-                let any_ongoing = inner
-                    .scans
-                    .iter()
-                    .any(|s| s.desc.object == desc.object && s.desc.kind == desc.kind);
-                if any_ongoing {
-                    inner.stats.scans_placed_optimal += 1;
-                } else {
-                    inner.stats.scans_joined_finished += 1;
-                }
-            }
-            StartDecision::FromStart => inner.stats.scans_from_start += 1,
-        }
         let object = desc.object;
         inner.add(ScanState::new(id, desc, location, anchor, offset, now));
         let threshold_pages = policy::placement_threshold(&self.cfg);
@@ -1806,6 +1789,39 @@ mod tests {
     }
 
     #[test]
+    fn elevator_leftover_join_beside_an_out_of_range_scan_counts_as_finished() {
+        let m = mgr_with_policy(1000, SharingPolicyKind::Elevator);
+        let (a, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
+        let (c, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
+        let t = SimTime::from_secs(1);
+        m.update_location(a, t, Location::new(100, 100), 100);
+        m.update_location(c, t, Location::new(5000, 5000), 5000);
+        m.end_scan(a, t);
+        // C is ongoing on the table but at key 5000, outside B's range:
+        // B resumes where A stopped, a leftover join, not an optimal
+        // placement.
+        let b = ScanDesc {
+            end_key: 1000,
+            est_pages: 1001,
+            ..table_desc(0, 10_000, 100)
+        };
+        let (_, d) = m.start_scan(b, t);
+        assert_eq!(
+            d,
+            StartDecision::JoinAt {
+                location: Location::new(100, 100),
+                scan: None,
+                back_up_pages: 0,
+            }
+        );
+        let stats = m.stats();
+        assert_eq!(
+            (stats.scans_joined_finished, stats.scans_placed_optimal),
+            (1, 0)
+        );
+    }
+
+    #[test]
     fn attach_and_elevator_never_throttle_or_reprioritize() {
         for kind in [SharingPolicyKind::Attach, SharingPolicyKind::Elevator] {
             let m = mgr_with_policy(100, kind);
@@ -1885,10 +1901,13 @@ mod tests {
     /// constants were computed by the commit whose manager rebuilt the
     /// groups from all scans on every call; that the maintained grouping
     /// state equals a bulk build after every call is asserted inside the
-    /// manager under `debug_assertions`.
+    /// manager under `debug_assertions`. The digest moved once since, when
+    /// an elevator join at the last finished scan's leftovers stopped
+    /// being counted as an optimal placement: only `SharingStats` text
+    /// changed, the record count and the merges did not.
     #[test]
     fn call_sequences_decide_as_the_rebuilding_manager_did() {
-        const PARENT: (u64, usize, u64) = (912_370_668_458_174_563, 27_134, 753);
+        const PARENT: (u64, usize, u64) = (16_511_475_975_586_134_363, 27_134, 753);
         let (got, kinds) = digest_call_sequences(false);
         assert_eq!(got, PARENT, "{kinds:?}");
     }
@@ -1898,10 +1917,11 @@ mod tests {
     /// the push-attach answers at and around the one-fifth threshold.
     /// The constants were computed by the commit whose manager dispatched
     /// placement, its gates and push attach through a boxed policy object
-    /// fed a snapshot of every ongoing scan.
+    /// fed a snapshot of every ongoing scan, and moved once since with the
+    /// same elevator counting fix (`SharingStats` text only).
     #[test]
     fn call_sequences_decide_as_the_policy_trait_did() {
-        const PARENT: (u64, usize, u64) = (12_816_590_952_254_690_473, 25_425, 813);
+        const PARENT: (u64, usize, u64) = (13_169_358_997_815_445_361, 25_425, 813);
         let (got, kinds) = digest_call_sequences(true);
         assert_eq!(got, PARENT, "{kinds:?}");
     }

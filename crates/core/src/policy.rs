@@ -31,6 +31,7 @@ use crate::decision::PlacementCandidate;
 use crate::manager::{FinishedScan, StartDecision, UNKNOWN_POS};
 use crate::placement::{best_start_optimal, best_start_practical, Trace};
 use crate::scan::{Location, ScanDesc, ScanId, ScanKind, ScanState};
+use crate::stats::SharingStats;
 
 /// Which sharing policy a run uses. Selected in [`SharingConfig::policy`]
 /// (and therefore in workload specs) or via `run --policy`.
@@ -105,8 +106,9 @@ impl std::str::FromStr for SharingPolicyKind {
 /// so far (the buffer-churn proxy for the leftover-cache check). Every
 /// start location scored along the way — winners and rejected candidates
 /// alike — is appended to `candidates` so the decision-provenance event
-/// carries the full field the policy chose from. Deterministic: the same
-/// inputs give the same decision and the same candidates.
+/// carries the full field the policy chose from, and the decision is
+/// counted in `stats`. Deterministic: the same inputs give the same
+/// decision and the same candidates.
 pub(crate) fn place(
     cfg: &SharingConfig,
     scans: &[ScanState],
@@ -114,22 +116,35 @@ pub(crate) fn place(
     total_pages_advanced: u64,
     desc: &ScanDesc,
     candidates: &mut Vec<PlacementCandidate>,
+    stats: &mut SharingStats,
 ) -> StartDecision {
-    if !cfg.enable_placement {
-        return StartDecision::FromStart;
+    let decision = if !cfg.enable_placement {
+        StartDecision::FromStart
+    } else {
+        match cfg.policy {
+            SharingPolicyKind::Grouping => place_grouping(
+                cfg,
+                scans,
+                last_finished,
+                total_pages_advanced,
+                desc,
+                candidates,
+                stats,
+            ),
+            SharingPolicyKind::Attach => place_attach(scans, desc, candidates),
+            SharingPolicyKind::Elevator => {
+                place_elevator(scans, last_finished, desc, candidates, stats)
+            }
+        }
+    };
+    match decision {
+        StartDecision::JoinAt { scan: Some(_), .. } => stats.scans_joined += 1,
+        // A join at no ongoing scan is a leftover join or an optimal
+        // placement; the branch that made it counted which.
+        StartDecision::JoinAt { scan: None, .. } => {}
+        StartDecision::FromStart => stats.scans_from_start += 1,
     }
-    match cfg.policy {
-        SharingPolicyKind::Grouping => place_grouping(
-            cfg,
-            scans,
-            last_finished,
-            total_pages_advanced,
-            desc,
-            candidates,
-        ),
-        SharingPolicyKind::Attach => place_attach(scans, desc, candidates),
-        SharingPolicyKind::Elevator => place_elevator(scans, last_finished, desc, candidates),
-    }
+    decision
 }
 
 /// Whether group leaders are throttled to keep groups together: the
@@ -206,6 +221,7 @@ fn place_grouping(
     total_pages_advanced: u64,
     desc: &ScanDesc,
     candidates: &mut Vec<PlacementCandidate>,
+    stats: &mut SharingStats,
 ) -> StartDecision {
     let mut members = compatible(scans, desc);
 
@@ -233,6 +249,7 @@ fn place_grouping(
                         score: saving / desc.est_pages.max(1) as f64,
                         speed: 0.0,
                     });
+                    stats.scans_joined_finished += 1;
                     return StartDecision::JoinAt {
                         location: fin.location,
                         scan: None,
@@ -303,6 +320,7 @@ fn place_grouping(
                 speed: 0.0,
             });
             if saving >= cfg.extent_pages as f64 {
+                stats.scans_placed_optimal += 1;
                 return StartDecision::JoinAt {
                     location: Location::new(page as i64, page),
                     scan: None,
@@ -409,6 +427,7 @@ fn place_elevator(
     last_finished: Option<&FinishedScan>,
     desc: &ScanDesc,
     candidates: &mut Vec<PlacementCandidate>,
+    stats: &mut SharingStats,
 ) -> StartDecision {
     let members = compatible(scans, desc);
     for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
@@ -448,6 +467,7 @@ fn place_elevator(
                 score: fin.location.pos as f64,
                 speed: 0.0,
             });
+            stats.scans_joined_finished += 1;
             return StartDecision::JoinAt {
                 location: fin.location,
                 scan: None,
