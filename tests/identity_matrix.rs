@@ -25,6 +25,14 @@
 //! test run there, and the table its failure message prints pasted in.
 //! After a *deliberate* behaviour change the same procedure regenerates
 //! them.
+//!
+//! Two more pins per cell, in `LIFECYCLE_PINS`, outlive changes to what
+//! the report embeds: a digest of every scan's lifecycle row
+//! (`scan|query|stream|placement|start_us|finish_us|wraps|throttles|wait_us`)
+//! and a digest of the report JSON without its lifecycle records. They
+//! were computed, with the same procedure, by the commit whose reports
+//! still carried the engine's trace ring beside the decision log: its
+//! rows came from that ring and its report digest omits the `trace` key.
 
 use scanshare_repro::core::{
     DecisionEvent, DeliveryMode, SharingConfig, SharingPolicyKind, SpanProfiler,
@@ -34,7 +42,7 @@ use scanshare_repro::engine::{
     Query, RunHooks, RunReport, ScanSpec, SharingMode, Stream, Tracer, WorkloadSpec,
 };
 use scanshare_repro::relstore::{ColType, Column, Schema, Value};
-use scanshare_repro::storage::{FaultKind, FaultPlan, FaultRule, SimDuration};
+use scanshare_repro::storage::{FaultKind, FaultPlan, FaultRule, SimDuration, SimTime};
 use scanshare_repro::tpch::{generate, q1, q6, throughput_workload, TpchConfig};
 
 use DeliveryMode::{Pull, Push};
@@ -514,6 +522,207 @@ const PARENT_DIGESTS: &[(&str, (u64, Option<u64>))] = &[
     ),
 ];
 
+/// `(cell name, (lifecycle digest, report digest without lifecycle))`,
+/// computed by the commit before the trace ring was retired.
+const LIFECYCLE_PINS: &[(&str, (u64, u64))] = &[
+    (
+        "q6x6/pull/grouping/2000us",
+        (0x8d176c363b88cf96, 0x2d5ccc416f9b69db),
+    ),
+    (
+        "q6x6/pull/grouping/15000us",
+        (0xd140ce2bc206f91b, 0x7a81e6373aa07ae7),
+    ),
+    (
+        "q6x6/pull/attach/2000us",
+        (0xa3e93cf041985d6e, 0x0f33cdbf40c93739),
+    ),
+    (
+        "q6x6/pull/attach/15000us",
+        (0x634b6e4ee5fa04f1, 0xd473d40a1e4ddc75),
+    ),
+    (
+        "q6x6/pull/elevator/2000us",
+        (0x8d176c363b88cf96, 0x10428dede5e416a2),
+    ),
+    (
+        "q6x6/pull/elevator/15000us",
+        (0x701093b04b78ca5f, 0x3c79b7468761add6),
+    ),
+    (
+        "q6x6/push/grouping/2000us",
+        (0x30b9fe17b0f44535, 0x3c778454d4b0ed3a),
+    ),
+    (
+        "q6x6/push/grouping/15000us",
+        (0x56a70c498b32546c, 0x0c54e11501983b64),
+    ),
+    (
+        "q6x6/push/attach/2000us",
+        (0x30b9fe17b0f44535, 0x673eb296ce0b3710),
+    ),
+    (
+        "q6x6/push/attach/15000us",
+        (0xd425818e786215a6, 0x378a81b9105427b9),
+    ),
+    (
+        "q6x6/push/elevator/2000us",
+        (0x30b9fe17b0f44535, 0xc3edc9f30643d695),
+    ),
+    (
+        "q6x6/push/elevator/15000us",
+        (0xd425818e786215a6, 0x5357dfb590e8c43f),
+    ),
+    (
+        "q6x6/pull/transient",
+        (0x3709a80a454054b8, 0x066e9e6ed310adc4),
+    ),
+    ("q6x6/pull/stalls", (0x0057dc60c05732ae, 0x48de80e4b64ab92a)),
+    (
+        "q6x6/pull/prefetch",
+        (0xbbc3691696946f4c, 0xaf315bf391aab134),
+    ),
+    (
+        "q6x6/pull/prefetch+transient",
+        (0x81f6c9a52bac9bd6, 0x047e4741942190b3),
+    ),
+    (
+        "q6x6/pull/attach/window",
+        (0x73b93699f19e2c0b, 0xe9d12bd3bc6a3964),
+    ),
+    (
+        "q6x6/pull/prefetch+window",
+        (0x7e54e1353e642d65, 0x0d1384c7165d7c4a),
+    ),
+    (
+        "q6x6/pull/window-kills-all",
+        (0x26c8973bb1425eac, 0x03cbba1f804ac6f9),
+    ),
+    ("q6x6/pull/tail", (0x0843bb80c6e5a424, 0xbd4e609b4e6639d0)),
+    (
+        "q6x6/pull/attach/late-tail",
+        (0x78336de943758fa6, 0x376047564b21d283),
+    ),
+    (
+        "full/pull/grouping",
+        (0x8bddbe4bb793cf5e, 0x02986c29346c3a0e),
+    ),
+    (
+        "full/pull/elevator",
+        (0x1c2252d00293e90e, 0x7fc4841282aad139),
+    ),
+    ("full/pull/window", (0x345a04775885fe60, 0xff88e60f2d5f880e)),
+    ("rid/pull", (0x17360b5e6e0f7893, 0x3f5d5451aaa9529d)),
+    ("lanes/pull", (0x9b496330effc9aaf, 0x952cfe74225a4105)),
+    (
+        "lanes/pull/window",
+        (0xd07cd353578103db, 0xf93311f9dd7d187e),
+    ),
+    ("tput/pull", (0x8d69b867eca34953, 0x5340a76efcc34880)),
+    ("pool24/pull", (0xac55667ef4263606, 0xca325e14c7e48132)),
+    (
+        "q6x6/push/transient",
+        (0xe156bbddf04e1abd, 0x5f71fd8c689c07ca),
+    ),
+    ("q6x6/push/stalls", (0x0976ab53da77d341, 0x4508a83c3e1df633)),
+    (
+        "q6x6/push/prefetch",
+        (0x52503f2315b5ad93, 0xf53100db6c8c6381),
+    ),
+    (
+        "q6x6/push/prefetch+transient",
+        (0x0617b865cebfb164, 0xd39488132aa513fa),
+    ),
+    (
+        "q6x6/push/attach/window",
+        (0x4793a969582e4d4e, 0xd70983e451c5126f),
+    ),
+    (
+        "q6x6/push/prefetch+window",
+        (0xe22f69c9667d9dd1, 0x9413af47b1e881ef),
+    ),
+    (
+        "q6x6/push/window-kills-all",
+        (0x1b373ce962988aef, 0x14a6ae9644510a9b),
+    ),
+    ("q6x6/push/tail", (0x5544c96383260c4d, 0xdbc9a3aae81914ae)),
+    (
+        "q6x6/push/attach/late-tail",
+        (0x0cb5b9341df90a8d, 0xc0bf9841f50d7704),
+    ),
+    (
+        "full/push/grouping",
+        (0x7b1dd46e3c1bd284, 0x1f549a1540694061),
+    ),
+    (
+        "full/push/elevator",
+        (0x0dc034f80eaa35c2, 0x32aeccb154dad72a),
+    ),
+    ("full/push/window", (0x3193f7098178f340, 0xec3e8ce3afcf67a6)),
+    ("rid/push", (0x17360b5e6e0f7893, 0xb5daaf76e397e2c5)),
+    ("lanes/push", (0xe20ef9e82f481ee2, 0xaa86731fb3308dbe)),
+    (
+        "lanes/push/window",
+        (0x68c7783e09c60d21, 0xe8a2dc6d3b7fc8b1),
+    ),
+    ("tput/push", (0x4248311b698aec0d, 0xb5aca9e86f39244f)),
+    ("pool24/push", (0x2fac00e8b7883a64, 0xab1817387757f453)),
+    ("base", (0xcbf29ce484222325, 0xdc82b620b04623cb)),
+    ("base/transient", (0xcbf29ce484222325, 0x79ae8b9a3c642aaa)),
+    ("base/window", (0xcbf29ce484222325, 0xc413a84f52729c58)),
+];
+
+/// FNV-1a of the run's lifecycle rows, one per scan in id order.
+fn lifecycle_digest(r: &RunReport) -> u64 {
+    let us = |t: Option<SimTime>| t.map_or("-".to_string(), |t| t.as_micros().to_string());
+    let rows: Vec<String> = scanshare_repro::engine::trace::spans(&r.trace)
+        .iter()
+        .map(|s| {
+            format!(
+                "{}|{}|{}|{}|{}|{}|{}|{}|{}",
+                s.scan.0,
+                s.query,
+                s.stream,
+                s.placement,
+                us(s.start),
+                us(s.finish),
+                s.wraps.len(),
+                s.throttles,
+                s.throttle_wait.as_micros()
+            )
+        })
+        .collect();
+    fnv1a(rows.join("\n").as_bytes())
+}
+
+/// FNV-1a of the report JSON without its lifecycle records: no `trace`
+/// key, and no `ScanStarted`, `ScanWrapped` or `ScanEnded` decision.
+fn report_digest_without_lifecycle(json: &str) -> u64 {
+    use serde_json::{Map, Value};
+    const LIFECYCLE: [&str; 3] = ["ScanStarted", "ScanWrapped", "ScanEnded"];
+    let v: Value = serde_json::from_str(json).expect("report parses");
+    let mut out = Map::new();
+    for (k, v) in v.as_object().expect("report is an object").iter() {
+        match (k, v) {
+            ("trace", _) => {}
+            ("decisions", Value::Array(records)) => {
+                let kept = records.iter().filter(|r| {
+                    let event = r.get("event").and_then(Value::as_object);
+                    let kind = event.and_then(|e| e.first()).map(|(k, _)| k);
+                    !kind.is_some_and(|k| LIFECYCLE.contains(&k))
+                });
+                out.insert(k, Value::Array(kept.cloned().collect()));
+            }
+            _ => out.insert(k, v.clone()),
+        }
+    }
+    fnv1a(
+        serde_json::to_string(&Value::Object(out))
+            .unwrap()
+            .as_bytes(),
+    )
+}
+
 #[test]
 fn every_cell_serialises_to_the_parent_commits_bytes() {
     let tpch = TpchConfig {
@@ -530,6 +739,7 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
         None => format!("(0x{report:016x}, None)"),
     };
     let mut table = String::new();
+    let mut pins = String::new();
     let mut moved = Vec::new();
     for cell in &cells {
         let profiler = SpanProfiler::default();
@@ -565,6 +775,19 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
         });
         let got = (fnv1a(json.as_bytes()), spans);
         table.push_str(&format!("    (\"{}\", {}),\n", cell.name, show(got)));
+        let pin = (lifecycle_digest(&r), report_digest_without_lifecycle(&json));
+        pins.push_str(&format!(
+            "    (\"{}\", (0x{:016x}, 0x{:016x})),\n",
+            cell.name, pin.0, pin.1
+        ));
+        match LIFECYCLE_PINS.iter().find(|(n, _)| *n == cell.name) {
+            Some((_, want)) if *want == pin => {}
+            Some((_, want)) => moved.push(format!(
+                "{}: lifecycle pins (0x{:016x}, 0x{:016x}) -> (0x{:016x}, 0x{:016x})",
+                cell.name, want.0, want.1, pin.0, pin.1
+            )),
+            None => moved.push(format!("{}: no lifecycle pin", cell.name)),
+        }
         match PARENT_DIGESTS.iter().find(|(n, _)| *n == cell.name) {
             Some((_, want)) if *want == got => {}
             Some((_, want)) => {
@@ -574,11 +797,15 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
         }
     }
     assert!(
-        moved.is_empty() && PARENT_DIGESTS.len() == cells.len(),
-        "{} of {} cells moved ({} digest rows):\n{}\nthis run's table:\n{table}",
+        moved.is_empty()
+            && PARENT_DIGESTS.len() == cells.len()
+            && LIFECYCLE_PINS.len() == cells.len(),
+        "{} moves over {} cells ({} digest rows, {} lifecycle pins):\n{}\n\
+         this run's table:\n{table}\nthis run's lifecycle pins:\n{pins}",
         moved.len(),
         cells.len(),
         PARENT_DIGESTS.len(),
+        LIFECYCLE_PINS.len(),
         moved.join("\n")
     );
 }
