@@ -40,6 +40,9 @@ fn kind_name(e: &DecisionEvent) -> &'static str {
         DecisionEvent::DegradedMode { .. } => "degraded",
         DecisionEvent::DriverAttach { .. } => "driver-attach",
         DecisionEvent::DriverHandoff { .. } => "driver-handoff",
+        DecisionEvent::ScanStarted { .. } => "started",
+        DecisionEvent::ScanWrapped { .. } => "wrapped",
+        DecisionEvent::ScanEnded { .. } => "ended",
     }
 }
 
@@ -234,7 +237,6 @@ mod tests {
             pool: Default::default(),
             sharing: Default::default(),
             metrics: Default::default(),
-            trace: vec![],
             decisions,
             faults: Default::default(),
             policy: None,

@@ -17,10 +17,11 @@
 use std::fmt::Display;
 use std::str::FromStr;
 
-use scanshare::{DeliveryMode, SharingConfig, SharingPolicyKind, SpanProfiler};
+use scanshare::decision::{decisions_from_jsonl, decisions_to_jsonl};
+use scanshare::{DecisionRecord, DeliveryMode, SharingConfig, SharingPolicyKind, SpanProfiler};
 use scanshare_engine::{
     run_workload, run_workload_hooked, Database, FaultsConfig, RunHooks, RunReport, SharingMode,
-    Tracer, WorkloadSpec,
+    WorkloadSpec,
 };
 use scanshare_storage::SimDuration;
 use scanshare_tpch::{generate, q1, q6, staggered_workload, throughput_workload, TpchConfig};
@@ -170,8 +171,8 @@ throttle), or elevator (one circulating read cursor per table);
 scan fixes its own pages) or push (one group driver fixes each page
 once and pushes it through every attached consumer's row pipeline; the
 report gains a \"push\" section);
---report saves the full RunReport (metrics + trace) as JSON,
---trace-out saves the event log alone as JSON-lines, and
+--report saves the full RunReport (metrics + decision log) as JSON,
+--trace-out saves the decision log alone as JSON-lines, and
 --profile-out saves a hierarchical span profile as Chrome trace-event
 JSON (open at ui.perfetto.dev; one track per scan stream plus manager
 and driver tracks) and embeds its summary in the report for
@@ -183,8 +184,9 @@ the run completed but breached at least one SLO rule.",
     Cmd { name: "trace", positionals: &[], run: cmd_trace,
         flags: &[req("--artifact", "FILE")],
         about: "\
-Replay a saved RunReport (or raw JSON-lines trace): scan lifecycles
-with attributed throttle waits, then the event log.",
+Replay the decision log of a saved RunReport (or the JSON-lines log
+`scanshare run` saves beside it): scan lifecycles — query, placement,
+wraps, attributed throttle waits, end — then their events in order.",
     },
     Cmd { name: "metrics", positionals: &[], run: cmd_metrics,
         flags: &[req("--artifact", "FILE"), switch("--quantiles")],
@@ -521,7 +523,7 @@ fn cmd_run(args: &Args) -> Result<i32, CliError> {
 
 fn cmd_trace(args: &Args) -> Result<i32, CliError> {
     let records = load_artifact_trace(args.required("--artifact"))?;
-    print!("{}", render::render_trace(&records));
+    print!("{}", scanshare::decision::render_lifecycles(&records));
     Ok(0)
 }
 
@@ -613,15 +615,15 @@ fn cmd_generate(args: &Args) -> Result<i32, CliError> {
     Ok(0)
 }
 
-/// Where `run` saves its artifacts, if anywhere. The measured run (the
-/// scan-sharing side under `--compare`) executes with a tracer attached
-/// whenever either output is requested, so the saved report embeds both
-/// the metrics snapshot and the replayable event log.
+/// Where `run` saves the measured run's artifacts (the scan-sharing side
+/// under `--compare`), if anywhere. A sharing run always keeps its
+/// decision log, so the saved report replays through `trace` and
+/// `explain` without anything attached for the purpose.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOutputs {
     /// `--report OUT`: full [`RunReport`] as JSON.
     pub report: Option<String>,
-    /// `--trace-out OUT`: the trace alone, as JSON-lines.
+    /// `--trace-out OUT`: the decision log alone, as JSON-lines.
     pub trace: Option<String>,
     /// `--profile-out OUT`: span profile as Chrome trace-event JSON
     /// (open at ui.perfetto.dev). Also embeds the folded
@@ -630,19 +632,15 @@ pub struct RunOutputs {
 }
 
 impl RunOutputs {
-    fn any(&self) -> bool {
-        self.report.is_some() || self.trace.is_some()
-    }
-
     fn save(&self, r: &RunReport) -> Result<(), String> {
         if let Some(path) = &self.report {
             scanshare_engine::persist::save_report(r, path)?;
             eprintln!("report saved to {path}");
         }
         if let Some(path) = &self.trace {
-            let jsonl = scanshare_engine::trace::records_to_jsonl(&r.trace);
+            let jsonl = decisions_to_jsonl(&r.decisions);
             std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("trace saved to {path}");
+            eprintln!("decision log saved to {path}");
         }
         Ok(())
     }
@@ -705,15 +703,16 @@ pub fn load_report(path: &str) -> Result<RunReport, String> {
     scanshare_engine::persist::load_report(path)
 }
 
-/// Load the trace of an artifact: either a [`RunReport`] JSON (the
-/// embedded trace) or a raw JSON-lines file from `--trace-out`.
-pub fn load_artifact_trace(path: &str) -> Result<Vec<scanshare_engine::TraceRecord>, String> {
+/// Load the decision log `trace` replays: a [`RunReport`] JSON's embedded
+/// log, or the JSON-lines log `run --trace-out` writes.
+pub fn load_artifact_trace(path: &str) -> Result<Vec<DecisionRecord>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     if let Ok(report) = serde_json::from_str::<RunReport>(&text) {
-        return Ok(report.trace);
+        return Ok(report.decisions);
     }
-    scanshare_engine::trace::records_from_jsonl(&text)
-        .map_err(|e| format!("{path} is neither a RunReport nor a JSONL trace: {e}"))
+    decisions_from_jsonl(&text).map_err(|e| {
+        format!("{path} is neither a RunReport nor a decision-log JSONL (run --trace-out): {e}")
+    })
 }
 
 fn run_measured(
@@ -723,7 +722,6 @@ fn run_measured(
 ) -> Result<RunReport, String> {
     let profiler = outputs.profile.as_ref().map(|_| SpanProfiler::default());
     let hooks = RunHooks {
-        tracer: outputs.any().then(|| Tracer::new(1 << 16)),
         profiler: profiler.clone(),
         ..RunHooks::default()
     };
@@ -969,22 +967,20 @@ mod tests {
             Ok(0)
         );
 
-        // The saved report replays: embedded trace matches the JSONL
+        // The saved report replays: its embedded log matches the JSONL
         // side channel, and both renderers produce real output.
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
-        assert!(!report.trace.is_empty());
+        assert!(!report.decisions.is_empty());
         let from_jsonl = load_artifact_trace(outputs.trace.as_deref().unwrap()).unwrap();
         let from_report = load_artifact_trace(outputs.report.as_deref().unwrap()).unwrap();
-        assert_eq!(report.trace, from_jsonl);
-        assert_eq!(report.trace, from_report);
-        let trace_text = render::render_trace(&report.trace);
+        assert_eq!(report.decisions, from_jsonl);
+        assert_eq!(report.decisions, from_report);
+        let trace_text = scanshare::decision::render_lifecycles(&report.decisions);
         assert!(trace_text.contains("scan lifecycles"));
         let metrics_text = render::render_metrics(&report);
         assert!(metrics_text.contains("histograms"));
         assert!(metrics_text.contains("disk.read_us"));
-        // Sharing-mode artifacts carry decision provenance, so the saved
-        // report explains itself too.
-        assert!(!report.decisions.is_empty());
+        // The same log explains the run.
         let explained = explain::render_explain(&report, None).unwrap();
         assert!(explained.contains("decision summary"));
         assert!(explained.contains("narrative"));

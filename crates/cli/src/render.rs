@@ -1,14 +1,12 @@
 //! Text rendering of saved run artifacts.
 //!
-//! `scanshare trace` and `scanshare metrics` replay a [`RunReport`] that
-//! a previous `scanshare run --report FILE` wrote to disk: no simulation
+//! `scanshare metrics` and `scanshare diff` replay [`RunReport`]s that a
+//! previous `scanshare run --report FILE` wrote to disk: no simulation
 //! happens here, only formatting of what the observability layer
-//! recorded — scan lifecycles reassembled from the embedded trace, and
-//! the metrics snapshot's counters, histograms, and time series drawn as
-//! fixed-width ASCII timelines.
+//! recorded — the metrics snapshot's counters, histograms, and time
+//! series drawn as fixed-width ASCII timelines, and report differences.
 
 use scanshare::obs::{HistogramSnapshot, MetricsSnapshot, SeriesSnapshot};
-use scanshare_engine::trace::{render_records, spans, TraceRecord};
 use scanshare_engine::RunReport;
 
 /// Columns in a rendered timeline.
@@ -300,54 +298,6 @@ pub fn render_report_diff(a: &str, b: &str, d: &crate::diff::ReportDiff) -> Stri
     out
 }
 
-/// Render the embedded trace of a saved run: one row per scan lifecycle
-/// (start → wraps → finish, with attributed throttle waits), followed by
-/// the raw event log.
-pub fn render_trace(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    let spans = spans(records);
-    out.push_str(&format!("== scan lifecycles ({}) ==\n", spans.len()));
-    out.push_str(&format!(
-        "  {:<6} {:<10} {:<7} {:<22} {:>9} {:>9} {:>9} {:>6} {:>9} {:>12}\n",
-        "scan",
-        "query",
-        "stream",
-        "placement",
-        "start(s)",
-        "finish(s)",
-        "elapsed",
-        "wraps",
-        "throttles",
-        "wait(s)"
-    ));
-    for s in &spans {
-        let fmt_t = |t: Option<scanshare_storage::SimTime>| match t {
-            Some(t) => format!("{:.3}", secs(t.as_micros())),
-            None => "-".to_string(),
-        };
-        let elapsed = match s.elapsed() {
-            Some(d) => format!("{:.3}", d.as_secs_f64()),
-            None => "-".to_string(),
-        };
-        out.push_str(&format!(
-            "  {:<6} {:<10} {:<7} {:<22} {:>9} {:>9} {:>9} {:>6} {:>9} {:>12.3}\n",
-            s.scan.0,
-            s.query,
-            s.stream,
-            s.placement,
-            fmt_t(s.start),
-            fmt_t(s.finish),
-            elapsed,
-            s.wraps.len(),
-            s.throttles,
-            s.throttle_wait.as_secs_f64(),
-        ));
-    }
-    out.push_str(&format!("\n== events ({}) ==\n", records.len()));
-    out.push_str(&render_records(records));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,31 +381,5 @@ mod tests {
         assert!(out.contains(&format!("p99 {:>9}", 100)), "got: {out}");
         assert_eq!(out.matches("    le ").count(), 1, "got: {out}");
         assert!(out.contains(&"#".repeat(BUCKET_BAR)), "got: {out}");
-    }
-
-    #[test]
-    fn render_trace_lists_lifecycles_and_events() {
-        use scanshare_engine::trace::{TraceEvent, Tracer};
-        let tracer = Tracer::new(16);
-        let t0 = SimTime::ZERO;
-        tracer.record(
-            t0,
-            TraceEvent::ScanStarted {
-                scan: scanshare::ScanId(7),
-                query: "Q6".into(),
-                stream: 0,
-                placement: "fresh".into(),
-            },
-        );
-        tracer.record(
-            SimTime::from_secs(2),
-            TraceEvent::ScanFinished {
-                scan: scanshare::ScanId(7),
-            },
-        );
-        let text = render_trace(&tracer.records());
-        assert!(text.contains("scan lifecycles (1)"));
-        assert!(text.contains("Q6"));
-        assert!(text.contains("events (2)"));
     }
 }

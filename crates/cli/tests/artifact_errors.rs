@@ -1,7 +1,8 @@
 //! Integration tests of the `scanshare` binary's artifact error paths:
-//! `trace`, `metrics`, and `explain` against missing or malformed files
-//! must exit non-zero with a single-line diagnostic on stderr — the
-//! contract scripted pipelines (CI, bench gates) rely on.
+//! `trace`, `metrics`, and `explain` against missing, malformed or
+//! outdated files must replay what they can or exit non-zero with a
+//! single-line diagnostic on stderr — the contract scripted pipelines
+//! (CI, bench gates) rely on.
 
 use std::process::Command;
 
@@ -57,16 +58,82 @@ fn malformed_artifact_is_exit_2_and_names_the_file() {
         assert!(err.contains(path_str), "{sub}: must name the file: {err:?}");
         assert!(err.contains("invalid report"), "{sub}: got {err:?}");
     }
-    // `trace` accepts either a report or raw JSONL, so its diagnostic
-    // names both rejected interpretations.
+    // `trace` accepts either a report or a JSON-lines decision log, so
+    // its diagnostic names both rejected interpretations.
     let out = scanshare(&["trace", "--artifact", path_str]);
     assert_eq!(out.status.code(), Some(2));
     let err = stderr_of(&out);
     assert_eq!(err.trim_end().lines().count(), 1, "trace: got {err:?}");
     assert!(
-        err.contains("neither a RunReport nor a JSONL trace"),
+        err.contains("neither a RunReport nor a decision-log JSONL"),
         "trace: got {err:?}"
     );
+    std::fs::remove_file(&path).ok();
+}
+
+/// Artifacts written while the engine kept a trace ring beside the
+/// decision log: a report still carrying its `"trace"` array replays
+/// from its decisions, and a trace-ring JSONL file is refused.
+#[test]
+fn old_trace_artifacts_replay_from_their_decisions_or_are_refused() {
+    use scanshare::decision::render_lifecycles;
+    use serde_json::{Map, Value};
+    let cfg = scanshare_tpch::TpchConfig::tiny();
+    let db = scanshare_tpch::generate(&cfg);
+    let sharing = scanshare_engine::SharingMode::ScanSharing(scanshare::SharingConfig::new(0));
+    let w = scanshare_tpch::throughput_workload(&db, 2, cfg.months as i64, cfg.seed, sharing);
+    let report = scanshare_engine::run_workload(&db, &w).unwrap();
+    let old_trace = r#"[{"at":0,"event":{"ScanStarted":{"scan":0,"query":"Q6","stream":0,"placement":"fresh"}}},{"at":9,"event":{"ScanFinished":{"scan":0}}}]"#;
+
+    // The old report: a `trace` key, and a log without lifecycle records.
+    let mut old = Map::new();
+    let new: Value = serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
+    for (k, v) in new.as_object().unwrap().iter() {
+        if k != "decisions" {
+            old.insert(k, v.clone());
+            continue;
+        }
+        let lifecycle = ["ScanStarted", "ScanWrapped", "ScanEnded"];
+        let kept = v.as_array().unwrap().iter().filter(|r| {
+            let event = r.get("event").and_then(Value::as_object).unwrap();
+            !lifecycle.contains(&event.first().unwrap().0)
+        });
+        old.insert(k, Value::Array(kept.cloned().collect()));
+        old.insert("trace", serde_json::from_str(old_trace).unwrap());
+    }
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("scanshare_old_report_{}.json", std::process::id()));
+    let old = serde_json::to_string(&Value::Object(old)).unwrap();
+    std::fs::write(&path, &old).unwrap();
+    let out = scanshare(&["trace", "--artifact", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let loaded: scanshare_engine::RunReport = serde_json::from_str(&old).unwrap();
+    assert_eq!(text, render_lifecycles(&loaded.decisions));
+    // Placement and start survive in the decisions; query, stream and a
+    // normal end were only ever in the trace.
+    let first = text.lines().nth(2).unwrap();
+    let cols: Vec<&str> = first.split_whitespace().collect();
+    assert_eq!(cols[..4], ["0", "-", "-", "fresh"], "got: {first}");
+    assert_eq!(cols[5..7], ["-", "-"], "no finish, no elapsed: {first}");
+    assert!(!text.contains(" start "), "got: {text}");
+    std::fs::remove_file(&path).ok();
+
+    // A trace-ring JSONL file is neither accepted input.
+    let path = dir.join(format!("scanshare_old_trace_{}.jsonl", std::process::id()));
+    let lines: Vec<Value> = serde_json::from_str(old_trace).unwrap();
+    let jsonl: Vec<String> = lines
+        .iter()
+        .map(|l| serde_json::to_string(l).unwrap())
+        .collect();
+    std::fs::write(&path, jsonl.join("\n")).unwrap();
+    let out = scanshare(&["trace", "--artifact", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert_eq!(err.trim_end().lines().count(), 1, "got {err:?}");
+    assert!(err.contains("RunReport"), "got {err:?}");
+    assert!(err.contains("decision-log JSONL"), "got {err:?}");
+    assert!(out.stdout.is_empty());
     std::fs::remove_file(&path).ok();
 }
 

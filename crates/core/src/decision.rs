@@ -17,16 +17,22 @@
 //! * [`DecisionEvent::RoleChange`] — leader/trailer/middle/singleton
 //!   reclassifications as groups form and drift,
 //! * [`DecisionEvent::PageReprioritize`] — the release-path priority the
-//!   manager picked for a scan's pages changing with its role.
+//!   manager picked for a scan's pages changing with its role,
+//! * [`DecisionEvent::ScanStarted`] / [`DecisionEvent::ScanWrapped`] /
+//!   [`DecisionEvent::ScanEnded`] — the scan's lifecycle: which query and
+//!   stream it runs for, its wrap to the range start, its normal end (a
+//!   fault ends it with [`DecisionEvent::ScanEvicted`] instead).
 //!
 //! Events flow through a [`DecisionLog`]: a cheap shared ring buffer with
-//! a drop-oldest cap and JSONL export, mirroring the engine's `Tracer` so
-//! artifacts from either layer read the same way.
+//! a drop-oldest cap and JSONL export — the run's one event log.
+//! [`lifecycles`] reads each scan's start, placement, wraps, throttle
+//! waits and end back off it; [`render_lifecycles`] is `scanshare trace`.
 
 use parking_lot::Mutex;
 use scanshare_storage::{PagePriority, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write;
 use std::sync::Arc;
 
 use crate::anchor::AnchorId;
@@ -240,6 +246,27 @@ pub enum DecisionEvent {
         /// Consumers still attached (including the new driver).
         consumers: usize,
     },
+    /// The engine began executing a registered scan: what placement
+    /// does not say — the query it runs for and that query's stream.
+    ScanStarted {
+        /// The started scan.
+        scan: ScanId,
+        /// Query name.
+        query: String,
+        /// Stream index.
+        stream: usize,
+    },
+    /// The scan reached the end of its range and wrapped to its start
+    /// (the second phase of a scan placed mid-range).
+    ScanWrapped {
+        /// The wrapping scan.
+        scan: ScanId,
+    },
+    /// The scan finished its range and left the manager.
+    ScanEnded {
+        /// The finished scan.
+        scan: ScanId,
+    },
 }
 
 impl DecisionEvent {
@@ -258,7 +285,10 @@ impl DecisionEvent {
             | DecisionEvent::ScanEvicted { scan, .. }
             | DecisionEvent::DegradedMode { scan, .. }
             | DecisionEvent::DriverAttach { scan, .. }
-            | DecisionEvent::DriverHandoff { scan, .. } => *scan,
+            | DecisionEvent::DriverHandoff { scan, .. }
+            | DecisionEvent::ScanStarted { scan, .. }
+            | DecisionEvent::ScanWrapped { scan }
+            | DecisionEvent::ScanEnded { scan } => *scan,
         }
     }
 
@@ -349,19 +379,12 @@ impl DecisionLog {
         self.inner.lock().dropped
     }
 
-    /// The retained decisions as JSON lines — parse back with
-    /// [`decisions_from_jsonl`].
-    pub fn to_jsonl(&self) -> String {
-        decisions_to_jsonl(&self.records())
-    }
-
     /// Human-readable rendering of the retained decisions. Ends with a
     /// `(dropped N older decisions)` line when the cap was exceeded.
     pub fn render(&self) -> String {
         let mut out = render_decisions(&self.records());
         let dropped = self.dropped();
         if dropped > 0 {
-            use std::fmt::Write;
             let _ = writeln!(out, "(dropped {dropped} older decisions)");
         }
         out
@@ -596,6 +619,15 @@ pub fn describe(event: &DecisionEvent) -> String {
             from.0,
             if *consumers == 1 { "" } else { "s" }
         ),
+        DecisionEvent::ScanStarted {
+            scan,
+            query,
+            stream,
+        } => format!("scan {} started for {query} (stream {stream})", scan.0),
+        DecisionEvent::ScanWrapped { scan } => {
+            format!("scan {} wrapped to the start of its range", scan.0)
+        }
+        DecisionEvent::ScanEnded { scan } => format!("scan {} ended", scan.0),
     }
 }
 
@@ -617,9 +649,168 @@ pub fn slowdown_frac(spent: SimDuration, budget: SimDuration) -> f64 {
 pub fn render_decisions(records: &[DecisionRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        use std::fmt::Write;
         let _ = writeln!(out, "{} {}", r.at, describe(&r.event));
     }
+    out
+}
+
+/// One scan's lifecycle, read off a decision log by [`lifecycles`]: what
+/// it ran for, how placement started it, and the wraps and throttle waits
+/// between its start and its end. A field the log never recorded (a log
+/// from before the engine recorded lifecycles, or one whose cap dropped
+/// the event) is `None`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Lifecycle {
+    /// The scan.
+    pub scan: ScanId,
+    /// Query name, from [`DecisionEvent::ScanStarted`].
+    pub query: Option<String>,
+    /// Stream index, from [`DecisionEvent::ScanStarted`].
+    pub stream: Option<usize>,
+    /// How the scan started: `fresh` after a [`DecisionEvent::GroupStart`],
+    /// `join …` after a [`DecisionEvent::GroupJoin`], `push-driver` or
+    /// `push-rider(…)` after a [`DecisionEvent::DriverAttach`], which
+    /// follows the placement decision and wins.
+    pub placement: Option<String>,
+    /// When the scan was placed and started.
+    pub start: Option<SimTime>,
+    /// When it ended ([`DecisionEvent::ScanEnded`]) or was evicted by a
+    /// fault ([`DecisionEvent::ScanEvicted`]).
+    pub finish: Option<SimTime>,
+    /// Wraps to the range start.
+    pub wraps: u64,
+    /// Throttle waits injected.
+    pub throttles: u64,
+    /// Their total.
+    pub throttle_wait: SimDuration,
+}
+
+impl Lifecycle {
+    /// Start-to-finish duration, when the log holds both ends.
+    pub fn elapsed(&self) -> Option<SimDuration> {
+        Some(self.finish?.since(self.start?))
+    }
+}
+
+/// How the scan an event names started, when the event says: placement's
+/// decision, or the push driver it attached to (which follows placement
+/// and wins).
+fn placement(e: &DecisionEvent) -> Option<String> {
+    Some(match e {
+        DecisionEvent::GroupStart { .. } => "fresh".to_string(),
+        DecisionEvent::GroupJoin {
+            joined: Some(j),
+            location,
+            ..
+        } => format!("join scan {} @ key {}", j.0, location.key),
+        DecisionEvent::GroupJoin {
+            joined: None,
+            location,
+            back_up_pages,
+            ..
+        } => format!(
+            "join finished @ key {} (-{back_up_pages} pages)",
+            location.key
+        ),
+        DecisionEvent::DriverAttach { scan, driver, .. } if scan == driver => {
+            "push-driver".to_string()
+        }
+        DecisionEvent::DriverAttach {
+            driver,
+            missed_pages,
+            ..
+        } => format!("push-rider(driver s{}, catch-up {missed_pages}p)", driver.0),
+        _ => return None,
+    })
+}
+
+/// Every scan's lifecycle, in scan-id order: one pass over the log.
+pub fn lifecycles(records: &[DecisionRecord]) -> Vec<Lifecycle> {
+    let mut by_scan: BTreeMap<ScanId, Lifecycle> = BTreeMap::new();
+    for r in records {
+        let (e, scan) = (&r.event, r.event.scan());
+        let s = by_scan.entry(scan).or_insert_with(|| Lifecycle {
+            scan,
+            ..Lifecycle::default()
+        });
+        if let Some(p) = placement(e) {
+            s.placement = Some(p);
+        }
+        match e {
+            DecisionEvent::GroupStart { .. } | DecisionEvent::GroupJoin { .. } => {
+                s.start.get_or_insert(r.at);
+            }
+            DecisionEvent::ScanStarted { query, stream, .. } => {
+                s.start.get_or_insert(r.at);
+                s.query = Some(query.clone());
+                s.stream = Some(*stream);
+            }
+            DecisionEvent::Throttle { wait, .. } => {
+                s.throttles += 1;
+                s.throttle_wait += *wait;
+            }
+            DecisionEvent::ScanWrapped { .. } => s.wraps += 1,
+            DecisionEvent::ScanEnded { .. } | DecisionEvent::ScanEvicted { .. } => {
+                s.finish = Some(r.at)
+            }
+            _ => {}
+        }
+    }
+    by_scan.into_values().collect()
+}
+
+/// The lifecycle view `scanshare trace` prints: one row per scan, then
+/// the log's lifecycle events — start, wrap, throttle, finish — one
+/// timestamped line each. `-` marks what the log never recorded.
+pub fn render_lifecycles(records: &[DecisionRecord]) -> String {
+    let spans = lifecycles(records);
+    let or_dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+    let secs = |t: Option<SimTime>| t.map(|t| format!("{:.3}", t.as_micros() as f64 / 1e6));
+    let mut out = format!("== scan lifecycles ({}) ==\n", spans.len());
+    out += "  scan   query      stream  placement               start(s) finish(s)   \
+            elapsed  wraps throttles      wait(s)\n";
+    for s in &spans {
+        let _ = writeln!(
+            out,
+            "  {:<6} {:<10} {:<7} {:<22} {:>9} {:>9} {:>9} {:>6} {:>9} {:>12.3}",
+            s.scan.0,
+            s.query.as_deref().unwrap_or("-"),
+            or_dash(s.stream.map(|n| n.to_string())),
+            s.placement.as_deref().unwrap_or("-"),
+            or_dash(secs(s.start)),
+            or_dash(secs(s.finish)),
+            or_dash(s.elapsed().map(|d| format!("{:.3}", d.as_secs_f64()))),
+            s.wraps,
+            s.throttles,
+            s.throttle_wait.as_secs_f64(),
+        );
+    }
+    let mut events = String::new();
+    let mut n = 0;
+    for r in records {
+        let what = match &r.event {
+            DecisionEvent::ScanStarted {
+                scan,
+                query,
+                stream,
+            } => {
+                let at = spans.binary_search_by_key(scan, |s| s.scan);
+                let placement = at.ok().and_then(|i| spans[i].placement.as_deref());
+                let placement = placement.unwrap_or("-");
+                format!("start   {query} (stream {stream}, {placement})")
+            }
+            DecisionEvent::ScanWrapped { .. } => "wrap".to_string(),
+            // Only a group's leader is ever throttled.
+            DecisionEvent::Throttle { wait, .. } => format!("throttle {wait} (leader)"),
+            DecisionEvent::ScanEnded { .. } | DecisionEvent::ScanEvicted { .. } => {
+                "finish".to_string()
+            }
+            _ => continue,
+        };
+        n += 1;
+        let _ = writeln!(events, "{} scan {:>3} {what}", r.at, r.event.scan().0);
+    }
+    let _ = write!(out, "\n== events ({n}) ==\n{events}");
     out
 }
 
@@ -725,6 +916,13 @@ mod tests {
                 remaining_pages: 512,
                 consumers: 2,
             },
+            DecisionEvent::ScanStarted {
+                scan: ScanId(4),
+                query: "Q6".to_string(),
+                stream: 2,
+            },
+            DecisionEvent::ScanWrapped { scan: ScanId(4) },
+            DecisionEvent::ScanEnded { scan: ScanId(4) },
         ]
     }
 
@@ -734,8 +932,8 @@ mod tests {
         for (i, e) in sample_events().into_iter().enumerate() {
             log.record(SimTime::from_millis(i as u64), e);
         }
-        let jsonl = log.to_jsonl();
-        assert_eq!(jsonl.lines().count(), 13);
+        let jsonl = decisions_to_jsonl(&log.records());
+        assert_eq!(jsonl.lines().count(), 16);
         let back = decisions_from_jsonl(&jsonl).unwrap();
         assert_eq!(back, log.records());
         // Blank lines tolerated; garbage names its line.
@@ -838,6 +1036,10 @@ mod tests {
             consumers: 1,
         });
         assert!(founder.contains("nothing to catch up"), "got: {founder}");
+        let started = describe(&events[13]);
+        assert_eq!(started, "scan 4 started for Q6 (stream 2)");
+        assert!(describe(&events[14]).contains("wrapped"));
+        assert_eq!(describe(&events[15]), "scan 4 ended");
     }
 
     #[test]
@@ -857,6 +1059,166 @@ mod tests {
         assert_eq!(events[11].group(), None);
         assert_eq!(events[12].scan(), ScanId(1));
         assert_eq!(events[12].group(), None);
+        for e in &events[13..] {
+            assert_eq!(e.scan(), ScanId(4));
+            assert_eq!(e.group(), None);
+        }
+    }
+
+    fn rec(ms: u64, event: DecisionEvent) -> DecisionRecord {
+        DecisionRecord {
+            at: SimTime::from_millis(ms),
+            event,
+        }
+    }
+
+    fn throttle(scan: u64, wait_ms: u64) -> DecisionEvent {
+        DecisionEvent::Throttle {
+            scan: ScanId(scan),
+            group: AnchorId(0),
+            distance_pages: 160,
+            threshold_pages: 32,
+            wait: SimDuration::from_millis(wait_ms),
+            accumulated_slowdown: SimDuration::from_millis(wait_ms),
+            slowdown_budget: SimDuration::from_secs(80),
+            fairness_cap: 0.8,
+            trailer: ScanId(2),
+            trailer_speed: 40.0,
+        }
+    }
+
+    fn join(scan: u64, joined: Option<u64>, key: i64, back_up_pages: u64) -> DecisionEvent {
+        DecisionEvent::GroupJoin {
+            scan: ScanId(scan),
+            object: ObjectId(3),
+            joined: joined.map(ScanId),
+            location: Location::new(key, key as u64),
+            back_up_pages,
+            candidates: vec![],
+            threshold_pages: 16.0,
+        }
+    }
+
+    fn started(scan: u64, stream: usize) -> DecisionEvent {
+        DecisionEvent::ScanStarted {
+            scan: ScanId(scan),
+            query: "Q6".to_string(),
+            stream,
+        }
+    }
+
+    /// Scan 1 starts fresh and is throttled twice; scan 2 joins it at key
+    /// 5 and wraps.
+    fn two_scans() -> Vec<DecisionRecord> {
+        let fresh = DecisionEvent::GroupStart {
+            scan: ScanId(1),
+            object: ObjectId(3),
+            candidates: vec![],
+            threshold_pages: 16.0,
+        };
+        vec![
+            rec(10, fresh),
+            rec(10, started(1, 0)),
+            rec(12, join(2, Some(1), 5, 0)),
+            rec(12, started(2, 1)),
+            rec(20, throttle(1, 3)),
+            rec(30, throttle(1, 2)),
+            rec(40, DecisionEvent::ScanWrapped { scan: ScanId(2) }),
+            rec(50, DecisionEvent::ScanEnded { scan: ScanId(1) }),
+            rec(60, DecisionEvent::ScanEnded { scan: ScanId(2) }),
+        ]
+    }
+
+    #[test]
+    fn lifecycles_reassemble_every_scan() {
+        let spans = lifecycles(&two_scans());
+        assert_eq!(spans.len(), 2);
+        let s1 = &spans[0];
+        assert_eq!(s1.scan, ScanId(1));
+        assert_eq!(s1.query.as_deref(), Some("Q6"));
+        assert_eq!(s1.placement.as_deref(), Some("fresh"));
+        assert_eq!(s1.throttles, 2);
+        assert_eq!(s1.throttle_wait, SimDuration::from_millis(5));
+        assert_eq!(s1.elapsed(), Some(SimDuration::from_millis(40)));
+        assert_eq!(s1.wraps, 0);
+        let s2 = &spans[1];
+        assert_eq!(s2.wraps, 1);
+        assert_eq!(s2.stream, Some(1));
+        assert_eq!(s2.placement.as_deref(), Some("join scan 1 @ key 5"));
+        assert_eq!(s2.start, Some(SimTime::from_millis(12)));
+    }
+
+    #[test]
+    fn placement_reads_the_start_decision_and_a_push_attach_wins() {
+        let attach = |scan, missed_pages| DecisionEvent::DriverAttach {
+            scan: ScanId(scan),
+            driver: ScanId(4),
+            object: ObjectId(3),
+            missed_pages,
+            consumers: 2,
+        };
+        let log = vec![
+            rec(1, join(3, None, 7, 320)),
+            rec(2, join(4, Some(3), 9, 0)),
+            rec(2, attach(4, 0)),
+            rec(3, join(5, Some(4), 9, 0)),
+            rec(3, attach(5, 48)),
+        ];
+        let placements: Vec<_> = lifecycles(&log)
+            .into_iter()
+            .map(|s| s.placement.unwrap())
+            .collect();
+        assert_eq!(
+            placements,
+            [
+                "join finished @ key 7 (-320 pages)",
+                "push-driver",
+                "push-rider(driver s4, catch-up 48p)"
+            ]
+        );
+    }
+
+    #[test]
+    fn lifecycles_leave_unrecorded_fields_empty() {
+        // Only a fault's end survived the cap: no start, so no elapsed.
+        let evicted = DecisionEvent::ScanEvicted {
+            scan: ScanId(7),
+            group: AnchorId(0),
+            object: ObjectId(3),
+            reason: "permanent read fault".to_string(),
+            remaining: 0,
+        };
+        let s = lifecycles(&[rec(9, evicted)]);
+        assert_eq!(s.len(), 1);
+        assert_eq!((s[0].start, s[0].elapsed()), (None, None));
+        assert_eq!(s[0].finish, Some(SimTime::from_millis(9)));
+        // A log without lifecycle records still places and throttles.
+        let old: Vec<_> = two_scans()
+            .into_iter()
+            .filter(|r| matches!(r.event, DecisionEvent::GroupStart { .. }))
+            .chain([rec(20, throttle(1, 3))])
+            .collect();
+        let s = &lifecycles(&old)[0];
+        assert_eq!((s.query.as_deref(), s.stream), (None, None));
+        assert_eq!(s.placement.as_deref(), Some("fresh"));
+        assert_eq!((s.start, s.finish), (Some(SimTime::from_millis(10)), None));
+        assert_eq!(s.throttles, 1);
+        let text = render_lifecycles(&old);
+        let row = text.lines().nth(2).unwrap();
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cols[..6], ["1", "-", "-", "fresh", "0.010", "-"], "{row}");
+    }
+
+    #[test]
+    fn render_lists_lifecycles_then_their_events() {
+        let text = render_lifecycles(&two_scans());
+        assert!(text.starts_with("== scan lifecycles (2) =="), "{text}");
+        assert!(text.contains("== events (7) =="), "{text}");
+        assert!(text.contains("0.010s scan   1 start   Q6 (stream 0, fresh)"));
+        let wait = SimDuration::from_millis(3);
+        assert!(text.contains(&format!("0.020s scan   1 throttle {wait} (leader)")));
+        assert!(text.contains("0.040s scan   2 wrap\n"));
+        assert!(text.ends_with("0.060s scan   2 finish\n"), "{text}");
     }
 
     #[test]

@@ -648,15 +648,17 @@ impl ScanSharingManager {
         let state = &mut inner.scans[idx];
         state.location = location;
         state.last_update = now;
+        self.emit(now, DecisionEvent::ScanWrapped { scan: id });
     }
 
     /// `endSISCAN`: deregister and remember the final location so a
     /// later lone scan can pick up the leftovers.
-    pub fn end_scan(&self, id: ScanId, _now: SimTime) {
+    pub fn end_scan(&self, id: ScanId, now: SimTime) {
         let mut inner = self.inner.lock();
         if let Some(idx) = inner.index_of(id) {
             let state = inner.remove(idx);
             inner.stats.scans_finished += 1;
+            self.emit(now, DecisionEvent::ScanEnded { scan: id });
             let churn_at_end = inner.total_pages_advanced;
             inner.last_finished.insert(
                 state.desc.object,
@@ -667,6 +669,19 @@ impl ScanSharingManager {
                 },
             );
         }
+    }
+
+    /// The engine began executing registered scan `id` for `query` of
+    /// `stream`: recorded so the log says what each scan ran for.
+    pub fn note_scan_started(&self, id: ScanId, now: SimTime, query: &str, stream: usize) {
+        self.emit(
+            now,
+            DecisionEvent::ScanStarted {
+                scan: id,
+                query: query.to_string(),
+                stream,
+            },
+        );
     }
 
     /// The engine observed a fault plan firing in the scan's I/O path:
@@ -1405,6 +1420,40 @@ mod tests {
     }
 
     #[test]
+    fn lifecycle_calls_log_one_start_wrap_and_end() {
+        let m = mgr(1000);
+        let log = DecisionLog::new(64);
+        m.attach_decision_log(log.clone());
+        let (id, _) = m.start_scan(table_desc(0, 2000, 10), SimTime::ZERO);
+        m.note_scan_started(id, SimTime::ZERO, "Q6", 2);
+        let t = SimTime::from_secs(1);
+        m.wrap_scan(id, t, Location::new(0, 0));
+        m.end_scan(id, t);
+        // A scan the manager no longer knows logs nothing more.
+        m.wrap_scan(id, t, Location::new(0, 0));
+        m.end_scan(id, t);
+        let lifecycle: Vec<_> = log
+            .records()
+            .into_iter()
+            .filter(|r| !matches!(r.event, DecisionEvent::GroupStart { .. }))
+            .map(|r| (r.at, r.event))
+            .collect();
+        let started = DecisionEvent::ScanStarted {
+            scan: id,
+            query: "Q6".to_string(),
+            stream: 2,
+        };
+        assert_eq!(
+            lifecycle,
+            [
+                (SimTime::ZERO, started),
+                (t, DecisionEvent::ScanWrapped { scan: id }),
+                (t, DecisionEvent::ScanEnded { scan: id }),
+            ]
+        );
+    }
+
+    #[test]
     fn decision_log_captures_placement_and_throttle_provenance() {
         use crate::decision::{DecisionEvent, DecisionLog};
         let m = mgr(1000);
@@ -2040,7 +2089,15 @@ mod tests {
                 };
                 fnv1a(&mut digest, out.as_bytes());
             }
-            for r in log.records() {
+            // Wraps and ends are lifecycle records, not decisions: the
+            // digest predates them and leaves them out.
+            let lifecycle = |e: &DecisionEvent| {
+                matches!(
+                    e,
+                    DecisionEvent::ScanWrapped { .. } | DecisionEvent::ScanEnded { .. }
+                )
+            };
+            for r in log.records().into_iter().filter(|r| !lifecycle(&r.event)) {
                 let text = format!("{r:?}");
                 let kind = format!("{:?}", r.event);
                 *kinds

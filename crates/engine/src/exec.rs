@@ -52,8 +52,6 @@ pub struct ExecWorld<'a> {
     pub mgr: Option<Arc<ScanSharingManager>>,
     /// Engine configuration.
     pub cfg: EngineConfig,
-    /// Optional structured event log.
-    pub tracer: Option<crate::trace::Tracer>,
     /// Optional span profiler. `None` (the default) keeps the exact
     /// unprofiled code path: no span is recorded, no attribute string is
     /// built, and reports stay byte-identical to pre-profiling builds.
@@ -105,7 +103,6 @@ impl<'a> ExecWorld<'a> {
             pool,
             mgr,
             cfg,
-            tracer: None,
             profiler: None,
             metrics,
             read_hist,

@@ -5,7 +5,6 @@ use scanshare_storage::{DiskStats, PoolStats, SimDuration, SimTime, TimeSeries};
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultSummary;
-use crate::trace::TraceRecord;
 
 /// CPU usage breakdown over a run, mirroring the paper's Figures 15/16
 /// ("distribution of CPU time spent in user time, system time, idling,
@@ -141,12 +140,11 @@ pub struct RunReport {
     /// (per-group leader-trailer distance, per-scan slowdown vs the
     /// fairness cap, pool hit ratio, evictions, seek distance).
     pub metrics: MetricsSnapshot,
-    /// The retained trace events, when a tracer was attached (empty
-    /// otherwise) — what `scanshare trace` replays.
-    pub trace: Vec<TraceRecord>,
-    /// Decision-provenance events recorded by the sharing manager
-    /// (empty in base mode and in older artifacts) — what `scanshare
-    /// explain` narrates.
+    /// The sharing manager's event log: every decision with its inputs
+    /// and every scan's start, wrap and end (empty in base mode) — what
+    /// `scanshare explain` narrates and `scanshare trace` reassembles
+    /// into lifecycles. Artifacts written while a separate trace ring
+    /// existed still load; their `trace` key is ignored.
     pub decisions: Vec<scanshare::DecisionRecord>,
     /// Fault-injection and retry accounting (all zero — and omitted
     /// from artifacts — when the run carried no fault plan).
@@ -189,7 +187,6 @@ impl Serialize for RunReport {
         m.insert("pool", self.pool.to_json_value());
         m.insert("sharing", self.sharing.to_json_value());
         m.insert("metrics", self.metrics.to_json_value());
-        m.insert("trace", self.trace.to_json_value());
         m.insert("decisions", self.decisions.to_json_value());
         if !self.faults.is_empty() {
             m.insert("faults", self.faults.to_json_value());
@@ -239,7 +236,6 @@ impl Deserialize for RunReport {
             pool: req(m, "pool")?,
             sharing: req(m, "sharing")?,
             metrics: opt(m, "metrics")?,
-            trace: opt(m, "trace")?,
             decisions: opt(m, "decisions")?,
             faults: opt(m, "faults")?,
             policy: opt(m, "policy")?,

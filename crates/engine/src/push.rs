@@ -89,8 +89,6 @@ struct Seat {
     /// Private cursor over the prefix missed before attaching. Boxed:
     /// most consumers never have one, and seats are never freed.
     catchup: Option<Box<Cursor>>,
-    /// Placement narration for the trace (`push-driver`, `push-rider`).
-    label: String,
 }
 
 /// The per-run push-delivery engine: driver registry, consumer registry
@@ -123,11 +121,6 @@ impl PushEngine {
     /// The manager id of an admitted consumer, while it is registered.
     pub fn scan_id(&self, id: ConsumerId) -> Option<ScanId> {
         self.consumers[id.0].scan
-    }
-
-    /// How the consumer joined its cohort (for tracing).
-    pub fn placement_label(&self, id: ConsumerId) -> &str {
-        &self.seats[id.0].label
     }
 
     /// The finished consumer's answer and measurements.
@@ -216,7 +209,6 @@ impl PushEngine {
                     driver: di,
                     catchup: (missed > 0)
                         .then(|| Box::new(Cursor::new(file, drv.cursor.plan.prefix()))),
-                    label: format!("push-rider(driver s{}, catch-up {missed}p)", owner_scan.0),
                 }
             }
             None => {
@@ -234,7 +226,6 @@ impl PushEngine {
                 Seat {
                     driver: di,
                     catchup: None,
-                    label: "push-driver".to_string(),
                 }
             }
         };

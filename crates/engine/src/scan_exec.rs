@@ -933,9 +933,6 @@ impl Consumer {
     pub(crate) fn end(&mut self, world: &ExecWorld<'_>, now: SimTime) {
         if let (Some(id), Some(mgr)) = (self.scan.take(), &world.mgr) {
             mgr.end_scan(id, now);
-            if let Some(tr) = &world.tracer {
-                tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
-            }
         }
     }
 }
@@ -1146,9 +1143,6 @@ pub(crate) fn step_extent(
             let evicted = victim.scan.take();
             if let (Some(id), Some(mgr)) = (evicted, &world.mgr) {
                 mgr.evict_scan(id, now, &reason);
-                if let Some(tr) = &world.tracer {
-                    tr.record(now, crate::trace::TraceEvent::ScanFinished { scan: id });
-                }
             }
             victim.aborted = true;
             world.note_scan_aborted();
@@ -1233,24 +1227,14 @@ pub(crate) fn step_extent(
             grouped = out.role != scanshare::Role::Singleton;
             c.metrics.throttle_wait += wait;
             if wait > SimDuration::ZERO {
-                let role = scanshare::decision::role_name(out.role);
                 if let Some(p) = &prof {
+                    let role = scanshare::decision::role_name(out.role);
                     let s = p.begin_child("throttle.wait", done);
                     p.attr(s, "wait_us", wait.as_micros().to_string());
                     p.attr(s, "role", role.to_string());
                     p.end(s, done + wait);
                 }
                 world.throttle_hist.record(wait.as_micros());
-                if let Some(tr) = &world.tracer {
-                    tr.record(
-                        done,
-                        crate::trace::TraceEvent::Throttled {
-                            scan: id,
-                            wait,
-                            role: role.to_string(),
-                        },
-                    );
-                }
             }
         }
     }
@@ -1296,8 +1280,6 @@ pub(crate) fn step_extent(
 pub struct ScanExec {
     cursor: Cursor,
     consumer: Consumer,
-    /// Human-readable description of the placement decision (tracing).
-    placement: String,
     /// Pending wrap notification (phase 1 just ended).
     needs_wrap: bool,
     /// Reusable step buffers.
@@ -1452,11 +1434,9 @@ impl ScanExec {
         // Placement: ask the manager where to start.
         let kind_shared = shareable(&world.cfg, spec, desc.kind);
         let est_pages = desc.est_pages;
-        let mut placement = "unmanaged".to_string();
         if let (Some(mgr), true) = (&world.mgr, kind_shared) {
             let (id, decision) = mgr.start_scan(desc, now);
             consumer.scan = Some(id);
-            placement = crate::trace::placement_label(&decision);
             if let scanshare::StartDecision::JoinAt {
                 location,
                 back_up_pages,
@@ -1486,7 +1466,6 @@ impl ScanExec {
         Ok(ScanExec {
             cursor: Cursor { file, plan, ring },
             consumer,
-            placement,
             needs_wrap: false,
             scratch: StepScratch::default(),
         })
@@ -1538,11 +1517,6 @@ impl ScanExec {
         self.consumer.aborted
     }
 
-    /// How placement started this scan (for tracing).
-    pub fn placement_label(&self) -> &str {
-        &self.placement
-    }
-
     /// Advance by one extent. Returns the time at which the scan may take
     /// its next step, or `None` once it has finished (the manager is
     /// deregistered at that point).
@@ -1560,9 +1534,6 @@ impl ScanExec {
         if self.needs_wrap {
             if let (Some(id), Some(mgr)) = (self.consumer.scan, &world.mgr) {
                 mgr.wrap_scan(id, now, self.cursor.plan.range_start());
-                if let Some(tr) = &world.tracer {
-                    tr.record(now, crate::trace::TraceEvent::ScanWrapped { scan: id });
-                }
             }
             self.needs_wrap = false;
         }

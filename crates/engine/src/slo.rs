@@ -299,7 +299,6 @@ mod tests {
             pool,
             sharing: Default::default(),
             metrics: Default::default(),
-            trace: vec![],
             decisions: vec![],
             faults: Default::default(),
             policy: None,

@@ -167,29 +167,19 @@ impl<'q> StreamTask<'q> {
                     Some(pe) => pe.admit(db, world, spec, now)?,
                     None => None,
                 };
-                let cur = match admitted {
-                    Some(cid) => CurScan::Push(cid),
-                    None => CurScan::Pull(Box::new(ScanExec::start(db, world, spec, now)?)),
-                };
-                if let Some(tr) = &world.tracer {
-                    let (scan, placement) = match &cur {
-                        CurScan::Pull(scan) => (scan.scan_id(), scan.placement_label()),
-                        CurScan::Push(cid) => {
-                            let pe = push.as_ref().expect("push scan implies push engine");
-                            (pe.scan_id(*cid), pe.placement_label(*cid))
-                        }
-                    };
-                    if let Some(scan) = scan {
-                        tr.record(
-                            now,
-                            crate::trace::TraceEvent::ScanStarted {
-                                scan,
-                                query: q.name.clone(),
-                                stream: self.stream_idx,
-                                placement: placement.to_string(),
-                            },
-                        );
+                let (cur, scan) = match admitted {
+                    Some(cid) => {
+                        let pe = push.as_ref().expect("push scan implies push engine");
+                        (CurScan::Push(cid), pe.scan_id(cid))
                     }
+                    None => {
+                        let exec = ScanExec::start(db, world, spec, now)?;
+                        let scan = exec.scan_id();
+                        (CurScan::Pull(Box::new(exec)), scan)
+                    }
+                };
+                if let (Some(scan), Some(mgr)) = (scan, &world.mgr) {
+                    mgr.note_scan_started(scan, now, &q.name, self.stream_idx);
                 }
                 self.current = Some(cur);
             }
@@ -243,14 +233,10 @@ pub struct WatchFrame {
 pub type WatchObserver = Arc<dyn Fn(&WatchFrame) + Send + Sync>;
 
 /// Optional instrumentation attached to a run. All hooks compose: a run
-/// can be traced, decision-logged, and watched at the same time.
+/// can be decision-logged, watched and profiled at the same time.
 #[derive(Default)]
 pub struct RunHooks {
-    /// Event tracer; its retained records are embedded in the report.
-    /// Clones share the log, so a caller that keeps a handle reads the
-    /// events afterwards.
-    pub tracer: Option<crate::trace::Tracer>,
-    /// Decision-provenance log handed to the sharing manager. When
+    /// The run's event log, handed to the sharing manager. When
     /// `None`, sharing-mode runs still attach a fresh log (capacity
     /// [`DEFAULT_DECISION_CAP`]) so every report can be explained.
     pub decisions: Option<DecisionLog>,
@@ -313,7 +299,6 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
     let profiler = hooks.profiler;
     let pool = BufferPool::new(PoolConfig::new(spec.pool_pages, policy));
     let mut world = ExecWorld::new(db.store(), pool, spec.engine.clone(), mgr.clone());
-    world.tracer = hooks.tracer;
     if let Some(p) = &profiler {
         world.profiler = Some(p.clone());
         if let Some(m) = &mgr {
@@ -437,11 +422,6 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         reg.counter("faults.scans_aborted")
             .add(faults.scans_aborted);
     }
-    let trace = world
-        .tracer
-        .as_ref()
-        .map(|t| t.records())
-        .unwrap_or_default();
     let mut report = RunReport {
         makespan: makespan.since(SimTime::ZERO),
         stream_elapsed,
@@ -454,7 +434,6 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         pool: world.pool.stats().clone(),
         sharing: mgr.as_ref().map(|m| m.stats()).unwrap_or_default(),
         metrics: world.metrics.snapshot(makespan),
-        trace,
         decisions: mgr
             .as_ref()
             .and_then(|m| m.decision_log())
@@ -1033,8 +1012,9 @@ mod tests {
     }
 
     #[test]
-    fn tracer_captures_sharing_decisions() {
-        use crate::trace::{TraceEvent, Tracer};
+    fn a_hooked_log_sees_every_scan_lifecycle() {
+        use scanshare::decision::{lifecycles, render_lifecycles};
+        use scanshare::DecisionEvent;
         let db = build_db();
         let q = q6_like("Q6", 0, 11);
         let spec = spec(
@@ -1042,30 +1022,22 @@ mod tests {
             three_staggered(&q),
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
-        let tracer = Tracer::new(1024);
+        let log = DecisionLog::new(1024);
         let hooks = RunHooks {
-            tracer: Some(tracer.clone()),
+            decisions: Some(log.clone()),
             ..RunHooks::default()
         };
         run_workload_hooked(&db, &spec, hooks).unwrap();
-        let records = tracer.records();
-        let starts = records
+        let records = log.records();
+        let count = |f: fn(&DecisionEvent) -> bool| records.iter().filter(|r| f(&r.event)).count();
+        assert_eq!(count(|e| matches!(e, DecisionEvent::ScanStarted { .. })), 3);
+        assert_eq!(count(|e| matches!(e, DecisionEvent::ScanEnded { .. })), 3);
+        // At least one scan joined another (captured in the placement).
+        assert!(lifecycles(&records)
             .iter()
-            .filter(|r| matches!(r.event, TraceEvent::ScanStarted { .. }))
-            .count();
-        let finishes = records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::ScanFinished { .. }))
-            .count();
-        assert_eq!(starts, 3);
-        assert_eq!(finishes, 3);
-        // At least one scan joined another (captured in the label).
-        assert!(records.iter().any(|r| matches!(
-            &r.event,
-            TraceEvent::ScanStarted { placement, .. } if placement.contains("join")
-        )));
+            .any(|s| s.placement.as_deref().is_some_and(|p| p.contains("join"))));
         // Rendering mentions the query.
-        assert!(tracer.render().contains("Q6"));
+        assert!(render_lifecycles(&records).contains("Q6"));
     }
 
     #[test]
@@ -1258,31 +1230,29 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_embeds_its_events_in_the_report() {
-        use crate::trace::{spans, Tracer};
+    fn the_report_embeds_the_log_its_lifecycles_come_from() {
         let db = build_db();
         let q = q6_like("Q6", 0, 11);
-        let spec = spec(
+        let mut spec = spec(
             &db,
             three_staggered(&q),
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
-        let tracer = Tracer::new(4096);
+        let log = DecisionLog::new(4096);
         let hooks = RunHooks {
-            tracer: Some(tracer.clone()),
+            decisions: Some(log.clone()),
             ..RunHooks::default()
         };
         let r = run_workload_hooked(&db, &spec, hooks).unwrap();
-        assert_eq!(r.trace.len(), tracer.records().len());
-        assert!(!r.trace.is_empty());
-        let spans = spans(&r.trace);
+        assert_eq!(r.decisions, log.records());
+        let spans = scanshare::decision::lifecycles(&r.decisions);
         assert_eq!(spans.len(), 3);
         assert!(spans
             .iter()
             .all(|s| s.start.is_some() && s.finish.is_some()));
-        // An untraced run embeds nothing.
-        let quiet = run_workload(&db, &spec).unwrap();
-        assert!(quiet.trace.is_empty());
+        // A base run has no manager and embeds nothing.
+        spec.mode = SharingMode::Base;
+        assert!(run_workload(&db, &spec).unwrap().decisions.is_empty());
     }
 
     #[test]

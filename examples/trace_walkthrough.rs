@@ -1,13 +1,15 @@
-//! Run a small shared workload with the event tracer attached and print
-//! every sharing decision the manager made: placements ("join scan 0"),
-//! wrap-arounds, throttle waits, and scan lifecycles.
+//! Run a small shared workload and print what its decision log says about
+//! every scan: the query it ran for, how placement started it ("join
+//! scan 0"), its wrap-arounds and throttle waits, and when it ended —
+//! the view `scanshare trace` prints from a saved report.
 //!
 //! ```sh
 //! cargo run --release --example trace_walkthrough
 //! ```
 
+use scanshare_repro::core::decision::render_lifecycles;
 use scanshare_repro::core::SharingConfig;
-use scanshare_repro::engine::{run_workload_hooked, RunHooks, SharingMode, Tracer};
+use scanshare_repro::engine::{run_workload, SharingMode};
 use scanshare_repro::storage::SimDuration;
 use scanshare_repro::tpch::{generate, q6, staggered_workload, TpchConfig};
 
@@ -27,16 +29,15 @@ fn main() {
         SimDuration::from_millis(40),
         SharingMode::ScanSharing(SharingConfig::new(0)),
     );
-    let tracer = Tracer::new(10_000);
-    let hooks = RunHooks {
-        tracer: Some(tracer.clone()),
-        ..RunHooks::default()
-    };
-    let report = run_workload_hooked(&db, &spec, hooks).expect("run");
+    // A sharing run always keeps its decision log in the report.
+    let report = run_workload(&db, &spec).expect("run");
 
-    println!("\n--- event log ---");
-    print!("{}", tracer.render());
-    println!("--- end of log ({} events) ---\n", tracer.records().len());
+    println!("\n--- scan lifecycles ---");
+    print!("{}", render_lifecycles(&report.decisions));
+    println!(
+        "--- end of log ({} decisions) ---\n",
+        report.decisions.len()
+    );
 
     println!(
         "run finished in {:.2}s: {} pages read, {} seeks, {} joins, {} throttle waits",

@@ -59,6 +59,14 @@ leg "row-kernel, grouping, manager and policy oracles, release build"
 cargo test --release --offline -q -p scanshare-engine --lib kernel_oracle
 cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: policy::
 
+leg "examples, release build"
+# `cargo test` compiles the examples but runs none of them. Each is a
+# documented walkthrough (adaptive_throttling also asserts what it
+# shows), so each must still run to completion.
+for example in examples/*.rs; do
+    cargo run --offline --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 leg "span-profiler smoke (informational, not gated)"
 # Record and render a fresh profile of the built-in smoke run: exercises
 # the span subsystem end-to-end (begin/end nesting, Perfetto export

@@ -1,10 +1,11 @@
 //! End-to-end tests for the features this repo adds beyond the papers'
 //! core mechanisms (each justified in DESIGN.md §5b).
 
-use scanshare_repro::core::{PlacementStrategy, QueryPriority, SharingConfig};
+use scanshare_repro::core::decision::lifecycles;
+use scanshare_repro::core::{DecisionEvent, PlacementStrategy, QueryPriority, SharingConfig};
 use scanshare_repro::engine::{
-    run_workload, run_workload_hooked, Access, AggSpec, CpuClass, Database, EngineConfig, Pred,
-    Query, RunHooks, ScanSpec, SharingMode, Stream, TraceEvent, Tracer, WorkloadSpec,
+    run_workload, Access, AggSpec, CpuClass, Database, EngineConfig, Pred, Query, ScanSpec,
+    SharingMode, Stream, WorkloadSpec,
 };
 use scanshare_repro::relstore::{ColType, Column, Schema, Value};
 use scanshare_repro::storage::{ReplacementPolicy, SimDuration};
@@ -321,25 +322,28 @@ fn trace_records_the_whole_lifecycle() {
         SimDuration::from_millis(20),
         SharingMode::ScanSharing(SharingConfig::new(0)),
     );
-    let tracer = Tracer::new(4096);
-    let hooks = RunHooks {
-        tracer: Some(tracer.clone()),
-        ..RunHooks::default()
-    };
-    let report = run_workload_hooked(&db, &spec, hooks).unwrap();
-    let records = tracer.records();
-    let starts = records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::ScanStarted { .. }))
-        .count();
-    let finishes = records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::ScanFinished { .. }))
-        .count();
+    let report = run_workload(&db, &spec).unwrap();
+    let spans = lifecycles(&report.decisions);
+    let starts = spans.iter().filter(|s| s.query.is_some()).count();
+    let finishes = spans.iter().filter(|s| s.finish.is_some()).count();
     assert_eq!(starts, 3);
     assert_eq!(finishes, 3);
-    // Timestamps are monotone and within the run.
-    assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
-    let end = records.last().unwrap().at;
+    // The lifecycle events' timestamps are monotone and within the run.
+    let times: Vec<_> = report
+        .decisions
+        .iter()
+        .filter(|d| {
+            matches!(
+                d.event,
+                DecisionEvent::ScanStarted { .. }
+                    | DecisionEvent::ScanWrapped { .. }
+                    | DecisionEvent::Throttle { .. }
+                    | DecisionEvent::ScanEnded { .. }
+            )
+        })
+        .map(|d| d.at)
+        .collect();
+    assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    let end = *times.last().unwrap();
     assert!(end.since(scanshare_repro::storage::SimTime::ZERO) <= report.makespan);
 }

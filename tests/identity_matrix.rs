@@ -5,11 +5,12 @@
 //! preceded the cursor/consumer refactor (pull `ScanExec::step`, push
 //! `step_driver` and `step_catchup` as three separate bodies). A cell
 //! that moves by one byte — a makespan, a fix count, a decision record,
-//! the order of two trace events — fails by name. Every run is traced
-//! (the report embeds the event log, so the digest covers it) and
-//! profiled: pull and base cells also pin their span tree, stripped of
-//! its host-clock stamps, which the refactor must leave alone; push
-//! cells do not, because there it adds the phases pull steps have.
+//! the order of two lifecycle events — fails by name. The report embeds
+//! the run's decision log, scan lifecycles included, so the digest
+//! covers it. Every run is also profiled: pull and base cells also pin
+//! their span tree, stripped of its host-clock stamps, which the
+//! refactor must leave alone; push cells do not, because there it adds
+//! the phases pull steps have.
 //!
 //! The cells cross delivery (pull, push) with policy (grouping, attach,
 //! elevator), stagger, fault plan (none, transient, a permanent window,
@@ -24,22 +25,35 @@
 //! copied into a clone of that commit with `PARENT_DIGESTS` empty, the
 //! test run there, and the table its failure message prints pasted in.
 //! After a *deliberate* behaviour change the same procedure regenerates
-//! them.
+//! them. The report digests were last regenerated when the engine's
+//! trace ring was retired: reports lost their `trace` key and their
+//! decision logs gained `ScanStarted`/`ScanWrapped`/`ScanEnded` records.
+//! The span digests and `LIFECYCLE_PINS` did not move.
 //!
-//! Two more pins per cell, in `LIFECYCLE_PINS`, outlive changes to what
-//! the report embeds: a digest of every scan's lifecycle row
+//! Two more pins per cell, in `LIFECYCLE_PINS`, outlive such changes to
+//! what the report embeds: a digest of every scan's lifecycle row
 //! (`scan|query|stream|placement|start_us|finish_us|wraps|throttles|wait_us`)
 //! and a digest of the report JSON without its lifecycle records. They
 //! were computed, with the same procedure, by the commit whose reports
-//! still carried the engine's trace ring beside the decision log: its
-//! rows came from that ring and its report digest omits the `trace` key.
+//! still carried the trace ring beside the decision log: its rows came
+//! from that ring and its report digest omits the `trace` key. Now the
+//! rows come from [`lifecycles`] over the decision log.
+//!
+//! The last two tests read each cell's log as a second witness: every
+//! sharing counter re-derives from it, and every scan it starts ends
+//! exactly once.
 
+use std::collections::BTreeMap;
+
+use scanshare_repro::core::decision::lifecycles;
 use scanshare_repro::core::{
-    DecisionEvent, DeliveryMode, SharingConfig, SharingPolicyKind, SpanProfiler,
+    DecisionEvent, DecisionLog, DeliveryMode, ScanId, SharingConfig, SharingPolicyKind,
+    SpanProfiler,
 };
+use scanshare_repro::engine::workload::DEFAULT_DECISION_CAP;
 use scanshare_repro::engine::{
     run_workload_hooked, Access, AggSpec, CpuClass, Database, EngineConfig, FaultsConfig, Pred,
-    Query, RunHooks, RunReport, ScanSpec, SharingMode, Stream, Tracer, WorkloadSpec,
+    Query, RunHooks, RunReport, ScanSpec, SharingMode, Stream, WorkloadSpec,
 };
 use scanshare_repro::relstore::{ColType, Column, Schema, Value};
 use scanshare_repro::storage::{FaultKind, FaultPlan, FaultRule, SimDuration, SimTime};
@@ -403,122 +417,122 @@ fn cells(db: &Database, tpch: &TpchConfig) -> Vec<Cell> {
 }
 
 /// `(cell name, (report digest, span-tree digest))`, computed by the
-/// parent commit's executor.
+/// parent commit's executor (report digests: see the module doc).
 const PARENT_DIGESTS: &[(&str, (u64, Option<u64>))] = &[
     (
         "q6x6/pull/grouping/2000us",
-        (0x7cdbf8ee46ca41ed, Some(0x95223334d18f969c)),
+        (0xd633ecacff2e2b82, Some(0x95223334d18f969c)),
     ),
     (
         "q6x6/pull/grouping/15000us",
-        (0xa9828421aa04ae88, Some(0x3cff24be873a7c6e)),
+        (0x56b6a003a8ae421f, Some(0x3cff24be873a7c6e)),
     ),
     (
         "q6x6/pull/attach/2000us",
-        (0x66e216f45c6ead0b, Some(0xcb1204481d6c9e58)),
+        (0xd566181c4bd21338, Some(0xcb1204481d6c9e58)),
     ),
     (
         "q6x6/pull/attach/15000us",
-        (0x03ddf498dba7d4c4, Some(0x4938e9beece127a1)),
+        (0xa51ef9d423b3360f, Some(0x4938e9beece127a1)),
     ),
     (
         "q6x6/pull/elevator/2000us",
-        (0x448f6321ca0d959c, Some(0xba63164581646f4e)),
+        (0xf2fd6cbd15df12bf, Some(0xba63164581646f4e)),
     ),
     (
         "q6x6/pull/elevator/15000us",
-        (0x32933d9e9e686ed1, Some(0x064428d51059c668)),
+        (0xea68c4fef82749ea, Some(0x064428d51059c668)),
     ),
-    ("q6x6/push/grouping/2000us", (0xc5fd7c3d6300bb6a, None)),
-    ("q6x6/push/grouping/15000us", (0x0779bb40756ea775, None)),
-    ("q6x6/push/attach/2000us", (0xbf4181936fca3fa8, None)),
-    ("q6x6/push/attach/15000us", (0x99a819627b26454c, None)),
-    ("q6x6/push/elevator/2000us", (0x87b9f777c651da4d, None)),
-    ("q6x6/push/elevator/15000us", (0x609c98ad2096c048, None)),
+    ("q6x6/push/grouping/2000us", (0x0bf46562b2eb8ffe, None)),
+    ("q6x6/push/grouping/15000us", (0xe1b6d77f51a10817, None)),
+    ("q6x6/push/attach/2000us", (0x4a6c741b65341de8, None)),
+    ("q6x6/push/attach/15000us", (0x429ec7ce4ee33373, None)),
+    ("q6x6/push/elevator/2000us", (0x97f9e02614bcd36d, None)),
+    ("q6x6/push/elevator/15000us", (0xb2927bb984d0451d, None)),
     (
         "q6x6/pull/transient",
-        (0x9271a0966e61baca, Some(0x0ae9a219983f5a22)),
+        (0x4a1227a3a2dc6d8d, Some(0x0ae9a219983f5a22)),
     ),
     (
         "q6x6/pull/stalls",
-        (0x9c435e9216e5a92c, Some(0xeab013d5f2417d31)),
+        (0x9769d47bc039dc2d, Some(0xeab013d5f2417d31)),
     ),
     (
         "q6x6/pull/prefetch",
-        (0x43ad461b131e1531, Some(0x9621fdafd0a6f967)),
+        (0x9e9c3ca9352fd8ed, Some(0x9621fdafd0a6f967)),
     ),
     (
         "q6x6/pull/prefetch+transient",
-        (0xa84a7db8dbeec8c7, Some(0x0a1df14971b65b84)),
+        (0x011737611351d9bb, Some(0x0a1df14971b65b84)),
     ),
     (
         "q6x6/pull/attach/window",
-        (0x57eb724aca4ad589, Some(0x4f130c544a4a866c)),
+        (0x15b797d87e8fd98f, Some(0x4f130c544a4a866c)),
     ),
     (
         "q6x6/pull/prefetch+window",
-        (0x5ed55307a5c10a4f, Some(0xec915376ebba414e)),
+        (0x81f90144a842a872, Some(0xec915376ebba414e)),
     ),
     (
         "q6x6/pull/window-kills-all",
-        (0xe0db30868159d9d8, Some(0xeea3705e2346bb5e)),
+        (0x3a0236315d4487d2, Some(0xeea3705e2346bb5e)),
     ),
     (
         "q6x6/pull/tail",
-        (0x8ba56840a599ed1f, Some(0x403e6a389915697d)),
+        (0x65ee0c031fcbd6ab, Some(0x403e6a389915697d)),
     ),
     (
         "q6x6/pull/attach/late-tail",
-        (0x73c27452eded186f, Some(0xaa81c314a06f917b)),
+        (0x4c1eeb0ad3433911, Some(0xaa81c314a06f917b)),
     ),
     (
         "full/pull/grouping",
-        (0x4c637acd1df8655f, Some(0xe59f3380d775f05f)),
+        (0x5b24f5c0f0167254, Some(0xe59f3380d775f05f)),
     ),
     (
         "full/pull/elevator",
-        (0xc41b2cd24c940dfd, Some(0x4ab80be4798fd1b2)),
+        (0xd7b9e535078193c7, Some(0x4ab80be4798fd1b2)),
     ),
     (
         "full/pull/window",
-        (0xfd94c6e0f7933f1c, Some(0x3f48e5496fb129b0)),
+        (0x45c3060afbbfba9e, Some(0x3f48e5496fb129b0)),
     ),
-    ("rid/pull", (0x4ac02f3db7dcbe6f, Some(0xa363a7d38e6d7afe))),
-    ("lanes/pull", (0xd33365a4aa9a1d46, Some(0x100e4c8000c63db7))),
+    ("rid/pull", (0x42e3d7f0fca32147, Some(0xa363a7d38e6d7afe))),
+    ("lanes/pull", (0x7aa50d1763d114e5, Some(0x100e4c8000c63db7))),
     (
         "lanes/pull/window",
-        (0x0fc827f895420423, Some(0x8f361589297c15f9)),
+        (0xa5039d567f052ded, Some(0x8f361589297c15f9)),
     ),
-    ("tput/pull", (0xcb8066b335ce6a4e, Some(0x8cc13f9cb137894b))),
+    ("tput/pull", (0x3ef294b388be45d0, Some(0x8cc13f9cb137894b))),
     (
         "pool24/pull",
-        (0x5c8d5de3747d690a, Some(0xb60592d4c99b0463)),
+        (0x8fe956197e593365, Some(0xb60592d4c99b0463)),
     ),
-    ("q6x6/push/transient", (0x4110efbac507b928, None)),
-    ("q6x6/push/stalls", (0xfbadf7f4ff2d3c7f, None)),
-    ("q6x6/push/prefetch", (0x284503d94870ae86, None)),
-    ("q6x6/push/prefetch+transient", (0x515b60d6e333eff3, None)),
-    ("q6x6/push/attach/window", (0x939128d5eb160f30, None)),
-    ("q6x6/push/prefetch+window", (0xbe09d305d51f0d75, None)),
-    ("q6x6/push/window-kills-all", (0x350e5c85887d8345, None)),
-    ("q6x6/push/tail", (0x72fe01edb1f906ee, None)),
-    ("q6x6/push/attach/late-tail", (0xabe6bef6e7b247ca, None)),
-    ("full/push/grouping", (0x48c35f75e0cf99e3, None)),
-    ("full/push/elevator", (0x891135cae04cd640, None)),
-    ("full/push/window", (0x86a6bd5538a19274, None)),
-    ("rid/push", (0xe7a070831f1efbb7, None)),
-    ("lanes/push", (0x7a9b8256e87b336c, None)),
-    ("lanes/push/window", (0xc2db7f58c5e6df62, None)),
-    ("tput/push", (0x1930d2fbf01f3b60, None)),
-    ("pool24/push", (0xde1ec6ed053d1df4, None)),
-    ("base", (0x7d9b99c0142255ce, Some(0x14ffc8e690a4607d))),
+    ("q6x6/push/transient", (0xd564bf36f1da6c8a, None)),
+    ("q6x6/push/stalls", (0xd71f5e49e5d246bd, None)),
+    ("q6x6/push/prefetch", (0xa7765049eebc07d6, None)),
+    ("q6x6/push/prefetch+transient", (0x0b4e71bcbe4e86cd, None)),
+    ("q6x6/push/attach/window", (0x6bfe0cd414df5478, None)),
+    ("q6x6/push/prefetch+window", (0x1e68034b45f94f6d, None)),
+    ("q6x6/push/window-kills-all", (0xacbd007cca1c0f34, None)),
+    ("q6x6/push/tail", (0xa9211b5051dd9a71, None)),
+    ("q6x6/push/attach/late-tail", (0xa1802d4fedd3f5ee, None)),
+    ("full/push/grouping", (0xde7b17c7ad2cb719, None)),
+    ("full/push/elevator", (0x5e14590dca624302, None)),
+    ("full/push/window", (0xcf63fc4addf29226, None)),
+    ("rid/push", (0x0ccacaeb8ffc1a5f, None)),
+    ("lanes/push", (0x089c784594404408, None)),
+    ("lanes/push/window", (0x2a5e4004c238e1af, None)),
+    ("tput/push", (0x281f81223e22c4af, None)),
+    ("pool24/push", (0x334038f0225c0d6b, None)),
+    ("base", (0xdc82b620b04623cb, Some(0x14ffc8e690a4607d))),
     (
         "base/transient",
-        (0xc52d8498f9c128bd, Some(0xbef7e41e2372f99d)),
+        (0x79ae8b9a3c642aaa, Some(0xbef7e41e2372f99d)),
     ),
     (
         "base/window",
-        (0x90b1f76b5f4aaddd, Some(0xb115c25b89243636)),
+        (0xc413a84f52729c58, Some(0xb115c25b89243636)),
     ),
 ];
 
@@ -674,19 +688,19 @@ const LIFECYCLE_PINS: &[(&str, (u64, u64))] = &[
 
 /// FNV-1a of the run's lifecycle rows, one per scan in id order.
 fn lifecycle_digest(r: &RunReport) -> u64 {
-    let us = |t: Option<SimTime>| t.map_or("-".to_string(), |t| t.as_micros().to_string());
-    let rows: Vec<String> = scanshare_repro::engine::trace::spans(&r.trace)
+    let us = |t: Option<SimTime>| t.map_or_else(|| "-".to_string(), |t| t.as_micros().to_string());
+    let rows: Vec<String> = lifecycles(&r.decisions)
         .iter()
         .map(|s| {
             format!(
                 "{}|{}|{}|{}|{}|{}|{}|{}|{}",
                 s.scan.0,
-                s.query,
-                s.stream,
-                s.placement,
+                s.query.as_deref().unwrap_or("-"),
+                s.stream.map_or_else(|| "-".to_string(), |n| n.to_string()),
+                s.placement.as_deref().unwrap_or("-"),
                 us(s.start),
                 us(s.finish),
-                s.wraps.len(),
+                s.wraps,
                 s.throttles,
                 s.throttle_wait.as_micros()
             )
@@ -723,8 +737,8 @@ fn report_digest_without_lifecycle(json: &str) -> u64 {
     )
 }
 
-#[test]
-fn every_cell_serialises_to_the_parent_commits_bytes() {
+/// The matrix's database and cells.
+fn matrix() -> (Database, Vec<Cell>) {
     let tpch = TpchConfig {
         scale: 0.2,
         months: 36,
@@ -734,6 +748,12 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
     let db = build_db(&tpch);
     let cells = cells(&db, &tpch);
     assert!(cells.len() >= 24, "matrix shrank to {} cells", cells.len());
+    (db, cells)
+}
+
+#[test]
+fn every_cell_serialises_to_the_parent_commits_bytes() {
+    let (db, cells) = matrix();
     let show = |(report, spans): (u64, Option<u64>)| match spans {
         Some(spans) => format!("(0x{report:016x}, Some(0x{spans:016x}))"),
         None => format!("(0x{report:016x}, None)"),
@@ -744,7 +764,6 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
     for cell in &cells {
         let profiler = SpanProfiler::default();
         let hooks = RunHooks {
-            tracer: Some(Tracer::new(1 << 16)),
             profiler: Some(profiler.clone()),
             ..RunHooks::default()
         };
@@ -808,4 +827,112 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
         LIFECYCLE_PINS.len(),
         moved.join("\n")
     );
+}
+
+/// Run every cell with a log of the engine's default capacity attached
+/// and hand `check` each report whose log dropped nothing (a dropped
+/// record would make every count below a lower bound only).
+fn for_each_logged_cell(mut check: impl FnMut(&str, &RunReport)) {
+    let (db, cells) = matrix();
+    for cell in &cells {
+        let log = DecisionLog::new(DEFAULT_DECISION_CAP);
+        let hooks = RunHooks {
+            decisions: Some(log.clone()),
+            ..RunHooks::default()
+        };
+        let r = run_workload_hooked(&db, &cell.spec, hooks)
+            .unwrap_or_else(|e| panic!("{}: {e}", cell.name));
+        assert_eq!(log.dropped(), 0, "{}: the log dropped records", cell.name);
+        check(&cell.name, &r);
+    }
+}
+
+/// Every sharing counter the report carries is a count or a sum over the
+/// decision log — a second witness for each.
+#[test]
+fn every_cells_counters_rederive_from_its_decision_log() {
+    for_each_logged_cell(|name, r| {
+        let count = |kind: fn(&DecisionEvent) -> bool| {
+            r.decisions.iter().filter(|d| kind(&d.event)).count() as u64
+        };
+        let s = &r.sharing;
+        let placed = count(|e| {
+            matches!(
+                e,
+                DecisionEvent::GroupStart { .. } | DecisionEvent::GroupJoin { .. }
+            )
+        });
+        assert_eq!(s.scans_started, placed, "{name}: scans_started");
+        let throttles = count(|e| matches!(e, DecisionEvent::Throttle { .. }));
+        assert_eq!(s.waits_injected, throttles, "{name}: waits_injected");
+        let logged_wait = r
+            .decisions
+            .iter()
+            .filter_map(|d| match d.event {
+                DecisionEvent::Throttle { wait, .. } => Some(wait),
+                _ => None,
+            })
+            .fold(SimDuration::ZERO, |a, b| a + b);
+        let query_wait = r
+            .queries
+            .iter()
+            .fold(SimDuration::ZERO, |a, q| a + q.throttle_wait);
+        assert_eq!(s.total_wait, logged_wait, "{name}: total_wait");
+        assert_eq!(logged_wait, query_wait, "{name}: queries' throttle_wait");
+        let ended = count(|e| matches!(e, DecisionEvent::ScanEnded { .. }));
+        assert_eq!(s.scans_finished, ended, "{name}: scans_finished");
+        let push = r.push.clone().unwrap_or_default();
+        let attached = count(|e| matches!(e, DecisionEvent::DriverAttach { .. }));
+        assert_eq!(push.drivers + push.attaches, attached, "{name}: attaches");
+        let handoffs = count(|e| matches!(e, DecisionEvent::DriverHandoff { .. }));
+        assert_eq!(push.handoffs, handoffs, "{name}: handoffs");
+    });
+}
+
+/// Every started scan ends exactly once — normally or by a fault — and
+/// the log names no scan after its end. Per scan, time never runs back.
+///
+/// One record is exempt from "after its end": the `DegradedMode` that
+/// the eviction emits right after `ScanEvicted`, at the same instant. It
+/// is about the run (how many scans faults took, how many still share),
+/// and its `scan` field names the eviction that triggered it.
+#[test]
+fn every_cells_scans_start_and_end_exactly_once() {
+    for_each_logged_cell(|name, r| {
+        // Per scan: (started, ended, time of its latest event).
+        let mut seen: BTreeMap<ScanId, (bool, bool, SimTime)> = BTreeMap::new();
+        for d in &r.decisions {
+            let scan = d.event.scan();
+            let (started, ended, last) = seen.entry(scan).or_insert((false, false, d.at));
+            let degraded = matches!(d.event, DecisionEvent::DegradedMode { .. });
+            assert!(
+                !*ended || (degraded && d.at == *last),
+                "{name}: scan {} named after its end: {d:?}",
+                scan.0
+            );
+            assert!(
+                *last <= d.at,
+                "{name}: scan {} went back in time: {d:?}",
+                scan.0
+            );
+            *last = d.at;
+            match d.event {
+                DecisionEvent::ScanStarted { .. } => {
+                    assert!(!*started, "{name}: scan {} started twice", scan.0);
+                    *started = true;
+                }
+                DecisionEvent::ScanEnded { .. } | DecisionEvent::ScanEvicted { .. } => {
+                    *ended = true
+                }
+                _ => {}
+            }
+        }
+        for (scan, (started, ended, _)) in seen {
+            assert_eq!(
+                started, ended,
+                "{name}: scan {} started {started}, ended {ended}",
+                scan.0
+            );
+        }
+    });
 }

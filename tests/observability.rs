@@ -1,12 +1,15 @@
 //! End-to-end observability: a shared multi-stream run produces a
-//! [`RunReport`] artifact whose metrics snapshot and embedded trace
-//! survive a save/load round trip and replay through the CLI renderers —
-//! the `run --report` → `trace`/`metrics` workflow without the binary.
+//! [`RunReport`] artifact whose metrics snapshot and embedded decision
+//! log survive a save/load round trip and replay through the CLI
+//! renderers — the `run --report` → `trace`/`metrics` workflow without
+//! the binary.
 
 use scanshare_cli::{load_artifact_trace, load_report, render};
-use scanshare_engine::trace::{records_from_jsonl, records_to_jsonl};
+use scanshare_repro::core::decision::{
+    decisions_from_jsonl, decisions_to_jsonl, render_lifecycles,
+};
 use scanshare_repro::core::SharingConfig;
-use scanshare_repro::engine::{run_workload_hooked, CpuClass, RunHooks, SharingMode, Tracer};
+use scanshare_repro::engine::{run_workload, CpuClass, SharingMode};
 use scanshare_repro::storage::SimDuration;
 use scanshare_repro::tpch::{generate, q6, staggered_workload, TpchConfig};
 
@@ -30,11 +33,7 @@ fn shared_run_artifact_replays_through_the_cli_layer() {
         scan.cpu = CpuClass::cpu_bound();
     }
 
-    let hooks = RunHooks {
-        tracer: Some(Tracer::new(1 << 14)),
-        ..RunHooks::default()
-    };
-    let report = run_workload_hooked(&db, &spec, hooks).expect("traced run");
+    let report = run_workload(&db, &spec).expect("shared run");
 
     // The acceptance triad: leader-trailer distance series, slowdown-cap
     // series, and a populated latency histogram.
@@ -53,7 +52,7 @@ fn shared_run_artifact_replays_through_the_cli_layer() {
         .histogram("disk.read_us")
         .expect("read-latency histogram");
     assert!(hist.count > 0 && hist.p99 >= hist.p50);
-    assert!(!report.trace.is_empty());
+    assert!(!report.decisions.is_empty());
 
     // Save the artifact, reload it through the CLI loader, and check the
     // replay sees exactly what the run recorded.
@@ -62,17 +61,17 @@ fn shared_run_artifact_replays_through_the_cli_layer() {
     let loaded = load_report(path.to_str().unwrap()).expect("reload artifact");
     assert_eq!(loaded.makespan, report.makespan);
     assert_eq!(loaded.metrics, report.metrics);
-    assert_eq!(loaded.trace, report.trace);
+    assert_eq!(loaded.decisions, report.decisions);
     let replayed = load_artifact_trace(path.to_str().unwrap()).expect("replay trace");
-    assert_eq!(replayed, report.trace);
+    assert_eq!(replayed, report.decisions);
     std::fs::remove_file(&path).ok();
 
-    // The JSONL side channel is equivalent to the embedded trace.
-    let jsonl = records_to_jsonl(&report.trace);
-    assert_eq!(records_from_jsonl(&jsonl).unwrap(), report.trace);
+    // The JSONL side channel is equivalent to the embedded log.
+    let jsonl = decisions_to_jsonl(&report.decisions);
+    assert_eq!(decisions_from_jsonl(&jsonl).unwrap(), report.decisions);
 
     // Both renderers produce the tables the subcommands print.
-    let trace_text = render::render_trace(&loaded.trace);
+    let trace_text = render_lifecycles(&loaded.decisions);
     assert!(trace_text.contains("scan lifecycles"));
     assert!(trace_text.contains("events"));
     let metrics_text = render::render_metrics(&loaded);
