@@ -1804,6 +1804,93 @@ mod tests {
         assert!(chunks_cut_by_the_wrap > 300, "the wrap was hardly reached");
     }
 
+    /// Where [`Plan::start_at`] first started an index plan: the first
+    /// exact match of the joined location by linear search, else the
+    /// first entry at or after its key, else the range start; backed up
+    /// by the hinted pages.
+    fn start_idx_by_linear_search(
+        entries: &[Entry],
+        loc: Location,
+        back_up_pages: u64,
+        pages_per_entry: u64,
+    ) -> usize {
+        let at = entries
+            .iter()
+            .position(|e| e.key == loc.key && e.payload == loc.pos)
+            .or_else(|| entries.iter().position(|e| e.key >= loc.key))
+            .unwrap_or(0);
+        at.saturating_sub((back_up_pages / pages_per_entry) as usize)
+    }
+
+    #[test]
+    fn start_at_picks_the_entry_the_linear_search_picked() {
+        let mut rng = scanshare_prng::Rng::seed_from_u64(0x57A2);
+        let mut reached = [0u32; 5];
+        for case in 0..2_000 {
+            // Few keys and few payloads: duplicate keys, and duplicate
+            // `(key, payload)` pairs.
+            let n = rng.random_range(1..40usize);
+            let mut entries: Vec<Entry> = (0..n)
+                .map(|_| Entry::new(rng.random_range(-5..15i64), rng.bounded_u64(4)))
+                .collect();
+            entries.sort();
+            let (lo, hi) = (entries[0].key, entries[n - 1].key);
+            let loc = match rng.bounded_u64(5) {
+                // An entry of the range (the joined scan's own location).
+                0 | 1 => {
+                    let e = *rng.choose(&entries).unwrap();
+                    Location::new(e.key, e.payload)
+                }
+                // A key of the range with a payload it may lack.
+                2 => Location::new(rng.choose(&entries).unwrap().key, rng.bounded_u64(6)),
+                // Before or after the range.
+                3 => Location::new(lo - 1 - rng.bounded_u64(3) as i64, 0),
+                _ => Location::new(hi + 1 + rng.bounded_u64(3) as i64, 0),
+            };
+            let exact = entries
+                .iter()
+                .any(|e| e.key == loc.key && e.payload == loc.pos);
+            let dup = entries.windows(2).any(|w| w[0] == w[1]);
+            let back_up = match rng.bounded_u64(3) {
+                0 => 0,
+                1 => rng.bounded_u64(n as u64),
+                // More pages than the whole range.
+                _ => n as u64 * 8 + rng.bounded_u64(50),
+            };
+            reached[0] += exact as u32;
+            reached[1] += (!exact && (lo..=hi).contains(&loc.key)) as u32;
+            reached[2] += (loc.key < lo || loc.key > hi) as u32;
+            reached[3] += (back_up > n as u64 * 8) as u32;
+            reached[4] += (exact && dup) as u32;
+            let block_pages = rng.random_range(1..5u32);
+            let mut plans = [
+                Plan::Index {
+                    entries: entries.clone(),
+                    block_pages,
+                    start_idx: 0,
+                    visited: 0,
+                },
+                Plan::Rid {
+                    entries: entries.clone(),
+                    start_idx: 0,
+                    visited: 0,
+                },
+            ];
+            for (plan, pages_per_entry) in plans.iter_mut().zip([block_pages as u64, 1]) {
+                plan.start_at(loc, back_up);
+                let (Plan::Index { start_idx, .. } | Plan::Rid { start_idx, .. }) = plan else {
+                    unreachable!()
+                };
+                let want = start_idx_by_linear_search(&entries, loc, back_up, pages_per_entry);
+                assert_eq!(
+                    *start_idx, want,
+                    "case {case}: {loc:?} back {back_up} in {entries:?}"
+                );
+            }
+        }
+        assert!(reached.iter().all(|&n| n >= 50), "reached {reached:?}");
+    }
+
     #[test]
     fn rid_scan_full_range_sees_every_row() {
         let db = small_db();
@@ -2548,6 +2635,159 @@ mod kernel_oracle {
                     "RID {bad:?} at {at} was not rejected"
                 );
             }
+        }
+    }
+
+    /// The RID fold as it was before a step folded in one pass: one run
+    /// of same-page RIDs at a time, each with its own binary search,
+    /// `HeapPage`, layout check and kernel call. The reference the step
+    /// fold is held to.
+    fn fold_rids_per_run(
+        pipe: &RowPipeline,
+        pool: &BufferPool,
+        pages: &[(PageId, u32)],
+        rids: &[(PageId, u16)],
+        states: &mut [AggState],
+    ) -> EngineResult<u64> {
+        let (mut sel, mut gathered) = (Vec::new(), Vec::new());
+        let (width, stride) = (pipe.width, pipe.stride());
+        for run in rids.chunk_by(|a, b| a.0 == b.0) {
+            let at = pages
+                .binary_search_by_key(&run[0].0, |&(id, _)| id)
+                .expect("page fetched");
+            let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
+            if let Some(region) = page.dense_region(width) {
+                sel.clear();
+                for &(_, slot) in run {
+                    if slot >= page.num_rows() {
+                        page.row_bytes(slot)?;
+                    }
+                    sel.push(slot as u32);
+                }
+                pipe.fold_selected(states, &mut sel, region);
+            } else {
+                gathered.clear();
+                for &(_, slot) in run {
+                    let row = page.row_bytes(slot)?;
+                    let fields = row.get(..width).ok_or_else(|| {
+                        StorageError::Corrupt(format!("{}-byte record", row.len()))
+                    })?;
+                    gathered.extend_from_slice(fields);
+                    gathered.resize(gathered.len() + stride - width, 0);
+                }
+                pipe.fold_region(states, &mut sel, &gathered);
+            }
+        }
+        Ok(rids.len() as u64)
+    }
+
+    /// Seeded RID steps fold exactly what the per-run reference folds:
+    /// up to 16 pages a step in any order, slots repeated and out of
+    /// order, fixed-width pages beside slotted ones, with predicates and
+    /// groups, over states that carry their totals from step to step.
+    #[test]
+    fn rid_steps_fold_what_the_per_run_reference_folds_bit_for_bit() {
+        #[derive(Default)]
+        struct Reached {
+            steps_of_16_pages: u32,
+            pages_out_of_order: u32,
+            slots_repeated: u32,
+            slotted_pages: u32,
+            with_leaves: u32,
+            grouped: u32,
+        }
+        let s = schema();
+        let mut reached = Reached::default();
+        for case in 0..200u64 {
+            let mut rng = Rng::seed_from_u64(0x57E9_0000 + case);
+            let alphabet = *rng.choose(&[1, 2, 3, 5, 7]).unwrap();
+            let n_groups = rng.bounded_u64(3) as usize;
+            let n_pages = rng.random_range(1..40usize);
+            let (store, file, pages) = build_file(&mut rng, &s, n_pages, alphabet, case % 8 == 5);
+            let live: Vec<usize> = (0..n_pages).filter(|&p| !pages[p].is_empty()).collect();
+            if live.is_empty() {
+                continue;
+            }
+            // Runs of one to four RIDs on a page, pages drawn from a
+            // small pool so they come back, a slot now and then repeated.
+            let hot: Vec<usize> = (0..rng.random_range(1..24usize))
+                .map(|_| *rng.choose(&live).unwrap())
+                .collect();
+            let mut entries: Vec<Entry> = Vec::new();
+            for _ in 0..rng.random_range(1..400usize) {
+                let p = *rng.choose(&hot).unwrap();
+                for _ in 0..rng.random_range(1..5usize) {
+                    let slot = match entries.last() {
+                        Some(prev) if rng.bounded_u64(6) == 0 => Rid::unpack(prev.payload).slot,
+                        _ => rng.bounded_u64(pages[p].len() as u64) as u16,
+                    };
+                    let rid = Rid::new(p as u32, slot.min(pages[p].len() as u16 - 1));
+                    entries.push(Entry::new(entries.len() as i64, rid.pack()));
+                }
+            }
+            let spec = spec(&mut rng, alphabet, n_groups, false);
+            let pipe = RowPipeline::compile(&spec.pred, &spec.agg, &s, "t").unwrap();
+            let n_sums = spec.agg.sum_cols.len();
+            let k = rng.random_range(1..4usize);
+            let mut want: Vec<AggState> = (0..k).map(|_| AggState::new(n_sums)).collect();
+            reached.with_leaves += !pipe.leaves.is_empty() as u32;
+            reached.grouped += !pipe.group_offs.is_empty() as u32;
+            reached.slotted_pages +=
+                pages.iter().flatten().any(|r| r.len() != s.row_width()) as u32;
+
+            let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+            let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+            let mut plan = Plan::Rid {
+                entries,
+                start_idx: 0,
+                visited: 0,
+            };
+            let mut scratch = StepScratch::default();
+            scratch.states.extend((0..k).map(|_| AggState::new(n_sums)));
+            while !plan.done() {
+                scratch.ids.clear();
+                scratch.rids.clear();
+                let (work, _, units, _) =
+                    plan.gather(file, 16, &mut scratch.ids, &mut scratch.rids);
+                world
+                    .fetch_extent(SimTime::ZERO, &scratch.ids, &mut scratch.pages)
+                    .unwrap();
+                let rids: Vec<(PageId, u16)> = scratch.rids.clone();
+                reached.steps_of_16_pages += (scratch.ids.len() == 16) as u32;
+                reached.pages_out_of_order += scratch.ids.windows(2).any(|w| w[1] < w[0]) as u32;
+                reached.slots_repeated += rids.windows(2).any(|w| w[0] == w[1]) as u32;
+                let got = pipe.fold_extent(&world.pool, work, &mut scratch).unwrap();
+                let rows = fold_rids_per_run(&pipe, &world.pool, &scratch.pages, &rids, &mut want)
+                    .unwrap();
+                assert_eq!(got, rows, "case {case}");
+                world
+                    .release_pages(&scratch.pages, PagePriority::Normal)
+                    .unwrap();
+                plan.advance(units);
+            }
+            for (got, want) in scratch.states.iter().zip(&want) {
+                let (got, want) = (got.result(), want.result());
+                let groups = |r: &QueryResult| {
+                    r.groups
+                        .iter()
+                        .map(|(key, g)| (*key, g.count, bits(&g.sums)))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(got.count, want.count, "case {case}");
+                assert_eq!(bits(&got.sums), bits(&want.sums), "case {case}");
+                assert_eq!(groups(&got), groups(&want), "case {case}");
+            }
+        }
+        let r = &reached;
+        for (what, n) in [
+            ("steps of 16 pages", r.steps_of_16_pages),
+            ("steps whose pages come out of order", r.pages_out_of_order),
+            ("steps that repeat a slot", r.slots_repeated),
+            ("slotted-fallback pages", r.slotted_pages),
+            ("predicates", r.with_leaves),
+            ("group-bys", r.grouped),
+        ] {
+            assert!(n >= 5, "only {n} cases reached: {what}");
         }
     }
 

@@ -1,22 +1,37 @@
-//! TPC-H Q1 and Q6 through the row kernel, held to two witnesses.
+//! TPC-H Q1 and Q6, and overlapping RID index range scans, through the
+//! row kernel, held to two witnesses.
 //!
 //! *Truth*: the public reference evaluator — `Pred::eval`,
 //! `AggSpec::group_key`, `RowRef::get_f64`, which no production code
 //! calls — folded one row at a time over the table's pages in the order
 //! an unshared scan delivers them must give the same `QueryResult`, bit
 //! for bit. (`scan_exec`'s `kernel_oracle` unit tests cross the same
-//! comparison with handcrafted pages, wraps and RID batches.)
+//! comparison with handcrafted pages, wraps and RID batches.) A RID scan
+//! placed mid-range by sharing folds its rows in another order, so the
+//! RID cases compare with the fold in key order: counts exactly, sums
+//! within 1e-12 relative.
 //!
 //! *Stability*: the FNV-1a digest of each result equals a constant the
 //! commit preceding the page-at-a-time kernel computed — this file was
 //! run in a `git archive` of that commit with `PARENT_DIGESTS` zeroed and
 //! the four values its failure message printed were pasted in unedited.
+//! `RID_PARENT_DIGESTS` came the same way from the commit preceding the
+//! shared decoded index and the one-pass RID step.
 
+use std::collections::BTreeMap;
+
+use scanshare_prng::Rng;
+use scanshare_repro::core::{DecisionEvent, SharingConfig};
 use scanshare_repro::engine::exec::ExecWorld;
 use scanshare_repro::engine::scan_exec::ScanExec;
-use scanshare_repro::engine::{Access, Database, EngineConfig, QueryResult, ScanSpec};
-use scanshare_repro::relstore::{HeapPage, RowRef};
-use scanshare_repro::storage::{BufferPool, PageId, PoolConfig, ReplacementPolicy, SimTime};
+use scanshare_repro::engine::{
+    run_workload, Access, AggSpec, CpuClass, Database, EngineConfig, Pred, Query, QueryResult,
+    ScanSpec, SharingMode, Stream, WorkloadSpec,
+};
+use scanshare_repro::relstore::{ColType, Column, HeapPage, Rid, RowRef, Schema, Value};
+use scanshare_repro::storage::{
+    BufferPool, PageId, PoolConfig, ReplacementPolicy, SimDuration, SimTime,
+};
 use scanshare_repro::tpch::{generate, q1, q6, TpchConfig};
 
 /// `(seed, query, digest)`, computed by the parent commit.
@@ -56,12 +71,23 @@ fn kernel(db: &Database, spec: &ScanSpec) -> QueryResult {
     scan.result()
 }
 
-/// The reference answer: every row of every page the access path
-/// covers, in scan order, through the public evaluator.
+/// The reference answer: every row the access path covers — every row
+/// of every page for table and block index scans, the indexed rows in
+/// key order for RID scans — in that order, through the public
+/// evaluator.
 fn naive(db: &Database, spec: &ScanSpec) -> QueryResult {
     let table = db.table(&spec.table).expect("table exists");
-    let pages: Vec<u32> = match spec.access {
-        Access::FullTable => (0..table.num_pages()).collect(),
+    let page = |p: u32| {
+        db.store()
+            .read_page(PageId::new(table.file(), p))
+            .expect("page reads")
+    };
+    let every_row = |p: u32| {
+        let n = HeapPage::new(&page(p)).expect("heap page").num_rows();
+        (0..n).map(move |slot| (p, slot))
+    };
+    let rows: Vec<(u32, u16)> = match spec.access {
+        Access::FullTable => (0..table.num_pages()).flat_map(every_row).collect(),
         Access::IndexRange { lo, hi } => {
             let mdc = table.as_mdc().expect("clustered table");
             let blocks = mdc
@@ -70,44 +96,52 @@ fn naive(db: &Database, spec: &ScanSpec) -> QueryResult {
             blocks
                 .iter()
                 .flat_map(|e| mdc.block_page_range(e.payload as u32))
+                .flat_map(every_row)
                 .collect()
         }
-        Access::RidRange { .. } => unreachable!("Q1 and Q6 do not use RID scans"),
+        Access::RidRange { lo, hi } => table
+            .rid_index
+            .as_ref()
+            .expect("RID index")
+            .range(db.store(), lo, hi)
+            .expect("index reads")
+            .iter()
+            .map(|e| Rid::unpack(e.payload))
+            .map(|rid| (rid.page, rid.slot))
+            .collect(),
     };
     let n = spec.agg.sum_cols.len();
     let mut out = QueryResult {
         sums: vec![0.0; n],
         ..QueryResult::default()
     };
-    for p in pages {
-        let bytes = db
-            .store()
-            .read_page(PageId::new(table.file(), p))
-            .expect("page reads");
-        for row in HeapPage::new(&bytes).expect("heap page").rows() {
-            let row = RowRef {
-                bytes: row,
-                schema: table.schema(),
-            };
-            if !spec.pred.eval(&row) {
-                continue;
+    for (p, slot) in rows {
+        let bytes = page(p);
+        let row = RowRef {
+            bytes: HeapPage::new(&bytes)
+                .expect("heap page")
+                .row_bytes(slot)
+                .expect("slot exists"),
+            schema: table.schema(),
+        };
+        if !spec.pred.eval(&row) {
+            continue;
+        }
+        out.count += 1;
+        let key = spec.agg.group_key(&row);
+        let at = match out.groups.binary_search_by_key(&key, |g| g.0) {
+            Ok(at) => at,
+            Err(at) => {
+                out.groups.insert(at, (key, Default::default()));
+                out.groups[at].1.sums = vec![0.0; n];
+                at
             }
-            out.count += 1;
-            let key = spec.agg.group_key(&row);
-            let at = match out.groups.binary_search_by_key(&key, |g| g.0) {
-                Ok(at) => at,
-                Err(at) => {
-                    out.groups.insert(at, (key, Default::default()));
-                    out.groups[at].1.sums = vec![0.0; n];
-                    at
-                }
-            };
-            let g = &mut out.groups[at].1;
-            g.count += 1;
-            for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
-                out.sums[i] += row.get_f64(c);
-                g.sums[i] += row.get_f64(c);
-            }
+        };
+        let g = &mut out.groups[at].1;
+        g.count += 1;
+        for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
+            out.sums[i] += row.get_f64(c);
+            g.sums[i] += row.get_f64(c);
         }
     }
     if spec.agg.group_by.is_empty() {
@@ -150,6 +184,190 @@ fn q1_and_q6_equal_the_naive_fold_and_the_parents_digests() {
     let want: Vec<_> = PARENT_DIGESTS
         .iter()
         .map(|&(seed, name, d)| (seed, name.to_string(), d))
+        .collect();
+    assert_eq!(got, want, "digests moved; this run computed:\n{table}");
+}
+
+/// `(case, mode, digest)` of the RID cases, computed by the parent
+/// commit: per run, FNV-1a over its queries' result digests in name
+/// order.
+const RID_PARENT_DIGESTS: [(&str, &str, u64); 4] = [
+    ("pred", "base", 0x3d62370e234eae5a),
+    ("pred", "pull", 0x61a337c66737b8dc),
+    ("group", "base", 0x34b07ce10415493a),
+    ("group", "pull", 0xef1c4a47cd48023e),
+];
+
+/// Rows and keys of the RID-indexed table, and the insertion windows
+/// whose rows are shuffled.
+const RID_ROWS: u64 = 40_000;
+const RID_KEYS: i64 = 400;
+const RID_WINDOW: usize = 1024;
+
+/// A correlated-but-unclustered heap with a RID index on `key` — the
+/// shape of the benchmark's `rid_overlap`: keys rise with insertion
+/// order but are shuffled within windows, so key order revisits pages.
+/// `v` spans six decimal orders (all positive, so a changed summation
+/// order moves only low bits) and `flag` is one of four letters.
+fn rid_db() -> Database {
+    let mut rng = Rng::seed_from_u64(0x0071_D0AC);
+    let mut order: Vec<u64> = (0..RID_ROWS).collect();
+    for window in order.chunks_mut(RID_WINDOW) {
+        rng.shuffle(window);
+    }
+    let rows: Vec<Vec<Value>> = order
+        .into_iter()
+        .map(|i| {
+            let key = (i as i64 * RID_KEYS) / RID_ROWS as i64;
+            let v = (0.5 + rng.next_f64()) * 10f64.powi(rng.random_range(-3..3i32));
+            let flag = b'A' + rng.bounded_u64(4) as u8;
+            vec![Value::I32(key as i32), Value::F64(v), Value::Ch(flag)]
+        })
+        .collect();
+    let schema = Schema::new(vec![
+        Column::new("key", ColType::Int32),
+        Column::new("v", ColType::Float64),
+        Column::new("flag", ColType::Char),
+    ]);
+    let mut db = Database::new(16);
+    db.create_heap_table_with_index("events", schema, 0, rows)
+        .expect("events table");
+    db
+}
+
+/// Four streams of three overlapping RID range scans each, 30 ms apart,
+/// every scan over 40 % of the keys at a seeded start; then, once they
+/// are done, a fifth stream alone whose ranges each hold the key the
+/// previous scan ended at, so each of its scans backs up over its
+/// predecessor's leftovers.
+fn rid_workload(db: &Database, pred: &Pred, agg: &AggSpec, mode: SharingMode) -> WorkloadSpec {
+    let mut rng = Rng::seed_from_u64(0x5CA1);
+    let span = RID_KEYS * 4 / 10;
+    let query = |name: String, lo: i64| {
+        let spec = ScanSpec {
+            table: "events".into(),
+            access: Access::RidRange { lo, hi: lo + span },
+            pred: pred.clone(),
+            agg: agg.clone(),
+            cpu: CpuClass::io_bound(),
+            require_order: false,
+            query_priority: Default::default(),
+            repeat: 1,
+        };
+        Query::single(name, spec)
+    };
+    let mut streams: Vec<Stream> = (0..4)
+        .map(|s| Stream {
+            queries: (0..3)
+                .map(|k| {
+                    let lo = rng.bounded_u64((RID_KEYS - span) as u64) as i64;
+                    query(format!("s{s}q{k}"), lo)
+                })
+                .collect(),
+            start_offset: SimDuration::from_millis(30 * s),
+        })
+        .collect();
+    streams.push(Stream {
+        queries: [RID_KEYS / 4, RID_KEYS / 2, RID_KEYS / 3]
+            .into_iter()
+            .enumerate()
+            .map(|(k, lo)| query(format!("s4q{k}"), lo))
+            .collect(),
+        start_offset: SimDuration::from_secs(600),
+    });
+    let pages = db.table("events").expect("events").num_pages() as usize;
+    WorkloadSpec {
+        streams,
+        pool_pages: (pages / 20).max(32),
+        engine: EngineConfig::default(),
+        mode,
+        faults: Default::default(),
+        slo: Default::default(),
+    }
+}
+
+/// `got` within `rel` of `want`, relative to `want`'s magnitude.
+fn close(got: f64, want: f64, rel: f64) -> bool {
+    (got - want).abs() <= rel * want.abs().max(f64::MIN_POSITIVE)
+}
+
+#[test]
+fn rid_scans_equal_the_naive_key_order_fold_and_the_parents_digests() {
+    let db = rid_db();
+    let cases = [
+        ("pred", Pred::CharEq(2, b'B'), AggSpec::sums(vec![1])),
+        ("group", Pred::True, AggSpec::grouped_sums(vec![1], vec![2])),
+    ];
+    let modes = [
+        ("base", SharingMode::Base),
+        ("pull", SharingMode::ScanSharing(SharingConfig::new(0))),
+    ];
+    let mut got = Vec::new();
+    for (case, pred, agg) in &cases {
+        for (mode, sharing) in &modes {
+            let spec = rid_workload(&db, pred, agg, sharing.clone());
+            let report = run_workload(&db, &spec).expect("run");
+            let scans: BTreeMap<&str, &ScanSpec> = spec
+                .streams
+                .iter()
+                .flat_map(|s| &s.queries)
+                .map(|q| (q.name.as_str(), &q.scans[0]))
+                .collect();
+            let results: BTreeMap<&str, &QueryResult> = report
+                .queries
+                .iter()
+                .map(|q| (q.name.as_str(), &q.result))
+                .collect();
+            assert_eq!(results.len(), scans.len(), "{case}/{mode}: every query ran");
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for (name, result) in &results {
+                let want = naive(&db, scans[name]);
+                let at = format!("{case}/{mode} {name}: kernel {result:?} vs naive {want:?}");
+                assert!(want.count > 0, "{at}");
+                assert_eq!(result.count, want.count, "{at}");
+                assert_eq!(result.sums.len(), want.sums.len(), "{at}");
+                for (g, w) in result.sums.iter().zip(&want.sums) {
+                    assert!(close(*g, *w, 1e-12), "{at}");
+                }
+                assert_eq!(result.groups.len(), want.groups.len(), "{at}");
+                for ((gk, g), (wk, w)) in result.groups.iter().zip(&want.groups) {
+                    assert_eq!((gk, g.count), (wk, w.count), "{at}");
+                    for (gs, ws) in g.sums.iter().zip(&w.sums) {
+                        assert!(close(*gs, *ws, 1e-12), "{at}");
+                    }
+                }
+                for b in digest(result).to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            if *mode == "pull" {
+                // Sharing placed scans mid-range: some joined a running
+                // scan and wrapped, some backed up over a finished scan's
+                // leftovers.
+                let events = || report.decisions.iter().map(|r| &r.event);
+                let wraps = events()
+                    .filter(|e| matches!(e, DecisionEvent::ScanWrapped { .. }))
+                    .count();
+                let back_ups = events()
+                    .filter(|e| {
+                        matches!(e, DecisionEvent::GroupJoin { back_up_pages, .. } if *back_up_pages > 0)
+                    })
+                    .count();
+                assert!(report.sharing.scans_joined > 0, "{case}: no scan joined");
+                assert!(wraps > 0, "{case}: no scan wrapped");
+                assert!(back_ups > 0, "{case}: no join backed up");
+            }
+            got.push((case.to_string(), mode.to_string(), h));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(case, mode, d)| format!("    ({case:?}, {mode:?}, {d:#018x}),\n"))
+        .collect();
+    let want: Vec<_> = RID_PARENT_DIGESTS
+        .iter()
+        .map(|&(case, mode, d)| (case.to_string(), mode.to_string(), d))
         .collect();
     assert_eq!(got, want, "digests moved; this run computed:\n{table}");
 }
