@@ -1,6 +1,7 @@
 //! The database facade: a page store plus a catalog of loaded tables.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use scanshare_relstore::{
     BTree, Entry, HeapWriter, MdcTableBuilder, Schema, TableKind, TableMeta, Value,
@@ -14,8 +15,16 @@ use scanshare_storage::{FileStore, StorageResult};
 #[derive(Debug)]
 pub struct Database {
     store: FileStore,
-    tables: HashMap<String, TableMeta>,
+    /// Each table, with its RID index's entries in `(key, payload)`
+    /// order when it has one: decoded once and shared by every scan of
+    /// the index. Index I/O is not modelled, so a scan reads its key
+    /// range straight out of this copy.
+    tables: HashMap<String, (TableMeta, Option<IndexEntries>)>,
 }
+
+/// A decoded index's entries in `(key, payload)` order, shared by the
+/// scans that read them.
+pub(crate) type IndexEntries = Arc<[Entry]>;
 
 impl Database {
     /// Create an empty database whose volume allocates `extent_pages`
@@ -34,7 +43,12 @@ impl Database {
 
     /// Look up a table by name.
     pub fn table(&self, name: &str) -> Option<&TableMeta> {
-        self.tables.get(name)
+        self.tables.get(name).map(|(t, _)| t)
+    }
+
+    /// The decoded entries of table `name`'s RID index, if it has one.
+    pub(crate) fn rid_entries(&self, name: &str) -> Option<&IndexEntries> {
+        self.tables.get(name)?.1.as_ref()
     }
 
     /// Names of all tables.
@@ -42,6 +56,24 @@ impl Database {
         let mut names: Vec<&str> = self.tables.keys().map(|s| s.as_str()).collect();
         names.sort();
         names
+    }
+
+    /// Register table `name`, with its RID index and that index's sorted
+    /// entries, if any.
+    fn register(
+        &mut self,
+        name: String,
+        kind: TableKind,
+        index: Option<(BTree, Vec<Entry>)>,
+    ) -> &TableMeta {
+        let (rid_index, entries) = index.map_or((None, None), |(b, e)| (Some(b), Some(e.into())));
+        let meta = TableMeta {
+            name: name.clone(),
+            kind,
+            rid_index,
+        };
+        let slot = self.tables.entry(name).insert_entry((meta, entries));
+        &slot.into_mut().0
     }
 
     /// Bulk-load a heap table from rows in insertion order.
@@ -55,21 +87,12 @@ impl Database {
         I: IntoIterator<Item = R>,
         R: AsRef<[Value]>,
     {
-        let name = name.into();
         let mut w = HeapWriter::create(&mut self.store, schema);
         for row in rows {
             w.append(&mut self.store, row.as_ref())?;
         }
         let heap = w.finish(&mut self.store)?;
-        self.tables.insert(
-            name.clone(),
-            TableMeta {
-                name: name.clone(),
-                kind: TableKind::Heap(heap),
-                rid_index: None,
-            },
-        );
-        Ok(&self.tables[&name])
+        Ok(self.register(name.into(), TableKind::Heap(heap), None))
     }
 
     /// Bulk-load a heap table and build a secondary RID index on the
@@ -87,7 +110,6 @@ impl Database {
     where
         I: IntoIterator<Item = Vec<Value>>,
     {
-        let name = name.into();
         let mut w = HeapWriter::create(&mut self.store, schema);
         let mut entries: Vec<Entry> = Vec::new();
         for row in rows {
@@ -102,15 +124,7 @@ impl Database {
         let heap = w.finish(&mut self.store)?;
         entries.sort();
         let index = BTree::bulk_load(&mut self.store, &entries)?;
-        self.tables.insert(
-            name.clone(),
-            TableMeta {
-                name: name.clone(),
-                kind: TableKind::Heap(heap),
-                rid_index: Some(index),
-            },
-        );
-        Ok(&self.tables[&name])
+        Ok(self.register(name.into(), TableKind::Heap(heap), Some((index, entries))))
     }
 
     /// Bulk-load an MDC table from `(cell key, row)` pairs in insertion
@@ -127,30 +141,26 @@ impl Database {
         I: IntoIterator<Item = (i64, R)>,
         R: AsRef<[Value]>,
     {
-        let name = name.into();
         let mut b = MdcTableBuilder::create(&mut self.store, schema, block_pages);
         for (cell, row) in rows {
             b.append(&mut self.store, cell, row.as_ref())?;
         }
         let table = b.finish(&mut self.store)?;
-        self.tables.insert(
-            name.clone(),
-            TableMeta {
-                name: name.clone(),
-                kind: TableKind::Mdc(table),
-                rid_index: None,
-            },
-        );
-        Ok(&self.tables[&name])
+        Ok(self.register(name.into(), TableKind::Mdc(table), None))
     }
 
     /// Reassemble a database from persisted parts (see
-    /// [`crate::persist`]).
-    pub fn from_parts(store: FileStore, tables: Vec<TableMeta>) -> Self {
-        Database {
+    /// [`crate::persist`]), decoding each RID index once.
+    pub fn from_parts(store: FileStore, tables: Vec<TableMeta>) -> StorageResult<Self> {
+        let mut db = Database {
             store,
-            tables: tables.into_iter().map(|t| (t.name.clone(), t)).collect(),
+            tables: HashMap::new(),
+        };
+        for t in tables {
+            let index = t.rid_index.map(|b| b.all(&db.store).map(|e| (b, e)));
+            db.register(t.name, t.kind, index.transpose()?);
         }
+        Ok(db)
     }
 
     /// Save this database to a file (see [`crate::persist::save`]).
@@ -166,7 +176,10 @@ impl Database {
     /// Total table pages across the database (for sizing the pool at the
     /// paper's "bufferpool is about 5% of the database size").
     pub fn total_table_pages(&self) -> u64 {
-        self.tables.values().map(|t| t.num_pages() as u64).sum()
+        self.tables
+            .values()
+            .map(|(t, _)| t.num_pages() as u64)
+            .sum()
     }
 }
 

@@ -151,7 +151,7 @@ pub fn load(path: impl AsRef<Path>) -> EngineResult<Database> {
         .collect();
     let volume = Volume::from_entries(catalog.extent_pages, &volume_rows);
     let store = FileStore::from_parts(volume, files)?;
-    Ok(Database::from_parts(store, catalog.tables))
+    Ok(Database::from_parts(store, catalog.tables)?)
 }
 
 #[cfg(test)]
@@ -256,6 +256,66 @@ mod tests {
         assert_eq!(a.disk.pages_read, b.disk.pages_read);
         assert_eq!(a.disk.seeks, b.disk.seeks);
         assert_eq!(a.makespan, b.makespan);
+    }
+
+    /// A reloaded database decodes its RID index once, in `from_parts`:
+    /// overlapping RID scans that join, wrap and back up over it report
+    /// exactly what they report over the database that was saved.
+    #[test]
+    fn rid_runs_on_a_reloaded_database_report_the_same_bytes() {
+        let db = build_db();
+        let path = tmp("rid");
+        save(&db, &path).unwrap();
+        let loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        let rid = |lo, hi| {
+            Query::single(
+                "rid",
+                ScanSpec {
+                    table: "orders".into(),
+                    access: Access::RidRange { lo, hi },
+                    pred: Pred::True,
+                    agg: AggSpec::sums(vec![1]),
+                    cpu: CpuClass::io_bound(),
+                    require_order: false,
+                    query_priority: Default::default(),
+                    repeat: 1,
+                },
+            )
+        };
+        let spec = WorkloadSpec {
+            // Three overlapping streams, then one alone whose scans start
+            // where the previous one ended.
+            streams: (0..4)
+                .map(|i| Stream {
+                    queries: vec![rid(i % 3, i % 3 + 5), rid(2, 8)],
+                    start_offset: SimDuration::from_millis([0, 2, 4, 60_000][i as usize]),
+                })
+                .collect(),
+            pool_pages: 16,
+            engine: EngineConfig::default(),
+            mode: SharingMode::ScanSharing(scanshare::SharingConfig::new(0)),
+            faults: Default::default(),
+            slo: Default::default(),
+        };
+        let a = run_workload(&db, &spec).unwrap();
+        let b = run_workload(&loaded, &spec).unwrap();
+        let saw = |what: fn(&scanshare::DecisionEvent) -> bool| {
+            a.decisions.iter().any(|r| what(&r.event))
+        };
+        assert!(saw(|e| matches!(
+            e,
+            scanshare::DecisionEvent::ScanWrapped { .. }
+        )));
+        assert!(saw(|e| matches!(
+            e,
+            scanshare::DecisionEvent::GroupJoin { back_up_pages, .. } if *back_up_pages > 0
+        )));
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! range, then a wrap back to the original start key for the remainder.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, Range};
 
 use scanshare::{Location, ObjectId, ScanDesc, ScanId, ScanKind};
 use scanshare_relstore::{ColType, Entry, HeapPage, Rid, Schema};
@@ -30,10 +31,38 @@ use scanshare_storage::{
 };
 
 use crate::cost::{CpuClass, EngineConfig};
-use crate::db::Database;
+use crate::db::{Database, IndexEntries};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::ExecWorld;
 use crate::query::{Access, AggSpec, Pred, QueryResult, ScanSpec};
+
+/// An index plan's entries: a window on one shared copy of the index
+/// in `(key, payload)` order, so neither a RID scan nor a catch-up lap
+/// over what a scan has visited copies an entry.
+#[derive(Debug, Clone)]
+pub(crate) struct SharedEntries(IndexEntries, Range<usize>);
+
+impl SharedEntries {
+    /// The entries of `all` with `lo <= key <= hi`.
+    fn key_range(all: &IndexEntries, lo: i64, hi: i64) -> SharedEntries {
+        let start = all.partition_point(|e| e.key < lo);
+        let end = all.partition_point(|e| e.key <= hi).max(start);
+        SharedEntries(all.clone(), start..end)
+    }
+
+    /// The first `n` of these entries.
+    fn prefix(&self, n: usize) -> SharedEntries {
+        SharedEntries(self.0.clone(), self.1.start..self.1.start + n)
+    }
+}
+
+impl Deref for SharedEntries {
+    type Target = [Entry];
+
+    fn deref(&self) -> &[Entry] {
+        &self.0[self.1.clone()]
+    }
+}
 
 /// Scan progress plan: where a [`Cursor`] is in its range, advanced one
 /// extent per [`Plan::gather`]/[`Plan::advance`] pair.
@@ -49,7 +78,7 @@ pub(crate) enum Plan {
     /// Walk over the `(cell key, BID)` entries of a block index range,
     /// one block per step, starting at `start_idx`.
     Index {
-        entries: Vec<Entry>,
+        entries: SharedEntries,
         block_pages: u32,
         start_idx: usize,
         /// Entries processed so far.
@@ -60,7 +89,7 @@ pub(crate) enum Plan {
     /// The pages behind consecutive keys are scattered (§3.2), so this
     /// plan seeks heavily when cold.
     Rid {
-        entries: Vec<Entry>,
+        entries: SharedEntries,
         start_idx: usize,
         /// Entries processed so far.
         visited: usize,
@@ -108,14 +137,18 @@ impl Plan {
                 entries, start_idx, ..
             } => (entries, start_idx, 1),
         };
-        // Find the exact joined entry; fall back to the first entry at
-        // or after the joined key; then back up by the hinted number of
-        // pages.
-        let at = entries
-            .iter()
-            .position(|e| e.key == loc.key && e.payload == loc.pos)
-            .or_else(|| entries.iter().position(|e| e.key >= loc.key))
-            .unwrap_or(0);
+        // Find the first exact joined entry; fall back to the first entry
+        // at or after the joined key, then to the range start; then back
+        // up by the hinted number of pages.
+        let joined = Entry::new(loc.key, loc.pos);
+        let exact = entries.partition_point(|e| *e < joined);
+        let at = match entries.get(exact) {
+            Some(e) if *e == joined => exact,
+            _ => match entries.partition_point(|e| e.key < loc.key) {
+                at if at < entries.len() => at,
+                _ => 0,
+            },
+        };
         *start_idx = at.saturating_sub((back_up_pages / pages_per_entry) as usize);
     }
 
@@ -147,16 +180,16 @@ impl Plan {
     }
 
     /// Gather the next extent's pages into `ids` (and, for RID plans, the
-    /// `(page, slot)` work list into `rids`). Returns what to evaluate,
-    /// the location to report afterwards, the units consumed, and
-    /// whether the step ends the first phase (the cursor wraps after
-    /// it).
+    /// work list into `rids`: each row's page as its position in `ids`,
+    /// and its slot). Returns what to evaluate, the location to report
+    /// afterwards, the units consumed, and whether the step ends the
+    /// first phase (the cursor wraps after it).
     fn gather(
         &self,
         file: FileId,
         extent_pages: u32,
         ids: &mut Vec<PageId>,
-        rids: &mut Vec<(PageId, u16)>,
+        rids: &mut Vec<(u32, u16)>,
     ) -> (StepWork, Location, u64, bool) {
         match self {
             Plan::Table {
@@ -209,44 +242,35 @@ impl Plan {
                 let pos = (start_idx + visited) % len;
                 let chunk = &entries[pos..len.min(pos + (len - visited).min(extent * 32))];
                 let mut taken = 0usize;
-                let mut prev = None;
+                // Where the previous RID's page sits in `ids`.
+                let mut at = 0;
                 for e in chunk {
                     let rid = Rid::unpack(e.payload);
                     let pid = PageId::new(file, rid.page);
                     // Consecutive keys mostly share a page: compare with
                     // the previous RID's before searching the extent's.
-                    if prev != Some(pid) && !ids.contains(&pid) {
-                        if ids.len() == extent {
-                            break;
-                        }
-                        ids.push(pid);
+                    if ids.get(at) != Some(&pid) {
+                        at = match ids.iter().position(|&id| id == pid) {
+                            Some(at) => at,
+                            None if ids.len() == extent => break,
+                            None => {
+                                ids.push(pid);
+                                ids.len() - 1
+                            }
+                        };
                     }
-                    prev = Some(pid);
-                    rids.push((pid, rid.slot));
+                    rids.push((at as u32, rid.slot));
                     taken += 1;
                 }
                 let last = entries[pos + taken.saturating_sub(1)];
                 let wraps = pos + taken == len && visited + taken < len;
                 (
-                    StepWork::Rids {
-                        distinct_pages: ids.len() as u64,
-                    },
+                    StepWork::Rids,
                     Location::new(last.key, last.payload),
                     taken as u64,
                     wraps,
                 )
             }
-        }
-    }
-
-    /// How many pages a gathered step advances the scan's location by
-    /// (what `update_location` reports to the sharing manager).
-    fn pages_advanced(&self, work: StepWork, units: u64) -> u64 {
-        match (self, work) {
-            (Plan::Table { .. }, _) => units,
-            (Plan::Index { block_pages, .. }, _) => units * *block_pages as u64,
-            (Plan::Rid { .. }, StepWork::Rids { distinct_pages }) => distinct_pages,
-            (Plan::Rid { .. }, _) => unreachable!("RID plans produce RID work"),
         }
     }
 
@@ -302,7 +326,7 @@ impl Plan {
                 visited,
                 ..
             } => Plan::Index {
-                entries: entries[..*visited].to_vec(),
+                entries: entries.prefix(*visited),
                 block_pages: *block_pages,
                 start_idx: 0,
                 visited: 0,
@@ -310,7 +334,7 @@ impl Plan {
             Plan::Rid {
                 entries, visited, ..
             } => Plan::Rid {
-                entries: entries[..*visited].to_vec(),
+                entries: entries.prefix(*visited),
                 start_idx: 0,
                 visited: 0,
             },
@@ -357,9 +381,9 @@ impl Plan {
 pub(crate) enum StepWork {
     /// Every row of every fetched page (table and block index scans).
     AllRows,
-    /// Exactly the `(page, slot)` rows gathered into the step scratch,
-    /// touching this many distinct pages (RID index scans).
-    Rids { distinct_pages: u64 },
+    /// Exactly the `(page, slot)` rows gathered into the step scratch
+    /// (RID index scans).
+    Rids,
 }
 
 /// Reusable buffers for [`step_extent`]. Capacity survives between
@@ -372,8 +396,8 @@ pub(crate) enum StepWork {
 pub(crate) struct StepScratch {
     /// The extent's page ids, in scan order.
     ids: Vec<PageId>,
-    /// RID work list for [`Plan::Rid`] chunks.
-    rids: Vec<(PageId, u16)>,
+    /// RID work list for [`Plan::Rid`] chunks: `(position in ids, slot)`.
+    rids: Vec<(u32, u16)>,
     /// Fetched `(page, pool slot)` pairs, sorted by page id.
     pages: Vec<(PageId, u32)>,
     /// Predicted next-extent pages handed to the prefetcher.
@@ -385,9 +409,8 @@ pub(crate) struct StepScratch {
     /// consumer of a step selects into this one buffer, and the consumers
     /// of one class share the selection itself: it is made once a page.
     sel: Vec<u32>,
-    /// The rows of a page that is not fixed-width (all of them, or the
-    /// ones a run of RIDs names), copied side by side so the kernel sees
-    /// one dense region.
+    /// The rows of a page that is not fixed-width, copied side by side so
+    /// the kernel sees one dense region.
     gathered: Vec<u8>,
     /// The step's consumers class by class — consumers whose compiled
     /// pipelines are equal sit side by side — in delivery order within a
@@ -427,28 +450,31 @@ impl PredLeaf {
     /// Keep the rows of `sel` that pass this leaf, in order. Every
     /// candidate is written and the write cursor advances only past a
     /// survivor, so the loop has no data-dependent branch to mispredict
-    /// (Q6's predicate passes 29 % of its rows).
-    fn filter(&self, region: &[u8], width: usize, sel: &mut Vec<u32>) {
+    /// (Q6's predicate passes 29 % of its rows). `row` reads a row by
+    /// its index.
+    fn filter<'a>(&self, row: impl Fn(u32) -> &'a [u8], sel: &mut Vec<u32>) {
         #[inline(always)]
-        fn compact(region: &[u8], width: usize, sel: &mut Vec<u32>, pass: impl Fn(&[u8]) -> bool) {
+        fn compact<'a>(
+            row: impl Fn(u32) -> &'a [u8],
+            sel: &mut Vec<u32>,
+            pass: impl Fn(&[u8]) -> bool,
+        ) {
             let mut kept = 0;
             for at in 0..sel.len() {
                 let i = sel[at];
                 sel[kept] = i;
-                kept += pass(row_at(region, width, i)) as usize;
+                kept += pass(row(i)) as usize;
             }
             sel.truncate(kept);
         }
         // The leaf kind is matched once per page, not once per row.
         match *self {
-            PredLeaf::I32Between { off, lo, hi } => compact(region, width, sel, |row| {
+            PredLeaf::I32Between { off, lo, hi } => compact(row, sel, |row| {
                 let v = i32::from_le_bytes(row[off..off + 4].try_into().unwrap());
                 lo <= v && v <= hi
             }),
-            PredLeaf::F64LessThan { off, x } => {
-                compact(region, width, sel, |row| f64_at(row, off) < x)
-            }
-            PredLeaf::CharEq { off, c } => compact(region, width, sel, |row| row[off] == c),
+            PredLeaf::F64LessThan { off, x } => compact(row, sel, |row| f64_at(row, off) < x),
+            PredLeaf::CharEq { off, c } => compact(row, sel, |row| row[off] == c),
         }
     }
 }
@@ -544,23 +570,30 @@ impl RowPipeline {
     /// selection vector `sel` to the rows that pass it. *Fold*: the
     /// survivors, in row order, are added to each of `states`.
     fn fold_region(&self, states: &mut [AggState], sel: &mut Vec<u32>, region: &[u8]) {
+        let stride = self.stride();
         if self.leaves.is_empty() {
-            return AggState::fold(states, self, region.chunks_exact(self.stride()));
+            return AggState::fold(states, self, region.chunks_exact(stride));
         }
-        sel.clear();
-        sel.extend(0..(region.len() / self.stride()) as u32);
-        self.fold_selected(states, sel, region);
+        self.fold_rows(states, sel, region.len() / stride, |i| {
+            row_at(region, stride, i)
+        });
     }
 
-    /// The kernel over the rows of `region` that `sel` names, in its
-    /// order (a row named twice is folded twice).
-    fn fold_selected(&self, states: &mut [AggState], sel: &mut Vec<u32>, region: &[u8]) {
-        let width = self.stride();
+    /// The kernel over `n` rows that `row` reads by index, wherever they
+    /// lie, in index order.
+    fn fold_rows<'a>(
+        &self,
+        states: &mut [AggState],
+        sel: &mut Vec<u32>,
+        n: usize,
+        row: impl Fn(u32) -> &'a [u8] + Copy,
+    ) {
+        sel.clear();
+        sel.extend(0..n as u32);
         for leaf in &self.leaves {
-            leaf.filter(region, width, sel);
+            leaf.filter(row, sel);
         }
-        let rows = sel.iter().map(move |&i| row_at(region, width, i));
-        AggState::fold(states, self, rows);
+        AggState::fold(states, self, sel.iter().map(move |&i| row(i)));
     }
 
     /// Bytes from one row of a dense region to the next: a zero-column
@@ -951,6 +984,7 @@ impl RowPipeline {
         scratch: &mut StepScratch,
     ) -> EngineResult<u64> {
         let StepScratch {
+            ids,
             pages,
             rids,
             sel,
@@ -987,33 +1021,39 @@ impl RowPipeline {
                 }
                 Ok(rows)
             }
-            StepWork::Rids { .. } => {
-                // Exactly the indexed rows, in key order, one run of RIDs
-                // on the same page at a time. `pages` is sorted by page
-                // id, so a run's page resolves by binary search.
-                for run in rids.chunk_by(|a, b| a.0 == b.0) {
-                    let at = pages
-                        .binary_search_by_key(&run[0].0, |&(id, _)| id)
-                        .expect("page fetched");
-                    let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
-                    if let Some(region) = page.dense_region(width) {
-                        // A fixed-width page is folded where it lies: the
-                        // run's slots are the selection.
-                        sel.clear();
-                        let n_rows = page.num_rows();
-                        for &(_, slot) in run {
-                            if slot >= n_rows {
-                                // Not a slot of this page: `row_bytes`
-                                // has the error for that.
-                                page.row_bytes(slot)?;
-                            }
-                            sel.push(slot as u32);
-                        }
-                        self.fold_selected(states, sel, region);
-                    } else {
+            StepWork::Rids => {
+                // Exactly the indexed rows, in key order, in one pass. Each
+                // page of the step resolves once (`pages` is sorted by page
+                // id) to where its rows lie when it is fixed-width.
+                let page = |id: &PageId| {
+                    let at = pages.binary_search_by_key(id, |&(id, _)| id);
+                    HeapPage::new(pool.slot_buf(pages[at.expect("page fetched")].1))
+                };
+                let regions: Option<Vec<&[u8]>> = ids
+                    .iter()
+                    .map(|id| page(id).ok()?.dense_region(width))
+                    .collect();
+                let on_page = |r: &[&[u8]]| {
+                    rids.iter()
+                        .all(|&(at, s)| (s as usize) * width < r[at as usize].len())
+                };
+                match regions {
+                    Some(regions) if on_page(&regions) => {
+                        let row = |i: u32| {
+                            let (at, s) = rids[i as usize];
+                            row_at(regions[at as usize], width, s as u32)
+                        };
+                        self.fold_rows(states, sel, rids.len(), row);
+                    }
+                    // An odd layout, or a slot its page lacks: the rows are
+                    // read through their pages' slot directories, which
+                    // have the error, and copied side by side before any
+                    // is folded.
+                    _ => {
                         gathered.clear();
-                        for &(_, slot) in run {
-                            gather(gathered, page.row_bytes(slot)?)?;
+                        for &(at, slot) in rids.iter() {
+                            let row = page(&ids[at as usize])?.row_bytes(slot)?;
+                            gather(gathered, row)?;
                         }
                         self.fold_region(states, sel, gathered);
                     }
@@ -1213,11 +1253,11 @@ pub(crate) fn step_extent(
     let mut priority = PagePriority::Normal;
     let mut grouped = false;
     if let (true, Some(mgr)) = (managed, &world.mgr) {
-        let pages_advanced = cursor.plan.pages_advanced(work, units);
+        // The location moved by the pages the step fetched.
         for &ci in order {
             let c = &mut consumers[ci];
             let Some(id) = c.scan else { continue };
-            let out = mgr.update_location(id, c.ready_at, location, pages_advanced);
+            let out = mgr.update_location(id, c.ready_at, location, pages);
             // Riders only report; the owner's outcome is the cursor's.
             if ci != owner {
                 continue;
@@ -1351,11 +1391,10 @@ pub(crate) fn plan_scan(
             )
         }
         Access::RidRange { lo, hi } => {
-            let index = table
-                .rid_index
-                .as_ref()
+            let index = db
+                .rid_entries(&spec.table)
                 .ok_or_else(|| EngineError::NotClustered(spec.table.clone()))?;
-            let entries = index.range(db.store(), *lo, *hi)?;
+            let entries = SharedEntries::key_range(index, *lo, *hi);
             // Low-selectivity RID fetches touch roughly one distinct
             // page per entry, capped by the table size.
             let est_pages = (entries.len() as u64).min(table.num_pages() as u64);
@@ -1381,7 +1420,8 @@ pub(crate) fn plan_scan(
             let mdc = table
                 .as_mdc()
                 .ok_or_else(|| EngineError::NotClustered(spec.table.clone()))?;
-            let entries = mdc.blocks_for_range(db.store(), *lo, *hi)?;
+            let blocks = mdc.blocks_for_range(db.store(), *lo, *hi)?;
+            let entries = SharedEntries::key_range(&blocks.into(), *lo, *hi);
             let est_pages = entries.len() as u64 * mdc.block_pages as u64;
             let desc = ScanDesc {
                 kind: ScanKind::Index,
@@ -1584,6 +1624,15 @@ pub(crate) fn fused_classes() -> u64 {
 }
 
 #[cfg(test)]
+impl From<Vec<Entry>> for SharedEntries {
+    /// All of `entries`, as their own shared copy.
+    fn from(entries: Vec<Entry>) -> SharedEntries {
+        let n = entries.len();
+        SharedEntries(entries.into(), 0..n)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::EngineConfig;
@@ -1699,7 +1748,7 @@ mod tests {
         file: FileId,
         extent_pages: u32,
         ids: &mut Vec<PageId>,
-        rids: &mut Vec<(PageId, u16)>,
+        rids: &mut Vec<(u32, u16)>,
     ) -> (u64, Location, u64, bool) {
         let len = entries.len();
         let extent = extent_pages as usize;
@@ -1716,7 +1765,8 @@ mod tests {
                 }
                 ids.push(pid);
             }
-            rids.push((pid, rid.slot));
+            let at = ids.iter().position(|&id| id == pid).expect("gathered");
+            rids.push((at as u32, rid.slot));
             last = e;
             taken += 1;
             if (start_idx + visited + taken).is_multiple_of(len) {
@@ -1759,7 +1809,7 @@ mod tests {
         let (mut want_ids, mut want_rids) = (Vec::new(), Vec::new());
         let mut chunks_cut_by_the_wrap = 0;
         let mut plan = Plan::Rid {
-            entries: entries.clone(),
+            entries: entries.clone().into(),
             start_idx: 0,
             visited: 0,
         };
@@ -1781,9 +1831,10 @@ mod tests {
                     want_rids.clear();
                     let (work, location, units, wraps) =
                         plan.gather(file, extent_pages, &mut ids, &mut rids);
-                    let StepWork::Rids { distinct_pages } = work else {
-                        panic!("a RID plan gathers RID work");
-                    };
+                    assert!(
+                        matches!(work, StepWork::Rids),
+                        "a RID plan gathers RID work"
+                    );
                     let want = rid_gather_by_modulo(
                         &entries,
                         start_idx,
@@ -1794,7 +1845,8 @@ mod tests {
                         &mut want_rids,
                     );
                     let at = format!("extent {extent_pages} start {start_idx} visited {visited}");
-                    assert_eq!((distinct_pages, location, units, wraps), want, "{at}");
+                    let got = (ids.len() as u64, location, units, wraps);
+                    assert_eq!(got, want, "{at}");
                     assert_eq!(ids, want_ids, "{at}");
                     assert_eq!(rids, want_rids, "{at}");
                     chunks_cut_by_the_wrap += wraps as usize;
@@ -1863,15 +1915,21 @@ mod tests {
             reached[3] += (back_up > n as u64 * 8) as u32;
             reached[4] += (exact && dup) as u32;
             let block_pages = rng.random_range(1..5u32);
+            // The RID plan's range is a window on a wider shared index.
+            let mut wider = entries.clone();
+            wider.insert(0, Entry::new(lo - 10, 7));
+            wider.push(Entry::new(hi + 10, 0));
+            let window = SharedEntries::key_range(&wider.into(), lo, hi);
+            assert_eq!(*window, entries[..]);
             let mut plans = [
                 Plan::Index {
-                    entries: entries.clone(),
+                    entries: entries.clone().into(),
                     block_pages,
                     start_idx: 0,
                     visited: 0,
                 },
                 Plan::Rid {
-                    entries: entries.clone(),
+                    entries: window,
                     start_idx: 0,
                     visited: 0,
                 },
@@ -2603,9 +2661,9 @@ mod kernel_oracle {
                 .iter()
                 .enumerate()
                 .map(|(k, &(page, slot))| Entry::new(k as i64, Rid::new(page, slot).pack()))
-                .collect();
+                .collect::<Vec<_>>();
             let plan = Plan::Rid {
-                entries,
+                entries: entries.into(),
                 start_idx: 0,
                 visited: 0,
             };
@@ -2657,14 +2715,15 @@ mod kernel_oracle {
                 .expect("page fetched");
             let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
             if let Some(region) = page.dense_region(width) {
-                sel.clear();
+                let mut slots = Vec::new();
                 for &(_, slot) in run {
                     if slot >= page.num_rows() {
                         page.row_bytes(slot)?;
                     }
-                    sel.push(slot as u32);
+                    slots.push(slot as u32);
                 }
-                pipe.fold_selected(states, &mut sel, region);
+                let row = |i: u32| row_at(region, stride, slots[i as usize]);
+                pipe.fold_rows(states, &mut sel, slots.len(), row);
             } else {
                 gathered.clear();
                 for &(_, slot) in run {
@@ -2738,7 +2797,7 @@ mod kernel_oracle {
             let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
             let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
             let mut plan = Plan::Rid {
-                entries,
+                entries: entries.into(),
                 start_idx: 0,
                 visited: 0,
             };
@@ -2752,7 +2811,9 @@ mod kernel_oracle {
                 world
                     .fetch_extent(SimTime::ZERO, &scratch.ids, &mut scratch.pages)
                     .unwrap();
-                let rids: Vec<(PageId, u16)> = scratch.rids.clone();
+                let rids: Vec<(PageId, u16)> = (scratch.rids.iter())
+                    .map(|&(at, slot)| (scratch.ids[at as usize], slot))
+                    .collect();
                 reached.steps_of_16_pages += (scratch.ids.len() == 16) as u32;
                 reached.pages_out_of_order += scratch.ids.windows(2).any(|w| w[1] < w[0]) as u32;
                 reached.slots_repeated += rids.windows(2).any(|w| w[0] == w[1]) as u32;
@@ -2851,7 +2912,7 @@ mod kernel_oracle {
                 reached.rid_page_revisited_out_of_order += revisits as u32;
                 (
                     Plan::Rid {
-                        entries,
+                        entries: entries.into(),
                         start_idx,
                         visited: 0,
                     },
@@ -3038,9 +3099,9 @@ mod kernel_oracle {
                     .iter()
                     .enumerate()
                     .map(|(i, &(p, r))| Entry::new(i as i64, Rid::new(p as u32, r as u16).pack()))
-                    .collect();
+                    .collect::<Vec<_>>();
                 let plan = Plan::Rid {
-                    entries,
+                    entries: entries.into(),
                     start_idx: 0,
                     visited: 0,
                 };

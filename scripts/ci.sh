@@ -55,8 +55,12 @@ leg "row-kernel, grouping, manager and policy oracles, release build"
 # what every measurement runs. The core crate's grouping and manager
 # tests hold the index's oracle against the re-forming pass and the
 # manager's decisions over seeded call sequences; its policy tests pin
-# the gates and push-attach answers each policy gives.
-cargo test --release --offline -q -p scanshare-engine --lib kernel_oracle
+# the gates and push-attach answers each policy gives. The RID step folds
+# a whole step in one pass over a shared decoded index: its per-run
+# reference (in kernel_oracle), the joined-entry search and the RID
+# answer oracle run here too.
+cargo test --release --offline -q -p scanshare-engine --lib -- kernel_oracle start_at_picks
+cargo test --release --offline -q --test row_kernel_oracle
 cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: policy::
 
 leg "examples, release build"
