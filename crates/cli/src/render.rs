@@ -301,14 +301,15 @@ pub fn render_report_diff(a: &str, b: &str, d: &crate::diff::ReportDiff) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanshare_storage::SimTime;
+    use scanshare::obs::SeriesPoint;
 
     fn series(name: &str, pts: &[(u64, f64)]) -> SeriesSnapshot {
-        let s = scanshare::obs::Series::new();
-        for &(at, v) in pts {
-            s.push(SimTime::from_micros(at), v);
+        SeriesSnapshot {
+            name: name.to_string(),
+            points: (pts.iter())
+                .map(|&(at_us, value)| SeriesPoint { at_us, value })
+                .collect(),
         }
-        s.snapshot(name)
     }
 
     #[test]
@@ -333,7 +334,7 @@ mod tests {
     #[test]
     fn quantile_expansion_lists_buckets_with_upper_bounds() {
         use scanshare::obs::Histogram;
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         for v in [10, 20, 100, 1_000, 5_000] {
             h.record(v);
         }
@@ -370,7 +371,7 @@ mod tests {
         use scanshare::obs::Histogram;
         // All samples in one bucket: every quantile is that value and
         // the single bucket renders a full-width bar.
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         for _ in 0..4 {
             h.record(100);
         }

@@ -337,11 +337,13 @@ mod tests {
         assert!(text.contains("scanshare watch"), "got: {text}");
         assert!(text.contains("[finished]"));
         assert!(text.contains("pages resident"));
-        // Watching changes nothing measured: virtual time, same report.
+        // Watching changes nothing measured: virtual time, and every
+        // byte of the report.
         let plain = scanshare_engine::run_workload(&db, &spec).unwrap();
-        assert_eq!(r.makespan, plain.makespan);
-        assert_eq!(r.disk.pages_read, plain.disk.pages_read);
-        assert_eq!(r.decisions.len(), plain.decisions.len());
+        assert_eq!(
+            serde_json::to_string(&r).unwrap(),
+            serde_json::to_string(&plain).unwrap()
+        );
         assert!(!r.decisions.is_empty());
     }
 }

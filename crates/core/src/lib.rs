@@ -71,7 +71,7 @@ pub use decision::{DecisionEvent, DecisionLog, DecisionRecord, PlacementCandidat
 pub use grouping::{GroupInfo, Role};
 pub use manager::{ManagerProbe, ScanProbe, ScanSharingManager, StartDecision, UpdateOutcome};
 pub use obs::span::{ProfileSummary, SpanId, SpanProfiler, Track};
-pub use obs::{MetricsRegistry, MetricsSnapshot};
+pub use obs::MetricsSnapshot;
 pub use policy::SharingPolicyKind;
 pub use scan::{Location, ObjectId, QueryPriority, ScanDesc, ScanId, ScanKind};
 pub use stats::SharingStats;

@@ -1,89 +1,31 @@
-//! Lock-cheap metrics primitives and a snapshotable registry.
+//! A run's metrics: the histogram it records into and the serializable
+//! snapshot its report carries.
 //!
 //! The paper's whole evaluation is an observability exercise: Figures
 //! 15–20 plot hit ratios, seeks, leader–trailer distances and throttle
-//! waits *over virtual time*, not just end-of-run aggregates. This module
-//! supplies the plumbing every layer records into:
+//! waits *over virtual time*, not just end-of-run aggregates. A run is
+//! single-threaded and records a fixed set of signals, so it keeps them
+//! as plain values it owns and freezes them once, at the makespan:
 //!
-//! * [`Counter`] and [`Gauge`] — single atomics, no locks on the hot
-//!   path,
 //! * [`Histogram`] — power-of-two latency buckets plus an exact window of
 //!   the first samples, so small runs report exact p50/p95/p99 and large
-//!   runs report tight bucket upper bounds,
-//! * [`Series`] — `(virtual time, value)` samples for time-series plots,
-//! * [`MetricsRegistry`] — a shared, cloneable name → instrument map that
-//!   can be [snapshotted](MetricsRegistry::snapshot) at any virtual time
-//!   into a fully serializable [`MetricsSnapshot`].
-//!
-//! Instruments are cheap handles (an `Arc` around atomics); cloning one
-//! out of the registry once and recording through it costs one or two
-//! atomic RMWs per event. Only registration (`registry.counter("x")`)
-//! takes a lock.
+//!   runs report tight bucket upper bounds; recorded through `&mut`,
+//! * [`SeriesPoint`] — one `(virtual time, value)` sample; the engine's
+//!   interval sampler keeps each signal's points in a `Vec`,
+//! * [`MetricsSnapshot`] — counters, gauges, histograms and series by
+//!   name, fully serializable; what `RunReport` embeds and the CLI
+//!   replays. `engine::workload` assembles it, and is the one place
+//!   that names the signals.
 
 pub mod span;
 
-use parking_lot::Mutex;
 use scanshare_storage::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Number of exactly-retained samples per histogram. While a histogram
 /// holds at most this many samples, quantiles are exact; past it they
 /// fall back to power-of-two bucket upper bounds.
 pub const EXACT_WINDOW: usize = 256;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// A fresh counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-value-wins gauge holding an `f64` (distances, ratios, counts).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    bits: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// A fresh gauge at `0.0`.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Set the current value.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
 
 /// Index of the power-of-two bucket holding `v`: the bit length of `v`.
 /// Bucket 0 holds only 0; bucket `i` (i ≥ 1) holds `[2^(i-1), 2^i - 1]`.
@@ -102,35 +44,28 @@ fn bucket_upper(i: usize) -> u64 {
 
 const N_BUCKETS: usize = 65;
 
-#[derive(Debug)]
-struct HistogramInner {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-    buckets: [AtomicU64; N_BUCKETS],
-    /// The first [`EXACT_WINDOW`] samples, verbatim.
-    window: Mutex<Vec<u64>>,
-}
-
 /// A latency histogram with power-of-two buckets (one bucket per
 /// leading-bit position of the microsecond value).
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    inner: Arc<HistogramInner>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    buckets: [u64; N_BUCKETS],
+    /// The first [`EXACT_WINDOW`] samples, verbatim.
+    window: Vec<u64>,
 }
 
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            inner: Arc::new(HistogramInner {
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-                buckets: [(); N_BUCKETS].map(|_| AtomicU64::new(0)),
-                window: Mutex::new(Vec::new()),
-            }),
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: [0; N_BUCKETS],
+            window: Vec::new(),
         }
     }
 }
@@ -142,52 +77,42 @@ impl Histogram {
     }
 
     /// Record one sample (typically a latency in microseconds).
-    pub fn record(&self, v: u64) {
-        let h = &*self.inner;
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(v, Ordering::Relaxed);
-        h.min.fetch_min(v, Ordering::Relaxed);
-        h.max.fetch_max(v, Ordering::Relaxed);
-        h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        let mut w = h.window.lock();
-        if w.len() < EXACT_WINDOW {
-            w.push(v);
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.buckets[bucket_index(v)] += 1;
+        if self.window.len() < EXACT_WINDOW {
+            self.window.push(v);
         }
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Freeze the current state into a serializable snapshot.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let h = &*self.inner;
-        let count = h.count.load(Ordering::Relaxed);
-        let buckets = h
+        let buckets = self
             .buckets
             .iter()
             .enumerate()
-            .filter_map(|(i, c)| {
-                let count = c.load(Ordering::Relaxed);
-                (count > 0).then_some(HistogramBucket {
-                    le: bucket_upper(i),
-                    count,
-                })
+            .filter(|&(_, &count)| count > 0)
+            .map(|(i, &count)| HistogramBucket {
+                le: bucket_upper(i),
+                count,
             })
             .collect();
         let mut snap = HistogramSnapshot {
             name: name.to_string(),
-            count,
-            sum: h.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                h.min.load(Ordering::Relaxed)
-            },
-            max: h.max.load(Ordering::Relaxed),
+            count: self.count,
+            sum: self.sum,
+            min: if self.count == 0 { 0 } else { self.min },
+            max: self.max,
             buckets,
-            window: h.window.lock().clone(),
+            window: self.window.clone(),
             p50: 0,
             p95: 0,
             p99: 0,
@@ -212,7 +137,7 @@ pub struct HistogramBucket {
 /// Frozen state of one [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
-    /// Registry name.
+    /// Metric name.
     pub name: String,
     /// Total samples.
     pub count: u64,
@@ -271,52 +196,7 @@ impl HistogramSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
-struct SeriesInner {
-    points: Vec<SeriesPoint>,
-}
-
-/// A `(virtual time, value)` sample series, appended by the engine's
-/// interval sampler.
-#[derive(Debug, Clone, Default)]
-pub struct Series {
-    inner: Arc<Mutex<SeriesInner>>,
-}
-
-impl Series {
-    /// A fresh, empty series.
-    pub fn new() -> Self {
-        Series::default()
-    }
-
-    /// Append a sample taken at virtual time `at`.
-    pub fn push(&self, at: SimTime, value: f64) {
-        self.inner.lock().points.push(SeriesPoint {
-            at_us: at.as_micros(),
-            value,
-        });
-    }
-
-    /// Number of samples so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().points.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Freeze the samples recorded so far under `name`.
-    pub fn snapshot(&self, name: &str) -> SeriesSnapshot {
-        SeriesSnapshot {
-            name: name.to_string(),
-            points: self.inner.lock().points.clone(),
-        }
-    }
-}
-
-/// One sample of a [`Series`].
+/// One `(virtual time, value)` sample of a series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SeriesPoint {
     /// Virtual time of the sample, in microseconds.
@@ -325,10 +205,10 @@ pub struct SeriesPoint {
     pub value: f64,
 }
 
-/// Frozen state of one [`Series`].
+/// A named series of samples.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SeriesSnapshot {
-    /// Registry name.
+    /// Metric name.
     pub name: String,
     /// Samples in append order (virtual time is nondecreasing).
     pub points: Vec<SeriesPoint>,
@@ -349,7 +229,7 @@ impl SeriesSnapshot {
 /// A counter's frozen value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSample {
-    /// Registry name.
+    /// Metric name.
     pub name: String,
     /// Value at snapshot time.
     pub value: u64,
@@ -358,14 +238,14 @@ pub struct CounterSample {
 /// A gauge's frozen value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GaugeSample {
-    /// Registry name.
+    /// Metric name.
     pub name: String,
     /// Value at snapshot time.
     pub value: f64,
 }
 
-/// Everything a [`MetricsRegistry`] held at one virtual instant. Fully
-/// serializable — this is what `RunReport` embeds and the CLI replays.
+/// Every metric of a run at one virtual instant. Fully serializable —
+/// this is what `RunReport` embeds and the CLI replays.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Virtual time the snapshot was taken at.
@@ -415,109 +295,9 @@ impl MetricsSnapshot {
     }
 }
 
-/// Instruments by name. Ordered maps, so a snapshot walks each kind in
-/// name order and a lookup costs a handful of comparisons however many
-/// names a long run has registered.
-#[derive(Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, Series>,
-}
-
-fn get_or_insert<T: Clone + Default>(map: &mut BTreeMap<String, T>, name: &str) -> T {
-    if let Some(v) = map.get(name) {
-        return v.clone();
-    }
-    map.entry(name.to_string()).or_default().clone()
-}
-
-/// A shared name → instrument map. Cloning the registry (or an instrument
-/// handle out of it) is cheap; all clones observe the same values.
-#[derive(Clone, Default)]
-pub struct MetricsRegistry {
-    inner: Arc<Mutex<RegistryInner>>,
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("MetricsRegistry")
-            .field("counters", &inner.counters.len())
-            .field("gauges", &inner.gauges.len())
-            .field("histograms", &inner.histograms.len())
-            .field("series", &inner.series.len())
-            .finish()
-    }
-}
-
-impl MetricsRegistry {
-    /// A fresh, empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    /// The counter registered under `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        get_or_insert(&mut self.inner.lock().counters, name)
-    }
-
-    /// The gauge registered under `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        get_or_insert(&mut self.inner.lock().gauges, name)
-    }
-
-    /// The histogram registered under `name`, created on first use.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        get_or_insert(&mut self.inner.lock().histograms, name)
-    }
-
-    /// The series registered under `name`, created on first use.
-    pub fn series(&self, name: &str) -> Series {
-        get_or_insert(&mut self.inner.lock().series, name)
-    }
-
-    /// Freeze every instrument at virtual time `at`. Instruments are
-    /// sorted by name, so snapshots of identical runs are identical.
-    pub fn snapshot(&self, at: SimTime) -> MetricsSnapshot {
-        let inner = self.inner.lock();
-        let counters = inner.counters.iter().map(|(n, c)| CounterSample {
-            name: n.clone(),
-            value: c.get(),
-        });
-        let gauges = inner.gauges.iter().map(|(n, g)| GaugeSample {
-            name: n.clone(),
-            value: g.get(),
-        });
-        let histograms = inner.histograms.iter().map(|(n, h)| h.snapshot(n));
-        let series = inner.series.iter().map(|(n, s)| s.snapshot(n));
-        MetricsSnapshot {
-            at,
-            counters: counters.collect(),
-            gauges: gauges.collect(),
-            histograms: histograms.collect(),
-            series: series.collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_share_state_across_clones() {
-        let r = MetricsRegistry::new();
-        let c1 = r.counter("reads");
-        let c2 = r.counter("reads");
-        c1.inc();
-        c2.add(4);
-        assert_eq!(r.counter("reads").get(), 5);
-        let g = r.gauge("distance");
-        g.set(37.5);
-        assert_eq!(r.gauge("distance").get(), 37.5);
-    }
 
     #[test]
     fn bucket_index_is_bit_length() {
@@ -536,7 +316,7 @@ mod tests {
 
     #[test]
     fn small_histograms_report_exact_quantiles() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -555,7 +335,7 @@ mod tests {
 
     #[test]
     fn large_histograms_report_bucket_upper_bounds() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         // 10_000 samples uniform over 1..=1000: well past the window.
         for i in 0..10_000u64 {
             h.record(i % 1000 + 1);
@@ -581,7 +361,7 @@ mod tests {
         // value of bucket i+1, 2^i - 1 the *last* of bucket i. Past the
         // window, a quantile answers with its bucket's inclusive upper
         // bound, so boundary values must map to the right bucket.
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         // 300 samples of 64 (bucket 7, le 127) and 300 of 63 (bucket 6,
         // le 63): count 600 > EXACT_WINDOW forces the bucketed path.
         for _ in 0..300 {
@@ -607,7 +387,7 @@ mod tests {
         assert_eq!(s.p99, 64);
 
         // A pure power-of-two ladder: each value its own bucket.
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for i in 0..10u32 {
             for _ in 0..100 {
                 h.record(1u64 << i);
@@ -630,7 +410,7 @@ mod tests {
     fn quantile_crossover_at_exactly_the_window_size() {
         // With count == EXACT_WINDOW every sample is in the window and
         // quantiles are exact; one more sample flips to bucket bounds.
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in 1..=EXACT_WINDOW as u64 {
             h.record(v);
         }
@@ -670,80 +450,5 @@ mod tests {
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
         assert!(s.buckets.is_empty());
-    }
-
-    #[test]
-    fn series_record_time_and_value() {
-        let r = MetricsRegistry::new();
-        let s = r.series("hit_ratio");
-        s.push(SimTime::from_millis(100), 0.5);
-        s.push(SimTime::from_millis(200), 0.75);
-        let snap = r.snapshot(SimTime::from_millis(200));
-        let ss = snap.series("hit_ratio").unwrap();
-        assert_eq!(ss.points.len(), 2);
-        assert_eq!(ss.points[0].at_us, 100_000);
-        assert_eq!(ss.max_value(), 0.75);
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_queryable() {
-        let r = MetricsRegistry::new();
-        r.counter("z").inc();
-        r.counter("a").add(2);
-        r.gauge("m").set(1.0);
-        r.histogram("h").record(7);
-        r.series("s").push(SimTime::ZERO, 3.0);
-        let snap = r.snapshot(SimTime::from_secs(1));
-        assert_eq!(snap.at, SimTime::from_secs(1));
-        assert_eq!(snap.counters[0].name, "a");
-        assert_eq!(snap.counters[1].name, "z");
-        assert_eq!(snap.counter("z"), Some(1));
-        assert_eq!(snap.gauge("m"), Some(1.0));
-        assert_eq!(snap.histogram("h").unwrap().count, 1);
-        assert_eq!(snap.series("s").unwrap().points.len(), 1);
-        assert_eq!(snap.counter("missing"), None);
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let r = MetricsRegistry::new();
-        r.counter("reads").add(42);
-        r.gauge("group.0.distance_pages").set(160.0);
-        let h = r.histogram("read_us");
-        for v in [3u64, 900, 14, 7_000_000] {
-            h.record(v);
-        }
-        r.series("pool.hit_ratio").push(SimTime::from_secs(2), 0.25);
-        let snap = r.snapshot(SimTime::from_secs(3));
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(snap, back);
-        // Quantiles recomputed from the deserialized snapshot agree.
-        assert_eq!(
-            back.histogram("read_us").unwrap().quantile(0.5),
-            snap.histogram("read_us").unwrap().p50
-        );
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let r = MetricsRegistry::new();
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = r.counter("n");
-            let h = r.histogram("h");
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000u64 {
-                    c.inc();
-                    h.record(i);
-                }
-            }));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
-        let snap = r.snapshot(SimTime::ZERO);
-        assert_eq!(snap.counter("n"), Some(4000));
-        assert_eq!(snap.histogram("h").unwrap().count, 4000);
     }
 }

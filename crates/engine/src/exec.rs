@@ -12,7 +12,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use scanshare::obs::span::SpanProfiler;
-use scanshare::obs::{Histogram, MetricsRegistry};
+use scanshare::obs::Histogram;
 use scanshare::ScanSharingManager;
 use scanshare_storage::{
     BufferPool, DiskArray, FileStore, PageId, PagePriority, ReadCompletion, SimDuration, SimTime,
@@ -56,11 +56,8 @@ pub struct ExecWorld<'a> {
     /// unprofiled code path: no span is recorded, no attribute string is
     /// built, and reports stay byte-identical to pre-profiling builds.
     pub profiler: Option<SpanProfiler>,
-    /// Shared metrics registry every layer records into; snapshotted
-    /// into the run report.
-    pub metrics: MetricsRegistry,
     /// Latency of each physical read request, issue to completion (µs).
-    read_hist: Histogram,
+    pub(crate) read_hist: Histogram,
     /// Each injected throttle wait (µs) — recorded by the scan executor.
     pub(crate) throttle_hist: Histogram,
     cpus: BinaryHeap<Reverse<u64>>,
@@ -94,9 +91,6 @@ impl<'a> ExecWorld<'a> {
             cfg.extent_pages.max(1),
         );
         let cpus = (0..cfg.n_cpus).map(|_| Reverse(0u64)).collect();
-        let metrics = MetricsRegistry::new();
-        let read_hist = metrics.histogram("disk.read_us");
-        let throttle_hist = metrics.histogram("throttle.wait_us");
         ExecWorld {
             store,
             disk,
@@ -104,9 +98,8 @@ impl<'a> ExecWorld<'a> {
             mgr,
             cfg,
             profiler: None,
-            metrics,
-            read_hist,
-            throttle_hist,
+            read_hist: Histogram::new(),
+            throttle_hist: Histogram::new(),
             cpus,
             miss_scratch: Vec::new(),
             faults: None,

@@ -11,9 +11,9 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use scanshare::anchor::AnchorId;
-use scanshare::obs::{Gauge, Series};
+use scanshare::obs::{CounterSample, GaugeSample, Histogram, SeriesPoint, SeriesSnapshot};
 use scanshare::{
-    DecisionLog, ManagerProbe, MetricsRegistry, ScanId, ScanSharingManager, SharingConfig,
+    DecisionLog, ManagerProbe, MetricsSnapshot, ScanId, ScanSharingManager, SharingConfig,
     SpanProfiler, Track,
 };
 use scanshare_storage::{
@@ -26,7 +26,7 @@ use crate::cost::EngineConfig;
 use crate::db::Database;
 use crate::error::EngineResult;
 use crate::exec::ExecWorld;
-use crate::faults::FaultsConfig;
+use crate::faults::{FaultSummary, FaultsConfig};
 use crate::metrics::{QueryRecord, RunReport};
 use crate::push::{ConsumerId, PushEngine};
 use crate::query::{Query, QueryResult};
@@ -345,9 +345,9 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
             // Sample state *before* processing the event, so each point
             // reflects the world as of its nominal timestamp.
             while next_sample <= now {
-                sampler.sample_metrics(&world, next_sample);
+                let probe = sampler.sample(&world, next_sample);
                 if let Some(obs) = &observer {
-                    obs(&watch_frame(&world, mgr.as_deref(), &tasks, next_sample));
+                    obs(&watch_frame(&world, probe, &tasks, next_sample));
                 }
                 next_sample += interval;
             }
@@ -387,9 +387,9 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         p.end(s, makespan);
     }
     // One closing sample so every series extends to the makespan.
-    sampler.sample_metrics(&world, makespan);
+    let probe = sampler.sample(&world, makespan);
     if let Some(obs) = &observer {
-        obs(&watch_frame(&world, mgr.as_deref(), &tasks, makespan));
+        obs(&watch_frame(&world, probe, &tasks, makespan));
     }
 
     let stream_elapsed: Vec<SimDuration> = tasks
@@ -404,24 +404,14 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
     queries.sort_by_key(|q| (q.end, q.stream));
 
     let breakdown = world.breakdown(makespan.since(SimTime::ZERO));
-    // When fault injection was armed, mirror its counters into the
-    // registry so they land in the snapshot alongside everything else.
-    // Fault-free runs register nothing, keeping their snapshot (and
-    // report bytes) untouched.
-    let faults = world.fault_summary().unwrap_or_default();
-    if world.faults_enabled() {
-        let reg = &world.metrics;
-        reg.counter("faults.transient_errors")
-            .add(faults.transient_errors);
-        reg.counter("faults.permanent_errors")
-            .add(faults.permanent_errors);
-        reg.counter("faults.delays_injected")
-            .add(faults.delays_injected);
-        reg.counter("faults.retries").add(faults.retries);
-        reg.counter("faults.timeouts").add(faults.timeouts);
-        reg.counter("faults.scans_aborted")
-            .add(faults.scans_aborted);
-    }
+    let faults = world.fault_summary();
+    let metrics = metrics_snapshot(
+        makespan,
+        &world.read_hist,
+        &world.throttle_hist,
+        sampler,
+        faults.as_ref(),
+    );
     let mut report = RunReport {
         makespan: makespan.since(SimTime::ZERO),
         stream_elapsed,
@@ -433,13 +423,13 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         seek_distance_series: world.disk.seek_distance_series(),
         pool: world.pool.stats().clone(),
         sharing: mgr.as_ref().map(|m| m.stats()).unwrap_or_default(),
-        metrics: world.metrics.snapshot(makespan),
+        metrics,
         decisions: mgr
             .as_ref()
             .and_then(|m| m.decision_log())
             .map(|d| d.records())
             .unwrap_or_default(),
-        faults,
+        faults: faults.unwrap_or_default(),
         // Only a non-default policy is stamped into the report, so
         // default-policy artifacts keep their pre-framework bytes.
         policy: world
@@ -457,16 +447,17 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
     Ok(report)
 }
 
-/// Assemble the [`WatchFrame`] for one sample tick.
+/// Assemble the [`WatchFrame`] for one sample tick from the probe the
+/// sampler took at it.
 fn watch_frame(
     world: &ExecWorld<'_>,
-    mgr: Option<&ScanSharingManager>,
+    probe: Option<ManagerProbe>,
     tasks: &[StreamTask<'_>],
     at: SimTime,
 ) -> WatchFrame {
     WatchFrame {
         at,
-        probe: mgr.map(|m| m.probe()),
+        probe,
         pool: world.pool.stats().clone(),
         pool_capacity: world.pool.capacity(),
         resident: world.pool.resident_pages(),
@@ -475,95 +466,137 @@ fn watch_frame(
     }
 }
 
-/// Series handles by id: `name(id)` is looked up in the registry the
-/// first time `id` is pushed to and kept under `id` after that.
-struct SeriesById<K> {
-    registry: MetricsRegistry,
-    name: fn(K) -> String,
-    handles: IdMap<K, Series>,
-}
-
-impl<K: Copy + Eq + std::hash::Hash> SeriesById<K> {
-    fn push(&mut self, id: K, at: SimTime, value: f64) {
-        let (registry, name) = (&self.registry, self.name);
-        let series = self.handles.entry(id);
-        series
-            .or_insert_with(|| registry.series(&name(id)))
-            .push(at, value);
-    }
-}
-
-/// The interval sampler's *series handles*: every instrument it records
-/// into, taken out of the registry once — the fixed ones when the run
-/// starts, a group's or a scan's the first time a probe shows it — so a
-/// tick costs one push per signal, however many names the run has
-/// registered by then.
+/// The interval sampler: every sampled signal's points, owned by the run
+/// and named only when [`metrics_snapshot`] freezes them.
+#[derive(Default)]
 struct Sampler {
-    pool_hit_ratio: Series,
-    pool_evictions: Series,
-    disk_seek_distance: Series,
-    /// `mgr.groups`, `mgr.active_scans` and `mgr.shared_groups`: only a
-    /// run with a sharing manager registers them.
-    mgr: Option<(Gauge, Gauge, Series)>,
-    group_distance: SeriesById<AnchorId>,
-    scan_slowdown: SeriesById<ScanId>,
+    pool_hit_ratio: Vec<SeriesPoint>,
+    pool_evictions: Vec<SeriesPoint>,
+    disk_seek_distance: Vec<SeriesPoint>,
+    /// Only a run with a sharing manager samples it.
+    mgr: Option<ManagerSignals>,
+}
+
+/// What the sampler reads off the sharing manager's probe.
+#[derive(Default)]
+struct ManagerSignals {
+    /// Group count at the latest tick.
+    groups: f64,
+    /// Active-scan count at the latest tick.
+    active_scans: f64,
+    shared_groups: Vec<SeriesPoint>,
+    /// Each group's leader-trailer distance, from the first tick that
+    /// shows the group.
+    group_distance: IdMap<AnchorId, Vec<SeriesPoint>>,
+    /// Each scan's slowdown, from the first tick that shows the scan.
+    scan_slowdown: IdMap<ScanId, Vec<SeriesPoint>>,
 }
 
 impl Sampler {
     fn new(world: &ExecWorld<'_>) -> Sampler {
-        let registry = &world.metrics;
-        let mgr = || {
-            (
-                registry.gauge("mgr.groups"),
-                registry.gauge("mgr.active_scans"),
-                registry.series("mgr.shared_groups"),
-            )
-        };
         Sampler {
-            pool_hit_ratio: registry.series("pool.hit_ratio"),
-            pool_evictions: registry.series("pool.evictions"),
-            disk_seek_distance: registry.series("disk.seek_distance"),
-            mgr: world.mgr.is_some().then(mgr),
-            group_distance: SeriesById {
-                registry: registry.clone(),
-                name: |anchor| format!("group.{}.distance_pages", anchor.0),
-                handles: IdMap::default(),
-            },
-            scan_slowdown: SeriesById {
-                registry: registry.clone(),
-                name: |scan| format!("scan.{}.slowdown_frac", scan.0),
-                handles: IdMap::default(),
-            },
+            mgr: world.mgr.is_some().then(ManagerSignals::default),
+            ..Sampler::default()
         }
     }
 
     /// Record one observation of every sampled signal at virtual time
     /// `at`: pool hit ratio and evictions, cumulative disk seek distance,
     /// and — when a sharing manager is attached — the group count,
-    /// active-scan count, each group's leader-trailer distance
-    /// (`group.<anchor>.distance_pages`) and each scan's accumulated
-    /// slowdown as a fraction of its fairness-cap budget
-    /// (`scan.<id>.slowdown_frac`).
-    fn sample_metrics(&mut self, world: &ExecWorld<'_>, at: SimTime) {
+    /// active-scan count, each group's leader-trailer distance and each
+    /// scan's accumulated slowdown as a fraction of its fairness-cap
+    /// budget. Returns the manager's probe, so the tick's watch frame
+    /// need not take another.
+    fn sample(&mut self, world: &ExecWorld<'_>, at: SimTime) -> Option<ManagerProbe> {
+        let point = |value| SeriesPoint {
+            at_us: at.as_micros(),
+            value,
+        };
         let pool = world.pool.stats();
-        self.pool_hit_ratio.push(at, pool.hit_ratio());
-        self.pool_evictions.push(at, pool.evictions as f64);
-        self.disk_seek_distance
-            .push(at, world.disk.stats().seek_distance_pages as f64);
-        let (Some(mgr), Some((groups, active_scans, shared_groups))) = (&world.mgr, &self.mgr)
-        else {
-            return;
+        self.pool_hit_ratio.push(point(pool.hit_ratio()));
+        self.pool_evictions.push(point(pool.evictions as f64));
+        let seek_distance = world.disk.stats().seek_distance_pages;
+        self.disk_seek_distance.push(point(seek_distance as f64));
+        let (Some(mgr), Some(m)) = (&world.mgr, &mut self.mgr) else {
+            return None;
         };
         let probe = mgr.probe();
-        groups.set(probe.groups.len() as f64);
-        active_scans.set(probe.scans.len() as f64);
-        shared_groups.push(at, probe.shared_groups() as f64);
+        m.groups = probe.groups.len() as f64;
+        m.active_scans = probe.scans.len() as f64;
+        m.shared_groups.push(point(probe.shared_groups() as f64));
         for g in &probe.groups {
-            self.group_distance.push(g.anchor, at, g.extent as f64);
+            let points = m.group_distance.entry(g.anchor).or_default();
+            points.push(point(g.extent as f64));
         }
         for s in &probe.scans {
-            self.scan_slowdown.push(s.id, at, s.slowdown_frac);
+            let points = m.scan_slowdown.entry(s.id).or_default();
+            points.push(point(s.slowdown_frac));
         }
+        Some(probe)
+    }
+}
+
+/// The run's metrics at `at`, its makespan: the executor's two
+/// histograms, the sampler's series and manager gauges, and — only when
+/// fault injection was armed — the fault counters. The one place that
+/// names a metric; every list is in name order, so `scan.10.*` comes
+/// before `scan.2.*`.
+fn metrics_snapshot(
+    at: SimTime,
+    read_us: &Histogram,
+    throttle_wait_us: &Histogram,
+    sampler: Sampler,
+    faults: Option<&FaultSummary>,
+) -> MetricsSnapshot {
+    let counter = |name: &str, value| CounterSample {
+        name: name.into(),
+        value,
+    };
+    let counters = match faults {
+        Some(f) => vec![
+            counter("faults.delays_injected", f.delays_injected),
+            counter("faults.permanent_errors", f.permanent_errors),
+            counter("faults.retries", f.retries),
+            counter("faults.scans_aborted", f.scans_aborted),
+            counter("faults.timeouts", f.timeouts),
+            counter("faults.transient_errors", f.transient_errors),
+        ],
+        None => Vec::new(),
+    };
+    let series = |name: String, points| SeriesSnapshot { name, points };
+    let mut all = vec![
+        series("disk.seek_distance".into(), sampler.disk_seek_distance),
+        series("pool.evictions".into(), sampler.pool_evictions),
+        series("pool.hit_ratio".into(), sampler.pool_hit_ratio),
+    ];
+    let mut gauges = Vec::new();
+    if let Some(m) = sampler.mgr {
+        let gauge = |name: &str, value| GaugeSample {
+            name: name.into(),
+            value,
+        };
+        gauges = vec![
+            gauge("mgr.active_scans", m.active_scans),
+            gauge("mgr.groups", m.groups),
+        ];
+        all.push(series("mgr.shared_groups".into(), m.shared_groups));
+        for (anchor, points) in m.group_distance {
+            all.push(series(format!("group.{}.distance_pages", anchor.0), points));
+        }
+        for (scan, points) in m.scan_slowdown {
+            all.push(series(format!("scan.{}.slowdown_frac", scan.0), points));
+        }
+    }
+    all.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+    MetricsSnapshot {
+        at,
+        counters,
+        gauges,
+        histograms: vec![
+            read_us.snapshot("disk.read_us"),
+            throttle_wait_us.snapshot("throttle.wait_us"),
+        ],
+        series: all,
     }
 }
 
@@ -573,6 +606,8 @@ mod tests {
     use crate::cost::CpuClass;
     use crate::query::{Access, AggSpec, Pred, ScanSpec};
     use scanshare_relstore::{ColType, Column, Schema, Value};
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
 
     fn build_db() -> Database {
         let mut db = Database::new(16);
@@ -1108,29 +1143,143 @@ mod tests {
         assert_eq!(hit.points[0].at_us, r.makespan.as_micros());
     }
 
-    /// The interval sampler as first written — every series looked up in
-    /// the registry by a freshly formatted name at every tick — fed from
-    /// the watch frames, which see the same probe and counters at the
-    /// same instants as the run's own sampler.
-    fn sample_by_name(reg: &MetricsRegistry, f: &WatchFrame) {
-        reg.series("pool.hit_ratio").push(f.at, f.pool.hit_ratio());
-        reg.series("pool.evictions")
-            .push(f.at, f.pool.evictions as f64);
-        reg.series("disk.seek_distance")
-            .push(f.at, f.disk.seek_distance_pages as f64);
+    #[test]
+    fn series_record_time_and_value() {
+        let db = build_db();
+        let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+        let world = ExecWorld::new(db.store(), pool, EngineConfig::default(), None);
+        let mut sampler = Sampler::new(&world);
+        assert!(sampler.sample(&world, SimTime::from_millis(100)).is_none());
+        sampler.sample(&world, SimTime::from_millis(200));
+        let snap = metrics_snapshot(
+            SimTime::from_millis(200),
+            &world.read_hist,
+            &world.throttle_hist,
+            sampler,
+            None,
+        );
+        let ss = snap.series("pool.hit_ratio").unwrap();
+        let at: Vec<u64> = ss.points.iter().map(|p| p.at_us).collect();
+        assert_eq!(at, [100_000, 200_000]);
+        // No manager: the three fixed series, no gauges, no counters.
+        assert_eq!(snap.series.len(), 3);
+        assert!(snap.gauges.is_empty() && snap.counters.is_empty());
+    }
+
+    /// A snapshot of every kind of signal: two groups and two scans whose
+    /// ids sort differently as numbers and as names, and armed faults.
+    fn full_snapshot() -> MetricsSnapshot {
+        let point = |at_us, value| SeriesPoint { at_us, value };
+        let mut m = ManagerSignals {
+            groups: 2.0,
+            active_scans: 3.0,
+            shared_groups: vec![point(0, 1.0)],
+            ..ManagerSignals::default()
+        };
+        for id in [2, 10] {
+            m.group_distance.insert(AnchorId(id), vec![point(0, 160.0)]);
+            m.scan_slowdown.insert(ScanId(id), vec![point(0, 0.25)]);
+        }
+        let sampler = Sampler {
+            pool_hit_ratio: vec![point(2_000_000, 0.25)],
+            mgr: Some(m),
+            ..Sampler::default()
+        };
+        let mut read_us = Histogram::new();
+        for v in [3u64, 900, 14, 7_000_000] {
+            read_us.record(v);
+        }
+        let faults = FaultSummary {
+            retries: 42,
+            ..FaultSummary::default()
+        };
+        let at = SimTime::from_secs(3);
+        metrics_snapshot(at, &read_us, &Histogram::new(), sampler, Some(&faults))
+    }
+
+    #[test]
+    fn snapshot_is_sorted_and_queryable() {
+        let snap = full_snapshot();
+        assert_eq!(snap.at, SimTime::from_secs(3));
+        let sorted = |names: Vec<&str>| names.windows(2).all(|w| w[0] < w[1]);
+        assert!(sorted(snap.counters.iter().map(|c| &*c.name).collect()));
+        assert!(sorted(snap.gauges.iter().map(|g| &*g.name).collect()));
+        assert!(sorted(snap.histograms.iter().map(|h| &*h.name).collect()));
+        let series: Vec<&str> = snap.series.iter().map(|s| &*s.name).collect();
+        assert_eq!(
+            series,
+            [
+                "disk.seek_distance",
+                "group.10.distance_pages",
+                "group.2.distance_pages",
+                "mgr.shared_groups",
+                "pool.evictions",
+                "pool.hit_ratio",
+                "scan.10.slowdown_frac",
+                "scan.2.slowdown_frac",
+            ]
+        );
+        assert_eq!(snap.counters.len(), 6);
+        assert_eq!(snap.counter("faults.retries"), Some(42));
+        assert_eq!(snap.counter("faults.timeouts"), Some(0));
+        assert_eq!(snap.counter("missing"), None);
+        assert_eq!(snap.gauge("mgr.groups"), Some(2.0));
+        assert_eq!(snap.gauge("mgr.active_scans"), Some(3.0));
+        assert_eq!(snap.histogram("disk.read_us").unwrap().count, 4);
+        assert_eq!(snap.histogram("throttle.wait_us").unwrap().count, 0);
+        assert_eq!(snap.series("pool.hit_ratio").unwrap().points.len(), 1);
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_json() {
+        let snap = full_snapshot();
+        let json = serde_json::to_string(&snap).unwrap();
+        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(snap, back);
+        // Quantiles recomputed from the deserialized snapshot agree.
+        assert_eq!(
+            back.histogram("disk.read_us").unwrap().quantile(0.5),
+            snap.histogram("disk.read_us").unwrap().p50
+        );
+    }
+
+    /// Series and gauges keyed by their full names.
+    #[derive(Default)]
+    struct ByName {
+        series: BTreeMap<String, Vec<SeriesPoint>>,
+        gauges: BTreeMap<String, f64>,
+    }
+
+    /// The interval sampler as first written — every signal looked up by
+    /// a freshly formatted name at every tick — fed from the watch
+    /// frames, which see the same probe and counters at the same
+    /// instants as the run's own sampler.
+    fn sample_by_name(reg: &mut ByName, f: &WatchFrame) {
+        let mut push = |name: String, value: f64| {
+            let at_us = f.at.as_micros();
+            let points = reg.series.entry(name).or_default();
+            points.push(SeriesPoint { at_us, value });
+        };
+        push("pool.hit_ratio".into(), f.pool.hit_ratio());
+        push("pool.evictions".into(), f.pool.evictions as f64);
+        push(
+            "disk.seek_distance".into(),
+            f.disk.seek_distance_pages as f64,
+        );
         let Some(probe) = &f.probe else { return };
-        reg.gauge("mgr.groups").set(probe.groups.len() as f64);
-        reg.gauge("mgr.active_scans").set(probe.scans.len() as f64);
-        reg.series("mgr.shared_groups")
-            .push(f.at, probe.shared_groups() as f64);
+        push("mgr.shared_groups".into(), probe.shared_groups() as f64);
         for g in &probe.groups {
-            reg.series(&format!("group.{}.distance_pages", g.anchor.0))
-                .push(f.at, g.extent as f64);
+            push(
+                format!("group.{}.distance_pages", g.anchor.0),
+                g.extent as f64,
+            );
         }
         for s in &probe.scans {
-            reg.series(&format!("scan.{}.slowdown_frac", s.id.0))
-                .push(f.at, s.slowdown_frac);
+            push(format!("scan.{}.slowdown_frac", s.id.0), s.slowdown_frac);
         }
+        let gauges = &mut reg.gauges;
+        gauges.insert("mgr.groups".into(), probe.groups.len() as f64);
+        gauges.insert("mgr.active_scans".into(), probe.scans.len() as f64);
     }
 
     /// Run `spec` and return its report beside the gauges and series the
@@ -1138,15 +1287,27 @@ mod tests {
     fn run_beside_the_by_name_sampler(
         db: &Database,
         spec: &WorkloadSpec,
-    ) -> (RunReport, scanshare::MetricsSnapshot) {
-        let reference = MetricsRegistry::new();
+    ) -> (RunReport, MetricsSnapshot) {
+        let reference = Arc::new(Mutex::new(ByName::default()));
         let sink = reference.clone();
         let hooks = RunHooks {
-            observer: Some(Arc::new(move |f: &WatchFrame| sample_by_name(&sink, f))),
+            observer: Some(Arc::new(move |f: &WatchFrame| {
+                sample_by_name(&mut sink.lock().unwrap(), f)
+            })),
             ..RunHooks::default()
         };
         let r = run_workload_hooked(db, spec, hooks).unwrap();
-        let sampled = reference.snapshot(SimTime::ZERO + r.makespan);
+        let ByName { series, gauges } = std::mem::take(&mut *reference.lock().unwrap());
+        let sampled = MetricsSnapshot {
+            at: SimTime::ZERO + r.makespan,
+            gauges: (gauges.into_iter())
+                .map(|(name, value)| GaugeSample { name, value })
+                .collect(),
+            series: (series.into_iter())
+                .map(|(name, points)| SeriesSnapshot { name, points })
+                .collect(),
+            ..MetricsSnapshot::default()
+        };
         (r, sampled)
     }
 
@@ -1176,7 +1337,7 @@ mod tests {
         );
         spec.engine.metrics_interval = SimDuration::from_millis(5);
         let (r, sampled) = run_beside_the_by_name_sampler(&db, &spec);
-        let expected = scanshare::MetricsSnapshot {
+        let expected = MetricsSnapshot {
             gauges: sampled.gauges.clone(),
             series: sampled.series.clone(),
             ..r.metrics.clone()
