@@ -88,11 +88,6 @@ impl Histogram {
         }
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Freeze the current state into a serializable snapshot.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
         let buckets = self

@@ -86,7 +86,7 @@ pub struct EngineConfig {
     pub share_index_scans: bool,
     /// Virtual-time interval at which the run's observability sampler
     /// records pool hit-ratio, eviction, seek-distance, per-group
-    /// distance, and per-scan slowdown series into the metrics registry.
+    /// distance, and per-scan slowdown series into the report's metrics.
     /// Zero disables interval sampling (aggregates are still recorded).
     #[serde(default = "default_metrics_interval")]
     pub metrics_interval: SimDuration,
