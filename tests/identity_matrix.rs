@@ -39,6 +39,11 @@
 //! from that ring and its report digest omits the `trace` key. Now the
 //! rows come from [`lifecycles`] over the decision log.
 //!
+//! Both report pins are taken over [`parent_bytes`] of the report: the
+//! shape the parent commit wrote, which left a section out while it
+//! held its default. Each cell also checks that this shape loads back to
+//! the report it came from.
+//!
 //! The last two tests read each cell's log as a second witness: every
 //! sharing counter re-derives from it, and every scan it starts ends
 //! exactly once.
@@ -737,6 +742,30 @@ fn report_digest_without_lifecycle(json: &str) -> u64 {
     )
 }
 
+/// The report as the parent commit encoded it. Its encoder left out
+/// `faults` when all zero, `policy`, `profile` and `push` when `null`
+/// and `slo` when `[]`; the vendored `serde_json::Map` keeps insertion
+/// order, so dropping those and re-encoding gives the parent's bytes.
+fn parent_bytes(json: &str) -> String {
+    use serde_json::{Map, Value};
+    let v: Value = serde_json::from_str(json).expect("report parses");
+    let mut out = Map::new();
+    for (k, v) in v.as_object().expect("report is an object").iter() {
+        let default = match k {
+            "faults" => v
+                .as_object()
+                .is_some_and(|f| f.iter().all(|(_, n)| n.as_u64() == Some(0))),
+            "policy" | "profile" | "push" => v.is_null(),
+            "slo" => v.as_array().is_some_and(<[Value]>::is_empty),
+            _ => false,
+        };
+        if !default {
+            out.insert(k, v.clone());
+        }
+    }
+    serde_json::to_string(&Value::Object(out)).expect("report encodes")
+}
+
 /// The matrix's database and cells.
 fn matrix() -> (Database, Vec<Cell>) {
     let tpch = TpchConfig {
@@ -792,9 +821,23 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
                 .collect();
             fnv1a(format!("{tree:?}").as_bytes())
         });
-        let got = (fnv1a(json.as_bytes()), spans);
+        // Every section the parent left out when default loads back to
+        // the same report.
+        let parent = parent_bytes(&json);
+        let back: RunReport = serde_json::from_str(&parent)
+            .unwrap_or_else(|e| panic!("{}: parent-shaped report: {e}", cell.name));
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            json,
+            "{}: the parent's shape does not load to this report",
+            cell.name
+        );
+        let got = (fnv1a(parent.as_bytes()), spans);
         table.push_str(&format!("    (\"{}\", {}),\n", cell.name, show(got)));
-        let pin = (lifecycle_digest(&r), report_digest_without_lifecycle(&json));
+        let pin = (
+            lifecycle_digest(&r),
+            report_digest_without_lifecycle(&parent),
+        );
         pins.push_str(&format!(
             "    (\"{}\", (0x{:016x}, 0x{:016x})),\n",
             cell.name, pin.0, pin.1
