@@ -1235,6 +1235,11 @@ mod tests {
         assert_eq!(back.tpch.scale, spec.tpch.scale);
         assert_eq!(back.workload.streams.len(), spec.workload.streams.len());
         assert_eq!(back.workload.pool_pages, spec.workload.pool_pages);
+        // A template written before `delivery` existed loads to this one.
+        let pre_push = json.replace(",\"delivery\":\"Pull\"", "");
+        assert_ne!(pre_push, json);
+        let old: RunSpec = serde_json::from_str(&pre_push).unwrap();
+        assert_eq!(serde_json::to_string(&old).unwrap(), json);
     }
 
     #[test]

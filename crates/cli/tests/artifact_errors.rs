@@ -137,6 +137,46 @@ fn old_trace_artifacts_replay_from_their_decisions_or_are_refused() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Only the sections added after the first artifacts may be missing: a
+/// report or spec without a field that has no default is refused, and
+/// the diagnostic's first line names the field.
+#[test]
+fn a_missing_required_field_is_exit_2_naming_it() {
+    let dir = std::env::temp_dir();
+    let report = dir.join(format!("scanshare_no_makespan_{}.json", std::process::id()));
+    std::fs::write(&report, r#"{"stream_elapsed": []}"#).unwrap();
+    let out = scanshare(&["explain", "--artifact", report.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert_eq!(err.trim_end().lines().count(), 1, "got {err:?}");
+    assert!(
+        err.contains("missing field `makespan` in `RunReport`"),
+        "got {err:?}"
+    );
+
+    let template = String::from_utf8(scanshare(&["spec-template"]).stdout).unwrap();
+    let spec = dir.join(format!(
+        "scanshare_no_threshold_{}.json",
+        std::process::id()
+    ));
+    std::fs::write(
+        &spec,
+        template.replace("\"throttle_threshold_extents\": 2,", ""),
+    )
+    .unwrap();
+    let out = scanshare(&["run", "--spec", spec.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr_of(&out);
+    assert!(
+        err.lines().next().is_some_and(
+            |l| l.contains("missing field `throttle_threshold_extents` in `SharingConfig`")
+        ),
+        "got {err:?}"
+    );
+    std::fs::remove_file(&report).ok();
+    std::fs::remove_file(&spec).ok();
+}
+
 #[test]
 fn explain_of_unknown_scan_is_exit_2() {
     // A structurally valid report with no decisions: --scan must fail

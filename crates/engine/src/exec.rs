@@ -791,7 +791,10 @@ mod tests {
             format!("{:?}", plain.disk.stats()),
             format!("{:?}", armed.disk.stats())
         );
-        assert!(armed.fault_summary().unwrap().is_empty());
+        assert_eq!(
+            armed.fault_summary(),
+            Some(crate::faults::FaultSummary::default())
+        );
     }
 
     #[test]

@@ -74,9 +74,8 @@ impl FaultsConfig {
     }
 }
 
-/// Per-run fault accounting, embedded in the run report (omitted from
-/// serialization when nothing was injected, keeping fault-free artifacts
-/// byte-identical to older ones).
+/// Per-run fault accounting, embedded in the run report (all zero when
+/// nothing was injected).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSummary {
     /// Transient read errors injected by the plan.
@@ -95,13 +94,6 @@ pub struct FaultSummary {
     pub backoff_wait: SimDuration,
     /// Scans aborted on a permanent fault or an exhausted retry budget.
     pub scans_aborted: u64,
-}
-
-impl FaultSummary {
-    /// Whether nothing fault-related happened this run.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultSummary::default()
-    }
 }
 
 /// One fault occurrence observed by the retry loop, queued for the scan
@@ -208,16 +200,6 @@ mod tests {
         let back: FaultsConfig =
             serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
         assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn empty_summary_is_skippable() {
-        assert!(FaultSummary::default().is_empty());
-        let s = FaultSummary {
-            retries: 1,
-            ..FaultSummary::default()
-        };
-        assert!(!s.is_empty());
     }
 
     #[test]

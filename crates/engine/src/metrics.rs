@@ -109,11 +109,11 @@ impl PushSummary {
 
 /// Everything measured over one workload run.
 ///
-/// `Serialize`/`Deserialize` are hand-written (see below) so the
-/// `faults` section only appears in artifacts when something was
-/// actually injected: fault-free runs stay byte-identical to artifacts
-/// written before fault injection existed.
-#[derive(Debug, Clone)]
+/// Every field is written, in declaration order. The `#[serde(default)]`
+/// fields were added after the first artifacts, so a report written
+/// before one of them existed still loads, with that section at its
+/// default.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunReport {
     /// End-to-end time of the run (last stream finish).
     pub makespan: SimDuration,
@@ -130,6 +130,7 @@ pub struct RunReport {
     /// Seeks per time bucket (Figure 18).
     pub seek_series: TimeSeries,
     /// Head-travel distance per time bucket, in pages.
+    #[serde(default)]
     pub seek_distance_series: TimeSeries,
     /// Buffer pool counters.
     pub pool: PoolStats,
@@ -139,111 +140,35 @@ pub struct RunReport {
     /// latency histograms, and the interval-sampled time series
     /// (per-group leader-trailer distance, per-scan slowdown vs the
     /// fairness cap, pool hit ratio, evictions, seek distance).
+    #[serde(default)]
     pub metrics: MetricsSnapshot,
     /// The sharing manager's event log: every decision with its inputs
     /// and every scan's start, wrap and end (empty in base mode) — what
     /// `scanshare explain` narrates and `scanshare trace` reassembles
     /// into lifecycles. Artifacts written while a separate trace ring
     /// existed still load; their `trace` key is ignored.
+    #[serde(default)]
     pub decisions: Vec<scanshare::DecisionRecord>,
-    /// Fault-injection and retry accounting (all zero — and omitted
-    /// from artifacts — when the run carried no fault plan).
+    /// Fault-injection and retry accounting (all zero when the run
+    /// carried no fault plan).
+    #[serde(default)]
     pub faults: FaultSummary,
-    /// The non-default sharing policy the run used, if any. `None` — and
-    /// omitted from artifacts — for base runs and for the default
-    /// grouping policy, so default-policy reports stay byte-identical to
-    /// artifacts written before the policy framework existed.
+    /// The non-default sharing policy the run used, if any: `None` for
+    /// base runs and for the default grouping policy.
+    #[serde(default)]
     pub policy: Option<scanshare::SharingPolicyKind>,
     /// Span-profiler summary, present only when profiling was requested
     /// (`--profile-out` or an attached [`scanshare::SpanProfiler`]).
-    /// Omitted from artifacts when `None`, so unprofiled reports stay
-    /// byte-identical to artifacts written before profiling existed.
+    #[serde(default)]
     pub profile: Option<scanshare::ProfileSummary>,
     /// SLO rule verdicts, one per rule in the workload spec's `slo`
-    /// section (empty — and omitted from artifacts — when the spec
-    /// declares no rules).
+    /// section (empty when the spec declares no rules).
+    #[serde(default)]
     pub slo: Vec<crate::slo::SloVerdict>,
     /// Push-delivery counters, present only when the run used
-    /// `delivery: push`. `None` — and omitted from artifacts — for pull
-    /// runs, so default-mode reports stay byte-identical to artifacts
-    /// written before push delivery existed.
+    /// `delivery: push` (`None` for pull runs).
+    #[serde(default)]
     pub push: Option<PushSummary>,
-}
-
-impl Serialize for RunReport {
-    fn to_json_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("makespan", self.makespan.to_json_value());
-        m.insert("stream_elapsed", self.stream_elapsed.to_json_value());
-        m.insert("queries", self.queries.to_json_value());
-        m.insert("breakdown", self.breakdown.to_json_value());
-        m.insert("disk", self.disk.to_json_value());
-        m.insert("read_series", self.read_series.to_json_value());
-        m.insert("seek_series", self.seek_series.to_json_value());
-        m.insert(
-            "seek_distance_series",
-            self.seek_distance_series.to_json_value(),
-        );
-        m.insert("pool", self.pool.to_json_value());
-        m.insert("sharing", self.sharing.to_json_value());
-        m.insert("metrics", self.metrics.to_json_value());
-        m.insert("decisions", self.decisions.to_json_value());
-        if !self.faults.is_empty() {
-            m.insert("faults", self.faults.to_json_value());
-        }
-        if let Some(policy) = &self.policy {
-            m.insert("policy", policy.to_json_value());
-        }
-        if let Some(profile) = &self.profile {
-            m.insert("profile", profile.to_json_value());
-        }
-        if !self.slo.is_empty() {
-            m.insert("slo", self.slo.to_json_value());
-        }
-        if let Some(push) = &self.push {
-            m.insert("push", push.to_json_value());
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for RunReport {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        fn req<T: Deserialize>(m: &serde::Map, field: &str) -> Result<T, serde::Error> {
-            match m.get(field) {
-                Some(v) => T::from_json_value(v),
-                None => serde::__private::missing_field("RunReport", field),
-            }
-        }
-        fn opt<T: Deserialize + Default>(m: &serde::Map, field: &str) -> Result<T, serde::Error> {
-            match m.get(field) {
-                Some(v) => T::from_json_value(v),
-                None => Ok(T::default()),
-            }
-        }
-        let m = v
-            .as_object()
-            .ok_or_else(|| serde::__private::unexpected("object", v))?;
-        Ok(RunReport {
-            makespan: req(m, "makespan")?,
-            stream_elapsed: req(m, "stream_elapsed")?,
-            queries: req(m, "queries")?,
-            breakdown: req(m, "breakdown")?,
-            disk: req(m, "disk")?,
-            read_series: req(m, "read_series")?,
-            seek_series: req(m, "seek_series")?,
-            seek_distance_series: opt(m, "seek_distance_series")?,
-            pool: req(m, "pool")?,
-            sharing: req(m, "sharing")?,
-            metrics: opt(m, "metrics")?,
-            decisions: opt(m, "decisions")?,
-            faults: opt(m, "faults")?,
-            policy: opt(m, "policy")?,
-            profile: opt(m, "profile")?,
-            slo: opt(m, "slo")?,
-            push: opt(m, "push")?,
-        })
-    }
 }
 
 impl RunReport {

@@ -1569,7 +1569,7 @@ mod tests {
         assert_eq!(r.metrics.counter("faults.retries"), Some(r.faults.retries));
         // The fault-free run registered none of them.
         assert_eq!(r0.metrics.counter("faults.retries"), None);
-        assert!(r0.faults.is_empty());
+        assert_eq!(r0.faults, FaultSummary::default());
     }
 
     #[test]
@@ -1648,8 +1648,8 @@ mod tests {
             serde_json::to_string(&b).unwrap(),
             "an empty fault plan must not perturb the report"
         );
-        // And the report JSON carries no faults section at all.
-        assert!(!serde_json::to_string(&a).unwrap().contains("\"faults\""));
+        // And its faults section is all zero.
+        assert_eq!(a.faults, FaultSummary::default());
     }
 
     #[test]
@@ -1730,7 +1730,7 @@ mod tests {
     }
 
     #[test]
-    fn unprofiled_report_has_no_profile_or_slo_section() {
+    fn unprofiled_report_has_an_empty_profile_and_slo_section() {
         let db = build_db();
         let q = q6_like("Q6", 0, 5);
         let spec = spec(
@@ -1739,8 +1739,8 @@ mod tests {
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
         let json = serde_json::to_string(&run_workload(&db, &spec).unwrap()).unwrap();
-        assert!(!json.contains("\"profile\""));
-        assert!(!json.contains("\"slo\""));
+        assert!(json.contains("\"profile\":null"), "got: {json}");
+        assert!(json.contains("\"slo\":[]"), "got: {json}");
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn profile_out_writes_a_valid_trace_and_a_wall_accounting_summary() {
     );
 
     // Profiling is opt-in: the same spec without --profile-out writes a
-    // byte-identical report with no profile section.
+    // byte-identical report whose profile section is null.
     let plain_path = temp_path("plain");
     let code = run_cmd(
         &spec_path,
@@ -194,22 +194,18 @@ fn profile_out_writes_a_valid_trace_and_a_wall_accounting_summary() {
         },
     );
     assert_eq!(code, 0);
-    let plain = std::fs::read_to_string(&plain_path).unwrap();
-    assert!(!plain.contains("\"profile\""));
-    let profiled = std::fs::read_to_string(&report_path).unwrap();
-    let strip = |s: &str| {
-        let v: serde_json::Value = serde_json::from_str(s).unwrap();
-        let mut m = serde_json::Map::new();
-        for (k, val) in v.as_object().unwrap().iter() {
-            if k != "profile" {
-                m.insert(k, val.clone());
-            }
-        }
-        serde_json::to_string(&serde_json::Value::Object(m)).unwrap()
+    let parse = |path: &std::path::Path| -> serde_json::Value {
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
     };
+    let plain = parse(&plain_path);
+    assert_eq!(plain.get("profile"), Some(&serde_json::Value::Null));
+    let serde_json::Value::Object(mut unprofiled) = parse(&report_path) else {
+        panic!("a report is an object");
+    };
+    unprofiled.insert("profile", serde_json::Value::Null);
     assert_eq!(
-        strip(&profiled),
-        strip(&plain),
+        serde_json::Value::Object(unprofiled),
+        plain,
         "profile section must be additive"
     );
 
