@@ -24,6 +24,8 @@
 //! spec, or `scanshare run --policy grouping|attach|elevator` on the
 //! command line.
 
+use std::cmp::Reverse;
+
 use serde::{Deserialize, Serialize};
 
 use crate::config::{PlacementStrategy, SharingConfig};
@@ -264,28 +266,14 @@ fn place_grouping(
     // Attach strategy (QPipe baseline): join the ongoing scan with
     // the most remaining work, unconditionally.
     if cfg.placement_strategy == PlacementStrategy::AlwaysAttach {
-        for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
-            let saving = m.remaining_pages.min(desc.est_pages) as f64;
-            candidates.push(PlacementCandidate {
-                scan: Some(m.id),
-                location: m.location,
-                saving_pages: saving,
-                score: saving / desc.est_pages.max(1) as f64,
-                speed: m.speed,
-            });
-        }
-        let target = members
-            .iter()
-            .filter(|m| m.location.pos != UNKNOWN_POS)
-            .max_by_key(|m| (m.remaining_pages, std::cmp::Reverse(m.id)));
-        return match target {
-            Some(m) => StartDecision::JoinAt {
-                location: m.location,
-                scan: Some(m.id),
-                back_up_pages: 0,
-            },
-            None => StartDecision::FromStart,
-        };
+        return join_max(
+            &members,
+            desc,
+            candidates,
+            |_, saving| saving / desc.est_pages.max(1) as f64,
+            |m| (m.remaining_pages, Reverse(m.id)),
+        )
+        .unwrap_or(StartDecision::FromStart);
     }
 
     // Optimal strategy: table-scan locations form a known linear
@@ -387,37 +375,54 @@ fn place_grouping(
     }
 }
 
+/// Attach-style placement: every compatible member at a known location
+/// is a candidate, scored by `score(member, saving)`, and the new scan
+/// joins the member with the greatest `key` — `None` when there is none.
+fn join_max<K: Ord>(
+    members: &[&ScanState],
+    desc: &ScanDesc,
+    candidates: &mut Vec<PlacementCandidate>,
+    score: impl Fn(&ScanState, f64) -> f64,
+    key: impl Fn(&ScanState) -> K,
+) -> Option<StartDecision> {
+    let mut best: Option<&ScanState> = None;
+    for &m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
+        let saving = m.remaining_pages.min(desc.est_pages) as f64;
+        candidates.push(PlacementCandidate {
+            scan: Some(m.id),
+            location: m.location,
+            saving_pages: saving,
+            score: score(m, saving),
+            speed: m.speed,
+        });
+        // `>=`: the last of equal keys wins, as with `max_by_key`.
+        if best.is_none_or(|b| key(m) >= key(b)) {
+            best = Some(m);
+        }
+    }
+    best.map(|m| StartDecision::JoinAt {
+        location: m.location,
+        scan: Some(m.id),
+        back_up_pages: 0,
+    })
+}
+
 /// [`SharingPolicyKind::Attach`]: join the newest compatible scan.
 fn place_attach(
     scans: &[ScanState],
     desc: &ScanDesc,
     candidates: &mut Vec<PlacementCandidate>,
 ) -> StartDecision {
-    let members = compatible(scans, desc);
-    for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
-        let saving = m.remaining_pages.min(desc.est_pages) as f64;
-        candidates.push(PlacementCandidate {
-            scan: Some(m.id),
-            location: m.location,
-            saving_pages: saving,
-            // Rank by recency: ids ascend in start order, so the
-            // newest scan scores highest.
-            score: m.id.0 as f64,
-            speed: m.speed,
-        });
-    }
-    match members
-        .iter()
-        .filter(|m| m.location.pos != UNKNOWN_POS)
-        .max_by_key(|m| m.id)
-    {
-        Some(m) => StartDecision::JoinAt {
-            location: m.location,
-            scan: Some(m.id),
-            back_up_pages: 0,
-        },
-        None => StartDecision::FromStart,
-    }
+    // Rank by recency: ids ascend in start order, so the newest scan
+    // scores highest.
+    join_max(
+        &compatible(scans, desc),
+        desc,
+        candidates,
+        |m, _| m.id.0 as f64,
+        |m| m.id,
+    )
+    .unwrap_or(StartDecision::FromStart)
 }
 
 /// [`SharingPolicyKind::Elevator`]: join the cursor, or where the last
@@ -429,30 +434,16 @@ fn place_elevator(
     candidates: &mut Vec<PlacementCandidate>,
     stats: &mut SharingStats,
 ) -> StartDecision {
-    let members = compatible(scans, desc);
-    for m in members.iter().filter(|m| m.location.pos != UNKNOWN_POS) {
-        let saving = m.remaining_pages.min(desc.est_pages) as f64;
-        candidates.push(PlacementCandidate {
-            scan: Some(m.id),
-            location: m.location,
-            saving_pages: saving,
-            // Rank by position: the cursor is the front-most scan.
-            score: m.location.pos as f64,
-            speed: m.speed,
-        });
-    }
     // The cursor: the front-most ongoing scan (ties broken toward the
     // older scan, which has been defining the cursor for longer).
-    if let Some(m) = members
-        .iter()
-        .filter(|m| m.location.pos != UNKNOWN_POS)
-        .max_by_key(|m| (m.location.pos, std::cmp::Reverse(m.id)))
-    {
-        return StartDecision::JoinAt {
-            location: m.location,
-            scan: Some(m.id),
-            back_up_pages: 0,
-        };
+    if let Some(join) = join_max(
+        &compatible(scans, desc),
+        desc,
+        candidates,
+        |m, _| m.location.pos as f64,
+        |m| (m.location.pos, Reverse(m.id)),
+    ) {
+        return join;
     }
     // Idle table: the cursor rests where the last scan stopped.
     if let Some(fin) = last_finished {
