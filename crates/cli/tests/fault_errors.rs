@@ -2,15 +2,18 @@
 //! fault-plan files exit 2 with a one-line diagnostic, a plan that
 //! aborts scans turns into the distinct "degraded run" exit 3, and an
 //! empty plan leaves the success path untouched. Scripted pipelines
-//! (CI fault matrices, bench gates) key off exactly these codes. A spec
-//! the engine cannot run — a scan naming a column its table lacks — is
-//! the engine-error exit 1 with the engine's one line, never a panic.
+//! (CI fault matrices, bench gates) key off exactly these codes. Each
+//! committed plan under `results/fault_plans/` does what its
+//! EXPERIMENTS.md row says. A spec the engine cannot run — a scan
+//! naming a column its table lacks — is the engine-error exit 1 with
+//! the engine's one line, never a panic.
 
 use std::process::Command;
 
 use scanshare::SharingConfig;
 use scanshare_cli::RunSpec;
-use scanshare_engine::SharingMode;
+use scanshare_engine::{FaultSummary, SharingMode};
+use scanshare_storage::SimDuration;
 use scanshare_tpch::{generate, throughput_workload, TpchConfig};
 
 fn scanshare(args: &[&str]) -> std::process::Output {
@@ -187,6 +190,60 @@ fn empty_fault_plan_keeps_the_success_exit_0() {
 
     std::fs::remove_file(&spec).ok();
     std::fs::remove_file(&plan).ok();
+}
+
+/// Each canned plan in `results/fault_plans/` does what EXPERIMENTS.md's
+/// table of them says.
+#[test]
+fn every_committed_fault_plan_does_what_its_table_row_says() {
+    let spec = tiny_spec("committed");
+    let run = |plan: &str| {
+        let plan = format!(
+            "{}/../../results/fault_plans/{plan}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let report = std::env::temp_dir().join(format!(
+            "scanshare_committed_plan_report_{}.json",
+            std::process::id()
+        ));
+        let report = report.to_str().unwrap();
+        let out = scanshare(&[
+            "run",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--faults",
+            &plan,
+            "--report",
+            report,
+        ]);
+        let r = scanshare_cli::load_report(report).unwrap();
+        std::fs::remove_file(report).ok();
+        (out.status.code(), r)
+    };
+
+    let (code, r) = run("empty");
+    assert_eq!(code, Some(0));
+    assert_eq!(r.faults, FaultSummary::default());
+
+    let (code, r) = run("latency_spikes");
+    assert_eq!(code, Some(0));
+    assert!(r.faults.delays_injected > 0, "{:?}", r.faults);
+
+    let (code, r) = run("transient_1pct");
+    assert_eq!(code, Some(0));
+    assert!(r.faults.retries > 0, "{:?}", r.faults);
+    assert_eq!(r.faults.scans_aborted, 0, "{:?}", r.faults);
+
+    // Device 0, the only disk, dies at t = 100 ms; this run lasts longer.
+    let (code, r) = run("permanent_dev0");
+    assert!(
+        r.makespan > SimDuration::from_millis(100),
+        "{:?}",
+        r.makespan
+    );
+    assert_eq!(code, Some(3));
+    assert!(r.faults.scans_aborted > 0, "{:?}", r.faults);
+    std::fs::remove_file(&spec).ok();
 }
 
 #[test]
