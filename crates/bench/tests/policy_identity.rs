@@ -9,7 +9,10 @@
 //! The committed artifact `results/policy_grouping_smoke_report.json`
 //! was generated from the pre-refactor tree on the pinned smoke workload
 //! (the one row `smoke` of `exp::TABLE` runs); this test replays the
-//! workload and compares the full serialized report byte-for-byte.
+//! workload and compares the full serialized report byte-for-byte. It
+//! was last regenerated when reports began writing every section, the
+//! default-valued `faults`, `policy`, `profile`, `slo` and `push`
+//! included; nothing else in it moved.
 //!
 //! To regenerate the artifact (only after an *intentional* report
 //! change, never to paper over a policy-refactor drift):

@@ -169,8 +169,8 @@ struct Inner {
     next_scan: u64,
     stats: SharingStats,
     /// Scans removed from sharing by [`ScanSharingManager::evict_scan`]
-    /// (fault degradation). Kept out of [`SharingStats`] so fault-free
-    /// reports serialize byte-identically to pre-fault builds.
+    /// (fault degradation). Kept out of [`SharingStats`], whose
+    /// serialized shape predates fault injection.
     evicted_by_fault: u64,
 }
 
@@ -328,8 +328,8 @@ impl ScanSharingManager {
 
         // Non-default policies announce themselves once, on the first
         // scan, so `explain` can narrate which policy shaped the run. The
-        // default policy stays silent to keep grouping-policy reports
-        // byte-identical to pre-policy-framework builds.
+        // default policy stays silent, so grouping-policy decision logs
+        // are those of the code before policies were selectable.
         if id.0 == 0 && self.cfg.policy != SharingPolicyKind::Grouping {
             self.emit(
                 now,

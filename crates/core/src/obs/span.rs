@@ -1,6 +1,6 @@
 //! Hierarchical, dual-clock execution spans and their exporters.
 //!
-//! The metrics registry answers *how much* (counters, histograms,
+//! A run's metrics snapshot answers *how much* (counters, histograms,
 //! series); spans answer *where the time went*. A [`SpanProfiler`]
 //! records a forest of named spans, each carrying **two clocks**:
 //!

@@ -53,8 +53,8 @@ pub struct ExecWorld<'a> {
     /// Engine configuration.
     pub cfg: EngineConfig,
     /// Optional span profiler. `None` (the default) keeps the exact
-    /// unprofiled code path: no span is recorded, no attribute string is
-    /// built, and reports stay byte-identical to pre-profiling builds.
+    /// unprofiled code path: no span is recorded and no attribute string
+    /// is built.
     pub profiler: Option<SpanProfiler>,
     /// Latency of each physical read request, issue to completion (µs).
     pub(crate) read_hist: Histogram,

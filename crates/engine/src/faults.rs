@@ -35,8 +35,7 @@ fn default_timeout_us() -> u64 {
 
 /// The `faults` section of a workload spec: the storage-layer plan plus
 /// the engine's retry/timeout policy. The default (empty plan) injects
-/// nothing and leaves every run byte-identical to a build without fault
-/// support.
+/// nothing: a run under it reports exactly what a run without it does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultsConfig {
     /// The seeded fault schedule handed to the storage layer.

@@ -130,10 +130,14 @@ impl PushEngine {
     }
 
     /// Try to admit `spec` into push delivery at time `now`. Returns
-    /// `None` when the spec is not push-shareable — RID fetches (their
-    /// page sets are per-predicate, not a shareable linear range),
-    /// order-requiring scans, and kinds excluded by the scope toggles —
-    /// in which case the caller falls back to a pull [`crate::scan_exec::ScanExec`].
+    /// `None` for RID fetches, order-requiring scans and kinds excluded
+    /// by the scope toggles, in which case the caller falls back to a
+    /// pull [`crate::scan_exec::ScanExec`]. RID fetches pull because a
+    /// driver serves one exact `(object, kind, lo, hi)` and push ignores
+    /// the placement decision: overlapping but unequal RID ranges would
+    /// each found a driver and share only what the pool happens to hold,
+    /// where pull placement can start a later scan at an earlier one's
+    /// location. Pushing them needs overlap-aware attach first.
     ///
     /// Placement is *not* consulted: attaching to a driver replaces the
     /// start-location decision (the driver's cursor is the location).

@@ -161,7 +161,7 @@ impl<'q> StreamTask<'q> {
                     continue;
                 }
                 let spec = &q.scans[self.scan_pos];
-                // Push delivery first; specs it cannot share (RID
+                // Push delivery first; specs it does not admit (RID
                 // fetches, order-requiring scans) fall back to pull.
                 let admitted = match push.as_mut() {
                     Some(pe) => pe.admit(db, world, spec, now)?,
@@ -245,8 +245,8 @@ pub struct RunHooks {
     pub observer: Option<WatchObserver>,
     /// Span profiler threaded through the run (`engine.run`, per-extent
     /// `scan.step` trees, manager and I/O annotations). When `None` —
-    /// the default — no span machinery runs at all and the report stays
-    /// byte-identical to pre-profiling builds.
+    /// the default — no span machinery runs at all and the report's
+    /// `profile` is `null`.
     pub profiler: Option<SpanProfiler>,
 }
 
@@ -309,7 +309,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         world.enable_faults(&spec.faults);
     }
     // Push delivery rides on the sharing manager; base modes and pull
-    // configs run the exact pre-push code path (and report bytes).
+    // configs run the exact pre-push code path.
     let mut push: Option<PushEngine> = match &spec.mode {
         SharingMode::ScanSharing(cfg) if cfg.delivery == scanshare::DeliveryMode::Push => {
             Some(PushEngine::new())

@@ -388,7 +388,8 @@ fn cells(db: &Database, tpch: &TpchConfig) -> Vec<Cell> {
             on_push(Reach::Handoff),
         );
 
-        // RID fetches are not push-shareable.
+        // RID fetches pull under push: a driver would serve one exact
+        // key range, and 10..35 overlaps 5..30 without equalling it.
         let rids = vec![rid_query(5, 30), rid_query(10, 35), rid_query(5, 30)];
         add(
             format!("rid/{t}"),
