@@ -133,8 +133,8 @@ impl PushEngine {
     /// `None` for RID fetches, order-requiring scans and kinds excluded
     /// by the scope toggles, in which case the caller falls back to a
     /// pull [`crate::scan_exec::ScanExec`]. RID fetches pull because a
-    /// driver serves one exact `(object, kind, lo, hi)` and push ignores
-    /// the placement decision: overlapping but unequal RID ranges would
+    /// driver serves one exact `(object, kind, lo, hi)` and placement is
+    /// not consulted (below): overlapping but unequal RID ranges would
     /// each found a driver and share only what the pool happens to hold,
     /// where pull placement can start a later scan at an earlier one's
     /// location. Pushing them needs overlap-aware attach first.
