@@ -502,6 +502,10 @@ fn load_spec_and_db(args: &Args, faults: Option<&str>) -> Result<(RunSpec, Datab
     if let Some(path) = faults {
         spec.workload.faults = load_fault_config(path)?;
     }
+    let block_pages = ("tpch.block_pages", spec.tpch.block_pages as u64);
+    spec.workload
+        .check_sizes(&[block_pages])
+        .map_err(|e| format!("invalid spec {path}: {e}"))?;
     let db = match args.value("--db") {
         Some(path) => Database::load(path).map_err(|e| format!("cannot load {path}: {e}"))?,
         None => generate(&spec.tpch),

@@ -177,6 +177,40 @@ fn a_missing_required_field_is_exit_2_naming_it() {
     std::fs::remove_file(&spec).ok();
 }
 
+/// A spec with a zero pool, extent, CPU count or block size is refused
+/// before any data is generated: exit 2 and one line naming the field.
+#[test]
+fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
+    let template = scanshare(&["spec-template"]);
+    let spec: scanshare_cli::RunSpec = serde_json::from_slice(&template.stdout).unwrap();
+    let path = std::env::temp_dir().join(format!("scanshare_zero_{}.json", std::process::id()));
+    for field in [
+        "workload.pool_pages",
+        "workload.engine.extent_pages",
+        "workload.engine.n_cpus",
+        "tpch.block_pages",
+    ] {
+        let mut bad = spec.clone();
+        match field {
+            "workload.pool_pages" => bad.workload.pool_pages = 0,
+            "workload.engine.extent_pages" => bad.workload.engine.extent_pages = 0,
+            "workload.engine.n_cpus" => bad.workload.engine.n_cpus = 0,
+            _ => bad.tpch.block_pages = 0,
+        }
+        std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+        let out = scanshare(&["run", "--spec", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{field}: {:?}", out.status);
+        let err = stderr_of(&out);
+        assert_eq!(err.trim_end().lines().count(), 1, "{field}: got {err:?}");
+        assert!(
+            err.contains(&format!("{field} must be at least 1")),
+            "{field}: got {err:?}"
+        );
+        assert!(out.stdout.is_empty(), "{field}: no output on failure");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn explain_of_unknown_scan_is_exit_2() {
     // A structurally valid report with no decisions: --scan must fail

@@ -24,6 +24,9 @@ pub enum EngineError {
         /// The type the predicate leaf, sum or group-by reads there.
         expected: ColType,
     },
+    /// A size the run divides by or draws from is zero, named by its
+    /// path in a run spec.
+    ZeroSize(&'static str),
 }
 
 impl fmt::Display for EngineError {
@@ -39,6 +42,7 @@ impl fmt::Display for EngineError {
                 column,
                 expected,
             } => write!(f, "table '{table}' has no {expected:?} column {column}"),
+            EngineError::ZeroSize(field) => write!(f, "{field} must be at least 1"),
         }
     }
 }

@@ -20,7 +20,7 @@ use scanshare_storage::{
 };
 
 use crate::cost::EngineConfig;
-use crate::faults::{FaultEvent, FaultState, FaultsConfig};
+use crate::faults::{FaultEvent, FaultState, FaultSummary, FaultsConfig};
 use crate::metrics::Breakdown;
 
 /// Timing and counters of one extent fetch. The pages themselves land in
@@ -65,9 +65,10 @@ pub struct ExecWorld<'a> {
     /// `fetch_extent`/`prefetch`, so the per-extent hot path allocates
     /// nothing in steady state.
     miss_scratch: Vec<(PageId, u64)>,
-    /// Fault-injection state, when this run carries a fault plan. `None`
-    /// keeps the fault-free fast path (and its reports) untouched.
-    faults: Option<FaultState>,
+    /// Fault-injection state. Every read goes through its plan; a run
+    /// without fault rules has the empty plan, which injects nothing and
+    /// grants no retries.
+    faults: FaultState,
     /// CPU usage accumulators (user/system; idle and wait are derived at
     /// report time).
     pub user_time: SimDuration,
@@ -102,7 +103,7 @@ impl<'a> ExecWorld<'a> {
             throttle_hist: Histogram::new(),
             cpus,
             miss_scratch: Vec::new(),
-            faults: None,
+            faults: FaultState::new(&FaultsConfig::default()),
             user_time: SimDuration::ZERO,
             sys_time: SimDuration::ZERO,
             io_wait_time: SimDuration::ZERO,
@@ -116,48 +117,35 @@ impl<'a> ExecWorld<'a> {
         self.mgr.as_ref().map(|m| m.config().policy)
     }
 
-    /// Arm fault injection for this run. Fault-free runs never call this,
-    /// so they keep the exact pre-fault code path (and report bytes).
+    /// Run this world under the fault configuration `cfg`.
     pub fn enable_faults(&mut self, cfg: &FaultsConfig) {
-        self.faults = Some(FaultState::new(cfg));
+        self.faults = FaultState::new(cfg);
     }
 
-    /// Whether fault injection is armed.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// The run's fault summary (`None` when fault injection is off).
-    pub fn fault_summary(&self) -> Option<crate::faults::FaultSummary> {
-        self.faults.as_ref().map(|f| f.summary())
+    /// The run's fault summary.
+    pub fn fault_summary(&self) -> FaultSummary {
+        self.faults.summary()
     }
 
     /// Drain fault occurrences observed since the last call. The scan
     /// executor calls this right after its fetch, attributing the events
     /// to the scan that issued the reads.
     pub(crate) fn take_fault_events(&mut self, out: &mut Vec<FaultEvent>) {
-        if let Some(fs) = self.faults.as_mut() {
-            out.append(&mut fs.pending);
-        }
+        out.append(&mut self.faults.pending);
     }
 
     /// Count a scan aborted by faults (maintained by the scan executor).
     pub(crate) fn note_scan_aborted(&mut self) {
-        if let Some(fs) = self.faults.as_mut() {
-            fs.scans_aborted += 1;
-        }
+        self.faults.scans_aborted += 1;
     }
 
-    /// Issue one physical read run, applying the fault plan when armed:
-    /// transient errors and stall timeouts are retried with doubling
-    /// backoff up to the retry budget; permanent errors (and exhausted
-    /// budgets) surface as `StorageError::ReadFault`.
+    /// Issue one physical read run through the fault plan: transient
+    /// errors and stall timeouts are retried with doubling backoff up to
+    /// the retry budget; permanent errors (and exhausted budgets) surface
+    /// as `StorageError::ReadFault`.
     fn read_run(&mut self, now: SimTime, phys: u64, npages: u32) -> StorageResult<ReadCompletion> {
         let prof = self.profiler.clone();
-        let disk = &mut self.disk;
-        let Some(fs) = self.faults.as_mut() else {
-            return Ok(disk.read(now, phys, npages));
-        };
+        let (disk, fs) = (&mut self.disk, &mut self.faults);
         let mut attempt: u32 = 1;
         let mut issue = now;
         loop {
@@ -680,7 +668,7 @@ mod tests {
             .fetch_extent(SimTime::ZERO, &pids(16), &mut pages)
             .unwrap();
         assert_eq!(r.misses, 16);
-        let s = w.fault_summary().unwrap();
+        let s = w.fault_summary();
         assert!(s.transient_errors > 0, "seed produced no fault: {s:?}");
         assert_eq!(s.retries, s.transient_errors);
         assert!(s.backoff_wait > SimDuration::ZERO);
@@ -723,7 +711,7 @@ mod tests {
         // Nothing is left pinned: the whole pool can be reclaimed.
         w.pool.clear_unpinned();
         assert_eq!(w.pool.len(), 0, "a pinned page survived the abort");
-        let s = w.fault_summary().unwrap();
+        let s = w.fault_summary();
         assert_eq!(s.permanent_errors, 1);
         assert_eq!(s.retries, 0);
     }
@@ -750,7 +738,7 @@ mod tests {
         let r = w
             .fetch_extent(SimTime::ZERO, &pids(16), &mut pages)
             .unwrap();
-        let s = w.fault_summary().unwrap();
+        let s = w.fault_summary();
         assert_eq!(s.timeouts, 1, "500ms stall > 200ms timeout: {s:?}");
         assert_eq!(s.retries, 1);
         assert_eq!(s.delays_injected, 1);
@@ -768,33 +756,8 @@ mod tests {
         // The prefetch drops its run instead of failing.
         w.prefetch(SimTime::ZERO, &pids(16)).unwrap();
         assert_eq!(w.disk.stats().pages_read, 0);
-        let s = w.fault_summary().unwrap();
+        let s = w.fault_summary();
         assert_eq!(s.permanent_errors, 1);
-    }
-
-    #[test]
-    fn empty_plan_changes_nothing_observable() {
-        let store = store_with_pages(16);
-        let mut plain = world(&store, 64);
-        let mut armed = world(&store, 64);
-        armed.enable_faults(&FaultsConfig::default());
-        let mut p1 = Vec::new();
-        let mut p2 = Vec::new();
-        let r1 = plain
-            .fetch_extent(SimTime::ZERO, &pids(16), &mut p1)
-            .unwrap();
-        let r2 = armed
-            .fetch_extent(SimTime::ZERO, &pids(16), &mut p2)
-            .unwrap();
-        assert_eq!(r1.ready, r2.ready);
-        assert_eq!(
-            format!("{:?}", plain.disk.stats()),
-            format!("{:?}", armed.disk.stats())
-        );
-        assert_eq!(
-            armed.fault_summary(),
-            Some(crate::faults::FaultSummary::default())
-        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn default_timeout_us() -> u64 {
 
 /// The `faults` section of a workload spec: the storage-layer plan plus
 /// the engine's retry/timeout policy. The default (empty plan) injects
-/// nothing: a run under it reports exactly what a run without it does.
+/// nothing, and every run reads through one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultsConfig {
     /// The seeded fault schedule handed to the storage layer.
@@ -63,13 +63,6 @@ impl Default for FaultsConfig {
             backoff_us: default_backoff_us(),
             timeout_us: default_timeout_us(),
         }
-    }
-}
-
-impl FaultsConfig {
-    /// Whether this configuration injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.plan.is_empty()
     }
 }
 
@@ -135,11 +128,17 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Build the runtime state for a configuration.
+    /// Build the runtime state for a configuration. An empty plan gets
+    /// no retry budget: a run without fault rules never declares a slow
+    /// read lost, however long its disk takes.
     pub fn new(cfg: &FaultsConfig) -> Self {
         FaultState {
             injector: FaultInjector::new(cfg.plan.clone()),
-            max_retries: cfg.max_retries,
+            max_retries: if cfg.plan.is_empty() {
+                0
+            } else {
+                cfg.max_retries
+            },
             backoff: SimDuration::from_micros(cfg.backoff_us),
             timeout: SimDuration::from_micros(cfg.timeout_us),
             retries: 0,
@@ -174,7 +173,7 @@ mod tests {
     #[test]
     fn config_defaults_fill_in_from_bare_json() {
         let cfg: FaultsConfig = serde_json::from_str("{}").unwrap();
-        assert!(cfg.is_empty());
+        assert!(cfg.plan.is_empty());
         assert_eq!(cfg.max_retries, 4);
         assert_eq!(cfg.backoff_us, 500);
         assert_eq!(cfg.timeout_us, 200_000);
@@ -193,7 +192,7 @@ mod tests {
             "max_retries": 2
         }"#;
         let cfg: FaultsConfig = serde_json::from_str(json).unwrap();
-        assert!(!cfg.is_empty());
+        assert!(!cfg.plan.is_empty());
         assert_eq!(cfg.plan.seed, 11);
         assert_eq!(cfg.max_retries, 2);
         let back: FaultsConfig =

@@ -42,7 +42,7 @@ pub use db::Database;
 pub use error::{EngineError, EngineResult};
 pub use faults::{FaultSummary, FaultsConfig};
 pub use metrics::{Breakdown, PushSummary, QueryRecord, RunReport};
-pub use par_runs::{par_map, run_workloads};
+pub use par_runs::par_map;
 pub use query::{Access, AggSpec, Pred, Query, QueryResult, ScanSpec};
 pub use slo::{SloConfig, SloOp, SloRule, SloVerdict};
 pub use workload::{

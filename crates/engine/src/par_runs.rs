@@ -22,11 +22,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::db::Database;
-use crate::error::EngineResult;
-use crate::metrics::RunReport;
-use crate::workload::{run_workload, WorkloadSpec};
-
 /// Map `f` over `items` on up to `jobs` scoped worker threads, returning
 /// results in input order.
 ///
@@ -74,23 +69,13 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Run every workload spec against `db` on up to `jobs` threads,
-/// returning reports in spec order.
-///
-/// Runs are independent simulations: each builds its own buffer pool,
-/// disk model, and (when sharing) manager, and reads the database
-/// immutably, so fanning them out cannot change any simulated metric.
-pub fn run_workloads(
-    db: &Database,
-    specs: &[WorkloadSpec],
-    jobs: usize,
-) -> Vec<EngineResult<RunReport>> {
-    par_map(jobs, specs, |_, spec| run_workload(db, spec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::Database;
+    use crate::error::EngineResult;
+    use crate::metrics::RunReport;
+    use crate::workload::{run_workload, WorkloadSpec};
 
     #[test]
     fn par_map_keeps_input_order() {
@@ -206,9 +191,10 @@ mod tests {
                 .map(|r| serde_json::to_string(&r.unwrap()).unwrap())
                 .collect()
         };
-        let serial = render(run_workloads(&db, &specs, 1));
+        let run = |jobs| par_map(jobs, &specs, |_, s| run_workload(&db, s));
+        let serial = render(run(1));
         for jobs in [2, 3, 8] {
-            assert_eq!(render(run_workloads(&db, &specs, jobs)), serial);
+            assert_eq!(render(run(jobs)), serial);
         }
 
         // Profiled runs stay schedule-independent on the virtual clock:

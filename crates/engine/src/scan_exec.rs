@@ -64,187 +64,81 @@ impl Deref for SharedEntries {
     }
 }
 
-/// Scan progress plan: where a [`Cursor`] is in its range, advanced one
-/// extent per [`Plan::gather`]/[`Plan::advance`] pair.
+/// What a [`Plan`] walks, one unit at a time: table pages, the blocks
+/// of an MDC block index range, or the `(key, RID)` entries of a
+/// secondary index.
 #[derive(Debug)]
-pub(crate) enum Plan {
-    /// Circular walk over all table pages, starting at `start_page`.
-    Table {
-        num_pages: u32,
-        start_page: u32,
-        /// Pages processed so far.
-        visited: u32,
-    },
-    /// Walk over the `(cell key, BID)` entries of a block index range,
-    /// one block per step, starting at `start_idx`.
-    Index {
+pub(crate) enum Walk {
+    /// Every page of a table.
+    Pages(u32),
+    /// The `(cell key, BID)` entries of a block index range, one block
+    /// of `block_pages` pages per step.
+    Blocks {
         entries: SharedEntries,
         block_pages: u32,
-        start_idx: usize,
-        /// Entries processed so far.
-        visited: usize,
     },
-    /// Walk over the `(key, RID)` entries of a secondary index, fetching
-    /// each row's page; one extent's worth of *distinct pages* per step.
-    /// The pages behind consecutive keys are scattered (§3.2), so this
-    /// plan seeks heavily when cold.
-    Rid {
-        entries: SharedEntries,
-        start_idx: usize,
-        /// Entries processed so far.
-        visited: usize,
-    },
+    /// The `(key, RID)` entries of a secondary index, fetching each
+    /// row's page; one extent's worth of *distinct pages* per step. The
+    /// pages behind consecutive keys are scattered (§3.2), so this walk
+    /// seeks heavily when cold.
+    Rids(SharedEntries),
 }
 
-impl Plan {
-    /// Whether the cursor has covered its whole range.
-    pub(crate) fn done(&self) -> bool {
+impl Walk {
+    /// Units in the range.
+    fn len(&self) -> usize {
         match self {
-            Plan::Table {
-                num_pages, visited, ..
-            } => *visited >= *num_pages,
-            Plan::Index {
-                entries, visited, ..
-            } => *visited >= entries.len(),
-            Plan::Rid {
-                entries, visited, ..
-            } => *visited >= entries.len(),
+            Walk::Pages(n) => *n as usize,
+            Walk::Blocks { entries, .. } | Walk::Rids(entries) => entries.len(),
         }
     }
 
-    /// Apply a placement decision: start at the joined location `loc`,
-    /// backed up by `back_up_pages` (the joined scan's leftovers in the
-    /// pool), instead of at the range start.
-    fn start_at(&mut self, loc: Location, back_up_pages: u64) {
-        let (entries, start_idx, pages_per_entry) = match self {
-            Plan::Table {
-                num_pages,
-                start_page,
-                ..
-            } => {
-                let at = (loc.pos as u32).min(num_pages.saturating_sub(1));
-                *start_page = at.saturating_sub(back_up_pages as u32);
-                return;
-            }
-            Plan::Index {
-                entries,
-                block_pages,
-                start_idx,
-                ..
-            } => (entries, start_idx, *block_pages as u64),
-            // ~1 page per entry: back up one entry per page.
-            Plan::Rid {
-                entries, start_idx, ..
-            } => (entries, start_idx, 1),
-        };
-        // Find the first exact joined entry; fall back to the first entry
-        // at or after the joined key, then to the range start; then back
-        // up by the hinted number of pages.
-        let joined = Entry::new(loc.key, loc.pos);
-        let exact = entries.partition_point(|e| *e < joined);
-        let at = match entries.get(exact) {
-            Some(e) if *e == joined => exact,
-            _ => match entries.partition_point(|e| e.key < loc.key) {
-                at if at < entries.len() => at,
-                _ => 0,
-            },
-        };
-        *start_idx = at.saturating_sub((back_up_pages / pages_per_entry) as usize);
-    }
-
-    /// Mark the whole range consumed, so `done()` holds: how a scan
-    /// that died to a fault finishes early.
-    fn finish(&mut self) {
+    /// Pages one unit stands for (RID walks estimate one per entry).
+    fn unit_pages(&self) -> u64 {
         match self {
-            Plan::Table {
-                num_pages, visited, ..
-            } => *visited = *num_pages,
-            Plan::Index {
-                entries, visited, ..
-            }
-            | Plan::Rid {
-                entries, visited, ..
-            } => *visited = entries.len(),
+            Walk::Blocks { block_pages, .. } => *block_pages as u64,
+            Walk::Pages(_) | Walk::Rids(_) => 1,
         }
     }
 
-    /// The location of the range start — where a cursor that was placed
-    /// mid-range is once its first phase ends and it wraps.
-    fn range_start(&self) -> Location {
-        match self {
-            Plan::Table { .. } => Location::new(0, 0),
-            Plan::Index { entries, .. } | Plan::Rid { entries, .. } => {
-                Location::new(entries[0].key, entries[0].payload)
-            }
-        }
-    }
-
-    /// Gather the next extent's pages into `ids` (and, for RID plans, the
-    /// work list into `rids`: each row's page as its position in `ids`,
-    /// and its slot). Returns what to evaluate, the location to report
-    /// afterwards, the units consumed, and whether the step ends the
-    /// first phase (the cursor wraps after it).
-    fn gather(
+    /// Gather the step that starts at unit `pos` and takes at most
+    /// `room` units: its pages into `ids` (and, for RID walks, each
+    /// row's page as its position in `ids` and its slot into `rids`).
+    /// Returns what to evaluate, the location to report afterwards and
+    /// the units taken.
+    fn cover(
         &self,
+        pos: usize,
+        room: usize,
         file: FileId,
         extent_pages: u32,
         ids: &mut Vec<PageId>,
         rids: &mut Vec<(u32, u16)>,
-    ) -> (StepWork, Location, u64, bool) {
+    ) -> (StepWork, Location, usize) {
+        let pages = |first: u32, n: u32| (first..first + n).map(move |p| PageId::new(file, p));
         match self {
-            Plan::Table {
-                num_pages,
-                start_page,
-                visited,
-            } => {
-                let cur = (start_page + visited) % num_pages;
-                // Do not cross the wrap boundary within one extent.
-                let chunk = extent_pages.min(num_pages - cur).min(num_pages - visited);
-                ids.extend((cur..cur + chunk).map(|p| PageId::new(file, p)));
-                let last = cur + chunk - 1;
-                let wraps = cur + chunk == *num_pages && visited + chunk < *num_pages;
-                (
-                    StepWork::AllRows,
-                    Location::new(last as i64, last as u64),
-                    chunk as u64,
-                    wraps,
-                )
+            Walk::Pages(_) => {
+                let taken = room.min(extent_pages as usize);
+                ids.extend(pages(pos as u32, taken as u32));
+                let last = (pos + taken - 1) as i64;
+                (StepWork::AllRows, Location::new(last, last as u64), taken)
             }
-            Plan::Index {
+            Walk::Blocks {
                 entries,
                 block_pages,
-                start_idx,
-                visited,
             } => {
-                let idx = (start_idx + visited) % entries.len();
-                let e = entries[idx];
-                let first_page = e.payload as u32 * block_pages;
-                ids.extend((first_page..first_page + block_pages).map(|p| PageId::new(file, p)));
-                let wraps = idx + 1 == entries.len() && visited + 1 < entries.len();
-                (
-                    StepWork::AllRows,
-                    Location::new(e.key, e.payload),
-                    1u64,
-                    wraps,
-                )
+                let e = entries[pos];
+                ids.extend(pages(e.payload as u32 * block_pages, *block_pages));
+                (StepWork::AllRows, Location::new(e.key, e.payload), 1)
             }
-            Plan::Rid {
-                entries,
-                start_idx,
-                visited,
-            } => {
-                // Consume entries until the chunk spans one extent's
-                // worth of distinct pages. The candidates are one slice:
-                // up to the range's end (a chunk never crosses the wrap
-                // boundary), the entries still unvisited, or the cap.
-                let len = entries.len();
+            Walk::Rids(entries) => {
+                // Consume entries until the step spans one extent's worth
+                // of distinct pages, at most 32 entries a page.
                 let extent = extent_pages as usize;
-                let pos = (start_idx + visited) % len;
-                let chunk = &entries[pos..len.min(pos + (len - visited).min(extent * 32))];
                 let mut taken = 0usize;
                 // Where the previous RID's page sits in `ids`.
                 let mut at = 0;
-                for e in chunk {
+                for e in &entries[pos..pos + room.min(extent * 32)] {
                     let rid = Rid::unpack(e.payload);
                     let pid = PageId::new(file, rid.page);
                     // Consecutive keys mostly share a page: compare with
@@ -263,50 +157,120 @@ impl Plan {
                     taken += 1;
                 }
                 let last = entries[pos + taken.saturating_sub(1)];
-                let wraps = pos + taken == len && visited + taken < len;
-                (
-                    StepWork::Rids,
-                    Location::new(last.key, last.payload),
-                    taken as u64,
-                    wraps,
-                )
+                (StepWork::Rids, Location::new(last.key, last.payload), taken)
+            }
+        }
+    }
+}
+
+/// Scan progress plan: where a [`Cursor`] is in its range, advanced one
+/// step per [`Plan::gather`]/[`Plan::advance`] pair. The walk is the
+/// paper's SISCAN ring: from unit `start` to the end of the range, then
+/// from the range start back up to `start`.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    walk: Walk,
+    /// The unit the walk started at.
+    start: usize,
+    /// Units processed so far.
+    visited: usize,
+}
+
+impl Plan {
+    /// A walk over `walk`'s whole range, from its start.
+    pub(crate) fn new(walk: Walk) -> Plan {
+        Plan {
+            walk,
+            start: 0,
+            visited: 0,
+        }
+    }
+
+    /// Whether the cursor has covered its whole range.
+    pub(crate) fn done(&self) -> bool {
+        self.visited >= self.walk.len()
+    }
+
+    /// Apply a placement decision: start at the joined location `loc`,
+    /// backed up by `back_up_pages` (the joined scan's leftovers in the
+    /// pool), instead of at the range start.
+    fn start_at(&mut self, loc: Location, back_up_pages: u64) {
+        let at = match &self.walk {
+            Walk::Pages(n) => (loc.pos as usize).min((*n as usize).saturating_sub(1)),
+            // Find the first exact joined entry; fall back to the first
+            // entry at or after the joined key, then to the range start.
+            Walk::Blocks { entries, .. } | Walk::Rids(entries) => {
+                let joined = Entry::new(loc.key, loc.pos);
+                let exact = entries.partition_point(|e| *e < joined);
+                match entries.get(exact) {
+                    Some(e) if *e == joined => exact,
+                    _ => match entries.partition_point(|e| e.key < loc.key) {
+                        at if at < entries.len() => at,
+                        _ => 0,
+                    },
+                }
+            }
+        };
+        self.start = at.saturating_sub((back_up_pages / self.walk.unit_pages()) as usize);
+    }
+
+    /// Mark the whole range consumed, so `done()` holds: how a scan
+    /// that died to a fault finishes early.
+    fn finish(&mut self) {
+        self.visited = self.walk.len();
+    }
+
+    /// The location of the range start — where a cursor that was placed
+    /// mid-range is once its first phase ends and it wraps.
+    fn range_start(&self) -> Location {
+        match &self.walk {
+            Walk::Pages(_) => Location::new(0, 0),
+            Walk::Blocks { entries, .. } | Walk::Rids(entries) => {
+                Location::new(entries[0].key, entries[0].payload)
             }
         }
     }
 
-    /// Consume the units a [`Plan::gather`] returned.
-    fn advance(&mut self, units: u64) {
-        match self {
-            Plan::Table { visited, .. } => *visited += units as u32,
-            Plan::Index { visited, .. } | Plan::Rid { visited, .. } => *visited += units as usize,
-        }
+    /// The next unit and how many the step may take: up to the end of
+    /// the range (no step crosses the wrap) and no more than are left.
+    fn next(&self) -> (usize, usize) {
+        let len = self.walk.len();
+        let pos = (self.start + self.visited) % len;
+        (pos, (len - pos).min(len - self.visited))
     }
 
-    /// Total pages the whole range covers (RID plans estimate one page
-    /// per entry).
+    /// Gather the next step's pages into `ids` (and, for RID walks, the
+    /// work list into `rids`: each row's page as its position in `ids`,
+    /// and its slot). Returns what to evaluate, the location to report
+    /// afterwards, the units consumed, and whether the step ends the
+    /// first phase (the cursor wraps after it).
+    fn gather(
+        &self,
+        file: FileId,
+        extent_pages: u32,
+        ids: &mut Vec<PageId>,
+        rids: &mut Vec<(u32, u16)>,
+    ) -> (StepWork, Location, u64, bool) {
+        let (pos, room) = self.next();
+        let (work, location, taken) = self.walk.cover(pos, room, file, extent_pages, ids, rids);
+        let len = self.walk.len();
+        let wraps = pos + taken == len && self.visited + taken < len;
+        (work, location, taken as u64, wraps)
+    }
+
+    /// Consume the units a [`Plan::gather`] returned.
+    fn advance(&mut self, units: u64) {
+        self.visited += units as usize;
+    }
+
+    /// Total pages the whole range covers.
     pub(crate) fn total_pages(&self) -> u64 {
-        match self {
-            Plan::Table { num_pages, .. } => *num_pages as u64,
-            Plan::Index {
-                entries,
-                block_pages,
-                ..
-            } => entries.len() as u64 * *block_pages as u64,
-            Plan::Rid { entries, .. } => entries.len() as u64,
-        }
+        self.walk.len() as u64 * self.walk.unit_pages()
     }
 
     /// Pages the cursor has covered so far.
     pub(crate) fn visited_pages(&self) -> u64 {
-        match self {
-            Plan::Table { visited, .. } => *visited as u64,
-            Plan::Index {
-                visited,
-                block_pages,
-                ..
-            } => *visited as u64 * *block_pages as u64,
-            Plan::Rid { visited, .. } => *visited as u64,
-        }
+        self.visited as u64 * self.walk.unit_pages()
     }
 
     /// A fresh cursor over exactly the already-visited prefix, from the
@@ -314,65 +278,30 @@ impl Plan {
     /// joining a driver mid-range. Only meaningful for cursors that
     /// started at the range start (push drivers always do).
     pub(crate) fn prefix(&self) -> Plan {
-        match self {
-            Plan::Table { visited, .. } => Plan::Table {
-                num_pages: *visited,
-                start_page: 0,
-                visited: 0,
-            },
-            Plan::Index {
+        let n = self.visited;
+        Plan::new(match &self.walk {
+            Walk::Pages(_) => Walk::Pages(n as u32),
+            Walk::Blocks {
                 entries,
                 block_pages,
-                visited,
-                ..
-            } => Plan::Index {
-                entries: entries.prefix(*visited),
+            } => Walk::Blocks {
+                entries: entries.prefix(n),
                 block_pages: *block_pages,
-                start_idx: 0,
-                visited: 0,
             },
-            Plan::Rid {
-                entries, visited, ..
-            } => Plan::Rid {
-                entries: entries.prefix(*visited),
-                start_idx: 0,
-                visited: 0,
-            },
-        }
+            Walk::Rids(entries) => Walk::Rids(entries.prefix(n)),
+        })
     }
 
-    /// The pages the *next* step will touch (table and block index
-    /// plans; RID chunks are not predicted), appended to `out`. Used for
-    /// prefetching.
+    /// The pages the *next* step will touch, appended to `out`, for
+    /// prefetching. RID steps are not predicted: how many entries one
+    /// takes depends on the pages behind them.
     fn peek_next_pages(&self, file: FileId, extent_pages: u32, out: &mut Vec<PageId>) {
-        match self {
-            Plan::Table {
-                num_pages,
-                start_page,
-                visited,
-            } => {
-                if visited >= num_pages {
-                    return;
-                }
-                let cur = (start_page + visited) % num_pages;
-                let chunk = extent_pages.min(num_pages - cur).min(num_pages - visited);
-                out.extend((cur..cur + chunk).map(|p| PageId::new(file, p)));
-            }
-            Plan::Index {
-                entries,
-                block_pages,
-                start_idx,
-                visited,
-            } => {
-                if *visited >= entries.len() {
-                    return;
-                }
-                let e = entries[(start_idx + visited) % entries.len()];
-                let first = e.payload as u32 * block_pages;
-                out.extend((first..first + block_pages).map(|p| PageId::new(file, p)));
-            }
-            Plan::Rid { .. } => {}
+        if self.done() || matches!(self.walk, Walk::Rids(_)) {
+            return;
         }
+        let (pos, room) = self.next();
+        self.walk
+            .cover(pos, room, file, extent_pages, out, &mut Vec::new());
     }
 }
 
@@ -396,7 +325,7 @@ pub(crate) enum StepWork {
 pub(crate) struct StepScratch {
     /// The extent's page ids, in scan order.
     ids: Vec<PageId>,
-    /// RID work list for [`Plan::Rid`] chunks: `(position in ids, slot)`.
+    /// RID work list for [`Walk::Rids`] steps: `(position in ids, slot)`.
     rids: Vec<(u32, u16)>,
     /// Fetched `(page, pool slot)` pairs, sorted by page id.
     pages: Vec<(PageId, u32)>,
@@ -1147,13 +1076,11 @@ pub(crate) fn step_extent(
     // Attribute the fault events the world observed during this I/O
     // (including transient faults a retry absorbed) to the owner in the
     // manager's decision log.
-    if world.faults_enabled() {
-        scratch.faults.clear();
-        world.take_fault_events(&mut scratch.faults);
-        if let (Some(id), Some(mgr)) = (consumers[owner].scan, &world.mgr) {
-            for e in &scratch.faults {
-                mgr.note_fault(id, now, e.device, e.addr, e.transient, e.attempt);
-            }
+    scratch.faults.clear();
+    world.take_fault_events(&mut scratch.faults);
+    if let (Some(id), Some(mgr)) = (consumers[owner].scan, &world.mgr) {
+        for e in &scratch.faults {
+            mgr.note_fault(id, now, e.device, e.addr, e.transient, e.attempt);
         }
     }
     let fetch = match fetched {
@@ -1381,14 +1308,7 @@ pub(crate) fn plan_scan(
                 est_time: ScanExec::estimate_time(world, spec, num_pages as u64, rows_per_page),
                 priority: spec.query_priority,
             };
-            (
-                Plan::Table {
-                    num_pages,
-                    start_page: 0,
-                    visited: 0,
-                },
-                desc,
-            )
+            (Plan::new(Walk::Pages(num_pages)), desc)
         }
         Access::RidRange { lo, hi } => {
             let index = db
@@ -1407,14 +1327,7 @@ pub(crate) fn plan_scan(
                 est_time: ScanExec::estimate_time(world, spec, est_pages, 1),
                 priority: spec.query_priority,
             };
-            (
-                Plan::Rid {
-                    entries,
-                    start_idx: 0,
-                    visited: 0,
-                },
-                desc,
-            )
+            (Plan::new(Walk::Rids(entries)), desc)
         }
         Access::IndexRange { lo, hi } => {
             let mdc = table
@@ -1432,13 +1345,12 @@ pub(crate) fn plan_scan(
                 est_time: ScanExec::estimate_time(world, spec, est_pages, rows_per_page),
                 priority: spec.query_priority,
             };
+            let block_pages = mdc.block_pages;
             (
-                Plan::Index {
+                Plan::new(Walk::Blocks {
                     entries,
-                    block_pages: mdc.block_pages,
-                    start_idx: 0,
-                    visited: 0,
-                },
+                    block_pages,
+                }),
                 desc,
             )
         }
@@ -1808,23 +1720,11 @@ mod tests {
         let (mut ids, mut rids) = (Vec::new(), Vec::new());
         let (mut want_ids, mut want_rids) = (Vec::new(), Vec::new());
         let mut chunks_cut_by_the_wrap = 0;
-        let mut plan = Plan::Rid {
-            entries: entries.clone().into(),
-            start_idx: 0,
-            visited: 0,
-        };
+        let mut plan = Plan::new(Walk::Rids(entries.clone().into()));
         for extent_pages in [1, 4, 16] {
             for start_idx in 0..entries.len() {
                 for visited in 0..entries.len() {
-                    let Plan::Rid {
-                        start_idx: s,
-                        visited: v,
-                        ..
-                    } = &mut plan
-                    else {
-                        unreachable!()
-                    };
-                    (*s, *v) = (start_idx, visited);
+                    (plan.start, plan.visited) = (start_idx, visited);
                     ids.clear();
                     rids.clear();
                     want_ids.clear();
@@ -1922,31 +1822,190 @@ mod tests {
             let window = SharedEntries::key_range(&wider.into(), lo, hi);
             assert_eq!(*window, entries[..]);
             let mut plans = [
-                Plan::Index {
+                Plan::new(Walk::Blocks {
                     entries: entries.clone().into(),
                     block_pages,
-                    start_idx: 0,
-                    visited: 0,
-                },
-                Plan::Rid {
-                    entries: window,
-                    start_idx: 0,
-                    visited: 0,
-                },
+                }),
+                Plan::new(Walk::Rids(window)),
             ];
             for (plan, pages_per_entry) in plans.iter_mut().zip([block_pages as u64, 1]) {
                 plan.start_at(loc, back_up);
-                let (Plan::Index { start_idx, .. } | Plan::Rid { start_idx, .. }) = plan else {
-                    unreachable!()
-                };
                 let want = start_idx_by_linear_search(&entries, loc, back_up, pages_per_entry);
                 assert_eq!(
-                    *start_idx, want,
+                    plan.start, want,
                     "case {case}: {loc:?} back {back_up} in {entries:?}"
                 );
             }
         }
         assert!(reached.iter().all(|&n| n >= 50), "reached {reached:?}");
+    }
+
+    /// Tables of 1, 48 and 50 pages (48 is a multiple of every extent
+    /// below, 50 of none), an MDC table of 3-page blocks whose cells
+    /// span one to several blocks, and a RID-indexed heap whose keys
+    /// scatter over its pages plus one key with a single entry.
+    fn walk_db() -> Database {
+        let mut db = Database::new(16);
+        let schema = Schema::new(vec![
+            Column::new("month", ColType::Int32),
+            Column::new("amount", ColType::Float64),
+        ]);
+        let row = |i: i64| vec![Value::I32(i as i32), Value::F64(1.0)];
+        for (name, rows) in [("one", 100), ("even", 48 * 511), ("odd", 50 * 511 - 10)] {
+            db.create_heap_table(name, schema.clone(), (0..rows).map(row))
+                .unwrap();
+        }
+        let cells = [100, 4_000, 1_600, 700, 5_000, 50];
+        let mdc_rows = (0..5_000).flat_map(|i| {
+            (0..cells.len() as i64)
+                .filter(move |&k| i < cells[k as usize])
+                .map(|k| (k, row(k)))
+        });
+        db.create_mdc_table("mdc", schema.clone(), 3, mdc_rows)
+            .unwrap();
+        let rid_rows = (0..6_000).map(|i| row(i % 60)).chain([row(1_000)]);
+        db.create_heap_table_with_index("rids", schema, 0, rid_rows)
+            .unwrap();
+        db
+    }
+
+    /// Every step of table, MDC-index and RID plans, walked as a cursor
+    /// walks them and digested: what each `gather` hands out (pages,
+    /// RIDs, location, units, wrap), the next step's predicted pages,
+    /// `done`, the range start and the page counts. Ranges of one unit,
+    /// of a multiple of the extent and of not one; extents 1, 3 and 16;
+    /// placed starts at the range's own locations, an unknown position
+    /// and keys outside the range, with back-ups; and catch-up prefixes
+    /// taken at several points. The digest is the one the per-access-path
+    /// plans computed.
+    #[test]
+    fn walk_pin_every_step_of_every_access_path() {
+        use scanshare::manager::UNKNOWN_POS;
+        let db = walk_db();
+        let w = world(&db);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let (mut ids, mut rids, mut peek) = (Vec::new(), Vec::new(), Vec::new());
+        // Walk `plan` to its end, digesting every step. Returns the
+        // locations it reported and, after `prefix_at` steps, the
+        // catch-up prefix.
+        let mut walk = |plan: &mut Plan, file: FileId, extent: u32, prefix_at: usize| {
+            let (mut seen, mut prefix) = (Vec::new(), None);
+            let mut steps = 0;
+            loop {
+                mix(plan.done() as u64);
+                mix(plan.total_pages());
+                mix(plan.visited_pages());
+                if steps == prefix_at {
+                    prefix = Some(plan.prefix());
+                }
+                if plan.done() {
+                    break;
+                }
+                let start = plan.range_start();
+                mix(start.key as u64);
+                mix(start.pos);
+                ids.clear();
+                rids.clear();
+                let (work, loc, units, wraps) = plan.gather(file, extent, &mut ids, &mut rids);
+                mix(matches!(work, StepWork::Rids) as u64);
+                for id in &ids {
+                    mix(((id.file.0 as u64) << 32) | id.page as u64);
+                }
+                for &(at, slot) in &rids {
+                    mix(((at as u64) << 16) | slot as u64);
+                }
+                for v in [loc.key as u64, loc.pos, units, wraps as u64] {
+                    mix(v);
+                }
+                plan.advance(units);
+                peek.clear();
+                plan.peek_next_pages(file, extent, &mut peek);
+                for id in &peek {
+                    mix(((id.file.0 as u64) << 32) | id.page as u64);
+                }
+                seen.push(loc);
+                steps += 1;
+            }
+            (seen, prefix)
+        };
+        let table = |name: &str| ScanSpec {
+            table: name.into(),
+            ..table_spec(Pred::True)
+        };
+        let index = |lo, hi| ScanSpec {
+            table: "mdc".into(),
+            ..index_spec(lo, hi)
+        };
+        let rid = |lo, hi| ScanSpec {
+            table: "rids".into(),
+            ..rid_spec(lo, hi)
+        };
+        let specs = [
+            table("one"),
+            table("even"),
+            table("odd"),
+            index(0, 0),
+            index(1, 1),
+            index(2, 4),
+            index(0, 5),
+            rid(1_000, 1_000),
+            rid(7, 7),
+            rid(4, 6),
+            rid(0, 15),
+        ];
+        let mut lengths = Vec::new();
+        let mut steps = 0;
+        for spec in &specs {
+            let fresh = || plan_scan(&db, &w, spec).unwrap();
+            let file = fresh().file;
+            // The range's own locations, from a walk at the range start.
+            let (own, _) = walk(&mut fresh().plan, file, 16, usize::MAX);
+            lengths.push(fresh().plan.total_pages());
+            let (first, last) = (own[0], own[own.len() - 1]);
+            let mid = own[own.len() / 2];
+            let mut starts = vec![None];
+            for loc in [
+                first,
+                mid,
+                last,
+                Location::new(mid.key, UNKNOWN_POS),
+                Location::new(first.key - 1, 0),
+                Location::new(last.key + 1, 0),
+            ] {
+                for back_up in [0, 1, 4, 7, 100_000] {
+                    starts.push(Some((loc, back_up)));
+                }
+            }
+            for extent in [1, 3, 16] {
+                for &start in &starts {
+                    for prefix_at in [0, 1, 3] {
+                        let mut plan = fresh().plan;
+                        if let Some((loc, back_up)) = start {
+                            plan.start_at(loc, back_up);
+                        }
+                        let (seen, prefix) = walk(&mut plan, file, extent, prefix_at);
+                        steps += seen.len();
+                        if let Some(mut prefix) = prefix {
+                            steps += walk(&mut prefix, file, extent, usize::MAX).0.len();
+                        }
+                    }
+                }
+            }
+        }
+        // One unit, a multiple of every extent, and neither.
+        assert_eq!(lengths[..3], [1, 48, 50]);
+        assert_eq!(lengths[3], 3, "one block");
+        assert_eq!(lengths[7], 1, "one RID");
+        assert!(lengths[8] % 3 != 0 && lengths[8] % 16 != 0);
+        assert_eq!(lengths[10] % 16, 0);
+        assert!(steps > 50_000, "only {steps} steps");
+        assert_eq!(h, 11_007_938_810_134_424_123, "walk digest");
     }
 
     #[test]
@@ -2601,11 +2660,7 @@ mod kernel_oracle {
         store.append_page(file, page.finish()).unwrap();
         let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
         let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
-        let plan = Plan::Table {
-            num_pages: 1,
-            start_page: 0,
-            visited: 0,
-        };
+        let plan = Plan::new(Walk::Pages(1));
         let stepped = step_extent(
             &mut world,
             SimTime::ZERO,
@@ -2662,11 +2717,7 @@ mod kernel_oracle {
                 .enumerate()
                 .map(|(k, &(page, slot))| Entry::new(k as i64, Rid::new(page, slot).pack()))
                 .collect::<Vec<_>>();
-            let plan = Plan::Rid {
-                entries: entries.into(),
-                start_idx: 0,
-                visited: 0,
-            };
+            let plan = Plan::new(Walk::Rids(entries.into()));
             let mut consumers = [Consumer::new(&spec, &s, SimTime::ZERO).unwrap()];
             step_extent(
                 &mut world,
@@ -2796,11 +2847,7 @@ mod kernel_oracle {
 
             let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
             let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
-            let mut plan = Plan::Rid {
-                entries: entries.into(),
-                start_idx: 0,
-                visited: 0,
-            };
+            let mut plan = Plan::new(Walk::Rids(entries.into()));
             let mut scratch = StepScratch::default();
             scratch.states.extend((0..k).map(|_| AggState::new(n_sums)));
             while !plan.done() {
@@ -2910,14 +2957,11 @@ mod kernel_oracle {
                     .collect();
                 let revisits = order.windows(3).any(|w| w[1].0 < w[0].0 && w[2].0 > w[1].0);
                 reached.rid_page_revisited_out_of_order += revisits as u32;
-                (
-                    Plan::Rid {
-                        entries: entries.into(),
-                        start_idx,
-                        visited: 0,
-                    },
-                    order,
-                )
+                let plan = Plan {
+                    start: start_idx,
+                    ..Plan::new(Walk::Rids(entries.into()))
+                };
+                (plan, order)
             } else {
                 let start_page = match n_pages {
                     0 => 0,
@@ -2928,14 +2972,11 @@ mod kernel_oracle {
                     .chain(0..start_page)
                     .flat_map(|p| (0..pages[p].len()).map(move |r| (p, r)))
                     .collect();
-                (
-                    Plan::Table {
-                        num_pages: n_pages as u32,
-                        start_page: start_page as u32,
-                        visited: 0,
-                    },
-                    order,
-                )
+                let plan = Plan {
+                    start: start_page,
+                    ..Plan::new(Walk::Pages(n_pages as u32))
+                };
+                (plan, order)
             };
             for rows in &pages {
                 reached.empty_pages += rows.is_empty() as u32;
@@ -3100,11 +3141,7 @@ mod kernel_oracle {
                     .enumerate()
                     .map(|(i, &(p, r))| Entry::new(i as i64, Rid::new(p as u32, r as u16).pack()))
                     .collect::<Vec<_>>();
-                let plan = Plan::Rid {
-                    entries: entries.into(),
-                    start_idx: 0,
-                    visited: 0,
-                };
+                let plan = Plan::new(Walk::Rids(entries.into()));
                 run(&mut world, &mut scratch, &mut consumers, plan, &[ci]);
                 own.iter()
                     .for_each(|at| want[ci].fold(&specs[ci], &row_ref(at)));
@@ -3134,10 +3171,9 @@ mod kernel_oracle {
             // The shared lap, owner somewhere in the middle of the seats.
             let mut order: Vec<usize> = (0..specs.len()).collect();
             order.rotate_left(rng.bounded_u64(specs.len() as u64) as usize);
-            let plan = Plan::Table {
-                num_pages: n_pages as u32,
-                start_page: start_page as u32,
-                visited: 0,
+            let plan = Plan {
+                start: start_page,
+                ..Plan::new(Walk::Pages(n_pages as u32))
             };
             let fused_before = fused_classes();
             run(&mut world, &mut scratch, &mut consumers, plan, &order);

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cost::EngineConfig;
 use crate::db::Database;
-use crate::error::EngineResult;
+use crate::error::{EngineError, EngineResult};
 use crate::exec::ExecWorld;
 use crate::faults::{FaultSummary, FaultsConfig};
 use crate::metrics::{QueryRecord, RunReport};
@@ -76,6 +76,26 @@ pub struct WorkloadSpec {
     /// a spec without this section.
     #[serde(default)]
     pub slo: crate::slo::SloConfig,
+}
+
+impl WorkloadSpec {
+    /// Refuse a spec whose pool, extent or CPU count is zero — or any of
+    /// `more`, `(run-spec path, value)` pairs checked beside them —
+    /// naming the first such field.
+    pub fn check_sizes(&self, more: &[(&'static str, u64)]) -> EngineResult<()> {
+        let own = [
+            ("workload.pool_pages", self.pool_pages as u64),
+            (
+                "workload.engine.extent_pages",
+                self.engine.extent_pages as u64,
+            ),
+            ("workload.engine.n_cpus", self.engine.n_cpus as u64),
+        ];
+        match own.iter().chain(more).find(|&&(_, v)| v == 0) {
+            Some(&(field, _)) => Err(EngineError::ZeroSize(field)),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The stream's in-flight scan: its own pull cursor, or a consumer slot
@@ -269,6 +289,7 @@ pub fn run_workload_hooked(
 }
 
 fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResult<RunReport> {
+    spec.check_sizes(&[])?;
     let (policy, mgr) = match &spec.mode {
         SharingMode::Base => (ReplacementPolicy::Lru, None),
         SharingMode::BasePolicy(p) => (*p, None),
@@ -305,9 +326,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
             m.attach_profiler(p.clone());
         }
     }
-    if !spec.faults.is_empty() {
-        world.enable_faults(&spec.faults);
-    }
+    world.enable_faults(&spec.faults);
     // Push delivery rides on the sharing manager; base modes and pull
     // configs run the exact pre-push code path.
     let mut push: Option<PushEngine> = match &spec.mode {
@@ -410,7 +429,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         &world.read_hist,
         &world.throttle_hist,
         sampler,
-        faults.as_ref(),
+        (!spec.faults.plan.is_empty()).then_some(&faults),
     );
     let mut report = RunReport {
         makespan: makespan.since(SimTime::ZERO),
@@ -429,7 +448,7 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
             .and_then(|m| m.decision_log())
             .map(|d| d.records())
             .unwrap_or_default(),
-        faults: faults.unwrap_or_default(),
+        faults,
         // Only a non-default policy is stamped into the report, so
         // default-policy artifacts keep their pre-framework bytes.
         policy: world
@@ -538,7 +557,7 @@ impl Sampler {
 
 /// The run's metrics at `at`, its makespan: the executor's two
 /// histograms, the sampler's series and manager gauges, and — only when
-/// fault injection was armed — the fault counters. The one place that
+/// the spec has fault rules — the fault counters. The one place that
 /// names a metric; every list is in name order, so `scan.10.*` comes
 /// before `scan.2.*`.
 fn metrics_snapshot(
@@ -1630,26 +1649,57 @@ mod tests {
         )));
     }
 
+    /// A run without fault rules never declares a read lost, however
+    /// slow its disk: the empty plan grants no retry budget. Every
+    /// request here outlasts the default 200 ms timeout. The digest is
+    /// the report's as written before fault-free reads went through the
+    /// plan.
     #[test]
-    fn empty_fault_section_is_byte_identical_to_no_section() {
+    fn a_slow_disk_without_fault_rules_never_times_out() {
         let db = build_db();
         let q = q6_like("Q6", 0, 5);
-        let clean = spec(
+        let mut slow = spec(
             &db,
             three_staggered(&q),
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
-        let mut armed = clean.clone();
-        armed.faults = FaultsConfig::default();
-        let a = run_workload(&db, &clean).unwrap();
-        let b = run_workload(&db, &armed).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "an empty fault plan must not perturb the report"
+        slow.engine.disk.transfer_per_page = SimDuration::from_micros(250_000);
+        let report = run_workload(&db, &slow).unwrap();
+        let d = &report.disk;
+        assert!(d.requests > 0);
+        assert!(d.busy.as_micros() >= d.requests * 250_000);
+        assert_eq!(report.faults, FaultSummary::default());
+        let json = serde_json::to_string(&report).unwrap();
+        let digest = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(digest, 33_366_765_337_216_534, "slow-disk report digest");
+    }
+
+    /// A zero pool, extent or CPU count is an error naming the field,
+    /// not a panic inside the run.
+    #[test]
+    fn a_zero_size_is_an_error_naming_the_field() {
+        let db = build_db();
+        let ok = spec(
+            &db,
+            three_staggered(&q6_like("Q6", 0, 5)),
+            SharingMode::Base,
         );
-        // And its faults section is all zero.
-        assert_eq!(a.faults, FaultSummary::default());
+        for field in [
+            "workload.pool_pages",
+            "workload.engine.extent_pages",
+            "workload.engine.n_cpus",
+        ] {
+            let mut bad = ok.clone();
+            match field {
+                "workload.pool_pages" => bad.pool_pages = 0,
+                "workload.engine.extent_pages" => bad.engine.extent_pages = 0,
+                _ => bad.engine.n_cpus = 0,
+            }
+            let err = run_workload(&db, &bad).unwrap_err();
+            assert_eq!(err, EngineError::ZeroSize(field));
+        }
     }
 
     #[test]

@@ -54,34 +54,8 @@ impl DiskArray {
     /// disk. The returned completion is the latest piece's completion;
     /// `seeked` is true if any piece seeked.
     pub fn read(&mut self, now: SimTime, addr: u64, npages: u32) -> ReadCompletion {
-        assert!(npages > 0, "read of zero pages");
-        let mut start = now;
-        let mut done = now;
-        let mut seeked = false;
-        let mut at = addr;
-        let mut left = npages as u64;
-        let mut first = true;
-        while left > 0 {
-            let stripe_end = (at / self.stripe_pages + 1) * self.stripe_pages;
-            let chunk = left.min(stripe_end - at) as u32;
-            let d = self.disk_of(at);
-            let c = self.disks[d].read(now, at, chunk);
-            if first {
-                start = c.start;
-                first = false;
-            } else {
-                start = start.min(c.start);
-            }
-            done = done.max(c.done);
-            seeked |= c.seeked;
-            at += chunk as u64;
-            left -= chunk as u64;
-        }
-        ReadCompletion {
-            start,
-            done,
-            seeked,
-        }
+        self.read_pieces(now, addr, npages, |_, _| FaultOutcome::None)
+            .expect("a read nothing faults succeeds")
     }
 
     /// [`DiskArray::read`] under a fault plan: every stripe-sized piece is
@@ -102,6 +76,20 @@ impl DiskArray {
         npages: u32,
         injector: &mut FaultInjector,
     ) -> StorageResult<ReadCompletion> {
+        self.read_pieces(now, addr, npages, |device, at| {
+            injector.check(now, device, at)
+        })
+    }
+
+    /// The one stripe-piece loop: `fault(device, addr)` decides each
+    /// piece's fate before it is issued.
+    fn read_pieces(
+        &mut self,
+        now: SimTime,
+        addr: u64,
+        npages: u32,
+        mut fault: impl FnMut(u32, u64) -> FaultOutcome,
+    ) -> StorageResult<ReadCompletion> {
         assert!(npages > 0, "read of zero pages");
         let mut start = now;
         let mut done = now;
@@ -113,7 +101,7 @@ impl DiskArray {
             let stripe_end = (at / self.stripe_pages + 1) * self.stripe_pages;
             let chunk = left.min(stripe_end - at) as u32;
             let d = self.disk_of(at);
-            let extra = match injector.check(now, d as u32, at) {
+            let extra = match fault(d as u32, at) {
                 FaultOutcome::None => SimDuration::ZERO,
                 FaultOutcome::Delay(extra) => extra,
                 FaultOutcome::Error { transient } => {
@@ -124,7 +112,7 @@ impl DiskArray {
                     });
                 }
             };
-            let c = self.disks[d].read_with_extra(now, at, chunk, extra);
+            let c = self.disks[d].read(now, at, chunk, extra);
             if first {
                 start = c.start;
                 first = false;

@@ -111,16 +111,12 @@ impl Disk {
     }
 
     /// Service a read of `npages` physically contiguous pages starting at
-    /// physical address `addr`, issued at time `now`.
-    pub fn read(&mut self, now: SimTime, addr: u64, npages: u32) -> ReadCompletion {
-        self.read_with_extra(now, addr, npages, SimDuration::ZERO)
-    }
-
-    /// Like [`Disk::read`], but with `extra` added to the service time —
-    /// the fault injector's hook for latency spikes and device stalls.
-    /// The inflated service delays everything queued behind the request
-    /// (`free_at` moves), exactly like a real slow-path sector.
-    pub fn read_with_extra(
+    /// physical address `addr`, issued at time `now`, with `extra` added
+    /// to its service time — the fault injector's latency spikes and
+    /// device stalls, zero otherwise. An inflated service delays
+    /// everything queued behind the request (`free_at` moves), exactly
+    /// like a real slow-path sector.
+    pub fn read(
         &mut self,
         now: SimTime,
         addr: u64,
@@ -197,7 +193,7 @@ mod tests {
     #[test]
     fn first_read_seeks() {
         let mut d = disk();
-        let c = d.read(SimTime::ZERO, 0, 1);
+        let c = d.read(SimTime::ZERO, 0, 1, SimDuration::ZERO);
         assert!(c.seeked);
         assert_eq!(c.done.as_micros(), 1100);
         assert_eq!(d.stats().seeks, 1);
@@ -206,8 +202,8 @@ mod tests {
     #[test]
     fn sequential_reads_do_not_seek() {
         let mut d = disk();
-        d.read(SimTime::ZERO, 0, 4);
-        let c = d.read(SimTime::from_micros(5000), 4, 4);
+        d.read(SimTime::ZERO, 0, 4, SimDuration::ZERO);
+        let c = d.read(SimTime::from_micros(5000), 4, 4, SimDuration::ZERO);
         assert!(!c.seeked);
         assert_eq!(d.stats().seeks, 1);
         assert_eq!(d.stats().pages_read, 8);
@@ -216,11 +212,11 @@ mod tests {
     #[test]
     fn non_contiguous_reads_seek() {
         let mut d = disk();
-        d.read(SimTime::ZERO, 0, 4);
-        let c = d.read(SimTime::from_micros(5000), 100, 1);
+        d.read(SimTime::ZERO, 0, 4, SimDuration::ZERO);
+        let c = d.read(SimTime::from_micros(5000), 100, 1, SimDuration::ZERO);
         assert!(c.seeked);
         // Even going backwards to an already-read page costs a seek.
-        let c2 = d.read(SimTime::from_micros(10_000), 0, 1);
+        let c2 = d.read(SimTime::from_micros(10_000), 0, 1, SimDuration::ZERO);
         assert!(c2.seeked);
         assert_eq!(d.stats().seeks, 3);
     }
@@ -228,8 +224,8 @@ mod tests {
     #[test]
     fn requests_queue_fifo() {
         let mut d = disk();
-        let c1 = d.read(SimTime::ZERO, 0, 1); // done at 1100
-        let c2 = d.read(SimTime::ZERO, 50, 1); // must wait for c1
+        let c1 = d.read(SimTime::ZERO, 0, 1, SimDuration::ZERO); // done at 1100
+        let c2 = d.read(SimTime::ZERO, 50, 1, SimDuration::ZERO); // must wait for c1
         assert_eq!(c2.start, c1.done);
         assert_eq!(c2.done.as_micros(), 1100 + 1100);
         assert_eq!(c2.wait_from(SimTime::ZERO).as_micros(), 2200);
@@ -238,8 +234,8 @@ mod tests {
     #[test]
     fn idle_gap_does_not_accumulate_busy_time() {
         let mut d = disk();
-        d.read(SimTime::ZERO, 0, 1);
-        d.read(SimTime::from_secs(10), 1, 1);
+        d.read(SimTime::ZERO, 0, 1, SimDuration::ZERO);
+        d.read(SimTime::from_secs(10), 1, 1, SimDuration::ZERO);
         assert_eq!(d.stats().busy.as_micros(), 1100 + 100);
     }
 
@@ -247,9 +243,9 @@ mod tests {
     fn series_record_at_completion_time() {
         let mut d = disk();
         // Completes at 1.1ms -> bucket 0.
-        d.read(SimTime::ZERO, 0, 2);
+        d.read(SimTime::ZERO, 0, 2, SimDuration::ZERO);
         // Completes just after 1s -> bucket 1.
-        d.read(SimTime::from_micros(999_950), 100, 1);
+        d.read(SimTime::from_micros(999_950), 100, 1, SimDuration::ZERO);
         assert_eq!(d.read_series().buckets(), &[2, 1]);
         assert_eq!(d.seek_series().buckets(), &[1, 1]);
     }
@@ -258,16 +254,16 @@ mod tests {
     fn seek_distance_tracks_head_travel() {
         let mut d = disk();
         // First request: the head has no resting position, distance 0.
-        d.read(SimTime::ZERO, 100, 4);
+        d.read(SimTime::ZERO, 100, 4, SimDuration::ZERO);
         assert_eq!(d.stats().seek_distance_pages, 0);
         // Head rests at 104; jumping to 4 travels 100 pages.
-        d.read(SimTime::from_micros(5000), 4, 1);
+        d.read(SimTime::from_micros(5000), 4, 1, SimDuration::ZERO);
         assert_eq!(d.stats().seek_distance_pages, 100);
         // Sequential continuation: no seek, no distance.
-        d.read(SimTime::from_micros(10_000), 5, 3);
+        d.read(SimTime::from_micros(10_000), 5, 3, SimDuration::ZERO);
         assert_eq!(d.stats().seek_distance_pages, 100);
         // Backwards jump from 8 to 0 travels 8.
-        d.read(SimTime::from_micros(15_000), 0, 1);
+        d.read(SimTime::from_micros(15_000), 0, 1, SimDuration::ZERO);
         assert_eq!(d.stats().seek_distance_pages, 108);
         assert_eq!(d.seek_distance_series().total(), 108);
     }
@@ -276,10 +272,10 @@ mod tests {
     fn extra_service_time_delays_queued_requests() {
         let mut d = disk();
         // Stalled request: 1000 seek + 100 transfer + 5000 stall.
-        let c1 = d.read_with_extra(SimTime::ZERO, 0, 1, SimDuration::from_micros(5000));
+        let c1 = d.read(SimTime::ZERO, 0, 1, SimDuration::from_micros(5000));
         assert_eq!(c1.done.as_micros(), 6100);
         // The next request queues behind the stall, FIFO.
-        let c2 = d.read(SimTime::ZERO, 1, 1);
+        let c2 = d.read(SimTime::ZERO, 1, 1, SimDuration::ZERO);
         assert_eq!(c2.start, c1.done);
         assert_eq!(d.stats().busy.as_micros(), 6100 + 100);
     }
@@ -287,7 +283,7 @@ mod tests {
     #[test]
     fn bytes_read_scales_by_page_size() {
         let mut d = disk();
-        d.read(SimTime::ZERO, 0, 3);
+        d.read(SimTime::ZERO, 0, 3, SimDuration::ZERO);
         assert_eq!(d.stats().bytes_read(), 3 * PAGE_SIZE as u64);
     }
 }

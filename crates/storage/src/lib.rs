@@ -42,9 +42,7 @@ pub use disk::{Disk, DiskConfig, DiskStats, ReadCompletion};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultInjector, FaultKind, FaultOutcome, FaultPlan, FaultRule, FaultStats};
 pub use page::{FileId, IdHasher, IdMap, PageBuf, PageId, PAGE_SIZE};
-pub use pool::{
-    BufferPool, FixOutcome, PagePriority, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage,
-};
+pub use pool::{BufferPool, PagePriority, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage};
 pub use series::TimeSeries;
 pub use sim::{SimDuration, SimTime};
 pub use store::FileStore;

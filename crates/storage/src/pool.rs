@@ -29,18 +29,19 @@
 //! fix order (extents release in sorted-page order, RID fetches in RID
 //! order), enqueueing walks back from the list tail to the frame's
 //! `last_use` position — O(1) amortized for the common mostly-in-order
-//! release streams, and correct for all of them. `fix`, `release`,
+//! release streams, and correct for all of them. Fix, `release`,
 //! reprioritize, and evict are therefore O(1); only [`ReplacementPolicy::Lru2`]
 //! keeps a small ordered set, because its victim key (`prev_use`) is not
 //! unique and needs the page-id tie-break.
 //!
-//! The pool does not perform I/O itself. `fix` either returns the resident
-//! page or reports a miss; the caller loads the bytes (paying the disk
-//! model's cost) and hands them back via `complete_miss`. This mirrors the
-//! paper's architecture where the sharing manager never talks to the disk.
-//! Callers that only inspect rows can use the slot-based API
-//! ([`BufferPool::fix_slot`], [`BufferPool::slot_buf`]) to borrow the page
-//! bytes without cloning the `Bytes` handle on every hit.
+//! The pool does not perform I/O itself. [`BufferPool::fix_slot`] either
+//! pins the resident page and returns its slot or reports a miss; the
+//! caller loads the bytes (paying the disk model's cost) and hands them
+//! back via [`BufferPool::complete_miss_slot`]. This mirrors the paper's
+//! architecture where the sharing manager never talks to the disk.
+//! Callers borrow a pinned page's bytes through its slot
+//! ([`BufferPool::slot_buf`]) instead of cloning the `Bytes` handle on
+//! every hit.
 
 use std::collections::BTreeSet;
 
@@ -136,16 +137,6 @@ pub struct ResidentPage {
     pub pinned: bool,
 }
 
-/// Result of a `fix` call.
-#[derive(Debug, Clone)]
-pub enum FixOutcome {
-    /// The page is resident; it is now pinned and its bytes are returned.
-    Hit(PageBuf),
-    /// The page is not resident. The caller must load it and call
-    /// `complete_miss`. No frame is reserved yet.
-    Miss,
-}
-
 /// Link sentinel for the intrusive lists ("no neighbor").
 const NIL: u32 = u32::MAX;
 
@@ -190,17 +181,16 @@ impl CandidateList {
 ///
 /// ```
 /// use scanshare_storage::{BufferPool, PoolConfig, ReplacementPolicy,
-///                         PagePriority, FixOutcome, PageId, FileId,
-///                         page::zeroed_page};
+///                         PagePriority, PageId, FileId, page::zeroed_page};
 ///
 /// let mut pool = BufferPool::new(PoolConfig::new(2, ReplacementPolicy::PriorityLru));
 /// let page = PageId::new(FileId(0), 7);
 /// // Miss: the caller loads the bytes and completes the fix.
-/// assert!(matches!(pool.fix(page), FixOutcome::Miss));
-/// pool.complete_miss(page, zeroed_page().freeze()).unwrap();
+/// assert_eq!(pool.fix_slot(page), None);
+/// let slot = pool.complete_miss_slot(page, zeroed_page().freeze()).unwrap();
 /// // Release with the paper's priority hint.
 /// pool.release(page, PagePriority::High).unwrap();
-/// assert!(matches!(pool.fix(page), FixOutcome::Hit(_)));
+/// assert_eq!(pool.fix_slot(page), Some(slot));
 /// pool.release(page, PagePriority::High).unwrap();
 /// assert_eq!(pool.stats().hits, 1);
 /// ```
@@ -374,20 +364,10 @@ impl BufferPool {
         f.last_use = seq;
     }
 
-    /// Try to pin `id`. On a hit the frame's recency is refreshed and the
-    /// bytes are returned; on a miss the caller is expected to load the
-    /// page and call [`BufferPool::complete_miss`].
-    pub fn fix(&mut self, id: PageId) -> FixOutcome {
-        match self.fix_slot(id) {
-            Some(slot) => FixOutcome::Hit(self.frames[slot as usize].buf.clone()),
-            None => FixOutcome::Miss,
-        }
-    }
-
-    /// Zero-clone `fix`: on a hit the page is pinned and its slot is
-    /// returned; borrow the bytes via [`BufferPool::slot_buf`]. `None`
-    /// is a miss — load the page and call
-    /// [`BufferPool::complete_miss_slot`]. The slot stays valid (and the
+    /// Try to pin `id`. On a hit the page is pinned, its recency is
+    /// refreshed and its slot is returned; borrow the bytes via
+    /// [`BufferPool::slot_buf`]. `None` is a miss — load the page and
+    /// call [`BufferPool::complete_miss_slot`]. The slot stays valid (and the
     /// frame is never recycled) for as long as the page remains pinned.
     pub fn fix_slot(&mut self, id: PageId) -> Option<u32> {
         self.stats.logical_reads += 1;
@@ -420,14 +400,8 @@ impl BufferPool {
     }
 
     /// Install a page after a miss, evicting if necessary. The page is
-    /// pinned for the caller. Fails with [`StorageError::PoolExhausted`]
-    /// if every frame is pinned.
-    pub fn complete_miss(&mut self, id: PageId, buf: PageBuf) -> StorageResult<()> {
-        self.complete_miss_slot(id, buf).map(|_| ())
-    }
-
-    /// [`BufferPool::complete_miss`], returning the installed slot for
-    /// the zero-clone path.
+    /// pinned for the caller and its slot returned. Fails with
+    /// [`StorageError::PoolExhausted`] if every frame is pinned.
     pub fn complete_miss_slot(&mut self, id: PageId, buf: PageBuf) -> StorageResult<u32> {
         self.complete_miss_at(id, buf, SimTime::ZERO)
     }
@@ -622,9 +596,8 @@ mod tests {
 
     /// Fix+load+release helper simulating a full page visit.
     fn visit(p: &mut BufferPool, id: PageId, prio: PagePriority) {
-        match p.fix(id) {
-            FixOutcome::Hit(_) => {}
-            FixOutcome::Miss => p.complete_miss(id, buf(id.page as u8)).unwrap(),
+        if p.fix_slot(id).is_none() {
+            p.complete_miss_slot(id, buf(id.page as u8)).unwrap();
         }
         p.release(id, prio).unwrap();
     }
@@ -632,13 +605,11 @@ mod tests {
     #[test]
     fn hit_after_miss() {
         let mut p = pool(2, ReplacementPolicy::Lru);
-        assert!(matches!(p.fix(pid(0)), FixOutcome::Miss));
-        p.complete_miss(pid(0), buf(7)).unwrap();
+        assert_eq!(p.fix_slot(pid(0)), None);
+        p.complete_miss_slot(pid(0), buf(7)).unwrap();
         p.release(pid(0), PagePriority::Normal).unwrap();
-        match p.fix(pid(0)) {
-            FixOutcome::Hit(b) => assert_eq!(b[0], 7),
-            FixOutcome::Miss => panic!("expected hit"),
-        }
+        let slot = p.fix_slot(pid(0)).expect("expected hit");
+        assert_eq!(p.slot_buf(slot)[0], 7);
         assert_eq!(p.stats().hits, 1);
         assert_eq!(p.stats().misses, 1);
         assert_eq!(p.stats().logical_reads, 2);
@@ -710,8 +681,8 @@ mod tests {
     #[test]
     fn pinned_pages_are_not_victimized() {
         let mut p = pool(2, ReplacementPolicy::Lru);
-        assert!(matches!(p.fix(pid(0)), FixOutcome::Miss));
-        p.complete_miss(pid(0), buf(0)).unwrap(); // stays pinned
+        assert_eq!(p.fix_slot(pid(0)), None);
+        p.complete_miss_slot(pid(0), buf(0)).unwrap(); // stays pinned
         visit(&mut p, pid(1), PagePriority::Normal);
         visit(&mut p, pid(2), PagePriority::Normal); // must evict 1, not 0
         assert!(p.contains(pid(0)));
@@ -722,18 +693,18 @@ mod tests {
     #[test]
     fn all_pinned_pool_reports_exhaustion() {
         let mut p = pool(1, ReplacementPolicy::Lru);
-        assert!(matches!(p.fix(pid(0)), FixOutcome::Miss));
-        p.complete_miss(pid(0), buf(0)).unwrap();
-        let err = p.complete_miss(pid(1), buf(1)).unwrap_err();
+        assert_eq!(p.fix_slot(pid(0)), None);
+        p.complete_miss_slot(pid(0), buf(0)).unwrap();
+        let err = p.complete_miss_slot(pid(1), buf(1)).unwrap_err();
         assert!(matches!(err, StorageError::PoolExhausted { .. }));
     }
 
     #[test]
     fn double_pin_requires_double_release() {
         let mut p = pool(2, ReplacementPolicy::Lru);
-        assert!(matches!(p.fix(pid(0)), FixOutcome::Miss));
-        p.complete_miss(pid(0), buf(0)).unwrap();
-        assert!(matches!(p.fix(pid(0)), FixOutcome::Hit(_)));
+        assert_eq!(p.fix_slot(pid(0)), None);
+        p.complete_miss_slot(pid(0), buf(0)).unwrap();
+        assert!(p.fix_slot(pid(0)).is_some());
         p.release(pid(0), PagePriority::Normal).unwrap();
         // Still pinned once: not a candidate.
         assert_eq!(p.next_victim(), None);
@@ -758,10 +729,10 @@ mod tests {
     #[test]
     fn concurrent_miss_completion_just_pins() {
         let mut p = pool(2, ReplacementPolicy::Lru);
-        assert!(matches!(p.fix(pid(0)), FixOutcome::Miss));
-        assert!(matches!(p.fix(pid(0)), FixOutcome::Miss));
-        p.complete_miss(pid(0), buf(1)).unwrap();
-        p.complete_miss(pid(0), buf(2)).unwrap(); // second loader
+        assert_eq!(p.fix_slot(pid(0)), None);
+        assert_eq!(p.fix_slot(pid(0)), None);
+        p.complete_miss_slot(pid(0), buf(1)).unwrap();
+        p.complete_miss_slot(pid(0), buf(2)).unwrap(); // second loader
         assert_eq!(p.len(), 1);
         p.release(pid(0), PagePriority::Normal).unwrap();
         assert_eq!(p.next_victim(), None); // still pinned once
@@ -773,8 +744,8 @@ mod tests {
     fn clear_unpinned_keeps_pinned_pages() {
         let mut p = pool(3, ReplacementPolicy::Lru);
         visit(&mut p, pid(0), PagePriority::Normal);
-        assert!(matches!(p.fix(pid(1)), FixOutcome::Miss));
-        p.complete_miss(pid(1), buf(1)).unwrap();
+        assert_eq!(p.fix_slot(pid(1)), None);
+        p.complete_miss_slot(pid(1), buf(1)).unwrap();
         p.clear_unpinned();
         assert!(!p.contains(pid(0)));
         assert!(p.contains(pid(1)));
@@ -818,8 +789,8 @@ mod tests {
         let mut p = pool(3, ReplacementPolicy::PriorityLru);
         visit(&mut p, pid(2), PagePriority::High);
         visit(&mut p, pid(0), PagePriority::Low);
-        assert!(matches!(p.fix(pid(1)), FixOutcome::Miss));
-        p.complete_miss(pid(1), buf(1)).unwrap(); // left pinned
+        assert_eq!(p.fix_slot(pid(1)), None);
+        p.complete_miss_slot(pid(1), buf(1)).unwrap(); // left pinned
         let resident = p.resident_pages();
         assert_eq!(
             resident,
@@ -977,8 +948,8 @@ mod tests {
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::PriorityLru] {
             let mut p = pool(4, policy);
             for i in 0..3 {
-                assert!(matches!(p.fix(pid(i)), FixOutcome::Miss));
-                p.complete_miss(pid(i), buf(i as u8)).unwrap();
+                assert_eq!(p.fix_slot(pid(i)), None);
+                p.complete_miss_slot(pid(i), buf(i as u8)).unwrap();
             }
             for i in (0..3).rev() {
                 p.release(pid(i), PagePriority::Normal).unwrap();

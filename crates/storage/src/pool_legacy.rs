@@ -15,13 +15,10 @@ use std::collections::{BTreeSet, HashMap};
 
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageBuf, PageId};
-use crate::pool::{
-    FixOutcome, PagePriority, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage,
-};
+use crate::pool::{PagePriority, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage};
 
 #[derive(Debug)]
 struct Frame {
-    buf: PageBuf,
     pin_count: u32,
     priority: PagePriority,
     last_use: u64,
@@ -68,7 +65,8 @@ impl LegacyPool {
         }
     }
 
-    pub fn fix(&mut self, id: PageId) -> FixOutcome {
+    /// Pin `id` if it is resident; whether it was.
+    pub fn fix(&mut self, id: PageId) -> bool {
         self.stats.logical_reads += 1;
         self.use_seq += 1;
         let seq = self.use_seq;
@@ -82,14 +80,14 @@ impl LegacyPool {
             frame.pin_count += 1;
             frame.prev_use = frame.last_use;
             frame.last_use = seq;
-            FixOutcome::Hit(frame.buf.clone())
+            true
         } else {
             self.stats.misses += 1;
-            FixOutcome::Miss
+            false
         }
     }
 
-    pub fn complete_miss(&mut self, id: PageId, buf: PageBuf) -> StorageResult<()> {
+    pub fn complete_miss(&mut self, id: PageId) -> StorageResult<()> {
         if let Some(frame) = self.frames.get(&id) {
             if frame.pin_count == 0 {
                 let key = self.candidate_key(frame, id);
@@ -120,7 +118,6 @@ impl LegacyPool {
         self.frames.insert(
             id,
             Frame {
-                buf,
                 pin_count: 1,
                 priority: PagePriority::Normal,
                 last_use: self.use_seq,
@@ -270,14 +267,14 @@ mod equivalence {
                 let b = oracle.fix(id);
                 assert_eq!(
                     a.is_some(),
-                    matches!(b, FixOutcome::Hit(_)),
+                    b,
                     "{policy:?} seed {seed} step {step}: fix({id:?}) outcome diverged"
                 );
                 let slot = match a {
                     Some(slot) => slot,
                     None => {
                         let ra = fast.complete_miss_slot(id, buf(id.page as u64));
-                        let rb = oracle.complete_miss(id, buf(id.page as u64));
+                        let rb = oracle.complete_miss(id);
                         match (&ra, &rb) {
                             (Ok(slot), Ok(())) => *slot,
                             (Err(ea), Err(eb)) if same_error(ea, eb) => {
@@ -421,15 +418,14 @@ mod equivalence {
             let roll = rng.next_u64() % 100;
             if (roll < 70 && pinned.len() < CAPACITY - 2) || pinned.is_empty() {
                 let id = pid(rng.next_u64() % UNIVERSE);
-                let a = fast.fix(id);
+                let a = fast.fix_slot(id).is_some();
                 let b = oracle.fix(id);
                 assert_eq!(
-                    matches!(a, FixOutcome::Hit(_)),
-                    matches!(b, FixOutcome::Hit(_)),
+                    a, b,
                     "{policy:?} seed {seed} step {step}: fix({id:?}) outcome diverged"
                 );
-                let mut holds_pin = matches!(a, FixOutcome::Hit(_));
-                if matches!(a, FixOutcome::Miss) {
+                let mut holds_pin = a;
+                if !a {
                     let now = SimTime::from_micros(step as u64);
                     if matches!(
                         inj.check(now, 0, id.page as u64),
@@ -438,8 +434,8 @@ mod equivalence {
                         // The read failed: neither pool installs the page.
                         aborted += 1;
                     } else {
-                        fast.complete_miss(id, buf(id.page as u64)).unwrap();
-                        oracle.complete_miss(id, buf(id.page as u64)).unwrap();
+                        fast.complete_miss_slot(id, buf(id.page as u64)).unwrap();
+                        oracle.complete_miss(id).unwrap();
                         holds_pin = true;
                     }
                 }
@@ -522,19 +518,19 @@ mod equivalence {
             let mut oracle = LegacyPool::new(PoolConfig::new(cap, policy));
             for p in 0..cap as u64 {
                 let id = pid(p);
-                assert!(matches!(fast.fix(id), FixOutcome::Miss));
-                assert!(matches!(oracle.fix(id), FixOutcome::Miss));
-                fast.complete_miss(id, buf(p)).unwrap();
-                oracle.complete_miss(id, buf(p)).unwrap();
+                assert_eq!(fast.fix_slot(id), None);
+                assert!(!oracle.fix(id));
+                fast.complete_miss_slot(id, buf(p)).unwrap();
+                oracle.complete_miss(id).unwrap();
             }
             assert_eq!(fast.next_victim(), None);
             assert_eq!(oracle.next_victim(), None);
 
             let extra = pid(99);
-            assert!(matches!(fast.fix(extra), FixOutcome::Miss));
-            assert!(matches!(oracle.fix(extra), FixOutcome::Miss));
-            let ea = fast.complete_miss(extra, buf(99)).unwrap_err();
-            let eb = oracle.complete_miss(extra, buf(99)).unwrap_err();
+            assert_eq!(fast.fix_slot(extra), None);
+            assert!(!oracle.fix(extra));
+            let ea = fast.complete_miss_slot(extra, buf(99)).unwrap_err();
+            let eb = oracle.complete_miss(extra).unwrap_err();
             assert!(
                 same_error(&ea, &eb),
                 "{policy:?}: exhaustion errors diverged: {ea:?} vs {eb:?}"
@@ -545,10 +541,10 @@ mod equivalence {
             fast.release(pid(2), PagePriority::Normal).unwrap();
             oracle.release(pid(2), PagePriority::Normal).unwrap();
             assert_eq!(fast.next_victim(), oracle.next_victim());
-            assert!(matches!(fast.fix(extra), FixOutcome::Miss));
-            assert!(matches!(oracle.fix(extra), FixOutcome::Miss));
-            fast.complete_miss(extra, buf(99)).unwrap();
-            oracle.complete_miss(extra, buf(99)).unwrap();
+            assert_eq!(fast.fix_slot(extra), None);
+            assert!(!oracle.fix(extra));
+            fast.complete_miss_slot(extra, buf(99)).unwrap();
+            oracle.complete_miss(extra).unwrap();
             assert_eq!(fast.next_victim(), oracle.next_victim());
             assert_eq!(fast.resident_pages(), oracle.resident_pages());
             assert_eq!(

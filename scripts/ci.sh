@@ -48,7 +48,7 @@ leg "benchmark crate (metric-name drift + --quick smoke)"
 # still matches BENCHMARK.json.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-leg "row-kernel, grouping, manager, policy and sampler oracles, release build"
+leg "row-kernel, walk, grouping, manager, policy and sampler oracles, release build"
 # The kernel's register chunks (K states × N sums, const-generic) and the
 # manager's grouping index are release codegen: the debug suite above
 # proves the source, not what the optimiser makes of it, and release is
@@ -59,9 +59,11 @@ leg "row-kernel, grouping, manager, policy and sampler oracles, release build"
 # a whole step in one pass over a shared decoded index: its per-run
 # reference (in kernel_oracle), the joined-entry search and the RID
 # answer oracle run here too. Every measurement also runs the interval
-# sampler, so its by-name reference runs here as well.
+# sampler, so its by-name reference runs here as well. `Plan::gather` is
+# the one ring walk of every cursor's steps, so the walk pin (every step
+# of table, block-index and RID plans, digested) runs here too.
 cargo test --release --offline -q -p scanshare-engine --lib -- kernel_oracle start_at_picks \
-    workload::tests::the_sampler_records_what_sampling_by_name_records
+    walk_pin workload::tests::the_sampler_records_what_sampling_by_name_records
 cargo test --release --offline -q --test row_kernel_oracle
 cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: policy::
 

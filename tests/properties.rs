@@ -11,7 +11,7 @@ use scanshare_repro::engine::{
 };
 use scanshare_repro::relstore::{BTree, ColType, Column, Entry, Schema, Value};
 use scanshare_repro::storage::{
-    BufferPool, FileStore, FixOutcome, PagePriority, PoolConfig, ReplacementPolicy, SimDuration,
+    BufferPool, FileStore, PagePriority, PoolConfig, ReplacementPolicy, SimDuration,
 };
 
 /// Build a small MDC database with `cells` clustering cells.
@@ -387,9 +387,8 @@ fn pool_respects_capacity_and_priorities() {
                 1 => PagePriority::Normal,
                 _ => PagePriority::High,
             };
-            match pool.fix(id) {
-                FixOutcome::Hit(_) => {}
-                FixOutcome::Miss => pool.complete_miss(id, buf.clone()).unwrap(),
+            if pool.fix_slot(id).is_none() {
+                pool.complete_miss_slot(id, buf.clone()).unwrap();
             }
             pool.release(id, priority).unwrap();
             assert!(pool.len() <= cap, "case {case}");
