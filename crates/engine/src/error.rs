@@ -27,6 +27,13 @@ pub enum EngineError {
     /// A size the run divides by or draws from is zero, named by its
     /// path in a run spec.
     ZeroSize(&'static str),
+    /// A scan groups by more `Char` columns than fit one packed key.
+    TooManyGroupColumns {
+        /// The scanned table.
+        table: String,
+        /// The number of group-by columns the spec named.
+        columns: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -43,6 +50,10 @@ impl fmt::Display for EngineError {
                 expected,
             } => write!(f, "table '{table}' has no {expected:?} column {column}"),
             EngineError::ZeroSize(field) => write!(f, "{field} must be at least 1"),
+            EngineError::TooManyGroupColumns { table, columns } => write!(
+                f,
+                "a scan of '{table}' groups by {columns} columns, at most 8 fit a group key"
+            ),
         }
     }
 }

@@ -102,7 +102,8 @@ impl AggSpec {
         }
     }
 
-    /// Pack a row's group-by values into one key (one byte per column).
+    /// Pack a row's group-by values into one key (one byte per column:
+    /// a scan refuses more than eight).
     pub fn group_key(&self, row: &RowRef<'_>) -> i64 {
         let mut key = 0i64;
         for &col in &self.group_by {

@@ -338,8 +338,8 @@ pub(crate) struct StepScratch {
     /// consumer of a step selects into this one buffer, and the consumers
     /// of one class share the selection itself: it is made once a page.
     sel: Vec<u32>,
-    /// The rows of a page that is not fixed-width, copied side by side so
-    /// the kernel sees one dense region.
+    /// The rows of the pages that are not fixed-width, copied side by side
+    /// so the kernel sees dense regions.
     gathered: Vec<u8>,
     /// The step's consumers class by class — consumers whose compiled
     /// pipelines are equal sit side by side — in delivery order within a
@@ -455,6 +455,11 @@ impl RowPipeline {
         };
         let mut leaves = Vec::new();
         Self::flatten(pred, &offset, &mut leaves)?;
+        // A group key holds one byte per column.
+        if agg.group_by.len() > 8 {
+            let (table, columns) = (table.to_string(), agg.group_by.len());
+            return Err(EngineError::TooManyGroupColumns { table, columns });
+        }
         Ok(RowPipeline {
             leaves,
             sum_offs: offsets(&agg.sum_cols, ColType::Float64)?,
@@ -494,16 +499,31 @@ impl RowPipeline {
         Ok(())
     }
 
-    /// The row kernel, one dense `region` of rows at a time, for every
+    /// The row kernel over dense `regions` of rows, in order, for every
     /// state of a class at once. *Select*: each leaf in turn narrows the
-    /// selection vector `sel` to the rows that pass it. *Fold*: the
-    /// survivors, in row order, are added to each of `states`.
-    fn fold_region(&self, states: &mut [AggState], sel: &mut Vec<u32>, region: &[u8]) {
+    /// selection vector `sel` to the rows of a region that pass it.
+    /// *Fold*: the survivors, in row order, are added to each of `states`
+    /// — without a predicate, in one pass over all the regions.
+    fn fold_regions<'r>(
+        &self,
+        states: &mut [AggState],
+        sel: &mut Vec<u32>,
+        regions: impl Iterator<Item = &'r [u8]> + Clone,
+    ) {
         let stride = self.stride();
         if self.leaves.is_empty() {
-            return AggState::fold(states, self, region.chunks_exact(stride));
+            let batches = regions.map(move |region| region.chunks_exact(stride));
+            return AggState::fold::<true>(states, self, batches);
         }
-        self.fold_rows(states, sel, region.len() / stride, |i| {
+        for region in regions {
+            self.fold_selected(states, sel, region);
+        }
+    }
+
+    /// The kernel over one dense `region`, its rows selected by index.
+    fn fold_selected(&self, states: &mut [AggState], sel: &mut Vec<u32>, region: &[u8]) {
+        let stride = self.stride();
+        self.fold_rows(states, sel, region.len() / stride, move |i| {
             row_at(region, stride, i)
         });
     }
@@ -522,7 +542,8 @@ impl RowPipeline {
         for leaf in &self.leaves {
             leaf.filter(row, sel);
         }
-        AggState::fold(states, self, sel.iter().map(move |&i| row(i)));
+        let rows = sel.iter().map(move |&i| row(i));
+        AggState::fold::<false>(states, self, std::iter::once(rows));
     }
 
     /// Bytes from one row of a dense region to the next: a zero-column
@@ -560,19 +581,19 @@ pub(crate) struct AggState {
     slots: Vec<u32>,
 }
 
-/// Where the probe for `key` starts in a table of `mask + 1` slots.
+/// Where the probe for `key` starts in a table of `mask + 1` slots: the
+/// bits from `shift` up of its Fibonacci-hash product (packed chars
+/// differ in a few low bits of each byte; the product spreads them).
 #[inline(always)]
-fn home_slot(key: i64, mask: usize) -> usize {
-    // Packed chars differ in a few low bits of each byte; the upper half
-    // of a Fibonacci-hash product spreads them.
-    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask
+fn home_slot(key: i64, shift: u32, mask: usize) -> usize {
+    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize & mask
 }
 
 /// The position in `keys` of `key`'s group, if it has one.
 #[inline(always)]
 fn find_group(slots: &[u32], keys: &[i64], key: i64) -> Option<usize> {
     let mask = slots.len().checked_sub(1)?;
-    let mut at = home_slot(key, mask);
+    let mut at = home_slot(key, 32, mask);
     loop {
         match slots[at] as usize {
             0 => return None,
@@ -582,13 +603,105 @@ fn find_group(slots: &[u32], keys: &[i64], key: i64) -> Option<usize> {
     }
 }
 
-/// One state's group table as plain slices, for the length of a hot
-/// loop.
+/// A state's group table as a pass of the fold sees it.
+trait Groups {
+    /// The position of `key`'s group, if it has one.
+    fn find(&self, key: i64) -> Option<usize>;
+    /// Count a row, whose summed fields are `vals`, into group `g`.
+    fn take(&mut self, g: usize, vals: &[f64]);
+}
+
+/// One state's group table as plain slices, for the length of a pass.
 struct GroupTable<'s> {
     slots: &'s [u32],
     keys: &'s [i64],
     counts: &'s mut [u64],
     sums: &'s mut [f64],
+}
+
+impl Groups for GroupTable<'_> {
+    #[inline(always)]
+    fn find(&self, key: i64) -> Option<usize> {
+        find_group(self.slots, self.keys, key)
+    }
+
+    #[inline(always)]
+    fn take(&mut self, g: usize, vals: &[f64]) {
+        let n = vals.len();
+        self.counts[g] += 1;
+        add(&mut self.sums[g * n..][..n], vals);
+    }
+}
+
+/// The most groups, and sums per group, a [`LocalGroups`] holds.
+const LOCAL: usize = 8;
+
+/// A small group table copied out of its state for a pass, so rows add
+/// to locals at fixed places instead of through the state's `Vec`s. A
+/// key is found with one probe: the keys' hashes are shifted until no two
+/// share a place in `at`.
+struct LocalGroups {
+    keys: [i64; LOCAL],
+    counts: [u64; LOCAL],
+    sums: [[f64; LOCAL]; LOCAL],
+    /// The group each 6-bit hash leads to, or `u8::MAX` for none.
+    at: [u8; 64],
+    shift: u32,
+}
+
+impl LocalGroups {
+    /// `s`'s groups, of `n` sums each, if there are few enough and their
+    /// hashes can be told apart.
+    #[inline(never)]
+    fn load(s: &AggState, n: usize) -> Option<LocalGroups> {
+        let len = s.keys.len();
+        let (shift, at) = (0..59)
+            .rev()
+            .filter(|_| len <= LOCAL && n <= LOCAL)
+            .find_map(|shift| {
+                let mut at = [u8::MAX; 64];
+                let taken =
+                    |(g, &key)| std::mem::replace(&mut at[home_slot(key, shift, 63)], g) < 64;
+                (!(0..).zip(&s.keys).any(taken)).then_some((shift, at))
+            })?;
+        let (mut keys, mut counts, mut sums) = ([0; LOCAL], [0; LOCAL], [[0.0; LOCAL]; LOCAL]);
+        keys[..len].copy_from_slice(&s.keys);
+        counts[..len].copy_from_slice(&s.counts);
+        for (g, sums) in sums[..len].iter_mut().enumerate() {
+            sums[..n].copy_from_slice(&s.group_sums[g * n..][..n]);
+        }
+        Some(LocalGroups {
+            keys,
+            counts,
+            sums,
+            at,
+            shift,
+        })
+    }
+
+    /// Write the counts and sums back to `s`, the state they came from.
+    #[inline(never)]
+    fn store(&self, s: &mut AggState, n: usize) {
+        let len = s.keys.len();
+        s.counts.copy_from_slice(&self.counts[..len]);
+        for (g, sums) in self.sums[..len].iter().enumerate() {
+            s.group_sums[g * n..][..n].copy_from_slice(&sums[..n]);
+        }
+    }
+}
+
+impl Groups for LocalGroups {
+    #[inline(always)]
+    fn find(&self, key: i64) -> Option<usize> {
+        let g = self.at[home_slot(key, self.shift, 63)] as usize;
+        (self.keys.get(g) == Some(&key)).then_some(g)
+    }
+
+    #[inline(always)]
+    fn take(&mut self, g: usize, vals: &[f64]) {
+        self.counts[g] += 1;
+        add(&mut self.sums[g], vals);
+    }
 }
 
 impl AggState {
@@ -618,36 +731,44 @@ impl AggState {
         }
     }
 
-    /// Fold qualifying `rows` of `pipe`, in order, into each of
-    /// `states`: one pass over the rows per chunk of up to four states,
-    /// so a solitary consumer and a class of four alike walk them once.
-    fn fold<'a>(
+    /// Fold qualifying rows of `pipe`, batch after batch and in order,
+    /// into each of `states`: one pass over the rows per chunk of up to
+    /// four states, so a solitary consumer and a class of four alike walk
+    /// them once — grouped states only where `DENSE` rows lie in regions
+    /// of pages (Q1's), and alone otherwise: each such chunk is one more
+    /// copy of the grouped kernel.
+    fn fold<'a, const DENSE: bool>(
         states: &mut [AggState],
         pipe: &RowPipeline,
-        rows: impl Iterator<Item = &'a [u8]> + Clone,
+        batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
     ) {
-        for chunk in states.chunks_mut(4) {
-            let rows = rows.clone();
+        let chunk = if DENSE || pipe.group_offs.is_empty() {
+            4
+        } else {
+            1
+        };
+        for chunk in states.chunks_mut(chunk) {
+            let batches = batches.clone();
             match chunk.len() {
-                1 => Self::fold_chunk::<1>(chunk, pipe, rows),
-                2 => Self::fold_chunk::<2>(chunk, pipe, rows),
-                3 => Self::fold_chunk::<3>(chunk, pipe, rows),
-                _ => Self::fold_chunk::<4>(chunk, pipe, rows),
+                1 => Self::fold_chunk::<1, DENSE>(chunk, pipe, batches),
+                2 => Self::fold_chunk::<2, DENSE>(chunk, pipe, batches),
+                3 => Self::fold_chunk::<3, DENSE>(chunk, pipe, batches),
+                _ => Self::fold_chunk::<4, DENSE>(chunk, pipe, batches),
             }
         }
     }
 
     /// The running sums are copied out of the `K` states of `chunk` for
-    /// the length of the pass — into arrays when a solitary state has at
+    /// the length of the fold — into arrays when a solitary state has at
     /// most eight and the states of a class at most four each (four by
     /// four fill the vector registers, and every array length is one more
-    /// copy of the body), so they stay in registers across the page
+    /// copy of the body), so they stay in registers across the rows
     /// instead of being loaded and stored through `&mut` for every row —
     /// and continue from each state's totals so far.
-    fn fold_chunk<'a, const K: usize>(
+    fn fold_chunk<'a, const K: usize, const DENSE: bool>(
         chunk: &mut [AggState],
         pipe: &RowPipeline,
-        rows: impl Iterator<Item = &'a [u8]>,
+        batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
     ) {
         let states: &mut [AggState; K] = chunk.try_into().expect("a chunk of K states");
         macro_rules! with_arrays_of {
@@ -657,14 +778,14 @@ impl AggState {
                         let offs: [usize; $n] = pipe.sum_offs[..].try_into().expect("length matched");
                         let sums: [[f64; $n]; K] =
                             states.each_ref().map(|s| s.sums[..].try_into().expect("one sum per offset"));
-                        let sums = Self::fold_into(states, sums, offs, &pipe.group_offs, rows);
+                        let sums = Self::fold_into::<K, DENSE, _>(states, sums, offs, &pipe.group_offs, batches);
                         for (s, sums) in states.iter_mut().zip(sums) {
                             s.sums.copy_from_slice(&sums);
                         }
                     })*
                     _ => {
                         let sums = states.each_mut().map(|s| std::mem::take(&mut s.sums));
-                        let sums = Self::fold_into(states, sums, &pipe.sum_offs[..], &pipe.group_offs, rows);
+                        let sums = Self::fold_into::<K, DENSE, _>(states, sums, &pipe.sum_offs[..], &pipe.group_offs, batches);
                         for (s, sums) in states.iter_mut().zip(sums) {
                             s.sums = sums;
                         }
@@ -681,88 +802,30 @@ impl AggState {
     /// own accumulators in turn: every accumulator gets the addends, in
     /// the order, a fold of its state alone gives it, and the states' add
     /// chains overlap instead of queueing. Returns the sums.
-    fn fold_into<'a, const K: usize, A: AsMut<[f64]> + Clone>(
+    fn fold_into<'a, const K: usize, const DENSE: bool, A: AsMut<[f64]> + Clone>(
         states: &mut [AggState; K],
         mut sums: [A; K],
-        offs: impl AsRef<[usize]>,
+        offs: impl AsRef<[usize]> + Copy,
         group_offs: &[usize],
-        mut rows: impl Iterator<Item = &'a [u8]>,
+        mut batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
     ) -> [A; K] {
-        let offs = offs.as_ref();
-        let n = offs.len();
+        if !group_offs.is_empty() {
+            assert!(DENSE || K == 1, "grouped states fold alone");
+            let rows = batches.next();
+            Self::fold_groups(states, &mut sums, offs, group_offs, rows, batches);
+            return sums;
+        }
         // The current row's fields, decoded for all the states (beyond
         // the array lengths this buffer is the one allocation of a pass).
         let mut vals = sums[0].clone();
         let vals = vals.as_mut();
-        let decode = |vals: &mut [f64], row: &[u8]| {
-            for (v, &off) in vals.iter_mut().zip(offs) {
-                *v = f64_at(row, off);
-            }
-        };
-        let mut folded = 0u64;
-        if group_offs.is_empty() {
+        let mut folded = 0;
+        for rows in batches {
             for row in rows {
                 folded += 1;
-                decode(vals, row);
+                decode(vals, offs, row);
                 for totals in &mut sums {
-                    for (a, v) in totals.as_mut().iter_mut().zip(&*vals) {
-                        *a += v;
-                    }
-                }
-            }
-        } else {
-            // One byte per group column, packed most significant first
-            // (columns past the eighth shift the first ones out).
-            let pack = |row: &[u8]| {
-                group_offs
-                    .iter()
-                    .fold(0i64, |key, &off| (key << 8) | row[off] as i64)
-            };
-            // A row goes to a state's totals and to its group's sums.
-            let add = |vals: &[f64], totals: &mut A, group: &mut [f64]| {
-                for ((a, s), v) in totals.as_mut().iter_mut().zip(group).zip(vals) {
-                    *a += v;
-                    *s += v;
-                }
-            };
-            loop {
-                // The loop proper runs over plain slices of the states'
-                // group tables; a row of a group some state has not seen
-                // before leaves it, before any state took the row.
-                let mut tables = states.each_mut().map(|s| GroupTable {
-                    slots: &s.slots,
-                    keys: &s.keys,
-                    counts: &mut s.counts,
-                    sums: &mut s.group_sums,
-                });
-                let mut newcomer = None;
-                'known: for row in rows.by_ref() {
-                    folded += 1;
-                    let key = pack(row);
-                    let mut at = [0; K];
-                    for (g, t) in at.iter_mut().zip(&tables) {
-                        let Some(found) = find_group(t.slots, t.keys, key) else {
-                            newcomer = Some((row, key));
-                            break 'known;
-                        };
-                        *g = found;
-                    }
-                    decode(vals, row);
-                    for k in 0..K {
-                        let (t, g) = (&mut tables[k], at[k]);
-                        t.counts[g] += 1;
-                        add(vals, &mut sums[k], &mut t.sums[g * n..][..n]);
-                    }
-                }
-                let Some((row, key)) = newcomer else { break };
-                decode(vals, row);
-                // Each state keeps its own first-appearance order: the
-                // states met the groups in different orders.
-                for (s, totals) in states.iter_mut().zip(&mut sums) {
-                    let g =
-                        find_group(&s.slots, &s.keys, key).unwrap_or_else(|| s.add_group(key, n));
-                    s.counts[g] += 1;
-                    add(vals, totals, &mut s.group_sums[g * n..][..n]);
+                    add(totals.as_mut(), vals);
                 }
             }
         }
@@ -770,6 +833,85 @@ impl AggState {
             s.count += folded;
         }
         sums
+    }
+
+    /// The grouped fold of `K` states, from `rows` on: each row goes to
+    /// every state's running `sums` and to its group's count and sums, in
+    /// passes over the states' group tables — copied into
+    /// [`LocalGroups`] while all are small, in place otherwise — that end
+    /// at a row of a group some state has not met. A chunk of several
+    /// with a large table leaves the rest to each state alone, so the
+    /// states of a chunk never probe the heap tables together.
+    #[inline(never)]
+    fn fold_groups<'a, const K: usize, A: AsMut<[f64]> + Clone, I>(
+        states: &mut [AggState; K],
+        sums: &mut [A; K],
+        offs: impl AsRef<[usize]> + Copy,
+        group_offs: &[usize],
+        mut rows: Option<I>,
+        mut batches: impl Iterator<Item = I> + Clone,
+    ) where
+        I: Iterator<Item = &'a [u8]> + Clone,
+    {
+        let mut vals = sums[0].clone();
+        let vals = vals.as_mut();
+        let n = vals.len();
+        // One byte per group column, packed most significant first; one
+        // or two columns (Q1's) without a loop.
+        let (short, hi, mask, lo) = match *group_offs {
+            [lo] => (true, lo, 0, lo),
+            [hi, lo] => (true, hi, !0, lo),
+            _ => (false, 0, 0, 0),
+        };
+        let pack = |row: &[u8]| match short {
+            true => ((row[hi] as i64) << 8 & mask) | row[lo] as i64,
+            false => (group_offs.iter()).fold(0, |key, &off| (key << 8) | row[off] as i64),
+        };
+        let mut folded = 0;
+        loop {
+            let locals = states.each_ref().map(|s| LocalGroups::load(s, n));
+            let source = (&mut rows, &mut batches);
+            let (passed, miss) = if locals.iter().all(Option::is_some) {
+                let mut tables = locals.map(Option::unwrap);
+                let pass = fold_pass(&mut tables, sums, vals, offs, source, pack);
+                for (t, s) in tables.iter().zip(states.iter_mut()) {
+                    t.store(s, n);
+                }
+                pass
+            } else if K == 1 {
+                let mut tables = states.each_mut().map(AggState::table);
+                fold_pass(&mut tables, sums, vals, offs, source, pack)
+            } else {
+                for (s, sums) in states.iter_mut().zip(sums.iter_mut()) {
+                    let (state, sums) = (std::array::from_mut(s), std::array::from_mut(sums));
+                    let (rows, batches) = (rows.clone(), batches.clone());
+                    Self::fold_groups(state, sums, offs, group_offs, rows, batches);
+                }
+                break;
+            };
+            folded += passed;
+            // A row of a group some state has not met: the states that
+            // lack it start it, and each takes the row, whose fields
+            // `vals` still hold.
+            let Some(key) = miss else { break };
+            for s in states.iter_mut() {
+                let g = find_group(&s.slots, &s.keys, key).unwrap_or_else(|| s.add_group(key, n));
+                s.table().take(g, vals);
+            }
+        }
+        for s in states {
+            s.count += folded;
+        }
+    }
+
+    /// The state's group table as plain slices.
+    fn table(&mut self) -> GroupTable<'_> {
+        GroupTable {
+            slots: &self.slots,
+            keys: &self.keys,
+            counts: &mut self.counts,
+            sums: &mut self.group_sums,
+        }
     }
 
     /// Start an empty group for `key`; returns its position.
@@ -790,7 +932,7 @@ impl AggState {
         }
         let mask = self.slots.len() - 1;
         for g in unindexed {
-            let mut at = home_slot(self.keys[g], mask);
+            let mut at = home_slot(self.keys[g], 32, mask);
             while self.slots[at] != 0 {
                 at = (at + 1) & mask;
             }
@@ -798,6 +940,61 @@ impl AggState {
         }
         new
     }
+}
+
+/// Read the summed fields of `row`, at `offs`, into `vals`.
+#[inline(always)]
+fn decode(vals: &mut [f64], offs: impl AsRef<[usize]>, row: &[u8]) {
+    for (v, &off) in vals.iter_mut().zip(offs.as_ref()) {
+        *v = f64_at(row, off);
+    }
+}
+
+/// Add a row's summed fields to running totals.
+#[inline(always)]
+fn add(totals: &mut [f64], vals: &[f64]) {
+    for (a, v) in totals.iter_mut().zip(vals) {
+        *a += v;
+    }
+}
+
+/// One pass of a grouped fold over the states' group `tables`: the rows
+/// of the current batch and of the batches after it, until they end or a
+/// row arrives whose group some table lacks. A row's fields are decoded
+/// once and added to each state in turn. Returns the rows folded, that
+/// one included, and its key; `vals` holds its fields.
+#[inline(always)]
+fn fold_pass<'a, const K: usize, I: Iterator<Item = &'a [u8]>>(
+    tables: &mut [impl Groups; K],
+    sums: &mut [impl AsMut<[f64]>; K],
+    vals: &mut [f64],
+    offs: impl AsRef<[usize]> + Copy,
+    (rows, batches): (&mut Option<I>, &mut impl Iterator<Item = I>),
+    pack: impl Fn(&[u8]) -> i64,
+) -> (u64, Option<i64>) {
+    let mut folded = 0;
+    while let Some(batch) = rows {
+        for row in batch.by_ref() {
+            folded += 1;
+            decode(vals, offs, row);
+            for totals in sums.iter_mut() {
+                add(totals.as_mut(), vals);
+            }
+            let key = pack(row);
+            let mut at = [0; K];
+            for (g, t) in at.iter_mut().zip(&*tables) {
+                let Some(found) = t.find(key) else {
+                    return (folded, Some(key));
+                };
+                *g = found;
+            }
+            for (t, g) in tables.iter_mut().zip(at) {
+                t.take(g, vals);
+            }
+        }
+        *rows = batches.next();
+    }
+    (folded, None)
 }
 
 /// Measurements a finished scan hands back to its query.
@@ -932,22 +1129,30 @@ impl RowPipeline {
         };
         match work {
             StepWork::AllRows => {
+                // Fixed-width heap pages are folded where they lie; odd
+                // layouts are decoded slot by slot first, and then the
+                // extent's pages are folded in one call, in order.
+                gathered.clear();
                 let mut rows = 0u64;
                 for &(_, slot) in pages.iter() {
                     let page = HeapPage::new(pool.slot_buf(slot))?;
                     rows += page.num_rows() as u64;
-                    // Fixed-width heap pages are folded where they lie;
-                    // odd layouts are decoded slot by slot first.
-                    if let Some(region) = page.dense_region(width) {
-                        self.fold_region(states, sel, region);
-                    } else {
-                        gathered.clear();
+                    if page.dense_region(width).is_none() {
                         for row in page.rows() {
                             gather(gathered, row)?;
                         }
-                        self.fold_region(states, sel, gathered);
                     }
                 }
+                // Each page's rows, where they lie or where they were copied.
+                let regions = pages.iter().scan(0, |copied, &(_, slot)| {
+                    let page = HeapPage::new(pool.slot_buf(slot)).ok()?;
+                    Some(page.dense_region(width).unwrap_or_else(|| {
+                        let from =
+                            std::mem::replace(copied, *copied + page.num_rows() as usize * stride);
+                        &gathered[from..*copied]
+                    }))
+                });
+                self.fold_regions(states, sel, regions);
                 Ok(rows)
             }
             StepWork::Rids => {
@@ -984,7 +1189,7 @@ impl RowPipeline {
                             let row = page(&ids[at as usize])?.row_bytes(slot)?;
                             gather(gathered, row)?;
                         }
-                        self.fold_region(states, sel, gathered);
+                        self.fold_selected(states, sel, gathered);
                     }
                 }
                 Ok(rids.len() as u64)
@@ -2273,6 +2478,43 @@ mod tests {
         assert!(matches!(ok, Ok(Some(_))));
     }
 
+    /// A group key holds one byte per column, so a ninth group-by column
+    /// would shift the first out of it and merge groups that differ only
+    /// there. Such a spec is refused when its pipeline is compiled, with
+    /// the table and the column count; eight columns still tell every
+    /// group apart.
+    #[test]
+    fn more_than_eight_group_columns_are_refused() {
+        let mut db = Database::new(16);
+        let columns = (0..9).map(|i| Column::new(format!("c{i}"), ColType::Char));
+        // Two rows that differ in their first column only.
+        let rows = [b'A', b'B'].map(|c| {
+            let mut row = vec![Value::Ch(b'x'); 9];
+            row[0] = Value::Ch(c);
+            row
+        });
+        let schema = Schema::new(columns.collect());
+        db.create_heap_table("wide", schema, rows).unwrap();
+        let mut w = world(&db);
+        let spec = |columns: usize| ScanSpec {
+            table: "wide".into(),
+            agg: AggSpec::grouped_sums(vec![], (0..columns).collect()),
+            ..table_spec(Pred::True)
+        };
+        let want = EngineError::TooManyGroupColumns {
+            table: "wide".into(),
+            columns: 9,
+        };
+        let err = ScanExec::start(&db, &mut w, &spec(9), SimTime::ZERO).unwrap_err();
+        assert_eq!(err, want);
+        assert_eq!(
+            want.to_string(),
+            "a scan of 'wide' groups by 9 columns, at most 8 fit a group key"
+        );
+        let (eight, _) = run_to_end(&db, &mut w, &spec(8));
+        assert_eq!(eight.groups.len(), 2);
+    }
+
     /// Classes keep delivery order inside and first-member order among
     /// themselves, and a RID step has no class of two.
     #[test]
@@ -2599,12 +2841,18 @@ mod kernel_oracle {
         sums_over_8: u32,
         groups_17_to_300: u32,
         groups_over_300: u32,
+        ninth_group_mid_page: u32,
+        grouped_no_sums: u32,
+        grouped_over_8_sums: u32,
+        one_column_keys: u32,
+        three_column_keys: u32,
     }
 
     /// The push engine keeps every finished consumer until the run ends,
     /// so an aggregate that never groups must own its sums and nothing
     /// else (an eager 1 KB table per consumer once cost `tpch64_push` 7 %
-    /// of its peak RSS).
+    /// of its peak RSS), and a grouped one no more than its groups need:
+    /// the fold's local copy of a small table is not kept.
     #[test]
     fn ungrouped_state_owns_only_its_sums() {
         for n in [0, 2, 8, 11] {
@@ -2617,7 +2865,7 @@ mod kernel_oracle {
             )
             .unwrap();
             let row = vec![0u8; schema().row_width()];
-            pipe.fold_region(&mut agg, &mut Vec::new(), &row);
+            pipe.fold_regions(&mut agg, &mut Vec::new(), std::iter::once(&row[..]));
             let [agg] = agg;
             assert_eq!((agg.count, agg.sums.capacity()), (1, n));
             assert_eq!(agg.keys.capacity(), 0);
@@ -2625,6 +2873,31 @@ mod kernel_oracle {
             assert_eq!(agg.group_sums.capacity(), 0);
             assert_eq!(agg.slots.capacity(), 0);
         }
+        // A Q1 page: six groups of four sums.
+        let s = schema();
+        let agg = AggSpec::grouped_sums((F0..F0 + 4).collect(), vec![C0, C0 + 1]);
+        let pipe = RowPipeline::compile(&Pred::True, &agg, &s, "t").unwrap();
+        let mut page = Vec::new();
+        for r in 0..150 {
+            let mut vals = vec![Value::I32(0), Value::I32(0)];
+            vals.extend((0..N_F64).map(|i| Value::F64(i as f64)));
+            vals.extend([b"ANR"[r % 3], b"FO"[r / 3 % 2], b'x'].map(Value::Ch));
+            let mut row = vec![0; s.row_width()];
+            s.encode_row(&vals, &mut row);
+            page.extend(row);
+        }
+        let mut agg = [AggState::new(4)];
+        pipe.fold_regions(&mut agg, &mut Vec::new(), std::iter::once(&page[..]));
+        let [agg] = agg;
+        assert_eq!((agg.count, agg.keys.len()), (150, 6));
+        let capacities = [
+            agg.keys.capacity(),
+            agg.counts.capacity(),
+            agg.group_sums.capacity(),
+            agg.slots.capacity(),
+        ];
+        // What the same page left behind before the local tables.
+        assert_eq!(capacities, [8, 8, 32, 64]);
     }
 
     /// A table without columns has zero-byte records; they still count,
@@ -2785,7 +3058,7 @@ mod kernel_oracle {
                     gathered.extend_from_slice(fields);
                     gathered.resize(gathered.len() + stride - width, 0);
                 }
-                pipe.fold_region(states, &mut sel, &gathered);
+                pipe.fold_regions(states, &mut sel, std::iter::once(&gathered[..]));
             }
         }
         Ok(rids.len() as u64)
@@ -3015,6 +3288,7 @@ mod kernel_oracle {
             for (sp, c) in specs.iter().zip(&consumers) {
                 let mut want = Naive::default();
                 for &(p, r) in &order {
+                    let before = want.groups.len();
                     want.fold(
                         sp,
                         &RowRef {
@@ -3022,6 +3296,8 @@ mod kernel_oracle {
                             schema: &s,
                         },
                     );
+                    let ninth = before == 8 && want.groups.len() == 9 && r > 0;
+                    reached.ninth_group_mid_page += ninth as u32;
                 }
                 let got = c.result();
                 assert_same(case, sp, &got, &want);
@@ -3029,6 +3305,12 @@ mod kernel_oracle {
                 reached.sums_over_8 += (sp.agg.sum_cols.len() > 8 && got.count > 0) as u32;
                 reached.groups_17_to_300 += (17..=300).contains(&got.groups.len()) as u32;
                 reached.groups_over_300 += (got.groups.len() > 300) as u32;
+                let (n_sums, n_keys) = (sp.agg.sum_cols.len(), sp.agg.group_by.len());
+                let grouped = n_keys > 0 && got.count > 0;
+                reached.grouped_no_sums += (grouped && n_sums == 0) as u32;
+                reached.grouped_over_8_sums += (grouped && n_sums > 8) as u32;
+                reached.one_column_keys += (grouped && n_keys == 1) as u32;
+                reached.three_column_keys += (grouped && n_keys == 3) as u32;
             }
         }
         let r = &reached;
@@ -3047,6 +3329,19 @@ mod kernel_oracle {
             ("more than 300 groups", r.groups_over_300),
         ] {
             assert!(n >= 5, "only {n} cases reached: {what}");
+        }
+        // The bounds of the fold's local group tables.
+        for (what, n) in [
+            (
+                "a ninth group met past a page's first row",
+                r.ninth_group_mid_page,
+            ),
+            ("grouped folds without sums", r.grouped_no_sums),
+            ("grouped folds of more than 8 sums", r.grouped_over_8_sums),
+            ("one-column group keys", r.one_column_keys),
+            ("three-column group keys", r.three_column_keys),
+        ] {
+            assert!(n >= 1, "no case reached: {what}");
         }
     }
 
@@ -3070,6 +3365,8 @@ mod kernel_oracle {
             fused_slotted_pages: u32,
             newcomer_mid_page_in_some_riders_only: u32,
             a_stranger_between_riders: u32,
+            riders_on_both_sides_of_8_groups: u32,
+            riders_past_8_groups_in_the_lap: u32,
         }
         let s = schema();
         let mut reached = Reached::default();
@@ -3168,6 +3465,10 @@ mod kernel_oracle {
                 reached.newcomer_mid_page_in_some_riders_only += split as u32;
             }
 
+            let sizes = riders.iter().map(|&ci| want[ci].groups.len());
+            let both = sizes.clone().any(|n| n <= 8) && sizes.clone().any(|n| n > 8);
+            reached.riders_on_both_sides_of_8_groups += both as u32;
+
             // The shared lap, owner somewhere in the middle of the seats.
             let mut order: Vec<usize> = (0..specs.len()).collect();
             order.rotate_left(rng.bounded_u64(specs.len() as u64) as usize);
@@ -3181,11 +3482,14 @@ mod kernel_oracle {
             let steps = ((n_pages - start_page).div_ceil(16) + start_page.div_ceil(16)) as u64;
             let fused = fused_classes() - fused_before;
             assert_eq!(fused, if k > 1 { steps } else { 0 }, "case {case}");
+            let before: Vec<usize> = want.iter().map(|w| w.groups.len()).collect();
             for ci in 0..specs.len() {
                 lap.iter()
                     .for_each(|at| want[ci].fold(&specs[ci], &row_ref(at)));
                 assert_same(case, &specs[ci], &consumers[ci].result(), &want[ci]);
             }
+            let past = |&ci: &usize| before[ci] <= 8 && want[ci].groups.len() > 8;
+            reached.riders_past_8_groups_in_the_lap += (k > 1 && riders.iter().any(past)) as u32;
 
             if k > 1 {
                 let (n_sums, grouped) = (rider.agg.sum_cols.len(), !rider.agg.group_by.is_empty());
@@ -3220,5 +3524,9 @@ mod kernel_oracle {
         ] {
             assert!(n >= 5, "only {n} cases reached: {what}");
         }
+        let both = r.riders_on_both_sides_of_8_groups;
+        assert!(both >= 1, "no class of riders on both sides of 8 groups");
+        let past = r.riders_past_8_groups_in_the_lap;
+        assert!(past >= 1, "no class of riders past 8 groups in the lap");
     }
 }

@@ -49,8 +49,10 @@ leg "benchmark crate (metric-name drift + --quick smoke)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 leg "row-kernel, walk, grouping, manager, policy and sampler oracles, release build"
-# The kernel's register chunks (K states × N sums, const-generic) and the
-# manager's grouping index are release codegen: the debug suite above
+# The kernel's register chunks (K states × N sums, const-generic), the
+# local group tables a grouped fold copies a state's first eight groups
+# into (`LocalGroups`, one probe per row) and the manager's grouping
+# index are release codegen: the debug suite above
 # proves the source, not what the optimiser makes of it, and release is
 # what every measurement runs. The core crate's grouping and manager
 # tests hold the index's oracle against the re-forming pass and the
@@ -105,10 +107,18 @@ done
 echo "$(ls "$exp_out" | wc -l) experiment files byte-identical to results/"
 rm -rf "$exp_out"
 
-leg "first-party line counts (informational, not gated)"
+leg "first-party line counts and binary text (informational, not gated)"
 # Production vs test lines per crate, the figure each CHANGES.md entry
-# quotes before/after (north-star aim 2: net lines tracked per PR).
+# quotes before/after (north-star aim 2: net lines tracked per PR), and
+# the release CLI's .text bytes: every monomorphised copy of the row
+# kernel (K × N × way of walking the rows) shows up there.
 scripts/loc.sh
+if command -v size >/dev/null && [ -f target/release/scanshare ]; then
+    size -A target/release/scanshare |
+        awk '$1 == ".text" { print ".text of target/release/scanshare: " $2 " bytes" }'
+else
+    echo "size or target/release/scanshare missing: .text not printed"
+fi
 
 leg "" # closes the last leg
 echo "CI green in $SECONDS s."
