@@ -611,25 +611,17 @@ trait Groups {
     fn take(&mut self, g: usize, vals: &[f64]);
 }
 
-/// One state's group table as plain slices, for the length of a pass.
-struct GroupTable<'s> {
-    slots: &'s [u32],
-    keys: &'s [i64],
-    counts: &'s mut [u64],
-    sums: &'s mut [f64],
-}
-
-impl Groups for GroupTable<'_> {
+impl Groups for AggState {
     #[inline(always)]
     fn find(&self, key: i64) -> Option<usize> {
-        find_group(self.slots, self.keys, key)
+        find_group(&self.slots, &self.keys, key)
     }
 
     #[inline(always)]
     fn take(&mut self, g: usize, vals: &[f64]) {
         let n = vals.len();
         self.counts[g] += 1;
-        add(&mut self.sums[g * n..][..n], vals);
+        add(&mut self.group_sums[g * n..][..n], vals);
     }
 }
 
@@ -879,8 +871,7 @@ impl AggState {
                 }
                 pass
             } else if K == 1 {
-                let mut tables = states.each_mut().map(AggState::table);
-                fold_pass(&mut tables, sums, vals, offs, source, pack)
+                fold_pass(states, sums, vals, offs, source, pack)
             } else {
                 for (s, sums) in states.iter_mut().zip(sums.iter_mut()) {
                     let (state, sums) = (std::array::from_mut(s), std::array::from_mut(sums));
@@ -896,21 +887,11 @@ impl AggState {
             let Some(key) = miss else { break };
             for s in states.iter_mut() {
                 let g = find_group(&s.slots, &s.keys, key).unwrap_or_else(|| s.add_group(key, n));
-                s.table().take(g, vals);
+                s.take(g, vals);
             }
         }
         for s in states {
             s.count += folded;
-        }
-    }
-
-    /// The state's group table as plain slices.
-    fn table(&mut self) -> GroupTable<'_> {
-        GroupTable {
-            slots: &self.slots,
-            keys: &self.keys,
-            counts: &mut self.counts,
-            sums: &mut self.group_sums,
         }
     }
 
