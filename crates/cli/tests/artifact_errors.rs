@@ -211,6 +211,52 @@ fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A pool smaller than one extent is refused the same way, under pull
+/// and push: exit 2 and one line naming both fields and their values.
+#[test]
+fn a_pool_below_one_extent_is_exit_2_naming_both_sizes() {
+    let template = scanshare(&["spec-template"]);
+    let spec: scanshare_cli::RunSpec = serde_json::from_slice(&template.stdout).unwrap();
+    let path = std::env::temp_dir().join(format!("scanshare_pool_{}.json", std::process::id()));
+    let extent = spec.workload.engine.extent_pages as usize;
+    for delivery in ["pull", "push"] {
+        for pool in [1, 2, extent - 1] {
+            let mut bad = spec.clone();
+            bad.workload.pool_pages = pool;
+            std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
+            let args = [
+                "run",
+                "--spec",
+                path.to_str().unwrap(),
+                "--delivery",
+                delivery,
+            ];
+            let out = scanshare(&args);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{delivery} {pool}: {:?}",
+                out.status
+            );
+            let err = stderr_of(&out);
+            assert_eq!(
+                err.trim_end().lines().count(),
+                1,
+                "{delivery} {pool}: {err:?}"
+            );
+            let want = format!(
+                "workload.pool_pages ({pool}) must be at least workload.engine.extent_pages ({extent})"
+            );
+            assert!(err.contains(&want), "{delivery} {pool}: got {err:?}");
+            assert!(
+                out.stdout.is_empty(),
+                "{delivery} {pool}: no output on failure"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn explain_of_unknown_scan_is_exit_2() {
     // A structurally valid report with no decisions: --scan must fail

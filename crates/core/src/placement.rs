@@ -34,17 +34,22 @@
 //!
 //! # Cost
 //!
-//! One estimate sorts the ≤ |S|+1 visits of each of the
-//! [`ESTIMATOR_CELLS`] cells and looks the churn rate of every adjacent
-//! visit pair up in a step table built once per search, so it costs
-//! O(cells · |S| log |S|) and the practical search, one estimate per
-//! *distinct* member location, O(cells · |S|² log |S|) — the paper's
-//! O(|S|²) up to the sort. Until ISSUE 14 the churn rate was re-derived
-//! with a loop over all traces (one division each) for every visit pair,
-//! which made the search cells · |S|³: at |S| = 64 one
-//! `best_start_practical` call took 25.7 ms against 3.8 ms now
-//! (`best_start_practical_one_group_64` in
-//! `crates/bench/benches/uncovered.rs`; DESIGN.md §9d).
+//! One estimate is a sweep over its [`ESTIMATOR_CELLS`] cells that keeps
+//! the ≤ |S|+1 visits in crossing order from cell to cell: `x` only
+//! grows, so a trace that has ended never returns, and two visits swap
+//! only where their traces' lines cross, at most once per pair. A cell
+//! re-times its visits, repairs their order by insertion and reads the
+//! churn rate of each adjacent pair with one cursor over a step table
+//! built once per search. An estimate is O(cells · |S| + K), K the
+//! insertion steps (the first cell's sort and the crossings inside the
+//! span, each at most |S|²/2 and in practice a few per cell); the
+//! practical search makes one estimate per *distinct* member location —
+//! the paper's O(|S|²) per start, with the cells as the constant. At
+//! |S| = 64 (`core.placement.best_start_practical_ns.L64` in
+//! `benchmark/`) a search takes about 2 ms; it took about 6 ms when each
+//! cell sorted its visits afresh and found each pair's rate by binary
+//! search, and 25.7 ms when each pair re-derived the rate from every
+//! trace (DESIGN.md §9d).
 
 use serde::{Deserialize, Serialize};
 
@@ -71,16 +76,6 @@ impl Trace {
             speed,
             end_pos,
         }
-    }
-
-    /// Time (relative to now) at which the trace crosses `x`, if it does.
-    /// Negative times mean the scan passed `x` in the recent past (it is
-    /// ongoing, so its history is part of the pool state).
-    fn crossing(&self, x: f64) -> Option<f64> {
-        if self.speed <= 0.0 || x > self.end_pos {
-            return None;
-        }
-        Some((x - self.pos0) / self.speed)
     }
 
     /// Time at which the scan finishes.
@@ -177,21 +172,39 @@ impl ChurnSteps {
         ChurnSteps { ends, rates }
     }
 
-    /// Summed speed of the traces still running at time `t`. A NaN `t`
-    /// (the midpoint of visits at -inf and +inf) is before no end time
-    /// and gets rate 0.
-    fn at(&self, t: f64) -> f64 {
-        self.rates[self.ends.partition_point(|&end| t > end || t.is_nan())]
+    /// Summed speed of the traces still running at time `t`, read with a
+    /// cursor: `step` starts at 0 for each ascending run of `t`s and only
+    /// moves forward, so the rates of one cell's visit pairs cost O(|S|)
+    /// together. A NaN `t` (the midpoint of visits at -inf and +inf) is
+    /// before no end time: it gets the last rate, 0, and leaves the
+    /// cursor where it is.
+    fn rate(&self, step: &mut usize, t: f64) -> f64 {
+        if t.is_nan() {
+            return self.rates[self.ends.len()];
+        }
+        while self.ends.get(*step).is_some_and(|&end| t > end) {
+            *step += 1;
+        }
+        self.rates[*step]
     }
 }
 
-/// [`calculate_reads`] for many candidates against one set of traces:
-/// the churn table is built once, and `visits` is scratch space reused
-/// across cells and candidates.
+/// [`calculate_reads`] for many candidates against one set of traces: the
+/// churn table is built once, and `visits` is scratch space reused across
+/// cells and candidates.
+///
+/// An estimate is one sweep over its cells. `x` only grows, so a trace
+/// that stops crossing never returns, and two visits change places only
+/// where their traces' lines cross: each cell keeps the previous cell's
+/// order, re-times every visit and repairs the order by insertion instead
+/// of collecting and sorting afresh.
 struct Estimator<'a> {
     traces: &'a [Trace],
     churn: ChurnSteps,
-    visits: Vec<f64>,
+    /// The current cell's visits, ascending by crossing time, each with
+    /// the trace that crosses there. Times are relative to now: a
+    /// negative one is an ongoing scan that passed `x` in the recent past.
+    visits: Vec<(f64, Trace)>,
 }
 
 impl<'a> Estimator<'a> {
@@ -225,57 +238,64 @@ impl<'a> Estimator<'a> {
         // Active churn rate at time t: the ongoing traces' step function,
         // plus the candidate while it runs, in [0, its end].
         let cand_end_time = cand.end_time();
-        let churn_at = |t: f64| -> f64 {
-            let mut rate = churn.at(t);
+        let churn_at = |step: &mut usize, t: f64| -> f64 {
+            let mut rate = churn.rate(step, t);
             if (0.0..=cand_end_time).contains(&t) {
                 rate += cand.speed;
             }
             rate.max(1e-9)
         };
 
+        // Every moving trace, the candidate's own included, crosses each
+        // cell until `x` passes its end.
+        visits.clear();
+        for &tr in traces.iter().chain([&cand]) {
+            if tr.speed <= 0.0 {
+                continue;
+            }
+            visits.push((0.0, tr));
+        }
+
         for c in 0..cells {
             let x = cand.pos0 + (c as f64 + 0.5) * cell_w;
-            visits.clear();
-            for tr in traces.iter() {
-                if let Some(t) = tr.crossing(x) {
-                    visits.push(t);
+            // One pass re-times the visits, drops the traces `x` has
+            // passed the end of and moves each visit back over the later
+            // ones it now precedes.
+            let mut kept = 0;
+            let mut past = 0;
+            for i in 0..visits.len() {
+                let tr = visits[i].1;
+                if x > tr.end_pos {
+                    continue;
                 }
+                let t = (x - tr.pos0) / tr.speed;
+                let mut j = kept;
+                while j > 0 && t < visits[j - 1].0 {
+                    visits[j] = visits[j - 1];
+                    j -= 1;
+                }
+                visits[j] = (t, tr);
+                kept += 1;
+                past += usize::from(t < 0.0);
             }
-            if let Some(t) = cand.crossing(x) {
-                visits.push(t);
-            }
-            visits.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+            visits.truncate(kept);
 
             // Future visits each pay a read unless sharing merges them.
-            baseline += visits.iter().filter(|&&t| t >= 0.0).count() as f64 * cell_w;
+            baseline += (kept - past) as f64 * cell_w;
 
-            // Cluster consecutive visits: a visit rides the previous one's
-            // page if the pool has not cycled in between.
+            // A future visit pays unless it rides the previous visit's
+            // page, which the pool still holds if it has not cycled in
+            // between; a visit in the past is already paid for. The
+            // pairs' midpoints ascend, so one churn cursor serves the cell.
+            let mut step = 0;
             let mut cell_reads = 0u32;
-            let mut cluster_paid = false; // current cluster already paid/free
-            let mut prev: Option<f64> = None;
-            for &t in visits.iter() {
-                let same_cluster = match prev {
-                    Some(p) => {
-                        let mid = (p + t) / 2.0;
-                        (t - p) * churn_at(mid) <= pool_pages
-                    }
-                    None => false,
+            for i in past..kept {
+                let t = visits[i].0;
+                let rides = i > 0 && {
+                    let p = visits[i - 1].0;
+                    (t - p) * churn_at(&mut step, (p + t) / 2.0) <= pool_pages
                 };
-                if !same_cluster {
-                    cluster_paid = false;
-                }
-                if !cluster_paid {
-                    if t < 0.0 {
-                        // Read already happened in the past: free for the
-                        // cluster, costs nothing now.
-                        cluster_paid = true;
-                    } else {
-                        cell_reads += 1;
-                        cluster_paid = true;
-                    }
-                }
-                prev = Some(t);
+                cell_reads += u32::from(!rides);
             }
             reads += cell_reads as f64 * cell_w;
         }
@@ -436,6 +456,7 @@ pub fn reads_for_ranges(ranges: &[(u64, u64)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scanshare_prng::Rng;
 
     /// The paper's Figure 8 walk-through: starting new scan E at the
     /// beginning of its range yields ranges of 15, 30, 15, 20, 10 pages
@@ -581,6 +602,15 @@ mod tests {
         assert_eq!(est.savings_per_page(), 0.0);
     }
 
+    /// Time (relative to now) at which `tr` crosses `x`, if it does:
+    /// how the estimator as first written collected a cell's visits.
+    fn crossing(tr: &Trace, x: f64) -> Option<f64> {
+        if tr.speed <= 0.0 || x > tr.end_pos {
+            return None;
+        }
+        Some((x - tr.pos0) / tr.speed)
+    }
+
     /// The traces' churn rate at `t` as first written: one pass over all
     /// of them, an end time (a division) each.
     fn naive_churn(traces: &[Trace], t: f64) -> f64 {
@@ -593,9 +623,33 @@ mod tests {
         rate
     }
 
-    /// The estimator as first written — that pass repeated for every
-    /// visit pair — kept as the oracle the step table must match bit for
-    /// bit.
+    /// The step table read by binary search, as before the sweep: the
+    /// reference its cursor is checked against.
+    fn rate_at(churn: &ChurnSteps, t: f64) -> f64 {
+        churn.rates[churn.ends.partition_point(|&end| t > end || t.is_nan())]
+    }
+
+    /// Each cell's visits as first collected, afresh per cell: crossing
+    /// time and crossing trace (`traces.len()` for the candidate), sorted
+    /// by time.
+    fn naive_visits(traces: &[Trace], cand: Trace) -> Vec<Vec<(f64, usize)>> {
+        let cell_w = (cand.end_pos - cand.pos0) / ESTIMATOR_CELLS as f64;
+        (0..ESTIMATOR_CELLS)
+            .map(|c| {
+                let x = cand.pos0 + (c as f64 + 0.5) * cell_w;
+                let mut visits: Vec<(f64, usize)> = (traces.iter().chain([&cand]))
+                    .enumerate()
+                    .filter_map(|(i, tr)| crossing(tr, x).map(|t| (t, i)))
+                    .collect();
+                visits.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+                visits
+            })
+            .collect()
+    }
+
+    /// The estimator as first written — per cell a fresh sorted visit
+    /// list, and the churn pass repeated for every visit pair — kept as
+    /// the oracle the sweep must match bit for bit.
     fn naive_reads(traces: &[Trace], cand: Trace, pool_pages: f64) -> ReadsEstimate {
         let span = cand.end_pos - cand.pos0;
         if span <= 0.0 {
@@ -610,14 +664,10 @@ mod tests {
             rate.max(1e-9)
         };
         let (mut reads, mut baseline) = (0.0, 0.0);
-        for c in 0..ESTIMATOR_CELLS {
-            let x = cand.pos0 + (c as f64 + 0.5) * cell_w;
-            let mut visits: Vec<f64> = traces.iter().filter_map(|tr| tr.crossing(x)).collect();
-            visits.extend(cand.crossing(x));
-            visits.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            baseline += visits.iter().filter(|&&t| t >= 0.0).count() as f64 * cell_w;
+        for visits in naive_visits(traces, cand) {
+            baseline += visits.iter().filter(|v| v.0 >= 0.0).count() as f64 * cell_w;
             let (mut cell_reads, mut paid, mut prev) = (0u32, false, None::<f64>);
-            for &t in &visits {
+            for &(t, _) in &visits {
                 if !prev.is_some_and(|p| (t - p) * churn_at((p + t) / 2.0) <= pool_pages) {
                     paid = false;
                 }
@@ -654,8 +704,84 @@ mod tests {
         best.filter(|(_, b)| b.savings_per_page() > 0.0)
     }
 
+    /// §6.2 as first written, every interesting start scored by the naive
+    /// estimator: the oracle for [`best_start_optimal`].
+    fn naive_optimal(
+        members: &[Trace],
+        speed: f64,
+        pages: f64,
+        pool: f64,
+        range: (f64, f64),
+    ) -> Option<(f64, ReadsEstimate)> {
+        if members.is_empty() {
+            return None;
+        }
+        let mut events = vec![0.0];
+        events.extend(members.iter().map(Trace::end_time));
+        events.retain(|&t| t.is_finite() && t >= 0.0);
+        let mut starts = Vec::new();
+        for m in members {
+            for &t in &events {
+                let pos = m.pos0 + m.speed * t;
+                if pos > m.end_pos + 1e-9 {
+                    continue;
+                }
+                let w = pool / (1 + members.iter().filter(|o| t <= o.end_time()).count()) as f64;
+                for delta in [-w, 0.0, w] {
+                    let start = pos + delta - speed * t;
+                    if start >= range.0 && start <= range.1 {
+                        starts.push(start);
+                    }
+                }
+            }
+        }
+        starts.push(range.0);
+        starts.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        starts.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+        let mut best: Option<(f64, ReadsEstimate)> = None;
+        for start in starts {
+            let end = (start + pages).min(range.1 + pages);
+            let est = naive_reads(members, Trace::new(start, speed, end), pool);
+            if best.is_none_or(|(_, b)| est.reads < b.reads) {
+                best = Some((start, est));
+            }
+        }
+        best
+    }
+
     fn bits(e: ReadsEstimate) -> [u64; 3] {
         [e.reads.to_bits(), e.baseline.to_bits(), e.span.to_bits()]
+    }
+
+    /// The seeded palettes. 0.1, 33.3 and 1e17 make the order of
+    /// summation visible; a subnormal speed gives crossing times of ±inf
+    /// and an infinite one times of ±0.0.
+    const SPEEDS: [f64; 11] = [
+        0.0,
+        -5.0,
+        f64::from_bits(1),
+        0.1,
+        33.3,
+        100.0,
+        100.0,
+        250.0,
+        1e17,
+        -1e17,
+        f64::INFINITY,
+    ];
+    const LENGTHS: [f64; 6] = [0.0, 64.0, 500.0, 500.0, 2000.0, f64::INFINITY];
+    const POOLS: [f64; 6] = [0.0, 16.0, 80.0, 500.0, 1e9, f64::INFINITY];
+    const PAGES: [f64; 5] = [0.0, 16.0, 1000.0, 2000.0, 1e18];
+
+    /// `n` members from the palettes, starting on a 16-page grid.
+    fn palette_members(rng: &mut Rng, n: usize) -> Vec<Trace> {
+        (0..n)
+            .map(|_| {
+                let pos = rng.bounded_u64(24) as f64 * 16.0 - 64.0;
+                let speed = *rng.choose(&SPEEDS).unwrap();
+                Trace::new(pos, speed, pos + *rng.choose(&LENGTHS).unwrap())
+            })
+            .collect()
     }
 
     /// 2 500 seeded inputs built from small palettes, so that duplicate
@@ -664,24 +790,6 @@ mod tests {
     /// all occur many times over.
     #[test]
     fn step_table_matches_the_naive_estimator_bit_for_bit() {
-        use scanshare_prng::Rng;
-        // 0.1, 33.3 and 1e17 make the order of summation visible.
-        let speeds = [
-            0.0,
-            -5.0,
-            f64::from_bits(1),
-            0.1,
-            33.3,
-            100.0,
-            100.0,
-            250.0,
-            1e17,
-            -1e17,
-            f64::INFINITY,
-        ];
-        let lengths = [0.0, 64.0, 500.0, 500.0, 2000.0, f64::INFINITY];
-        let pools = [0.0, 16.0, 80.0, 500.0, 1e9, f64::INFINITY];
-        let pages = [0.0, 16.0, 1000.0, 2000.0, 1e18];
         let mut rng = Rng::seed_from_u64(14);
         let (mut joined, mut refused) = (0, 0);
         for case in 0..2500 {
@@ -690,19 +798,10 @@ mod tests {
             } else {
                 rng.bounded_u64(13) as usize
             };
-            let members: Vec<Trace> = (0..n)
-                .map(|_| {
-                    let pos = rng.bounded_u64(24) as f64 * 16.0 - 64.0;
-                    Trace::new(
-                        pos,
-                        *rng.choose(&speeds).unwrap(),
-                        pos + *rng.choose(&lengths).unwrap(),
-                    )
-                })
-                .collect();
-            let speed = *rng.choose(&speeds).unwrap();
-            let pages = *rng.choose(&pages).unwrap();
-            let pool = *rng.choose(&pools).unwrap();
+            let members = palette_members(&mut rng, n);
+            let speed = *rng.choose(&SPEEDS).unwrap();
+            let pages = *rng.choose(&PAGES).unwrap();
+            let pool = *rng.choose(&POOLS).unwrap();
 
             let got = best_start_practical(&members, speed, pages, pool);
             let want = naive_best(&members, speed, pages, pool);
@@ -717,16 +816,23 @@ mod tests {
                 refused += 1;
             }
 
-            // The step table itself, at and around every end time.
+            // The step table itself, at and around every end time: the
+            // binary-search reference against the naive pass, and the
+            // cursor — the times ascending, a NaN after each — against
+            // the same values.
             let churn = ChurnSteps::new(&members);
-            let mut times = vec![f64::NAN, f64::NEG_INFINITY, -1.0, 0.0];
+            let mut times = vec![f64::NEG_INFINITY, -1.0, 0.0, f64::INFINITY];
             for m in &members {
                 let e = m.end_time();
                 times.extend([e, e * 0.5, e + 1.0, e * 2.0]);
             }
-            for t in times {
-                let want = naive_churn(&members, t);
-                assert_eq!(churn.at(t).to_bits(), want.to_bits(), "case {case}: t {t}");
+            times.sort_by(f64::total_cmp);
+            let mut step = 0;
+            for t in times.into_iter().flat_map(|t| [t, f64::NAN]) {
+                let want = naive_churn(&members, t).to_bits();
+                assert_eq!(rate_at(&churn, t).to_bits(), want, "case {case}: t {t}");
+                let cursor = churn.rate(&mut step, t).to_bits();
+                assert_eq!(cursor, want, "case {case}: cursor at t {t}");
             }
 
             let cand = Trace::new(
@@ -743,6 +849,150 @@ mod tests {
         assert!(
             joined > 100 && refused > 100,
             "{joined} joined, {refused} refused"
+        );
+    }
+
+    /// How often the states the sweep carries from cell to cell occur,
+    /// counted off the naive estimator's per-cell visit lists.
+    #[derive(Debug, Default)]
+    struct Reach {
+        /// Cells whose surviving visits are out of order at the next cell.
+        reorders: usize,
+        /// Visits whose trace no longer crosses at the next cell.
+        drops: usize,
+        /// Adjacent visits whose midpoint is NaN (times -inf and +inf).
+        nan_mids: usize,
+        /// Adjacent visits at equal times.
+        ties: usize,
+        /// Visits at time -0.0 and at +0.0.
+        zeros: [usize; 2],
+        /// Visits at time -inf and at +inf.
+        infinities: [usize; 2],
+    }
+
+    impl Reach {
+        fn count(&mut self, cells: &[Vec<(f64, usize)>]) {
+            for pair in cells.windows(2) {
+                let next = |i: usize| pair[1].iter().find(|v| v.1 == i).map(|v| v.0);
+                let kept: Vec<f64> = pair[0].iter().filter_map(|v| next(v.1)).collect();
+                self.drops += pair[0].len() - kept.len();
+                self.reorders += kept.windows(2).any(|w| w[1] < w[0]) as usize;
+            }
+            for cell in cells {
+                for w in cell.windows(2) {
+                    self.nan_mids += ((w[0].0 + w[1].0) / 2.0).is_nan() as usize;
+                    self.ties += (w[0].0 == w[1].0) as usize;
+                }
+                for &(t, _) in cell {
+                    let side = t.is_sign_positive() as usize;
+                    self.zeros[side] += (t == 0.0) as usize;
+                    self.infinities[side] += t.is_infinite() as usize;
+                }
+            }
+        }
+    }
+
+    /// Estimates built so that every state the sweep keeps occurs: up to
+    /// 64 members of mixed speeds on both sides of the candidate's start
+    /// (the crossing order changes between cells), half of them ending
+    /// inside its span (visits drop out), starts and speeds shared (equal
+    /// times), infinite speeds (times ±0.0) and subnormal ones (times
+    /// ±inf, with NaN midpoints between them). Each state is counted off
+    /// the naive per-cell orders and must occur.
+    #[test]
+    fn sweep_matches_the_naive_estimator_in_every_state_it_keeps() {
+        let speeds = [f64::from_bits(1), 0.1, 7.0, 33.3, 100.0, 100.0, 250.0]
+            .into_iter()
+            .chain([1e17, f64::INFINITY, 0.0]);
+        let speeds: Vec<f64> = speeds.collect();
+        let mut rng = Rng::seed_from_u64(37);
+        let mut reach = Reach::default();
+        for case in 0..400 {
+            // Every tenth case has only subnormal members: with no finite
+            // visit between them, -inf and +inf are neighbours.
+            let palette = if case % 10 == 0 {
+                &speeds[..1]
+            } else {
+                &speeds
+            };
+            let span = 16.0 * (1 + rng.bounded_u64(40)) as f64;
+            let cand = Trace::new(0.0, *rng.choose(&speeds).unwrap(), span);
+            let members: Vec<Trace> = (0..1 + rng.bounded_u64(64))
+                .map(|_| {
+                    let pos = rng.bounded_u64(48) as f64 * 16.0 - 256.0;
+                    let end = match rng.bounded_u64(2) {
+                        0 => rng.bounded_u64(span as u64) as f64,
+                        _ => pos + 2000.0,
+                    };
+                    Trace::new(pos, *rng.choose(palette).unwrap(), end)
+                })
+                .collect();
+            let pool = *rng.choose(&POOLS[1..4]).unwrap();
+            assert_eq!(
+                bits(calculate_reads(&members, cand, pool)),
+                bits(naive_reads(&members, cand, pool)),
+                "case {case}: {members:?} cand {cand:?} pool {pool}"
+            );
+            reach.count(&naive_visits(&members, cand));
+            if members.len() <= 12 {
+                let got = best_start_practical(&members, cand.speed, span, pool);
+                let want = naive_best(&members, cand.speed, span, pool);
+                assert_eq!(
+                    got.map(|c| (c.member, bits(c.estimate))),
+                    want.map(|(i, e)| (i, bits(e))),
+                    "case {case}: {members:?} speed {} pool {pool}",
+                    cand.speed
+                );
+            }
+        }
+        let Reach {
+            reorders,
+            drops,
+            nan_mids,
+            ties,
+            zeros,
+            infinities,
+        } = reach;
+        assert!(
+            [reorders, drops, nan_mids, ties, zeros[0], zeros[1]]
+                .into_iter()
+                .chain(infinities)
+                .all(|n| n >= 1),
+            "{reach:?}"
+        );
+    }
+
+    /// [`best_start_optimal`] shares the estimator; only
+    /// `results/placement.json` pinned it before. Its start and estimate
+    /// must equal the naive search's, bit for bit, on the palettes.
+    #[test]
+    fn optimal_matches_the_naive_search_bit_for_bit() {
+        let mut rng = Rng::seed_from_u64(62);
+        let (mut moved, mut none) = (0, 0);
+        for case in 0..300 {
+            let n = rng.bounded_u64(9) as usize;
+            let members = palette_members(&mut rng, n);
+            let speed = *rng.choose(&SPEEDS).unwrap();
+            let pages = *rng.choose(&PAGES).unwrap();
+            let pool = *rng.choose(&POOLS).unwrap();
+            let lo = rng.bounded_u64(24) as f64 * 16.0 - 64.0;
+            let range = (lo, lo + rng.bounded_u64(40) as f64 * 16.0);
+            let got = best_start_optimal(&members, speed, pages, pool, range);
+            let want = naive_optimal(&members, speed, pages, pool, range);
+            assert_eq!(
+                got.map(|c| (c.start.to_bits(), bits(c.estimate))),
+                want.map(|(s, e)| (s.to_bits(), bits(e))),
+                "case {case}: {members:?} speed {speed} pages {pages} pool {pool} {range:?}"
+            );
+            match got {
+                Some(c) if c.start != range.0 => moved += 1,
+                Some(_) => {}
+                None => none += 1,
+            }
+        }
+        assert!(
+            moved > 20 && none > 5,
+            "{moved} moved, {none} without members"
         );
     }
 }

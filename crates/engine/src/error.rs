@@ -27,6 +27,13 @@ pub enum EngineError {
     /// A size the run divides by or draws from is zero, named by its
     /// path in a run spec.
     ZeroSize(&'static str),
+    /// The pool cannot hold one extent, which a scan step pins whole.
+    PoolBelowExtent {
+        /// `workload.pool_pages`.
+        pool_pages: u64,
+        /// `workload.engine.extent_pages`.
+        extent_pages: u64,
+    },
     /// A scan groups by more `Char` columns than fit one packed key.
     TooManyGroupColumns {
         /// The scanned table.
@@ -50,6 +57,14 @@ impl fmt::Display for EngineError {
                 expected,
             } => write!(f, "table '{table}' has no {expected:?} column {column}"),
             EngineError::ZeroSize(field) => write!(f, "{field} must be at least 1"),
+            EngineError::PoolBelowExtent {
+                pool_pages,
+                extent_pages,
+            } => write!(
+                f,
+                "workload.pool_pages ({pool_pages}) must be at least \
+                 workload.engine.extent_pages ({extent_pages})"
+            ),
             EngineError::TooManyGroupColumns { table, columns } => write!(
                 f,
                 "a scan of '{table}' groups by {columns} columns, at most 8 fit a group key"

@@ -81,20 +81,24 @@ pub struct WorkloadSpec {
 impl WorkloadSpec {
     /// Refuse a spec whose pool, extent or CPU count is zero — or any of
     /// `more`, `(run-spec path, value)` pairs checked beside them —
-    /// naming the first such field.
+    /// naming the first such field, and a pool smaller than one extent.
     pub fn check_sizes(&self, more: &[(&'static str, u64)]) -> EngineResult<()> {
+        let (pool_pages, extent_pages) = (self.pool_pages as u64, self.engine.extent_pages as u64);
         let own = [
-            ("workload.pool_pages", self.pool_pages as u64),
-            (
-                "workload.engine.extent_pages",
-                self.engine.extent_pages as u64,
-            ),
+            ("workload.pool_pages", pool_pages),
+            ("workload.engine.extent_pages", extent_pages),
             ("workload.engine.n_cpus", self.engine.n_cpus as u64),
         ];
-        match own.iter().chain(more).find(|&&(_, v)| v == 0) {
-            Some(&(field, _)) => Err(EngineError::ZeroSize(field)),
-            None => Ok(()),
+        if let Some(&(field, _)) = own.iter().chain(more).find(|&&(_, v)| v == 0) {
+            return Err(EngineError::ZeroSize(field));
         }
+        if pool_pages < extent_pages {
+            return Err(EngineError::PoolBelowExtent {
+                pool_pages,
+                extent_pages,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -1699,6 +1703,51 @@ mod tests {
             }
             let err = run_workload(&db, &bad).unwrap_err();
             assert_eq!(err, EngineError::ZeroSize(field));
+        }
+    }
+
+    /// A pool smaller than one extent, which every scan step pins whole,
+    /// is an error naming both sizes under pull and push — not a run that
+    /// fails with the pool exhausted. A pool of exactly one extent runs.
+    #[test]
+    fn a_pool_below_one_extent_is_an_error_naming_both_sizes() {
+        use scanshare::DeliveryMode;
+        let db = build_db();
+        for delivery in [DeliveryMode::Pull, DeliveryMode::Push] {
+            let mut cfg = SharingConfig::new(0);
+            cfg.delivery = delivery;
+            let ok = spec(
+                &db,
+                three_staggered(&q6_like("Q6", 0, 5)),
+                SharingMode::ScanSharing(cfg),
+            );
+            let extent_pages = ok.engine.extent_pages as usize;
+            for pool_pages in [1, 2, extent_pages - 1] {
+                let bad = WorkloadSpec {
+                    pool_pages,
+                    ..ok.clone()
+                };
+                let err = run_workload(&db, &bad).unwrap_err();
+                assert_eq!(
+                    err,
+                    EngineError::PoolBelowExtent {
+                        pool_pages: pool_pages as u64,
+                        extent_pages: extent_pages as u64,
+                    }
+                );
+                assert_eq!(
+                    err.to_string(),
+                    format!(
+                        "workload.pool_pages ({pool_pages}) must be at least \
+                         workload.engine.extent_pages ({extent_pages})"
+                    )
+                );
+            }
+            let exact = WorkloadSpec {
+                pool_pages: extent_pages,
+                ..ok
+            };
+            assert!(run_workload(&db, &exact).is_ok(), "{delivery:?}");
         }
     }
 

@@ -48,16 +48,18 @@ leg "benchmark crate (metric-name drift + --quick smoke)"
 # still matches BENCHMARK.json.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-leg "row-kernel, walk, grouping, manager, policy and sampler oracles, release build"
+leg "row-kernel, walk, grouping, manager, placement, policy and sampler oracles, release build"
 # The kernel's register chunks (K states × N sums, const-generic), the
 # local group tables a grouped fold copies a state's first eight groups
-# into (`LocalGroups`, one probe per row) and the manager's grouping
-# index are release codegen: the debug suite above
-# proves the source, not what the optimiser makes of it, and release is
-# what every measurement runs. The core crate's grouping and manager
-# tests hold the index's oracle against the re-forming pass and the
-# manager's decisions over seeded call sequences; its policy tests pin
-# the gates and push-attach answers each policy gives. The RID step folds
+# into (`LocalGroups`, one probe per row), the manager's grouping index
+# and the placement estimator's sweep are release codegen: the debug
+# suite above proves the source, not what the optimiser makes of it, and
+# release is what every measurement runs. The core crate's grouping and
+# manager tests hold the index's oracle against the re-forming pass and
+# the manager's decisions over seeded call sequences; its placement tests
+# hold the sweep and both searches against the naive estimator bit for
+# bit; its policy tests pin the gates and push-attach answers each policy
+# gives. The RID step folds
 # a whole step in one pass over a shared decoded index: its per-run
 # reference (in kernel_oracle), the joined-entry search and the RID
 # answer oracle run here too. Every measurement also runs the interval
@@ -67,7 +69,7 @@ leg "row-kernel, walk, grouping, manager, policy and sampler oracles, release bu
 cargo test --release --offline -q -p scanshare-engine --lib -- kernel_oracle start_at_picks \
     walk_pin workload::tests::the_sampler_records_what_sampling_by_name_records
 cargo test --release --offline -q --test row_kernel_oracle
-cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: policy::
+cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: placement:: policy::
 
 leg "examples, release build"
 # `cargo test` compiles the examples but runs none of them. Each is a
