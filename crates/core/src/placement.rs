@@ -46,10 +46,8 @@
 //! practical search makes one estimate per *distinct* member location —
 //! the paper's O(|S|²) per start, with the cells as the constant. At
 //! |S| = 64 (`core.placement.best_start_practical_ns.L64` in
-//! `benchmark/`) a search takes about 2 ms; it took about 6 ms when each
-//! cell sorted its visits afresh and found each pair's rate by binary
-//! search, and 25.7 ms when each pair re-derived the rate from every
-//! trace (DESIGN.md §9d).
+//! `benchmark/`) a search takes about 2 ms, a third of what sorting each
+//! cell's visits afresh cost (DESIGN.md §9d).
 
 use serde::{Deserialize, Serialize};
 
@@ -901,10 +899,18 @@ mod tests {
     /// the naive per-cell orders and must occur.
     #[test]
     fn sweep_matches_the_naive_estimator_in_every_state_it_keeps() {
-        let speeds = [f64::from_bits(1), 0.1, 7.0, 33.3, 100.0, 100.0, 250.0]
-            .into_iter()
-            .chain([1e17, f64::INFINITY, 0.0]);
-        let speeds: Vec<f64> = speeds.collect();
+        let speeds = [
+            f64::from_bits(1),
+            0.1,
+            7.0,
+            33.3,
+            100.0,
+            100.0,
+            250.0,
+            1e17,
+            f64::INFINITY,
+            0.0,
+        ];
         let mut rng = Rng::seed_from_u64(37);
         let mut reach = Reach::default();
         for case in 0..400 {

@@ -59,10 +59,9 @@ leg "row-kernel, walk, grouping, manager, placement, policy and sampler oracles,
 # the manager's decisions over seeded call sequences; its placement tests
 # hold the sweep and both searches against the naive estimator bit for
 # bit; its policy tests pin the gates and push-attach answers each policy
-# gives. The RID step folds
-# a whole step in one pass over a shared decoded index: its per-run
-# reference (in kernel_oracle), the joined-entry search and the RID
-# answer oracle run here too. Every measurement also runs the interval
+# gives. The RID step folds a whole step in one pass over a shared
+# decoded index: its per-run reference (in kernel_oracle), the
+# joined-entry search and the RID answer oracle run here too. Every measurement also runs the interval
 # sampler, so its by-name reference runs here as well. `Plan::gather` is
 # the one ring walk of every cursor's steps, so the walk pin (every step
 # of table, block-index and RID plans, digested) runs here too.
