@@ -5,8 +5,8 @@
 //! `best_start_practical` at L ∈ {8, 32, 64}, the B+ tree range scan and
 //! the row kernel, under a better protocol than this harness has. What is
 //! left here are the cases it lacks (ROADMAP item 8(d) lists them as
-//! drives to add): the optimal placement search, `pr()`, B+ tree build
-//! and insert, and the degenerate 64-scan shapes — one anchor chain, one
+//! drives to add): the optimal placement search, `pr()`, the B+ tree bulk
+//! load, and the degenerate 64-scan shapes — one anchor chain, one
 //! group — where the grouping pass and the practical search used to be
 //! quadratic and cubic (ISSUE 14: 9.5 → 1.7 µs and 33.1 → 1.4 ms).
 //! Pass a substring as the first argument to run matching cases only.
@@ -103,15 +103,6 @@ fn btree() {
             black_box(BTree::bulk_load(&mut store, &entries).unwrap());
         });
     }
-
-    let mut store = FileStore::new(16);
-    let mut tree = BTree::create(&mut store).unwrap();
-    let mut i = 0u64;
-    bench("btree_insert_scrambled", || {
-        i += 1;
-        let k = ((i * 2654435761) % 1_000_000) as i64;
-        tree.insert(&mut store, Entry::new(k, i)).unwrap();
-    });
 }
 
 fn main() {

@@ -61,14 +61,6 @@ pub fn bench<F: FnMut()>(name: &str, mut f: F) {
     );
 }
 
-/// Run a benchmark over a sequence of parameterized cases, labelling
-/// each as `group/param`.
-pub fn bench_cases<P: std::fmt::Display, F: FnMut(&P)>(group: &str, params: &[P], mut f: F) {
-    for p in params {
-        bench(&format!("{group}/{p}"), || f(p));
-    }
-}
-
 fn fmt_ns(ns: u128) -> String {
     if ns >= 10_000_000 {
         format!("{:.2} ms", ns as f64 / 1e6)

@@ -161,16 +161,6 @@ impl SharingConfig {
             ..Self::new(pool_pages)
         }
     }
-
-    /// Disable everything (the "vanilla DB2" baseline).
-    pub fn disabled(pool_pages: u64) -> Self {
-        SharingConfig {
-            enable_placement: false,
-            enable_throttling: false,
-            enable_priorities: false,
-            ..Self::new(pool_pages)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -206,12 +196,5 @@ mod tests {
         push.delivery = DeliveryMode::Push;
         let json = serde_json::to_string(&push).unwrap();
         assert!(json.contains("\"delivery\":\"Push\""), "got: {json}");
-    }
-
-    #[test]
-    fn disabled_turns_everything_off() {
-        let c = SharingConfig::disabled(100);
-        assert!(!c.enable_placement && !c.enable_throttling && !c.enable_priorities);
-        assert_eq!(c.pool_pages, 100);
     }
 }

@@ -378,17 +378,6 @@ impl DecisionLog {
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
-
-    /// Human-readable rendering of the retained decisions. Ends with a
-    /// `(dropped N older decisions)` line when the cap was exceeded.
-    pub fn render(&self) -> String {
-        let mut out = render_decisions(&self.records());
-        let dropped = self.dropped();
-        if dropped > 0 {
-            let _ = writeln!(out, "(dropped {dropped} older decisions)");
-        }
-        out
-    }
 }
 
 /// Serialize decisions as JSON lines (one `DecisionRecord` per line).
@@ -642,16 +631,6 @@ pub fn slowdown_frac(spent: SimDuration, budget: SimDuration) -> f64 {
     } else {
         (spent.as_micros() as f64 / budget.as_micros() as f64).min(1.0)
     }
-}
-
-/// Human-readable rendering of a decision slice, one timestamped line per
-/// decision.
-pub fn render_decisions(records: &[DecisionRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        let _ = writeln!(out, "{} {}", r.at, describe(&r.event));
-    }
-    out
 }
 
 /// One scan's lifecycle, read off a decision log by [`lifecycles`]: what
@@ -959,7 +938,6 @@ mod tests {
         assert_eq!(log.records().len(), 2);
         assert_eq!(log.dropped(), 3);
         assert_eq!(log.records()[0].event.scan(), ScanId(3));
-        assert!(log.render().contains("(dropped 3 older decisions)"));
     }
 
     #[test]

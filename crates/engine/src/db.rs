@@ -150,13 +150,17 @@ impl Database {
     }
 
     /// Reassemble a database from persisted parts (see
-    /// [`crate::persist`]), decoding each RID index once.
+    /// [`crate::persist`]), decoding each RID index once and walking each
+    /// block index once, so a corrupt index page fails the load.
     pub fn from_parts(store: FileStore, tables: Vec<TableMeta>) -> StorageResult<Self> {
         let mut db = Database {
             store,
             tables: HashMap::new(),
         };
         for t in tables {
+            if let TableKind::Mdc(m) = &t.kind {
+                m.block_index.all(&db.store)?;
+            }
             let index = t.rid_index.map(|b| b.all(&db.store).map(|e| (b, e)));
             db.register(t.name, t.kind, index.transpose()?);
         }

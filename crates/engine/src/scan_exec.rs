@@ -1650,11 +1650,6 @@ impl ScanExec {
         self.consumer.scan
     }
 
-    /// Whether the scan died to a fault (its result is partial).
-    pub fn aborted(&self) -> bool {
-        self.consumer.aborted
-    }
-
     /// Advance by one extent. Returns the time at which the scan may take
     /// its next step, or `None` once it has finished (the manager is
     /// deregistered at that point).

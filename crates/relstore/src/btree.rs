@@ -1,4 +1,4 @@
-//! A paged B+ tree over `(i64 key, u64 payload)` entries.
+//! A paged, read-only B+ tree over `(i64 key, u64 payload)` entries.
 //!
 //! Duplicates are supported by ordering entries on the *composite*
 //! `(key, payload)` — the classic trick for secondary indexes. The same
@@ -8,6 +8,10 @@
 //! * an **MDC block index**: payload = block id (a key maps to the list of
 //!   blocks holding rows of that clustering-key cell, cf. §3.4 of the
 //!   paper).
+//!
+//! A tree is built once, by [`BTree::bulk_load`] from sorted entries at
+//! load time, and only read after that: the papers' workloads never
+//! insert or delete an index entry.
 //!
 //! Leaves are chained left-to-right so a range scan is a single descent
 //! followed by a linked-list walk — this chain is exactly the "index
@@ -23,10 +27,11 @@
 //!
 //! In an internal node, pair `i` is the smallest composite entry of
 //! subtree `child(i+1)`; a search descends into the rightmost child whose
-//! separator is `<=` the probe.
+//! separator is `<=` the probe. A page that breaks this layout, or a
+//! walk that could not end, is refused as [`StorageError::Corrupt`].
 
 use bytes::BytesMut;
-use scanshare_storage::{FileId, FileStore, PageId, StorageResult, PAGE_SIZE};
+use scanshare_storage::{FileId, FileStore, PageId, StorageError, StorageResult, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 
 const HEADER: usize = 8;
@@ -37,6 +42,10 @@ pub const LEAF_CAP: usize = (PAGE_SIZE - HEADER) / LEAF_ENTRY;
 /// Maximum separator entries in an internal node.
 pub const INT_CAP: usize = (PAGE_SIZE - HEADER) / INT_ENTRY;
 const NO_PAGE: u32 = u32::MAX;
+/// Levels a descent may visit. A bulk-loaded tree has at most 5: u32
+/// page numbers allow fewer than 2³² leaves, and each internal level
+/// divides the level below by its 369 children per node.
+const MAX_HEIGHT: usize = 5;
 
 /// One index entry: a key and its payload (RID or block id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -72,11 +81,25 @@ enum Node {
     },
 }
 
+fn corrupt(id: PageId, what: impl std::fmt::Display) -> StorageError {
+    StorageError::Corrupt(format!("B+ tree page {id}: {what}"))
+}
+
 impl Node {
-    fn decode(bytes: &[u8]) -> Node {
+    /// Decode page `id`, refusing an unknown node kind or an entry count
+    /// the page cannot hold.
+    fn decode(bytes: &[u8], id: PageId) -> StorageResult<Node> {
         let kind = bytes[0];
         let n = u16::from_le_bytes(bytes[2..4].try_into().unwrap()) as usize;
         let w = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+        let cap = match kind {
+            0 => LEAF_CAP,
+            1 => INT_CAP,
+            _ => return Err(corrupt(id, format!("unknown node kind {kind}"))),
+        };
+        if n > cap {
+            return Err(corrupt(id, format!("{n} entries, at most {cap} fit")));
+        }
         if kind == 0 {
             let mut entries = Vec::with_capacity(n);
             for i in 0..n {
@@ -86,7 +109,7 @@ impl Node {
                     payload: u64::from_le_bytes(bytes[off + 8..off + 16].try_into().unwrap()),
                 });
             }
-            Node::Leaf { entries, next: w }
+            Ok(Node::Leaf { entries, next: w })
         } else {
             let mut seps = Vec::with_capacity(n);
             for i in 0..n {
@@ -96,7 +119,7 @@ impl Node {
                 let child = u32::from_le_bytes(bytes[off + 16..off + 20].try_into().unwrap());
                 seps.push((Entry { key, payload }, child));
             }
-            Node::Internal { child0: w, seps }
+            Ok(Node::Internal { child0: w, seps })
         }
     }
 
@@ -129,31 +152,18 @@ impl Node {
     }
 }
 
-/// Size and shape statistics of a tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BTreeStats {
-    /// Number of levels (1 = a single leaf).
-    pub height: u32,
-    /// Total entries in the tree.
-    pub entries: u64,
-    /// Number of leaf pages.
-    pub leaf_pages: u32,
-}
-
-/// A paged B+ tree rooted in a [`FileStore`] file.
+/// A paged B+ tree rooted in a [`FileStore`] file, bulk-loaded once and
+/// then only read.
 ///
 /// ```
 /// use scanshare_relstore::{BTree, Entry};
 /// use scanshare_storage::FileStore;
 ///
 /// let mut store = FileStore::new(16);
-/// let mut tree = BTree::create(&mut store).unwrap();
-/// tree.insert(&mut store, Entry::new(5, 100)).unwrap();
-/// tree.insert(&mut store, Entry::new(5, 101)).unwrap(); // duplicate key
-/// tree.insert(&mut store, Entry::new(9, 102)).unwrap();
-/// assert_eq!(tree.range(&store, 5, 8).unwrap().len(), 2);
-/// assert!(tree.delete(&mut store, Entry::new(5, 100)).unwrap());
-/// assert_eq!(tree.num_entries(), 2);
+/// let sorted = [Entry::new(5, 100), Entry::new(5, 101), Entry::new(9, 102)];
+/// let tree = BTree::bulk_load(&mut store, &sorted).unwrap(); // duplicate key 5
+/// assert_eq!(tree.range(&store, 5, 8).unwrap(), sorted[..2]);
+/// assert_eq!(tree.num_entries(), 3);
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BTree {
@@ -163,21 +173,6 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Create an empty tree in a fresh file.
-    pub fn create(store: &mut FileStore) -> StorageResult<Self> {
-        let file = store.create_file();
-        let root_node = Node::Leaf {
-            entries: Vec::new(),
-            next: NO_PAGE,
-        };
-        let root = store.append_page(file, root_node.encode())?.page;
-        Ok(BTree {
-            file,
-            root,
-            entries: 0,
-        })
-    }
-
     /// The backing file.
     pub fn file(&self) -> FileId {
         self.file
@@ -189,106 +184,17 @@ impl BTree {
     }
 
     fn read(&self, store: &FileStore, page: u32) -> StorageResult<Node> {
-        let bytes = store.read_page(PageId::new(self.file, page))?;
-        Ok(Node::decode(&bytes))
-    }
-
-    fn write(&self, store: &mut FileStore, page: u32, node: &Node) -> StorageResult<()> {
-        store.write_page(PageId::new(self.file, page), node.encode())
-    }
-
-    fn alloc(&self, store: &mut FileStore, node: &Node) -> StorageResult<u32> {
-        Ok(store.append_page(self.file, node.encode())?.page)
-    }
-
-    /// Insert one entry. Duplicate `(key, payload)` pairs are allowed and
-    /// stored multiple times.
-    pub fn insert(&mut self, store: &mut FileStore, entry: Entry) -> StorageResult<()> {
-        if let Some((sep, right)) = self.insert_rec(store, self.root, entry)? {
-            // Root split: move the old root to a new page and make the
-            // root page an internal node, so `self.root` stays stable.
-            let old_root = self.read(store, self.root)?;
-            let left = self.alloc(store, &old_root)?;
-            let new_root = Node::Internal {
-                child0: left,
-                seps: vec![(sep, right)],
-            };
-            self.write(store, self.root, &new_root)?;
-        }
-        self.entries += 1;
-        Ok(())
-    }
-
-    /// Recursive insert; returns `Some((separator, new_right_page))` when
-    /// the child split.
-    fn insert_rec(
-        &self,
-        store: &mut FileStore,
-        page: u32,
-        entry: Entry,
-    ) -> StorageResult<Option<(Entry, u32)>> {
-        match self.read(store, page)? {
-            Node::Leaf { mut entries, next } => {
-                let pos = entries.partition_point(|e| *e <= entry);
-                entries.insert(pos, entry);
-                if entries.len() <= LEAF_CAP {
-                    self.write(store, page, &Node::Leaf { entries, next })?;
-                    return Ok(None);
-                }
-                let right_entries = entries.split_off(entries.len() / 2);
-                let sep = right_entries[0];
-                let right = self.alloc(
-                    store,
-                    &Node::Leaf {
-                        entries: right_entries,
-                        next,
-                    },
-                )?;
-                self.write(
-                    store,
-                    page,
-                    &Node::Leaf {
-                        entries,
-                        next: right,
-                    },
-                )?;
-                Ok(Some((sep, right)))
-            }
-            Node::Internal { child0, mut seps } => {
-                // Descend into the rightmost child whose separator <= entry.
-                let idx = seps.partition_point(|(s, _)| *s <= entry);
-                let child = if idx == 0 { child0 } else { seps[idx - 1].1 };
-                let Some((sep, right)) = self.insert_rec(store, child, entry)? else {
-                    return Ok(None);
-                };
-                seps.insert(idx, (sep, right));
-                if seps.len() <= INT_CAP {
-                    self.write(store, page, &Node::Internal { child0, seps })?;
-                    return Ok(None);
-                }
-                let mid = seps.len() / 2;
-                let mut right_seps = seps.split_off(mid);
-                let (up_sep, right_child0) = right_seps.remove(0);
-                let right = self.alloc(
-                    store,
-                    &Node::Internal {
-                        child0: right_child0,
-                        seps: right_seps,
-                    },
-                )?;
-                self.write(store, page, &Node::Internal { child0, seps })?;
-                Ok(Some((up_sep, right)))
-            }
-        }
+        let id = PageId::new(self.file, page);
+        Node::decode(&store.read_page(id)?, id)
     }
 
     /// Bulk-load a tree from entries that are already sorted by
-    /// `(key, payload)`. Much faster than repeated inserts; used by the
-    /// data generator.
+    /// `(key, payload)`. This is how every index is built, once, at load
+    /// time.
     pub fn bulk_load(store: &mut FileStore, sorted: &[Entry]) -> StorageResult<Self> {
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
         let file = store.create_file();
-        // Reserve page 0 as the (future) root.
+        // Reserve page 0 for the root; the top node is copied there last.
         let root_placeholder = Node::Leaf {
             entries: Vec::new(),
             next: NO_PAGE,
@@ -303,36 +209,23 @@ impl BTree {
             return Ok(tree);
         }
 
-        // Build the leaf level. Fill leaves to ~90% so later inserts
-        // don't split immediately.
+        // Fill leaves and internal nodes to 90 %. That fill sets how many
+        // pages an index takes, and so, through the volume's extent
+        // allocation, the page address of everything stored after it:
+        // saved databases and every measured seek depend on it.
         let per_leaf = (LEAF_CAP * 9 / 10).max(1);
-        let mut level: Vec<(Entry, u32)> = Vec::new(); // (min entry, page)
-        let mut chunks = sorted.chunks(per_leaf).peekable();
-        let mut pages: Vec<u32> = Vec::new();
-        while let Some(chunk) = chunks.next() {
+        let n_leaves = sorted.len().div_ceil(per_leaf);
+        let mut level: Vec<(Entry, u32)> = Vec::with_capacity(n_leaves); // (min entry, page)
+        for (i, chunk) in sorted.chunks(per_leaf).enumerate() {
+            // Pages are appended in order: the next leaf takes the next page.
+            let page = store.num_pages(file)?;
+            let next = if i + 1 < n_leaves { page + 1 } else { NO_PAGE };
             let node = Node::Leaf {
                 entries: chunk.to_vec(),
-                next: NO_PAGE, // patched below
+                next,
             };
-            let page = store.append_page(file, node.encode())?.page;
-            pages.push(page);
+            store.append_page(file, node.encode())?;
             level.push((chunk[0], page));
-            let _ = chunks.peek();
-        }
-        // Patch the leaf chain.
-        for i in 0..pages.len() {
-            let next = if i + 1 < pages.len() {
-                pages[i + 1]
-            } else {
-                NO_PAGE
-            };
-            let bytes = store.read_page(PageId::new(file, pages[i]))?;
-            if let Node::Leaf { entries, .. } = Node::decode(&bytes) {
-                store.write_page(
-                    PageId::new(file, pages[i]),
-                    Node::Leaf { entries, next }.encode(),
-                )?;
-            }
         }
 
         // Build internal levels bottom-up.
@@ -356,205 +249,10 @@ impl BTree {
         Ok(tree)
     }
 
-    /// Delete one occurrence of `entry`. Returns `true` if it was
-    /// present. Underfull nodes are rebalanced by borrowing from or
-    /// merging with a sibling; an empty internal root collapses so the
-    /// tree shrinks cleanly. (Merged-away pages are left unreferenced;
-    /// the page-file allocator of this store is append-only, matching
-    /// how real engines defer index page reclamation to REORG.)
-    pub fn delete(&mut self, store: &mut FileStore, entry: Entry) -> StorageResult<bool> {
-        let deleted = self.delete_rec(store, self.root, entry)?;
-        if deleted {
-            self.entries -= 1;
-            // Collapse a root that became a single-child internal node.
-            loop {
-                match self.read(store, self.root)? {
-                    Node::Internal { child0, seps } if seps.is_empty() => {
-                        let child = self.read(store, child0)?;
-                        self.write(store, self.root, &child)?;
-                    }
-                    _ => break,
-                }
-            }
-        }
-        Ok(deleted)
-    }
-
-    /// Recursive delete; returns whether the entry was found.
-    fn delete_rec(&self, store: &mut FileStore, page: u32, entry: Entry) -> StorageResult<bool> {
-        match self.read(store, page)? {
-            Node::Leaf { mut entries, next } => {
-                let Ok(pos) = entries.binary_search(&entry) else {
-                    return Ok(false);
-                };
-                entries.remove(pos);
-                self.write(store, page, &Node::Leaf { entries, next })?;
-                Ok(true)
-            }
-            Node::Internal { child0, mut seps } => {
-                let idx = seps.partition_point(|(s, _)| *s <= entry);
-                let child = if idx == 0 { child0 } else { seps[idx - 1].1 };
-                if !self.delete_rec(store, child, entry)? {
-                    return Ok(false);
-                }
-                // Rebalance the child if it fell below the minimum fill.
-                self.rebalance_child(store, page, child0, &mut seps, idx, child)?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// After a deletion inside `child` (the `idx`-th child of the parent
-    /// described by `child0`/`seps`), borrow from or merge with an
-    /// adjacent sibling if the child is underfull, then rewrite the
-    /// parent.
-    fn rebalance_child(
-        &self,
-        store: &mut FileStore,
-        parent_page: u32,
-        child0: u32,
-        seps: &mut Vec<(Entry, u32)>,
-        idx: usize,
-        child: u32,
-    ) -> StorageResult<()> {
-        let underfull = match self.read(store, child)? {
-            Node::Leaf { ref entries, .. } => entries.len() < LEAF_CAP / 4,
-            Node::Internal { ref seps, .. } => seps.len() < INT_CAP / 4,
-        };
-        if !underfull || seps.is_empty() {
-            return Ok(());
-        }
-        // Prefer the right sibling; fall back to the left one.
-        let (left_idx, left, right) = if idx < seps.len() {
-            (idx, child, seps[idx].1)
-        } else {
-            let left = if idx - 1 == 0 {
-                child0
-            } else {
-                seps[idx - 2].1
-            };
-            (idx - 1, left, child)
-        };
-        let ln = self.read(store, left)?;
-        let rn = self.read(store, right)?;
-        match (ln, rn) {
-            (
-                Node::Leaf {
-                    entries: mut le,
-                    next: _,
-                },
-                Node::Leaf {
-                    entries: mut re,
-                    next: rnext,
-                },
-            ) => {
-                if le.len() + re.len() <= LEAF_CAP {
-                    // Merge right into left; drop the separator.
-                    le.append(&mut re);
-                    self.write(
-                        store,
-                        left,
-                        &Node::Leaf {
-                            entries: le,
-                            next: rnext,
-                        },
-                    )?;
-                    seps.remove(left_idx);
-                } else {
-                    // Rebalance evenly across the two leaves.
-                    let mut all = le;
-                    all.append(&mut re);
-                    let half = all.len() / 2;
-                    let right_entries = all.split_off(half);
-                    let new_sep = right_entries[0];
-                    self.write(
-                        store,
-                        left,
-                        &Node::Leaf {
-                            entries: all,
-                            next: right,
-                        },
-                    )?;
-                    self.write(
-                        store,
-                        right,
-                        &Node::Leaf {
-                            entries: right_entries,
-                            next: rnext,
-                        },
-                    )?;
-                    seps[left_idx].0 = new_sep;
-                }
-            }
-            (
-                Node::Internal {
-                    child0: lc0,
-                    seps: mut ls,
-                },
-                Node::Internal {
-                    child0: rc0,
-                    seps: mut rs,
-                },
-            ) => {
-                let parent_sep = seps[left_idx].0;
-                if ls.len() + rs.len() < INT_CAP {
-                    // Merge: pull the parent separator down.
-                    ls.push((parent_sep, rc0));
-                    ls.append(&mut rs);
-                    self.write(
-                        store,
-                        left,
-                        &Node::Internal {
-                            child0: lc0,
-                            seps: ls,
-                        },
-                    )?;
-                    seps.remove(left_idx);
-                } else {
-                    // Rotate through the parent to even out.
-                    let mut all: Vec<(Entry, u32)> = Vec::new();
-                    all.append(&mut ls);
-                    all.push((parent_sep, rc0));
-                    all.append(&mut rs);
-                    let half = all.len() / 2;
-                    let mut right_part = all.split_off(half);
-                    let (up, new_rc0) = right_part.remove(0);
-                    self.write(
-                        store,
-                        left,
-                        &Node::Internal {
-                            child0: lc0,
-                            seps: all,
-                        },
-                    )?;
-                    self.write(
-                        store,
-                        right,
-                        &Node::Internal {
-                            child0: new_rc0,
-                            seps: right_part,
-                        },
-                    )?;
-                    seps[left_idx].0 = up;
-                }
-            }
-            _ => unreachable!("siblings are at the same level"),
-        }
-        self.write(
-            store,
-            parent_page,
-            &Node::Internal {
-                child0,
-                seps: seps.clone(),
-            },
-        )?;
-        Ok(())
-    }
-
     /// Find the leaf page and position of the first entry `>= probe`.
     fn seek(&self, store: &FileStore, probe: Entry) -> StorageResult<(u32, usize)> {
         let mut page = self.root;
-        loop {
+        for _ in 0..MAX_HEIGHT {
             match self.read(store, page)? {
                 Node::Internal { child0, seps } => {
                     let idx = seps.partition_point(|(s, _)| *s <= probe);
@@ -566,6 +264,8 @@ impl BTree {
                 }
             }
         }
+        let root = PageId::new(self.file, self.root);
+        Err(corrupt(root, format!("no leaf within {MAX_HEIGHT} levels")))
     }
 
     /// Collect every entry with `lo <= key <= hi`, in `(key, payload)`
@@ -579,8 +279,9 @@ impl BTree {
         }
         let (mut page, mut pos) = self.seek(store, Entry::min_for_key(lo))?;
         loop {
+            let id = PageId::new(self.file, page);
             let Node::Leaf { entries, next } = self.read(store, page)? else {
-                unreachable!("seek always lands on a leaf");
+                return Err(corrupt(id, "the leaf chain reaches an internal node"));
             };
             for e in &entries[pos..] {
                 if e.key > hi {
@@ -591,6 +292,10 @@ impl BTree {
             if next == NO_PAGE {
                 return Ok(out);
             }
+            // Bulk loading appends the leaves in chain order.
+            if next <= page {
+                return Err(corrupt(id, format!("next leaf {next} does not ascend")));
+            }
             page = next;
             pos = 0;
         }
@@ -599,30 +304,6 @@ impl BTree {
     /// All entries in the tree, in order.
     pub fn all(&self, store: &FileStore) -> StorageResult<Vec<Entry>> {
         self.range(store, i64::MIN, i64::MAX)
-    }
-
-    /// Shape statistics (walks the leftmost spine and the leaf chain).
-    pub fn stats(&self, store: &FileStore) -> StorageResult<BTreeStats> {
-        let mut height = 1;
-        let mut page = self.root;
-        while let Node::Internal { child0, .. } = self.read(store, page)? {
-            height += 1;
-            page = child0;
-        }
-        let mut leaf_pages = 0;
-        let mut p = page;
-        loop {
-            leaf_pages += 1;
-            match self.read(store, p)? {
-                Node::Leaf { next, .. } if next != NO_PAGE => p = next,
-                _ => break,
-            }
-        }
-        Ok(BTreeStats {
-            height,
-            entries: self.entries,
-            leaf_pages,
-        })
     }
 }
 
@@ -637,90 +318,38 @@ mod tests {
     #[test]
     fn empty_tree_has_no_entries() {
         let mut st = store();
-        let t = BTree::create(&mut st).unwrap();
-        assert_eq!(t.all(&st).unwrap(), vec![]);
-        assert_eq!(t.range(&st, 0, 100).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn insert_and_range_small() {
-        let mut st = store();
-        let mut t = BTree::create(&mut st).unwrap();
-        for k in [5i64, 1, 9, 3, 7] {
-            t.insert(&mut st, Entry::new(k, k as u64 * 10)).unwrap();
-        }
-        let got = t.range(&st, 3, 7).unwrap();
-        assert_eq!(
-            got,
-            vec![Entry::new(3, 30), Entry::new(5, 50), Entry::new(7, 70)]
-        );
-    }
-
-    #[test]
-    fn duplicates_are_ordered_by_payload() {
-        let mut st = store();
-        let mut t = BTree::create(&mut st).unwrap();
-        for p in [30u64, 10, 20] {
-            t.insert(&mut st, Entry::new(42, p)).unwrap();
-        }
-        let got = t.range(&st, 42, 42).unwrap();
-        assert_eq!(
-            got,
-            vec![Entry::new(42, 10), Entry::new(42, 20), Entry::new(42, 30)]
-        );
-    }
-
-    #[test]
-    fn inserts_split_leaves_and_internals() {
-        let mut st = store();
-        let mut t = BTree::create(&mut st).unwrap();
-        let n = (LEAF_CAP * 6) as i64;
-        // Insert in a scrambled order to exercise mid-node splits.
-        let mut keys: Vec<i64> = (0..n).collect();
-        let mut state = 12345u64;
-        for i in (1..keys.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = (state >> 33) as usize % (i + 1);
-            keys.swap(i, j);
-        }
-        for k in keys {
-            t.insert(&mut st, Entry::new(k, k as u64)).unwrap();
-        }
-        let all = t.all(&st).unwrap();
-        assert_eq!(all.len() as i64, n);
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(all[0], Entry::new(0, 0));
-        assert_eq!(all[all.len() - 1], Entry::new(n - 1, (n - 1) as u64));
-        let stats = t.stats(&st).unwrap();
-        assert!(stats.height >= 2);
-        assert!(stats.leaf_pages >= 6);
-    }
-
-    #[test]
-    fn bulk_load_matches_inserts() {
-        let mut st = store();
-        let entries: Vec<Entry> = (0..(LEAF_CAP as i64 * 3))
-            .map(|k| Entry::new(k / 4, k as u64)) // duplicate keys
-            .collect();
-        let t = BTree::bulk_load(&mut st, &entries).unwrap();
-        assert_eq!(t.all(&st).unwrap(), entries);
-        assert_eq!(t.num_entries(), entries.len() as u64);
-    }
-
-    #[test]
-    fn bulk_load_empty() {
-        let mut st = store();
         let t = BTree::bulk_load(&mut st, &[]).unwrap();
         assert_eq!(t.all(&st).unwrap(), vec![]);
+        assert_eq!(t.range(&st, 0, 100).unwrap(), vec![]);
+        assert_eq!(st.num_pages(t.file()).unwrap(), 1);
     }
 
     #[test]
-    fn bulk_load_single_leaf() {
+    fn duplicates_are_ordered_by_payload_across_leaves() {
+        let mut st = store();
+        // Key 42 fills three leaves between smaller and larger keys.
+        let entries: Vec<Entry> = (0..LEAF_CAP as u64 * 3)
+            .map(|p| Entry::new(42, p))
+            .chain([Entry::new(43, 0)])
+            .collect();
+        let mut sorted = vec![Entry::new(41, 7)];
+        sorted.extend(&entries);
+        let t = BTree::bulk_load(&mut st, &sorted).unwrap();
+        assert_eq!(t.range(&st, 42, 42).unwrap(), entries[..entries.len() - 1]);
+        assert_eq!(t.range(&st, 42, 43).unwrap(), entries);
+        assert_eq!(t.all(&st).unwrap(), sorted);
+        assert_eq!(t.num_entries(), sorted.len() as u64);
+    }
+
+    #[test]
+    fn single_leaf_is_copied_into_the_root() {
         let mut st = store();
         let entries = vec![Entry::new(1, 1), Entry::new(2, 2)];
         let t = BTree::bulk_load(&mut st, &entries).unwrap();
         assert_eq!(t.all(&st).unwrap(), entries);
-        assert_eq!(t.stats(&st).unwrap().height, 1);
+        assert_eq!(st.num_pages(t.file()).unwrap(), 2);
+        let page = |p| st.read_page(PageId::new(t.file(), p)).unwrap();
+        assert_eq!(page(0), page(1));
     }
 
     #[test]
@@ -734,114 +363,72 @@ mod tests {
         assert_eq!(t.range(&st, 7, 3).unwrap().len(), 0);
     }
 
-    #[test]
-    fn delete_simple() {
+    /// A two-level tree over `3 × LEAF_CAP` entries: the root at page 0,
+    /// four leaves at pages 1–4, and their parent at page 5.
+    fn two_levels() -> (FileStore, BTree) {
         let mut st = store();
-        let mut t = BTree::create(&mut st).unwrap();
-        for k in 0..10i64 {
-            t.insert(&mut st, Entry::new(k, k as u64)).unwrap();
+        let entries: Vec<Entry> = (0..LEAF_CAP as i64 * 3).map(|k| Entry::new(k, 0)).collect();
+        let t = BTree::bulk_load(&mut st, &entries).unwrap();
+        (st, t)
+    }
+
+    fn patch(st: &mut FileStore, t: &BTree, page: u32, f: impl FnOnce(&mut [u8])) {
+        let id = PageId::new(t.file(), page);
+        let mut bytes = st.read_page(id).unwrap().to_vec();
+        f(&mut bytes);
+        st.write_page(id, bytes.into()).unwrap();
+    }
+
+    fn corrupt_message(st: &FileStore, t: &BTree) -> String {
+        match t.all(st) {
+            Err(StorageError::Corrupt(msg)) => msg,
+            other => panic!("expected a corrupt-page error, got {other:?}"),
         }
-        assert!(t.delete(&mut st, Entry::new(5, 5)).unwrap());
-        assert!(!t.delete(&mut st, Entry::new(5, 5)).unwrap());
-        assert_eq!(t.num_entries(), 9);
-        let keys: Vec<i64> = t.all(&st).unwrap().iter().map(|e| e.key).collect();
-        assert_eq!(keys, vec![0, 1, 2, 3, 4, 6, 7, 8, 9]);
     }
 
     #[test]
-    fn delete_respects_duplicate_payloads() {
-        let mut st = store();
-        let mut t = BTree::create(&mut st).unwrap();
-        for p in 0..3u64 {
-            t.insert(&mut st, Entry::new(7, p)).unwrap();
-        }
-        assert!(t.delete(&mut st, Entry::new(7, 1)).unwrap());
-        assert_eq!(
-            t.range(&st, 7, 7).unwrap(),
-            vec![Entry::new(7, 0), Entry::new(7, 2)]
-        );
+    fn undecodable_pages_are_corrupt() {
+        let (mut st, t) = two_levels();
+        patch(&mut st, &t, 0, |b| b[0] = 7);
+        assert!(corrupt_message(&st, &t).contains("unknown node kind 7"));
+
+        let (mut st, t) = two_levels();
+        patch(&mut st, &t, 1, |b| {
+            b[2..4].copy_from_slice(&60_000u16.to_le_bytes())
+        });
+        let msg = corrupt_message(&st, &t);
+        assert!(msg.contains("60000 entries, at most 511 fit"), "{msg}");
+
+        let (mut st, t) = two_levels();
+        let over = INT_CAP as u16 + 1;
+        patch(&mut st, &t, 0, |b| {
+            b[2..4].copy_from_slice(&over.to_le_bytes())
+        });
+        assert!(corrupt_message(&st, &t).contains("at most 409 fit"));
     }
 
     #[test]
-    fn delete_everything_leaves_an_empty_tree() {
-        let mut st = store();
-        let n = LEAF_CAP as i64 * 4;
-        let entries: Vec<Entry> = (0..n).map(|k| Entry::new(k, k as u64)).collect();
-        let mut t = BTree::bulk_load(&mut st, &entries).unwrap();
-        for e in &entries {
-            assert!(t.delete(&mut st, *e).unwrap(), "missing {e:?}");
-        }
-        assert_eq!(t.num_entries(), 0);
-        assert_eq!(t.all(&st).unwrap(), vec![]);
-        // Insert again after full drain.
-        t.insert(&mut st, Entry::new(42, 1)).unwrap();
-        assert_eq!(t.all(&st).unwrap(), vec![Entry::new(42, 1)]);
-    }
+    fn walks_that_could_not_end_are_corrupt() {
+        // A leaf whose `next` points back at itself.
+        let (mut st, t) = two_levels();
+        patch(&mut st, &t, 2, |b| {
+            b[4..8].copy_from_slice(&2u32.to_le_bytes())
+        });
+        assert!(corrupt_message(&st, &t).contains("next leaf 2 does not ascend"));
 
-    #[test]
-    fn interleaved_inserts_and_deletes_match_a_model() {
-        let mut st = store();
-        let mut t = BTree::create(&mut st).unwrap();
-        let mut model: Vec<Entry> = Vec::new();
-        let mut state = 0xDEADBEEFu64;
-        let mut rand = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for i in 0..20_000u64 {
-            let k = (rand() % 500) as i64;
-            if rand() % 3 == 0 && !model.is_empty() {
-                let victim = model[(rand() % model.len() as u64) as usize];
-                assert!(t.delete(&mut st, victim).unwrap());
-                let pos = model.iter().position(|e| *e == victim).unwrap();
-                model.remove(pos);
-            } else {
-                let e = Entry::new(k, i);
-                t.insert(&mut st, e).unwrap();
-                let pos = model.partition_point(|m| *m <= e);
-                model.insert(pos, e);
-            }
-        }
-        assert_eq!(t.all(&st).unwrap(), model);
-        assert_eq!(t.num_entries(), model.len() as u64);
-    }
+        // A root whose first child is the root itself.
+        let (mut st, t) = two_levels();
+        patch(&mut st, &t, 0, |b| {
+            b[4..8].copy_from_slice(&0u32.to_le_bytes())
+        });
+        assert!(corrupt_message(&st, &t).contains("no leaf within 5 levels"));
 
-    #[test]
-    fn deletes_shrink_and_rebalance_across_levels() {
-        let mut st = store();
-        let n = LEAF_CAP as i64 * 8;
-        let entries: Vec<Entry> = (0..n).map(|k| Entry::new(k, k as u64)).collect();
-        let mut t = BTree::bulk_load(&mut st, &entries).unwrap();
-        assert!(t.stats(&st).unwrap().height >= 2);
-        // Delete three quarters, front-loaded to force merges.
-        for e in entries.iter().take(n as usize * 3 / 4) {
-            assert!(t.delete(&mut st, *e).unwrap());
-        }
-        let rest = t.all(&st).unwrap();
-        assert_eq!(rest.len(), n as usize / 4);
-        assert_eq!(rest[0], entries[n as usize * 3 / 4]);
-        assert!(rest.windows(2).all(|w| w[0] < w[1]));
-        // Ranges still work after heavy rebalancing.
-        let lo = rest[10].key;
-        let hi = rest[50].key;
-        assert_eq!(t.range(&st, lo, hi).unwrap().len(), 41);
-    }
-
-    #[test]
-    fn inserts_after_bulk_load() {
-        let mut st = store();
-        let entries: Vec<Entry> = (0..(LEAF_CAP as i64 * 2))
-            .map(|k| Entry::new(k * 2, k as u64))
-            .collect();
-        let mut t = BTree::bulk_load(&mut st, &entries).unwrap();
-        // Insert odd keys between existing ones.
-        for k in 0..200 {
-            t.insert(&mut st, Entry::new(k * 2 + 1, 9999)).unwrap();
-        }
-        let all = t.all(&st).unwrap();
-        assert_eq!(all.len(), entries.len() + 200);
-        assert!(all.windows(2).all(|w| w[0] <= w[1]));
+        // A leaf chain that runs into an internal node.
+        let (mut st, t) = two_levels();
+        let top = st.num_pages(t.file()).unwrap() - 1;
+        patch(&mut st, &t, 1, |b| {
+            b[4..8].copy_from_slice(&top.to_le_bytes())
+        });
+        assert!(corrupt_message(&st, &t).contains("reaches an internal node"));
     }
 }

@@ -5,8 +5,9 @@
 //! * [`value`] — column types, a fixed-width row codec, and zero-copy row
 //!   views ([`value::RowRef`]) so that predicate evaluation never allocates,
 //! * [`heap`] — slotted heap pages and append-only heap files with RIDs,
-//! * [`btree`] — a paged B+ tree over `(i64 key, u64 payload)` entries with
-//!   duplicate keys, used both as a RID index and as an MDC block index,
+//! * [`btree`] — a bulk-loaded, read-only paged B+ tree over
+//!   `(i64 key, u64 payload)` entries with duplicate keys, used both as a
+//!   RID index and as an MDC block index,
 //! * [`mdc`] — an MDC-style block-clustered table: rows are placed into
 //!   16-page blocks per clustering-key cell, blocks from different cells
 //!   interleave on disk (which is what makes key-order traversal seek),
@@ -24,7 +25,7 @@ pub mod heap;
 pub mod mdc;
 pub mod value;
 
-pub use btree::{BTree, BTreeStats, Entry};
+pub use btree::{BTree, Entry};
 pub use catalog::{TableKind, TableMeta};
 pub use heap::{HeapFile, HeapPage, HeapPageBuilder, HeapWriter, Rid};
 pub use mdc::{BlockId, MdcTable, MdcTableBuilder};

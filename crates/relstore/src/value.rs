@@ -114,11 +114,6 @@ impl Schema {
         }
     }
 
-    /// Number of columns.
-    pub fn num_cols(&self) -> usize {
-        self.cols.len()
-    }
-
     /// The columns in order.
     pub fn columns(&self) -> &[Column] {
         &self.cols

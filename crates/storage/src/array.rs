@@ -33,11 +33,6 @@ impl DiskArray {
         }
     }
 
-    /// Number of disks.
-    pub fn n_disks(&self) -> u32 {
-        self.disks.len() as u32
-    }
-
     /// The disk (device index) physical address `addr` routes to — the
     /// same routing [`DiskArray::read`] uses, exposed so observability
     /// layers can tag miss I/O with its device.

@@ -334,39 +334,71 @@ fn faulted_push_consumer_eviction_leaves_survivors_byte_stable() {
     )));
 }
 
-/// The B+ tree agrees with a sorted-vector model for any entry set.
+/// The pages and levels a bulk load of `n` entries allocates: the root
+/// placeholder, ⌈n/459⌉ leaves (90 % of 511 entries), then internal
+/// levels of at most 369 children (90 % of 409 separators, plus child0)
+/// until one node is left.
+fn bulk_load_shape(n: usize) -> (u32, u32) {
+    let mut level = n.div_ceil(459);
+    let (mut pages, mut levels) = (1 + level, 1);
+    while level > 1 {
+        level = level.div_ceil(369);
+        pages += level;
+        levels += 1;
+    }
+    (pages as u32, levels)
+}
+
+/// A bulk-loaded B+ tree agrees with a sorted-vector model for any
+/// sorted entry set, at one, two and three levels, and allocates the
+/// pages its fill factors fix.
 #[test]
 fn btree_matches_model() {
-    for case in 0..16u64 {
-        let mut rng = Rng::seed_from_u64(0xb7ee_0000 + case);
-        let n_keys = rng.random_range(0..400usize);
-        let keys: Vec<(i64, u64)> = (0..n_keys)
-            .map(|_| (rng.random_range(-50i64..50), rng.random_range(0u64..1000)))
+    // (entries, distinct-key span): empty, one leaf, one full leaf, two
+    // leaves, duplicates across many leaves, a full two-level root, one
+    // entry more (three levels), and three levels with duplicates.
+    let cases = [
+        (0usize, 10i64),
+        (1, 10),
+        (459, 50),
+        (460, 50),
+        (5_000, 3),
+        (369 * 459, 40_000),
+        (369 * 459 + 1, 40_000),
+        (200_000, 1_000),
+    ];
+    let mut levels_seen = Vec::new();
+    for (case, &(n, span)) in cases.iter().enumerate() {
+        let mut rng = Rng::seed_from_u64(0xb7ee_0000 + case as u64);
+        let mut model: Vec<Entry> = (0..n)
+            .map(|_| Entry::new(rng.random_range(-span..span), rng.random_range(0u64..1000)))
             .collect();
-        let probes: Vec<(i64, i64)> = (0..rng.random_range(0..20usize))
-            .map(|_| (rng.random_range(-60i64..60), rng.random_range(-60i64..60)))
-            .collect();
+        model.sort();
 
         let mut store = FileStore::new(16);
-        let mut tree = BTree::create(&mut store).unwrap();
-        let mut model: Vec<Entry> = Vec::new();
-        for &(k, p) in &keys {
-            let e = Entry::new(k, p);
-            tree.insert(&mut store, e).unwrap();
-            let pos = model.partition_point(|m| *m <= e);
-            model.insert(pos, e);
-        }
-        assert_eq!(tree.all(&store).unwrap(), model, "case {case}");
-        for &(a, b) in &probes {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let tree = BTree::bulk_load(&mut store, &model).unwrap();
+        let (pages, levels) = bulk_load_shape(n);
+        assert_eq!(store.num_pages(tree.file()).unwrap(), pages, "n = {n}");
+        levels_seen.push(levels);
+        assert_eq!(tree.num_entries(), n as u64, "n = {n}");
+        assert_eq!(tree.all(&store).unwrap(), model, "n = {n}");
+
+        // Random bounds, some inverted and some outside the keys.
+        for _ in 0..20 {
+            let lo = rng.random_range(-span - 10..span + 10);
+            let hi = rng.random_range(-span - 10..span + 10);
             let expect: Vec<Entry> = model
                 .iter()
                 .filter(|e| lo <= e.key && e.key <= hi)
                 .copied()
                 .collect();
-            assert_eq!(tree.range(&store, lo, hi).unwrap(), expect, "case {case}");
+            assert_eq!(tree.range(&store, lo, hi).unwrap(), expect, "n = {n}");
         }
+        assert_eq!(tree.range(&store, i64::MIN, -span - 1).unwrap(), []);
+        assert_eq!(tree.range(&store, span, i64::MAX).unwrap(), []);
+        assert_eq!(tree.range(&store, span, -span).unwrap(), []);
     }
+    assert_eq!(levels_seen, [1, 1, 1, 2, 2, 2, 3, 3]);
 }
 
 /// The buffer pool never exceeds capacity, and logical reads are counted
