@@ -221,9 +221,11 @@ With --scan, only that scan's narrative.",
                  opt("--tail", "N"), switch("--no-clear")],
         about: "\
 Execute a JSON RunSpec with a live ASCII dashboard: group topology,
-per-scan throttle state, pool-residency heatmap, and the decision tail,
-redrawn every N ms (--no-clear appends frames instead of clearing, for
-piped output).",
+per-scan throttle state, pool-residency heatmap, and the decision tail.
+Each frame of the run is drawn at most once, frames within N ms of wall
+time of the last draw are skipped, and the closing frame is always
+drawn; --tick-ms 0 draws every frame (--no-clear appends frames instead
+of clearing, for piped output).",
     },
     Cmd { name: "diff", positionals: &["A.json", "B.json"], run: cmd_diff,
         flags: &[switch("--json")],

@@ -1,23 +1,28 @@
 //! Live ASCII dashboard over a running workload.
 //!
-//! `scanshare watch` executes a spec on a background thread with a
-//! [`scanshare_engine::RunHooks`] observer attached; the engine delivers
-//! a [`WatchFrame`] at every metrics-sample tick, and the foreground
-//! thread redraws the dashboard at a wall-clock cadence: group topology
+//! `scanshare watch` executes a spec with a [`scanshare_engine::RunHooks`]
+//! observer attached. The engine calls it, on the run's own thread, with
+//! a [`WatchFrame`] at every metrics-sample tick and once at the
+//! makespan, and the observer draws the dashboard: group topology
 //! (trailer → leader), per-scan throttle state against the fairness-cap
 //! budget, a pool-residency heatmap by release priority, and the tail of
-//! the decision-provenance log. The simulation itself runs on virtual
-//! time, so watching costs nothing in measured results — the same spec
-//! produces the same report with or without the dashboard.
+//! the decision-provenance log, which it assembles from the records each
+//! frame carries. Each frame is drawn at most once, in order; a frame
+//! that arrives less than the tick's wall time after the last draw is
+//! skipped, and the closing frame is always drawn. At a zero tick every
+//! frame is drawn, so the output depends on the spec alone. The
+//! simulation itself runs on virtual time, so watching costs nothing in
+//! measured results — the same spec produces the same report with or
+//! without the dashboard.
 
 use scanshare::decision::{describe, role_name};
-use scanshare::{DecisionLog, DecisionRecord};
+use scanshare::DecisionRecord;
 use scanshare_engine::{
     run_workload_hooked, Database, RunHooks, RunReport, WatchFrame, WorkloadSpec,
 };
 use scanshare_storage::PagePriority;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Columns in the residency heatmap and slowdown bars.
 const STRIP_WIDTH: usize = 64;
@@ -26,7 +31,8 @@ const STRIP_WIDTH: usize = 64;
 /// handler supplies.
 #[derive(Debug, Clone)]
 pub struct WatchOptions {
-    /// Wall-clock milliseconds between redraws.
+    /// Wall-clock milliseconds that must pass after a draw before the
+    /// next frame is drawn; frames that arrive sooner are skipped.
     pub tick_ms: u64,
     /// Clear the terminal between frames (ANSI); off for piped output.
     pub clear: bool,
@@ -71,14 +77,18 @@ fn residency_strip(frame: &WatchFrame, width: usize) -> String {
 }
 
 /// Render one dashboard frame as plain text (no ANSI).
-pub fn render_dashboard(frame: &WatchFrame, tail: &[DecisionRecord], done: bool) -> String {
+pub fn render_dashboard(frame: &WatchFrame, tail: &[DecisionRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "scanshare watch — t={:.3}s  queries done {}  [{}]",
         frame.at.as_micros() as f64 / 1e6,
         frame.queries_done,
-        if done { "finished" } else { "running" }
+        if frame.finished {
+            "finished"
+        } else {
+            "running"
+        }
     );
     let _ = writeln!(
         out,
@@ -166,40 +176,30 @@ pub fn run_watch(
     opts: &WatchOptions,
     out: &mut dyn std::io::Write,
 ) -> Result<RunReport, String> {
-    let latest: Arc<Mutex<Option<WatchFrame>>> = Arc::new(Mutex::new(None));
-    let log = DecisionLog::new(1 << 16);
-    let sink = latest.clone();
+    let tick = Duration::from_millis(opts.tick_ms);
+    let mut last_draw: Option<Instant> = None;
+    let mut tail: Vec<DecisionRecord> = Vec::new();
+    let draw = move |frame: &WatchFrame| {
+        tail.extend(frame.decisions.iter().cloned());
+        tail.drain(..tail.len().saturating_sub(opts.tail));
+        let due = last_draw.is_none_or(|t| t.elapsed() >= tick);
+        if !(due || frame.finished) {
+            return;
+        }
+        let text = render_dashboard(frame, &tail);
+        if opts.clear {
+            let _ = write!(out, "\x1b[2J\x1b[H{text}");
+        } else {
+            let _ = writeln!(out, "{text}");
+        }
+        let _ = out.flush();
+        last_draw = Some(Instant::now());
+    };
     let hooks = RunHooks {
-        decisions: Some(log.clone()),
-        observer: Some(Arc::new(move |f: &WatchFrame| {
-            *sink.lock().unwrap() = Some(f.clone());
-        })),
+        observer: Some(Box::new(draw)),
         ..RunHooks::default()
     };
-
-    std::thread::scope(|scope| {
-        let worker = scope.spawn(|| run_workload_hooked(db, spec, hooks));
-        loop {
-            let done = worker.is_finished();
-            if let Some(frame) = latest.lock().unwrap().clone() {
-                let text = render_dashboard(&frame, &log.tail(opts.tail), done);
-                if opts.clear {
-                    let _ = write!(out, "\x1b[2J\x1b[H{text}");
-                } else {
-                    let _ = writeln!(out, "{text}");
-                }
-                let _ = out.flush();
-            }
-            if done {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(opts.tick_ms));
-        }
-        worker
-            .join()
-            .map_err(|_| "watch worker panicked".to_string())?
-            .map_err(|e| format!("run failed: {e}"))
-    })
+    run_workload_hooked(db, spec, hooks).map_err(|e| format!("run failed: {e}"))
 }
 
 #[cfg(test)]
@@ -237,6 +237,8 @@ mod tests {
             ],
             disk: DiskStats::default(),
             queries_done: 2,
+            decisions: Vec::new(),
+            finished: false,
         }
     }
 
@@ -268,7 +270,7 @@ mod tests {
                 threshold_pages: 32,
             },
         }];
-        let text = render_dashboard(&f, &tail, false);
+        let text = render_dashboard(&f, &tail);
         assert!(text.contains("t=1.500s"), "got: {text}");
         assert!(text.contains("2/128 pages resident"));
         assert!(text.contains("hit  80.0%"));
@@ -279,14 +281,18 @@ mod tests {
         assert!(text.contains("decisions (last 1)"));
         assert!(text.contains("unthrottled"));
         assert!(text.contains("[running]"));
-        assert!(render_dashboard(&f, &tail, true).contains("[finished]"));
+        let last = WatchFrame {
+            finished: true,
+            ..f
+        };
+        assert!(render_dashboard(&last, &tail).contains("[finished]"));
     }
 
     #[test]
     fn base_mode_frame_renders_without_probe() {
         let mut f = frame();
         f.probe = None;
-        let text = render_dashboard(&f, &[], false);
+        let text = render_dashboard(&f, &[]);
         assert!(text.contains("base (no sharing manager)"));
         assert!(!text.contains("decisions (last"));
     }
@@ -312,8 +318,8 @@ mod tests {
         assert_eq!(bar(2.0, 4), "####");
     }
 
-    #[test]
-    fn watch_runs_a_tiny_spec_and_reports_like_a_plain_run() {
+    /// The tiny TPC-H database and a two-stream sharing workload over it.
+    fn tiny() -> (Database, WorkloadSpec) {
         use scanshare::SharingConfig;
         use scanshare_engine::SharingMode;
         use scanshare_tpch::{generate, throughput_workload, TpchConfig};
@@ -326,6 +332,72 @@ mod tests {
             tpch.seed,
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
+        (db, spec)
+    }
+
+    /// `watch`'s output and report, and the output split into dashboards.
+    fn watch(db: &Database, spec: &WorkloadSpec, tick_ms: u64) -> (String, RunReport) {
+        let opts = WatchOptions {
+            tick_ms,
+            clear: false,
+            tail: usize::MAX,
+        };
+        let mut buf = Vec::new();
+        let r = run_watch(db, spec, &opts, &mut buf).unwrap();
+        (String::from_utf8(buf).unwrap(), r)
+    }
+
+    fn dashboards(text: &str) -> Vec<&str> {
+        text.split("scanshare watch — ").skip(1).collect()
+    }
+
+    #[test]
+    fn a_zero_tick_draws_every_frame_once_and_repeats_byte_for_byte() {
+        let (db, spec) = tiny();
+        let (text, r) = watch(&db, &spec, 0);
+        assert_eq!(watch(&db, &spec, 0).0, text);
+        let mut frames = 0;
+        let hooks = RunHooks {
+            observer: Some(Box::new(|_: &WatchFrame| frames += 1)),
+            ..RunHooks::default()
+        };
+        run_workload_hooked(&db, &spec, hooks).unwrap();
+        let shown = dashboards(&text);
+        assert_eq!(shown.len(), frames);
+        let (last, running) = shown.split_last().unwrap();
+        assert!(running.iter().all(|d| d.contains("[running]")));
+        assert!(last.contains("[finished]"));
+        // With an unbounded tail the closing dashboard lists every record
+        // the frames carried: the report's log.
+        let (_, listed) = last.split_once("decisions (last ").unwrap();
+        let listed: Vec<&str> = listed.lines().skip(1).filter(|l| !l.is_empty()).collect();
+        let logged: Vec<String> = (r.decisions.iter())
+            .map(|d| {
+                format!(
+                    "  {:>9.3}s  {}",
+                    d.at.as_micros() as f64 / 1e6,
+                    describe(&d.event)
+                )
+            })
+            .collect();
+        assert!(!logged.is_empty());
+        assert_eq!(listed, logged);
+    }
+
+    #[test]
+    fn frames_within_the_tick_are_skipped_but_the_closing_one_is_drawn() {
+        let (db, spec) = tiny();
+        let (text, r) = watch(&db, &spec, u64::MAX);
+        let shown = dashboards(&text);
+        assert_eq!(shown.len(), 2, "first and closing frame only: {text}");
+        assert!(shown[0].contains("[running]"));
+        let end = format!("t={:.3}s", r.makespan.as_micros() as f64 / 1e6);
+        assert!(shown[1].starts_with(&end) && shown[1].contains("[finished]"));
+    }
+
+    #[test]
+    fn watch_runs_a_tiny_spec_and_reports_like_a_plain_run() {
+        let (db, spec) = tiny();
         let mut buf = Vec::new();
         let opts = WatchOptions {
             tick_ms: 1,

@@ -23,17 +23,18 @@
 //!   stream it runs for, its wrap to the range start, its normal end (a
 //!   fault ends it with [`DecisionEvent::ScanEvicted`] instead).
 //!
-//! Events flow through a [`DecisionLog`]: a cheap shared ring buffer with
-//! a drop-oldest cap and JSONL export — the run's one event log.
+//! Events flow into the manager's [`DecisionLog`]: a bounded ring with a
+//! drop-oldest cap and JSONL export — the run's one event log. In a
+//! profiled run the manager also writes the lifecycle records
+//! [`manager_instant`] names as instants on the span profiler's manager
+//! track: that track is a view of the log, not a second record.
 //! [`lifecycles`] reads each scan's start, placement, wraps, throttle
 //! waits and end back off it; [`render_lifecycles`] is `scanshare trace`.
 
-use parking_lot::Mutex;
 use scanshare_storage::{PagePriority, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write;
-use std::sync::Arc;
 
 use crate::anchor::AnchorId;
 use crate::grouping::Role;
@@ -313,17 +314,11 @@ pub struct DecisionRecord {
     pub event: DecisionEvent,
 }
 
-/// Shared, thread-safe decision sink with a bounded ring buffer: oldest
-/// events are dropped past the cap so long runs cannot exhaust memory.
-/// Clones share the same buffer (`Arc` inside), so the manager and the
-/// run driver can both hold a handle.
+/// The manager's record of its decisions: a bounded ring that drops the
+/// oldest events past its cap, so long runs cannot exhaust memory. The
+/// manager owns it; readers get copies of its records.
 #[derive(Debug, Clone)]
 pub struct DecisionLog {
-    inner: Arc<Mutex<LogInner>>,
-}
-
-#[derive(Debug)]
-struct LogInner {
     records: VecDeque<DecisionRecord>,
     cap: usize,
     dropped: u64,
@@ -333,50 +328,35 @@ impl DecisionLog {
     /// Create a log retaining at most `cap` decisions.
     pub fn new(cap: usize) -> Self {
         DecisionLog {
-            inner: Arc::new(Mutex::new(LogInner {
-                records: VecDeque::new(),
-                cap: cap.max(1),
-                dropped: 0,
-            })),
+            records: VecDeque::new(),
+            cap: cap.max(1),
+            dropped: 0,
         }
     }
 
     /// Record a decision.
-    pub fn record(&self, at: SimTime, event: DecisionEvent) {
-        let mut inner = self.inner.lock();
-        if inner.records.len() >= inner.cap {
-            inner.records.pop_front();
-            inner.dropped += 1;
+    pub fn record(&mut self, at: SimTime, event: DecisionEvent) {
+        if self.records.len() >= self.cap {
+            self.records.pop_front();
+            self.dropped += 1;
         }
-        inner.records.push_back(DecisionRecord { at, event });
+        self.records.push_back(DecisionRecord { at, event });
     }
 
-    /// Snapshot of the retained decisions, oldest first.
-    pub fn records(&self) -> Vec<DecisionRecord> {
-        self.inner.lock().records.iter().cloned().collect()
-    }
-
-    /// Number of retained decisions.
-    pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
-    }
-
-    /// Whether nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().records.is_empty()
-    }
-
-    /// The newest `n` decisions, oldest of those first (the "decision
-    /// tail" a live dashboard shows).
-    pub fn tail(&self, n: usize) -> Vec<DecisionRecord> {
-        let inner = self.inner.lock();
-        let skip = inner.records.len().saturating_sub(n);
-        inner.records.iter().skip(skip).cloned().collect()
+    /// Copy of the retained decisions appended after the first `*seen`
+    /// the log ever took, oldest first; `*seen` moves past them. A
+    /// reader that passes the same counter each time gets every record
+    /// once; `since(&mut 0)` is every retained record.
+    pub fn since(&self, seen: &mut u64) -> Vec<DecisionRecord> {
+        let appended = self.dropped + self.records.len() as u64;
+        let skip = seen.saturating_sub(self.dropped) as usize;
+        *seen = appended;
+        self.records.iter().skip(skip).cloned().collect()
     }
 
     /// Decisions dropped due to the cap.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.dropped
     }
 }
 
@@ -422,6 +402,84 @@ pub fn priority_name(p: PagePriority) -> &'static str {
         PagePriority::Normal => "normal",
         PagePriority::Low => "low",
     }
+}
+
+/// The span a profiled run's manager track shows for `event`: its name
+/// and attributes, for the four lifecycle records the track mirrors
+/// (placement, push attach, push handoff, fault eviction); `None` for
+/// every other record. Placement instants name the run's `policy`.
+pub fn manager_instant(
+    event: &DecisionEvent,
+    policy: SharingPolicyKind,
+) -> Option<(&'static str, Vec<(&'static str, String)>)> {
+    let scan = ("scan", event.scan().0.to_string());
+    let placed = |object: &ObjectId, candidates: &[PlacementCandidate], decision| {
+        let object = ("object", object.0.to_string());
+        let policy = ("policy", policy.to_string());
+        let candidates = ("candidates", candidates.len().to_string());
+        (
+            "mgr.place",
+            vec![
+                scan.clone(),
+                object,
+                policy,
+                candidates,
+                ("decision", decision),
+            ],
+        )
+    };
+    Some(match event {
+        DecisionEvent::GroupStart {
+            object, candidates, ..
+        } => placed(object, candidates, "from_start".to_string()),
+        DecisionEvent::GroupJoin {
+            object,
+            joined,
+            candidates,
+            ..
+        } => placed(
+            object,
+            candidates,
+            match joined {
+                Some(j) => format!("join scan {}", j.0),
+                None => "join_location".to_string(),
+            },
+        ),
+        DecisionEvent::DriverAttach {
+            driver,
+            missed_pages,
+            ..
+        } => {
+            let driver = ("driver", driver.0.to_string());
+            (
+                "mgr.push_attach",
+                vec![scan, driver, ("missed_pages", missed_pages.to_string())],
+            )
+        }
+        DecisionEvent::DriverHandoff {
+            from,
+            remaining_pages,
+            ..
+        } => {
+            let from = ("from", from.0.to_string());
+            let left = ("remaining_pages", remaining_pages.to_string());
+            ("mgr.push_handoff", vec![scan, from, left])
+        }
+        DecisionEvent::ScanEvicted {
+            group,
+            reason,
+            remaining,
+            ..
+        } => {
+            let group = ("group", group.0.to_string());
+            let survivors = ("survivors", remaining.to_string());
+            (
+                "mgr.regroup",
+                vec![scan, group, ("reason", reason.clone()), survivors],
+            )
+        }
+        _ => return None,
+    })
 }
 
 /// One decision as a single human-readable line (no timestamp).
@@ -907,14 +965,14 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_every_event_kind() {
-        let log = DecisionLog::new(64);
+        let mut log = DecisionLog::new(64);
         for (i, e) in sample_events().into_iter().enumerate() {
             log.record(SimTime::from_millis(i as u64), e);
         }
-        let jsonl = decisions_to_jsonl(&log.records());
+        let jsonl = decisions_to_jsonl(&log.since(&mut 0));
         assert_eq!(jsonl.lines().count(), 16);
         let back = decisions_from_jsonl(&jsonl).unwrap();
-        assert_eq!(back, log.records());
+        assert_eq!(back, log.since(&mut 0));
         // Blank lines tolerated; garbage names its line.
         assert_eq!(decisions_from_jsonl("\n\n").unwrap(), vec![]);
         let err = decisions_from_jsonl("{}\n").unwrap_err();
@@ -923,7 +981,7 @@ mod tests {
 
     #[test]
     fn cap_drops_oldest_and_counts() {
-        let log = DecisionLog::new(2);
+        let mut log = DecisionLog::new(2);
         for i in 0..5u64 {
             log.record(
                 SimTime::from_millis(i),
@@ -935,30 +993,36 @@ mod tests {
                 },
             );
         }
-        assert_eq!(log.records().len(), 2);
+        assert_eq!(log.since(&mut 0).len(), 2);
         assert_eq!(log.dropped(), 3);
-        assert_eq!(log.records()[0].event.scan(), ScanId(3));
+        assert_eq!(log.since(&mut 0)[0].event.scan(), ScanId(3));
     }
 
     #[test]
-    fn tail_returns_the_newest_decisions() {
-        let log = DecisionLog::new(16);
-        for i in 0..6u64 {
-            log.record(
-                SimTime::from_millis(i),
-                DecisionEvent::Unthrottle {
-                    scan: ScanId(i),
-                    group: AnchorId(0),
-                    distance_pages: 0,
-                    threshold_pages: 32,
-                },
-            );
+    fn since_hands_out_each_record_once_across_drops() {
+        let unthrottle = |i: u64| DecisionEvent::Unthrottle {
+            scan: ScanId(i),
+            group: AnchorId(0),
+            distance_pages: 0,
+            threshold_pages: 32,
+        };
+        let mut log = DecisionLog::new(3);
+        let mut seen = 0;
+        let scans =
+            |rs: Vec<DecisionRecord>| -> Vec<u64> { rs.iter().map(|r| r.event.scan().0).collect() };
+        for i in 0..2 {
+            log.record(SimTime::from_millis(i), unthrottle(i));
         }
-        let tail = log.tail(2);
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].event.scan(), ScanId(4));
-        assert_eq!(tail[1].event.scan(), ScanId(5));
-        assert_eq!(log.tail(100).len(), 6);
+        assert_eq!(scans(log.since(&mut seen)), [0, 1]);
+        assert_eq!(scans(log.since(&mut seen)), Vec::<u64>::new());
+        log.record(SimTime::from_millis(2), unthrottle(2));
+        assert_eq!(scans(log.since(&mut seen)), [2]);
+        // Past the cap the reader gets what is still retained.
+        for i in 3..8 {
+            log.record(SimTime::from_millis(i), unthrottle(i));
+        }
+        assert_eq!(scans(log.since(&mut seen)), [5, 6, 7]);
+        assert_eq!((seen, log.dropped()), (8, 5));
     }
 
     #[test]
@@ -1210,22 +1274,5 @@ mod tests {
             slowdown_frac(SimDuration::from_secs(9), SimDuration::from_secs(4)),
             1.0
         );
-    }
-
-    #[test]
-    fn log_is_cheap_to_clone_and_share() {
-        let log = DecisionLog::new(8);
-        let log2 = log.clone();
-        log2.record(
-            SimTime::ZERO,
-            DecisionEvent::Unthrottle {
-                scan: ScanId(0),
-                group: AnchorId(0),
-                distance_pages: 0,
-                threshold_pages: 32,
-            },
-        );
-        assert_eq!(log.len(), 1);
-        assert!(!log.is_empty());
     }
 }

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 
 use crate::anchor::{AnchorId, AnchorTable};
 use crate::config::SharingConfig;
-use crate::decision::{slowdown_frac, DecisionEvent, DecisionLog};
+use crate::decision::{manager_instant, slowdown_frac, DecisionEvent, DecisionLog, DecisionRecord};
 use crate::grouping::{GroupIndex, GroupInfo, Membership, Role};
 use crate::obs::span::{SpanProfiler, Track};
 use crate::policy::{self, SharingPolicyKind};
@@ -131,11 +131,6 @@ impl ManagerProbe {
     pub fn shared_groups(&self) -> usize {
         self.groups.iter().filter(|g| g.members.len() > 1).count()
     }
-
-    /// Largest leader–trailer distance over all groups, in pages.
-    pub fn max_extent(&self) -> u64 {
-        self.groups.iter().map(|g| g.extent).max().unwrap_or(0)
-    }
 }
 
 /// Where the most recently finished scan on an object stopped — the
@@ -172,6 +167,39 @@ struct Inner {
     /// (fault degradation). Kept out of [`SharingStats`], whose
     /// serialized shape predates fault injection.
     evicted_by_fault: u64,
+    prov: Provenance,
+}
+
+/// Where the manager writes what it decided: the decision log (see
+/// [`crate::decision`]) and, in a profiled run, the span profiler's
+/// manager track, which shows a view of the same records.
+struct Provenance {
+    /// The run's policy, which placement instants name.
+    policy: SharingPolicyKind,
+    log: Option<DecisionLog>,
+    profiler: Option<SpanProfiler>,
+}
+
+impl Provenance {
+    /// The one writer of decisions: append `event` to the log and, in a
+    /// profiled run, write the manager-track instant
+    /// [`manager_instant`] builds from it, nested under whatever engine
+    /// span is open. Only the four lifecycle records have an instant,
+    /// so the profiler sees one call per scan lifetime event, never one
+    /// per extent.
+    fn emit(&mut self, at: SimTime, event: DecisionEvent) {
+        if let Some(p) = &self.profiler {
+            if let Some((name, attrs)) = manager_instant(&event, self.policy) {
+                let id = p.instant_on(Track::Manager, name, at);
+                for (k, v) in attrs {
+                    p.attr(id, k, v);
+                }
+            }
+        }
+        if let Some(log) = &mut self.log {
+            log.record(at, event);
+        }
+    }
 }
 
 impl Inner {
@@ -238,13 +266,6 @@ pub struct ScanSharingManager {
     /// the throttle/priority gates and push attach from it.
     cfg: SharingConfig,
     inner: Mutex<Inner>,
-    /// Optional decision-provenance sink; every policy decision is
-    /// recorded here when attached (see [`crate::decision`]).
-    decisions: Mutex<Option<DecisionLog>>,
-    /// Optional span profiler; placement and re-grouping decisions emit
-    /// instant spans on the manager track when attached (see
-    /// [`crate::obs::span`]).
-    profiler: Mutex<Option<SpanProfiler>>,
 }
 
 impl ScanSharingManager {
@@ -261,10 +282,13 @@ impl ScanSharingManager {
                 next_scan: 0,
                 stats: SharingStats::default(),
                 evicted_by_fault: 0,
+                prov: Provenance {
+                    policy: cfg.policy,
+                    log: None,
+                    profiler: None,
+                },
             }),
             cfg,
-            decisions: Mutex::new(None),
-            profiler: Mutex::new(None),
         }
     }
 
@@ -274,48 +298,41 @@ impl ScanSharingManager {
     }
 
     /// Attach a decision-provenance log; subsequent policy decisions are
-    /// recorded into it. Clones of the log share the buffer, so the
-    /// caller keeps its handle to read the events back.
+    /// recorded into it, and [`ScanSharingManager::decisions`] reads
+    /// them back.
     pub fn attach_decision_log(&self, log: DecisionLog) {
-        *self.decisions.lock() = Some(log);
+        self.inner.lock().prov.log = Some(log);
     }
 
-    /// The attached decision log, if any.
-    pub fn decision_log(&self) -> Option<DecisionLog> {
-        self.decisions.lock().clone()
+    /// The attached log's retained records, oldest first (none when no
+    /// log is attached).
+    pub fn decisions(&self) -> Vec<DecisionRecord> {
+        self.decisions_since(&mut 0)
     }
 
-    fn emit(&self, at: SimTime, event: DecisionEvent) {
-        if let Some(log) = self.decisions.lock().as_ref() {
-            log.record(at, event);
-        }
+    /// The records the attached log appended after the first `*seen`,
+    /// oldest first; `*seen` moves past them (see [`DecisionLog::since`]).
+    pub fn decisions_since(&self, seen: &mut u64) -> Vec<DecisionRecord> {
+        let inner = self.inner.lock();
+        inner
+            .prov
+            .log
+            .as_ref()
+            .map_or_else(Vec::new, |l| l.since(seen))
     }
 
-    /// Attach a span profiler; placement and re-grouping decisions emit
-    /// instant spans on [`Track::Manager`], nested under whatever engine
-    /// span is open when the manager is called. Clones share the span
-    /// buffer, so the caller keeps its handle to export the trace.
+    /// Attach a span profiler; placement, push attach and handoff, and
+    /// fault evictions emit instant spans on [`Track::Manager`], nested
+    /// under whatever engine span is open when the manager is called.
+    /// Clones share the span buffer, so the caller keeps its handle to
+    /// export the trace.
     pub fn attach_profiler(&self, profiler: SpanProfiler) {
-        *self.profiler.lock() = Some(profiler);
+        self.inner.lock().prov.profiler = Some(profiler);
     }
 
-    /// Record an instant span on the manager track with the attributes
-    /// `attrs` builds, when a profiler is attached. Called once per scan
-    /// lifetime event (start, eviction, push attach and handoff), never
-    /// per extent, and `attrs` runs only under a profiler, so unprofiled
-    /// runs pay one mutex probe on a cold path only.
-    fn span_instant<const N: usize>(
-        &self,
-        name: &str,
-        at: SimTime,
-        attrs: impl FnOnce() -> [(&'static str, String); N],
-    ) {
-        if let Some(p) = self.profiler.lock().as_ref() {
-            let id = p.instant_on(Track::Manager, name, at);
-            for (k, v) in attrs() {
-                p.attr(id, k, v);
-            }
-        }
+    /// Record an event the engine reports (no manager state changes).
+    fn note(&self, at: SimTime, event: DecisionEvent) {
+        self.inner.lock().prov.emit(at, event);
     }
 
     /// Register a new scan and decide where it starts (`startSISCAN`).
@@ -331,7 +348,7 @@ impl ScanSharingManager {
         // default policy stays silent, so grouping-policy decision logs
         // are those of the code before policies were selectable.
         if id.0 == 0 && self.cfg.policy != SharingPolicyKind::Grouping {
-            self.emit(
+            inner.prov.emit(
                 now,
                 DecisionEvent::PolicyChosen {
                     scan: id,
@@ -404,24 +421,8 @@ impl ScanSharingManager {
         let object = desc.object;
         inner.add(ScanState::new(id, desc, location, anchor, offset, now));
         let threshold_pages = policy::placement_threshold(&self.cfg);
-        self.span_instant("mgr.place", now, || {
-            [
-                ("scan", id.0.to_string()),
-                ("object", object.0.to_string()),
-                ("policy", self.cfg.policy.to_string()),
-                ("candidates", candidates.len().to_string()),
-                (
-                    "decision",
-                    match &decision {
-                        StartDecision::FromStart => "from_start".to_string(),
-                        StartDecision::JoinAt { scan: Some(s), .. } => format!("join scan {}", s.0),
-                        StartDecision::JoinAt { scan: None, .. } => "join_location".to_string(),
-                    },
-                ),
-            ]
-        });
         match &decision {
-            StartDecision::FromStart => self.emit(
+            StartDecision::FromStart => inner.prov.emit(
                 now,
                 DecisionEvent::GroupStart {
                     scan: id,
@@ -434,7 +435,7 @@ impl ScanSharingManager {
                 location,
                 scan,
                 back_up_pages,
-            } => self.emit(
+            } => inner.prov.emit(
                 now,
                 DecisionEvent::GroupJoin {
                     scan: id,
@@ -515,7 +516,7 @@ impl ScanSharingManager {
             let state = &mut inner.scans[idx];
             let prev = state.last_role.replace(role);
             if let Some(prev) = prev.filter(|&prev| prev != role) {
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::RoleChange {
                         scan: id,
@@ -549,7 +550,7 @@ impl ScanSharingManager {
             if wait > scanshare_storage::SimDuration::ZERO {
                 inner.stats.waits_injected += 1;
                 inner.stats.total_wait += wait;
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::Throttle {
                         scan: id,
@@ -565,7 +566,7 @@ impl ScanSharingManager {
                     },
                 );
             } else if !exempt_before && exempt_after {
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::SlowdownCapHit {
                         scan: id,
@@ -575,7 +576,7 @@ impl ScanSharingManager {
                     },
                 );
             } else if was_throttled {
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::Unthrottle {
                         scan: id,
@@ -591,7 +592,7 @@ impl ScanSharingManager {
             let state = &mut inner.scans[idx];
             if state.throttled {
                 state.throttled = false;
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::Unthrottle {
                         scan: id,
@@ -611,7 +612,7 @@ impl ScanSharingManager {
             let prev = state.last_priority.unwrap_or(PagePriority::Normal);
             state.last_priority = Some(priority);
             if prev != priority {
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::PageReprioritize {
                         scan: id,
@@ -648,7 +649,9 @@ impl ScanSharingManager {
         let state = &mut inner.scans[idx];
         state.location = location;
         state.last_update = now;
-        self.emit(now, DecisionEvent::ScanWrapped { scan: id });
+        inner
+            .prov
+            .emit(now, DecisionEvent::ScanWrapped { scan: id });
     }
 
     /// `endSISCAN`: deregister and remember the final location so a
@@ -658,7 +661,7 @@ impl ScanSharingManager {
         if let Some(idx) = inner.index_of(id) {
             let state = inner.remove(idx);
             inner.stats.scans_finished += 1;
-            self.emit(now, DecisionEvent::ScanEnded { scan: id });
+            inner.prov.emit(now, DecisionEvent::ScanEnded { scan: id });
             let churn_at_end = inner.total_pages_advanced;
             inner.last_finished.insert(
                 state.desc.object,
@@ -674,7 +677,7 @@ impl ScanSharingManager {
     /// The engine began executing registered scan `id` for `query` of
     /// `stream`: recorded so the log says what each scan ran for.
     pub fn note_scan_started(&self, id: ScanId, now: SimTime, query: &str, stream: usize) {
-        self.emit(
+        self.note(
             now,
             DecisionEvent::ScanStarted {
                 scan: id,
@@ -696,7 +699,7 @@ impl ScanSharingManager {
         transient: bool,
         attempt: u32,
     ) {
-        self.emit(
+        self.note(
             now,
             DecisionEvent::FaultInjected {
                 scan: id,
@@ -732,14 +735,7 @@ impl ScanSharingManager {
         missed_pages: u64,
         consumers: usize,
     ) {
-        self.span_instant("mgr.push_attach", now, || {
-            [
-                ("scan", scan.0.to_string()),
-                ("driver", driver.0.to_string()),
-                ("missed_pages", missed_pages.to_string()),
-            ]
-        });
-        self.emit(
+        self.note(
             now,
             DecisionEvent::DriverAttach {
                 scan,
@@ -764,14 +760,7 @@ impl ScanSharingManager {
         remaining_pages: u64,
         consumers: usize,
     ) {
-        self.span_instant("mgr.push_handoff", now, || {
-            [
-                ("scan", scan.0.to_string()),
-                ("from", from.0.to_string()),
-                ("remaining_pages", remaining_pages.to_string()),
-            ]
-        });
-        self.emit(
+        self.note(
             now,
             DecisionEvent::DriverHandoff {
                 scan,
@@ -802,7 +791,7 @@ impl ScanSharingManager {
         let evicted_total = inner.evicted_by_fault;
         let anchor = state.anchor;
         let remaining = inner.scans.iter().filter(|s| s.anchor == anchor).count();
-        self.emit(
+        inner.prov.emit(
             now,
             DecisionEvent::ScanEvicted {
                 scan: id,
@@ -812,7 +801,7 @@ impl ScanSharingManager {
                 remaining,
             },
         );
-        self.emit(
+        inner.prov.emit(
             now,
             DecisionEvent::DegradedMode {
                 scan: id,
@@ -820,14 +809,6 @@ impl ScanSharingManager {
                 active: inner.scans.len(),
             },
         );
-        self.span_instant("mgr.regroup", now, || {
-            [
-                ("scan", id.0.to_string()),
-                ("group", anchor.0.to_string()),
-                ("reason", reason.to_string()),
-                ("survivors", remaining.to_string()),
-            ]
-        });
 
         // Re-evaluate the survivors now instead of waiting for their next
         // location update: lift throttling and reclassify roles.
@@ -837,7 +818,7 @@ impl ScanSharingManager {
             let g = inner.index.member(s.key()).expect("an ongoing scan");
             if s.throttled {
                 s.throttled = false;
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::Unthrottle {
                         scan: sid,
@@ -849,7 +830,7 @@ impl ScanSharingManager {
             }
             if let Some(prev) = s.last_role.filter(|&prev| prev != g.role) {
                 s.last_role = Some(g.role);
-                self.emit(
+                inner.prov.emit(
                     now,
                     DecisionEvent::RoleChange {
                         scan: sid,
@@ -862,11 +843,6 @@ impl ScanSharingManager {
                 );
             }
         }
-    }
-
-    /// Scans evicted from sharing by fault degradation.
-    pub fn scans_evicted(&self) -> u64 {
-        self.inner.lock().evicted_by_fault
     }
 
     /// The release priority for the pages of a scan in `role`.
@@ -887,11 +863,6 @@ impl ScanSharingManager {
         let inner = self.inner.lock();
         let group = inner.scan(id).and_then(|s| inner.index.member(s.key()));
         self.release_priority(group.map_or(Role::Singleton, |g| g.role))
-    }
-
-    /// Snapshot of the current groups (diagnostics, tests, examples).
-    pub fn groups(&self) -> Vec<GroupInfo> {
-        self.inner.lock().index.groups().groups
     }
 
     /// Full introspection snapshot: formed groups plus every scan's
@@ -924,19 +895,9 @@ impl ScanSharingManager {
         }
     }
 
-    /// Number of ongoing scans.
-    pub fn num_active(&self) -> usize {
-        self.inner.lock().scans.len()
-    }
-
     /// Decision counters.
     pub fn stats(&self) -> SharingStats {
         self.inner.lock().stats.clone()
-    }
-
-    /// The current speed estimate of a scan, in pages/second (tests).
-    pub fn scan_speed(&self, id: ScanId) -> Option<f64> {
-        self.inner.lock().scan(id).map(|s| s.speed)
     }
 }
 
@@ -982,7 +943,7 @@ mod tests {
         let m = mgr(1000);
         let (_, d) = m.start_scan(table_desc(0, 1000, 10), SimTime::ZERO);
         assert!(d.is_from_start());
-        assert_eq!(m.num_active(), 1);
+        assert_eq!(m.probe().scans.len(), 1);
     }
 
     #[test]
@@ -1055,7 +1016,7 @@ mod tests {
         assert_eq!(o2.role, Role::Trailer);
         assert_eq!(o1.priority, PagePriority::High);
         assert_eq!(o2.priority, PagePriority::Low);
-        let groups = m.groups();
+        let groups = m.probe().groups;
         let g = groups.iter().find(|g| g.members.len() == 2).unwrap();
         assert_eq!(g.extent, 10);
     }
@@ -1084,8 +1045,7 @@ mod tests {
     #[test]
     fn evicting_a_dead_trailer_unthrottles_the_leader() {
         let m = mgr(1000);
-        let log = crate::decision::DecisionLog::new(256);
-        m.attach_decision_log(log.clone());
+        m.attach_decision_log(crate::decision::DecisionLog::new(256));
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         let t1 = SimTime::from_secs(5);
         m.update_location(s1, t1, Location::new(500, 500), 500);
@@ -1100,10 +1060,9 @@ mod tests {
         let t3 = SimTime::from_secs(7);
         m.note_fault(s2, t3, 0, 540, false, 1);
         m.evict_scan(s2, t3, "permanent read fault on device 0");
-        assert_eq!(m.num_active(), 1);
-        assert_eq!(m.scans_evicted(), 1);
+        assert_eq!(m.probe().scans.len(), 1);
 
-        let events: Vec<_> = log.records().into_iter().map(|r| r.event).collect();
+        let events: Vec<_> = m.decisions().into_iter().map(|r| r.event).collect();
         assert!(
             events
                 .iter()
@@ -1155,12 +1114,10 @@ mod tests {
         let m = mgr(1000);
         let (s1, _) = m.start_scan(table_desc(0, 1000, 10), SimTime::ZERO);
         m.end_scan(s1, SimTime::from_secs(1));
-        let log = DecisionLog::new(16);
-        m.attach_decision_log(log.clone());
+        m.attach_decision_log(DecisionLog::new(16));
         m.evict_scan(s1, SimTime::from_secs(2), "already gone");
         m.evict_scan(ScanId(99), SimTime::from_secs(2), "never issued");
-        assert_eq!(m.scans_evicted(), 0);
-        assert!(log.records().is_empty());
+        assert!(m.decisions().is_empty());
     }
 
     #[test]
@@ -1197,7 +1154,7 @@ mod tests {
         let (s1, _) = m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::ZERO);
         m.update_location(s1, SimTime::from_secs(10), Location::new(80, 4000), 4000);
         m.end_scan(s1, SimTime::from_secs(12));
-        assert_eq!(m.num_active(), 0);
+        assert_eq!(m.probe().scans.len(), 0);
         let (_, d) = m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::from_secs(12));
         assert_eq!(d.join_location(), Some(Location::new(80, 4000)));
         assert_eq!(m.stats().scans_joined_finished, 1);
@@ -1243,7 +1200,7 @@ mod tests {
         m.update_location(s2, t2, Location::new(10, 512), 200);
         assert_eq!(m.stats().anchor_merges, 1);
         // Now both are in one group.
-        let groups = m.groups();
+        let groups = m.probe().groups;
         assert!(groups.iter().any(|g| g.members.len() == 2));
     }
 
@@ -1257,7 +1214,7 @@ mod tests {
         m.update_location(s3, SimTime::from_secs(1), Location::new(120, 120), 120);
         // Table scans share a group before and after wrapping.
         m.wrap_scan(s3, SimTime::from_secs(2), Location::new(0, 0));
-        let groups = m.groups();
+        let groups = m.probe().groups;
         let table_group = groups
             .iter()
             .find(|g| g.members.contains(&s2) && g.members.contains(&s3));
@@ -1265,7 +1222,7 @@ mod tests {
         // Index scan wraps to a fresh anchor: it is its own group.
         m.update_location(s1, SimTime::from_secs(2), Location::new(50, 2500), 2500);
         m.wrap_scan(s1, SimTime::from_secs(3), Location::new(0, 0));
-        let groups = m.groups();
+        let groups = m.probe().groups;
         let g1 = groups.iter().find(|g| g.members.contains(&s1)).unwrap();
         assert_eq!(g1.members.len(), 1);
     }
@@ -1294,22 +1251,21 @@ mod tests {
             );
             m.wrap_scan(gone, SimTime::from_secs(4), Location::new(0, 0));
             m.end_scan(gone, SimTime::from_secs(4));
-            assert_eq!(m.scan_speed(gone), None);
         }
         assert_eq!(m.stats().scans_finished, 2);
-        assert_eq!(m.num_active(), 2);
+        assert_eq!(m.probe().scans.len(), 2);
         let probed: Vec<ScanId> = m.probe().scans.iter().map(|s| s.id).collect();
         assert_eq!(probed, vec![ids[0], ids[2]]);
-        assert!(m.scan_speed(ids[0]).is_some() && m.scan_speed(ids[2]).is_some());
     }
 
     #[test]
     fn speed_tracks_recent_progress() {
         let m = mgr(1000);
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
-        assert!((m.scan_speed(s1).unwrap() - 100.0).abs() < 1e-9);
+        let speed = |m: &ScanSharingManager| m.probe().scans[0].speed;
+        assert!((speed(&m) - 100.0).abs() < 1e-9);
         m.update_location(s1, SimTime::from_secs(2), Location::new(500, 500), 500);
-        assert!((m.scan_speed(s1).unwrap() - 250.0).abs() < 1e-9);
+        assert!((speed(&m) - 250.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1401,7 +1357,6 @@ mod tests {
         assert_eq!(p.shared_groups(), 1);
         let g = p.groups.iter().find(|g| g.members.len() == 2).unwrap();
         assert_eq!(g.extent, 160);
-        assert_eq!(p.max_extent(), 160);
         let leader = p.scans.iter().find(|s| s.id == s1).unwrap();
         assert_eq!(leader.role, Role::Leader);
         // Budget = 0.8 * 100s; some of it was just spent on a wait.
@@ -1422,8 +1377,7 @@ mod tests {
     #[test]
     fn lifecycle_calls_log_one_start_wrap_and_end() {
         let m = mgr(1000);
-        let log = DecisionLog::new(64);
-        m.attach_decision_log(log.clone());
+        m.attach_decision_log(DecisionLog::new(64));
         let (id, _) = m.start_scan(table_desc(0, 2000, 10), SimTime::ZERO);
         m.note_scan_started(id, SimTime::ZERO, "Q6", 2);
         let t = SimTime::from_secs(1);
@@ -1432,8 +1386,8 @@ mod tests {
         // A scan the manager no longer knows logs nothing more.
         m.wrap_scan(id, t, Location::new(0, 0));
         m.end_scan(id, t);
-        let lifecycle: Vec<_> = log
-            .records()
+        let lifecycle: Vec<_> = m
+            .decisions()
             .into_iter()
             .filter(|r| !matches!(r.event, DecisionEvent::GroupStart { .. }))
             .map(|r| (r.at, r.event))
@@ -1457,9 +1411,7 @@ mod tests {
     fn decision_log_captures_placement_and_throttle_provenance() {
         use crate::decision::{DecisionEvent, DecisionLog};
         let m = mgr(1000);
-        let log = DecisionLog::new(256);
-        m.attach_decision_log(log.clone());
-        assert!(m.decision_log().is_some());
+        m.attach_decision_log(DecisionLog::new(256));
 
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         let t1 = SimTime::from_secs(5);
@@ -1471,7 +1423,7 @@ mod tests {
         m.update_location(s1, t2, Location::new(700, 700), 200);
         m.update_location(s2, t2, Location::new(540, 540), 40);
 
-        let events: Vec<_> = log.records().into_iter().map(|r| r.event).collect();
+        let events: Vec<_> = m.decisions().into_iter().map(|r| r.event).collect();
         // s1 opened its own group with no candidates to consider.
         assert!(matches!(
             &events[0],
@@ -1549,8 +1501,7 @@ mod tests {
     fn caught_up_leader_emits_unthrottle() {
         use crate::decision::{DecisionEvent, DecisionLog};
         let m = mgr(1000);
-        let log = DecisionLog::new(256);
-        m.attach_decision_log(log.clone());
+        m.attach_decision_log(DecisionLog::new(256));
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         let t1 = SimTime::from_secs(5);
         m.update_location(s1, t1, Location::new(500, 500), 500);
@@ -1565,8 +1516,8 @@ mod tests {
         let t4 = SimTime::from_secs(8);
         let o = m.update_location(s1, t4, Location::new(710, 710), 10);
         assert_eq!(o.wait, SimDuration::ZERO);
-        let unthrottle = log
-            .records()
+        let unthrottle = m
+            .decisions()
             .into_iter()
             .find_map(|r| match r.event {
                 DecisionEvent::Unthrottle {
@@ -1586,8 +1537,7 @@ mod tests {
     fn exhausted_budget_emits_slowdown_cap_hit() {
         use crate::decision::{DecisionEvent, DecisionLog};
         let m = mgr(1000);
-        let log = DecisionLog::new(256);
-        m.attach_decision_log(log.clone());
+        m.attach_decision_log(DecisionLog::new(256));
         // Leader with a tiny 1s estimate -> 0.8s budget; trailer so slow
         // (est 10_000s) every raw wait clamps to max_wait 500ms.
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 1), SimTime::ZERO);
@@ -1602,7 +1552,7 @@ mod tests {
             m.update_location(s1, t, Location::new(pos, pos as u64), 200);
             pos += 200;
         }
-        let events: Vec<_> = log.records().into_iter().map(|r| r.event).collect();
+        let events: Vec<_> = m.decisions().into_iter().map(|r| r.event).collect();
         let waits: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
@@ -1634,10 +1584,10 @@ mod tests {
     #[test]
     fn no_log_attached_means_no_overhead_or_panic() {
         let m = mgr(1000);
-        assert!(m.decision_log().is_none());
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         m.update_location(s1, SimTime::from_secs(1), Location::new(100, 100), 100);
         m.end_scan(s1, SimTime::from_secs(2));
+        assert!(m.decisions().is_empty());
     }
 
     #[test]
@@ -1669,7 +1619,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(m.num_active(), 0);
+        assert_eq!(m.probe().scans.len(), 0);
         assert_eq!(m.stats().scans_finished, 4);
     }
 
@@ -1710,7 +1660,7 @@ mod tests {
                 vec![ids[1]],         // object 0 @ 900
             ]
         );
-        assert_eq!(m.groups(), p.groups);
+        assert_eq!(m.probe().groups, p.groups);
     }
 
     #[test]
@@ -1730,11 +1680,11 @@ mod tests {
         let here = Location::new(10, 512);
         m.update_location(ids[1], SimTime::from_millis(10), here, 512);
         m.wrap_scan(ids[0], SimTime::from_millis(10), here);
-        assert_eq!(m.groups().len(), 3);
+        assert_eq!(m.probe().groups.len(), 3);
         // s2 arrives: both coincide, the older s0 defines its coordinates.
         m.update_location(ids[2], SimTime::from_millis(20), here, 200);
         assert_eq!(m.stats().anchor_merges, 1);
-        let members: Vec<Vec<ScanId>> = m.groups().into_iter().map(|g| g.members).collect();
+        let members: Vec<Vec<ScanId>> = m.probe().groups.into_iter().map(|g| g.members).collect();
         assert_eq!(members, vec![vec![ids[1]], vec![ids[0], ids[2]]]);
     }
 
@@ -1900,11 +1850,10 @@ mod tests {
     #[test]
     fn non_default_policy_announces_itself_once_in_provenance() {
         let m = mgr_with_policy(1000, SharingPolicyKind::Attach);
-        let log = DecisionLog::new(64);
-        m.attach_decision_log(log.clone());
+        m.attach_decision_log(DecisionLog::new(64));
         three_scan_setup(&m);
-        let chosen: Vec<_> = log
-            .records()
+        let chosen: Vec<_> = m
+            .decisions()
             .into_iter()
             .filter(|r| matches!(r.event, DecisionEvent::PolicyChosen { .. }))
             .collect();
@@ -1921,11 +1870,10 @@ mod tests {
     #[test]
     fn default_grouping_policy_stays_silent_in_provenance() {
         let m = mgr(1000);
-        let log = DecisionLog::new(64);
-        m.attach_decision_log(log.clone());
+        m.attach_decision_log(DecisionLog::new(64));
         three_scan_setup(&m);
-        assert!(log
-            .records()
+        assert!(m
+            .decisions()
             .iter()
             .all(|r| !matches!(r.event, DecisionEvent::PolicyChosen { .. })));
     }
@@ -2018,8 +1966,7 @@ mod tests {
                     [0, lap / 5, lap / 5 + 1, lap].map(|missed| m.attach_push(missed, lap));
                 fnv1a(&mut digest, format!("{answers:?}").as_bytes());
             }
-            let log = DecisionLog::new(1 << 16);
-            m.attach_decision_log(log.clone());
+            m.attach_decision_log(DecisionLog::new(1 << 16));
             let (mut live, mut gone) = (Vec::<(ScanId, ScanKind)>::new(), vec![ScanId(999)]);
             let mut now = SimTime::ZERO;
             for _ in 0..150 {
@@ -2085,7 +2032,12 @@ mod tests {
                         gone.push(id);
                         String::new()
                     }
-                    _ => format!("{:?} {:?} {:?}", m.page_priority(id), m.groups(), m.probe()),
+                    _ => format!(
+                        "{:?} {:?} {:?}",
+                        m.page_priority(id),
+                        m.probe().groups,
+                        m.probe()
+                    ),
                 };
                 fnv1a(&mut digest, out.as_bytes());
             }
@@ -2097,7 +2049,7 @@ mod tests {
                     DecisionEvent::ScanWrapped { .. } | DecisionEvent::ScanEnded { .. }
                 )
             };
-            for r in log.records().into_iter().filter(|r| !lifecycle(&r.event)) {
+            for r in m.decisions().into_iter().filter(|r| !lifecycle(&r.event)) {
                 let text = format!("{r:?}");
                 let kind = format!("{:?}", r.event);
                 *kinds

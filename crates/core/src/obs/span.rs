@@ -179,10 +179,11 @@ impl SpanProfiler {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Open a range span on an explicit track at virtual time `vt`. The
-    /// span nests under the currently open span (if any) and becomes
-    /// the open span until [`SpanProfiler::end`].
-    pub fn begin(&self, track: Track, name: &str, vt: SimTime) -> SpanId {
+    /// Record a span starting at `vt`, nested under the open span, on
+    /// `track` (`None`: the open span's track, [`Track::Driver`] when
+    /// nothing is open). A range span becomes the open span until
+    /// [`SpanProfiler::end`]; an instant does not.
+    fn push(&self, track: Option<Track>, name: &str, vt: SimTime, range: bool) -> SpanId {
         let wall = self.wall_now();
         let mut g = self.inner.lock();
         if g.records.len() >= g.cap {
@@ -191,26 +192,35 @@ impl SpanProfiler {
         }
         let id = g.records.len() as u64;
         let parent = g.stack.last().copied();
+        let open_track = parent.map_or(Track::Driver, |p| g.records[p as usize].track);
         g.records.push(SpanRecord {
             id,
             parent,
             name: name.to_string(),
-            track,
+            track: track.unwrap_or(open_track),
             vt_start_us: vt.as_micros(),
             vt_end_us: vt.as_micros(),
             wall_start_ns: wall,
             wall_end_ns: wall,
             attrs: Vec::new(),
         });
-        g.stack.push(id);
+        if range {
+            g.stack.push(id);
+        }
         SpanId(id)
+    }
+
+    /// Open a range span on an explicit track at virtual time `vt`. The
+    /// span nests under the currently open span (if any) and becomes
+    /// the open span until [`SpanProfiler::end`].
+    pub fn begin(&self, track: Track, name: &str, vt: SimTime) -> SpanId {
+        self.push(Some(track), name, vt, true)
     }
 
     /// Open a range span inheriting the open span's track
     /// ([`Track::Driver`] when nothing is open).
     pub fn begin_child(&self, name: &str, vt: SimTime) -> SpanId {
-        let track = self.open_track();
-        self.begin(track, name, vt)
+        self.push(None, name, vt, true)
     }
 
     /// Close span `id` at virtual time `vt`. Also closes any child
@@ -235,32 +245,12 @@ impl SpanProfiler {
     /// Record an instant (zero virtual width) span at `vt`, nested
     /// under the open span and inheriting its track.
     pub fn instant(&self, name: &str, vt: SimTime) -> SpanId {
-        let track = self.open_track();
-        self.instant_on(track, name, vt)
+        self.push(None, name, vt, false)
     }
 
     /// Record an instant span on an explicit track.
     pub fn instant_on(&self, track: Track, name: &str, vt: SimTime) -> SpanId {
-        let wall = self.wall_now();
-        let mut g = self.inner.lock();
-        if g.records.len() >= g.cap {
-            g.dropped += 1;
-            return SpanId(DROPPED_ID);
-        }
-        let id = g.records.len() as u64;
-        let parent = g.stack.last().copied();
-        g.records.push(SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            track,
-            vt_start_us: vt.as_micros(),
-            vt_end_us: vt.as_micros(),
-            wall_start_ns: wall,
-            wall_end_ns: wall,
-            attrs: Vec::new(),
-        });
-        SpanId(id)
+        self.push(Some(track), name, vt, false)
     }
 
     /// Attach a `(key, value)` attribute to span `id`.
@@ -272,14 +262,6 @@ impl SpanProfiler {
         if let Some(rec) = g.records.get_mut(id.0 as usize) {
             rec.attrs.push((key.to_string(), value.into()));
         }
-    }
-
-    fn open_track(&self) -> Track {
-        let g = self.inner.lock();
-        g.stack
-            .last()
-            .map(|&i| g.records[i as usize].track)
-            .unwrap_or(Track::Driver)
     }
 
     /// Number of recorded spans.

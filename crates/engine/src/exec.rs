@@ -9,7 +9,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use scanshare::obs::span::SpanProfiler;
 use scanshare::obs::Histogram;
@@ -48,8 +47,9 @@ pub struct ExecWorld<'a> {
     pub disk: DiskArray,
     /// The buffer pool.
     pub pool: BufferPool,
-    /// The sharing manager, if this run has one.
-    pub mgr: Option<Arc<ScanSharingManager>>,
+    /// The sharing manager, if this run has one. The world owns it: a
+    /// run's decisions live in it until the report copies them out.
+    pub mgr: Option<ScanSharingManager>,
     /// Engine configuration.
     pub cfg: EngineConfig,
     /// Optional span profiler. `None` (the default) keeps the exact
@@ -84,7 +84,7 @@ impl<'a> ExecWorld<'a> {
         store: &'a FileStore,
         pool: BufferPool,
         cfg: EngineConfig,
-        mgr: Option<Arc<ScanSharingManager>>,
+        mgr: Option<ScanSharingManager>,
     ) -> Self {
         let disk = DiskArray::new(
             cfg.disk.clone(),
@@ -708,9 +708,12 @@ mod tests {
             }
         ));
         assert!(pages.is_empty(), "failed fetch must hand back nothing");
-        // Nothing is left pinned: the whole pool can be reclaimed.
-        w.pool.clear_unpinned();
-        assert_eq!(w.pool.len(), 0, "a pinned page survived the abort");
+        // Nothing is left pinned.
+        let resident = w.pool.resident_pages();
+        assert!(
+            resident.iter().all(|p| !p.pinned),
+            "a pinned page survived the abort"
+        );
         let s = w.fault_summary();
         assert_eq!(s.permanent_errors, 1);
         assert_eq!(s.retries, 0);

@@ -46,6 +46,6 @@ pub use par_runs::par_map;
 pub use query::{Access, AggSpec, Pred, Query, QueryResult, ScanSpec};
 pub use slo::{SloConfig, SloOp, SloRule, SloVerdict};
 pub use workload::{
-    run_workload, run_workload_hooked, RunHooks, SharingMode, Stream, WatchFrame, WatchObserver,
+    run_workload, run_workload_hooked, FrameObserver, RunHooks, SharingMode, Stream, WatchFrame,
     WorkloadSpec,
 };

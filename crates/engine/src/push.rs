@@ -152,7 +152,7 @@ impl PushEngine {
         spec: &ScanSpec,
         now: SimTime,
     ) -> EngineResult<Option<ConsumerId>> {
-        let Some(mgr) = world.mgr.clone() else {
+        let Some(mgr) = &world.mgr else {
             return Ok(None);
         };
         let kind = match spec.access {
@@ -398,7 +398,6 @@ impl PushEngine {
 mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    use std::sync::Arc;
 
     use scanshare::{DecisionEvent, DecisionLog, DeliveryMode, ScanSharingManager, SharingConfig};
     use scanshare_relstore::{ColType, Column, Schema, Value};
@@ -432,7 +431,7 @@ mod tests {
     fn world(db: &Database) -> ExecWorld<'_> {
         let mut cfg = SharingConfig::new(POOL_PAGES as u64);
         cfg.delivery = DeliveryMode::Push;
-        let mgr = Arc::new(ScanSharingManager::new(cfg));
+        let mgr = ScanSharingManager::new(cfg);
         mgr.attach_decision_log(DecisionLog::new(1 << 12));
         let pool = BufferPool::new(PoolConfig::new(POOL_PAGES, ReplacementPolicy::PriorityLru));
         ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr))
@@ -561,8 +560,8 @@ mod tests {
         }
         // Provenance names the heir (the oldest rider) and the evicted
         // owner, and the eviction carries pull's reason format.
-        let mgr = w.mgr.clone().expect("sharing world");
-        let decisions = mgr.decision_log().expect("attached").records();
+        let mgr = w.mgr.as_ref().expect("sharing world");
+        let decisions = mgr.decisions();
         let handoff = decisions
             .iter()
             .find_map(|d| match d.event {
@@ -586,7 +585,7 @@ mod tests {
         )));
         // Everyone is deregistered and nothing is left pinned — neither
         // by the failed fetch nor by the retried one.
-        assert_eq!(mgr.num_active(), 0);
+        assert_eq!(mgr.probe().scans.len(), 0);
         let resident = w.pool.resident_pages();
         assert!(!resident.is_empty());
         assert!(resident.iter().all(|p| !p.pinned), "a pin leaked");

@@ -2240,11 +2240,10 @@ mod tests {
     #[test]
     fn shared_rid_scans_cover_their_ranges() {
         use scanshare::{ScanSharingManager, SharingConfig};
-        use std::sync::Arc;
         let db = small_db();
         let pool = BufferPool::new(PoolConfig::new(256, ReplacementPolicy::PriorityLru));
-        let mgr = Arc::new(ScanSharingManager::new(SharingConfig::new(256)));
-        let mut w = ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr.clone()));
+        let mgr = ScanSharingManager::new(SharingConfig::new(256));
+        let mut w = ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr));
         let spec = rid_spec(0, 9);
         let mut s1 = ScanExec::start(&db, &mut w, &spec, SimTime::ZERO).unwrap();
         let mut t = SimTime::ZERO;
@@ -2261,7 +2260,7 @@ mod tests {
         }
         assert_eq!(s1.result().count, 20_000);
         assert_eq!(s2.result().count, 20_000);
-        assert_eq!(mgr.num_active(), 0);
+        assert_eq!(w.mgr.as_ref().unwrap().probe().scans.len(), 0);
     }
 
     #[test]
@@ -2382,11 +2381,10 @@ mod tests {
     #[test]
     fn specs_that_do_not_fit_the_schema_are_rejected_under_pull_and_push() {
         use scanshare::{ScanSharingManager, SharingConfig};
-        use std::sync::Arc;
         let db = small_db();
         let pool = BufferPool::new(PoolConfig::new(256, ReplacementPolicy::PriorityLru));
-        let mgr = Arc::new(ScanSharingManager::new(SharingConfig::new(256)));
-        let mut w = ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr.clone()));
+        let mgr = ScanSharingManager::new(SharingConfig::new(256));
+        let mut w = ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr));
         let and = |a, b| Pred::And(Box::new(a), Box::new(b));
         // `orders` is (month: Int32, amount: Float64).
         let cases = [
@@ -2433,7 +2431,11 @@ mod tests {
                 .admit(&db, &mut w, &spec, SimTime::ZERO)
                 .unwrap_err();
             assert_eq!(push, want);
-            assert_eq!(mgr.num_active(), 0, "a rejected scan stayed registered");
+            assert_eq!(
+                w.mgr.as_ref().unwrap().probe().scans.len(),
+                0,
+                "a rejected scan stayed registered"
+            );
         }
         assert_eq!(
             EngineError::BadColumn {
@@ -2552,11 +2554,10 @@ mod tests {
     #[test]
     fn shared_scan_starting_midway_covers_the_whole_range() {
         use scanshare::{ScanSharingManager, SharingConfig};
-        use std::sync::Arc;
         let db = small_db();
         let pool = BufferPool::new(PoolConfig::new(256, ReplacementPolicy::PriorityLru));
-        let mgr = Arc::new(ScanSharingManager::new(SharingConfig::new(256)));
-        let mut w = ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr.clone()));
+        let mgr = ScanSharingManager::new(SharingConfig::new(256));
+        let mut w = ExecWorld::new(db.store(), pool, EngineConfig::default(), Some(mgr));
 
         // First scan makes some progress (3 of its ~12 blocks), leaving
         // plenty of remaining overlap for a join.
@@ -2573,13 +2574,13 @@ mod tests {
             t2 = next;
         }
         assert_eq!(s2.result().count, 20_000);
-        assert_eq!(mgr.stats().scans_joined, 1);
+        assert_eq!(w.mgr.as_ref().unwrap().stats().scans_joined, 1);
         // Finish the first scan too.
         while let Some(next) = s1.step(&mut w, t).unwrap() {
             t = next;
         }
         assert_eq!(s1.result().count, 20_000);
-        assert_eq!(mgr.num_active(), 0);
+        assert_eq!(w.mgr.as_ref().unwrap().probe().scans.len(), 0);
     }
 }
 

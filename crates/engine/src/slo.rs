@@ -152,12 +152,6 @@ pub fn evaluate(cfg: &SloConfig, report: &RunReport) -> Vec<SloVerdict> {
         .collect()
 }
 
-/// True when any verdict is a breach — the CLI turns this into a
-/// nonzero exit code.
-pub fn any_breach(verdicts: &[SloVerdict]) -> bool {
-    verdicts.iter().any(|v| !v.passed)
-}
-
 /// Evaluate one metric string against the report.
 fn measure(metric: &str, report: &RunReport) -> Result<f64, String> {
     if metric == "hit_ratio" {
@@ -344,7 +338,6 @@ mod tests {
         let v = evaluate(&cfg, &report());
         assert!(v[0].passed, "0.75 >= 0.6");
         assert!(!v[1].passed, "2.0 > 1.5");
-        assert!(any_breach(&v));
         assert_eq!(v[1].observed, 2.0);
         assert!(v[1].note.is_empty());
     }

@@ -8,13 +8,12 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use scanshare::anchor::AnchorId;
 use scanshare::obs::{CounterSample, GaugeSample, Histogram, SeriesPoint, SeriesSnapshot};
 use scanshare::{
-    DecisionLog, ManagerProbe, MetricsSnapshot, ScanId, ScanSharingManager, SharingConfig,
-    SpanProfiler, Track,
+    DecisionLog, DecisionRecord, ManagerProbe, MetricsSnapshot, ScanId, ScanSharingManager,
+    SharingConfig, SpanProfiler, Track,
 };
 use scanshare_storage::{
     BufferPool, DiskStats, IdMap, PoolConfig, PoolStats, ReplacementPolicy, ResidentPage,
@@ -251,22 +250,25 @@ pub struct WatchFrame {
     pub disk: DiskStats,
     /// Queries completed so far across all streams.
     pub queries_done: usize,
+    /// The decision records the manager logged since the previous frame,
+    /// oldest first (empty in base mode). Concatenated over a run's
+    /// frames they are the report's `decisions`.
+    pub decisions: Vec<DecisionRecord>,
+    /// Whether this is the run's closing frame, at the makespan.
+    pub finished: bool,
 }
 
-/// Shareable observer callback invoked with each [`WatchFrame`].
-pub type WatchObserver = Arc<dyn Fn(&WatchFrame) + Send + Sync>;
+/// A run's observer: called with each [`WatchFrame`] on the run's own
+/// thread, it may borrow the caller's state for the run's duration.
+pub type FrameObserver<'a> = Box<dyn FnMut(&WatchFrame) + 'a>;
 
-/// Optional instrumentation attached to a run. All hooks compose: a run
-/// can be decision-logged, watched and profiled at the same time.
+/// Optional instrumentation attached to a run. The hooks compose: a run
+/// can be watched and profiled at the same time.
 #[derive(Default)]
-pub struct RunHooks {
-    /// The run's event log, handed to the sharing manager. When
-    /// `None`, sharing-mode runs still attach a fresh log (capacity
-    /// [`DEFAULT_DECISION_CAP`]) so every report can be explained.
-    pub decisions: Option<DecisionLog>,
-    /// Callback invoked at every metrics-sample tick and once at the
-    /// makespan, in event-loop order.
-    pub observer: Option<WatchObserver>,
+pub struct RunHooks<'a> {
+    /// Called at every metrics-sample tick and once at the makespan, in
+    /// event-loop order.
+    pub observer: Option<FrameObserver<'a>>,
     /// Span profiler threaded through the run (`engine.run`, per-extent
     /// `scan.step` trees, manager and I/O annotations). When `None` —
     /// the default — no span machinery runs at all and the report's
@@ -274,7 +276,7 @@ pub struct RunHooks {
     pub profiler: Option<SpanProfiler>,
 }
 
-/// Decision-log capacity used when no explicit log is hooked in.
+/// Capacity of the decision log every sharing-mode run keeps.
 pub const DEFAULT_DECISION_CAP: usize = 1 << 16;
 
 /// Run a workload to completion and report the measurements.
@@ -287,12 +289,12 @@ pub fn run_workload(db: &Database, spec: &WorkloadSpec) -> EngineResult<RunRepor
 pub fn run_workload_hooked(
     db: &Database,
     spec: &WorkloadSpec,
-    hooks: RunHooks,
+    hooks: RunHooks<'_>,
 ) -> EngineResult<RunReport> {
     run_inner(db, spec, hooks)
 }
 
-fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResult<RunReport> {
+fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks<'_>) -> EngineResult<RunReport> {
     spec.check_sizes(&[])?;
     let (policy, mgr) = match &spec.mode {
         SharingMode::Base => (ReplacementPolicy::Lru, None),
@@ -308,28 +310,23 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
             } else {
                 ReplacementPolicy::Lru
             };
-            let mgr = Arc::new(ScanSharingManager::new(cfg));
-            // Always record provenance in sharing mode: a saved report
-            // should be explainable even when nobody hooked a log in.
-            mgr.attach_decision_log(
-                hooks
-                    .decisions
-                    .clone()
-                    .unwrap_or_else(|| DecisionLog::new(DEFAULT_DECISION_CAP)),
-            );
+            let mgr = ScanSharingManager::new(cfg);
+            // Always record provenance in sharing mode: every saved
+            // report can be explained.
+            mgr.attach_decision_log(DecisionLog::new(DEFAULT_DECISION_CAP));
             (policy, Some(mgr))
         }
     };
-    let observer = hooks.observer;
-    let profiler = hooks.profiler;
-    let pool = BufferPool::new(PoolConfig::new(spec.pool_pages, policy));
-    let mut world = ExecWorld::new(db.store(), pool, spec.engine.clone(), mgr.clone());
-    if let Some(p) = &profiler {
-        world.profiler = Some(p.clone());
-        if let Some(m) = &mgr {
-            m.attach_profiler(p.clone());
-        }
+    let RunHooks {
+        mut observer,
+        profiler,
+    } = hooks;
+    if let (Some(p), Some(m)) = (&profiler, &mgr) {
+        m.attach_profiler(p.clone());
     }
+    let pool = BufferPool::new(PoolConfig::new(spec.pool_pages, policy));
+    let mut world = ExecWorld::new(db.store(), pool, spec.engine.clone(), mgr);
+    world.profiler = profiler.clone();
     world.enable_faults(&spec.faults);
     // Push delivery rides on the sharing manager; base modes and pull
     // configs run the exact pre-push code path.
@@ -358,6 +355,8 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
     let mut sampler = Sampler::new(&world);
     let interval = spec.engine.metrics_interval;
     let mut next_sample = SimTime::ZERO + interval;
+    // Decision records the observer has been handed so far.
+    let mut seen = 0;
     // The engine's root span: every scan.step tree nests beneath it.
     let run_span = profiler
         .as_ref()
@@ -369,8 +368,8 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
             // reflects the world as of its nominal timestamp.
             while next_sample <= now {
                 let probe = sampler.sample(&world, next_sample);
-                if let Some(obs) = &observer {
-                    obs(&watch_frame(&world, probe, &tasks, next_sample));
+                if let Some(obs) = &mut observer {
+                    obs(&watch_frame(&world, probe, &tasks, next_sample, &mut seen));
                 }
                 next_sample += interval;
             }
@@ -411,8 +410,12 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
     }
     // One closing sample so every series extends to the makespan.
     let probe = sampler.sample(&world, makespan);
-    if let Some(obs) = &observer {
-        obs(&watch_frame(&world, probe, &tasks, makespan));
+    if let Some(obs) = &mut observer {
+        let frame = watch_frame(&world, probe, &tasks, makespan, &mut seen);
+        obs(&WatchFrame {
+            finished: true,
+            ..frame
+        });
     }
 
     let stream_elapsed: Vec<SimDuration> = tasks
@@ -445,12 +448,12 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
         seek_series: world.disk.seek_series(),
         seek_distance_series: world.disk.seek_distance_series(),
         pool: world.pool.stats().clone(),
-        sharing: mgr.as_ref().map(|m| m.stats()).unwrap_or_default(),
+        sharing: world.mgr.as_ref().map(|m| m.stats()).unwrap_or_default(),
         metrics,
-        decisions: mgr
+        decisions: world
+            .mgr
             .as_ref()
-            .and_then(|m| m.decision_log())
-            .map(|d| d.records())
+            .map(ScanSharingManager::decisions)
             .unwrap_or_default(),
         faults,
         // Only a non-default policy is stamped into the report, so
@@ -471,12 +474,14 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks) -> EngineResul
 }
 
 /// Assemble the [`WatchFrame`] for one sample tick from the probe the
-/// sampler took at it.
+/// sampler took at it; `seen` counts the decision records earlier frames
+/// carried.
 fn watch_frame(
     world: &ExecWorld<'_>,
     probe: Option<ManagerProbe>,
     tasks: &[StreamTask<'_>],
     at: SimTime,
+    seen: &mut u64,
 ) -> WatchFrame {
     WatchFrame {
         at,
@@ -486,6 +491,10 @@ fn watch_frame(
         resident: world.pool.resident_pages(),
         disk: world.disk.stats(),
         queries_done: tasks.iter().map(|t| t.records.len()).sum(),
+        decisions: (world.mgr.as_ref())
+            .map(|m| m.decisions_since(seen))
+            .unwrap_or_default(),
+        finished: false,
     }
 }
 
@@ -630,7 +639,6 @@ mod tests {
     use crate::query::{Access, AggSpec, Pred, ScanSpec};
     use scanshare_relstore::{ColType, Column, Schema, Value};
     use std::collections::BTreeMap;
-    use std::sync::Mutex;
 
     fn build_db() -> Database {
         let mut db = Database::new(16);
@@ -1070,7 +1078,7 @@ mod tests {
     }
 
     #[test]
-    fn a_hooked_log_sees_every_scan_lifecycle() {
+    fn a_sharing_runs_log_sees_every_scan_lifecycle() {
         use scanshare::decision::{lifecycles, render_lifecycles};
         use scanshare::DecisionEvent;
         let db = build_db();
@@ -1080,13 +1088,7 @@ mod tests {
             three_staggered(&q),
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
-        let log = DecisionLog::new(1024);
-        let hooks = RunHooks {
-            decisions: Some(log.clone()),
-            ..RunHooks::default()
-        };
-        run_workload_hooked(&db, &spec, hooks).unwrap();
-        let records = log.records();
+        let records = run_workload(&db, &spec).unwrap().decisions;
         let count = |f: fn(&DecisionEvent) -> bool| records.iter().filter(|r| f(&r.event)).count();
         assert_eq!(count(|e| matches!(e, DecisionEvent::ScanStarted { .. })), 3);
         assert_eq!(count(|e| matches!(e, DecisionEvent::ScanEnded { .. })), 3);
@@ -1311,16 +1313,13 @@ mod tests {
         db: &Database,
         spec: &WorkloadSpec,
     ) -> (RunReport, MetricsSnapshot) {
-        let reference = Arc::new(Mutex::new(ByName::default()));
-        let sink = reference.clone();
+        let mut reference = ByName::default();
         let hooks = RunHooks {
-            observer: Some(Arc::new(move |f: &WatchFrame| {
-                sample_by_name(&mut sink.lock().unwrap(), f)
-            })),
+            observer: Some(Box::new(|f: &WatchFrame| sample_by_name(&mut reference, f))),
             ..RunHooks::default()
         };
         let r = run_workload_hooked(db, spec, hooks).unwrap();
-        let ByName { series, gauges } = std::mem::take(&mut *reference.lock().unwrap());
+        let ByName { series, gauges } = reference;
         let sampled = MetricsSnapshot {
             at: SimTime::ZERO + r.makespan,
             gauges: (gauges.into_iter())
@@ -1422,13 +1421,14 @@ mod tests {
             three_staggered(&q),
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
-        let log = DecisionLog::new(4096);
+        // The watch frames carry the log as it grows, each record once.
+        let mut fed = Vec::new();
         let hooks = RunHooks {
-            decisions: Some(log.clone()),
+            observer: Some(Box::new(|f: &WatchFrame| fed.extend(f.decisions.clone()))),
             ..RunHooks::default()
         };
         let r = run_workload_hooked(&db, &spec, hooks).unwrap();
-        assert_eq!(r.decisions, log.records());
+        assert_eq!(r.decisions, fed);
         let spans = scanshare::decision::lifecycles(&r.decisions);
         assert_eq!(spans.len(), 3);
         assert!(spans
@@ -1488,24 +1488,10 @@ mod tests {
         base_spec.mode = SharingMode::Base;
         let base = run_workload(&db, &base_spec).unwrap();
         assert!(base.decisions.is_empty());
-        // A caller-supplied log sees the same records the report embeds.
-        let log = DecisionLog::new(1024);
-        let hooked = run_workload_hooked(
-            &db,
-            &spec,
-            RunHooks {
-                decisions: Some(log.clone()),
-                ..RunHooks::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(hooked.decisions.len(), log.len());
-        assert!(!hooked.decisions.is_empty());
     }
 
     #[test]
     fn watch_observer_streams_frames_in_time_order() {
-        use std::sync::Mutex;
         let db = build_db();
         let q = q6_like("Q6", 0, 11);
         let spec = spec(
@@ -1513,24 +1499,22 @@ mod tests {
             three_staggered(&q),
             SharingMode::ScanSharing(SharingConfig::new(0)),
         );
-        let frames: Arc<Mutex<Vec<WatchFrame>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = frames.clone();
+        let mut frames = Vec::new();
         let r = run_workload_hooked(
             &db,
             &spec,
             RunHooks {
-                observer: Some(Arc::new(move |f: &WatchFrame| {
-                    sink.lock().unwrap().push(f.clone());
-                })),
+                observer: Some(Box::new(|f: &WatchFrame| frames.push(f.clone()))),
                 ..RunHooks::default()
             },
         )
         .unwrap();
-        let frames = frames.lock().unwrap();
         assert!(frames.len() > 1, "expected one frame per sample tick");
         assert!(frames.windows(2).all(|w| w[0].at <= w[1].at));
-        // The closing frame reflects the finished run.
-        let last = frames.last().unwrap();
+        // The closing frame, and only it, is marked, and reflects the
+        // finished run.
+        let (last, running) = frames.split_last().unwrap();
+        assert!(last.finished && running.iter().all(|f| !f.finished));
         assert_eq!(last.at, SimTime::ZERO + r.makespan);
         assert_eq!(last.queries_done, r.queries.len());
         assert_eq!(last.pool_capacity, spec.pool_pages);

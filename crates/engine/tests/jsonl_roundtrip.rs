@@ -139,14 +139,14 @@ fn capped_decision_log_drops_oldest_and_survivors_round_trip() {
     for trial in 0..10 {
         let cap = rng.bounded_u64(20) as usize + 1;
         let total = cap + rng.bounded_u64(50) as usize;
-        let log = DecisionLog::new(cap);
+        let mut log = DecisionLog::new(cap);
         let mut all = Vec::new();
         for i in 0..total {
             let ev = random_decision_event(&mut rng);
             log.record(SimTime::from_micros(i as u64), ev.clone());
             all.push(ev);
         }
-        let retained = log.records();
+        let retained = log.since(&mut 0);
         assert_eq!(
             log.dropped() as usize + retained.len(),
             total,

@@ -15,7 +15,7 @@
 //! (page number, slot number), the unit of scan location in the papers.
 
 use bytes::BytesMut;
-use scanshare_storage::{FileId, FileStore, PageId, StorageError, StorageResult, PAGE_SIZE};
+use scanshare_storage::{FileId, FileStore, StorageError, StorageResult, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 
 use crate::value::{Schema, Value};
@@ -295,18 +295,11 @@ impl HeapWriter {
     }
 }
 
-/// Fetch and decode the record at `rid` straight from the store
-/// (test/debug path; query execution goes through the buffer pool).
-pub fn fetch_row(store: &FileStore, heap: &HeapFile, rid: Rid) -> StorageResult<Vec<Value>> {
-    let page = store.read_page(PageId::new(heap.file, rid.page))?;
-    let view = HeapPage::new(&page)?;
-    Ok(heap.schema.decode_row(view.row_bytes(rid.slot)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{ColType, Column};
+    use crate::value::{ColType, Column, RowRef};
+    use scanshare_storage::PageId;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -418,8 +411,11 @@ mod tests {
         assert_eq!(store.num_pages(heap.file).unwrap(), heap.num_pages);
         // Spot-check RIDs resolve to the right rows.
         for &i in &[0u64, 1, 511, 512, 1999] {
-            let row = fetch_row(&store, &heap, rids[i as usize]).unwrap();
-            assert_eq!(row[0], Value::I64(i as i64));
+            let rid = rids[i as usize];
+            let page = store.read_page(PageId::new(heap.file, rid.page)).unwrap();
+            let bytes = HeapPage::new(&page).unwrap().row_bytes(rid.slot).unwrap();
+            let row = RowRef { bytes, schema: &s };
+            assert_eq!(row.get_i64(0), i as i64);
         }
         // Pages are dense: every page but possibly the last is full.
         let rows_per_page = (PAGE_SIZE - HEADER_LEN) / (s.row_width() + SLOT_LEN);

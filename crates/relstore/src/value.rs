@@ -124,11 +124,6 @@ impl Schema {
         self.row_width
     }
 
-    /// Index of the column named `name`.
-    pub fn col_index(&self, name: &str) -> Option<usize> {
-        self.cols.iter().position(|c| c.name == name)
-    }
-
     /// Byte offset of column `idx` within an encoded row.
     pub fn offset(&self, idx: usize) -> usize {
         self.offsets[idx]
@@ -149,22 +144,6 @@ impl Schema {
                 Value::Ch(x) => out[off] = x,
             }
         }
-    }
-
-    /// Decode a full row into values (test/report path).
-    pub fn decode_row(&self, bytes: &[u8]) -> Vec<Value> {
-        let r = RowRef {
-            bytes,
-            schema: self,
-        };
-        (0..self.cols.len())
-            .map(|i| match self.cols[i].ty {
-                ColType::Int64 => Value::I64(r.get_i64(i)),
-                ColType::Int32 => Value::I32(r.get_i32(i)),
-                ColType::Float64 => Value::F64(r.get_f64(i)),
-                ColType::Char => Value::Ch(r.get_char(i)),
-            })
-            .collect()
     }
 }
 
@@ -230,20 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let s = lineitem_like();
-        let row = vec![
-            Value::I64(42),
-            Value::F64(3.25),
-            Value::I32(-7),
-            Value::Ch(b'R'),
-        ];
-        let mut buf = vec![0u8; s.row_width()];
-        s.encode_row(&row, &mut buf);
-        assert_eq!(s.decode_row(&buf), row);
-    }
-
-    #[test]
     fn row_ref_accessors_read_in_place() {
         let s = lineitem_like();
         let mut buf = vec![0u8; s.row_width()];
@@ -264,13 +229,6 @@ mod tests {
         assert_eq!(r.get_f64(1), 1.5);
         assert_eq!(r.get_i32(2), 99);
         assert_eq!(r.get_char(3), b'A');
-    }
-
-    #[test]
-    fn col_index_by_name() {
-        let s = lineitem_like();
-        assert_eq!(s.col_index("shipdate"), Some(2));
-        assert_eq!(s.col_index("nope"), None);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::page::PAGE_SIZE;
 use crate::series::TimeSeries;
 use crate::sim::{SimDuration, SimTime};
 
@@ -56,13 +55,6 @@ pub struct DiskStats {
     pub busy: SimDuration,
 }
 
-impl DiskStats {
-    /// Bytes physically read.
-    pub fn bytes_read(&self) -> u64 {
-        self.pages_read * PAGE_SIZE as u64
-    }
-}
-
 /// Outcome of a read request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadCompletion {
@@ -72,13 +64,6 @@ pub struct ReadCompletion {
     pub done: SimTime,
     /// Whether the request paid a seek.
     pub seeked: bool,
-}
-
-impl ReadCompletion {
-    /// Time the requester spent blocked, from issue to completion.
-    pub fn wait_from(&self, issued: SimTime) -> SimDuration {
-        self.done.since(issued)
-    }
 }
 
 /// The single-head FIFO disk.
@@ -228,7 +213,6 @@ mod tests {
         let c2 = d.read(SimTime::ZERO, 50, 1, SimDuration::ZERO); // must wait for c1
         assert_eq!(c2.start, c1.done);
         assert_eq!(c2.done.as_micros(), 1100 + 1100);
-        assert_eq!(c2.wait_from(SimTime::ZERO).as_micros(), 2200);
     }
 
     #[test]
@@ -281,9 +265,9 @@ mod tests {
     }
 
     #[test]
-    fn bytes_read_scales_by_page_size() {
+    fn a_request_counts_every_page_it_reads() {
         let mut d = disk();
         d.read(SimTime::ZERO, 0, 3, SimDuration::ZERO);
-        assert_eq!(d.stats().bytes_read(), 3 * PAGE_SIZE as u64);
+        assert_eq!(d.stats().pages_read, 3);
     }
 }

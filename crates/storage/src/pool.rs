@@ -546,33 +546,6 @@ impl BufferPool {
         self.map.remove(&id);
         self.free.push(slot);
     }
-
-    /// Drop every unpinned frame (used between experiment phases so base
-    /// and scan-sharing runs start cold).
-    pub fn clear_unpinned(&mut self) {
-        if self.cfg.policy == ReplacementPolicy::Lru2 {
-            for (_, id) in std::mem::take(&mut self.lru2) {
-                let slot = self.map.remove(&id).expect("candidate is resident");
-                self.frames[slot as usize].buf = PageBuf::new();
-                self.free.push(slot);
-            }
-            return;
-        }
-        for class in 0..CLASSES {
-            let mut at = self.lists[class].head;
-            while at != NIL {
-                let f = &mut self.frames[at as usize];
-                let next = f.next;
-                f.prev = NIL;
-                f.next = NIL;
-                f.buf = PageBuf::new();
-                self.map.remove(&f.id);
-                self.free.push(at);
-                at = next;
-            }
-            self.lists[class] = CandidateList::empty();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -738,17 +711,6 @@ mod tests {
         assert_eq!(p.next_victim(), None); // still pinned once
         p.release(pid(0), PagePriority::Normal).unwrap();
         assert_eq!(p.next_victim(), Some(pid(0)));
-    }
-
-    #[test]
-    fn clear_unpinned_keeps_pinned_pages() {
-        let mut p = pool(3, ReplacementPolicy::Lru);
-        visit(&mut p, pid(0), PagePriority::Normal);
-        assert_eq!(p.fix_slot(pid(1)), None);
-        p.complete_miss_slot(pid(1), buf(1)).unwrap();
-        p.clear_unpinned();
-        assert!(!p.contains(pid(0)));
-        assert!(p.contains(pid(1)));
     }
 
     #[test]

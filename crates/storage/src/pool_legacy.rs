@@ -179,12 +179,6 @@ impl LegacyPool {
         self.candidates.remove(&key);
         self.frames.remove(&id);
     }
-
-    pub fn clear_unpinned(&mut self) {
-        for (_, _, id) in std::mem::take(&mut self.candidates) {
-            self.frames.remove(&id);
-        }
-    }
 }
 
 /// Property test: the frame-table pool and the legacy pool are
@@ -338,8 +332,11 @@ mod equivalence {
                     }
                 }
             } else {
-                fast.clear_unpinned();
-                oracle.clear_unpinned();
+                // Discard every resident page (the pinned ones stay).
+                for p in fast.resident_pages() {
+                    fast.discard(p.id);
+                    oracle.discard(p.id);
+                }
             }
 
             // The victim choice is the pool's entire observable policy:

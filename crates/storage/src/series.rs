@@ -59,15 +59,6 @@ impl TimeSeries {
         self.buckets.iter().sum()
     }
 
-    /// Iterate `(bucket_start_seconds, amount)` pairs for reporting.
-    pub fn iter_seconds(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = self.bucket_us as f64 / 1e6;
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (i as f64 * width, v))
-    }
-
     /// Re-bin into `n` equal-width buckets spanning the series, averaging
     /// nothing: amounts are summed. Useful to print a fixed-width chart
     /// regardless of run length.
@@ -110,11 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn iter_seconds_reports_bucket_starts() {
+    fn an_amount_lands_in_the_bucket_its_time_falls_in() {
         let mut s = TimeSeries::new(500_000);
         s.add(SimTime::from_millis(600), 2);
-        let points: Vec<_> = s.iter_seconds().collect();
-        assert_eq!(points, vec![(0.0, 0), (0.5, 2)]);
+        assert_eq!(s.buckets(), [0, 2]);
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn main() {
     }
 
     println!("\n{throttles} throttle waits were injected into the fast scan.");
-    let groups = mgr.groups();
+    let groups = mgr.probe().groups;
     println!("final groups:");
     for g in &groups {
         println!(

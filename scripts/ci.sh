@@ -78,12 +78,27 @@ for example in examples/*.rs; do
     cargo run --offline --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
-leg "span-profiler smoke (informational, not gated)"
-# Record and render a fresh profile of the built-in smoke run: exercises
-# the span subsystem end-to-end (begin/end nesting, Perfetto export
-# validity is tested in the suite; this prints the per-phase table for
-# the log).
+leg "CLI smoke: profile --smoke, and watch twice byte for byte"
+# `profile --smoke` records and renders a fresh profile of the built-in
+# smoke run (begin/end nesting and Perfetto export validity are tested
+# in the suite; the per-phase table goes to the log) and must exit 0.
+# `watch --tick-ms 0` draws every frame the run delivers exactly once,
+# from inside the run, so two runs of the same spec must print the same
+# bytes.
 cargo run --offline --release -q -p scanshare-cli --bin scanshare -- profile --smoke
+smoke_dir=$(mktemp -d)
+target/release/scanshare spec-template >"$smoke_dir/spec.json"
+for i in 1 2; do
+    target/release/scanshare watch --spec "$smoke_dir/spec.json" --tick-ms 0 --no-clear \
+        >"$smoke_dir/watch$i.txt"
+done
+if ! cmp "$smoke_dir/watch1.txt" "$smoke_dir/watch2.txt"; then
+    echo "FAIL: two watch runs of one spec printed different output"
+    rm -rf "$smoke_dir"
+    exit 1
+fi
+echo "watch: $(grep -c '^scanshare watch' "$smoke_dir/watch1.txt") frames, byte-identical twice"
+rm -rf "$smoke_dir"
 
 leg "experiment table: claims + results/ byte identity"
 # Every row of `exp all` at the documented settings (scale 1.0, seed 42):
