@@ -1,10 +1,10 @@
 //! Library half of the `scanshare` command-line driver.
 //!
-//! The CLI runs scan-sharing comparisons without writing any Rust:
+//! The CLI runs scan-sharing comparisons without writing any Rust. A run
+//! is its spec: the database is generated from the spec's `tpch` section
+//! and the workload is its `workload` section.
 //!
 //! ```sh
-//! scanshare throughput --streams 5 --scale 0.5      # Table-1-style run
-//! scanshare staggered --query q6 --copies 3         # Figure-15-style run
 //! scanshare spec-template > myrun.json              # editable spec
 //! scanshare run --spec myrun.json --compare         # base vs sharing
 //! ```
@@ -23,8 +23,7 @@ use scanshare_engine::{
     run_workload, run_workload_hooked, Database, FaultsConfig, RunHooks, RunReport, SharingMode,
     WorkloadSpec,
 };
-use scanshare_storage::SimDuration;
-use scanshare_tpch::{generate, q1, q6, staggered_workload, throughput_workload, TpchConfig};
+use scanshare_tpch::{generate, throughput_workload, TpchConfig};
 use serde::{Deserialize, Serialize};
 
 pub mod diff;
@@ -137,30 +136,20 @@ pub struct Cmd {
 /// Every subcommand, in the order `help` lists them.
 #[rustfmt::skip]
 pub const COMMANDS: &[Cmd] = &[
-    Cmd { name: "throughput", positionals: &[], run: cmd_throughput,
-        flags: &[opt("--streams", "N"), opt("--scale", "S"), opt("--seed", "X")],
-        about: "N-stream TPC-H throughput run, base vs scan-sharing (Table 1 setup).",
-    },
-    Cmd { name: "staggered", positionals: &[], run: cmd_staggered,
-        flags: &[opt("--query", "q1|q6"), opt("--copies", "N"), opt("--scale", "S"),
-                 opt("--seed", "X"), opt("--stagger-frac", "F")],
-        about: "\
-Staggered single-query run (Figure 15/16 setup): the copies start F of
-a solo run's makespan apart.",
-    },
     Cmd { name: "run", positionals: &[], run: cmd_run,
-        flags: &[req("--spec", "FILE"), opt("--db", "FILE"), opt("--faults", "FILE"),
-                 switch("--compare"), opt("--policy", "grouping|attach|elevator"),
-                 opt("--delivery", "pull|push"), opt("--report", "OUT"),
-                 opt("--trace-out", "OUT"), opt("--profile-out", "OUT")],
+        flags: &[req("--spec", "FILE"), opt("--faults", "FILE"), switch("--compare"),
+                 opt("--policy", "grouping|attach|elevator"), opt("--delivery", "pull|push"),
+                 opt("--report", "OUT"), opt("--trace-out", "OUT"), opt("--profile-out", "OUT")],
         about: "\
-Execute a JSON RunSpec (`scanshare spec-template` shows the shape). The
-spec's workload section may carry an optional \"faults\" subsection (a
-FaultsConfig: seeded fault plan plus retry/timeout policy) and an
-optional \"slo\" subsection of service-level rules (e.g. {\"name\":
-\"fair\", \"metric\": \"p99_stretch\", \"op\": \"<=\", \"value\": 1.5})
-evaluated at the end of the run into pass/fail verdicts in the report.
---db loads a previously generated database instead of regenerating;
+Execute a JSON RunSpec (`scanshare spec-template` shows the shape): the
+database is generated from its \"tpch\" section, the workload is its
+\"workload\" section. The workload may carry an optional \"faults\"
+subsection (a FaultsConfig: seeded fault plan plus retry/timeout policy)
+and an optional \"slo\" subsection of service-level rules (e.g.
+{\"name\": \"fair\", \"metric\": \"p99_stretch\", \"op\": \"<=\", \"value\":
+1.5}) evaluated at the end of the run into pass/fail verdicts in the
+report. The paper's throughput and staggered setups are rows of the
+experiment runner (`exp table1`, `exp fig15`, `exp fig16`).
 --faults replaces the spec's \"faults\" subsection with a FaultsConfig
 JSON file; --compare runs base against the spec's sharing configuration
 (the default one for a base-mode spec);
@@ -217,8 +206,8 @@ threshold, slowdown vs fairness cap) and per-group timelines.
 With --scan, only that scan's narrative.",
     },
     Cmd { name: "watch", positionals: &[], run: cmd_watch,
-        flags: &[req("--spec", "FILE"), opt("--db", "FILE"), opt("--tick-ms", "N"),
-                 opt("--tail", "N"), switch("--no-clear")],
+        flags: &[req("--spec", "FILE"), opt("--tick-ms", "N"), opt("--tail", "N"),
+                 switch("--no-clear")],
         about: "\
 Execute a JSON RunSpec with a live ASCII dashboard: group topology,
 per-scan throttle state, pool-residency heatmap, and the decision tail.
@@ -237,10 +226,6 @@ appeared/vanished/shifted, sampled-series endpoints, SLO verdict
 flips, fault-summary deltas, and the policy pair. --json prints the
 same as JSON. Exits like cmp: 0 when structurally identical, 1 when
 the reports differ, 2 on unreadable input.",
-    },
-    Cmd { name: "generate", positionals: &[], run: cmd_generate,
-        flags: &[opt("--scale", "S"), opt("--seed", "X"), req("--out", "FILE")],
-        about: "Generate the TPC-H-like database once and save it for reuse.",
     },
     Cmd { name: "spec-template", positionals: &[], flags: &[], run: cmd_spec_template,
         about: "Print an editable RunSpec JSON to stdout.",
@@ -453,50 +438,9 @@ fn cmd_spec_template(_: &Args) -> Result<i32, CliError> {
     Ok(0)
 }
 
-/// The database `--scale` and `--seed` describe.
-fn tpch_config(args: &Args) -> Result<TpchConfig, CliError> {
-    Ok(TpchConfig {
-        scale: args.parsed("--scale")?.unwrap_or(0.5),
-        seed: args.parsed("--seed")?.unwrap_or(42),
-        ..TpchConfig::default()
-    })
-}
-
-fn cmd_throughput(args: &Args) -> Result<i32, CliError> {
-    let streams = args.parsed("--streams")?.unwrap_or(3);
-    let tpch = tpch_config(args)?;
-    let db = generate(&tpch);
-    let sharing = SharingMode::ScanSharing(SharingConfig::new(0));
-    let spec = throughput_workload(&db, streams, tpch.months as i64, tpch.seed, sharing);
-    run_maybe_compare(&db, &spec, true)
-}
-
-fn cmd_staggered(args: &Args) -> Result<i32, CliError> {
-    let copies = args.parsed("--copies")?.unwrap_or(3);
-    let stagger_frac: f64 = args.parsed("--stagger-frac")?.unwrap_or(0.15);
-    let tpch = tpch_config(args)?;
-    let q = match args.value("--query").unwrap_or("q6") {
-        "q1" => q1(),
-        "q6" => q6(tpch.months as i64, tpch.seed),
-        other => {
-            let what = format!("unknown query '{other}' (expected q1 or q6)");
-            return Err(CliError::usage(args.cmd, what));
-        }
-    };
-    let db = generate(&tpch);
-    // Calibrate the stagger from a solo run.
-    let solo = staggered_workload(&db, &q, 1, SimDuration::ZERO, SharingMode::Base);
-    let solo = run_workload(&db, &solo).expect("solo run");
-    let stagger_us = (solo.makespan.as_micros() as f64 * stagger_frac).max(1.0) as u64;
-    let stagger = SimDuration::from_micros(stagger_us);
-    let sharing = SharingMode::ScanSharing(SharingConfig::new(0));
-    let spec = staggered_workload(&db, &q, copies, stagger, sharing);
-    run_maybe_compare(&db, &spec, true)
-}
-
 /// The `--spec` file, its fault plan replaced by the `faults` file if
-/// given, and the database it runs on: the `--db` file if given, else one
-/// generated from the spec. Every file is read before the generator runs.
+/// given, and the database generated from its `tpch` section. Every file
+/// is read and every size checked before the generator runs.
 fn load_spec_and_db(args: &Args, faults: Option<&str>) -> Result<(RunSpec, Database), CliError> {
     let path = args.required("--spec");
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -504,14 +448,21 @@ fn load_spec_and_db(args: &Args, faults: Option<&str>) -> Result<(RunSpec, Datab
     if let Some(path) = faults {
         spec.workload.faults = load_fault_config(path)?;
     }
-    let block_pages = ("tpch.block_pages", spec.tpch.block_pages as u64);
-    spec.workload
-        .check_sizes(&[block_pages])
-        .map_err(|e| format!("invalid spec {path}: {e}"))?;
-    let db = match args.value("--db") {
-        Some(path) => Database::load(path).map_err(|e| format!("cannot load {path}: {e}"))?,
-        None => generate(&spec.tpch),
-    };
+    let tpch = &spec.tpch;
+    let invalid = |e: &dyn Display| format!("invalid spec {path}: {e}");
+    let sizes = [
+        ("tpch.block_pages", tpch.block_pages as u64),
+        ("tpch.months", tpch.months as u64),
+    ];
+    spec.workload.check_sizes(&sizes).map_err(|e| invalid(&e))?;
+    if !(tpch.scale.is_finite() && tpch.scale > 0.0) {
+        let e = format!(
+            "tpch.scale must be a finite number above 0, not {}",
+            tpch.scale
+        );
+        return Err(invalid(&e).into());
+    }
+    let db = generate(tpch);
     Ok((spec, db))
 }
 
@@ -524,7 +475,7 @@ fn cmd_run(args: &Args) -> Result<i32, CliError> {
         profile: args.value("--profile-out").map(String::from),
     };
     let compare = args.has("--compare");
-    run_maybe_compare_with(&db, &spec.workload, compare, policy, delivery, &outputs)
+    run_and_print(&db, &spec.workload, compare, policy, delivery, &outputs)
 }
 
 fn cmd_trace(args: &Args) -> Result<i32, CliError> {
@@ -608,17 +559,6 @@ fn cmd_diff(args: &Args) -> Result<i32, CliError> {
     }
     // Like cmp/diff: 0 identical, 1 different, 2 trouble.
     Ok(if d.is_zero() { 0 } else { 1 })
-}
-
-fn cmd_generate(args: &Args) -> Result<i32, CliError> {
-    let tpch = tpch_config(args)?;
-    let out = args.required("--out");
-    let db = generate(&tpch);
-    db.save(out)
-        .map_err(|e| fail(format!("save failed: {e}")))?;
-    let (tables, pages) = (db.table_names().len(), db.total_table_pages());
-    println!("saved {tables} tables / {pages} pages to {out}");
-    Ok(0)
 }
 
 /// Where `run` saves the measured run's artifacts (the scan-sharing side
@@ -794,15 +734,11 @@ fn exit_code(runs: &[&RunReport]) -> i32 {
     }
 }
 
-fn run_maybe_compare(db: &Database, spec: &WorkloadSpec, compare: bool) -> Result<i32, CliError> {
-    run_maybe_compare_with(db, spec, compare, None, None, &RunOutputs::default())
-}
-
 /// Run `spec` — under `compare`, a base run and a sharing run of it — and
 /// print the headline numbers. The sharing run measures the spec's own
 /// configuration (the default one when `compare` meets a base-mode spec)
 /// with `policy` and `delivery` on top; `outputs` describe that run.
-fn run_maybe_compare_with(
+fn run_and_print(
     db: &Database,
     spec: &WorkloadSpec,
     compare: bool,
@@ -849,6 +785,8 @@ fn run_maybe_compare_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scanshare_storage::SimDuration;
+    use scanshare_tpch::{q1, staggered_workload};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -859,28 +797,31 @@ mod tests {
     }
 
     #[test]
-    fn parses_throughput_with_defaults() {
-        let a = parsed("throughput");
-        assert_eq!(a.cmd.name, "throughput");
-        assert_eq!(a.parsed::<usize>("--streams").unwrap(), None);
-        assert!(!a.has("--scale") && !a.has("--seed"));
+    fn parses_watch_with_defaults() {
+        let a = parsed("watch --spec s.json");
+        assert_eq!(a.cmd.name, "watch");
+        assert_eq!(a.parsed::<usize>("--tail").unwrap(), None);
+        assert!(!a.has("--tick-ms") && !a.has("--no-clear"));
     }
 
     #[test]
-    fn parses_throughput_flags() {
-        let a = parsed("throughput --streams 5 --scale 0.1 --seed 7");
-        assert_eq!(a.parsed("--streams").unwrap(), Some(5usize));
-        assert_eq!(a.parsed("--scale").unwrap(), Some(0.1));
-        assert_eq!(a.parsed("--seed").unwrap(), Some(7u64));
+    fn parses_run_flags() {
+        let a = parsed("run --spec s.json --policy attach --delivery push");
+        assert_eq!(a.value("--spec"), Some("s.json"));
+        assert_eq!(
+            a.parsed("--policy").unwrap(),
+            Some(SharingPolicyKind::Attach)
+        );
+        assert_eq!(a.parsed("--delivery").unwrap(), Some(DeliveryMode::Push));
     }
 
     #[test]
-    fn parses_staggered() {
-        let a = parsed("staggered --query q1 --copies 4 --stagger-frac 0.3");
-        assert_eq!(a.value("--query"), Some("q1"));
-        assert_eq!(a.parsed("--copies").unwrap(), Some(4usize));
-        assert_eq!(a.parsed("--stagger-frac").unwrap(), Some(0.3));
-        assert_eq!(a.parsed::<f64>("--scale").unwrap(), None);
+    fn parses_watch_flags() {
+        let a = parsed("watch --spec s.json --tail 4 --tick-ms 30");
+        assert_eq!(a.value("--spec"), Some("s.json"));
+        assert_eq!(a.parsed("--tail").unwrap(), Some(4usize));
+        assert_eq!(a.parsed("--tick-ms").unwrap(), Some(30u64));
+        assert!(!a.has("--no-clear"));
     }
 
     #[test]
@@ -893,11 +834,14 @@ mod tests {
             assert_eq!(e.code, 2, "{s}: {}", e.message);
             assert!(e.message.contains(named), "{s}: {}", e.message);
         };
-        refused("staggered --query q99", "'q99'");
-        refused("throughput --streams nope", "--streams 'nope'");
+        refused("run --spec s.json --policy zigzag", "'zigzag'");
+        refused("watch --spec s.json --tail nope", "--tail 'nope'");
         refused("run", "missing --spec");
-        refused("generate", "missing --out");
-        refused("frobnicate", "'frobnicate'");
+        refused("run --spec s.json --db f.db", "unknown flag --db");
+        refused("watch --spec s.json --db f.db", "unknown flag --db");
+        for retired in ["generate", "throughput", "staggered", "frobnicate"] {
+            refused(retired, &format!("unknown command '{retired}'"));
+        }
         refused("trace", "missing --artifact");
         refused("metrics", "missing --artifact");
         refused("explain", "missing --artifact");
@@ -915,7 +859,6 @@ mod tests {
         assert_eq!(a.parsed("--scan").unwrap(), Some(3u64));
         let a = parsed("watch --spec s.json --tick-ms 100 --tail 5 --no-clear");
         assert_eq!(a.value("--spec"), Some("s.json"));
-        assert_eq!(a.value("--db"), None);
         assert_eq!(a.parsed("--tick-ms").unwrap(), Some(100u64));
         assert_eq!(a.parsed("--tail").unwrap(), Some(5usize));
         assert!(a.has("--no-clear"));
@@ -927,13 +870,7 @@ mod tests {
         assert_eq!(a.value("--spec"), Some("s.json"));
         assert_eq!(a.value("--report"), Some("out.json"));
         assert_eq!(a.value("--trace-out"), Some("t.jsonl"));
-        for absent in [
-            "--db",
-            "--faults",
-            "--policy",
-            "--delivery",
-            "--profile-out",
-        ] {
+        for absent in ["--faults", "--policy", "--delivery", "--profile-out"] {
             assert_eq!(a.value(absent), None, "{absent}");
         }
         assert!(!a.has("--compare"));
@@ -968,10 +905,7 @@ mod tests {
             trace: Some(trace_path.to_string_lossy().into_owned()),
             profile: None,
         };
-        assert_eq!(
-            run_maybe_compare_with(&db, &w, false, None, None, &outputs),
-            Ok(0)
-        );
+        assert_eq!(run_and_print(&db, &w, false, None, None, &outputs), Ok(0));
 
         // The saved report replays: its embedded log matches the JSONL
         // side channel, and both renderers produce real output.
@@ -995,19 +929,6 @@ mod tests {
         assert!(one.contains(&format!("scan {} narrative", first.0)));
         std::fs::remove_file(&report_path).ok();
         std::fs::remove_file(&trace_path).ok();
-    }
-
-    #[test]
-    fn generate_then_run_from_saved_db() {
-        let dir = std::env::temp_dir();
-        let db_path = dir.join(format!("scanshare_cli_{}.db", std::process::id()));
-        let tpch = TpchConfig::tiny();
-        let db = generate(&tpch);
-        db.save(&db_path).unwrap();
-        let loaded = Database::load(&db_path).unwrap();
-        std::fs::remove_file(&db_path).ok();
-        let w = throughput_workload(&loaded, 1, tpch.months as i64, 1, SharingMode::Base);
-        assert_eq!(run_maybe_compare(&loaded, &w, false), Ok(0));
     }
 
     #[test]
@@ -1052,10 +973,7 @@ mod tests {
             trace: None,
             profile: None,
         };
-        assert_eq!(
-            run_maybe_compare_with(&db, &w, false, None, None, &outputs),
-            Ok(0)
-        );
+        assert_eq!(run_and_print(&db, &w, false, None, None, &outputs), Ok(0));
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         std::fs::remove_file(&report_path).ok();
         assert_eq!(report.policy, Some(SharingPolicyKind::Elevator));
@@ -1116,10 +1034,7 @@ mod tests {
             trace: None,
             profile: None,
         };
-        assert_eq!(
-            run_maybe_compare_with(&db, &w, false, None, None, &outputs),
-            Ok(0)
-        );
+        assert_eq!(run_and_print(&db, &w, false, None, None, &outputs), Ok(0));
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         std::fs::remove_file(&report_path).ok();
         let ps = report.push.as_ref().expect("push section in the report");
@@ -1150,10 +1065,7 @@ mod tests {
                 report: Some(path.to_string_lossy().into_owned()),
                 ..RunOutputs::default()
             };
-            assert_eq!(
-                run_maybe_compare_with(&db, &w, true, None, None, &outputs),
-                Ok(0)
-            );
+            assert_eq!(run_and_print(&db, &w, true, None, None, &outputs), Ok(0));
             let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
             std::fs::remove_file(&path).ok();
             report
@@ -1255,7 +1167,7 @@ mod tests {
         let db = generate(&tpch);
         let workload =
             throughput_workload(&db, 1, tpch.months as i64, tpch.seed, SharingMode::Base);
-        let code = run_maybe_compare(&db, &workload, true);
+        let code = run_and_print(&db, &workload, true, None, None, &RunOutputs::default());
         assert_eq!(code, Ok(0));
     }
 }

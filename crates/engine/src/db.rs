@@ -149,34 +149,6 @@ impl Database {
         Ok(self.register(name.into(), TableKind::Mdc(table), None))
     }
 
-    /// Reassemble a database from persisted parts (see
-    /// [`crate::persist`]), decoding each RID index once and walking each
-    /// block index once, so a corrupt index page fails the load.
-    pub fn from_parts(store: FileStore, tables: Vec<TableMeta>) -> StorageResult<Self> {
-        let mut db = Database {
-            store,
-            tables: HashMap::new(),
-        };
-        for t in tables {
-            if let TableKind::Mdc(m) = &t.kind {
-                m.block_index.all(&db.store)?;
-            }
-            let index = t.rid_index.map(|b| b.all(&db.store).map(|e| (b, e)));
-            db.register(t.name, t.kind, index.transpose()?);
-        }
-        Ok(db)
-    }
-
-    /// Save this database to a file (see [`crate::persist::save`]).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> crate::error::EngineResult<()> {
-        crate::persist::save(self, path)
-    }
-
-    /// Load a database from a file (see [`crate::persist::load`]).
-    pub fn load(path: impl AsRef<std::path::Path>) -> crate::error::EngineResult<Database> {
-        crate::persist::load(path)
-    }
-
     /// Total table pages across the database (for sizing the pool at the
     /// paper's "bufferpool is about 5% of the database size").
     pub fn total_table_pages(&self) -> u64 {

@@ -32,7 +32,6 @@
 
 use bytes::BytesMut;
 use scanshare_storage::{FileId, FileStore, PageId, StorageError, StorageResult, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 const HEADER: usize = 8;
 const LEAF_ENTRY: usize = 16;
@@ -48,7 +47,7 @@ const NO_PAGE: u32 = u32::MAX;
 const MAX_HEIGHT: usize = 5;
 
 /// One index entry: a key and its payload (RID or block id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Entry {
     /// The indexed key.
     pub key: i64,
@@ -165,7 +164,7 @@ impl Node {
 /// assert_eq!(tree.range(&store, 5, 8).unwrap(), sorted[..2]);
 /// assert_eq!(tree.num_entries(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BTree {
     file: FileId,
     root: u32,
@@ -212,7 +211,7 @@ impl BTree {
         // Fill leaves and internal nodes to 90 %. That fill sets how many
         // pages an index takes, and so, through the volume's extent
         // allocation, the page address of everything stored after it:
-        // saved databases and every measured seek depend on it.
+        // every measured seek depends on it.
         let per_leaf = (LEAF_CAP * 9 / 10).max(1);
         let n_leaves = sorted.len().div_ceil(per_leaf);
         let mut level: Vec<(Entry, u32)> = Vec::with_capacity(n_leaves); // (min entry, page)

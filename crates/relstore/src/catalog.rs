@@ -1,7 +1,6 @@
 //! Table metadata shared between the loader, the engine, and experiments.
 
 use scanshare_storage::FileId;
-use serde::{Deserialize, Serialize};
 
 use crate::btree::BTree;
 use crate::heap::HeapFile;
@@ -9,7 +8,7 @@ use crate::mdc::MdcTable;
 use crate::value::Schema;
 
 /// How a table is physically organized.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum TableKind {
     /// Plain heap file in insertion order (target of table scans).
     Heap(HeapFile),
@@ -18,7 +17,7 @@ pub enum TableKind {
 }
 
 /// A named table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableMeta {
     /// Table name.
     pub name: String,

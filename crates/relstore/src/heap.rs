@@ -16,7 +16,6 @@
 
 use bytes::BytesMut;
 use scanshare_storage::{FileId, FileStore, StorageError, StorageResult, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 use crate::value::{Schema, Value};
 
@@ -24,7 +23,7 @@ const HEADER_LEN: usize = 4;
 const SLOT_LEN: usize = 4;
 
 /// Record identifier: a page number and a slot within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rid {
     /// Page number within the owning file.
     pub page: u32,
@@ -211,7 +210,7 @@ impl Default for HeapPageBuilder {
 }
 
 /// Metadata of a fully loaded heap file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HeapFile {
     /// Backing file.
     pub file: FileId,

@@ -14,7 +14,6 @@
 use std::collections::BTreeMap;
 
 use scanshare_storage::{FileId, FileStore, StorageResult};
-use serde::{Deserialize, Serialize};
 
 use crate::btree::{BTree, Entry};
 use crate::heap::HeapPageBuilder;
@@ -24,7 +23,7 @@ use crate::value::{Schema, Value};
 pub type BlockId = u32;
 
 /// A fully loaded MDC table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdcTable {
     /// Backing file of the table pages.
     pub file: FileId,

@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The column types supported by the mini engine. All are fixed width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColType {
     /// 64-bit signed integer (keys, counts).
     Int64,
@@ -36,7 +34,7 @@ impl ColType {
 
 /// A typed value, used on the write path and in tests. The read path uses
 /// [`RowRef`] accessors instead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// 64-bit integer.
     I64(i64),
@@ -72,7 +70,7 @@ impl fmt::Display for Value {
 }
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name.
     pub name: String,
@@ -91,7 +89,7 @@ impl Column {
 }
 
 /// An ordered set of columns with precomputed encoding offsets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schema {
     cols: Vec<Column>,
     offsets: Vec<usize>,

@@ -35,11 +35,6 @@ impl FileStore {
         id
     }
 
-    /// Number of files in the store.
-    pub fn num_files(&self) -> u32 {
-        self.files.len() as u32
-    }
-
     /// Number of pages in `file`.
     pub fn num_pages(&self, file: FileId) -> StorageResult<u32> {
         self.file(file).map(|f| f.len() as u32)
@@ -109,28 +104,6 @@ impl FileStore {
                 "page {id} exists but its extent was never allocated"
             ))
         })
-    }
-
-    /// The underlying volume (for layout inspection in tests/benches).
-    pub fn volume(&self) -> &Volume {
-        &self.volume
-    }
-
-    /// Rebuild a store from persisted parts. `files[i]` holds file `i`'s
-    /// pages in order; the volume must describe the same layout that was
-    /// saved.
-    pub fn from_parts(volume: Volume, files: Vec<Vec<Bytes>>) -> StorageResult<Self> {
-        for (fi, pages) in files.iter().enumerate() {
-            for (pi, p) in pages.iter().enumerate() {
-                if p.len() != PAGE_SIZE {
-                    return Err(StorageError::Corrupt(format!(
-                        "file {fi} page {pi} has {} bytes",
-                        p.len()
-                    )));
-                }
-            }
-        }
-        Ok(FileStore { volume, files })
     }
 
     fn file(&self, file: FileId) -> StorageResult<&Vec<Bytes>> {

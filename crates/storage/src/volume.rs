@@ -29,11 +29,6 @@ impl Volume {
         }
     }
 
-    /// Number of pages per extent run.
-    pub fn extent_pages(&self) -> u32 {
-        self.extent_pages
-    }
-
     /// Physical address of `id`, allocating the containing extent if the
     /// file has never touched it. Used on the write/append path.
     pub fn ensure(&mut self, id: PageId) -> u64 {
@@ -56,36 +51,6 @@ impl Volume {
         self.extents
             .get(&(id.file, extent_no))
             .map(|base| base + within)
-    }
-
-    /// Total physical pages allocated so far.
-    pub fn allocated_pages(&self) -> u64 {
-        self.next_base
-    }
-
-    /// The allocation state as `(file, extent_no, base)` rows, sorted —
-    /// used to persist a volume.
-    pub fn entries(&self) -> Vec<(FileId, u32, u64)> {
-        let mut out: Vec<(FileId, u32, u64)> =
-            self.extents.iter().map(|(&(f, e), &b)| (f, e, b)).collect();
-        out.sort();
-        out
-    }
-
-    /// Rebuild a volume from persisted state.
-    pub fn from_entries(extent_pages: u32, entries: &[(FileId, u32, u64)]) -> Self {
-        assert!(extent_pages > 0, "extent size must be positive");
-        let mut extents = IdMap::with_capacity_and_hasher(entries.len(), Default::default());
-        let mut next_base = 0u64;
-        for &(f, e, b) in entries {
-            extents.insert((f, e), b);
-            next_base = next_base.max(b + extent_pages as u64);
-        }
-        Volume {
-            extent_pages,
-            next_base,
-            extents,
-        }
     }
 }
 
@@ -118,7 +83,8 @@ mod tests {
         assert_eq!(a4, 8);
         // File 0's two extents are NOT physically adjacent.
         assert_ne!(a4, a0 + 4);
-        assert_eq!(v.allocated_pages(), 12);
+        // The last of the 12 pages allocated so far.
+        assert_eq!(v.lookup(pid(0, 7)), Some(11));
     }
 
     #[test]
@@ -127,20 +93,9 @@ mod tests {
         let first = v.ensure(pid(2, 5));
         let again = v.ensure(pid(2, 5));
         assert_eq!(first, again);
-        assert_eq!(v.allocated_pages(), 8);
-    }
-
-    #[test]
-    fn entries_roundtrip_preserves_layout() {
-        let mut v = Volume::new(4);
-        v.ensure(pid(0, 0));
-        v.ensure(pid(1, 0));
-        v.ensure(pid(0, 4));
-        let rebuilt = Volume::from_entries(4, &v.entries());
-        assert_eq!(rebuilt.allocated_pages(), v.allocated_pages());
-        for id in [pid(0, 0), pid(0, 5), pid(1, 3)] {
-            assert_eq!(rebuilt.lookup(id), v.lookup(id));
-        }
+        // One extent, not two.
+        assert_eq!(v.lookup(pid(2, 7)), Some(7));
+        assert_eq!(v.ensure(pid(3, 0)), 8);
     }
 
     #[test]
@@ -150,6 +105,7 @@ mod tests {
         v.ensure(pid(0, 0));
         assert_eq!(v.lookup(pid(0, 7)), Some(7));
         assert_eq!(v.lookup(pid(0, 8)), None);
-        assert_eq!(v.allocated_pages(), 8);
+        // Neither lookup took an extent: the next one starts at 8.
+        assert_eq!(v.ensure(pid(1, 0)), 8);
     }
 }

@@ -261,28 +261,51 @@ mod tests {
         assert_eq!(li.max_key, cfg.last_month());
     }
 
+    /// Regeneration is the only way to get a spec's database, so two
+    /// generations must agree on everything a run reads: every page of
+    /// every file (table, block index and RID index), each page's
+    /// physical address — the layout the disk model seeks over — and each
+    /// index's decoded entries.
     #[test]
     fn generation_is_deterministic() {
         let cfg = TpchConfig::tiny();
-        let a = generate(&cfg);
-        let b = generate(&cfg);
-        assert_eq!(
-            a.table("lineitem").unwrap().num_pages(),
-            b.table("lineitem").unwrap().num_pages()
-        );
-        // Spot-check identical bytes on a few pages.
-        let f = a.table("lineitem").unwrap().file();
-        for p in [0u32, 7, 19] {
-            let pa = a
-                .store()
-                .read_page(scanshare_storage::PageId::new(f, p))
-                .unwrap();
-            let pb = b
-                .store()
-                .read_page(scanshare_storage::PageId::new(f, p))
-                .unwrap();
-            assert_eq!(pa, pb, "page {p} differs");
+        let (a, b) = (generate(&cfg), generate(&cfg));
+        assert_eq!(a.table_names(), b.table_names());
+        let indexes = |t: &scanshare_relstore::TableMeta| {
+            let block = t.as_mdc().map(|m| m.block_index.clone());
+            block
+                .into_iter()
+                .chain(t.rid_index.clone())
+                .collect::<Vec<_>>()
+        };
+        let mut files = Vec::new();
+        for name in a.table_names() {
+            let (ta, tb) = (a.table(name).unwrap(), b.table(name).unwrap());
+            assert_eq!(ta.num_rows(), tb.num_rows(), "{name}");
+            assert_eq!(ta.rid_index.is_some(), tb.rid_index.is_some(), "{name}");
+            let (ia, ib) = (indexes(ta), indexes(tb));
+            assert_eq!(ia.len(), ib.len(), "{name}");
+            files.push((ta.file(), tb.file()));
+            for (xa, xb) in ia.iter().zip(&ib) {
+                let (ea, eb) = (xa.all(a.store()).unwrap(), xb.all(b.store()).unwrap());
+                assert_eq!(ea, eb, "{name}: index entries");
+                files.push((xa.file(), xb.file()));
+            }
         }
+        // Every page of every file, by bytes and by physical address.
+        let (sa, sb) = (a.store(), b.store());
+        let mut pages = 0;
+        for (fa, fb) in files {
+            assert_eq!(fa, fb);
+            let n = sa.num_pages(fa).unwrap();
+            assert_eq!(n, sb.num_pages(fb).unwrap(), "{fa:?}");
+            for id in (0..n).map(|p| scanshare_storage::PageId::new(fa, p)) {
+                assert_eq!(sa.read_page(id).unwrap(), sb.read_page(id).unwrap(), "{id}");
+                assert_eq!(sa.physical(id).unwrap(), sb.physical(id).unwrap(), "{id}");
+            }
+            pages += n as u64;
+        }
+        assert!(pages > a.total_table_pages(), "index pages compared too");
     }
 
     #[test]

@@ -78,13 +78,15 @@ for example in examples/*.rs; do
     cargo run --offline --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
-leg "CLI smoke: profile --smoke, and watch twice byte for byte"
+leg "CLI smoke: profile --smoke, and run and watch twice byte for byte"
 # `profile --smoke` records and renders a fresh profile of the built-in
 # smoke run (begin/end nesting and Perfetto export validity are tested
 # in the suite; the per-phase table goes to the log) and must exit 0.
 # `watch --tick-ms 0` draws every frame the run delivers exactly once,
 # from inside the run, so two runs of the same spec must print the same
-# bytes.
+# bytes. `run --report` is the one way a CLI run is described (its spec,
+# the database generated from it), so two runs of the same spec must save
+# the same report, and `diff` of the two must find nothing (exit 0).
 cargo run --offline --release -q -p scanshare-cli --bin scanshare -- profile --smoke
 smoke_dir=$(mktemp -d)
 target/release/scanshare spec-template >"$smoke_dir/spec.json"
@@ -98,6 +100,17 @@ if ! cmp "$smoke_dir/watch1.txt" "$smoke_dir/watch2.txt"; then
     exit 1
 fi
 echo "watch: $(grep -c '^scanshare watch' "$smoke_dir/watch1.txt") frames, byte-identical twice"
+for i in 1 2; do
+    target/release/scanshare run --spec "$smoke_dir/spec.json" --report "$smoke_dir/report$i.json" \
+        >/dev/null
+done
+if ! cmp "$smoke_dir/report1.json" "$smoke_dir/report2.json" ||
+    ! target/release/scanshare diff "$smoke_dir/report1.json" "$smoke_dir/report2.json" >/dev/null; then
+    echo "FAIL: two runs of one spec saved different reports"
+    rm -rf "$smoke_dir"
+    exit 1
+fi
+echo "run: $(wc -c <"$smoke_dir/report1.json") report bytes, byte-identical twice, diff exit 0"
 rm -rf "$smoke_dir"
 
 leg "experiment table: claims + results/ byte identity"
