@@ -462,6 +462,19 @@ fn load_spec_and_db(args: &Args, faults: Option<&str>) -> Result<(RunSpec, Datab
         );
         return Err(invalid(&e).into());
     }
+    let rows = [
+        ("lineitem", tpch.lineitem_rows()),
+        ("orders", tpch.orders_rows()),
+        ("part", tpch.part_rows()),
+        ("customer", tpch.customer_rows()),
+    ];
+    if let Some((table, _)) = rows.iter().find(|(_, n)| *n == 0) {
+        let e = format!(
+            "tpch.scale {} leaves table {table} without rows",
+            tpch.scale
+        );
+        return Err(invalid(&e).into());
+    }
     let db = generate(tpch);
     Ok((spec, db))
 }

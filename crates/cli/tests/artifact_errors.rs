@@ -178,9 +178,9 @@ fn a_missing_required_field_is_exit_2_naming_it() {
 }
 
 /// A spec with a zero pool, extent, CPU count, block size or month count,
-/// or a scale that is not a number above 0, is refused by `run` and
-/// `watch` before any data is generated: exit 2 and one line naming the
-/// field.
+/// or a scale that is not a number above 0 or leaves a table without
+/// rows, is refused by `run` and `watch` before any data is generated:
+/// exit 2 and one line naming the field.
 #[test]
 fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
     let template = scanshare(&["spec-template"]);
@@ -218,13 +218,14 @@ fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
         }
         refused(&bad, &format!("{field} must be at least 1"));
     }
-    for scale in [0.0, -1.0] {
+    for scale in [0.0, -1.0, 0.000001] {
         let mut bad = spec.clone();
         bad.tpch.scale = scale;
-        refused(
-            &bad,
-            &format!("tpch.scale must be a finite number above 0, not {scale}"),
-        );
+        let want = match scale > 0.0 {
+            true => format!("tpch.scale {scale} leaves table lineitem without rows"),
+            false => format!("tpch.scale must be a finite number above 0, not {scale}"),
+        };
+        refused(&bad, &want);
     }
     std::fs::remove_file(&path).ok();
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use scanshare_relstore::{
-    BTree, Entry, HeapWriter, MdcTableBuilder, Schema, TableKind, TableMeta, Value,
+    BTree, Entry, HeapWriter, MdcTableBuilder, Rid, Schema, TableKind, TableMeta, Value,
 };
 use scanshare_storage::{FileStore, StorageResult};
 
@@ -15,16 +15,59 @@ use scanshare_storage::{FileStore, StorageResult};
 #[derive(Debug)]
 pub struct Database {
     store: FileStore,
-    /// Each table, with its RID index's entries in `(key, payload)`
-    /// order when it has one: decoded once and shared by every scan of
-    /// the index. Index I/O is not modelled, so a scan reads its key
-    /// range straight out of this copy.
-    tables: HashMap<String, (TableMeta, Option<IndexEntries>)>,
+    /// Each table, with its RID index decoded when it has one: decoded
+    /// once and shared by every scan of the index. Index I/O is not
+    /// modelled, so a scan reads its key range straight out of this copy.
+    tables: HashMap<String, (TableMeta, Option<RidIndex>)>,
 }
 
 /// A decoded index's entries in `(key, payload)` order, shared by the
 /// scans that read them.
 pub(crate) type IndexEntries = Arc<[Entry]>;
+
+/// A decoded RID index: its entries, and the runs they fall into — the
+/// longest stretches of consecutive entries whose RIDs share a page, in
+/// order. A RID step takes whole runs and checks each once.
+#[derive(Debug)]
+pub(crate) struct RidIndex {
+    pub(crate) entries: IndexEntries,
+    pub(crate) runs: Arc<[PageRun]>,
+}
+
+/// One run of a [`RidIndex`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageRun {
+    /// The position in the index one past the run's last entry.
+    pub(crate) end: u32,
+    /// The largest slot a RID of the run names.
+    pub(crate) max_slot: u16,
+}
+
+impl From<Vec<Entry>> for RidIndex {
+    /// The index of `entries`, which are in `(key, payload)` order, with
+    /// its run table.
+    fn from(entries: Vec<Entry>) -> RidIndex {
+        let rid = |e: &Entry| Rid::unpack(e.payload);
+        let mut end = 0;
+        let runs = (entries.chunk_by(|a, b| rid(a).page == rid(b).page))
+            .map(|run| {
+                end += run.len();
+                PageRun {
+                    end: u32::try_from(end).expect("a RID index of fewer than 2^32 entries"),
+                    max_slot: run
+                        .iter()
+                        .map(|e| rid(e).slot)
+                        .max()
+                        .expect("a run has RIDs"),
+                }
+            })
+            .collect();
+        RidIndex {
+            entries: entries.into(),
+            runs,
+        }
+    }
+}
 
 impl Database {
     /// Create an empty database whose volume allocates `extent_pages`
@@ -46,8 +89,8 @@ impl Database {
         self.tables.get(name).map(|(t, _)| t)
     }
 
-    /// The decoded entries of table `name`'s RID index, if it has one.
-    pub(crate) fn rid_entries(&self, name: &str) -> Option<&IndexEntries> {
+    /// Table `name`'s RID index, decoded, if it has one.
+    pub(crate) fn rid_index(&self, name: &str) -> Option<&RidIndex> {
         self.tables.get(name)?.1.as_ref()
     }
 
@@ -59,7 +102,7 @@ impl Database {
     }
 
     /// Register table `name`, with its RID index and that index's sorted
-    /// entries, if any.
+    /// entries, if any (their run table is built here).
     fn register(
         &mut self,
         name: String,

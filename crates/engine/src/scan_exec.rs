@@ -23,6 +23,7 @@
 
 use std::collections::VecDeque;
 use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use scanshare::{Location, ObjectId, ScanDesc, ScanId, ScanKind};
 use scanshare_relstore::{ColType, Entry, HeapPage, Rid, Schema};
@@ -31,7 +32,7 @@ use scanshare_storage::{
 };
 
 use crate::cost::{CpuClass, EngineConfig};
-use crate::db::{Database, IndexEntries};
+use crate::db::{Database, IndexEntries, PageRun, RidIndex};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::ExecWorld;
 use crate::query::{Access, AggSpec, Pred, QueryResult, ScanSpec};
@@ -78,18 +79,30 @@ pub(crate) enum Walk {
         block_pages: u32,
     },
     /// The `(key, RID)` entries of a secondary index, fetching each
-    /// row's page; one extent's worth of *distinct pages* per step. The
-    /// pages behind consecutive keys are scattered (§3.2), so this walk
-    /// seeks heavily when cold.
-    Rids(SharedEntries),
+    /// row's page; one extent's worth of *distinct pages* per step, taken
+    /// a run of same-page RIDs at a time (`runs` is the whole index's run
+    /// table). The pages behind consecutive keys are scattered (§3.2), so
+    /// this walk seeks heavily when cold.
+    Rids {
+        entries: SharedEntries,
+        runs: Arc<[PageRun]>,
+    },
 }
 
 impl Walk {
+    /// A walk over the entries of `index` with `lo <= key <= hi`.
+    fn rids(index: &RidIndex, lo: i64, hi: i64) -> Walk {
+        Walk::Rids {
+            entries: SharedEntries::key_range(&index.entries, lo, hi),
+            runs: index.runs.clone(),
+        }
+    }
+
     /// Units in the range.
     fn len(&self) -> usize {
         match self {
             Walk::Pages(n) => *n as usize,
-            Walk::Blocks { entries, .. } | Walk::Rids(entries) => entries.len(),
+            Walk::Blocks { entries, .. } | Walk::Rids { entries, .. } => entries.len(),
         }
     }
 
@@ -97,15 +110,14 @@ impl Walk {
     fn unit_pages(&self) -> u64 {
         match self {
             Walk::Blocks { block_pages, .. } => *block_pages as u64,
-            Walk::Pages(_) | Walk::Rids(_) => 1,
+            Walk::Pages(_) | Walk::Rids { .. } => 1,
         }
     }
 
     /// Gather the step that starts at unit `pos` and takes at most
-    /// `room` units: its pages into `ids` (and, for RID walks, each
-    /// row's page as its position in `ids` and its slot into `rids`).
-    /// Returns what to evaluate, the location to report afterwards and
-    /// the units taken.
+    /// `room` units: its pages into `ids` (and, for RID walks, the runs
+    /// of same-page RIDs it takes into `runs`). Returns what to evaluate,
+    /// the location to report afterwards and the units taken.
     fn cover(
         &self,
         pos: usize,
@@ -113,8 +125,8 @@ impl Walk {
         file: FileId,
         extent_pages: u32,
         ids: &mut Vec<PageId>,
-        rids: &mut Vec<(u32, u16)>,
-    ) -> (StepWork, Location, usize) {
+        runs: &mut Vec<StepRun>,
+    ) -> (StepWork<'_>, Location, usize) {
         let pages = |first: u32, n: u32| (first..first + n).map(move |p| PageId::new(file, p));
         match self {
             Walk::Pages(_) => {
@@ -131,33 +143,39 @@ impl Walk {
                 ids.extend(pages(e.payload as u32 * block_pages, *block_pages));
                 (StepWork::AllRows, Location::new(e.key, e.payload), 1)
             }
-            Walk::Rids(entries) => {
-                // Consume entries until the step spans one extent's worth
-                // of distinct pages, at most 32 entries a page.
+            Walk::Rids { entries, runs: all } => {
+                // Consume whole runs of same-page RIDs, the last one cut
+                // at the room left, until the step spans one extent's
+                // worth of distinct pages: at most 32 × `extent_pages`
+                // entries a step. Positions are in the whole index.
                 let extent = extent_pages as usize;
-                let mut taken = 0usize;
-                // Where the previous RID's page sits in `ids`.
-                let mut at = 0;
-                for e in &entries[pos..pos + room.min(extent * 32)] {
-                    let rid = Rid::unpack(e.payload);
-                    let pid = PageId::new(file, rid.page);
-                    // Consecutive keys mostly share a page: compare with
-                    // the previous RID's before searching the extent's.
-                    if ids.get(at) != Some(&pid) {
-                        at = match ids.iter().position(|&id| id == pid) {
-                            Some(at) => at,
-                            None if ids.len() == extent => break,
-                            None => {
-                                ids.push(pid);
-                                ids.len() - 1
-                            }
-                        };
-                    }
-                    rids.push((at as u32, rid.slot));
-                    taken += 1;
+                let first = entries.1.start + pos;
+                let end = first + room.min(extent * 32);
+                let mut next = all.partition_point(|run| run.end as usize <= first);
+                let mut at = first;
+                while at < end {
+                    let run = all[next];
+                    let pid = PageId::new(file, Rid::unpack(entries.0[at].payload).page);
+                    let page = match ids.iter().position(|&id| id == pid) {
+                        Some(page) => page,
+                        None if ids.len() == extent => break,
+                        None => {
+                            ids.push(pid);
+                            ids.len() - 1
+                        }
+                    };
+                    at = end.min(run.end as usize);
+                    runs.push(StepRun {
+                        page: page as u32,
+                        end: (at - first) as u32,
+                        max_slot: run.max_slot,
+                    });
+                    next += 1;
                 }
+                let taken = at - first;
                 let last = entries[pos + taken.saturating_sub(1)];
-                (StepWork::Rids, Location::new(last.key, last.payload), taken)
+                let work = StepWork::Rids(&entries[pos..pos + taken]);
+                (work, Location::new(last.key, last.payload), taken)
             }
         }
     }
@@ -199,7 +217,7 @@ impl Plan {
             Walk::Pages(n) => (loc.pos as usize).min((*n as usize).saturating_sub(1)),
             // Find the first exact joined entry; fall back to the first
             // entry at or after the joined key, then to the range start.
-            Walk::Blocks { entries, .. } | Walk::Rids(entries) => {
+            Walk::Blocks { entries, .. } | Walk::Rids { entries, .. } => {
                 let joined = Entry::new(loc.key, loc.pos);
                 let exact = entries.partition_point(|e| *e < joined);
                 match entries.get(exact) {
@@ -225,7 +243,7 @@ impl Plan {
     fn range_start(&self) -> Location {
         match &self.walk {
             Walk::Pages(_) => Location::new(0, 0),
-            Walk::Blocks { entries, .. } | Walk::Rids(entries) => {
+            Walk::Blocks { entries, .. } | Walk::Rids { entries, .. } => {
                 Location::new(entries[0].key, entries[0].payload)
             }
         }
@@ -239,20 +257,19 @@ impl Plan {
         (pos, (len - pos).min(len - self.visited))
     }
 
-    /// Gather the next step's pages into `ids` (and, for RID walks, the
-    /// work list into `rids`: each row's page as its position in `ids`,
-    /// and its slot). Returns what to evaluate, the location to report
-    /// afterwards, the units consumed, and whether the step ends the
-    /// first phase (the cursor wraps after it).
+    /// Gather the next step's pages into `ids` (and, for RID walks, its
+    /// runs of same-page RIDs into `runs`). Returns what to evaluate, the
+    /// location to report afterwards, the units consumed, and whether the
+    /// step ends the first phase (the cursor wraps after it).
     fn gather(
         &self,
         file: FileId,
         extent_pages: u32,
         ids: &mut Vec<PageId>,
-        rids: &mut Vec<(u32, u16)>,
-    ) -> (StepWork, Location, u64, bool) {
+        runs: &mut Vec<StepRun>,
+    ) -> (StepWork<'_>, Location, u64, bool) {
         let (pos, room) = self.next();
-        let (work, location, taken) = self.walk.cover(pos, room, file, extent_pages, ids, rids);
+        let (work, location, taken) = self.walk.cover(pos, room, file, extent_pages, ids, runs);
         let len = self.walk.len();
         let wraps = pos + taken == len && self.visited + taken < len;
         (work, location, taken as u64, wraps)
@@ -288,7 +305,10 @@ impl Plan {
                 entries: entries.prefix(n),
                 block_pages: *block_pages,
             },
-            Walk::Rids(entries) => Walk::Rids(entries.prefix(n)),
+            Walk::Rids { entries, runs } => Walk::Rids {
+                entries: entries.prefix(n),
+                runs: runs.clone(),
+            },
         })
     }
 
@@ -296,7 +316,7 @@ impl Plan {
     /// prefetching. RID steps are not predicted: how many entries one
     /// takes depends on the pages behind them.
     fn peek_next_pages(&self, file: FileId, extent_pages: u32, out: &mut Vec<PageId>) {
-        if self.done() || matches!(self.walk, Walk::Rids(_)) {
+        if self.done() || matches!(self.walk, Walk::Rids { .. }) {
             return;
         }
         let (pos, room) = self.next();
@@ -307,12 +327,35 @@ impl Plan {
 
 /// What a step evaluates on its fetched pages.
 #[derive(Clone, Copy)]
-pub(crate) enum StepWork {
+pub(crate) enum StepWork<'a> {
     /// Every row of every fetched page (table and block index scans).
     AllRows,
-    /// Exactly the `(page, slot)` rows gathered into the step scratch
-    /// (RID index scans).
-    Rids,
+    /// Exactly the rows these RID index entries name, in order, run by
+    /// run as the step scratch's `runs` has them.
+    Rids(&'a [Entry]),
+}
+
+/// One run of same-page RIDs a step takes.
+#[derive(Debug, Clone, Copy)]
+struct StepRun {
+    /// Where the run's page sits in the step's page ids.
+    page: u32,
+    /// Where the run ends in the step's entries.
+    end: u32,
+    /// The largest slot of the whole run the step took this one from:
+    /// at least that of its own RIDs.
+    max_slot: u16,
+}
+
+/// Each of `runs` with its entries of `step`, in order.
+fn run_entries<'a>(
+    runs: &'a [StepRun],
+    step: &'a [Entry],
+) -> impl Iterator<Item = (&'a StepRun, &'a [Entry])> + Clone {
+    runs.iter().scan(0, move |from, run| {
+        let end = run.end as usize;
+        Some((run, &step[std::mem::replace(from, end)..end]))
+    })
 }
 
 /// Reusable buffers for [`step_extent`]. Capacity survives between
@@ -325,8 +368,16 @@ pub(crate) enum StepWork {
 pub(crate) struct StepScratch {
     /// The extent's page ids, in scan order.
     ids: Vec<PageId>,
-    /// RID work list for [`Walk::Rids`] steps: `(position in ids, slot)`.
-    rids: Vec<(u32, u16)>,
+    /// The runs of same-page RIDs a [`Walk::Rids`] step takes, in order.
+    runs: Vec<StepRun>,
+    /// A RID step's entries whose rows pass a predicate, and the runs
+    /// they fall into, for one class.
+    kept: Vec<Entry>,
+    kept_runs: Vec<StepRun>,
+    /// Each page of a RID step, in `ids` order: its pool frame, and
+    /// where its rows lie in the frame when it is fixed-width (an empty
+    /// range when not).
+    frames: Vec<(u32, Range<usize>)>,
     /// Fetched `(page, pool slot)` pairs, sorted by page id.
     pages: Vec<(PageId, u32)>,
     /// Predicted next-extent pages handed to the prefetcher.
@@ -750,6 +801,18 @@ impl AggState {
         }
     }
 
+    /// [`AggState::fold`] for rows that never fold as a class, a RID
+    /// step's: each state alone, so one copy of the kernel.
+    fn fold_alone<'a>(
+        states: &mut [AggState],
+        pipe: &RowPipeline,
+        batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
+    ) {
+        for state in states.chunks_mut(1) {
+            Self::fold_chunk::<1, false>(state, pipe, batches.clone());
+        }
+    }
+
     /// The running sums are copied out of the `K` states of `chunk` for
     /// the length of the fold — into arrays when a solitary state has at
     /// most eight and the states of a class at most four each (four by
@@ -1090,26 +1153,16 @@ impl RowPipeline {
         work: StepWork,
         scratch: &mut StepScratch,
     ) -> EngineResult<u64> {
-        let StepScratch {
-            ids,
-            pages,
-            rids,
-            sel,
-            gathered,
-            states,
-            ..
-        } = scratch;
-        let (width, stride) = (self.width, self.stride());
-        let gather = |gathered: &mut Vec<u8>, row: &[u8]| {
-            let fields = row.get(..width).ok_or_else(|| {
-                StorageError::Corrupt(format!("{}-byte record, schema has {width}", row.len()))
-            })?;
-            gathered.extend_from_slice(fields);
-            gathered.resize(gathered.len() + stride - width, 0);
-            Ok::<(), StorageError>(())
-        };
         match work {
             StepWork::AllRows => {
+                let StepScratch {
+                    pages,
+                    sel,
+                    gathered,
+                    states,
+                    ..
+                } = scratch;
+                let (width, stride) = (self.width, self.stride());
                 // Fixed-width heap pages are folded where they lie; odd
                 // layouts are decoded slot by slot first, and then the
                 // extent's pages are folded in one call, in order.
@@ -1120,7 +1173,7 @@ impl RowPipeline {
                     rows += page.num_rows() as u64;
                     if page.dense_region(width).is_none() {
                         for row in page.rows() {
-                            gather(gathered, row)?;
+                            self.copy_fields(gathered, row)?;
                         }
                     }
                 }
@@ -1136,46 +1189,109 @@ impl RowPipeline {
                 self.fold_regions(states, sel, regions);
                 Ok(rows)
             }
-            StepWork::Rids => {
-                // Exactly the indexed rows, in key order, in one pass. Each
-                // page of the step resolves once (`pages` is sorted by page
-                // id) to where its rows lie when it is fixed-width.
-                let page = |id: &PageId| {
-                    let at = pages.binary_search_by_key(id, |&(id, _)| id);
-                    HeapPage::new(pool.slot_buf(pages[at.expect("page fetched")].1))
-                };
-                let regions: Option<Vec<&[u8]>> = ids
-                    .iter()
-                    .map(|id| page(id).ok()?.dense_region(width))
-                    .collect();
-                let on_page = |r: &[&[u8]]| {
-                    rids.iter()
-                        .all(|&(at, s)| (s as usize) * width < r[at as usize].len())
-                };
-                match regions {
-                    Some(regions) if on_page(&regions) => {
-                        let row = |i: u32| {
-                            let (at, s) = rids[i as usize];
-                            row_at(regions[at as usize], width, s as u32)
-                        };
-                        self.fold_rows(states, sel, rids.len(), row);
-                    }
-                    // An odd layout, or a slot its page lacks: the rows are
-                    // read through their pages' slot directories, which
-                    // have the error, and copied side by side before any
-                    // is folded.
-                    _ => {
-                        gathered.clear();
-                        for &(at, slot) in rids.iter() {
-                            let row = page(&ids[at as usize])?.row_bytes(slot)?;
-                            gather(gathered, row)?;
-                        }
-                        self.fold_selected(states, sel, gathered);
-                    }
-                }
-                Ok(rids.len() as u64)
-            }
+            StepWork::Rids(step) => self.fold_rids(pool, step, scratch),
         }
+    }
+
+    /// [`RowPipeline::fold_extent`] for a RID step, whose `step` entries
+    /// fall into the scratch's `runs`.
+    fn fold_rids(
+        &self,
+        pool: &BufferPool,
+        step: &[Entry],
+        scratch: &mut StepScratch,
+    ) -> EngineResult<u64> {
+        let StepScratch {
+            ids,
+            pages,
+            runs,
+            kept,
+            kept_runs,
+            frames,
+            sel,
+            gathered,
+            states,
+            ..
+        } = scratch;
+        let width = self.width;
+        // Exactly the indexed rows, in key order, in one pass, run by run:
+        // where they lie when every run's page is fixed-width and holds the
+        // run's largest slot. Each page of the step is resolved once
+        // (`pages` is sorted by id).
+        frames.clear();
+        for id in ids.iter() {
+            let at = pages.binary_search_by_key(id, |&(id, _)| id);
+            let slot = pages[at.expect("page fetched")].1;
+            let page = HeapPage::new(pool.slot_buf(slot)).ok();
+            let rows = page.and_then(|p| p.dense_range(width));
+            frames.push((slot, rows.unwrap_or(0..0)));
+        }
+        let frames = &frames[..];
+        let page = |run: &StepRun| HeapPage::new(pool.slot_buf(frames[run.page as usize].0));
+        let on_page = |run: &StepRun| {
+            let region = &frames[run.page as usize].1;
+            run.max_slot as usize * width < region.len()
+        };
+        let region = |run: &StepRun| {
+            let (slot, region) = &frames[run.page as usize];
+            &pool.slot_buf(*slot)[region.clone()]
+        };
+        let row = |region, e: &Entry| row_at(region, width, Rid::unpack(e.payload).slot as u32);
+        if !runs.iter().all(on_page) {
+            // An odd layout, or a slot its page may lack: the rows are read
+            // through their pages' slot directories, which have the error,
+            // and copied side by side before any is folded.
+            gathered.clear();
+            for (run, rids) in run_entries(runs, step) {
+                let page = page(run)?;
+                for e in rids {
+                    let row = page.row_bytes(Rid::unpack(e.payload).slot)?;
+                    self.copy_fields(gathered, row)?;
+                }
+            }
+            self.fold_selected(states, sel, gathered);
+            return Ok(step.len() as u64);
+        }
+        // With a predicate, the RIDs of each run whose rows pass it,
+        // selected where the rows lie, stand in for the step's.
+        let (rows, runs) = match self.leaves.is_empty() {
+            true => (step, &runs[..]),
+            false => {
+                kept.clear();
+                kept_runs.clear();
+                for (run, rids) in run_entries(runs, step) {
+                    let region = region(run);
+                    sel.clear();
+                    sel.extend(0..rids.len() as u32);
+                    for leaf in &self.leaves {
+                        leaf.filter(|i| row(region, &rids[i as usize]), sel);
+                    }
+                    kept.extend(sel.iter().map(|&i| rids[i as usize]));
+                    let end = kept.len() as u32;
+                    kept_runs.push(StepRun { end, ..*run });
+                }
+                (&kept[..], &kept_runs[..])
+            }
+        };
+        let batches = run_entries(runs, rows).map(|(run, rids)| {
+            let region = region(run);
+            rids.iter().map(move |e| row(region, e))
+        });
+        AggState::fold_alone(states, self, batches);
+        Ok(step.len() as u64)
+    }
+
+    /// Copy the fields of `row`, a record of this pipeline's table, to
+    /// the end of `gathered`, padded to the stride; a record shorter than
+    /// the schema is `Corrupt`.
+    fn copy_fields(&self, gathered: &mut Vec<u8>, row: &[u8]) -> Result<(), StorageError> {
+        let width = self.width;
+        let fields = row.get(..width).ok_or_else(|| {
+            StorageError::Corrupt(format!("{}-byte record, schema has {width}", row.len()))
+        })?;
+        gathered.extend_from_slice(fields);
+        gathered.resize(gathered.len() + self.stride() - width, 0);
+        Ok(())
     }
 }
 
@@ -1244,12 +1360,12 @@ pub(crate) fn step_extent(
 ) -> EngineResult<Step> {
     let owner = order[0];
     scratch.ids.clear();
-    scratch.rids.clear();
+    scratch.runs.clear();
     let (work, location, units, wraps) = cursor.plan.gather(
         cursor.file,
         world.cfg.extent_pages,
         &mut scratch.ids,
-        &mut scratch.rids,
+        &mut scratch.runs,
     );
 
     // I/O, once for all consumers.
@@ -1498,12 +1614,12 @@ pub(crate) fn plan_scan(
         }
         Access::RidRange { lo, hi } => {
             let index = db
-                .rid_entries(&spec.table)
+                .rid_index(&spec.table)
                 .ok_or_else(|| EngineError::NotClustered(spec.table.clone()))?;
-            let entries = SharedEntries::key_range(index, *lo, *hi);
+            let walk = Walk::rids(index, *lo, *hi);
             // Low-selectivity RID fetches touch roughly one distinct
             // page per entry, capped by the table size.
-            let est_pages = (entries.len() as u64).min(table.num_pages() as u64);
+            let est_pages = (walk.len() as u64).min(table.num_pages() as u64);
             let desc = ScanDesc {
                 kind: ScanKind::Index,
                 object: ObjectId(file.0 as u64),
@@ -1513,7 +1629,7 @@ pub(crate) fn plan_scan(
                 est_time: ScanExec::estimate_time(world, spec, est_pages, 1),
                 priority: spec.query_priority,
             };
-            (Plan::new(Walk::Rids(entries)), desc)
+            (Plan::new(walk), desc)
         }
         Access::IndexRange { lo, hi } => {
             let mdc = table
@@ -1717,6 +1833,28 @@ pub(crate) fn fused_classes() -> u64 {
 }
 
 #[cfg(test)]
+impl Walk {
+    /// A RID walk over all of `entries`, with the run table a database
+    /// builds for its index.
+    fn all_rids(entries: Vec<Entry>) -> Walk {
+        Walk::rids(&entries.into(), i64::MIN, i64::MAX)
+    }
+}
+
+/// A step's runs as the per-entry work list they stand for: each RID's
+/// page as its position in the step's page ids, and its slot.
+#[cfg(test)]
+fn per_entry(work: StepWork, runs: &[StepRun]) -> Vec<(u32, u16)> {
+    let StepWork::Rids(step) = work else {
+        return Vec::new();
+    };
+    assert_eq!(runs.last().map_or(0, |run| run.end as usize), step.len());
+    (run_entries(runs, step))
+        .flat_map(|(run, rids)| rids.iter().map(|e| (run.page, Rid::unpack(e.payload).slot)))
+        .collect()
+}
+
+#[cfg(test)]
 impl From<Vec<Entry>> for SharedEntries {
     /// All of `entries`, as their own shared copy.
     fn from(entries: Vec<Entry>) -> SharedEntries {
@@ -1876,6 +2014,51 @@ mod tests {
         )
     }
 
+    /// One step of a RID walk over `window` of `index`, placed at unit
+    /// `start` with `visited` units done, gathered by the walk and by the
+    /// per-entry reference, which must agree. Returns the step's first
+    /// position in the index, its units, its room and whether it wraps.
+    fn gather_both_ways(
+        index: &RidIndex,
+        window: Range<usize>,
+        extent_pages: u32,
+        start: usize,
+        visited: usize,
+    ) -> (usize, usize, usize, bool) {
+        let file = FileId(3);
+        let walk = Walk::Rids {
+            entries: SharedEntries(index.entries.clone(), window.clone()),
+            runs: index.runs.clone(),
+        };
+        let plan = Plan {
+            start,
+            visited,
+            ..Plan::new(walk)
+        };
+        let (mut ids, mut runs) = (Vec::new(), Vec::new());
+        let (mut want_ids, mut want_rids) = (Vec::new(), Vec::new());
+        let (work, location, units, wraps) = plan.gather(file, extent_pages, &mut ids, &mut runs);
+        assert!(
+            matches!(work, StepWork::Rids(_)),
+            "a RID plan gathers RID work"
+        );
+        let want = rid_gather_by_modulo(
+            &index.entries[window.clone()],
+            start,
+            visited,
+            file,
+            extent_pages,
+            &mut want_ids,
+            &mut want_rids,
+        );
+        let at = format!("window {window:?} extent {extent_pages} start {start} visited {visited}");
+        assert_eq!((ids.len() as u64, location, units, wraps), want, "{at}");
+        assert_eq!(ids, want_ids, "{at}");
+        assert_eq!(per_entry(work, &runs), want_rids, "{at}");
+        let (pos, room) = plan.next();
+        (window.start + pos, units as usize, room, wraps)
+    }
+
     #[test]
     fn rid_gather_walks_the_same_chunks_as_the_per_entry_modulo_loop() {
         // 300 entries over 40 pages: runs of one to five RIDs on a page
@@ -1897,44 +2080,99 @@ mod tests {
             }
         }
         entries.truncate(300);
-        let file = FileId(3);
-        let (mut ids, mut rids) = (Vec::new(), Vec::new());
-        let (mut want_ids, mut want_rids) = (Vec::new(), Vec::new());
+        let short = RidIndex::from(entries);
         let mut chunks_cut_by_the_wrap = 0;
-        let mut plan = Plan::new(Walk::Rids(entries.clone().into()));
         for extent_pages in [1, 4, 16] {
-            for start_idx in 0..entries.len() {
-                for visited in 0..entries.len() {
-                    (plan.start, plan.visited) = (start_idx, visited);
-                    ids.clear();
-                    rids.clear();
-                    want_ids.clear();
-                    want_rids.clear();
-                    let (work, location, units, wraps) =
-                        plan.gather(file, extent_pages, &mut ids, &mut rids);
-                    assert!(
-                        matches!(work, StepWork::Rids),
-                        "a RID plan gathers RID work"
-                    );
-                    let want = rid_gather_by_modulo(
-                        &entries,
-                        start_idx,
-                        visited,
-                        file,
-                        extent_pages,
-                        &mut want_ids,
-                        &mut want_rids,
-                    );
-                    let at = format!("extent {extent_pages} start {start_idx} visited {visited}");
-                    let got = (ids.len() as u64, location, units, wraps);
-                    assert_eq!(got, want, "{at}");
-                    assert_eq!(ids, want_ids, "{at}");
-                    assert_eq!(rids, want_rids, "{at}");
+            for start in 0..300 {
+                for visited in 0..300 {
+                    let (.., wraps) =
+                        gather_both_ways(&short, 0..300, extent_pages, start, visited);
                     chunks_cut_by_the_wrap += wraps as usize;
                 }
             }
         }
         assert!(chunks_cut_by_the_wrap > 300, "the wrap was hardly reached");
+
+        // Runs of up to 1 200 RIDs, longer than the 512 entries a step of
+        // 16 pages may take, beside short ones; windows on the index and
+        // steps that begin and end inside a run.
+        let mut entries: Vec<Entry> = Vec::new();
+        while entries.len() < 6_000 {
+            let page = (rng.next_u64() % 40) as u32;
+            let len = match rng.next_u64() % 5 {
+                0 | 1 => 1 + rng.next_u64() % 5,
+                2 | 3 => 20 + rng.next_u64() % 80,
+                _ => 513 + rng.next_u64() % 700,
+            };
+            for _ in 0..len {
+                let rid = Rid::new(page, (rng.next_u64() % 50) as u16);
+                entries.push(Entry::new(entries.len() as i64 / 3, rid.pack()));
+            }
+        }
+        let long = RidIndex::from(entries);
+        let n = long.entries.len();
+        let page = |at: usize| Rid::unpack(long.entries[at].payload).page;
+        // Whether positions `at` and `at + 1` of the index are in one run.
+        let run_goes_on = |at: usize| at + 1 < n && page(at) == page(at + 1);
+        #[derive(Debug, Default)]
+        struct Reached {
+            windows_from_mid_run: u32,
+            windows_to_mid_run: u32,
+            steps_from_mid_run: u32,
+            runs_cut_by_the_room_cap: u32,
+            steps_of_512_from_one_run: u32,
+            runs_cut_by_the_wrap: u32,
+        }
+        let mut reached = Reached::default();
+        let windows = (0..7).map(|w| match w {
+            0 => 0..n,
+            _ => {
+                let lo = rng.bounded_u64(n as u64 / 2) as usize;
+                lo..n / 2 + rng.bounded_u64(n as u64 / 2) as usize
+            }
+        });
+        for window in windows.collect::<Vec<_>>() {
+            let len = window.len();
+            reached.windows_from_mid_run +=
+                (window.start > 0 && run_goes_on(window.start - 1)) as u32;
+            reached.windows_to_mid_run += run_goes_on(window.end - 1) as u32;
+            for extent_pages in [1, 4, 16] {
+                let cap = 32 * extent_pages as usize;
+                for sample in 0..300 {
+                    let start = rng.bounded_u64(len as u64) as usize;
+                    // A third of the steps end the walk, where its start
+                    // cuts them.
+                    let visited = match sample % 3 {
+                        0 => len.saturating_sub(1 + rng.bounded_u64(cap as u64) as usize),
+                        _ => rng.bounded_u64(len as u64) as usize,
+                    };
+                    let (first, units, room, _) =
+                        gather_both_ways(&long, window.clone(), extent_pages, start, visited);
+                    let last = first + units - 1;
+                    let cut = run_goes_on(last);
+                    reached.steps_from_mid_run += (first > 0 && run_goes_on(first - 1)) as u32;
+                    reached.runs_cut_by_the_room_cap += (cut && units == cap) as u32;
+                    let one_run = (first..last).all(run_goes_on);
+                    reached.steps_of_512_from_one_run += (units == 512 && one_run) as u32;
+                    reached.runs_cut_by_the_wrap += (cut && units == room && room < cap) as u32;
+                }
+            }
+        }
+        let r = &reached;
+        for (what, n, at_least) in [
+            ("windows that begin inside a run", r.windows_from_mid_run, 3),
+            ("windows that end inside a run", r.windows_to_mid_run, 3),
+            ("steps that begin inside a run", r.steps_from_mid_run, 50),
+            ("runs the room cap cuts", r.runs_cut_by_the_room_cap, 50),
+            (
+                "steps of 512 RIDs of one run",
+                r.steps_of_512_from_one_run,
+                50,
+            ),
+            ("runs the wrap cuts", r.runs_cut_by_the_wrap, 50),
+        ] {
+            assert!(n >= at_least, "only {n} reached: {what} ({r:?})");
+        }
     }
 
     /// Where [`Plan::start_at`] first started an index plan: the first
@@ -2000,14 +2238,15 @@ mod tests {
             let mut wider = entries.clone();
             wider.insert(0, Entry::new(lo - 10, 7));
             wider.push(Entry::new(hi + 10, 0));
-            let window = SharedEntries::key_range(&wider.into(), lo, hi);
+            let wider = RidIndex::from(wider);
+            let window = SharedEntries::key_range(&wider.entries, lo, hi);
             assert_eq!(*window, entries[..]);
             let mut plans = [
                 Plan::new(Walk::Blocks {
                     entries: entries.clone().into(),
                     block_pages,
                 }),
-                Plan::new(Walk::Rids(window)),
+                Plan::new(Walk::rids(&wider, lo, hi)),
             ];
             for (plan, pages_per_entry) in plans.iter_mut().zip([block_pages as u64, 1]) {
                 plan.start_at(loc, back_up);
@@ -2071,7 +2310,7 @@ mod tests {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        let (mut ids, mut rids, mut peek) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut ids, mut runs, mut peek) = (Vec::new(), Vec::new(), Vec::new());
         // Walk `plan` to its end, digesting every step. Returns the
         // locations it reported and, after `prefix_at` steps, the
         // catch-up prefix.
@@ -2092,13 +2331,13 @@ mod tests {
                 mix(start.key as u64);
                 mix(start.pos);
                 ids.clear();
-                rids.clear();
-                let (work, loc, units, wraps) = plan.gather(file, extent, &mut ids, &mut rids);
-                mix(matches!(work, StepWork::Rids) as u64);
+                runs.clear();
+                let (work, loc, units, wraps) = plan.gather(file, extent, &mut ids, &mut runs);
+                mix(matches!(work, StepWork::Rids(_)) as u64);
                 for id in &ids {
                     mix(((id.file.0 as u64) << 32) | id.page as u64);
                 }
-                for &(at, slot) in &rids {
+                for (at, slot) in per_entry(work, &runs) {
                     mix(((at as u64) << 16) | slot as u64);
                 }
                 for v in [loc.key as u64, loc.pos, units, wraps as u64] {
@@ -2928,8 +3167,11 @@ mod kernel_oracle {
 
     /// A RID that names a slot its page does not have, or a record
     /// shorter than the schema, is `Corrupt` whether its page is
-    /// fixed-width (folded where it lies) or slotted (gathered first) —
-    /// and the same RIDs without the bad one are counted.
+    /// fixed-width (folded where it lies) or slotted (gathered first),
+    /// among short runs or at the end of a long one — and the same RIDs
+    /// without the bad one are counted. A bad RID just past the step's
+    /// room cuts its run but is not the step's: the step counts its good
+    /// rows.
     #[test]
     fn rid_steps_reject_bad_slots_and_short_records() {
         let s = schema();
@@ -2959,6 +3201,7 @@ mod kernel_oracle {
             pred: Pred::True,
             ..spec(&mut Rng::seed_from_u64(1), 1, 0, false)
         };
+        // One step over `rids`: the rows it counted, and the RIDs it took.
         let run = |rids: &[(u32, u16)]| {
             let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
             let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
@@ -2967,31 +3210,59 @@ mod kernel_oracle {
                 .enumerate()
                 .map(|(k, &(page, slot))| Entry::new(k as i64, Rid::new(page, slot).pack()))
                 .collect::<Vec<_>>();
-            let plan = Plan::new(Walk::Rids(entries.into()));
+            let mut cursor = Cursor::new(file, Plan::new(Walk::all_rids(entries)));
             let mut consumers = [Consumer::new(&spec, &s, SimTime::ZERO).unwrap()];
             step_extent(
                 &mut world,
                 SimTime::ZERO,
-                &mut Cursor::new(file, plan),
+                &mut cursor,
                 &mut StepScratch::default(),
                 &mut consumers,
                 &[0],
                 false,
             )
-            .map(|_| consumers[0].result().count)
+            .map(|_| (consumers[0].result().count, cursor.plan.visited_pages()))
+        };
+        let corrupt = |rids: &[(u32, u16)]| {
+            matches!(
+                run(rids),
+                Err(EngineError::Storage(StorageError::Corrupt(_)))
+            )
         };
         let good = [(0, 0), (0, 2), (0, 2), (1, 1), (1, 0), (0, 1), (2, 0)];
-        assert_eq!(run(&good).unwrap(), 7);
+        assert_eq!(run(&good).unwrap(), (7, 7));
         for bad in [(0, 3), (0, u16::MAX), (1, 3), (2, 1), (2, 2)] {
             for at in [0, 3, good.len()] {
                 let mut rids = good.to_vec();
                 rids.insert(at, bad);
+                assert!(corrupt(&rids), "RID {bad:?} at {at} was not rejected");
+            }
+        }
+        // Long runs on the fixed-width and the slotted page, and a bad RID
+        // at the end of one.
+        let long = |page: u32, n: usize| (0..n).map(move |k| (page, k as u16 % 3));
+        let cap = 32 * EngineConfig::default().extent_pages as usize;
+        for page in [0, 1] {
+            let rids: Vec<(u32, u16)> = long(page, 100).chain(good).collect();
+            assert_eq!(run(&rids).unwrap(), (107, 107), "page {page}");
+            for bad in [(page, 3), (page, u16::MAX)] {
+                let mut rids: Vec<(u32, u16)> = long(page, 100).collect();
+                rids.push(bad);
                 assert!(
-                    matches!(
-                        run(&rids),
-                        Err(EngineError::Storage(StorageError::Corrupt(_)))
-                    ),
-                    "RID {bad:?} at {at} was not rejected"
+                    corrupt(&rids),
+                    "RID {bad:?} after a long run was not rejected"
+                );
+                // Just past the room, the bad RID is the next step's: this
+                // one takes the run's first `cap` RIDs and counts them.
+                let mut rids: Vec<(u32, u16)> = long(page, cap).collect();
+                rids.push(bad);
+                rids.extend(long(page, 10));
+                assert_eq!(run(&rids).unwrap(), (cap as u64, cap as u64), "{bad:?}");
+                // Just inside it, the bad RID is the step's.
+                rids.swap(cap - 1, cap);
+                assert!(
+                    corrupt(&rids),
+                    "RID {bad:?} at the room's end was not rejected"
                 );
             }
         }
@@ -3043,8 +3314,9 @@ mod kernel_oracle {
 
     /// Seeded RID steps fold exactly what the per-run reference folds:
     /// up to 16 pages a step in any order, slots repeated and out of
-    /// order, fixed-width pages beside slotted ones, with predicates and
-    /// groups, over states that carry their totals from step to step.
+    /// order, fixed-width pages beside slotted ones, runs of one RID to
+    /// more than a step's room and runs the room cuts, with predicates
+    /// and groups, over states that carry their totals from step to step.
     #[test]
     fn rid_steps_fold_what_the_per_run_reference_folds_bit_for_bit() {
         #[derive(Default)]
@@ -3055,6 +3327,8 @@ mod kernel_oracle {
             slotted_pages: u32,
             with_leaves: u32,
             grouped: u32,
+            runs_of_64_or_more: u32,
+            runs_cut: u32,
         }
         let s = schema();
         let mut reached = Reached::default();
@@ -3068,15 +3342,20 @@ mod kernel_oracle {
             if live.is_empty() {
                 continue;
             }
-            // Runs of one to four RIDs on a page, pages drawn from a
-            // small pool so they come back, a slot now and then repeated.
+            // Runs of one to four RIDs on a page (of 64 to 700 in every
+            // fourth case), pages drawn from a small pool so they come
+            // back, a slot now and then repeated.
             let hot: Vec<usize> = (0..rng.random_range(1..24usize))
                 .map(|_| *rng.choose(&live).unwrap())
                 .collect();
+            let (n_runs, run_len) = match case % 4 {
+                3 => (1..12, 64..700),
+                _ => (1..400, 1..5),
+            };
             let mut entries: Vec<Entry> = Vec::new();
-            for _ in 0..rng.random_range(1..400usize) {
+            for _ in 0..rng.random_range(n_runs) {
                 let p = *rng.choose(&hot).unwrap();
-                for _ in 0..rng.random_range(1..5usize) {
+                for _ in 0..rng.random_range(run_len.clone()) {
                     let slot = match entries.last() {
                         Some(prev) if rng.bounded_u64(6) == 0 => Rid::unpack(prev.payload).slot,
                         _ => rng.bounded_u64(pages[p].len() as u64) as u16,
@@ -3097,20 +3376,26 @@ mod kernel_oracle {
 
             let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
             let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
-            let mut plan = Plan::new(Walk::Rids(entries.into()));
+            let page_of = |at: usize| entries.get(at).map(|e| Rid::unpack(e.payload).page);
+            let mut plan = Plan::new(Walk::all_rids(entries.clone()));
             let mut scratch = StepScratch::default();
             scratch.states.extend((0..k).map(|_| AggState::new(n_sums)));
             while !plan.done() {
                 scratch.ids.clear();
-                scratch.rids.clear();
+                scratch.runs.clear();
+                let first = plan.visited;
                 let (work, _, units, _) =
-                    plan.gather(file, 16, &mut scratch.ids, &mut scratch.rids);
+                    plan.gather(file, 16, &mut scratch.ids, &mut scratch.runs);
                 world
                     .fetch_extent(SimTime::ZERO, &scratch.ids, &mut scratch.pages)
                     .unwrap();
-                let rids: Vec<(PageId, u16)> = (scratch.rids.iter())
-                    .map(|&(at, slot)| (scratch.ids[at as usize], slot))
+                let rids: Vec<(PageId, u16)> = (per_entry(work, &scratch.runs).into_iter())
+                    .map(|(at, slot)| (scratch.ids[at as usize], slot))
                     .collect();
+                let end = first + units as usize;
+                reached.runs_cut += (page_of(end - 1) == page_of(end)) as u32;
+                let longest = rids.chunk_by(|a, b| a.0 == b.0).map(<[_]>::len).max();
+                reached.runs_of_64_or_more += (longest >= Some(64)) as u32;
                 reached.steps_of_16_pages += (scratch.ids.len() == 16) as u32;
                 reached.pages_out_of_order += scratch.ids.windows(2).any(|w| w[1] < w[0]) as u32;
                 reached.slots_repeated += rids.windows(2).any(|w| w[0] == w[1]) as u32;
@@ -3144,6 +3429,8 @@ mod kernel_oracle {
             ("slotted-fallback pages", r.slotted_pages),
             ("predicates", r.with_leaves),
             ("group-bys", r.grouped),
+            ("steps with a run of 64 RIDs or more", r.runs_of_64_or_more),
+            ("steps that cut a run", r.runs_cut),
         ] {
             assert!(n >= 5, "only {n} cases reached: {what}");
         }
@@ -3209,7 +3496,7 @@ mod kernel_oracle {
                 reached.rid_page_revisited_out_of_order += revisits as u32;
                 let plan = Plan {
                     start: start_idx,
-                    ..Plan::new(Walk::Rids(entries.into()))
+                    ..Plan::new(Walk::all_rids(entries))
                 };
                 (plan, order)
             } else {
@@ -3415,7 +3702,7 @@ mod kernel_oracle {
                     .enumerate()
                     .map(|(i, &(p, r))| Entry::new(i as i64, Rid::new(p as u32, r as u16).pack()))
                     .collect::<Vec<_>>();
-                let plan = Plan::new(Walk::Rids(entries.into()));
+                let plan = Plan::new(Walk::all_rids(entries));
                 run(&mut world, &mut scratch, &mut consumers, plan, &[ci]);
                 own.iter()
                     .for_each(|at| want[ci].fold(&specs[ci], &row_ref(at)));

@@ -114,6 +114,11 @@ impl<'a> HeapPage<'a> {
     /// any mismatch — and an empty page — returns `None` and the caller
     /// falls back to [`HeapPage::rows`].
     pub fn dense_region(&self, width: usize) -> Option<&'a [u8]> {
+        self.dense_range(width).map(|r| &self.bytes[r])
+    }
+
+    /// Where [`HeapPage::dense_region`] lies in the page's bytes.
+    pub fn dense_range(&self, width: usize) -> Option<std::ops::Range<usize>> {
         let n = self.num_rows() as usize;
         if width == 0 || n == 0 {
             return None;
@@ -138,7 +143,7 @@ impl<'a> HeapPage<'a> {
         {
             return None;
         }
-        Some(&self.bytes[HEADER_LEN..end])
+        Some(HEADER_LEN..end)
     }
 
     /// [`HeapPage::dense_region`] as an iterator over its rows: exactly

@@ -59,14 +59,16 @@ leg "row-kernel, walk, grouping, manager, placement, policy and sampler oracles,
 # the manager's decisions over seeded call sequences; its placement tests
 # hold the sweep and both searches against the naive estimator bit for
 # bit; its policy tests pin the gates and push-attach answers each policy
-# gives. The RID step folds a whole step in one pass over a shared
-# decoded index: its per-run reference (in kernel_oracle), the
-# joined-entry search and the RID answer oracle run here too. Every measurement also runs the interval
+# gives. A RID step takes whole runs of same-page RIDs off its index's
+# run table and folds them in one pass over the shared decoded index:
+# the run gather's per-entry reference (rid_gather), the fold's per-run
+# reference (in kernel_oracle), the joined-entry search and the RID
+# answer oracle run here too. Every measurement also runs the interval
 # sampler, so its by-name reference runs here as well. `Plan::gather` is
 # the one ring walk of every cursor's steps, so the walk pin (every step
 # of table, block-index and RID plans, digested) runs here too.
 cargo test --release --offline -q -p scanshare-engine --lib -- kernel_oracle start_at_picks \
-    walk_pin workload::tests::the_sampler_records_what_sampling_by_name_records
+    walk_pin rid_gather workload::tests::the_sampler_records_what_sampling_by_name_records
 cargo test --release --offline -q --test row_kernel_oracle
 cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: placement:: policy::
 
