@@ -12,7 +12,7 @@ use std::process::Command;
 
 use scanshare::SharingConfig;
 use scanshare_cli::RunSpec;
-use scanshare_engine::{FaultSummary, SharingMode};
+use scanshare_engine::{Access, FaultSummary, SharingMode};
 use scanshare_storage::SimDuration;
 use scanshare_tpch::{generate, throughput_workload, TpchConfig};
 
@@ -270,5 +270,26 @@ fn a_scan_over_a_column_its_table_lacks_is_exit_1_with_one_line() {
         );
         assert!(!err.contains("internal error"), "{delivery}: {err:?}");
     }
+    std::fs::remove_file(&spec).ok();
+}
+
+/// A RID-range scan of a table without a RID index names what is
+/// missing: `lineitem` is MDC-clustered, so "not MDC-clustered" would be
+/// wrong about it.
+#[test]
+fn a_rid_scan_of_a_table_without_a_rid_index_is_exit_1_naming_it() {
+    let spec = spec_file("norid", |spec| {
+        spec.workload.streams.truncate(1);
+        let query = &mut spec.workload.streams[0].queries[0];
+        query.scans.truncate(1);
+        query.scans[0].table = "lineitem".into();
+        query.scans[0].access = Access::RidRange { lo: 0, hi: 10 };
+    });
+    let out = scanshare(&["run", "--spec", spec.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    assert_eq!(
+        stderr_of(&out),
+        "run failed: table 'lineitem' has no RID index\n"
+    );
     std::fs::remove_file(&spec).ok();
 }

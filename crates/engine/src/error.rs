@@ -14,6 +14,8 @@ pub enum EngineError {
     UnknownTable(String),
     /// An index scan targeted a table that is not block-clustered.
     NotClustered(String),
+    /// A RID-range scan targeted a table without a RID index.
+    NoRidIndex(String),
     /// A scan's predicate or aggregate named a column its table does not
     /// have, or has as another type than the one read.
     BadColumn {
@@ -51,6 +53,7 @@ impl fmt::Display for EngineError {
             EngineError::NotClustered(t) => {
                 write!(f, "table '{t}' has no block index (not MDC-clustered)")
             }
+            EngineError::NoRidIndex(t) => write!(f, "table '{t}' has no RID index"),
             EngineError::BadColumn {
                 table,
                 column,

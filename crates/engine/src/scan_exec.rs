@@ -374,6 +374,10 @@ pub(crate) struct StepScratch {
     /// they fall into, for one class.
     kept: Vec<Entry>,
     kept_runs: Vec<StepRun>,
+    /// Each page of a whole-page step, in scan order, resolved once for
+    /// all its classes: where its rows lie — a range of its pool frame
+    /// (`Some(slot)`) when it is fixed-width, else of `gathered`.
+    regions: Vec<(Option<u32>, Range<usize>)>,
     /// Each page of a RID step, in `ids` order: its pool frame, and
     /// where its rows lie in the frame when it is fixed-width (an empty
     /// range when not).
@@ -637,8 +641,11 @@ pub(crate) struct AggState {
 /// differ in a few low bits of each byte; the product spreads them).
 #[inline(always)]
 fn home_slot(key: i64, shift: u32, mask: usize) -> usize {
-    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize & mask
+    ((key as u64).wrapping_mul(FIBONACCI) >> shift) as usize & mask
 }
+
+/// 2^64 over the golden ratio, odd.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The position in `keys` of `key`'s group, if it has one.
 #[inline(always)]
@@ -689,7 +696,10 @@ struct LocalGroups {
     sums: [[f64; LOCAL]; LOCAL],
     /// The group each 6-bit hash leads to, or `u8::MAX` for none.
     at: [u8; 64],
-    shift: u32,
+    /// The Fibonacci multiplier shifted left so that the chosen six bits
+    /// of a key's product are its top six: the probe is one multiply and
+    /// one constant shift.
+    mul: u64,
 }
 
 impl LocalGroups {
@@ -718,7 +728,7 @@ impl LocalGroups {
             counts,
             sums,
             at,
-            shift,
+            mul: FIBONACCI << (58 - shift),
         })
     }
 
@@ -736,7 +746,7 @@ impl LocalGroups {
 impl Groups for LocalGroups {
     #[inline(always)]
     fn find(&self, key: i64) -> Option<usize> {
-        let g = self.at[home_slot(key, self.shift, 63)] as usize;
+        let g = self.at[((key as u64).wrapping_mul(self.mul) >> 58) as usize] as usize;
         (self.keys.get(g) == Some(&key)).then_some(g)
     }
 
@@ -783,7 +793,7 @@ impl AggState {
     fn fold<'a, const DENSE: bool>(
         states: &mut [AggState],
         pipe: &RowPipeline,
-        batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
+        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
     ) {
         let chunk = if DENSE || pipe.group_offs.is_empty() {
             4
@@ -806,7 +816,7 @@ impl AggState {
     fn fold_alone<'a>(
         states: &mut [AggState],
         pipe: &RowPipeline,
-        batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
+        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
     ) {
         for state in states.chunks_mut(1) {
             Self::fold_chunk::<1, false>(state, pipe, batches.clone());
@@ -823,7 +833,7 @@ impl AggState {
     fn fold_chunk<'a, const K: usize, const DENSE: bool>(
         chunk: &mut [AggState],
         pipe: &RowPipeline,
-        batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
+        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
     ) {
         let states: &mut [AggState; K] = chunk.try_into().expect("a chunk of K states");
         macro_rules! with_arrays_of {
@@ -857,18 +867,17 @@ impl AggState {
     /// own accumulators in turn: every accumulator gets the addends, in
     /// the order, a fold of its state alone gives it, and the states' add
     /// chains overlap instead of queueing. Returns the sums.
-    fn fold_into<'a, const K: usize, const DENSE: bool, A: AsMut<[f64]> + Clone>(
+    fn fold_into<'a, const K: usize, const DENSE: bool, A: Fields>(
         states: &mut [AggState; K],
         mut sums: [A; K],
         offs: impl AsRef<[usize]> + Copy,
         group_offs: &[usize],
-        mut batches: impl Iterator<Item = impl Iterator<Item = &'a [u8]> + Clone> + Clone,
+        mut batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
     ) -> [A; K] {
         if !group_offs.is_empty() {
             assert!(DENSE || K == 1, "grouped states fold alone");
             let rows = batches.next();
-            Self::fold_groups(states, &mut sums, offs, group_offs, rows, batches);
-            return sums;
+            return Self::fold_groups(states, sums, offs, group_offs, rows, batches);
         }
         // The current row's fields, decoded for all the states (beyond
         // the array lengths this buffer is the one allocation of a pass).
@@ -896,66 +905,77 @@ impl AggState {
     /// [`LocalGroups`] while all are small, in place otherwise — that end
     /// at a row of a group some state has not met. A chunk of several
     /// with a large table leaves the rest to each state alone, so the
-    /// states of a chunk never probe the heap tables together.
+    /// states of a chunk never probe the heap tables together. Returns
+    /// the sums.
     #[inline(never)]
-    fn fold_groups<'a, const K: usize, A: AsMut<[f64]> + Clone, I>(
+    fn fold_groups<'a, const K: usize, A: Fields, I>(
         states: &mut [AggState; K],
-        sums: &mut [A; K],
+        sums: [A; K],
         offs: impl AsRef<[usize]> + Copy,
         group_offs: &[usize],
         mut rows: Option<I>,
         mut batches: impl Iterator<Item = I> + Clone,
-    ) where
-        I: Iterator<Item = &'a [u8]> + Clone,
+    ) -> [A; K]
+    where
+        I: ExactSizeIterator<Item = &'a [u8]> + Clone,
     {
-        let mut vals = sums[0].clone();
-        let vals = vals.as_mut();
-        let n = vals.len();
+        let n = sums[0].as_ref().len();
         // One byte per group column, packed most significant first; one
-        // or two columns (Q1's) without a loop.
+        // or two columns (Q1's) without a loop. The closure copies what it
+        // reads: borrowing these locals would pin them to memory.
         let (short, hi, mask, lo) = match *group_offs {
             [lo] => (true, lo, 0, lo),
             [hi, lo] => (true, hi, !0, lo),
             _ => (false, 0, 0, 0),
         };
-        let pack = |row: &[u8]| match short {
+        let pack = move |row: &[u8]| match short {
             true => ((row[hi] as i64) << 8 & mask) | row[lo] as i64,
             false => (group_offs.iter()).fold(0, |key, &off| (key << 8) | row[off] as i64),
         };
-        let mut folded = 0;
+        let vals = sums[0].clone();
+        let mut carry = Carry {
+            sums,
+            vals,
+            folded: 0,
+        };
         loop {
             let locals = states.each_ref().map(|s| LocalGroups::load(s, n));
             let source = (&mut rows, &mut batches);
-            let (passed, miss) = if locals.iter().all(Option::is_some) {
+            let miss;
+            (carry, miss) = if locals.iter().all(Option::is_some) {
                 let mut tables = locals.map(Option::unwrap);
-                let pass = fold_pass(&mut tables, sums, vals, offs, source, pack);
+                let pass = fold_pass(&mut tables, carry, offs, source, pack);
                 for (t, s) in tables.iter().zip(states.iter_mut()) {
                     t.store(s, n);
                 }
                 pass
             } else if K == 1 {
-                fold_pass(states, sums, vals, offs, source, pack)
+                fold_pass(states, carry, offs, source, pack)
             } else {
-                for (s, sums) in states.iter_mut().zip(sums.iter_mut()) {
-                    let (state, sums) = (std::array::from_mut(s), std::array::from_mut(sums));
+                let Carry { sums, folded, .. } = carry;
+                let mut alone = states.iter_mut();
+                return sums.map(|sums| {
+                    let s = alone.next().expect("one state a sum");
+                    s.count += folded;
                     let (rows, batches) = (rows.clone(), batches.clone());
-                    Self::fold_groups(state, sums, offs, group_offs, rows, batches);
-                }
-                break;
+                    let state = std::array::from_mut(s);
+                    let [sums] = Self::fold_groups(state, [sums], offs, group_offs, rows, batches);
+                    sums
+                });
             };
-            folded += passed;
             // A row of a group some state has not met: the states that
-            // lack it start it, and each takes the row, whose fields
-            // `vals` still hold.
+            // lack it start it, and each takes the row, whose fields the
+            // pass handed back.
             let Some(key) = miss else { break };
             for s in states.iter_mut() {
                 let g = find_group(&s.slots, &s.keys, key).unwrap_or_else(|| s.add_group(key, n));
-                s.take(g, vals);
+                s.take(g, carry.vals.as_ref());
             }
         }
         for s in states {
-            s.count += folded;
+            s.count += carry.folded;
         }
+        carry.sums
     }
 
     /// Start an empty group for `key`; returns its position.
@@ -1002,43 +1022,65 @@ fn add(totals: &mut [f64], vals: &[f64]) {
     }
 }
 
+/// A state's running sums, as the fold holds them: `[f64; N]` for the
+/// shapes it has a copy of the body for, a `Vec` beyond.
+trait Fields: AsMut<[f64]> + AsRef<[f64]> + Clone {}
+
+impl<A: AsMut<[f64]> + AsRef<[f64]> + Clone> Fields for A {}
+
+/// What a pass of the grouped fold carries from row to row, by value so
+/// that it stays in registers: each state's running totals, the fields of
+/// the row decoded last, and the rows folded.
+struct Carry<const K: usize, A> {
+    sums: [A; K],
+    vals: A,
+    folded: u64,
+}
+
 /// One pass of a grouped fold over the states' group `tables`: the rows
 /// of the current batch and of the batches after it, until they end or a
 /// row arrives whose group some table lacks. A row's fields are decoded
-/// once and added to each state in turn. Returns the rows folded, that
-/// one included, and its key; `vals` holds its fields.
+/// once and added to each state in turn. Takes the running values and
+/// hands them back, that row counted and its fields in `vals`, with its
+/// key.
 #[inline(always)]
-fn fold_pass<'a, const K: usize, I: Iterator<Item = &'a [u8]>>(
+fn fold_pass<'a, const K: usize, A: Fields, I: ExactSizeIterator<Item = &'a [u8]>>(
     tables: &mut [impl Groups; K],
-    sums: &mut [impl AsMut<[f64]>; K],
-    vals: &mut [f64],
+    carry: Carry<K, A>,
     offs: impl AsRef<[usize]> + Copy,
     (rows, batches): (&mut Option<I>, &mut impl Iterator<Item = I>),
     pack: impl Fn(&[u8]) -> i64,
-) -> (u64, Option<i64>) {
-    let mut folded = 0;
+) -> (Carry<K, A>, Option<i64>) {
+    let Carry {
+        mut sums,
+        mut vals,
+        mut folded,
+    } = carry;
     while let Some(batch) = rows {
-        for row in batch.by_ref() {
-            folded += 1;
-            decode(vals, offs, row);
-            for totals in sums.iter_mut() {
-                add(totals.as_mut(), vals);
+        // Rows are counted a batch at a time, from what is left of it.
+        let len = batch.len() as u64;
+        while let Some(row) = batch.next() {
+            decode(vals.as_mut(), offs, row);
+            for totals in &mut sums {
+                add(totals.as_mut(), vals.as_ref());
             }
             let key = pack(row);
             let mut at = [0; K];
             for (g, t) in at.iter_mut().zip(&*tables) {
                 let Some(found) = t.find(key) else {
-                    return (folded, Some(key));
+                    folded += len - batch.len() as u64;
+                    return (Carry { sums, vals, folded }, Some(key));
                 };
                 *g = found;
             }
             for (t, g) in tables.iter_mut().zip(at) {
-                t.take(g, vals);
+                t.take(g, vals.as_ref());
             }
         }
+        folded += len;
         *rows = batches.next();
     }
-    (folded, None)
+    (Carry { sums, vals, folded }, None)
 }
 
 /// Measurements a finished scan hands back to its query.
@@ -1143,7 +1185,8 @@ impl Consumer {
 impl RowPipeline {
     /// Run the row kernel over one fetched extent for a class of this
     /// pipeline's consumers, whose states are lent in `scratch.states`:
-    /// every page is walked once, whatever the size of the class. Row
+    /// every page is walked once, whatever the size of the class, and a
+    /// whole-page step's pages as [`RowPipeline::resolve_pages`] left them. Row
     /// bytes are borrowed straight from the pinned pool frames and fields
     /// read at the pipeline's precompiled offsets. Returns the number of
     /// rows examined (the CPU-cost driver), whatever the number selected.
@@ -1156,41 +1199,51 @@ impl RowPipeline {
         match work {
             StepWork::AllRows => {
                 let StepScratch {
-                    pages,
-                    sel,
+                    regions,
                     gathered,
+                    sel,
                     states,
                     ..
                 } = scratch;
-                let (width, stride) = (self.width, self.stride());
-                // Fixed-width heap pages are folded where they lie; odd
-                // layouts are decoded slot by slot first, and then the
-                // extent's pages are folded in one call, in order.
-                gathered.clear();
-                let mut rows = 0u64;
-                for &(_, slot) in pages.iter() {
-                    let page = HeapPage::new(pool.slot_buf(slot))?;
-                    rows += page.num_rows() as u64;
-                    if page.dense_region(width).is_none() {
-                        for row in page.rows() {
-                            self.copy_fields(gathered, row)?;
-                        }
-                    }
-                }
-                // Each page's rows, where they lie or where they were copied.
-                let regions = pages.iter().scan(0, |copied, &(_, slot)| {
-                    let page = HeapPage::new(pool.slot_buf(slot)).ok()?;
-                    Some(page.dense_region(width).unwrap_or_else(|| {
-                        let from =
-                            std::mem::replace(copied, *copied + page.num_rows() as usize * stride);
-                        &gathered[from..*copied]
-                    }))
+                let bytes: usize = regions.iter().map(|(_, rows)| rows.len()).sum();
+                let regions = regions.iter().map(|(slot, rows)| match *slot {
+                    Some(slot) => &pool.slot_buf(slot)[rows.clone()],
+                    None => &gathered[rows.clone()],
                 });
                 self.fold_regions(states, sel, regions);
-                Ok(rows)
+                Ok((bytes / self.stride()) as u64)
             }
             StepWork::Rids(step) => self.fold_rids(pool, step, scratch),
         }
+    }
+
+    /// Resolve each page of a whole-page step once, for every class that
+    /// folds it, into the scratch's `regions`: fixed-width heap pages
+    /// where they lie, odd layouts decoded slot by slot and copied side by
+    /// side into `gathered`, a whole number of strides each.
+    fn resolve_pages(&self, pool: &BufferPool, scratch: &mut StepScratch) -> EngineResult<()> {
+        let StepScratch {
+            pages,
+            regions,
+            gathered,
+            ..
+        } = scratch;
+        regions.clear();
+        gathered.clear();
+        for &(_, slot) in pages.iter() {
+            let page = HeapPage::new(pool.slot_buf(slot))?;
+            regions.push(match page.dense_range(self.width) {
+                Some(dense) => (Some(slot), dense),
+                None => {
+                    let from = gathered.len();
+                    for row in page.rows() {
+                        self.copy_fields(gathered, row)?;
+                    }
+                    (None, from..gathered.len())
+                }
+            });
+        }
+        Ok(())
     }
 
     /// [`RowPipeline::fold_extent`] for a RID step, whose `step` entries
@@ -1445,10 +1498,18 @@ pub(crate) fn step_extent(
     let fusable = matches!(work, StepWork::AllRows);
     // Rows examined: the same for every class, they walk the same pages.
     let mut seen = 0u64;
+    // The row width the step's pages are resolved for: every class of a
+    // cursor reads one table, so they are resolved once a step.
+    let mut resolved = None;
     let mut start = 0;
     while start < order.len() {
         let end = gather_class(consumers, &mut scratch.members, start, fusable);
         note_class(end - start);
+        let pipe = &consumers[scratch.members[start]].pipeline;
+        if fusable && resolved != Some(pipe.width) {
+            pipe.resolve_pages(&world.pool, scratch)?;
+            resolved = Some(pipe.width);
+        }
         let class = &scratch.members[start..end];
         let lent = class
             .iter()
@@ -1615,7 +1676,7 @@ pub(crate) fn plan_scan(
         Access::RidRange { lo, hi } => {
             let index = db
                 .rid_index(&spec.table)
-                .ok_or_else(|| EngineError::NotClustered(spec.table.clone()))?;
+                .ok_or_else(|| EngineError::NoRidIndex(spec.table.clone()))?;
             let walk = Walk::rids(index, *lo, *hi);
             // Low-selectivity RID fetches touch roughly one distinct
             // page per entry, capped by the table size.
@@ -2473,7 +2534,8 @@ mod tests {
             ..rid_spec(0, 1)
         };
         let err = ScanExec::start(&db, &mut w, &spec, SimTime::ZERO).unwrap_err();
-        assert!(matches!(err, EngineError::NotClustered(_)));
+        assert_eq!(err, EngineError::NoRidIndex("orders".into()));
+        assert_eq!(err.to_string(), "table 'orders' has no RID index");
     }
 
     #[test]
@@ -3792,5 +3854,156 @@ mod kernel_oracle {
         assert!(both >= 1, "no class of riders on both sides of 8 groups");
         let past = r.riders_past_8_groups_in_the_lap;
         assert!(past >= 1, "no class of riders past 8 groups in the lap");
+    }
+
+    /// The grouped fold of a class, pinned: K = 1..=4 states of one
+    /// pipeline × N ∈ {0, 1, 4, 8, 9} sums (register arrays, and the
+    /// `Vec`s beyond them) × one, two and three group columns. Each state
+    /// first folds rows of its own, so that the states of the class know
+    /// different groups: in the shared lap, a group new to one state only
+    /// arrives mid-page, and later a ninth group, mid-page, moves every
+    /// state onto its heap table mid-pass. Summands include ±0.0, NaN and
+    /// ±inf. Every answer must equal the naive fold's, and all of them
+    /// together hash to what the parent of the register-resident pass
+    /// computed.
+    #[test]
+    fn grouped_fold_of_a_class_is_pinned_bit_for_bit() {
+        const PINNED: u64 = 0x8c52_2017_2b58_972d;
+        /// Rows a page, and the pages of the shared lap; the page after
+        /// them holds the rows the states fold on their own.
+        const ROWS: usize = 80;
+        const LAP: u32 = 3;
+        let s = schema();
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut hash = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x100_0000_01B3);
+            }
+        };
+        let mut rng = Rng::seed_from_u64(0x6E0_F01D);
+        // A row of group `gid` (0..12): each char column is a function of
+        // the gid, so one, two or three columns tell the same groups apart.
+        let row = |gid: u8, at: usize, rng: &mut Rng| {
+            let f = |j: usize, rng: &mut Rng| match (j, at) {
+                (1, _) if at % 97 == 13 => f64::NAN,
+                (2, _) if at % 89 == 7 => f64::INFINITY,
+                (2, _) if at % 83 == 5 => f64::NEG_INFINITY,
+                (3, _) => [-0.0, 0.0, -0.0][at % 3],
+                _ => float(rng, false),
+            };
+            let mut vals = vec![Value::I32(0), Value::I32(at as i32)];
+            vals.extend((0..N_F64).map(|j| Value::F64(f(j, rng))));
+            vals.extend([b'A' + gid, b'a' + gid % 2, b'0' + gid % 3].map(Value::Ch));
+            let mut buf = vec![0; s.row_width()];
+            s.encode_row(&vals, &mut buf);
+            buf
+        };
+        // The lap: groups every state knows first; then, mid-page, group
+        // 1 (which state 1 lacks); then, mid-page, group 8, the ninth of
+        // state 0; then twelve groups. The last page: the states' own
+        // rows, groups 0..8, a run of each.
+        let known = [0, 4, 5, 6, 7];
+        let gid = |p: usize, r: usize, rng: &mut Rng| match (p, r) {
+            (0, 0..40) => known[rng.bounded_u64(5) as usize],
+            (0, 40) => 1,
+            (0, _) | (1, 0..20) => rng.bounded_u64(8) as u8,
+            (1, 20) => 8,
+            (3, _) => (r / 10) as u8,
+            _ => rng.bounded_u64(12) as u8,
+        };
+        let mut pages: Vec<Vec<(u8, Vec<u8>)>> = Vec::new();
+        for p in 0..=LAP as usize {
+            let rows = (0..ROWS).map(|r| {
+                let g = gid(p, r, &mut rng);
+                (g, row(g, p * ROWS + r, &mut rng))
+            });
+            pages.push(rows.collect());
+        }
+        let mut store = FileStore::new(16);
+        let file = store.create_file();
+        for rows in &pages {
+            let mut b = HeapPageBuilder::new();
+            for (_, row) in rows {
+                b.push(row).expect("row fits");
+            }
+            store.append_page(file, b.finish()).unwrap();
+        }
+
+        for (k, n_sums, n_keys) in (1..=4usize)
+            .flat_map(|k| [0, 1, 4, 8, 9].map(|n| (k, n)))
+            .flat_map(|(k, n)| [1, 2, 3].map(|c| (k, n, c)))
+        {
+            let spec = ScanSpec {
+                table: "t".into(),
+                access: Access::FullTable,
+                pred: Pred::True,
+                agg: AggSpec::grouped_sums(
+                    (0..n_sums).map(|i| F0 + i % N_F64).collect(),
+                    (C0..C0 + n_keys).collect(),
+                ),
+                cpu: CpuClass::io_bound(),
+                require_order: false,
+                query_priority: Default::default(),
+                repeat: 1,
+            };
+            let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+            let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+            let mut scratch = StepScratch::default();
+            let mut consumers: Vec<Consumer> = (0..k)
+                .map(|_| Consumer::new(&spec, &s, SimTime::ZERO).unwrap())
+                .collect();
+            let mut want: Vec<Naive> = (0..k).map(|_| Naive::default()).collect();
+            let mut run = |consumers: &mut [Consumer], plan: Plan, order: &[usize]| {
+                let mut cursor = Cursor::new(file, plan);
+                while !cursor.plan.done() {
+                    let step = step_extent(
+                        &mut world,
+                        SimTime::ZERO,
+                        &mut cursor,
+                        &mut scratch,
+                        consumers,
+                        order,
+                        false,
+                    );
+                    assert!(matches!(step, Ok(Step::Delivered { .. })));
+                }
+            };
+            let fold = |want: &mut Naive, p: usize, r: usize| {
+                let bytes = &pages[p][r].1;
+                want.fold(&spec, &RowRef { bytes, schema: &s });
+            };
+            // State 0 knows groups 0..8; state i > 0 all of them but i.
+            for (ci, want) in want.iter_mut().enumerate() {
+                let own = (0..ROWS).filter(|&r| ci == 0 || pages[LAP as usize][r].0 != ci as u8);
+                let rids = own.map(|r| {
+                    fold(want, LAP as usize, r);
+                    Entry::new(r as i64, Rid::new(LAP, r as u16).pack())
+                });
+                run(
+                    &mut consumers,
+                    Plan::new(Walk::all_rids(rids.collect())),
+                    &[ci],
+                );
+                assert_eq!(want.groups.len(), if ci == 0 { 8 } else { 7 });
+            }
+            let class: Vec<usize> = (0..k).collect();
+            run(&mut consumers, Plan::new(Walk::Pages(LAP)), &class);
+            for (c, want) in consumers.iter().zip(&mut want) {
+                for (p, r) in (0..LAP as usize).flat_map(|p| (0..ROWS).map(move |r| (p, r))) {
+                    fold(want, p, r);
+                }
+                let got = c.result();
+                assert_same(0, &spec, &got, want);
+                assert_eq!(got.groups.len(), 12);
+                hash(got.count);
+                got.sums.iter().for_each(|x| hash(x.to_bits()));
+                for (key, g) in &got.groups {
+                    hash(*key as u64);
+                    hash(g.count);
+                    g.sums.iter().for_each(|x| hash(x.to_bits()));
+                }
+            }
+        }
+        assert_eq!(digest, PINNED, "digest {digest:#018x}");
     }
 }

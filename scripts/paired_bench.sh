@@ -5,7 +5,7 @@
 # the verdict in the rule's words.
 #
 #   scripts/paired_bench.sh PARENT_REF [--workloads a,b] [--pairs N]
-#                           [--seeds "s1 s2 …"] [--out FILE]
+#                           [--seeds "s1 s2 …"] [--confirm "s1 s2 …"] [--out FILE]
 #
 # PARENT_REF is `git archive`d into a scratch directory and built there;
 # the change is the working tree, built into the same scratch directory.
@@ -17,6 +17,12 @@
 # further apart than the parent's own quartiles; everything else is
 # `unresolved`. Virtual-clock metrics and counts must be equal at every
 # seed: a difference is printed and the script exits 1.
+#
+# One run's `slower` on a shared host is not enough to settle anything.
+# With --confirm, every workload on which a host-clock metric reads
+# `slower` is measured again, the same way, at the --confirm seeds (one
+# per pair, fresh ones), and the second verdict is printed beside the
+# first and recorded under "confirm" in the summary.
 #
 # The summary — both SHAs, seeds, per metric each side's runs, median and
 # quartiles, the host-speed factor of every run — is also written to
@@ -41,11 +47,13 @@ workloads=$(awk -F'"' '/"workloads"/ { on = 1 } on && /"name"/ { print $4 } on &
 pairs=10
 seeds="7 11 3 19 23 101 5 42 2027 31"
 out=
+confirm=
 while [ "$#" -gt 0 ]; do
     case $1 in
     --workloads) workloads=$2 ;;
     --pairs) pairs=$2 ;;
     --seeds) seeds=$2 ;;
+    --confirm) confirm=$2 ;;
     --out) out=$2 ;;
     *) usage ;;
     esac
@@ -59,20 +67,22 @@ if [ -z "$out" ]; then
     fi
     out=BENCH_$issue.json
 fi
-read -r -a seed_list <<<"$seeds"
 if [ "$pairs" -lt 10 ]; then
     echo "note: $pairs pairs — the ground rule asks for at least 10; verdicts are indicative only" >&2
 fi
-if [ "${#seed_list[@]}" -lt "$pairs" ]; then
-    echo "need one seed per pair: $pairs pairs, ${#seed_list[@]} seeds" >&2
-    exit 2
-fi
+for list in "$seeds" ${confirm:+"$confirm"}; do
+    read -r -a given <<<"$list"
+    if [ "${#given[@]}" -lt "$pairs" ]; then
+        echo "need one seed per pair: $pairs pairs, ${#given[@]} seeds in \"$list\"" >&2
+        exit 2
+    fi
+done
 
 dir=${PAIRED_BENCH_DIR:-${TMPDIR:-/tmp}/paired_bench}
 parent_sha=$(git rev-parse "$parent_ref^{commit}")
 change_sha=$(git rev-parse HEAD)
 git diff --quiet HEAD -- . ':!ISSUE.md' || change_sha=$change_sha-dirty
-rm -rf "$dir/parent" "$dir/runs.tsv"
+rm -rf "$dir/parent" "$dir"/runs*.tsv "$dir"/verdicts*.tsv "$dir"/workloads*.json
 mkdir -p "$dir/parent" "$dir/out-parent" "$dir/out-change"
 git archive "$parent_sha" | tar -x -C "$dir/parent"
 
@@ -87,7 +97,7 @@ for side in parent change; do
 done
 
 # One process run; appends "pair seed side workload name value unit" rows
-# (the metric lines, the run's counts, the host-speed factor) to runs.tsv.
+# (the metric lines, the run's counts, the host-speed factor) to $runs.
 run() {
     local pair=$1 seed=$2 side=$3 workload=$4 log
     log=$(CARGO_MANIFEST_DIR=$dir/out-$side "${bin[$side]}" \
@@ -106,24 +116,32 @@ run() {
         END {
             print p, s, side, w, "host_speed", speed, "x"
             printf "pair %2d seed %-5s %-6s %-12s host %sx%s\n", p, s, side, w, speed, line > "/dev/stderr"
-        }' >>"$dir/runs.tsv"
+        }' >>"$runs"
 }
 
-echo "== $pairs alternating pairs: $workloads =="
-for ((p = 0; p < pairs; p++)); do
-    order="parent change"
-    [ $((p % 2)) -eq 0 ] || order="change parent"
-    for workload in ${workloads//,/ }; do
-        for side in $order; do
-            run "$p" "${seed_list[$p]}" "$side" "$workload"
+# Alternating pairs of the workloads in $1 at the seeds in $2.
+measure() {
+    local -a at
+    read -r -a at <<<"$2"
+    echo "== $pairs alternating pairs: $1 =="
+    for ((p = 0; p < pairs; p++)); do
+        order="parent change"
+        [ $((p % 2)) -eq 0 ] || order="change parent"
+        for workload in ${1//,/ }; do
+            for side in $order; do
+                run "$p" "${at[$p]}" "$side" "$workload"
+            done
         done
     done
-done
+}
 
-# Summarise: stdout gets the table, $out the JSON; exit 1 on a virtual-
-# clock or count difference.
-awk -F'\t' -v parent="$parent_sha" -v change="$change_sha" -v pairs="$pairs" \
-    -v seeds="$(IFS=,; echo "${seed_list[*]:0:$pairs}")" -v out="$out" '
+# Summarise the runs file given last: stdout gets the table (with the
+# verdicts of the first pass beside these when its verdicts file comes
+# first), $verdicts the "workload metric verdict exact|host" lines, $frag
+# the JSON body of the workloads. Fails on a virtual-clock or count
+# difference.
+summarise() {
+    awk -F'\t' -v pairs="$pairs" -v out="$frag" -v verdicts="$verdicts" '
 function quantile(v, n, q,    h, lo) {
     h = (n - 1) * q; lo = int(h)
     return lo + 1 < n ? v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
@@ -144,25 +162,25 @@ function side_json(side, w, m,    n, i, s) {
     for (i = 0; i < pairs; i++) s = s (i ? "," : "") val[i, side, w, m]
     return s "]}"
 }
-FNR == NR {
-    # BENCHMARK.json: which way each end-to-end metric is better.
+FILENAME ~ /BENCHMARK\.json$/ {
+    # Which way each end-to-end metric is better.
     if ($0 ~ /"end_to_end"/) e2e = 1
     if (e2e && $0 ~ /"per_layer"/) e2e = 0
     if (e2e && match($0, /"name": *"[^"]*"/)) { name = substr($0, RSTART, RLENGTH); gsub(/"name": *|"/, "", name) }
     if (e2e && match($0, /"better": *"[^"]*"/)) { b = substr($0, RSTART, RLENGTH); gsub(/"better": *|"/, "", b); better[name] = b }
     next
 }
+FILENAME ~ /verdicts/ { split($0, f, " "); first[f[1], f[2]] = f[3]; firsts = 1; next }
 {
     val[$1, $3, $4, $5] = $6; unit[$5] = $7; seed[$1] = $2
     if (!(($4) in seen_w)) { seen_w[$4]; ws[++nw] = $4 }
     if (!(($4, $5) in seen_m)) { seen_m[$4, $5]; ms[$4, ++nm[$4]] = $5 }
 }
 END {
-    printf "{\"parent\":\"%s\",\"change\":\"%s\",\"protocol\":{\"pairs\":%d,\"reps\":5,\"trace\":0,\"seeds\":[%s]},\"workloads\":{", \
-        parent, change, pairs, seeds > out
+    printf "" > out
     for (a = 1; a <= nw; a++) {
         w = ws[a]
-        printf "\n== %s ==\n%-24s %13s %13s %13s %13s %6s  %s\n", w, "metric", "parent med", "parent q1", "parent q3", "change med", "wins", "verdict"
+        printf "\n== %s ==\n%-24s %13s %13s %13s %13s %6s  %s\n", w, "metric", "parent med", "parent q1", "parent q3", "change med", "wins", (firsts ? "first / confirm" : "verdict")
         printf "%s\n\"%s\":{", (a > 1 ? "," : ""), w > out
         for (k = 1; k <= nm[w]; k++) {
             m = ms[w, k]
@@ -183,17 +201,50 @@ END {
             else if (wins >= 0.9 * pairs && gap > iqr) verdict = "faster"
             else if (losses >= 0.9 * pairs && gap > iqr) verdict = "slower"
             else verdict = "unresolved"
-            printf "%-24s %13.6g %13.6g %13.6g %13.6g %3d/%-2d  %s\n", m, med["parent"], q1["parent"], q3["parent"], med["change"], wins, pairs, verdict
+            shown = (firsts ? first[w, m] " / " verdict : verdict)
+            printf "%-24s %13.6g %13.6g %13.6g %13.6g %3d/%-2d  %s\n", m, med["parent"], q1["parent"], q3["parent"], med["change"], wins, pairs, shown
             printf "%s\n\"%s\":{\"unit\":\"%s\",\"parent\":%s,\"change\":%s,\"wins\":%d,\"losses\":%d,\"verdict\":\"%s\"}", \
                 (k > 1 ? "," : ""), m, unit[m], pj, cj, wins, losses, verdict > out
+            print w, m, verdict, (exact ? "exact" : "host") > verdicts
         }
         printf "}" > out
     }
-    print "}}" > out
     exit bad
-}' BENCHMARK.json "$dir/runs.tsv" || {
-    echo "FAIL: a virtual-clock metric or count differs between parent and change" >&2
-    exit 1
+}' BENCHMARK.json "$@" || {
+        echo "FAIL: a virtual-clock metric or count differs between parent and change" >&2
+        failed=1
+    }
 }
+
+# The JSON list of the first $pairs seeds in $1.
+seed_json() {
+    local -a at
+    read -r -a at <<<"$1"
+    (IFS=,; echo "${at[*]:0:$pairs}")
+}
+
+runs=$dir/runs.tsv verdicts=$dir/verdicts.tsv frag=$dir/workloads.json
+measure "$workloads" "$seeds"
+summarise "$runs"
+summary="{\"parent\":\"$parent_sha\",\"change\":\"$change_sha\",\"protocol\":{\"pairs\":$pairs,\"reps\":5,\"trace\":0,\"seeds\":[$(seed_json "$seeds")]},\"workloads\":{$(cat "$frag")}"
+
+if [ -n "$confirm" ]; then
+    slower=$(awk '$3 == "slower" && $4 == "host" && !seen[$1]++ { print $1 }' "$verdicts" | paste -sd, -)
+    if [ -n "$slower" ]; then
+        echo
+        echo "== confirming what read slower, at fresh seeds: $slower =="
+        cp "$verdicts" "$dir/verdicts-first.tsv"
+        runs=$dir/runs-confirm.tsv verdicts=$dir/verdicts-confirm.tsv frag=$dir/workloads-confirm.json
+        measure "$slower" "$confirm"
+        summarise "$dir/verdicts-first.tsv" "$runs"
+        confirmed=$(cat "$frag")
+    else
+        echo
+        echo "nothing read slower: no confirmation run"
+    fi
+    summary="$summary,\"confirm\":{\"seeds\":[$(seed_json "$confirm")],\"workloads\":{${confirmed:-}}}"
+fi
+printf '%s}\n' "$summary" >"$out"
 echo
 echo "summary written to $out"
+exit "${failed:-0}"
