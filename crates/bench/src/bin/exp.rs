@@ -6,11 +6,11 @@
 //! exp table1                        # run one row, print its table
 //! exp all --out results             # run every row, write results/*.json
 //! SCANSHARE_SCALE=0.1 exp streams_push --out results
+//! exp fig15 --metrics-out m.jsonl   # also append each run's metrics
 //! ```
 //!
-//! Environment: `SCANSHARE_SCALE` (default 1.0), `SCANSHARE_SEED` (42),
-//! `SCANSHARE_JOBS` (1), and `SCANSHARE_METRICS_OUT` as the default for
-//! `--metrics-out FILE`. Exit codes: 0 = every claim holds, 1 = a claim
+//! Environment: `SCANSHARE_SCALE` (default 1.0), `SCANSHARE_SEED` (42)
+//! and `SCANSHARE_JOBS` (1). Exit codes: 0 = every claim holds, 1 = a claim
 //! is violated, 2 = usage or I/O error.
 
 use std::path::PathBuf;
@@ -32,7 +32,7 @@ fn env_or<T: std::str::FromStr>(name: &str, default: T) -> Result<T, String> {
 fn parse(args: &[String]) -> Result<(Ctx, Vec<&'static Experiment>, Option<PathBuf>), String> {
     let mut rows: Vec<&'static Experiment> = Vec::new();
     let mut out = None;
-    let mut metrics_out = std::env::var("SCANSHARE_METRICS_OUT").ok();
+    let mut metrics_out = None;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         let mut value = || {

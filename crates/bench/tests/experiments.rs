@@ -183,7 +183,7 @@ fn a_violated_claim_is_exit_status_1() {
 /// variables set; returns (exit status, stdout, stderr).
 fn exp_bin(cwd: &Path, args: &[&str]) -> (i32, String, String) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp"));
-    for var in ["SCALE", "SEED", "JOBS", "METRICS_OUT"] {
+    for var in ["SCALE", "SEED", "JOBS"] {
         cmd.env_remove(format!("SCANSHARE_{var}"));
     }
     let out = cmd.args(args).current_dir(cwd).output().expect("spawn exp");

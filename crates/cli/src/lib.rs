@@ -18,7 +18,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 use scanshare::decision::{decisions_from_jsonl, decisions_to_jsonl};
-use scanshare::{DecisionRecord, DeliveryMode, SharingConfig, SharingPolicyKind, SpanProfiler};
+use scanshare::{DecisionRecord, SharingConfig, SpanProfiler};
 use scanshare_engine::{
     run_workload, run_workload_hooked, Database, FaultsConfig, RunHooks, RunReport, SharingMode,
     WorkloadSpec,
@@ -68,8 +68,6 @@ enum Need {
     Optional,
     /// Must be given.
     Required,
-    /// Exactly one of the command's `Either` flags must be given.
-    Either,
 }
 
 /// One flag of a command.
@@ -138,12 +136,13 @@ pub struct Cmd {
 pub const COMMANDS: &[Cmd] = &[
     Cmd { name: "run", positionals: &[], run: cmd_run,
         flags: &[req("--spec", "FILE"), opt("--faults", "FILE"), switch("--compare"),
-                 opt("--policy", "grouping|attach|elevator"), opt("--delivery", "pull|push"),
                  opt("--report", "OUT"), opt("--trace-out", "OUT"), opt("--profile-out", "OUT")],
         about: "\
 Execute a JSON RunSpec (`scanshare spec-template` shows the shape): the
 database is generated from its \"tpch\" section, the workload is its
-\"workload\" section. The workload may carry an optional \"faults\"
+\"workload\" section; its \"mode\" names the sharing policy and the page
+delivery (ScanSharing's \"policy\": Grouping, Attach or Elevator;
+\"delivery\": Pull or Push). The workload may carry an optional \"faults\"
 subsection (a FaultsConfig: seeded fault plan plus retry/timeout policy)
 and an optional \"slo\" subsection of service-level rules (e.g.
 {\"name\": \"fair\", \"metric\": \"p99_stretch\", \"op\": \"<=\", \"value\":
@@ -153,13 +152,6 @@ experiment runner (`exp table1`, `exp fig15`, `exp fig16`).
 --faults replaces the spec's \"faults\" subsection with a FaultsConfig
 JSON file; --compare runs base against the spec's sharing configuration
 (the default one for a base-mode spec);
---policy overrides the sharing policy: grouping (the paper's grouping +
-throttling machinery), attach (join the newest compatible scan, never
-throttle), or elevator (one circulating read cursor per table);
---delivery overrides how pages reach a group's consumers: pull (every
-scan fixes its own pages) or push (one group driver fixes each page
-once and pushes it through every attached consumer's row pipeline; the
-report gains a \"push\" section);
 --report saves the full RunReport (metrics + decision log) as JSON,
 --trace-out saves the decision log alone as JSON-lines, and
 --profile-out saves a hierarchical span profile as Chrome trace-event
@@ -186,16 +178,13 @@ histograms, and per-group/per-scan timelines as text tables.
 full bucket table (inclusive upper bounds).",
     },
     Cmd { name: "profile", positionals: &[], run: cmd_profile,
-        flags: &[Flag { name: "--artifact", value: Some("FILE"), need: Need::Either },
-                 Flag { name: "--smoke", value: None, need: Need::Either },
-                 switch("--collapse"), opt("--top", "N")],
+        flags: &[req("--artifact", "FILE"), switch("--collapse"), opt("--top", "N")],
         about: "\
-Render the self-profiler summary: per-phase inclusive/exclusive times
-on both clocks (deterministic virtual µs, host wall ns) and the N
-hottest spans. --artifact reads a report `scanshare run` saved with a
-span profile; --smoke records a fresh built-in run. --collapse instead
-prints flamegraph-folded stacks (`phase;child µs` per line) for
-flamegraph.pl or speedscope.",
+Render the self-profiler summary in a report a profiled `scanshare run`
+saved: per-phase inclusive/exclusive times on both clocks
+(deterministic virtual µs, host wall ns) and the N hottest spans.
+--collapse instead prints flamegraph-folded stacks (`phase;child
+µs` per line) for flamegraph.pl or speedscope.",
     },
     Cmd { name: "explain", positionals: &[], run: cmd_explain,
         flags: &[req("--artifact", "FILE"), opt("--scan", "ID")],
@@ -236,21 +225,13 @@ the reports differ, 2 on unreadable input.",
 ];
 
 impl Cmd {
-    /// Its flags of one [`Need`].
-    fn flags_of(&self, need: Need) -> impl Iterator<Item = &Flag> + '_ {
-        self.flags.iter().filter(move |f| f.need == need)
-    }
-
     /// The synopsis — `scanshare NAME POSITIONALS FLAGS`, wrapped under
     /// the first argument — with the prose indented under it.
     fn help(&self) -> String {
-        let either: Vec<String> = self.flags_of(Need::Either).map(Flag::spelled).collect();
         let mut items: Vec<String> = self.positionals.iter().map(|p| p.to_string()).collect();
-        items.extend((!either.is_empty()).then(|| format!("({})", either.join(" | "))));
-        items.extend(self.flags.iter().filter_map(|f| match f.need {
-            Need::Required => Some(f.spelled()),
-            Need::Optional => Some(format!("[{}]", f.spelled())),
-            Need::Either => None,
+        items.extend(self.flags.iter().map(|f| match f.need {
+            Need::Required => f.spelled(),
+            Need::Optional => format!("[{}]", f.spelled()),
         }));
         let mut out = format!("  scanshare {}", self.name);
         let indent = out.len() + 1;
@@ -404,13 +385,12 @@ pub fn parse(argv: &[String]) -> Result<Args, CliError> {
     if args.positionals.len() < cmd.positionals.len() {
         return bad(format!("expected {}", cmd.positionals.join(" ")));
     }
-    if let Some(f) = cmd.flags_of(Need::Required).find(|f| !args.has(f.name)) {
+    let missing = cmd
+        .flags
+        .iter()
+        .find(|f| f.need == Need::Required && !args.has(f.name));
+    if let Some(f) = missing {
         return bad(format!("missing {}", f.spelled()));
-    }
-    let either: Vec<&Flag> = cmd.flags_of(Need::Either).collect();
-    if !either.is_empty() && either.iter().filter(|f| args.has(f.name)).count() != 1 {
-        let names: Vec<String> = either.iter().map(|f| f.spelled()).collect();
-        return bad(format!("give exactly one of {}", names.join(" | ")));
     }
     Ok(args)
 }
@@ -480,7 +460,6 @@ fn load_spec_and_db(args: &Args, faults: Option<&str>) -> Result<(RunSpec, Datab
 }
 
 fn cmd_run(args: &Args) -> Result<i32, CliError> {
-    let (policy, delivery) = (args.parsed("--policy")?, args.parsed("--delivery")?);
     let (spec, db) = load_spec_and_db(args, args.value("--faults"))?;
     let outputs = RunOutputs {
         report: args.value("--report").map(String::from),
@@ -488,7 +467,7 @@ fn cmd_run(args: &Args) -> Result<i32, CliError> {
         profile: args.value("--profile-out").map(String::from),
     };
     let compare = args.has("--compare");
-    run_and_print(&db, &spec.workload, compare, policy, delivery, &outputs)
+    run_and_print(&db, &spec.workload, compare, &outputs)
 }
 
 fn cmd_trace(args: &Args) -> Result<i32, CliError> {
@@ -506,30 +485,13 @@ fn cmd_metrics(args: &Args) -> Result<i32, CliError> {
 
 fn cmd_profile(args: &Args) -> Result<i32, CliError> {
     let top = args.parsed("--top")?.unwrap_or(10);
-    let summary = if let Some(path) = args.value("--artifact") {
-        load_report(path)?.profile.ok_or_else(|| {
-            format!(
-                "{path} has no profile section — record one with \
-                 `scanshare run ... --profile-out trace.json --report {path}`"
-            )
-        })?
-    } else {
-        // --smoke: record a fresh profile of a tiny built-in comparison
-        // run, so the profiler can be exercised (and CI can smoke-test
-        // it) without writing a spec.
-        let tpch = TpchConfig::tiny();
-        let db = generate(&tpch);
-        let sharing = SharingMode::ScanSharing(SharingConfig::new(0));
-        let w = throughput_workload(&db, 2, tpch.months as i64, tpch.seed, sharing);
-        let profiler = SpanProfiler::default();
-        let hooks = RunHooks {
-            profiler: Some(profiler.clone()),
-            ..RunHooks::default()
-        };
-        let smoke = run_workload_hooked(&db, &w, hooks);
-        smoke.map_err(|e| fail(format!("smoke run failed: {e}")))?;
-        profiler.summary()
-    };
+    let path = args.required("--artifact");
+    let summary = load_report(path)?.profile.ok_or_else(|| {
+        format!(
+            "{path} has no profile section — record one with \
+             `scanshare run ... --profile-out trace.json --report {path}`"
+        )
+    })?;
     if args.has("--collapse") {
         print!("{}", profile::render_collapsed(&summary));
     } else {
@@ -749,38 +711,19 @@ fn exit_code(runs: &[&RunReport]) -> i32 {
 
 /// Run `spec` — under `compare`, a base run and a sharing run of it — and
 /// print the headline numbers. The sharing run measures the spec's own
-/// configuration (the default one when `compare` meets a base-mode spec)
-/// with `policy` and `delivery` on top; `outputs` describe that run.
+/// configuration (the default one when `compare` meets a base-mode spec);
+/// `outputs` describe that run.
 fn run_and_print(
     db: &Database,
     spec: &WorkloadSpec,
     compare: bool,
-    policy: Option<SharingPolicyKind>,
-    delivery: Option<DeliveryMode>,
     outputs: &RunOutputs,
 ) -> Result<i32, CliError> {
-    let mut sharing = match &spec.mode {
-        SharingMode::ScanSharing(cfg) => Some(cfg.clone()),
-        SharingMode::Base | SharingMode::BasePolicy(_) => compare.then(|| SharingConfig::new(0)),
-    };
-    if let Some(cfg) = &mut sharing {
-        cfg.policy = policy.unwrap_or(cfg.policy);
-        cfg.delivery = delivery.unwrap_or(cfg.delivery);
-    } else {
-        let ignored = [
-            policy.map(|p| format!("--policy {p}")),
-            delivery.map(|d| format!("--delivery {d}")),
-        ];
-        for flag in ignored.into_iter().flatten() {
-            eprintln!(
-                "note: {flag} has no effect on a base-mode spec \
-                 (add --compare or set the spec's mode to ScanSharing)"
-            );
+    let measured = match spec.mode {
+        SharingMode::Base | SharingMode::BasePolicy(_) if compare => {
+            force_mode(spec, SharingMode::ScanSharing(SharingConfig::new(0)))
         }
-    }
-    let measured = match sharing {
-        Some(cfg) => force_mode(spec, SharingMode::ScanSharing(cfg)),
-        None => spec.clone(),
+        _ => spec.clone(),
     };
     if !compare {
         let r = run_measured(db, &measured, outputs).map_err(fail)?;
@@ -798,6 +741,7 @@ fn run_and_print(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scanshare::{DeliveryMode, SharingPolicyKind};
     use scanshare_storage::SimDuration;
     use scanshare_tpch::{q1, staggered_workload};
 
@@ -815,17 +759,6 @@ mod tests {
         assert_eq!(a.cmd.name, "watch");
         assert_eq!(a.parsed::<usize>("--tail").unwrap(), None);
         assert!(!a.has("--tick-ms") && !a.has("--no-clear"));
-    }
-
-    #[test]
-    fn parses_run_flags() {
-        let a = parsed("run --spec s.json --policy attach --delivery push");
-        assert_eq!(a.value("--spec"), Some("s.json"));
-        assert_eq!(
-            a.parsed("--policy").unwrap(),
-            Some(SharingPolicyKind::Attach)
-        );
-        assert_eq!(a.parsed("--delivery").unwrap(), Some(DeliveryMode::Push));
     }
 
     #[test]
@@ -847,7 +780,6 @@ mod tests {
             assert_eq!(e.code, 2, "{s}: {}", e.message);
             assert!(e.message.contains(named), "{s}: {}", e.message);
         };
-        refused("run --spec s.json --policy zigzag", "'zigzag'");
         refused("watch --spec s.json --tail nope", "--tail 'nope'");
         refused("run", "missing --spec");
         refused("run --spec s.json --db f.db", "unknown flag --db");
@@ -883,7 +815,7 @@ mod tests {
         assert_eq!(a.value("--spec"), Some("s.json"));
         assert_eq!(a.value("--report"), Some("out.json"));
         assert_eq!(a.value("--trace-out"), Some("t.jsonl"));
-        for absent in ["--faults", "--policy", "--delivery", "--profile-out"] {
+        for absent in ["--faults", "--profile-out"] {
             assert_eq!(a.value(absent), None, "{absent}");
         }
         assert!(!a.has("--compare"));
@@ -918,7 +850,7 @@ mod tests {
             trace: Some(trace_path.to_string_lossy().into_owned()),
             profile: None,
         };
-        assert_eq!(run_and_print(&db, &w, false, None, None, &outputs), Ok(0));
+        assert_eq!(run_and_print(&db, &w, false, &outputs), Ok(0));
 
         // The saved report replays: its embedded log matches the JSONL
         // side channel, and both renderers produce real output.
@@ -945,31 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_run_policy_flag() {
-        for (name, kind) in [
-            ("grouping", SharingPolicyKind::Grouping),
-            ("attach", SharingPolicyKind::Attach),
-            ("elevator", SharingPolicyKind::Elevator),
-        ] {
-            let a = parsed(&format!("run --spec s.json --policy {name}"));
-            assert_eq!(a.parsed("--policy").unwrap(), Some(kind));
-        }
-        let a = parsed("run --spec s.json --policy zigzag");
-        let err = a.parsed::<SharingPolicyKind>("--policy").unwrap_err();
-        assert_eq!(err.code, 2);
-        assert!(
-            err.message.contains("unknown policy 'zigzag'"),
-            "got: {err:?}"
-        );
-        assert!(
-            err.message.contains("grouping, attach, or elevator"),
-            "got: {err:?}"
-        );
-    }
-
-    #[test]
-    fn run_policy_selects_the_policy_end_to_end() {
-        // --policy elevator on a sharing spec stamps the report.
+    fn the_specs_policy_stamps_the_report() {
         let tpch = TpchConfig::tiny();
         let db = generate(&tpch);
         let w = throughput_workload(
@@ -986,7 +894,7 @@ mod tests {
             trace: None,
             profile: None,
         };
-        assert_eq!(run_and_print(&db, &w, false, None, None, &outputs), Ok(0));
+        assert_eq!(run_and_print(&db, &w, false, &outputs), Ok(0));
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         std::fs::remove_file(&report_path).ok();
         assert_eq!(report.policy, Some(SharingPolicyKind::Elevator));
@@ -1000,35 +908,19 @@ mod tests {
     }
 
     #[test]
-    fn usage_documents_policy_and_faults_sections() {
-        // `help` must mention the --policy flag with all three policies,
-        // and the spec's optional "faults" subsection.
+    fn usage_documents_the_specs_mode_and_faults_sections() {
+        // `help` names where a run's policy and delivery are set, and the
+        // spec's optional "faults" subsection.
         let usage = usage();
-        assert!(usage.contains("--policy grouping|attach|elevator"));
+        assert!(usage.contains("Grouping, Attach or Elevator"));
+        assert!(usage.contains("\"delivery\": Pull or Push"));
         assert!(usage.contains("\"faults\" subsection"));
-        assert!(usage.contains("--delivery pull|push"));
     }
 
     #[test]
-    fn parses_run_delivery_flag() {
-        for (name, mode) in [("pull", DeliveryMode::Pull), ("push", DeliveryMode::Push)] {
-            let a = parsed(&format!("run --spec s.json --delivery {name}"));
-            assert_eq!(a.parsed("--delivery").unwrap(), Some(mode));
-        }
-        let a = parsed("run --spec s.json");
-        assert_eq!(a.parsed::<DeliveryMode>("--delivery").unwrap(), None);
-        let a = parsed("run --spec s.json --delivery teleport");
-        let err = a.parsed::<DeliveryMode>("--delivery").unwrap_err();
-        assert!(
-            err.message.contains("unknown delivery 'teleport'"),
-            "got: {err:?}"
-        );
-    }
-
-    #[test]
-    fn run_delivery_selects_push_end_to_end() {
-        // --delivery push on a sharing spec stamps the report's push
-        // section; the explain narrative mentions the driver attaches.
+    fn the_specs_push_delivery_stamps_the_report() {
+        // A push spec's report has a push section; the explain narrative
+        // mentions the driver attaches.
         let tpch = TpchConfig::tiny();
         let db = generate(&tpch);
         let mut cfg = SharingConfig::new(0);
@@ -1047,7 +939,7 @@ mod tests {
             trace: None,
             profile: None,
         };
-        assert_eq!(run_and_print(&db, &w, false, None, None, &outputs), Ok(0));
+        assert_eq!(run_and_print(&db, &w, false, &outputs), Ok(0));
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         std::fs::remove_file(&report_path).ok();
         let ps = report.push.as_ref().expect("push section in the report");
@@ -1078,7 +970,7 @@ mod tests {
                 report: Some(path.to_string_lossy().into_owned()),
                 ..RunOutputs::default()
             };
-            assert_eq!(run_and_print(&db, &w, true, None, None, &outputs), Ok(0));
+            assert_eq!(run_and_print(&db, &w, true, &outputs), Ok(0));
             let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
             std::fs::remove_file(&path).ok();
             report
@@ -1180,7 +1072,7 @@ mod tests {
         let db = generate(&tpch);
         let workload =
             throughput_workload(&db, 1, tpch.months as i64, tpch.seed, SharingMode::Base);
-        let code = run_and_print(&db, &workload, true, None, None, &RunOutputs::default());
+        let code = run_and_print(&db, &workload, true, &RunOutputs::default());
         assert_eq!(code, Ok(0));
     }
 }

@@ -1,9 +1,9 @@
 //! Self-profiler rendering for `scanshare profile`.
 //!
-//! Turns a [`ProfileSummary`] — either embedded in a saved report by
-//! `run --profile-out` or freshly recorded by `profile --smoke` — into
-//! a per-phase cost table (both clocks) and, with `--collapse`, the
-//! folded-stack text that flamegraph tooling consumes directly.
+//! Turns a [`ProfileSummary`] — embedded in a saved report by
+//! `run --profile-out` — into a per-phase cost table (both clocks) and,
+//! with `--collapse`, the folded-stack text that flamegraph tooling
+//! consumes directly.
 
 use scanshare::ProfileSummary;
 use std::fmt::Write;

@@ -6,6 +6,9 @@
 
 use std::process::Command;
 
+use scanshare::DeliveryMode;
+use scanshare_engine::SharingMode;
+
 fn scanshare(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_scanshare"))
         .args(args)
@@ -178,8 +181,8 @@ fn a_missing_required_field_is_exit_2_naming_it() {
 }
 
 /// A spec with a zero pool, extent, CPU count, block size or month count,
-/// or a scale that is not a number above 0 or leaves a table without
-/// rows, is refused by `run` and `watch` before any data is generated:
+/// a prefetch depth above 1, or a scale that is not a number above 0 or
+/// leaves a table without rows, is refused by `run` and `watch` before any data is generated:
 /// exit 2 and one line naming the field.
 #[test]
 fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
@@ -218,6 +221,9 @@ fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
         }
         refused(&bad, &format!("{field} must be at least 1"));
     }
+    let mut bad = spec.clone();
+    bad.workload.engine.prefetch_extents = 3;
+    refused(&bad, "workload.engine.prefetch_extents must be 0");
     for scale in [0.0, -1.0, 0.000001] {
         let mut bad = spec.clone();
         bad.tpch.scale = scale;
@@ -238,38 +244,36 @@ fn a_pool_below_one_extent_is_exit_2_naming_both_sizes() {
     let spec: scanshare_cli::RunSpec = serde_json::from_slice(&template.stdout).unwrap();
     let path = std::env::temp_dir().join(format!("scanshare_pool_{}.json", std::process::id()));
     let extent = spec.workload.engine.extent_pages as usize;
-    for delivery in ["pull", "push"] {
+    for delivery in [DeliveryMode::Pull, DeliveryMode::Push] {
         for pool in [1, 2, extent - 1] {
             let mut bad = spec.clone();
             bad.workload.pool_pages = pool;
+            let SharingMode::ScanSharing(cfg) = &mut bad.workload.mode else {
+                panic!("the template spec shares scans");
+            };
+            cfg.delivery = delivery;
             std::fs::write(&path, serde_json::to_string(&bad).unwrap()).unwrap();
-            let args = [
-                "run",
-                "--spec",
-                path.to_str().unwrap(),
-                "--delivery",
-                delivery,
-            ];
+            let args = ["run", "--spec", path.to_str().unwrap()];
             let out = scanshare(&args);
             assert_eq!(
                 out.status.code(),
                 Some(2),
-                "{delivery} {pool}: {:?}",
+                "{delivery:?} {pool}: {:?}",
                 out.status
             );
             let err = stderr_of(&out);
             assert_eq!(
                 err.trim_end().lines().count(),
                 1,
-                "{delivery} {pool}: {err:?}"
+                "{delivery:?} {pool}: {err:?}"
             );
             let want = format!(
                 "workload.pool_pages ({pool}) must be at least workload.engine.extent_pages ({extent})"
             );
-            assert!(err.contains(&want), "{delivery} {pool}: got {err:?}");
+            assert!(err.contains(&want), "{delivery:?} {pool}: got {err:?}");
             assert!(
                 out.stdout.is_empty(),
-                "{delivery} {pool}: no output on failure"
+                "{delivery:?} {pool}: no output on failure"
             );
         }
     }

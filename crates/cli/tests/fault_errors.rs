@@ -10,7 +10,7 @@
 
 use std::process::Command;
 
-use scanshare::SharingConfig;
+use scanshare::{DeliveryMode, SharingConfig};
 use scanshare_cli::RunSpec;
 use scanshare_engine::{Access, FaultSummary, SharingMode};
 use scanshare_storage::SimDuration;
@@ -248,29 +248,26 @@ fn every_committed_fault_plan_does_what_its_table_row_says() {
 
 #[test]
 fn a_scan_over_a_column_its_table_lacks_is_exit_1_with_one_line() {
-    let spec = spec_file("badcolumn", |spec| {
-        for stream in &mut spec.workload.streams {
-            stream.queries[0].scans[0].agg.sum_cols = vec![99];
-        }
-    });
-    for delivery in ["pull", "push"] {
-        let out = scanshare(&[
-            "run",
-            "--spec",
-            spec.to_str().unwrap(),
-            "--delivery",
-            delivery,
-        ]);
-        assert_eq!(out.status.code(), Some(1), "{delivery}: {:?}", out.status);
+    for delivery in [DeliveryMode::Pull, DeliveryMode::Push] {
+        let spec = spec_file("badcolumn", |spec| {
+            for stream in &mut spec.workload.streams {
+                stream.queries[0].scans[0].agg.sum_cols = vec![99];
+            }
+            if let SharingMode::ScanSharing(cfg) = &mut spec.workload.mode {
+                cfg.delivery = delivery;
+            }
+        });
+        let out = scanshare(&["run", "--spec", spec.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{delivery:?}: {:?}", out.status);
         let err = stderr_of(&out);
-        assert_eq!(err.lines().count(), 1, "{delivery}: {err:?}");
+        assert_eq!(err.lines().count(), 1, "{delivery:?}: {err:?}");
         assert!(
             err.contains("has no Float64 column 99"),
-            "{delivery}: {err:?}"
+            "{delivery:?}: {err:?}"
         );
-        assert!(!err.contains("internal error"), "{delivery}: {err:?}");
+        assert!(!err.contains("internal error"), "{delivery:?}: {err:?}");
+        std::fs::remove_file(&spec).ok();
     }
-    std::fs::remove_file(&spec).ok();
 }
 
 /// A RID-range scan of a table without a RID index names what is

@@ -3,7 +3,8 @@
 //! its value, a flag given twice — exits 2 with exactly one `error:` line
 //! naming the command and the offending argument, and prints nothing on
 //! stdout (the parser refuses it before any work starts). So do a third
-//! positional to `diff` and `profile` given both of its either-or flags.
+//! positional to `diff`, `profile` without its `--artifact`, and the
+//! retired `run --policy`, `run --delivery` and `profile --smoke`.
 
 use std::process::Command;
 
@@ -44,6 +45,14 @@ fn every_command_refuses_what_its_row_does_not_allow() {
     }
     assert_refused(&["diff", "a.json", "b.json", "c.json"], "c.json");
     assert_refused(&["diff", "a.json"], "B.json");
-    assert_refused(&["profile", "--artifact", "x", "--smoke"], "--artifact");
-    assert_refused(&["profile"], "--smoke");
+    assert_refused(&["profile"], "missing --artifact");
+    assert_refused(&["profile", "--smoke"], "--smoke");
+    assert_refused(
+        &["run", "--spec", "s.json", "--policy", "elevator"],
+        "--policy",
+    );
+    assert_refused(
+        &["run", "--spec", "s.json", "--delivery", "push"],
+        "--delivery",
+    );
 }

@@ -8,8 +8,13 @@
 //! by the commit before this test existed. Any change to how spans fold
 //! into phases, stacks and hottest spans, or to how a summary renders,
 //! shows up here as a byte difference.
+//!
+//! Last, the path a user takes end to end through the binary: a profiled
+//! `run` of the `spec-template` spec, then `profile` of its saved report.
 
-use scanshare::obs::span::{summarize, SpanRecord};
+use std::process::Command;
+
+use scanshare::obs::span::{summarize, validate_chrome_trace, SpanRecord};
 use scanshare::{ProfileSummary, Track};
 use scanshare_cli::profile::{render_collapsed, render_profile};
 
@@ -89,4 +94,46 @@ fn collapsed_stacks_of_a_fixed_span_list_are_pinned() {
         &render_collapsed(&summary()),
         include_str!("golden/profile_fixed_spans_collapsed.txt"),
     );
+}
+
+/// `run --spec S --profile-out T --report R` saves a valid Chrome trace
+/// `T` and a report `R` whose profile `profile --artifact R` renders as a
+/// phase table naming the scan, fetch and CPU phases, and as folded
+/// stacks with `--collapse`; every command exits 0.
+#[test]
+fn a_profiled_run_renders_through_profile() {
+    let dir = std::env::temp_dir().join(format!("scanshare_profile_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (spec, trace, report) = (path("spec.json"), path("trace.json"), path("report.json"));
+    let scanshare = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_scanshare"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    std::fs::write(&spec, scanshare(&["spec-template"])).unwrap();
+    let run = [
+        "run",
+        "--spec",
+        &spec,
+        "--profile-out",
+        &trace,
+        "--report",
+        &report,
+    ];
+    scanshare(&run);
+    let table = scanshare(&["profile", "--artifact", &report]);
+    for phase in ["scan.step", "extent.fetch", "cpu.process"] {
+        assert!(table.contains(phase), "no {phase} in\n{table}");
+    }
+    let folded = scanshare(&["profile", "--artifact", &report, "--collapse"]);
+    assert!(folded.contains("scan.step;extent.fetch"), "{folded}");
+    let trace: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    validate_chrome_trace(&trace).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }

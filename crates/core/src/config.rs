@@ -41,36 +41,6 @@ pub enum DeliveryMode {
     Push,
 }
 
-impl DeliveryMode {
-    /// The CLI spelling of the mode (`pull`, `push`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            DeliveryMode::Pull => "pull",
-            DeliveryMode::Push => "push",
-        }
-    }
-}
-
-impl std::fmt::Display for DeliveryMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for DeliveryMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "pull" => Ok(DeliveryMode::Pull),
-            "push" => Ok(DeliveryMode::Push),
-            other => Err(format!(
-                "unknown delivery '{other}' (expected pull or push)"
-            )),
-        }
-    }
-}
-
 /// Tunables of the scan-sharing manager. Defaults mirror the papers'
 /// prototype: 16-page extents, a drift threshold of two prefetch extents,
 /// and an 80 % fairness cap on accumulated slowdown.
@@ -178,13 +148,8 @@ mod tests {
 
     #[test]
     fn delivery_defaults_to_pull_and_round_trips() {
-        use std::str::FromStr;
         let c = SharingConfig::new(100);
         assert_eq!(c.delivery, DeliveryMode::Pull);
-        for mode in [DeliveryMode::Pull, DeliveryMode::Push] {
-            assert_eq!(DeliveryMode::from_str(mode.as_str()), Ok(mode));
-        }
-        assert!(DeliveryMode::from_str("teleport").is_err());
         // Serialized configs name the mode, and specs written before
         // the knob existed still load as pull.
         let json = serde_json::to_string(&c).unwrap();

@@ -1037,6 +1037,10 @@ mod tests {
         let o2 = m.update_location(s2, t2, Location::new(540, 540), 40);
         assert_eq!(o2.role, Role::Trailer);
         assert_eq!(o2.wait, SimDuration::ZERO, "trailers are never throttled");
+        // A throttled leader still releases its pages high, the trailer
+        // low.
+        assert_eq!(m.page_priority(s1), PagePriority::High);
+        assert_eq!(m.page_priority(s2), PagePriority::Low);
         let stats = m.stats();
         assert_eq!(stats.waits_injected, 1);
         assert!(stats.total_wait > SimDuration::ZERO);

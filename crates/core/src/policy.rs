@@ -20,9 +20,8 @@
 //! bookkeeping every policy needs (anchors, groups, speeds, statistics,
 //! provenance) and hands its own scan records to `place`.
 //!
-//! Select a policy per run via [`SharingConfig::policy`] in the workload
-//! spec, or `scanshare run --policy grouping|attach|elevator` on the
-//! command line.
+//! A run's policy is [`SharingConfig::policy`], the `policy` field of its
+//! workload spec's `mode.ScanSharing`.
 
 use std::cmp::Reverse;
 
@@ -35,8 +34,8 @@ use crate::placement::{best_start_optimal, best_start_practical, Trace};
 use crate::scan::{Location, ScanDesc, ScanId, ScanKind, ScanState};
 use crate::stats::SharingStats;
 
-/// Which sharing policy a run uses. Selected in [`SharingConfig::policy`]
-/// (and therefore in workload specs) or via `run --policy`.
+/// Which sharing policy a run uses, selected in [`SharingConfig::policy`]
+/// (and therefore in workload specs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SharingPolicyKind {
     /// The paper's policy (the default): §6.3 placement, with the optimal
@@ -71,7 +70,8 @@ pub enum SharingPolicyKind {
 }
 
 impl SharingPolicyKind {
-    /// The CLI spelling of the policy (`grouping`, `attach`, `elevator`).
+    /// The policy's name as reports and narratives print it (`grouping`,
+    /// `attach`, `elevator`).
     pub fn as_str(&self) -> &'static str {
         match self {
             SharingPolicyKind::Grouping => "grouping",
@@ -84,21 +84,6 @@ impl SharingPolicyKind {
 impl std::fmt::Display for SharingPolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for SharingPolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "grouping" => Ok(SharingPolicyKind::Grouping),
-            "attach" => Ok(SharingPolicyKind::Attach),
-            "elevator" => Ok(SharingPolicyKind::Elevator),
-            other => Err(format!(
-                "unknown policy '{other}' (expected grouping, attach, or elevator)"
-            )),
-        }
     }
 }
 
@@ -472,21 +457,12 @@ fn place_elevator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::str::FromStr;
 
     const KINDS: [SharingPolicyKind; 3] = [
         SharingPolicyKind::Grouping,
         SharingPolicyKind::Attach,
         SharingPolicyKind::Elevator,
     ];
-
-    #[test]
-    fn kind_round_trips_through_strings() {
-        for kind in KINDS {
-            assert_eq!(SharingPolicyKind::from_str(kind.as_str()), Ok(kind));
-        }
-        assert!(SharingPolicyKind::from_str("lru").is_err());
-    }
 
     #[test]
     fn default_kind_is_grouping() {

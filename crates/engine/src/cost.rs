@@ -67,8 +67,9 @@ pub struct EngineConfig {
     /// Disks in the striped array (the paper's AIX box has 16 SSA
     /// disks). 1 = the calibrated single-disk baseline.
     pub n_disks: u32,
-    /// Extents to prefetch ahead of a sequential scan (0 = off). With
-    /// prefetch on, the next extent's disk read is issued as soon as the
+    /// Extents to prefetch ahead of a sequential scan: 0 (off) or 1, the
+    /// one extent a scan peeks ahead; a run refuses more. With prefetch
+    /// on, the next extent's disk read is issued as soon as the
     /// current one arrives, overlapping I/O with row processing — how
     /// the paper's DB2 actually reads ("prefetch extents" are its unit
     /// of throttling distance). Off by default so the headline

@@ -29,6 +29,9 @@ pub enum EngineError {
     /// A size the run divides by or draws from is zero, named by its
     /// path in a run spec.
     ZeroSize(&'static str),
+    /// `workload.engine.prefetch_extents` asks for a depth above the one
+    /// extent a scan reads ahead.
+    PrefetchAboveOne(u32),
     /// The pool cannot hold one extent, which a scan step pins whole.
     PoolBelowExtent {
         /// `workload.pool_pages`.
@@ -60,6 +63,10 @@ impl fmt::Display for EngineError {
                 expected,
             } => write!(f, "table '{table}' has no {expected:?} column {column}"),
             EngineError::ZeroSize(field) => write!(f, "{field} must be at least 1"),
+            EngineError::PrefetchAboveOne(n) => write!(
+                f,
+                "workload.engine.prefetch_extents must be 0 (off) or 1 (one extent ahead), not {n}"
+            ),
             EngineError::PoolBelowExtent {
                 pool_pages,
                 extent_pages,

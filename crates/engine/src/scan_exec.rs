@@ -1237,7 +1237,7 @@ impl RowPipeline {
                 None => {
                     let from = gathered.len();
                     for row in page.rows() {
-                        self.copy_fields(gathered, row)?;
+                        self.copy_fields(gathered, row?)?;
                     }
                     (None, from..gathered.len())
                 }
@@ -1658,20 +1658,14 @@ pub(crate) fn plan_scan(
         table.num_rows() / table.num_pages() as u64
     };
 
-    // Build the plan skeleton and the manager registration record.
-    let (plan, desc) = match &spec.access {
+    // Each access path's walk, the manager's kind and key range for it,
+    // its page estimate and the rows the estimate costs per page.
+    let (walk, kind, (start_key, end_key), est_pages, est_rows_per_page) = match &spec.access {
         Access::FullTable => {
             let num_pages = table.num_pages();
-            let desc = ScanDesc {
-                kind: ScanKind::Table,
-                object: ObjectId(file.0 as u64),
-                start_key: 0,
-                end_key: num_pages.saturating_sub(1) as i64,
-                est_pages: num_pages as u64,
-                est_time: ScanExec::estimate_time(world, spec, num_pages as u64, rows_per_page),
-                priority: spec.query_priority,
-            };
-            (Plan::new(Walk::Pages(num_pages)), desc)
+            let keys = (0, num_pages.saturating_sub(1) as i64);
+            let walk = Walk::Pages(num_pages);
+            (walk, ScanKind::Table, keys, num_pages as u64, rows_per_page)
         }
         Access::RidRange { lo, hi } => {
             let index = db
@@ -1681,16 +1675,7 @@ pub(crate) fn plan_scan(
             // Low-selectivity RID fetches touch roughly one distinct
             // page per entry, capped by the table size.
             let est_pages = (walk.len() as u64).min(table.num_pages() as u64);
-            let desc = ScanDesc {
-                kind: ScanKind::Index,
-                object: ObjectId(file.0 as u64),
-                start_key: *lo,
-                end_key: *hi,
-                est_pages,
-                est_time: ScanExec::estimate_time(world, spec, est_pages, 1),
-                priority: spec.query_priority,
-            };
-            (Plan::new(walk), desc)
+            (walk, ScanKind::Index, (*lo, *hi), est_pages, 1)
         }
         Access::IndexRange { lo, hi } => {
             let mdc = table
@@ -1699,29 +1684,27 @@ pub(crate) fn plan_scan(
             let blocks = mdc.blocks_for_range(db.store(), *lo, *hi)?;
             let entries = SharedEntries::key_range(&blocks.into(), *lo, *hi);
             let est_pages = entries.len() as u64 * mdc.block_pages as u64;
-            let desc = ScanDesc {
-                kind: ScanKind::Index,
-                object: ObjectId(file.0 as u64),
-                start_key: *lo,
-                end_key: *hi,
-                est_pages,
-                est_time: ScanExec::estimate_time(world, spec, est_pages, rows_per_page),
-                priority: spec.query_priority,
-            };
             let block_pages = mdc.block_pages;
-            (
-                Plan::new(Walk::Blocks {
-                    entries,
-                    block_pages,
-                }),
-                desc,
-            )
+            let walk = Walk::Blocks {
+                entries,
+                block_pages,
+            };
+            (walk, ScanKind::Index, (*lo, *hi), est_pages, rows_per_page)
         }
+    };
+    let desc = ScanDesc {
+        kind,
+        object: ObjectId(file.0 as u64),
+        start_key,
+        end_key,
+        est_pages,
+        est_time: ScanExec::estimate_time(world, spec, est_pages, est_rows_per_page),
+        priority: spec.query_priority,
     };
     Ok(PlannedScan {
         file,
         schema,
-        plan,
+        plan: Plan::new(walk),
         desc,
     })
 }
@@ -3178,10 +3161,13 @@ mod kernel_oracle {
         assert_eq!(capacities, [8, 8, 32, 64]);
     }
 
-    /// A table without columns has zero-byte records; they still count,
-    /// and a record shorter than its schema is an error, not a panic.
+    /// A table without columns has zero-byte records; they still count.
+    /// A record shorter than its schema, and a slot descriptor that
+    /// points past the page end on a page whose rows are copied slot by
+    /// slot (its first record one byte longer than the schema, so it is
+    /// not fixed-width), are errors, not panics.
     #[test]
-    fn zero_width_rows_count_and_short_records_are_rejected() {
+    fn zero_width_rows_count_and_bad_records_are_rejected() {
         let mut db = Database::new(16);
         db.create_heap_table(
             "t",
@@ -3204,27 +3190,36 @@ mod kernel_oracle {
         assert_eq!(scan.result().count, 500);
 
         let s = schema();
-        let mut store = FileStore::new(16);
-        let file = store.create_file();
-        let mut page = HeapPageBuilder::new();
-        page.push(&vec![0u8; s.row_width() - 1]).unwrap();
-        store.append_page(file, page.finish()).unwrap();
-        let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
-        let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
-        let plan = Plan::new(Walk::Pages(1));
-        let stepped = step_extent(
-            &mut world,
-            SimTime::ZERO,
-            &mut Cursor::new(file, plan),
-            &mut StepScratch::default(),
-            &mut [Consumer::new(&spec, &s, SimTime::ZERO).unwrap()],
-            &[0],
-            false,
-        );
-        assert!(matches!(
-            stepped,
-            Err(EngineError::Storage(StorageError::Corrupt(_)))
-        ));
+        let width = s.row_width();
+        let mut short = HeapPageBuilder::new();
+        short.push(&vec![0u8; width - 1]).unwrap();
+        let mut slot_past_end = HeapPageBuilder::new();
+        slot_past_end.push(&vec![0u8; width + 1]).unwrap();
+        slot_past_end.push(&vec![0u8; width]).unwrap();
+        let mut slot_past_end = slot_past_end.finish().to_vec();
+        // Slot 1's descriptor, second from the end: its offset.
+        let at = scanshare_storage::PAGE_SIZE - 8;
+        slot_past_end[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        for page in [short.finish(), slot_past_end.into()] {
+            let mut store = FileStore::new(16);
+            let file = store.create_file();
+            store.append_page(file, page).unwrap();
+            let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+            let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+            let stepped = step_extent(
+                &mut world,
+                SimTime::ZERO,
+                &mut Cursor::new(file, Plan::new(Walk::Pages(1))),
+                &mut StepScratch::default(),
+                &mut [Consumer::new(&spec, &s, SimTime::ZERO).unwrap()],
+                &[0],
+                false,
+            );
+            assert!(matches!(
+                stepped,
+                Err(EngineError::Storage(StorageError::Corrupt(_)))
+            ));
+        }
     }
 
     /// A RID that names a slot its page does not have, or a record

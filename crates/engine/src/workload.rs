@@ -80,7 +80,8 @@ pub struct WorkloadSpec {
 impl WorkloadSpec {
     /// Refuse a spec whose pool, extent or CPU count is zero — or any of
     /// `more`, `(run-spec path, value)` pairs checked beside them —
-    /// naming the first such field, and a pool smaller than one extent.
+    /// naming the first such field, a prefetch depth above one extent
+    /// and a pool smaller than one extent.
     pub fn check_sizes(&self, more: &[(&'static str, u64)]) -> EngineResult<()> {
         let (pool_pages, extent_pages) = (self.pool_pages as u64, self.engine.extent_pages as u64);
         let own = [
@@ -90,6 +91,9 @@ impl WorkloadSpec {
         ];
         if let Some(&(field, _)) = own.iter().chain(more).find(|&&(_, v)| v == 0) {
             return Err(EngineError::ZeroSize(field));
+        }
+        if self.engine.prefetch_extents > 1 {
+            return Err(EngineError::PrefetchAboveOne(self.engine.prefetch_extents));
         }
         if pool_pages < extent_pages {
             return Err(EngineError::PoolBelowExtent {
@@ -1664,8 +1668,9 @@ mod tests {
         assert_eq!(digest, 33_366_765_337_216_534, "slow-disk report digest");
     }
 
-    /// A zero pool, extent or CPU count is an error naming the field,
-    /// not a panic inside the run.
+    /// A zero pool, extent or CPU count, or a prefetch depth above the
+    /// one extent a scan reads ahead, is an error naming the field, not a
+    /// panic inside the run or a depth silently run as 1.
     #[test]
     fn a_zero_size_is_an_error_naming_the_field() {
         let db = build_db();
@@ -1678,15 +1683,23 @@ mod tests {
             "workload.pool_pages",
             "workload.engine.extent_pages",
             "workload.engine.n_cpus",
+            "workload.engine.prefetch_extents",
         ] {
             let mut bad = ok.clone();
             match field {
                 "workload.pool_pages" => bad.pool_pages = 0,
                 "workload.engine.extent_pages" => bad.engine.extent_pages = 0,
-                _ => bad.engine.n_cpus = 0,
+                "workload.engine.n_cpus" => bad.engine.n_cpus = 0,
+                _ => bad.engine.prefetch_extents = 3,
             }
             let err = run_workload(&db, &bad).unwrap_err();
-            assert_eq!(err, EngineError::ZeroSize(field));
+            match field {
+                "workload.engine.prefetch_extents" => {
+                    assert_eq!(err, EngineError::PrefetchAboveOne(3))
+                }
+                _ => assert_eq!(err, EngineError::ZeroSize(field)),
+            }
+            assert!(err.to_string().starts_with(field), "{err}");
         }
     }
 

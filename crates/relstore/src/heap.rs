@@ -99,9 +99,10 @@ impl<'a> HeapPage<'a> {
         Ok(&self.bytes[off..off + len])
     }
 
-    /// Iterate the encoded bytes of every record on the page.
-    pub fn rows(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
-        (0..self.num_rows()).map(move |s| self.row_bytes(s).expect("validated slot"))
+    /// Iterate the encoded bytes of every record on the page; a slot
+    /// that points past the page end is `Corrupt`.
+    pub fn rows(&self) -> impl Iterator<Item = StorageResult<&'a [u8]>> + '_ {
+        (0..self.num_rows()).map(move |s| self.row_bytes(s))
     }
 
     /// The record bytes of a page [`HeapWriter`] produced from a
@@ -329,7 +330,7 @@ mod tests {
         assert_eq!(page.num_rows(), 2);
         assert_eq!(page.row_bytes(0).unwrap(), b"hello");
         assert_eq!(page.row_bytes(1).unwrap(), b"world!");
-        let all: Vec<_> = page.rows().collect();
+        let all: Vec<_> = page.rows().collect::<StorageResult<_>>().unwrap();
         assert_eq!(all, vec![&b"hello"[..], &b"world!"[..]]);
     }
 
@@ -355,7 +356,7 @@ mod tests {
         let bytes = b.finish();
         let page = HeapPage::new(&bytes).unwrap();
         let dense: Vec<_> = page.rows_dense(21).expect("fixed-width page").collect();
-        let slow: Vec<_> = page.rows().collect();
+        let slow: Vec<_> = page.rows().collect::<StorageResult<_>>().unwrap();
         assert_eq!(dense, slow);
         assert_eq!(page.dense_region(21).unwrap(), slow.concat());
         // Wrong width, variable-length records and an empty page fall
@@ -380,7 +381,7 @@ mod tests {
             }
             .finish();
             let page = HeapPage::new(&bytes).unwrap();
-            let rows: Vec<_> = page.rows().collect();
+            let rows: Vec<_> = page.rows().collect::<StorageResult<_>>().unwrap();
             assert_eq!(rows.len(), n as usize);
             assert_eq!(page.dense_region(33).unwrap(), rows.concat());
             assert!(page.rows_dense(33).unwrap().eq(rows.iter().copied()));

@@ -261,7 +261,7 @@ mod tests {
                 let page = HeapPage::new(&bytes).unwrap();
                 for row in page.rows() {
                     let r = RowRef {
-                        bytes: row,
+                        bytes: row.unwrap(),
                         schema: &t.schema,
                     };
                     assert_eq!(r.get_i32(0) as i64, cell, "row in wrong cell block");

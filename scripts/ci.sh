@@ -72,26 +72,22 @@ cargo test --release --offline -q -p scanshare-engine --lib -- kernel_oracle sta
 cargo test --release --offline -q --test row_kernel_oracle
 cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: placement:: policy::
 
-leg "examples, release build"
-# `cargo test` compiles the examples but runs none of them. Each is a
-# documented walkthrough (adaptive_throttling also asserts what it
-# shows), so each must still run to completion.
-for example in examples/*.rs; do
-    cargo run --offline --release -q --example "$(basename "$example" .rs)" >/dev/null
-done
-
-leg "CLI smoke: profile --smoke, and run and watch twice byte for byte"
-# `profile --smoke` records and renders a fresh profile of the built-in
-# smoke run (begin/end nesting and Perfetto export validity are tested
-# in the suite; the per-phase table goes to the log) and must exit 0.
+leg "CLI smoke: a profiled run renders, and run and watch twice byte for byte"
+# A run with --profile-out saves a Chrome trace and embeds the folded
+# profile in its report; `profile` renders that report as the per-phase
+# table (to the log) and as folded stacks, and each must exit 0.
 # `watch --tick-ms 0` draws every frame the run delivers exactly once,
 # from inside the run, so two runs of the same spec must print the same
 # bytes. `run --report` is the one way a CLI run is described (its spec,
 # the database generated from it), so two runs of the same spec must save
 # the same report, and `diff` of the two must find nothing (exit 0).
-cargo run --offline --release -q -p scanshare-cli --bin scanshare -- profile --smoke
+cargo build --offline --release -q -p scanshare-cli --bin scanshare
 smoke_dir=$(mktemp -d)
 target/release/scanshare spec-template >"$smoke_dir/spec.json"
+target/release/scanshare run --spec "$smoke_dir/spec.json" --profile-out "$smoke_dir/trace.json" \
+    --report "$smoke_dir/profiled.json" >/dev/null
+target/release/scanshare profile --artifact "$smoke_dir/profiled.json"
+target/release/scanshare profile --artifact "$smoke_dir/profiled.json" --collapse >/dev/null
 for i in 1 2; do
     target/release/scanshare watch --spec "$smoke_dir/spec.json" --tick-ms 0 --no-clear \
         >"$smoke_dir/watch$i.txt"

@@ -1,16 +1,24 @@
-//! README honesty check: the quickstart listing in README.md must be the
-//! verbatim contents of `examples/quickstart.rs`, and the documented
-//! policy-selection surface must exist.
+//! README honesty check: the library listing in README.md must be the
+//! verbatim example of the crate documentation in `src/lib.rs` (which
+//! `cargo test` runs as a doctest), and the documented policy-selection
+//! surface must exist.
 
 #[test]
 fn readme_quickstart_block_is_the_example_verbatim() {
     let readme = include_str!("../README.md");
-    let example = include_str!("../examples/quickstart.rs");
+    let doc: Vec<&str> = include_str!("../src/lib.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("//!"))
+        .map(|line| line.strip_prefix(' ').unwrap_or(line))
+        .collect();
+    let fence = |from: usize| from + doc[from..].iter().position(|l| *l == "```").unwrap();
+    let open = fence(0);
+    let example = doc[open + 1..fence(open + 1)].join("\n");
     assert!(
-        readme.contains(example.trim_end()),
-        "README.md's quickstart listing has drifted from examples/quickstart.rs;\n\
-         paste the file's current contents into the fenced block under\n\
-         'The quickstart example, in full'"
+        readme.contains(&format!("```rust\n{example}\n```")),
+        "README.md's library listing has drifted from the example in src/lib.rs's\n\
+         crate documentation; paste it into the fenced block under\n\
+         'The library quickstart, in full'"
     );
 }
 
@@ -100,7 +108,7 @@ fn every_repo_path_the_docs_name_exists() {
 /// whole word, in at least one of the `.rs` files its row's `where`
 /// column cites — judged by the name's last `::` or `.` segment without
 /// `()` — so a renamed or deleted item cannot linger in the glossary.
-/// Spans that are not a path of identifiers (`run --policy`,
+/// Spans that are not a path of identifiers (`run --compare`,
 /// `IdMap<PageId, u32>`) are prose, not names, and are skipped.
 #[test]
 fn every_glossary_name_occurs_in_a_file_its_row_cites() {
