@@ -8,19 +8,18 @@
 //! onto the row's JSON, and the [`Claim`]s the row reproduces — and
 //! [`run`] is the only loop: build the variants, execute the ones no
 //! earlier row already ran, project, print, check the claims, and write
-//! JSON only when asked to. `exp list` prints the table: it is the
-//! experiment index DESIGN.md §4, README.md and EXPERIMENTS.md point at.
+//! JSON only when asked to. `scanshare exp list` prints the table: it is
+//! the experiment index DESIGN.md §4, README.md and EXPERIMENTS.md point at.
 
 mod table;
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::ops::Deref;
 use std::path::Path;
 use std::rc::Rc;
 
-use scanshare_engine::{par_map, run_workload, Database, RunReport, WorkloadSpec};
+use scanshare_engine::{run_workload, Database, RunReport, WorkloadSpec};
 use scanshare_tpch::{generate, TpchConfig};
 use serde::{Serialize, Value};
 
@@ -202,44 +201,30 @@ impl Output {
     }
 }
 
-/// Everything an invocation reads from outside — scale, seed, jobs and
-/// the metrics sink, handed over as values by `main` — plus the memo
-/// that lets rows share databases and runs.
+/// One invocation's database configuration — its scale and seed, handed
+/// over as values by `scanshare exp` — plus the memo that lets rows share
+/// databases and runs.
 pub struct Ctx {
-    /// The experiment database's configuration (`SCANSHARE_SCALE`,
-    /// `SCANSHARE_SEED`; months and block size are the paper's).
+    /// The experiment database's configuration (`--scale`, `--seed`;
+    /// months and block size are the paper's).
     pub cfg: TpchConfig,
-    jobs: usize,
-    metrics_out: Option<String>,
-    /// Id of the row being run: labels sink lines.
+    /// Id of the row being run: labels progress lines.
     current: &'static str,
-    /// Prefix sink labels with the row id (several rows, one file).
-    prefix_labels: bool,
     dbs: HashMap<String, Rc<Database>>,
     runs: HashMap<String, Rc<RunReport>>,
     hits: usize,
 }
 
 impl Ctx {
-    /// A context for one invocation. `jobs` worker threads fan out a
-    /// row's independent variants (reports are bit-identical for any
-    /// count). The metrics sink is truncated here, once, so each
-    /// invocation starts a fresh log.
-    pub fn new(cfg: TpchConfig, jobs: usize, metrics_out: Option<String>) -> Result<Ctx, String> {
-        if let Some(path) = &metrics_out {
-            std::fs::write(path, "")
-                .map_err(|e| format!("cannot open metrics sink {path}: {e}"))?;
-        }
-        Ok(Ctx {
+    /// A context for one invocation.
+    pub fn new(cfg: TpchConfig) -> Ctx {
+        Ctx {
             cfg,
-            jobs,
-            metrics_out,
             current: "",
-            prefix_labels: false,
             dbs: HashMap::new(),
             runs: HashMap::new(),
             hits: 0,
-        })
+        }
     }
 
     /// The database `build` makes, built once per `key`.
@@ -266,70 +251,40 @@ impl Ctx {
     }
 
     /// Reports for `variants`, in order. A variant an earlier row (or an
-    /// earlier variant) already ran is served from the memo; the rest
-    /// fan out over the worker threads. Each executed run is appended to
-    /// the metrics sink under its first reader's label.
+    /// earlier variant) already ran is served from the memo.
     pub fn run_all(&mut self, variants: Vec<Variant>) -> Vec<Run> {
-        let keys: Vec<String> = variants.iter().map(Variant::key).collect();
-        let mut todo: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if self.runs.contains_key(key) || todo.iter().any(|&j| keys[j] == *key) {
-                self.hits += 1;
-            } else {
-                todo.push(i);
-            }
-        }
-        let work: Vec<(&Database, &WorkloadSpec)> = todo
-            .iter()
-            .map(|&i| (&*variants[i].db, &variants[i].spec))
-            .collect();
-        let reports = par_map(self.jobs, &work, |_, (db, spec)| run_workload(db, spec));
-        for (&i, report) in todo.iter().zip(reports) {
-            let label = &variants[i].label;
-            // Specs are built by the table, not read from outside: a run
-            // that fails is a bug in a row.
-            let report = report.unwrap_or_else(|e| panic!("{}/{label}: {e}", self.current));
-            eprintln!(
-                "[{}] {label}: makespan {} ({} pages read, {} seeks)",
-                self.current, report.makespan, report.disk.pages_read, report.disk.seeks
-            );
-            self.record_metrics(label, &report);
-            self.runs.insert(keys[i].clone(), Rc::new(report));
-        }
-        std::iter::zip(variants, &keys)
-            .map(|(v, key)| Run {
+        let mut runs = Vec::with_capacity(variants.len());
+        for v in variants {
+            let key = v.key();
+            let report = match self.runs.get(&key) {
+                Some(report) => {
+                    self.hits += 1;
+                    report.clone()
+                }
+                None => {
+                    // Specs are built by the table, not read from outside:
+                    // a run that fails is a bug in a row.
+                    let report = run_workload(&v.db, &v.spec)
+                        .unwrap_or_else(|e| panic!("{}/{}: {e}", self.current, v.label));
+                    eprintln!(
+                        "[{}] {}: makespan {} ({} pages read, {} seeks)",
+                        self.current,
+                        v.label,
+                        report.makespan,
+                        report.disk.pages_read,
+                        report.disk.seeks
+                    );
+                    let report = Rc::new(report);
+                    self.runs.insert(key, report.clone());
+                    report
+                }
+            };
+            runs.push(Run {
                 label: v.label,
-                report: self.runs[key].clone(),
-            })
-            .collect()
-    }
-
-    /// Append one labeled metrics snapshot to the `--metrics-out` sink
-    /// (a no-op when none is configured).
-    fn record_metrics(&self, label: &str, report: &RunReport) {
-        let Some(path) = &self.metrics_out else {
-            return;
-        };
-        #[derive(Serialize)]
-        struct Line {
-            label: String,
-            makespan_us: u64,
-            metrics: scanshare::MetricsSnapshot,
+                report,
+            });
         }
-        let line = Line {
-            label: match self.prefix_labels {
-                true => format!("{}/{label}", self.current),
-                false => label.to_string(),
-            },
-            makespan_us: report.makespan.as_micros(),
-            metrics: report.metrics.clone(),
-        };
-        let json = serde_json::to_string(&line).expect("metrics snapshot serializes");
-        let sink = std::fs::OpenOptions::new().append(true).open(path);
-        match sink.and_then(|mut f| writeln!(f, "{json}")) {
-            Ok(()) => eprintln!("  metrics[{}] appended to {path}", line.label),
-            Err(e) => eprintln!("cannot append to metrics sink {path}: {e}"),
-        }
+        runs
     }
 }
 
@@ -366,7 +321,6 @@ pub fn list() -> String {
 /// exit status: 0, 1 if any claim was violated (each is named on
 /// stderr), 2 if a file could not be written.
 pub fn run(ctx: &mut Ctx, rows: &[&Experiment], out: Option<&Path>) -> i32 {
-    ctx.prefix_labels = rows.len() > 1;
     let mut violated = 0;
     for e in rows {
         ctx.current = e.id;

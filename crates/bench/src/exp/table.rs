@@ -321,12 +321,13 @@ pub static TABLE: &[Experiment] = &[
         project: streams,
         claims: &[claim("min_pull_gain_step_pts", Ge, 0.0)],
     },
-    // Minutes at its documented scale 0.1 (512 streams x three modes) and
-    // far longer at 1.0, so it is run by name and keeps that recipe.
+    // About 25 s of a release build at its documented scale 0.1 (up to
+    // 512 streams x three modes) and far longer at 1.0, so it is run by
+    // name and keeps that recipe.
     Experiment {
         id: "streams_push",
         artifact: "A7-push",
-        title: "pull vs push delivery at high stream counts (recipe: SCANSHARE_SCALE=0.1)",
+        title: "pull vs push delivery at high stream counts (recipe: --scale 0.1)",
         paper: "(ours) push gain > pull gain at 128 and 512 streams, fixes per page <= 1.2",
         file: "streams_push.json",
         in_all: false,

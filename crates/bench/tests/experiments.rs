@@ -3,13 +3,14 @@
 //!
 //! `PARENT_DIGESTS` holds the FNV-1a digest of every `exp all` row's
 //! JSON at scale 0.05, seeds 42 and 7. The constants were computed by the
-//! parent commit's `exp_<id>` binaries before any line of the runner
+//! per-experiment `exp_<id>` binaries before any line of the runner
 //! existed (this file's first version spawned them from a `git archive`
-//! build with `SCANSHARE_SCALE=0.05 SCANSHARE_SEED=…` and hashed the
-//! `results/<file>` each wrote) and have not been edited since: a row
-//! that moves by one byte fails by name. `streams_push` shares `streams`'
-//! row code and differs only in its constant stream list (minutes of
-//! runtime), so `streams`' digests cover it. `smoke` is the exception:
+//! build at scale 0.05 and each seed, and hashed the `results/<file>`
+//! each wrote) and have not been edited since: a row that moves by one
+//! byte fails by name. `streams_push` shares `streams`' row code and
+//! differs only in its constant stream list (32 to 512 streams, about
+//! 25 s of a release build at scale 0.1, and `ci.sh` compares its file
+//! with `results/streams_push.json`), so `streams`' digests cover it. `smoke` is the exception:
 //! the row did not exist before ISSUE 23, which computed its digest
 //! itself, after showing its pull and push legs equal to the last digit
 //! the `value`s of the two baseline files the row replaced; it ignores
@@ -20,7 +21,6 @@
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 use scanshare_bench::exp::{self, claim, Cmp, Ctx, Experiment, Output, TABLE};
 use scanshare_tpch::TpchConfig;
@@ -66,7 +66,7 @@ fn ctx(seed: u64) -> Ctx {
         seed,
         ..TpchConfig::default()
     };
-    Ctx::new(cfg, 1, None).expect("no sink to open")
+    Ctx::new(cfg)
 }
 
 /// A fresh scratch directory for one test.
@@ -177,66 +177,4 @@ fn a_violated_claim_is_exit_status_1() {
     // A directory that has gone away is an I/O error, not a violation.
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(exp::run(&mut ctx(42), &[&ROW], Some(&dir)), 2);
-}
-
-/// Run the built `exp` binary in `cwd` with none of its environment
-/// variables set; returns (exit status, stdout, stderr).
-fn exp_bin(cwd: &Path, args: &[&str]) -> (i32, String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp"));
-    for var in ["SCALE", "SEED", "JOBS"] {
-        cmd.env_remove(format!("SCANSHARE_{var}"));
-    }
-    let out = cmd.args(args).current_dir(cwd).output().expect("spawn exp");
-    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
-    let status = out.status.code().expect("exit code");
-    (status, text(&out.stdout), text(&out.stderr))
-}
-
-#[test]
-fn usage_errors_exit_2_with_one_line_that_lists_the_ids() {
-    let dir = scratch("usage");
-    std::fs::write(dir.join("a_file"), "").unwrap();
-    let cases: [&[&str]; 5] = [
-        &["nope"],
-        &[],
-        &["--out", "somewhere"],
-        &["fig8_9", "--out"],
-        &["fig8_9", "--out", "a_file/out"],
-    ];
-    for args in cases {
-        let (status, stdout, stderr) = exp_bin(&dir, args);
-        assert_eq!(status, 2, "exp {args:?}: {stderr}");
-        assert_eq!(stdout, "");
-        assert_eq!(stderr.lines().count(), 1, "exp {args:?}: {stderr}");
-        for e in TABLE {
-            assert!(stderr.contains(e.id), "exp {args:?} does not list {}", e.id);
-        }
-    }
-    assert_eq!(
-        std::fs::read_dir(&dir).unwrap().count(),
-        1,
-        "nothing created"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn the_binary_lists_runs_and_writes_only_under_out() {
-    let dir = scratch("bin");
-    let (status, stdout, _) = exp_bin(&dir, &["list"]);
-    assert_eq!((status, stdout), (0, exp::list()));
-
-    assert_eq!(exp_bin(&dir, &["fig8_9"]).0, 0);
-    assert_eq!(
-        std::fs::read_dir(&dir).unwrap().count(),
-        0,
-        "no --out, no file"
-    );
-    assert_eq!(exp_bin(&dir, &["fig8_9", "--out", "out"]).0, 0);
-    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/fig8_9.json");
-    assert_eq!(
-        std::fs::read(dir.join("out/fig8_9.json")).unwrap(),
-        std::fs::read(committed).unwrap()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,7 @@
 //! ```sh
 //! scanshare spec-template > myrun.json              # editable spec
 //! scanshare run --spec myrun.json --compare         # base vs sharing
+//! scanshare exp table1                              # a paper artifact
 //! ```
 //!
 //! Each subcommand is one row of [`COMMANDS`]: its positionals, its
@@ -15,10 +16,11 @@
 //! runs the handler, so a flag the table lacks is rejected, never ignored.
 
 use std::fmt::Display;
+use std::path::Path;
 use std::str::FromStr;
 
-use scanshare::decision::{decisions_from_jsonl, decisions_to_jsonl};
-use scanshare::{DecisionRecord, SharingConfig, SpanProfiler};
+use scanshare::{SharingConfig, SpanProfiler};
+use scanshare_bench::exp;
 use scanshare_engine::{
     run_workload, run_workload_hooked, Database, FaultsConfig, RunHooks, RunReport, SharingMode,
     WorkloadSpec,
@@ -136,7 +138,7 @@ pub struct Cmd {
 pub const COMMANDS: &[Cmd] = &[
     Cmd { name: "run", positionals: &[], run: cmd_run,
         flags: &[req("--spec", "FILE"), opt("--faults", "FILE"), switch("--compare"),
-                 opt("--report", "OUT"), opt("--trace-out", "OUT"), opt("--profile-out", "OUT")],
+                 opt("--report", "OUT"), opt("--profile-out", "OUT")],
         about: "\
 Execute a JSON RunSpec (`scanshare spec-template` shows the shape): the
 database is generated from its \"tpch\" section, the workload is its
@@ -147,13 +149,12 @@ subsection (a FaultsConfig: seeded fault plan plus retry/timeout policy)
 and an optional \"slo\" subsection of service-level rules (e.g.
 {\"name\": \"fair\", \"metric\": \"p99_stretch\", \"op\": \"<=\", \"value\":
 1.5}) evaluated at the end of the run into pass/fail verdicts in the
-report. The paper's throughput and staggered setups are rows of the
-experiment runner (`exp table1`, `exp fig15`, `exp fig16`).
+report. The paper's throughput and staggered setups are rows of
+`scanshare exp` (table1, fig15, fig16).
 --faults replaces the spec's \"faults\" subsection with a FaultsConfig
 JSON file; --compare runs base against the spec's sharing configuration
 (the default one for a base-mode spec);
---report saves the full RunReport (metrics + decision log) as JSON,
---trace-out saves the decision log alone as JSON-lines, and
+--report saves the full RunReport (metrics + decision log) as JSON, and
 --profile-out saves a hierarchical span profile as Chrome trace-event
 JSON (open at ui.perfetto.dev; one track per scan stream plus manager
 and driver tracks) and embeds its summary in the report for
@@ -165,9 +166,9 @@ the run completed but breached at least one SLO rule.",
     Cmd { name: "trace", positionals: &[], run: cmd_trace,
         flags: &[req("--artifact", "FILE")],
         about: "\
-Replay the decision log of a saved RunReport (or the JSON-lines log
-`scanshare run` saves beside it): scan lifecycles — query, placement,
-wraps, attributed throttle waits, end — then their events in order.",
+Replay the decision log of a saved RunReport: scan lifecycles — query,
+placement, wraps, attributed throttle waits, end — then their events in
+order.",
     },
     Cmd { name: "metrics", positionals: &[], run: cmd_metrics,
         flags: &[req("--artifact", "FILE"), switch("--quantiles")],
@@ -215,6 +216,19 @@ appeared/vanished/shifted, sampled-series endpoints, SLO verdict
 flips, fault-summary deltas, and the policy pair. --json prints the
 same as JSON. Exits like cmp: 0 when structurally identical, 1 when
 the reports differ, 2 on unreadable input.",
+    },
+    Cmd { name: "exp", positionals: &["ROWS"], run: cmd_exp,
+        flags: &[opt("--out", "DIR"), opt("--scale", "X"), opt("--seed", "N")],
+        about: "\
+Run rows of the experiment table: the paper's tables and figures and
+this repo's ablations. ROWS is `list` (print the index: id, artifact,
+claims, file, title), `all` (every row not marked by-name-only) or row
+ids separated by commas. Each row prints its table and checks the
+claims it carries; --out writes each row's JSON into DIR (created if
+missing), and nothing is written without it. --scale X (default 1.0)
+and --seed N (default 42) set the database; row smoke ignores both.
+Exits 0 when every claim holds, 1 when one is violated, 2 on bad input
+or an unwritable DIR.",
     },
     Cmd { name: "spec-template", positionals: &[], flags: &[], run: cmd_spec_template,
         about: "Print an editable RunSpec JSON to stdout.",
@@ -418,6 +432,24 @@ fn cmd_spec_template(_: &Args) -> Result<i32, CliError> {
     Ok(0)
 }
 
+/// Why `tpch`'s database cannot be generated, if it cannot: a scale that
+/// is not a finite number above 0, or one that leaves a table without
+/// rows. `run`, `watch` and `exp` ask before generating anything.
+fn scale_problem(tpch: &TpchConfig) -> Option<String> {
+    let scale = tpch.scale;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Some(format!("must be a finite number above 0, not {scale}"));
+    }
+    let rows = [
+        ("lineitem", tpch.lineitem_rows()),
+        ("orders", tpch.orders_rows()),
+        ("part", tpch.part_rows()),
+        ("customer", tpch.customer_rows()),
+    ];
+    let (table, _) = rows.iter().find(|(_, n)| *n == 0)?;
+    Some(format!("{scale} leaves table {table} without rows"))
+}
+
 /// The `--spec` file, its fault plan replaced by the `faults` file if
 /// given, and the database generated from its `tpch` section. Every file
 /// is read and every size checked before the generator runs.
@@ -435,25 +467,8 @@ fn load_spec_and_db(args: &Args, faults: Option<&str>) -> Result<(RunSpec, Datab
         ("tpch.months", tpch.months as u64),
     ];
     spec.workload.check_sizes(&sizes).map_err(|e| invalid(&e))?;
-    if !(tpch.scale.is_finite() && tpch.scale > 0.0) {
-        let e = format!(
-            "tpch.scale must be a finite number above 0, not {}",
-            tpch.scale
-        );
-        return Err(invalid(&e).into());
-    }
-    let rows = [
-        ("lineitem", tpch.lineitem_rows()),
-        ("orders", tpch.orders_rows()),
-        ("part", tpch.part_rows()),
-        ("customer", tpch.customer_rows()),
-    ];
-    if let Some((table, _)) = rows.iter().find(|(_, n)| *n == 0) {
-        let e = format!(
-            "tpch.scale {} leaves table {table} without rows",
-            tpch.scale
-        );
-        return Err(invalid(&e).into());
+    if let Some(problem) = scale_problem(tpch) {
+        return Err(invalid(&format!("tpch.scale {problem}")).into());
     }
     let db = generate(tpch);
     Ok((spec, db))
@@ -463,7 +478,6 @@ fn cmd_run(args: &Args) -> Result<i32, CliError> {
     let (spec, db) = load_spec_and_db(args, args.value("--faults"))?;
     let outputs = RunOutputs {
         report: args.value("--report").map(String::from),
-        trace: args.value("--trace-out").map(String::from),
         profile: args.value("--profile-out").map(String::from),
     };
     let compare = args.has("--compare");
@@ -471,7 +485,7 @@ fn cmd_run(args: &Args) -> Result<i32, CliError> {
 }
 
 fn cmd_trace(args: &Args) -> Result<i32, CliError> {
-    let records = load_artifact_trace(args.required("--artifact"))?;
+    let records = load_report(args.required("--artifact"))?.decisions;
     print!("{}", scanshare::decision::render_lifecycles(&records));
     Ok(0)
 }
@@ -519,6 +533,46 @@ fn cmd_watch(args: &Args) -> Result<i32, CliError> {
     Ok(0)
 }
 
+fn cmd_exp(args: &Args) -> Result<i32, CliError> {
+    let rows = args.positionals[0].as_str();
+    if rows == "list" {
+        if let Some((flag, _)) = args.given.first() {
+            return Err(CliError::usage(args.cmd, format!("list takes no {flag}")));
+        }
+        print!("{}", exp::list());
+        return Ok(0);
+    }
+    let mut picked = Vec::new();
+    for id in rows.split(',') {
+        if id == "all" {
+            picked.extend(exp::TABLE.iter().filter(|e| e.in_all));
+            continue;
+        }
+        let Some(row) = exp::find(id) else {
+            let ids: Vec<&str> = exp::TABLE.iter().map(|e| e.id).collect();
+            let what = format!("unknown experiment '{id}'; ids: {}", ids.join(" "));
+            return Err(CliError::usage(args.cmd, what));
+        };
+        picked.push(row);
+    }
+    let defaults = TpchConfig::default();
+    let cfg = TpchConfig {
+        scale: args.parsed("--scale")?.unwrap_or(defaults.scale),
+        seed: args.parsed("--seed")?.unwrap_or(defaults.seed),
+        ..defaults
+    };
+    if let Some(problem) = scale_problem(&cfg) {
+        return Err(format!("error: exp: --scale {problem}").into());
+    }
+    // Nothing is created before every input has been checked.
+    let out = args.value("--out").map(Path::new);
+    if let Some(dir) = out {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("error: exp: cannot create --out {}: {e}", dir.display()))?;
+    }
+    Ok(exp::run(&mut exp::Ctx::new(cfg), &picked, out))
+}
+
 fn cmd_diff(args: &Args) -> Result<i32, CliError> {
     let [a, b] = [&args.positionals[0], &args.positionals[1]];
     let d = diff::compute_diff(&load_report(a)?, &load_report(b)?);
@@ -544,8 +598,6 @@ fn cmd_diff(args: &Args) -> Result<i32, CliError> {
 pub struct RunOutputs {
     /// `--report OUT`: full [`RunReport`] as JSON.
     pub report: Option<String>,
-    /// `--trace-out OUT`: the decision log alone, as JSON-lines.
-    pub trace: Option<String>,
     /// `--profile-out OUT`: span profile as Chrome trace-event JSON
     /// (open at ui.perfetto.dev). Also embeds the folded
     /// [`scanshare::ProfileSummary`] into the report.
@@ -557,11 +609,6 @@ impl RunOutputs {
         if let Some(path) = &self.report {
             scanshare_engine::persist::save_report(r, path)?;
             eprintln!("report saved to {path}");
-        }
-        if let Some(path) = &self.trace {
-            let jsonl = decisions_to_jsonl(&r.decisions);
-            std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("decision log saved to {path}");
         }
         Ok(())
     }
@@ -622,18 +669,6 @@ pub fn load_fault_config(path: &str) -> Result<FaultsConfig, String> {
 /// Load a saved [`RunReport`] JSON artifact.
 pub fn load_report(path: &str) -> Result<RunReport, String> {
     scanshare_engine::persist::load_report(path)
-}
-
-/// Load the decision log `trace` replays: a [`RunReport`] JSON's embedded
-/// log, or the JSON-lines log `run --trace-out` writes.
-pub fn load_artifact_trace(path: &str) -> Result<Vec<DecisionRecord>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if let Ok(report) = serde_json::from_str::<RunReport>(&text) {
-        return Ok(report.decisions);
-    }
-    decisions_from_jsonl(&text).map_err(|e| {
-        format!("{path} is neither a RunReport nor a decision-log JSONL (run --trace-out): {e}")
-    })
 }
 
 fn run_measured(
@@ -811,10 +846,9 @@ mod tests {
 
     #[test]
     fn parses_run_outputs_and_replay_commands() {
-        let a = parsed("run --spec s.json --report out.json --trace-out t.jsonl");
+        let a = parsed("run --spec s.json --report out.json");
         assert_eq!(a.value("--spec"), Some("s.json"));
         assert_eq!(a.value("--report"), Some("out.json"));
-        assert_eq!(a.value("--trace-out"), Some("t.jsonl"));
         for absent in ["--faults", "--profile-out"] {
             assert_eq!(a.value(absent), None, "{absent}");
         }
@@ -844,22 +878,15 @@ mod tests {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
         let report_path = dir.join(format!("scanshare_report_{pid}.json"));
-        let trace_path = dir.join(format!("scanshare_trace_{pid}.jsonl"));
         let outputs = RunOutputs {
             report: Some(report_path.to_string_lossy().into_owned()),
-            trace: Some(trace_path.to_string_lossy().into_owned()),
             profile: None,
         };
         assert_eq!(run_and_print(&db, &w, false, &outputs), Ok(0));
 
-        // The saved report replays: its embedded log matches the JSONL
-        // side channel, and both renderers produce real output.
+        // The saved report replays: both renderers produce real output.
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         assert!(!report.decisions.is_empty());
-        let from_jsonl = load_artifact_trace(outputs.trace.as_deref().unwrap()).unwrap();
-        let from_report = load_artifact_trace(outputs.report.as_deref().unwrap()).unwrap();
-        assert_eq!(report.decisions, from_jsonl);
-        assert_eq!(report.decisions, from_report);
         let trace_text = scanshare::decision::render_lifecycles(&report.decisions);
         assert!(trace_text.contains("scan lifecycles"));
         let metrics_text = render::render_metrics(&report);
@@ -873,7 +900,6 @@ mod tests {
         let one = explain::render_explain(&report, Some(first.0)).unwrap();
         assert!(one.contains(&format!("scan {} narrative", first.0)));
         std::fs::remove_file(&report_path).ok();
-        std::fs::remove_file(&trace_path).ok();
     }
 
     #[test]
@@ -891,7 +917,6 @@ mod tests {
         let report_path = dir.join(format!("scanshare_policy_cli_{}.json", std::process::id()));
         let outputs = RunOutputs {
             report: Some(report_path.to_string_lossy().into_owned()),
-            trace: None,
             profile: None,
         };
         assert_eq!(run_and_print(&db, &w, false, &outputs), Ok(0));
@@ -936,7 +961,6 @@ mod tests {
         let report_path = dir.join(format!("scanshare_push_cli_{}.json", std::process::id()));
         let outputs = RunOutputs {
             report: Some(report_path.to_string_lossy().into_owned()),
-            trace: None,
             profile: None,
         };
         assert_eq!(run_and_print(&db, &w, false, &outputs), Ok(0));

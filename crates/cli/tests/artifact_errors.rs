@@ -53,30 +53,22 @@ fn malformed_artifact_is_exit_2_and_names_the_file() {
     ));
     std::fs::write(&path, "{ this is not json").unwrap();
     let path_str = path.to_str().unwrap();
-    for sub in ["metrics", "explain"] {
+    for sub in ["metrics", "explain", "trace"] {
         let out = scanshare(&[sub, "--artifact", path_str]);
         assert_eq!(out.status.code(), Some(2), "{sub} on malformed artifact");
         let err = stderr_of(&out);
         assert_eq!(err.trim_end().lines().count(), 1, "{sub}: got {err:?}");
         assert!(err.contains(path_str), "{sub}: must name the file: {err:?}");
         assert!(err.contains("invalid report"), "{sub}: got {err:?}");
+        assert!(out.stdout.is_empty(), "{sub}: no output on failure");
     }
-    // `trace` accepts either a report or a JSON-lines decision log, so
-    // its diagnostic names both rejected interpretations.
-    let out = scanshare(&["trace", "--artifact", path_str]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr_of(&out);
-    assert_eq!(err.trim_end().lines().count(), 1, "trace: got {err:?}");
-    assert!(
-        err.contains("neither a RunReport nor a decision-log JSONL"),
-        "trace: got {err:?}"
-    );
     std::fs::remove_file(&path).ok();
 }
 
 /// Artifacts written while the engine kept a trace ring beside the
 /// decision log: a report still carrying its `"trace"` array replays
-/// from its decisions, and a trace-ring JSONL file is refused.
+/// from its decisions, and a JSON-lines file (a trace ring's or a
+/// decision log's) is not a report: exit 2, one line.
 #[test]
 fn old_trace_artifacts_replay_from_their_decisions_or_are_refused() {
     use scanshare::decision::render_lifecycles;
@@ -122,21 +114,25 @@ fn old_trace_artifacts_replay_from_their_decisions_or_are_refused() {
     assert!(!text.contains(" start "), "got: {text}");
     std::fs::remove_file(&path).ok();
 
-    // A trace-ring JSONL file is neither accepted input.
+    // Neither a trace ring's JSON-lines nor a decision log's is a report.
     let path = dir.join(format!("scanshare_old_trace_{}.jsonl", std::process::id()));
-    let lines: Vec<Value> = serde_json::from_str(old_trace).unwrap();
-    let jsonl: Vec<String> = lines
-        .iter()
-        .map(|l| serde_json::to_string(l).unwrap())
-        .collect();
-    std::fs::write(&path, jsonl.join("\n")).unwrap();
-    let out = scanshare(&["trace", "--artifact", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = stderr_of(&out);
-    assert_eq!(err.trim_end().lines().count(), 1, "got {err:?}");
-    assert!(err.contains("RunReport"), "got {err:?}");
-    assert!(err.contains("decision-log JSONL"), "got {err:?}");
-    assert!(out.stdout.is_empty());
+    fn lines<T: serde::Serialize>(records: &[T]) -> String {
+        let lines: Vec<String> = records
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap())
+            .collect();
+        lines.join("\n")
+    }
+    let trace_ring: Vec<Value> = serde_json::from_str(old_trace).unwrap();
+    for text in [lines(&trace_ring), lines(&report.decisions)] {
+        std::fs::write(&path, text).unwrap();
+        let out = scanshare(&["trace", "--artifact", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2));
+        let err = stderr_of(&out);
+        assert_eq!(err.trim_end().lines().count(), 1, "got {err:?}");
+        assert!(err.contains("invalid report"), "got {err:?}");
+        assert!(out.stdout.is_empty());
+    }
     std::fs::remove_file(&path).ok();
 }
 

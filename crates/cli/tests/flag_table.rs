@@ -3,8 +3,9 @@
 //! its value, a flag given twice — exits 2 with exactly one `error:` line
 //! naming the command and the offending argument, and prints nothing on
 //! stdout (the parser refuses it before any work starts). So do a third
-//! positional to `diff`, `profile` without its `--artifact`, and the
-//! retired `run --policy`, `run --delivery` and `profile --smoke`.
+//! positional to `diff`, `profile` without its `--artifact`, `exp`
+//! without its rows, and the retired `run --policy`, `run --delivery`
+//! and `profile --smoke`.
 
 use std::process::Command;
 
@@ -54,5 +55,10 @@ fn every_command_refuses_what_its_row_does_not_allow() {
     assert_refused(
         &["run", "--spec", "s.json", "--delivery", "push"],
         "--delivery",
+    );
+    assert_refused(&["exp", "--out", "o1"], "expected ROWS");
+    assert_refused(
+        &["exp", "fig8_9", "--out", "o1", "--out", "o2"],
+        "--out given twice",
     );
 }

@@ -24,8 +24,8 @@
 //!   fault ends it with [`DecisionEvent::ScanEvicted`] instead).
 //!
 //! Events flow into the manager's [`DecisionLog`]: a bounded ring with a
-//! drop-oldest cap and JSONL export — the run's one event log. In a
-//! profiled run the manager also writes the lifecycle records
+//! drop-oldest cap, saved as a run report's `decisions` — the run's one
+//! event log. In a profiled run the manager also writes the lifecycle records
 //! [`manager_instant`] names as instants on the span profiler's manager
 //! track: that track is a view of the log, not a second record.
 //! [`lifecycles`] reads each scan's start, placement, wraps, throttle
@@ -358,31 +358,6 @@ impl DecisionLog {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-}
-
-/// Serialize decisions as JSON lines (one `DecisionRecord` per line).
-pub fn decisions_to_jsonl(records: &[DecisionRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&serde_json::to_string(r).expect("decision record serializes"));
-        out.push('\n');
-    }
-    out
-}
-
-/// Parse a JSON-lines decision log back into records. Blank lines are
-/// skipped; the error names the offending line.
-pub fn decisions_from_jsonl(text: &str) -> Result<Vec<DecisionRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let rec: DecisionRecord =
-            serde_json::from_str(line).map_err(|e| format!("decision line {}: {e}", i + 1))?;
-        out.push(rec);
-    }
-    Ok(out)
 }
 
 /// Short lowercase name for a role (rendering).
@@ -964,19 +939,16 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_every_event_kind() {
+    fn json_round_trips_every_event_kind() {
         let mut log = DecisionLog::new(64);
         for (i, e) in sample_events().into_iter().enumerate() {
             log.record(SimTime::from_millis(i as u64), e);
         }
-        let jsonl = decisions_to_jsonl(&log.since(&mut 0));
-        assert_eq!(jsonl.lines().count(), 16);
-        let back = decisions_from_jsonl(&jsonl).unwrap();
-        assert_eq!(back, log.since(&mut 0));
-        // Blank lines tolerated; garbage names its line.
-        assert_eq!(decisions_from_jsonl("\n\n").unwrap(), vec![]);
-        let err = decisions_from_jsonl("{}\n").unwrap_err();
-        assert!(err.contains("decision line 1"), "got: {err}");
+        let records = log.since(&mut 0);
+        assert_eq!(records.len(), 16);
+        let json = serde_json::to_string(&records).unwrap();
+        let back: Vec<DecisionRecord> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, records);
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod error;
 pub mod exec;
 pub mod faults;
 pub mod metrics;
-pub mod par_runs;
 pub mod persist;
 pub mod push;
 pub mod query;
@@ -42,7 +41,6 @@ pub use db::Database;
 pub use error::{EngineError, EngineResult};
 pub use faults::{FaultSummary, FaultsConfig};
 pub use metrics::{Breakdown, PushSummary, QueryRecord, RunReport};
-pub use par_runs::par_map;
 pub use query::{Access, AggSpec, Pred, Query, QueryResult, ScanSpec};
 pub use slo::{SloConfig, SloOp, SloRule, SloVerdict};
 pub use workload::{

@@ -1,19 +1,69 @@
-//! Property-style JSONL round-trip tests for the run's event log, the
-//! core `DecisionLog`. Random records of every lifecycle and decision
-//! kind are generated with the repo's deterministic PRNG, serialized to
-//! JSON lines, parsed back, and compared — including the capped case,
-//! where the `dropped` count must account for every eviction.
+//! Property-style round-trip tests for the run's event log, the core
+//! `DecisionLog`, through the one encoding it is saved in: a run
+//! report's `decisions`. Random records of every lifecycle and decision
+//! kind are generated with the repo's deterministic PRNG, put into a
+//! report, saved and loaded as the report's JSON, and compared —
+//! including the capped case, where the `dropped` count must account for
+//! every eviction.
 
 use std::collections::HashSet;
 use std::mem::discriminant;
 
 use scanshare::anchor::AnchorId;
 use scanshare::{
-    decision, DecisionEvent, DecisionLog, DecisionRecord, Location, ObjectId, PagePriority,
+    DecisionEvent, DecisionLog, DecisionRecord, Location, ObjectId, PagePriority,
     PlacementCandidate, Role, ScanId,
 };
+use scanshare_engine::query::{Access, AggSpec, Pred, Query, ScanSpec};
+use scanshare_engine::{
+    run_workload, CpuClass, Database, EngineConfig, RunReport, SharingMode, Stream, WorkloadSpec,
+};
 use scanshare_prng::Rng;
+use scanshare_relstore::{ColType, Column, Schema, Value};
 use scanshare_storage::{SimDuration, SimTime};
+
+/// The report of a small base run: the carrier the records ride in.
+fn carrier() -> RunReport {
+    let mut db = Database::new(16);
+    let schema = Schema::new(vec![
+        Column::new("month", ColType::Int32),
+        Column::new("amount", ColType::Float64),
+    ]);
+    let rows = (0..2_000).map(|i| ((i % 4) as i64, vec![Value::I32(i % 4), Value::F64(1.0)]));
+    db.create_mdc_table("lineitem", schema, 8, rows).unwrap();
+    let q = Query::single(
+        "sum",
+        ScanSpec {
+            table: "lineitem".into(),
+            access: Access::FullTable,
+            pred: Pred::True,
+            agg: AggSpec::sums(vec![1]),
+            cpu: CpuClass::io_bound(),
+            require_order: false,
+            query_priority: Default::default(),
+            repeat: 1,
+        },
+    );
+    let spec = WorkloadSpec {
+        streams: vec![Stream {
+            queries: vec![q],
+            start_offset: SimDuration::ZERO,
+        }],
+        pool_pages: 64,
+        engine: EngineConfig::default(),
+        mode: SharingMode::Base,
+        faults: Default::default(),
+        slo: Default::default(),
+    };
+    run_workload(&db, &spec).unwrap()
+}
+
+/// `records` after a trip through a saved report's JSON.
+fn through_a_report(carrier: &mut RunReport, records: &[DecisionRecord]) -> Vec<DecisionRecord> {
+    carrier.decisions = records.to_vec();
+    let json = serde_json::to_string_pretty(carrier).unwrap();
+    serde_json::from_str::<RunReport>(&json).unwrap().decisions
+}
 
 fn random_candidate(rng: &mut Rng) -> PlacementCandidate {
     PlacementCandidate {
@@ -109,7 +159,8 @@ fn random_decision_event(rng: &mut Rng) -> DecisionEvent {
 }
 
 #[test]
-fn decision_jsonl_round_trips_random_records() {
+fn random_records_round_trip_through_a_report() {
+    let mut carrier = carrier();
     let mut rng = Rng::seed_from_u64(0xDECADE);
     let mut kinds = HashSet::new();
     for trial in 0..20 {
@@ -120,8 +171,7 @@ fn decision_jsonl_round_trips_random_records() {
                 event: random_decision_event(&mut rng),
             })
             .collect();
-        let jsonl = decision::decisions_to_jsonl(&records);
-        let back = decision::decisions_from_jsonl(&jsonl).unwrap();
+        let back = through_a_report(&mut carrier, &records);
         assert_eq!(back, records, "trial {trial} lost data in the round trip");
         kinds.extend(records.iter().map(|r| discriminant(&r.event)));
     }
@@ -134,6 +184,7 @@ fn decision_jsonl_round_trips_random_records() {
 
 #[test]
 fn capped_decision_log_drops_oldest_and_survivors_round_trip() {
+    let mut carrier = carrier();
     let mut rng = Rng::seed_from_u64(99);
     let mut kinds = HashSet::new();
     for trial in 0..10 {
@@ -156,9 +207,7 @@ fn capped_decision_log_drops_oldest_and_survivors_round_trip() {
         for (r, ev) in retained.iter().zip(&all[total - retained.len()..]) {
             assert_eq!(&r.event, ev);
         }
-        let back =
-            decision::decisions_from_jsonl(&decision::decisions_to_jsonl(&retained)).unwrap();
-        assert_eq!(back, retained);
+        assert_eq!(through_a_report(&mut carrier, &retained), retained);
         kinds.extend(retained.iter().map(|r| discriminant(&r.event)));
     }
     assert_eq!(
@@ -166,12 +215,4 @@ fn capped_decision_log_drops_oldest_and_survivors_round_trip() {
         KINDS,
         "the generator's every kind was retained"
     );
-}
-
-#[test]
-fn malformed_lines_name_their_line_number() {
-    let err = decision::decisions_from_jsonl("\n{\"at\":0}\n").unwrap_err();
-    assert!(err.contains("decision line 2"), "got: {err}");
-    let err = decision::decisions_from_jsonl("\n\n{nope}\n").unwrap_err();
-    assert!(err.contains("decision line 3"), "got: {err}");
 }

@@ -112,21 +112,23 @@ echo "run: $(wc -c <"$smoke_dir/report1.json") report bytes, byte-identical twic
 rm -rf "$smoke_dir"
 
 leg "experiment table: claims + results/ byte identity"
-# Every row of `exp all` at the documented settings (scale 1.0, seed 42):
-# the paper's claims each row carries are evaluated (a violated one is a
+# Every row of `exp all` at the documented settings (scale 1.0, seed 42),
+# and the by-name row `streams_push` at its documented scale 0.1: the
+# paper's claims each row carries are evaluated (a violated one is a
 # non-zero exit, which fails CI here), and every file written must equal
 # its committed copy under results/ — the same byte-identity contract
 # policy_grouping_smoke_report.json has. Row `smoke` is the behaviour
 # gate: the pinned 3-stream pair, pull and push, bare and under the empty
 # and transient fault plans, every number written exactly. A
-# behaviour-changing PR regenerates results/ on purpose (`exp all --out
+# behaviour-changing PR regenerates results/ on purpose (`scanshare exp
+# all --out results`, `scanshare exp streams_push --scale 0.1 --out
 # results`) or fails.
 exp_out=$(mktemp -d)
-env -u SCANSHARE_SCALE -u SCANSHARE_SEED \
-    cargo run --offline --release -q -p scanshare-bench --bin exp -- all --out "$exp_out"
+target/release/scanshare exp all --out "$exp_out"
+target/release/scanshare exp streams_push --scale 0.1 --out "$exp_out"
 for f in "$exp_out"/*.json; do
     if ! cmp -s "$f" "results/$(basename "$f")"; then
-        echo "FAIL: $(basename "$f") drifted from results/ (regenerate: exp all --out results)"
+        echo "FAIL: $(basename "$f") drifted from results/ (regenerate: scanshare exp ... --out results)"
         rm -rf "$exp_out"
         exit 1
     fi

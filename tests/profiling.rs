@@ -132,7 +132,6 @@ fn run_cmd(spec_path: &std::path::Path, outputs: RunOutputs) -> i32 {
     let mut argv = vec!["run".to_string(), "--spec".to_string(), spec];
     for (flag, path) in [
         ("--report", outputs.report),
-        ("--trace-out", outputs.trace),
         ("--profile-out", outputs.profile),
     ] {
         argv.extend(path.map(|p| [flag.to_string(), p]).into_iter().flatten());
@@ -152,7 +151,6 @@ fn profile_out_writes_a_valid_trace_and_a_wall_accounting_summary() {
         &spec_path,
         RunOutputs {
             report: Some(report_path.to_string_lossy().into_owned()),
-            trace: None,
             profile: Some(trace_path.to_string_lossy().into_owned()),
         },
     );
@@ -189,7 +187,6 @@ fn profile_out_writes_a_valid_trace_and_a_wall_accounting_summary() {
         &spec_path,
         RunOutputs {
             report: Some(plain_path.to_string_lossy().into_owned()),
-            trace: None,
             profile: None,
         },
     );
@@ -252,7 +249,6 @@ fn slo_rules_drive_the_exit_code() {
             &spec_path,
             RunOutputs {
                 report: Some(report_path.to_string_lossy().into_owned()),
-                trace: None,
                 profile: None,
             },
         );
