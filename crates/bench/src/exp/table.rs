@@ -11,7 +11,7 @@
 use scanshare::placement::{
     best_start_optimal, best_start_practical, calculate_reads, reads_for_ranges, Trace,
 };
-use scanshare::{DeliveryMode, PlacementStrategy, SharingConfig, SharingPolicyKind};
+use scanshare::{DeliveryMode, Placement, SharingConfig};
 use scanshare_engine::{
     Access, AggSpec, CpuClass, Database, EngineConfig, FaultsConfig, Pred, Query, RunReport,
     ScanSpec, SharingMode, Stream, WorkloadSpec,
@@ -789,15 +789,16 @@ struct AblationRow {
 
 fn ablation_specs(ctx: &mut Ctx) -> Vec<Variant> {
     let mut v = vec![tput(ctx, BASE, 5, SharingMode::Base)];
+    use Placement::{FromStart, Practical};
     for (label, placement, throttling, priorities) in [
-        ("placement only", true, false, false),
-        ("throttling only", false, true, false),
-        ("priorities only", false, false, true),
-        ("placement+throttling", true, true, false),
-        ("all (full SS)", true, true, true),
+        ("placement only", Practical, false, false),
+        ("throttling only", FromStart, true, false),
+        ("priorities only", FromStart, false, true),
+        ("placement+throttling", Practical, true, false),
+        ("all (full SS)", Practical, true, true),
     ] {
         let mode = SharingMode::ScanSharing(SharingConfig {
-            enable_placement: placement,
+            placement,
             enable_throttling: throttling,
             enable_priorities: priorities,
             ..SharingConfig::new(0)
@@ -942,7 +943,7 @@ struct PlacementRow {
 /// back to practical).
 fn placement_specs(ctx: &mut Ctx) -> Vec<Variant> {
     let optimal = SharingMode::ScanSharing(SharingConfig {
-        placement_strategy: PlacementStrategy::Optimal,
+        placement: Placement::Optimal,
         ..SharingConfig::new(0)
     });
     vec![
@@ -1131,11 +1132,9 @@ fn smoke(r: &[Run]) -> Output {
     smoke_output(smoke_legs(r), aborted)
 }
 
-const POLICIES: [SharingPolicyKind; 3] = [
-    SharingPolicyKind::Grouping,
-    SharingPolicyKind::Attach,
-    SharingPolicyKind::Elevator,
-];
+/// The paper's placement and the related work's two schemes, which run
+/// as they were built: without throttling or page priorities.
+const POLICIES: [Placement; 3] = [Placement::Practical, Placement::Attach, Placement::Elevator];
 
 #[derive(Serialize)]
 struct PolicyRow {
@@ -1157,8 +1156,12 @@ struct PolicyRow {
 fn policy_specs(ctx: &mut Ctx) -> Vec<Variant> {
     let modes = || {
         let policies = POLICIES.map(|p| {
-            let mode = SharingMode::ScanSharing(SharingConfig::with_policy(0, p));
-            (p.as_str(), mode)
+            let cfg = if p.is_baseline() {
+                SharingConfig::baseline(0, p)
+            } else {
+                SharingConfig::new(0)
+            };
+            (p.policy_name(), SharingMode::ScanSharing(cfg))
         });
         std::iter::once((BASE, SharingMode::Base)).chain(policies)
     };
@@ -1191,7 +1194,7 @@ fn policy(r: &[Run]) -> Output {
     for leg in r.chunks(1 + POLICIES.len()) {
         let (base, runs) = leg.split_first().expect("base run");
         for (p, run) in std::iter::zip(POLICIES, runs) {
-            // The report stamps the policy only when it is not the default.
+            // The report stamps only the related work's placements.
             let stamp = run.policy.unwrap_or_default();
             assert_eq!(
                 stamp, p,
@@ -1447,7 +1450,7 @@ fn attach_specs(ctx: &mut Ctx) -> Vec<Variant> {
             (BASE, SharingMode::Base),
             (
                 "attach (QPipe [19])",
-                SharingMode::ScanSharing(SharingConfig::attach_baseline(0)),
+                SharingMode::ScanSharing(SharingConfig::baseline(0, Placement::AlwaysAttach)),
             ),
             ("full SS (paper)", ss_mode()),
         ] {

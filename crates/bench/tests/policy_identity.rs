@@ -1,10 +1,10 @@
 //! Byte-identity property of the default sharing policy.
 //!
 //! Making the sharing policy selectable moved the grouping+throttling
-//! machinery into `core::policy`, where `SharingPolicyKind` and the
-//! configuration's switches decide placement, throttling, priorities and
-//! push attach. Every such re-plumbing must be pure: a run under the
-//! `Grouping` policy (the default) has to produce a `RunReport` that
+//! machinery into `core::policy`, where the configuration's `placement`
+//! and switches decide placement, throttling, priorities and push
+//! attach. Every such re-plumbing must be pure: a run under the
+//! paper's `Practical` placement (the default) has to produce a `RunReport` that
 //! serializes to the *same bytes* as the pre-refactor code produced.
 //! The committed artifact `results/policy_grouping_smoke_report.json`
 //! was generated from the pre-refactor tree on the pinned smoke workload

@@ -436,8 +436,8 @@ pub fn compute_diff(a: &RunReport, b: &RunReport) -> ReportDiff {
         series,
         slo,
         faults,
-        policy_a: a.policy.map(|p| p.to_string()),
-        policy_b: b.policy.map(|p| p.to_string()),
+        policy_a: a.policy.map(|p| p.policy_name().to_string()),
+        policy_b: b.policy.map(|p| p.policy_name().to_string()),
     }
 }
 

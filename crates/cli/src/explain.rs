@@ -126,12 +126,13 @@ fn group_timelines(out: &mut String, records: &[&DecisionRecord]) {
 /// `scan` is given. Errors when the requested scan has no decisions.
 pub fn render_explain(report: &RunReport, scan: Option<u64>) -> Result<String, String> {
     let mut out = String::new();
-    // Reports stamp the policy only when it is not the default grouping
-    // machinery; name it up front so the narrative reads correctly.
+    // Reports stamp only the related work's placements, not the paper's;
+    // name it up front so the narrative reads correctly.
     if let Some(p) = report.policy {
         let _ = writeln!(
             out,
-            "run used the non-default '{p}' sharing policy; decisions below follow it\n"
+            "run used the non-default '{}' sharing policy; decisions below follow it\n",
+            p.policy_name()
         );
     }
     // Service-level verdicts come first: they are the run's contract,
@@ -344,12 +345,12 @@ mod tests {
                 at: SimTime::ZERO,
                 event: DecisionEvent::PolicyChosen {
                     scan: ScanId(0),
-                    policy: scanshare::SharingPolicyKind::Attach,
+                    policy: scanshare::Placement::Attach,
                 },
             },
         );
         let mut report = report_with(log);
-        report.policy = Some(scanshare::SharingPolicyKind::Attach);
+        report.policy = Some(scanshare::Placement::Attach);
         let text = render_explain(&report, None).unwrap();
         assert!(
             text.contains("non-default 'attach' sharing policy"),

@@ -142,8 +142,10 @@ pub const COMMANDS: &[Cmd] = &[
         about: "\
 Execute a JSON RunSpec (`scanshare spec-template` shows the shape): the
 database is generated from its \"tpch\" section, the workload is its
-\"workload\" section; its \"mode\" names the sharing policy and the page
-delivery (ScanSharing's \"policy\": Grouping, Attach or Elevator;
+\"workload\" section; its \"mode\" names the sharing configuration
+(ScanSharing's \"placement\": FromStart, Practical, Optimal, AlwaysAttach,
+Attach or Elevator; the \"enable_throttling\" and \"enable_priorities\"
+switches; \"fairness_cap\", a fraction in [0, 1]; and
 \"delivery\": Pull or Push). The workload may carry an optional \"faults\"
 subsection (a FaultsConfig: seeded fault plan plus retry/timeout policy)
 and an optional \"slo\" subsection of service-level rules (e.g.
@@ -776,7 +778,7 @@ fn run_and_print(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanshare::{DeliveryMode, SharingPolicyKind};
+    use scanshare::{DeliveryMode, Placement};
     use scanshare_storage::SimDuration;
     use scanshare_tpch::{q1, staggered_workload};
 
@@ -911,7 +913,7 @@ mod tests {
             2,
             tpch.months as i64,
             tpch.seed,
-            SharingMode::ScanSharing(SharingConfig::with_policy(0, SharingPolicyKind::Elevator)),
+            SharingMode::ScanSharing(SharingConfig::baseline(0, Placement::Elevator)),
         );
         let dir = std::env::temp_dir();
         let report_path = dir.join(format!("scanshare_policy_cli_{}.json", std::process::id()));
@@ -922,7 +924,7 @@ mod tests {
         assert_eq!(run_and_print(&db, &w, false, &outputs), Ok(0));
         let report = load_report(outputs.report.as_deref().unwrap()).unwrap();
         std::fs::remove_file(&report_path).ok();
-        assert_eq!(report.policy, Some(SharingPolicyKind::Elevator));
+        assert_eq!(report.policy, Some(Placement::Elevator));
         // The provenance log announces the non-default policy, so
         // `explain` narrates it.
         let text = explain::render_explain(&report, None).unwrap();
@@ -934,10 +936,11 @@ mod tests {
 
     #[test]
     fn usage_documents_the_specs_mode_and_faults_sections() {
-        // `help` names where a run's policy and delivery are set, and the
-        // spec's optional "faults" subsection.
+        // `help` names where a run's placement and delivery are set, and
+        // the spec's optional "faults" subsection.
         let usage = usage();
-        assert!(usage.contains("Grouping, Attach or Elevator"));
+        assert!(usage.contains("\"placement\": FromStart, Practical, Optimal, AlwaysAttach,"));
+        assert!(usage.contains("Attach or Elevator; the \"enable_throttling\""));
         assert!(usage.contains("\"delivery\": Pull or Push"));
         assert!(usage.contains("\"faults\" subsection"));
     }
@@ -1087,6 +1090,26 @@ mod tests {
         assert_ne!(pre_push, json);
         let old: RunSpec = serde_json::from_str(&pre_push).unwrap();
         assert_eq!(serde_json::to_string(&old).unwrap(), json);
+        // The sharing section says each mechanism once and nothing a run
+        // fills in itself.
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let mode = ["workload", "mode", "ScanSharing"]
+            .iter()
+            .try_fold(&v, |v, k| v.get(k))
+            .and_then(serde_json::Value::as_object)
+            .expect("the template spec shares scans");
+        let fields: Vec<&str> = mode.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            fields,
+            [
+                "placement",
+                "enable_throttling",
+                "enable_priorities",
+                "fairness_cap",
+                "dynamic_fairness",
+                "delivery"
+            ]
+        );
     }
 
     #[test]

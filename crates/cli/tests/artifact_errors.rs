@@ -154,22 +154,22 @@ fn a_missing_required_field_is_exit_2_naming_it() {
     );
 
     let template = String::from_utf8(scanshare(&["spec-template"]).stdout).unwrap();
-    let spec = dir.join(format!(
-        "scanshare_no_threshold_{}.json",
-        std::process::id()
-    ));
+    let spec = dir.join(format!("scanshare_old_shape_{}.json", std::process::id()));
+    // A spec in the shape before `placement` existed names its policy.
+    let placement = "\"placement\": \"Practical\"";
+    assert!(template.contains(placement), "{template}");
     std::fs::write(
         &spec,
-        template.replace("\"throttle_threshold_extents\": 2,", ""),
+        template.replace(placement, "\"policy\": \"Grouping\""),
     )
     .unwrap();
     let out = scanshare(&["run", "--spec", spec.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
     let err = stderr_of(&out);
     assert!(
-        err.lines().next().is_some_and(
-            |l| l.contains("missing field `throttle_threshold_extents` in `SharingConfig`")
-        ),
+        err.lines()
+            .next()
+            .is_some_and(|l| l.contains("missing field `placement` in `SharingConfig`")),
         "got {err:?}"
     );
     std::fs::remove_file(&report).ok();
@@ -177,8 +177,8 @@ fn a_missing_required_field_is_exit_2_naming_it() {
 }
 
 /// A spec with a zero pool, extent, CPU count, block size or month count,
-/// a prefetch depth above 1, or a scale that is not a number above 0 or
-/// leaves a table without rows, is refused by `run` and `watch` before any data is generated:
+/// a prefetch depth above 1, a fairness cap outside [0, 1], or a scale
+/// that is not a number above 0 or leaves a table without rows, is refused by `run` and `watch` before any data is generated:
 /// exit 2 and one line naming the field.
 #[test]
 fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
@@ -220,6 +220,17 @@ fn a_zero_size_in_a_spec_is_exit_2_naming_it() {
     let mut bad = spec.clone();
     bad.workload.engine.prefetch_extents = 3;
     refused(&bad, "workload.engine.prefetch_extents must be 0");
+    for cap in [-0.5, 1.5] {
+        let mut bad = spec.clone();
+        let SharingMode::ScanSharing(cfg) = &mut bad.workload.mode else {
+            panic!("the template spec shares scans");
+        };
+        cfg.fairness_cap = cap;
+        let want = format!(
+            "workload.mode.ScanSharing.fairness_cap must be a fraction in [0, 1], not {cap}"
+        );
+        refused(&bad, &want);
+    }
     for scale in [0.0, -1.0, 0.000001] {
         let mut bad = spec.clone();
         bad.tpch.scale = scale;

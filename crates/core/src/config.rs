@@ -3,11 +3,17 @@
 use scanshare_storage::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::policy::SharingPolicyKind;
-
-/// Which placement algorithm start_scan runs.
+/// Where `start_scan` starts a new scan. The first three are the paper's
+/// placement and its variants, the last two the simpler sharing schemes of
+/// related work (*From Cooperative Scans to Predictive Buffer Management*,
+/// Świtakowski, Boncz, Zukowski). Throttling and page priorities are
+/// separate switches of [`SharingConfig`] and mean the same under every
+/// placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PlacementStrategy {
+pub enum Placement {
+    /// No placement: every scan starts at its start key (used for
+    /// ablations).
+    FromStart,
     /// §6.3's anchor-group algorithm: candidates are ongoing scans'
     /// current locations; O(|S|²). The paper's production choice.
     #[default]
@@ -18,11 +24,53 @@ pub enum PlacementStrategy {
     Optimal,
     /// QPipe-style attach (Harizopoulos et al., the paper's related work
     /// \[19\]): a new scan always attaches to the ongoing scan with the
-    /// most remaining work, with no sharing-potential estimation. Works
-    /// when speeds are similar; drifts apart when they are not — the
-    /// weakness the paper's placement + throttling were built to fix.
-    /// Pair with `enable_throttling: false` to model the original.
+    /// most remaining work, with no sharing-potential estimation, after
+    /// the paper's leftover-cache check. Works when speeds are similar;
+    /// drifts apart when they are not — the weakness the paper's
+    /// placement + throttling were built to fix.
+    /// [`SharingConfig::baseline`] models the original.
     AlwaysAttach,
+    /// Baseline attach: a new scan jumps to the **newest** compatible
+    /// scan's position. The newest scan is the one whose already-read
+    /// pages are most likely still pool-resident, which is the entire
+    /// intuition of attach-style sharing; contrast with
+    /// [`Placement::AlwaysAttach`], which attaches to the scan with the
+    /// most *remaining work*.
+    Attach,
+    /// One circulating read cursor per table. The cursor is materialized
+    /// by the front-most ongoing scan (largest position); a new scan
+    /// attaches there and relies on the engine's wrap-around phase to
+    /// cover the part behind the cursor. When the table is idle the
+    /// cursor rests where the last scan ended, so the next scan resumes
+    /// from that position regardless of cache churn — elevator ordering
+    /// is positional, not cache-estimated.
+    ///
+    /// Index-scan positions are only comparable within an anchor group,
+    /// so for index scans "front-most" is an approximation based on the
+    /// reported physical position; table scans (where positions are page
+    /// numbers) are the scheme's home turf.
+    Elevator,
+}
+
+impl Placement {
+    /// Whether this is one of the related work's schemes (`Attach`,
+    /// `Elevator`) rather than the paper's placement. Only their runs
+    /// announce themselves: a `PolicyChosen` record and the report's
+    /// `policy` stamp.
+    pub fn is_baseline(self) -> bool {
+        matches!(self, Placement::Attach | Placement::Elevator)
+    }
+
+    /// The sharing-policy name narratives and the profiler's placement
+    /// instants print: `attach`, `elevator`, or `grouping` for the
+    /// paper's placements.
+    pub fn policy_name(self) -> &'static str {
+        match self {
+            Placement::Attach => "attach",
+            Placement::Elevator => "elevator",
+            _ => "grouping",
+        }
+    }
 }
 
 /// How pages reach a group's consumers.
@@ -41,46 +89,47 @@ pub enum DeliveryMode {
     Push,
 }
 
-/// Tunables of the scan-sharing manager. Defaults mirror the papers'
-/// prototype: 16-page extents, a drift threshold of two prefetch extents,
-/// and an 80 % fairness cap on accumulated slowdown.
+/// Leader throttling waits until the trailer is back within this many
+/// extents of its leader ("typically less than two prefetch extents").
+pub const THROTTLE_THRESHOLD_EXTENTS: u64 = 2;
+
+/// Upper bound on a single injected wait, so one stale speed estimate
+/// cannot stall a scan for an unbounded time.
+pub const MAX_WAIT: SimDuration = SimDuration::from_millis(500);
+
+/// Tunables of the scan-sharing manager: the paper's three mechanisms
+/// (placement, leader throttling, page re-prioritisation), the fairness
+/// cap, and how pages reach a group. Defaults mirror the papers'
+/// prototype: practical placement, an 80 % fairness cap on accumulated
+/// slowdown, every mechanism on.
 ///
-/// Every field is written; the `#[serde(default)]` ones may be missing
-/// from specs written before they existed.
+/// A spec writes the six settable fields; `delivery` may be missing from
+/// specs written before it existed. The pool and extent sizes are the
+/// run's, filled in when the manager is built, and never serialized.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SharingConfig {
     /// Size of the buffer pool the manager optimizes for, in pages. Used
     /// as the extent budget when forming groups (Figure 14) and as the
     /// churn window in the sharing-potential estimator.
+    #[serde(skip)]
     pub pool_pages: u64,
     /// Pages per extent; location updates arrive at this granularity.
+    #[serde(skip)]
     pub extent_pages: u64,
-    /// Throttle a group leader once its distance to the trailer exceeds
-    /// this many extents ("typically less than two prefetch extents").
-    pub throttle_threshold_extents: u64,
+    /// Where a new scan starts (see [`Placement`]).
+    pub placement: Placement,
+    /// Master switch: throttle drifting leaders.
+    pub enable_throttling: bool,
+    /// Master switch: leader/trailer page re-prioritization, and a
+    /// priority-aware buffer pool.
+    pub enable_priorities: bool,
     /// Stop throttling a scan once its accumulated slowdown exceeds this
     /// fraction of its estimated total scan time (the paper's 80 % rule).
+    /// A run refuses a cap outside [0, 1].
     pub fairness_cap: f64,
     /// Scale the fairness cap by each query's [`crate::scan::QueryPriority`]
     /// — the dynamic-threshold extension the paper lists as future work.
     pub dynamic_fairness: bool,
-    /// Upper bound on a single injected wait, so one stale speed estimate
-    /// cannot stall a scan for an unbounded time.
-    pub max_wait: SimDuration,
-    /// Master switch: choose start locations via placement. Off = every
-    /// scan starts at its start key (used for ablations).
-    pub enable_placement: bool,
-    /// Placement algorithm (see [`PlacementStrategy`]).
-    pub placement_strategy: PlacementStrategy,
-    /// Master switch: throttle drifting leaders.
-    pub enable_throttling: bool,
-    /// Master switch: leader/trailer page re-prioritization.
-    pub enable_priorities: bool,
-    /// Which [`SharingPolicyKind`] the manager runs. Defaults
-    /// to the paper's grouping+throttling; `attach` and `elevator` model
-    /// the simpler sharing schemes of related work.
-    #[serde(default)]
-    pub policy: SharingPolicyKind,
     /// How pages reach a group's consumers: every scan pulls its own
     /// pages (default) or a single group driver pushes each fixed extent
     /// through all attached consumers.
@@ -89,47 +138,35 @@ pub struct SharingConfig {
 }
 
 impl SharingConfig {
-    /// A full-featured configuration for a pool of `pool_pages` pages.
+    /// A full-featured configuration for a pool of `pool_pages` pages and
+    /// 16-page extents.
     pub fn new(pool_pages: u64) -> Self {
         SharingConfig {
             pool_pages,
             extent_pages: 16,
-            throttle_threshold_extents: 2,
-            fairness_cap: 0.8,
-            dynamic_fairness: false,
-            max_wait: SimDuration::from_millis(500),
-            enable_placement: true,
-            placement_strategy: PlacementStrategy::default(),
+            placement: Placement::default(),
             enable_throttling: true,
             enable_priorities: true,
-            policy: SharingPolicyKind::default(),
+            fairness_cap: 0.8,
+            dynamic_fairness: false,
             delivery: DeliveryMode::default(),
         }
     }
 
-    /// `new(pool_pages)` with the given sharing policy selected.
-    pub fn with_policy(pool_pages: u64, policy: SharingPolicyKind) -> Self {
+    /// The related work's `placement` scheme as it was built: neither
+    /// throttling nor page priorities.
+    pub fn baseline(pool_pages: u64, placement: Placement) -> Self {
         SharingConfig {
-            policy,
+            placement,
+            enable_throttling: false,
+            enable_priorities: false,
             ..Self::new(pool_pages)
         }
     }
 
     /// Distance (in pages) beyond which a leader is throttled.
     pub fn throttle_threshold_pages(&self) -> u64 {
-        self.throttle_threshold_extents * self.extent_pages
-    }
-
-    /// The QPipe-style attach baseline of the paper's related work \[19\]:
-    /// unconditional attachment, no speed estimation, no throttling, no
-    /// page re-prioritization.
-    pub fn attach_baseline(pool_pages: u64) -> Self {
-        SharingConfig {
-            placement_strategy: PlacementStrategy::AlwaysAttach,
-            enable_throttling: false,
-            enable_priorities: false,
-            ..Self::new(pool_pages)
-        }
+        THROTTLE_THRESHOLD_EXTENTS * self.extent_pages
     }
 }
 
@@ -143,23 +180,38 @@ mod tests {
         assert_eq!(c.extent_pages, 16);
         assert_eq!(c.throttle_threshold_pages(), 32);
         assert!((c.fairness_cap - 0.8).abs() < 1e-12);
-        assert!(c.enable_placement && c.enable_throttling && c.enable_priorities);
+        assert_eq!(c.placement, Placement::Practical);
+        assert!(c.enable_throttling && c.enable_priorities);
     }
 
     #[test]
     fn delivery_defaults_to_pull_and_round_trips() {
         let c = SharingConfig::new(100);
         assert_eq!(c.delivery, DeliveryMode::Pull);
-        // Serialized configs name the mode, and specs written before
-        // the knob existed still load as pull.
         let json = serde_json::to_string(&c).unwrap();
-        assert!(json.ends_with(",\"delivery\":\"Pull\"}"), "got: {json}");
-        let pre_push = json.replace(",\"delivery\":\"Pull\"", "");
+        assert_eq!(
+            json,
+            "{\"placement\":\"Practical\",\"enable_throttling\":true,\
+             \"enable_priorities\":true,\"fairness_cap\":0.8,\
+             \"dynamic_fairness\":false,\"delivery\":\"Pull\"}"
+        );
+        // The skipped sizes load as zero, whatever a spec says; the run
+        // fills them in. Specs written before `delivery` existed load as
+        // pull.
+        let pre_push = json.replace(",\"delivery\":\"Pull\"", ",\"pool_pages\":7");
         let back: SharingConfig = serde_json::from_str(&pre_push).unwrap();
+        assert_eq!((back.pool_pages, back.extent_pages), (0, 0));
         assert_eq!(back.delivery, DeliveryMode::Pull);
-        let mut push = SharingConfig::new(100);
+        let mut push = SharingConfig::baseline(100, Placement::Elevator);
         push.delivery = DeliveryMode::Push;
         let json = serde_json::to_string(&push).unwrap();
+        assert!(json.contains("\"placement\":\"Elevator\""), "got: {json}");
         assert!(json.contains("\"delivery\":\"Push\""), "got: {json}");
+        // A spec in the shape before `placement` existed is refused.
+        let old = "{\"policy\":\"Grouping\",\"enable_throttling\":true,\
+                   \"enable_priorities\":true,\"fairness_cap\":0.8,\
+                   \"dynamic_fairness\":false}";
+        let err = serde_json::from_str::<SharingConfig>(old).unwrap_err();
+        assert!(err.to_string().contains("`placement`"), "got: {err}");
     }
 }

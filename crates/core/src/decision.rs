@@ -37,8 +37,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write;
 
 use crate::anchor::AnchorId;
+use crate::config::Placement;
 use crate::grouping::Role;
-use crate::policy::SharingPolicyKind;
 use crate::scan::{Location, ObjectId, ScanId};
 
 /// One start location the placement policy considered for a new scan.
@@ -60,15 +60,15 @@ pub struct PlacementCandidate {
 /// One policy decision, with the inputs that produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DecisionEvent {
-    /// A non-default sharing policy shaped this run; emitted once, when
-    /// the first scan registers. (The default grouping policy stays
-    /// silent so its reports match pre-policy-framework builds byte for
-    /// byte.)
+    /// A related-work placement (`Attach` or `Elevator`) shaped this
+    /// run; emitted once, when the first scan registers. (The paper's
+    /// placements stay silent so their reports match
+    /// pre-policy-framework builds byte for byte.)
     PolicyChosen {
         /// The first scan of the run (the event anchor).
         scan: ScanId,
-        /// The policy every subsequent decision flows through.
-        policy: SharingPolicyKind,
+        /// The placement every subsequent decision flows through.
+        policy: Placement,
     },
     /// Placement started the scan at its own start key — either no
     /// candidate existed or none cleared the saving threshold.
@@ -382,15 +382,16 @@ pub fn priority_name(p: PagePriority) -> &'static str {
 /// The span a profiled run's manager track shows for `event`: its name
 /// and attributes, for the four lifecycle records the track mirrors
 /// (placement, push attach, push handoff, fault eviction); `None` for
-/// every other record. Placement instants name the run's `policy`.
+/// every other record. Placement instants name the policy of the run's
+/// `placement`.
 pub fn manager_instant(
     event: &DecisionEvent,
-    policy: SharingPolicyKind,
+    placement: Placement,
 ) -> Option<(&'static str, Vec<(&'static str, String)>)> {
     let scan = ("scan", event.scan().0.to_string());
     let placed = |object: &ObjectId, candidates: &[PlacementCandidate], decision| {
         let object = ("object", object.0.to_string());
-        let policy = ("policy", policy.to_string());
+        let policy = ("policy", placement.policy_name().to_string());
         let candidates = ("candidates", candidates.len().to_string());
         (
             "mgr.place",
@@ -461,7 +462,8 @@ pub fn manager_instant(
 pub fn describe(event: &DecisionEvent) -> String {
     match event {
         DecisionEvent::PolicyChosen { policy, .. } => format!(
-            "sharing policy '{policy}' selected for this run (placement and throttling decisions below follow it)"
+            "sharing policy '{}' selected for this run (placement and throttling decisions below follow it)",
+            policy.policy_name()
         ),
         DecisionEvent::GroupStart {
             scan,
@@ -912,7 +914,7 @@ mod tests {
             },
             DecisionEvent::PolicyChosen {
                 scan: ScanId(0),
-                policy: SharingPolicyKind::Elevator,
+                policy: Placement::Elevator,
             },
             DecisionEvent::DriverAttach {
                 scan: ScanId(3),

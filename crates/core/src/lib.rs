@@ -66,13 +66,12 @@ pub mod scan;
 pub mod stats;
 pub mod throttle;
 
-pub use config::{DeliveryMode, PlacementStrategy, SharingConfig};
+pub use config::{DeliveryMode, Placement, SharingConfig};
 pub use decision::{DecisionEvent, DecisionLog, DecisionRecord, PlacementCandidate};
 pub use grouping::{GroupInfo, Role};
 pub use manager::{ManagerProbe, ScanProbe, ScanSharingManager, StartDecision, UpdateOutcome};
 pub use obs::span::{ProfileSummary, SpanId, SpanProfiler, Track};
 pub use obs::MetricsSnapshot;
-pub use policy::SharingPolicyKind;
 pub use scan::{Location, ObjectId, QueryPriority, ScanDesc, ScanId, ScanKind};
 pub use stats::SharingStats;
 

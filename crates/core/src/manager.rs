@@ -29,11 +29,12 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::anchor::{AnchorId, AnchorTable};
+use crate::config::Placement;
 use crate::config::SharingConfig;
 use crate::decision::{manager_instant, slowdown_frac, DecisionEvent, DecisionLog, DecisionRecord};
 use crate::grouping::{GroupIndex, GroupInfo, Membership, Role};
 use crate::obs::span::{SpanProfiler, Track};
-use crate::policy::{self, SharingPolicyKind};
+use crate::policy;
 use crate::scan::{Location, ObjectId, ScanDesc, ScanId, ScanKind, ScanState};
 use crate::stats::SharingStats;
 use crate::throttle;
@@ -174,8 +175,8 @@ struct Inner {
 /// [`crate::decision`]) and, in a profiled run, the span profiler's
 /// manager track, which shows a view of the same records.
 struct Provenance {
-    /// The run's policy, which placement instants name.
-    policy: SharingPolicyKind,
+    /// The run's placement, whose policy name placement instants carry.
+    placement: Placement,
     log: Option<DecisionLog>,
     profiler: Option<SpanProfiler>,
 }
@@ -189,7 +190,7 @@ impl Provenance {
     /// per extent.
     fn emit(&mut self, at: SimTime, event: DecisionEvent) {
         if let Some(p) = &self.profiler {
-            if let Some((name, attrs)) = manager_instant(&event, self.policy) {
+            if let Some((name, attrs)) = manager_instant(&event, self.placement) {
                 let id = p.instant_on(Track::Manager, name, at);
                 for (k, v) in attrs {
                     p.attr(id, k, v);
@@ -283,7 +284,7 @@ impl ScanSharingManager {
                 stats: SharingStats::default(),
                 evicted_by_fault: 0,
                 prov: Provenance {
-                    policy: cfg.policy,
+                    placement: cfg.placement,
                     log: None,
                     profiler: None,
                 },
@@ -343,16 +344,16 @@ impl ScanSharingManager {
         inner.next_scan += 1;
         inner.stats.scans_started += 1;
 
-        // Non-default policies announce themselves once, on the first
-        // scan, so `explain` can narrate which policy shaped the run. The
-        // default policy stays silent, so grouping-policy decision logs
-        // are those of the code before policies were selectable.
-        if id.0 == 0 && self.cfg.policy != SharingPolicyKind::Grouping {
+        // The related work's placements announce themselves once, on
+        // the first scan, so `explain` can narrate which scheme shaped
+        // the run. The paper's placements stay silent, so their decision
+        // logs are those of the code before policies were selectable.
+        if id.0 == 0 && self.cfg.placement.is_baseline() {
             inner.prov.emit(
                 now,
                 DecisionEvent::PolicyChosen {
                     scan: id,
-                    policy: self.cfg.policy,
+                    policy: self.cfg.placement,
                 },
             );
         }
@@ -532,7 +533,7 @@ impl ScanSharingManager {
 
         let threshold_pages = self.cfg.throttle_threshold_pages();
         let mut wait = scanshare_storage::SimDuration::ZERO;
-        if policy::throttles(&self.cfg) && role == Role::Leader {
+        if self.cfg.enable_throttling && role == Role::Leader {
             let trailer = group.trailer;
             let trailer_speed = inner.scan(trailer).expect("trailer is ongoing").speed;
             let distance = group.extent;
@@ -713,9 +714,9 @@ impl ScanSharingManager {
 
     /// Push delivery: should a late joiner that missed `missed_pages` of
     /// a `range_pages` lap attach to the ongoing driver (replaying the
-    /// missed prefix privately) or found its own driver? The sharing
-    /// policy's call: the grouping policy attaches while the missed
-    /// prefix is at most a fifth of the lap, the baselines always do.
+    /// missed prefix privately) or found its own driver? The
+    /// placement's call: the paper's placements attach while the missed
+    /// prefix is at most a fifth of the lap, attach and elevator always do.
     pub fn attach_push(&self, missed_pages: u64, range_pages: u64) -> bool {
         policy::attach_push(&self.cfg, missed_pages, range_pages)
     }
@@ -848,8 +849,8 @@ impl ScanSharingManager {
     /// The release priority for the pages of a scan in `role`.
     fn release_priority(&self, role: Role) -> PagePriority {
         match role {
-            Role::Leader if policy::prioritizes(&self.cfg) => PagePriority::High,
-            Role::Trailer if policy::prioritizes(&self.cfg) => PagePriority::Low,
+            Role::Leader if self.cfg.enable_priorities => PagePriority::High,
+            Role::Trailer if self.cfg.enable_priorities => PagePriority::Low,
             _ => PagePriority::Normal,
         }
     }
@@ -857,7 +858,7 @@ impl ScanSharingManager {
     /// `ISM.pr()`: the release priority for a scan's pages right now —
     /// what [`ScanSharingManager::update_location`] would return for it.
     pub fn page_priority(&self, id: ScanId) -> PagePriority {
-        if !policy::prioritizes(&self.cfg) {
+        if !self.cfg.enable_priorities {
             return PagePriority::Normal;
         }
         let inner = self.inner.lock();
@@ -934,8 +935,21 @@ mod tests {
         ScanSharingManager::new(SharingConfig::new(pool))
     }
 
-    fn mgr_with_policy(pool: u64, policy: crate::policy::SharingPolicyKind) -> ScanSharingManager {
-        ScanSharingManager::new(SharingConfig::with_policy(pool, policy))
+    /// `placement` with throttling and page priorities on only for the
+    /// paper's placements, as runs spell the related work's schemes.
+    fn policy_cfg(pool: u64, placement: Placement) -> SharingConfig {
+        if placement.is_baseline() {
+            SharingConfig::baseline(pool, placement)
+        } else {
+            SharingConfig {
+                placement,
+                ..SharingConfig::new(pool)
+            }
+        }
+    }
+
+    fn mgr_placed(pool: u64, placement: Placement) -> ScanSharingManager {
+        ScanSharingManager::new(policy_cfg(pool, placement))
     }
 
     #[test]
@@ -989,10 +1003,7 @@ mod tests {
 
     #[test]
     fn placement_disabled_always_starts_fresh() {
-        let m = ScanSharingManager::new(SharingConfig {
-            enable_placement: false,
-            ..SharingConfig::new(1000)
-        });
+        let m = mgr_placed(1000, Placement::FromStart);
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         m.update_location(s1, SimTime::from_secs(5), Location::new(500, 500), 500);
         let (_, d) = m.start_scan(table_desc(0, 10_000, 100), SimTime::from_secs(5));
@@ -1274,11 +1285,7 @@ mod tests {
 
     #[test]
     fn optimal_strategy_places_table_scans_anywhere() {
-        use crate::config::PlacementStrategy;
-        let m = ScanSharingManager::new(SharingConfig {
-            placement_strategy: PlacementStrategy::Optimal,
-            ..SharingConfig::new(1000)
-        });
+        let m = mgr_placed(1000, Placement::Optimal);
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         let t = SimTime::from_secs(5);
         m.update_location(s1, t, Location::new(500, 500), 500);
@@ -1293,11 +1300,7 @@ mod tests {
 
     #[test]
     fn optimal_strategy_falls_back_for_index_scans() {
-        use crate::config::PlacementStrategy;
-        let m = ScanSharingManager::new(SharingConfig {
-            placement_strategy: PlacementStrategy::Optimal,
-            ..SharingConfig::new(1000)
-        });
+        let m = mgr_placed(1000, Placement::Optimal);
         let (s1, _) = m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::ZERO);
         m.update_location(s1, SimTime::from_secs(5), Location::new(50, 480), 480);
         let (_, d) = m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::from_secs(5));
@@ -1308,11 +1311,7 @@ mod tests {
 
     #[test]
     fn attach_strategy_joins_unconditionally() {
-        use crate::config::PlacementStrategy;
-        let m = ScanSharingManager::new(SharingConfig {
-            placement_strategy: PlacementStrategy::AlwaysAttach,
-            ..SharingConfig::new(1000)
-        });
+        let m = mgr_placed(1000, Placement::AlwaysAttach);
         // A scan that is nearly done: the practical algorithm would
         // refuse to join it; attach does anyway.
         let (s1, _) = m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::ZERO);
@@ -1324,11 +1323,7 @@ mod tests {
 
     #[test]
     fn attach_picks_the_scan_with_most_remaining_work() {
-        use crate::config::PlacementStrategy;
-        let m = ScanSharingManager::new(SharingConfig {
-            placement_strategy: PlacementStrategy::AlwaysAttach,
-            ..SharingConfig::new(1000)
-        });
+        let m = mgr_placed(1000, Placement::AlwaysAttach);
         let (s1, _) = m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::ZERO);
         let (s2, _) = m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::ZERO);
         // s1 is far along; s2 has barely started.
@@ -1543,7 +1538,7 @@ mod tests {
         let m = mgr(1000);
         m.attach_decision_log(DecisionLog::new(256));
         // Leader with a tiny 1s estimate -> 0.8s budget; trailer so slow
-        // (est 10_000s) every raw wait clamps to max_wait 500ms.
+        // (est 10_000s) every raw wait clamps to MAX_WAIT, 500ms.
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 1), SimTime::ZERO);
         let t1 = SimTime::from_millis(100);
         m.update_location(s1, t1, Location::new(500, 500), 500);
@@ -1631,10 +1626,7 @@ mod tests {
 
     #[test]
     fn probe_lists_scans_by_id_and_groups_by_anchor_then_offset() {
-        let m = ScanSharingManager::new(SharingConfig {
-            enable_placement: false,
-            ..SharingConfig::new(50)
-        });
+        let m = mgr_placed(50, Placement::FromStart);
         // Object 1 is registered first and so gets the lower anchor.
         let descs = [1, 0, 1, 0, 1, 0].map(|object| table_desc(object, 10_000, 100));
         let ids: Vec<ScanId> = descs
@@ -1669,10 +1661,7 @@ mod tests {
 
     #[test]
     fn anchor_merge_adopts_the_lowest_id_among_coinciding_scans() {
-        let m = ScanSharingManager::new(SharingConfig {
-            enable_placement: false,
-            ..SharingConfig::new(10_000)
-        });
+        let m = mgr_placed(10_000, Placement::FromStart);
         let ids: Vec<ScanId> = (0..3)
             .map(|_| {
                 m.start_scan(index_desc(0, 0, 100, 5000, 50), SimTime::ZERO)
@@ -1694,12 +1683,8 @@ mod tests {
 
     #[test]
     fn page_priority_agrees_with_update_location_under_every_policy() {
-        for kind in [
-            SharingPolicyKind::Grouping,
-            SharingPolicyKind::Attach,
-            SharingPolicyKind::Elevator,
-        ] {
-            let m = mgr_with_policy(1000, kind);
+        for kind in [Placement::Practical, Placement::Attach, Placement::Elevator] {
+            let m = mgr_placed(1000, kind);
             let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
             let t1 = SimTime::from_secs(5);
             m.update_location(s1, t1, Location::new(500, 500), 500);
@@ -1707,13 +1692,17 @@ mod tests {
             let t2 = SimTime::from_secs(6);
             let o1 = m.update_location(s1, t2, Location::new(610, 610), 110);
             let o2 = m.update_location(s2, t2, Location::new(600, 600), 100);
-            assert_eq!((o1.role, o2.role), (Role::Leader, Role::Trailer), "{kind}");
+            assert_eq!(
+                (o1.role, o2.role),
+                (Role::Leader, Role::Trailer),
+                "{kind:?}"
+            );
             let want = match kind {
-                SharingPolicyKind::Grouping => (PagePriority::High, PagePriority::Low),
+                Placement::Practical => (PagePriority::High, PagePriority::Low),
                 _ => (PagePriority::Normal, PagePriority::Normal),
             };
-            assert_eq!((o1.priority, o2.priority), want, "{kind}");
-            assert_eq!((m.page_priority(s1), m.page_priority(s2)), want, "{kind}");
+            assert_eq!((o1.priority, o2.priority), want, "{kind:?}");
+            assert_eq!((m.page_priority(s1), m.page_priority(s2)), want, "{kind:?}");
         }
     }
 
@@ -1723,8 +1712,6 @@ mod tests {
     // s2 (newer) at page 300 — and a third scan arriving. Each policy
     // must make *its* characteristic choice, pinned here so plumbing
     // changes cannot silently alter policy behavior.
-
-    use crate::policy::SharingPolicyKind;
 
     fn three_scan_setup(m: &ScanSharingManager) -> (ScanId, ScanId, SimTime) {
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
@@ -1739,7 +1726,7 @@ mod tests {
 
     #[test]
     fn attach_policy_joins_the_newest_scan() {
-        let m = mgr_with_policy(1000, SharingPolicyKind::Attach);
+        let m = mgr_placed(1000, Placement::Attach);
         let (_s1, s2, t) = three_scan_setup(&m);
         let (_, d) = m.start_scan(table_desc(0, 10_000, 100), t);
         // Newest compatible scan wins, regardless of position or
@@ -1756,7 +1743,7 @@ mod tests {
 
     #[test]
     fn elevator_policy_joins_the_front_most_scan() {
-        let m = mgr_with_policy(1000, SharingPolicyKind::Elevator);
+        let m = mgr_placed(1000, Placement::Elevator);
         let (s1, _s2, t) = three_scan_setup(&m);
         let (_, d) = m.start_scan(table_desc(0, 10_000, 100), t);
         // The cursor is the front-most ongoing scan: s1 at page 840.
@@ -1772,7 +1759,7 @@ mod tests {
 
     #[test]
     fn elevator_cursor_rests_at_the_last_finished_location() {
-        let m = mgr_with_policy(1000, SharingPolicyKind::Elevator);
+        let m = mgr_placed(1000, Placement::Elevator);
         let (s1, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         let t = SimTime::from_secs(4);
         m.update_location(s1, t, Location::new(600, 600), 600);
@@ -1793,7 +1780,7 @@ mod tests {
 
     #[test]
     fn elevator_leftover_join_beside_an_out_of_range_scan_counts_as_finished() {
-        let m = mgr_with_policy(1000, SharingPolicyKind::Elevator);
+        let m = mgr_placed(1000, Placement::Elevator);
         let (a, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         let (c, _) = m.start_scan(table_desc(0, 10_000, 100), SimTime::ZERO);
         let t = SimTime::from_secs(1);
@@ -1826,8 +1813,8 @@ mod tests {
 
     #[test]
     fn attach_and_elevator_never_throttle_or_reprioritize() {
-        for kind in [SharingPolicyKind::Attach, SharingPolicyKind::Elevator] {
-            let m = mgr_with_policy(100, kind);
+        for kind in [Placement::Attach, Placement::Elevator] {
+            let m = mgr_placed(100, kind);
             let (s1, s2, t) = three_scan_setup(&m);
             // s1 is far ahead of s2 (extent 540 pages >> threshold 32
             // with a 100-page pool they form separate groups; force the
@@ -1853,7 +1840,7 @@ mod tests {
 
     #[test]
     fn non_default_policy_announces_itself_once_in_provenance() {
-        let m = mgr_with_policy(1000, SharingPolicyKind::Attach);
+        let m = mgr_placed(1000, Placement::Attach);
         m.attach_decision_log(DecisionLog::new(64));
         three_scan_setup(&m);
         let chosen: Vec<_> = m
@@ -1865,7 +1852,7 @@ mod tests {
         assert!(matches!(
             chosen[0].event,
             DecisionEvent::PolicyChosen {
-                policy: SharingPolicyKind::Attach,
+                policy: Placement::Attach,
                 ..
             }
         ));
@@ -1892,8 +1879,8 @@ mod tests {
         }
     }
 
-    /// 400 seeded call sequences, one manager each: starts (placement on
-    /// or off, every policy), location updates (index scans on a palette
+    /// 400 seeded call sequences, one manager each: starts (every
+    /// placement), location updates (index scans on a palette
     /// of shared locations, so anchors merge and offsets collide; table
     /// scans moving by 0, 1, 16 or 64 pages), wraps, ends, fault
     /// evictions and calls for ids that are gone, under budgets from 0 to
@@ -1938,41 +1925,34 @@ mod tests {
     fn digest_call_sequences(
         vary_config: bool,
     ) -> ((u64, usize, u64), std::collections::BTreeMap<String, usize>) {
-        use crate::config::PlacementStrategy;
         use scanshare_prng::Rng;
+        use Placement::{AlwaysAttach, Attach, Elevator, FromStart, Optimal, Practical};
         let budgets = [0, 1, 16, 48, 200, 5000, u64::MAX];
-        let strategies = [
-            PlacementStrategy::Practical,
-            PlacementStrategy::Optimal,
-            PlacementStrategy::AlwaysAttach,
-        ];
-        let policies = [
-            SharingPolicyKind::Grouping,
-            SharingPolicyKind::Grouping,
-            SharingPolicyKind::Attach,
-            SharingPolicyKind::Elevator,
-        ];
+        let strategies = [Practical, Optimal, AlwaysAttach];
+        let policies = [Practical, Practical, Attach, Elevator];
         let (mut digest, mut events, mut merges) = (0xcbf2_9ce4_8422_2325u64, 0, 0);
         let mut kinds = std::collections::BTreeMap::<String, usize>::new();
         for seed in 0..400 {
             let mut rng = Rng::seed_from_u64(seed);
-            let mut cfg = SharingConfig::with_policy(
-                *rng.choose(&budgets).unwrap(),
-                *rng.choose(&policies).unwrap(),
-            );
-            // Attach and elevator draws keep placement on and both
-            // switches off: they place by their own rule and neither
-            // throttles nor re-prioritises. The draws are unchanged.
-            let grouping = cfg.policy == SharingPolicyKind::Grouping;
-            cfg.enable_placement = rng.bounded_u64(4) != 0 || !grouping;
-            cfg.enable_throttling = grouping;
-            cfg.enable_priorities = grouping;
+            let budget = *rng.choose(&budgets).unwrap();
+            let drawn = *rng.choose(&policies).unwrap();
+            // Attach and elevator draws ignore the other draws: they
+            // place by their own rule and neither throttle nor
+            // re-prioritise.
+            let mut cfg = policy_cfg(budget, drawn);
+            let placed = rng.bounded_u64(4) != 0;
             let mut lap = 0;
             if vary_config {
-                cfg.placement_strategy = *rng.choose(&strategies).unwrap();
-                cfg.enable_throttling = rng.bounded_u64(2) != 0 && grouping;
-                cfg.enable_priorities = rng.bounded_u64(2) != 0 && grouping;
+                let strategy = *rng.choose(&strategies).unwrap();
+                let switches = (rng.bounded_u64(2) != 0, rng.bounded_u64(2) != 0);
+                if !drawn.is_baseline() {
+                    cfg.placement = strategy;
+                    (cfg.enable_throttling, cfg.enable_priorities) = switches;
+                }
                 lap = rng.bounded_u64(10_000);
+            }
+            if !placed && !drawn.is_baseline() {
+                cfg.placement = FromStart;
             }
             let m = ScanSharingManager::new(cfg);
             if vary_config {

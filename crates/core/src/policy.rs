@@ -7,85 +7,26 @@
 //! elevator cursor per table, and the paper under reproduction adds
 //! placement scoring, leader/trailer throttling, and page priorities.
 //!
-//! [`SharingPolicyKind`] names the policy a run uses, and this module is
-//! the one place that answers, from a [`SharingConfig`] (which carries
-//! the kind and the ablation switches), what the policy decides: **where
-//! a new scan starts** (`place`, gated by
-//! [`SharingConfig::enable_placement`]), **whether drifting leaders are
-//! throttled** (`throttles`) and **whether leader/trailer pages are
-//! re-prioritized** (`prioritizes`), both with their switch folded in,
-//! the threshold recorded on placement provenance
-//! (`placement_threshold`), and whether a push-mode joiner rides a
-//! running group driver (`attach_push`). The manager keeps the
-//! bookkeeping every policy needs (anchors, groups, speeds, statistics,
-//! provenance) and hands its own scan records to `place`.
-//!
-//! A run's policy is [`SharingConfig::policy`], the `policy` field of its
-//! workload spec's `mode.ScanSharing`.
+//! A run says each mechanism once, in its [`SharingConfig`]: where a new
+//! scan starts is its [`Placement`] (the paper's, one of its variants,
+//! or a related-work scheme), and throttling and page priorities are
+//! [`SharingConfig::enable_throttling`] and
+//! [`SharingConfig::enable_priorities`] under every placement. This
+//! module answers **where a new scan starts** (`place`), the threshold
+//! recorded on placement provenance (`placement_threshold`), and whether
+//! a push-mode joiner rides a running group driver (`attach_push`). The
+//! manager keeps the bookkeeping every placement needs (anchors, groups,
+//! speeds, statistics, provenance) and hands its own scan records to
+//! `place`.
 
 use std::cmp::Reverse;
 
-use serde::{Deserialize, Serialize};
-
-use crate::config::{PlacementStrategy, SharingConfig};
+use crate::config::{Placement, SharingConfig};
 use crate::decision::PlacementCandidate;
 use crate::manager::{FinishedScan, StartDecision, UNKNOWN_POS};
 use crate::placement::{best_start_optimal, best_start_practical, Trace};
 use crate::scan::{Location, ScanDesc, ScanId, ScanKind, ScanState};
 use crate::stats::SharingStats;
-
-/// Which sharing policy a run uses, selected in [`SharingConfig::policy`]
-/// (and therefore in workload specs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SharingPolicyKind {
-    /// The paper's policy (the default): §6.3 placement, with the optimal
-    /// and always-attach variants of [`PlacementStrategy`], leader
-    /// throttling and page re-prioritization. Runs under it are
-    /// byte-identical to the code before policies were selectable (a
-    /// property pinned by CI).
-    #[default]
-    Grouping,
-    /// Baseline attach: a new scan jumps to the **newest** compatible
-    /// scan's position — no sharing-potential estimation, no throttling,
-    /// no page priorities. The newest scan is the one whose already-read
-    /// pages are most likely still pool-resident, which is the entire
-    /// intuition of attach-style sharing; contrast with
-    /// [`PlacementStrategy::AlwaysAttach`] under `Grouping`, which
-    /// attaches to the scan with the most *remaining work*.
-    Attach,
-    /// One circulating read cursor per table. The cursor is materialized
-    /// by the front-most ongoing scan (largest position); a new scan
-    /// attaches there and relies on the engine's wrap-around phase to
-    /// cover the part behind the cursor. When the table is idle the
-    /// cursor rests where the last scan ended, so the next scan resumes
-    /// from that position regardless of cache churn — elevator ordering
-    /// is positional, not cache-estimated. No throttling and no page
-    /// priorities: the cursor never waits for stragglers.
-    ///
-    /// Index-scan positions are only comparable within an anchor group,
-    /// so for index scans "front-most" is an approximation based on the
-    /// reported physical position; table scans (where positions are page
-    /// numbers) are the policy's home turf.
-    Elevator,
-}
-
-impl SharingPolicyKind {
-    /// The policy's name as reports and narratives print it (`grouping`,
-    /// `attach`, `elevator`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SharingPolicyKind::Grouping => "grouping",
-            SharingPolicyKind::Attach => "attach",
-            SharingPolicyKind::Elevator => "elevator",
-        }
-    }
-}
-
-impl std::fmt::Display for SharingPolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// Decide where a new scan described by `desc` starts, given the ongoing
 /// `scans` (every object, every kind, ascending by id), the most recently
@@ -105,24 +46,19 @@ pub(crate) fn place(
     candidates: &mut Vec<PlacementCandidate>,
     stats: &mut SharingStats,
 ) -> StartDecision {
-    let decision = if !cfg.enable_placement {
-        StartDecision::FromStart
-    } else {
-        match cfg.policy {
-            SharingPolicyKind::Grouping => place_grouping(
-                cfg,
-                scans,
-                last_finished,
-                total_pages_advanced,
-                desc,
-                candidates,
-                stats,
-            ),
-            SharingPolicyKind::Attach => place_attach(scans, desc, candidates),
-            SharingPolicyKind::Elevator => {
-                place_elevator(scans, last_finished, desc, candidates, stats)
-            }
-        }
+    let decision = match cfg.placement {
+        Placement::FromStart => StartDecision::FromStart,
+        Placement::Practical | Placement::Optimal | Placement::AlwaysAttach => place_grouping(
+            cfg,
+            scans,
+            last_finished,
+            total_pages_advanced,
+            desc,
+            candidates,
+            stats,
+        ),
+        Placement::Attach => place_attach(scans, desc, candidates),
+        Placement::Elevator => place_elevator(scans, last_finished, desc, candidates, stats),
     };
     match decision {
         StartDecision::JoinAt { scan: Some(_), .. } => stats.scans_joined += 1,
@@ -134,31 +70,15 @@ pub(crate) fn place(
     decision
 }
 
-/// Whether group leaders are throttled to keep groups together: the
-/// configuration enables it and the policy uses it.
-pub(crate) fn throttles(cfg: &SharingConfig) -> bool {
-    cfg.enable_throttling && cfg.policy == SharingPolicyKind::Grouping
-}
-
-/// Whether leader/trailer page re-prioritization is in effect: the
-/// configuration enables it and the policy uses it.
-pub(crate) fn prioritizes(cfg: &SharingConfig) -> bool {
-    cfg.enable_priorities && cfg.policy == SharingPolicyKind::Grouping
-}
-
 /// Minimum absolute saving (pages) a placement candidate must offer, as
-/// recorded on placement provenance events. The grouping policy's
-/// scoring strategies require one extent's worth of saving;
-/// `AlwaysAttach` and the baseline policies join unconditionally, so
+/// recorded on placement provenance events. The paper's scoring
+/// placements require one extent's worth of saving; the attach-style
+/// placements join unconditionally and `FromStart` scores nothing, so
 /// their threshold is zero.
 pub(crate) fn placement_threshold(cfg: &SharingConfig) -> f64 {
-    if cfg.policy == SharingPolicyKind::Grouping
-        && cfg.enable_placement
-        && cfg.placement_strategy != PlacementStrategy::AlwaysAttach
-    {
-        cfg.extent_pages as f64
-    } else {
-        0.0
+    match cfg.placement {
+        Placement::Practical | Placement::Optimal => cfg.extent_pages as f64,
+        _ => 0.0,
     }
 }
 
@@ -167,18 +87,15 @@ pub(crate) fn placement_threshold(cfg: &SharingConfig) -> f64 {
 /// lap, replaying the missed prefix through a private pull cursor — or
 /// found a fresh driver of its own?
 ///
-/// The grouping policy follows its sharing-potential instinct: attach
-/// while the shared remainder dwarfs the private replay (missed prefix at
-/// most a fifth of the lap — the replay is pure duplicate fixing, so
-/// keeping it small is what holds a group's fixes-per-page near one).
-/// Attach-style sharing attaches unconditionally in pull mode, and the
-/// elevator cursor *is* a push driver that scans always ride and cover
-/// what they missed on the wrap, so both ride any driver.
+/// The paper's placements follow their sharing-potential instinct:
+/// attach while the shared remainder dwarfs the private replay (missed
+/// prefix at most a fifth of the lap — the replay is pure duplicate
+/// fixing, so keeping it small is what holds a group's fixes-per-page
+/// near one). [`Placement::Attach`] attaches unconditionally in pull
+/// mode, and the elevator cursor *is* a push driver that scans always
+/// ride and cover what they missed on the wrap, so both ride any driver.
 pub(crate) fn attach_push(cfg: &SharingConfig, missed_pages: u64, range_pages: u64) -> bool {
-    match cfg.policy {
-        SharingPolicyKind::Grouping => missed_pages.saturating_mul(5) <= range_pages,
-        SharingPolicyKind::Attach | SharingPolicyKind::Elevator => true,
-    }
+    cfg.placement.is_baseline() || missed_pages.saturating_mul(5) <= range_pages
 }
 
 /// Ongoing scans a new scan could share pages with: same object, same
@@ -250,7 +167,7 @@ fn place_grouping(
 
     // Attach strategy (QPipe baseline): join the ongoing scan with
     // the most remaining work, unconditionally.
-    if cfg.placement_strategy == PlacementStrategy::AlwaysAttach {
+    if cfg.placement == Placement::AlwaysAttach {
         return join_max(
             &members,
             desc,
@@ -265,7 +182,7 @@ fn place_grouping(
     // axis (page numbers), so the O(|S|^3) interesting-locations
     // search of §6.2 can place the new scan anywhere in its range,
     // not just at a member's position.
-    if cfg.placement_strategy == PlacementStrategy::Optimal && desc.kind == ScanKind::Table {
+    if cfg.placement == Placement::Optimal && desc.kind == ScanKind::Table {
         let traces: Vec<Trace> = members
             .iter()
             .map(|m| {
@@ -392,7 +309,7 @@ fn join_max<K: Ord>(
     })
 }
 
-/// [`SharingPolicyKind::Attach`]: join the newest compatible scan.
+/// [`Placement::Attach`]: join the newest compatible scan.
 fn place_attach(
     scans: &[ScanState],
     desc: &ScanDesc,
@@ -410,8 +327,8 @@ fn place_attach(
     .unwrap_or(StartDecision::FromStart)
 }
 
-/// [`SharingPolicyKind::Elevator`]: join the cursor, or where the last
-/// scan stopped when the table is idle.
+/// [`Placement::Elevator`]: join the cursor, or where the last scan
+/// stopped when the table is idle.
 fn place_elevator(
     scans: &[ScanState],
     last_finished: Option<&FinishedScan>,
@@ -457,63 +374,51 @@ fn place_elevator(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use Placement::{AlwaysAttach, Attach, Elevator, FromStart, Optimal, Practical};
 
-    const KINDS: [SharingPolicyKind; 3] = [
-        SharingPolicyKind::Grouping,
-        SharingPolicyKind::Attach,
-        SharingPolicyKind::Elevator,
+    const PLACEMENTS: [Placement; 6] = [
+        FromStart,
+        Practical,
+        Optimal,
+        AlwaysAttach,
+        Attach,
+        Elevator,
     ];
 
     #[test]
     fn default_kind_is_grouping() {
-        assert_eq!(SharingPolicyKind::default(), SharingPolicyKind::Grouping);
-        assert_eq!(SharingConfig::new(100).policy, SharingPolicyKind::Grouping);
-    }
-
-    #[test]
-    fn grouping_is_the_only_policy_with_feedback_mechanisms() {
-        for kind in KINDS {
-            let on = SharingConfig::with_policy(100, kind);
-            let grouping = kind == SharingPolicyKind::Grouping;
-            assert_eq!((throttles(&on), prioritizes(&on)), (grouping, grouping));
-            // The ablation switches turn a mechanism off under every policy.
-            let off = SharingConfig {
-                enable_throttling: false,
-                enable_priorities: false,
-                ..on
-            };
-            assert!(!throttles(&off) && !prioritizes(&off), "{kind}");
+        assert_eq!(Placement::default(), Practical);
+        assert_eq!(SharingConfig::new(100).placement, Practical);
+        for p in PLACEMENTS {
+            let name = p.policy_name();
+            assert_eq!(p.is_baseline(), name != "grouping", "{p:?}");
         }
     }
 
     #[test]
     fn only_scoring_grouping_placement_has_a_threshold() {
-        let cfg = |kind, enable_placement, placement_strategy| SharingConfig {
-            enable_placement,
-            placement_strategy,
-            ..SharingConfig::with_policy(100, kind)
-        };
-        use PlacementStrategy::{AlwaysAttach, Optimal, Practical};
-        use SharingPolicyKind::{Attach, Elevator, Grouping};
-        assert_eq!(placement_threshold(&cfg(Grouping, true, Practical)), 16.0);
-        assert_eq!(placement_threshold(&cfg(Grouping, true, Optimal)), 16.0);
-        assert_eq!(placement_threshold(&cfg(Grouping, true, AlwaysAttach)), 0.0);
-        assert_eq!(placement_threshold(&cfg(Grouping, false, Practical)), 0.0);
-        assert_eq!(placement_threshold(&cfg(Attach, true, Practical)), 0.0);
-        assert_eq!(placement_threshold(&cfg(Elevator, true, Optimal)), 0.0);
+        for p in PLACEMENTS {
+            let cfg = SharingConfig {
+                placement: p,
+                ..SharingConfig::new(100)
+            };
+            let scoring = matches!(p, Practical | Optimal);
+            assert_eq!(placement_threshold(&cfg), if scoring { 16.0 } else { 0.0 });
+        }
     }
 
     #[test]
     fn push_attach_thresholds_follow_the_pull_instincts() {
-        let [grouping, attach, elevator] = KINDS.map(|k| SharingConfig::with_policy(100, k));
-        // Grouping: attach while the missed prefix stays a small slice
-        // of the lap; refuse once the private replay would rival the
-        // shared remainder.
-        assert!(attach_push(&grouping, 0, 1000));
-        assert!(attach_push(&grouping, 200, 1000));
-        assert!(!attach_push(&grouping, 201, 1000));
-        // Attach and elevator ride the cursor unconditionally.
-        assert!(attach_push(&attach, 999, 1000));
-        assert!(attach_push(&elevator, 999, 1000));
+        for p in PLACEMENTS {
+            let cfg = SharingConfig::baseline(100, p);
+            // The paper's placements attach while the missed prefix stays
+            // a small slice of the lap, and refuse once the private
+            // replay would rival the shared remainder; attach and
+            // elevator ride the cursor unconditionally.
+            assert!(attach_push(&cfg, 0, 1000));
+            assert!(attach_push(&cfg, 200, 1000));
+            assert_eq!(attach_push(&cfg, 201, 1000), p.is_baseline(), "{p:?}");
+            assert_eq!(attach_push(&cfg, 999, 1000), p.is_baseline(), "{p:?}");
+        }
     }
 }

@@ -14,7 +14,7 @@
 
 use scanshare_storage::SimDuration;
 
-use crate::config::SharingConfig;
+use crate::config::{SharingConfig, MAX_WAIT};
 use crate::scan::{ScanDesc, ScanState};
 
 /// Total slowdown a scan may be made to absorb under the fairness cap:
@@ -32,7 +32,7 @@ pub fn slowdown_budget(cfg: &SharingConfig, desc: &ScanDesc) -> SimDuration {
 
 /// The wait needed for the trailer to close the excess gap, given the
 /// trailer keeps moving at `trailer_speed` pages/second while the leader
-/// stands still. Clamped to `cfg.max_wait`.
+/// stands still. Clamped to [`MAX_WAIT`].
 pub(crate) fn raw_wait(
     cfg: &SharingConfig,
     distance_pages: u64,
@@ -44,10 +44,10 @@ pub(crate) fn raw_wait(
     }
     let excess = (distance_pages - threshold) as f64;
     if trailer_speed <= 0.0 {
-        return cfg.max_wait;
+        return MAX_WAIT;
     }
     let wait = SimDuration::from_secs_f64(excess / trailer_speed);
-    wait.min(cfg.max_wait)
+    wait.min(MAX_WAIT)
 }
 
 /// Apply the fairness cap of §7.2 and account the wait against the scan.
@@ -88,7 +88,7 @@ mod tests {
     use scanshare_storage::SimTime;
 
     fn cfg() -> SharingConfig {
-        SharingConfig::new(1000) // threshold = 32 pages, max_wait 500ms
+        SharingConfig::new(1000) // threshold = 32 pages, MAX_WAIT 500ms
     }
 
     fn scan(est_secs: u64) -> ScanState {
@@ -120,15 +120,15 @@ mod tests {
     #[test]
     fn wait_closes_the_excess_gap_at_trailer_speed() {
         // 132 pages apart, threshold 32 -> 100 excess pages; the trailer
-        // moves 100 pages/s -> wait 1s, clamped to max_wait 500ms.
+        // moves 100 pages/s -> wait 1s, clamped to MAX_WAIT, 500ms.
         assert_eq!(raw_wait(&cfg(), 132, 100.0), SimDuration::from_millis(500));
         // 52 pages apart -> 20 excess at 100 pages/s -> 200ms.
         assert_eq!(raw_wait(&cfg(), 52, 100.0), SimDuration::from_millis(200));
     }
 
     #[test]
-    fn stalled_trailer_yields_max_wait() {
-        assert_eq!(raw_wait(&cfg(), 100, 0.0), cfg().max_wait);
+    fn stalled_trailer_waits_the_longest_allowed() {
+        assert_eq!(raw_wait(&cfg(), 100, 0.0), MAX_WAIT);
     }
 
     #[test]

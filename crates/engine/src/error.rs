@@ -6,7 +6,7 @@ use scanshare_relstore::ColType;
 use scanshare_storage::StorageError;
 
 /// Errors raised while planning or executing a workload.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// A storage-layer failure.
     Storage(StorageError),
@@ -39,6 +39,9 @@ pub enum EngineError {
         /// `workload.engine.extent_pages`.
         extent_pages: u64,
     },
+    /// `workload.mode.ScanSharing.fairness_cap` is not a fraction in
+    /// [0, 1].
+    FairnessCapNotAFraction(f64),
     /// A scan groups by more `Char` columns than fit one packed key.
     TooManyGroupColumns {
         /// The scanned table.
@@ -74,6 +77,10 @@ impl fmt::Display for EngineError {
                 f,
                 "workload.pool_pages ({pool_pages}) must be at least \
                  workload.engine.extent_pages ({extent_pages})"
+            ),
+            EngineError::FairnessCapNotAFraction(cap) => write!(
+                f,
+                "workload.mode.ScanSharing.fairness_cap must be a fraction in [0, 1], not {cap}"
             ),
             EngineError::TooManyGroupColumns { table, columns } => write!(
                 f,

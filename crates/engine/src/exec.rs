@@ -110,13 +110,6 @@ impl<'a> ExecWorld<'a> {
         }
     }
 
-    /// The sharing policy the run's manager dispatches through (`None`
-    /// for base runs with no manager). The report assembly stamps this
-    /// into [`crate::RunReport::policy`] when it is not the default.
-    pub fn sharing_policy(&self) -> Option<scanshare::SharingPolicyKind> {
-        self.mgr.as_ref().map(|m| m.config().policy)
-    }
-
     /// Run this world under the fault configuration `cfg`.
     pub fn enable_faults(&mut self, cfg: &FaultsConfig) {
         self.faults = FaultState::new(cfg);

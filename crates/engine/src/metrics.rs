@@ -153,10 +153,11 @@ pub struct RunReport {
     /// carried no fault plan).
     #[serde(default)]
     pub faults: FaultSummary,
-    /// The non-default sharing policy the run used, if any: `None` for
-    /// base runs and for the default grouping policy.
+    /// The related-work placement the run used (`Attach` or
+    /// `Elevator`), if any: `None` for base runs and for the paper's
+    /// placements.
     #[serde(default)]
-    pub policy: Option<scanshare::SharingPolicyKind>,
+    pub policy: Option<scanshare::Placement>,
     /// Span-profiler summary, present only when profiling was requested
     /// (`--profile-out` or an attached [`scanshare::SpanProfiler`]).
     #[serde(default)]

@@ -80,15 +80,15 @@ mod tests {
             }],
             pool_pages: 64,
             engine: EngineConfig::default(),
-            mode: SharingMode::ScanSharing(scanshare::SharingConfig::with_policy(
+            mode: SharingMode::ScanSharing(scanshare::SharingConfig::baseline(
                 0,
-                scanshare::SharingPolicyKind::Attach,
+                scanshare::Placement::Attach,
             )),
             faults: Default::default(),
             slo: Default::default(),
         };
         let report = run_workload(&db, &spec).unwrap();
-        assert_eq!(report.policy, Some(scanshare::SharingPolicyKind::Attach));
+        assert_eq!(report.policy, Some(scanshare::Placement::Attach));
 
         let path = tmp("report");
         save_report(&report, &path).unwrap();

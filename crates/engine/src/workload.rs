@@ -40,8 +40,8 @@ pub enum SharingMode {
     /// related-work baselines of the paper's §2.
     BasePolicy(ReplacementPolicy),
     /// The prototype: a scan-sharing manager with this configuration
-    /// (its `pool_pages` is overridden with the run's pool size), and a
-    /// priority-aware pool when `enable_priorities` is set.
+    /// (given the run's pool and extent sizes), and a priority-aware pool
+    /// when `enable_priorities` is set.
     ScanSharing(SharingConfig),
 }
 
@@ -80,8 +80,9 @@ pub struct WorkloadSpec {
 impl WorkloadSpec {
     /// Refuse a spec whose pool, extent or CPU count is zero — or any of
     /// `more`, `(run-spec path, value)` pairs checked beside them —
-    /// naming the first such field, a prefetch depth above one extent
-    /// and a pool smaller than one extent.
+    /// naming the first such field, a prefetch depth above one extent,
+    /// a pool smaller than one extent and a fairness cap that is not a
+    /// fraction (a negative or NaN cap would run as throttling off).
     pub fn check_sizes(&self, more: &[(&'static str, u64)]) -> EngineResult<()> {
         let (pool_pages, extent_pages) = (self.pool_pages as u64, self.engine.extent_pages as u64);
         let own = [
@@ -101,7 +102,12 @@ impl WorkloadSpec {
                 extent_pages,
             });
         }
-        Ok(())
+        match &self.mode {
+            SharingMode::ScanSharing(cfg) if !(0.0..=1.0).contains(&cfg.fairness_cap) => {
+                Err(EngineError::FairnessCapNotAFraction(cfg.fairness_cap))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -460,11 +466,12 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks<'_>) -> EngineR
             .map(ScanSharingManager::decisions)
             .unwrap_or_default(),
         faults,
-        // Only a non-default policy is stamped into the report, so
-        // default-policy artifacts keep their pre-framework bytes.
-        policy: world
-            .sharing_policy()
-            .filter(|p| *p != scanshare::SharingPolicyKind::default()),
+        // Only a related-work placement is stamped into the report, so
+        // the paper's artifacts keep their pre-framework bytes.
+        policy: match &spec.mode {
+            SharingMode::ScanSharing(cfg) if cfg.placement.is_baseline() => Some(cfg.placement),
+            _ => None,
+        },
         // The profiler's owner embeds the summary once *its* root span
         // closes (the engine only sees the middle of the span tree).
         profile: None,
@@ -720,28 +727,48 @@ mod tests {
             .collect()
     }
 
+    /// Every sharing configuration — each placement under each switch
+    /// setting and each delivery, 48 in all — answers what base answers.
     #[test]
     fn answers_are_identical_across_modes() {
+        use scanshare::{DeliveryMode, Placement};
         let db = build_db();
         let q = q6_like("Q6", 3, 8);
         let base = run_workload(&db, &spec(&db, three_staggered(&q), SharingMode::Base)).unwrap();
-        let ss = run_workload(
-            &db,
-            &spec(
-                &db,
-                three_staggered(&q),
-                SharingMode::ScanSharing(SharingConfig::new(0)),
-            ),
-        )
-        .unwrap();
         assert_eq!(base.queries.len(), 3);
-        assert_eq!(ss.queries.len(), 3);
-        for (b, s) in base.queries.iter().zip(&ss.queries) {
-            assert_eq!(b.result.count, s.result.count);
-            for (x, y) in b.result.sums.iter().zip(&s.result.sums) {
-                assert!((x - y).abs() < 1e-6);
+        let placements = [
+            Placement::FromStart,
+            Placement::Practical,
+            Placement::Optimal,
+            Placement::AlwaysAttach,
+            Placement::Attach,
+            Placement::Elevator,
+        ];
+        let mut runs = 0;
+        for placement in placements {
+            for switches in [(false, false), (false, true), (true, false), (true, true)] {
+                for delivery in [DeliveryMode::Pull, DeliveryMode::Push] {
+                    let cfg = SharingConfig {
+                        placement,
+                        enable_throttling: switches.0,
+                        enable_priorities: switches.1,
+                        delivery,
+                        ..SharingConfig::new(0)
+                    };
+                    let mode = SharingMode::ScanSharing(cfg.clone());
+                    let ss = run_workload(&db, &spec(&db, three_staggered(&q), mode)).unwrap();
+                    assert_eq!(ss.queries.len(), 3, "{cfg:?}");
+                    for (b, s) in base.queries.iter().zip(&ss.queries) {
+                        assert_eq!(b.result.count, s.result.count, "{cfg:?}");
+                        for (x, y) in b.result.sums.iter().zip(&s.result.sums) {
+                            assert!((x - y).abs() < 1e-6, "{cfg:?}: {x} vs {y}");
+                        }
+                    }
+                    runs += 1;
+                }
             }
         }
+        assert_eq!(runs, 48);
     }
 
     #[test]
@@ -1746,6 +1773,30 @@ mod tests {
             };
             assert!(run_workload(&db, &exact).is_ok(), "{delivery:?}");
         }
+    }
+
+    /// A fairness cap outside [0, 1] is an error naming the field: a
+    /// negative or NaN cap would otherwise run as throttling off, and one
+    /// above 1 is not the fraction the field says it is. 0 and 1 run.
+    #[test]
+    fn a_fairness_cap_outside_the_unit_interval_is_an_error() {
+        let db = build_db();
+        let run = |fairness_cap: f64| {
+            let cfg = SharingConfig {
+                fairness_cap,
+                ..SharingConfig::new(0)
+            };
+            let q = three_staggered(&q6_like("Q6", 0, 5));
+            run_workload(&db, &spec(&db, q, SharingMode::ScanSharing(cfg)))
+        };
+        for cap in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let err = run(cap).unwrap_err().to_string();
+            assert!(
+                err.starts_with("workload.mode.ScanSharing.fairness_cap must be a fraction"),
+                "{cap}: {err}"
+            );
+        }
+        assert!(run(0.0).is_ok() && run(1.0).is_ok());
     }
 
     #[test]

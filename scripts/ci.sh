@@ -58,8 +58,8 @@ leg "row-kernel, walk, grouping, manager, placement, policy and sampler oracles,
 # manager tests hold the index's oracle against the re-forming pass and
 # the manager's decisions over seeded call sequences; its placement tests
 # hold the sweep and both searches against the naive estimator bit for
-# bit; its policy tests pin the gates and push-attach answers each policy
-# gives. A RID step takes whole runs of same-page RIDs off its index's
+# bit; its policy tests pin the placement threshold and push-attach
+# answers each placement gives. A RID step takes whole runs of same-page RIDs off its index's
 # run table and folds them in one pass over the shared decoded index:
 # the run gather's per-entry reference (rid_gather), the fold's per-run
 # reference (in kernel_oracle), the joined-entry search and the RID

@@ -2,7 +2,7 @@
 //! core mechanisms (each justified in DESIGN.md §5b).
 
 use scanshare_repro::core::decision::lifecycles;
-use scanshare_repro::core::{DecisionEvent, PlacementStrategy, QueryPriority, SharingConfig};
+use scanshare_repro::core::{DecisionEvent, Placement, QueryPriority, SharingConfig};
 use scanshare_repro::engine::{
     run_workload, Access, AggSpec, CpuClass, Database, EngineConfig, Pred, Query, ScanSpec,
     SharingMode, Stream, WorkloadSpec,
@@ -61,7 +61,7 @@ fn ordered_scans_never_join() {
 }
 
 #[test]
-fn attach_baseline_trails_full_sharing_on_mixed_speeds() {
+fn always_attach_trails_full_sharing_on_mixed_speeds() {
     let cfg = small_cfg();
     let db = generate(&cfg);
     let last = cfg.months as i64 - 1;
@@ -89,7 +89,10 @@ fn attach_baseline_trails_full_sharing_on_mixed_speeds() {
     let base = run_workload(&db, &mk(SharingMode::Base)).unwrap();
     let attach = run_workload(
         &db,
-        &mk(SharingMode::ScanSharing(SharingConfig::attach_baseline(0))),
+        &mk(SharingMode::ScanSharing(SharingConfig::baseline(
+            0,
+            Placement::AlwaysAttach,
+        ))),
     )
     .unwrap();
     let full = run_workload(&db, &mk(SharingMode::ScanSharing(SharingConfig::new(0)))).unwrap();
@@ -240,7 +243,7 @@ fn optimal_strategy_runs_end_to_end() {
             months,
             5,
             SharingMode::ScanSharing(SharingConfig {
-                placement_strategy: PlacementStrategy::Optimal,
+                placement: Placement::Optimal,
                 ..SharingConfig::new(0)
             }),
         ),

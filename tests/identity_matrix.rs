@@ -46,15 +46,17 @@
 //! held its default. Each cell also checks that this shape loads back to
 //! the report it came from.
 //!
-//! The last two tests read each cell's log as a second witness: every
+//! Two more tests read each cell's log as a second witness: every
 //! sharing counter re-derives from it, and every scan it starts ends
-//! exactly once.
+//! exactly once. The last checks conservation laws over every cell's
+//! report, and over one more cohort that reaches a known bug; each law
+//! a cell breaks is listed, with why.
 
 use std::collections::BTreeMap;
 
 use scanshare_repro::core::decision::lifecycles;
 use scanshare_repro::core::{
-    DecisionEvent, DeliveryMode, ScanId, SharingConfig, SharingPolicyKind, SpanProfiler,
+    DecisionEvent, DeliveryMode, Placement, ScanId, SharingConfig, SpanProfiler,
 };
 use scanshare_repro::engine::workload::DEFAULT_DECISION_CAP;
 use scanshare_repro::engine::{
@@ -67,7 +69,7 @@ use scanshare_repro::storage::{FaultKind, FaultPlan, FaultRule, SimDuration, Sim
 use scanshare_repro::tpch::{generate, q1, q6, throughput_workload, TpchConfig};
 
 use DeliveryMode::{Pull, Push};
-use SharingPolicyKind::{Attach, Elevator, Grouping};
+use Placement::{Attach, Elevator, Practical as Grouping};
 
 /// FNV-1a, 64 bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -97,8 +99,13 @@ fn build_db(cfg: &TpchConfig) -> Database {
     db
 }
 
-fn sharing(policy: SharingPolicyKind, delivery: DeliveryMode) -> SharingMode {
-    let mut cfg = SharingConfig::with_policy(0, policy);
+/// The paper's placement with every mechanism on, or a related-work
+/// scheme as it was built (no throttling, no page priorities).
+fn sharing(placement: Placement, delivery: DeliveryMode) -> SharingMode {
+    let mut cfg = match placement {
+        Grouping => SharingConfig::new(0),
+        _ => SharingConfig::baseline(0, placement),
+    };
     cfg.delivery = delivery;
     SharingMode::ScanSharing(cfg)
 }
@@ -261,7 +268,7 @@ fn cells(db: &Database, tpch: &TpchConfig) -> Vec<Cell> {
         for p in [Grouping, Attach, Elevator] {
             for stagger_us in [2_000, 15_000] {
                 add(
-                    format!("q6x6/{}/{}/{}us", tag(d), p.as_str(), stagger_us),
+                    format!("q6x6/{}/{}/{}us", tag(d), p.policy_name(), stagger_us),
                     cohort(q6s(), stagger_us, pool, sharing(p, d)),
                     Reach::Any,
                 );
@@ -292,7 +299,7 @@ fn cells(db: &Database, tpch: &TpchConfig) -> Vec<Cell> {
     };
     for d in [Pull, Push] {
         let t = tag(d);
-        let q6x6 = |stagger_us: u64, p: SharingPolicyKind, f: FaultsConfig, prefetch: u32| {
+        let q6x6 = |stagger_us: u64, p: Placement, f: FaultsConfig, prefetch: u32| {
             let mut spec = cohort(q6s(), stagger_us, pool, sharing(p, d));
             spec.faults = f;
             spec.engine.prefetch_extents = prefetch;
@@ -359,7 +366,7 @@ fn cells(db: &Database, tpch: &TpchConfig) -> Vec<Cell> {
 
         // Full-table plans: mid-range placement and wrap under pull, a
         // table driver under push.
-        let full = |stagger_us: u64, p: SharingPolicyKind, f: FaultsConfig| {
+        let full = |stagger_us: u64, p: Placement, f: FaultsConfig| {
             let mut spec = cohort(
                 vec![with_cpu(q1(), CpuClass::balanced()); 4],
                 stagger_us,
@@ -804,10 +811,13 @@ fn parent_bytes(json: &str) -> String {
 }
 
 /// The matrix's database and cells.
+/// The matrix database's month count.
+const MONTHS: u32 = 36;
+
 fn matrix() -> (Database, Vec<Cell>) {
     let tpch = TpchConfig {
         scale: 0.2,
-        months: 36,
+        months: MONTHS,
         block_pages: 8,
         seed: 99,
     };
@@ -906,10 +916,15 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
 /// log, kept at the engine's default capacity, never filled and so
 /// dropped nothing (a dropped record would make every count below a
 /// lower bound only).
-fn for_each_logged_cell(mut check: impl FnMut(&str, &RunReport)) {
+fn for_each_logged_cell(check: impl FnMut(&str, &RunReport)) {
     let (db, cells) = matrix();
-    for cell in &cells {
-        let r = run_workload(&db, &cell.spec).unwrap_or_else(|e| panic!("{}: {e}", cell.name));
+    run_logged(&db, &cells, check);
+}
+
+/// [`for_each_logged_cell`] over the given cells.
+fn run_logged(db: &Database, cells: &[Cell], mut check: impl FnMut(&str, &RunReport)) {
+    for cell in cells {
+        let r = run_workload(db, &cell.spec).unwrap_or_else(|e| panic!("{}: {e}", cell.name));
         assert!(
             r.decisions.len() < DEFAULT_DECISION_CAP,
             "{}: the log may have dropped records",
@@ -1007,4 +1022,114 @@ fn every_cells_scans_start_and_end_exactly_once() {
             );
         }
     });
+}
+
+/// The conservation laws of ROADMAP item 13 that a finished report is
+/// checked against here, each by the name [`EXPECTED_VIOLATIONS`] uses.
+/// (i) One query is one thread: its CPU fits in its elapsed time. (v)
+/// Every pool fix is a hit or a miss, and is charged to the query it
+/// was made for.
+fn broken_laws(r: &RunReport) -> Vec<&'static str> {
+    let fixes = r.pool.logical_reads;
+    let charged: u64 = r.queries.iter().map(|q| q.logical_reads).sum();
+    [
+        (
+            "(i) cpu <= end - start",
+            r.queries.iter().all(|q| q.cpu <= q.end.since(q.start)),
+        ),
+        (
+            "(v) hits + misses == pool fixes",
+            r.pool.hits + r.pool.misses == fixes,
+        ),
+        (CHARGED, charged == fixes),
+    ]
+    .into_iter()
+    .filter_map(|(law, holds)| (!holds).then_some(law))
+    .collect()
+}
+
+/// Law (v)'s second half, broken wherever a read fails for good.
+const CHARGED: &str = "(v) sum of query fixes == pool fixes";
+
+/// Why [`CHARGED`] breaks: `fetch_extent` fixes an extent's pages before
+/// its read faults, and `step_extent` charges the owner only for a step
+/// that succeeds. Mending it moves the report digests.
+const PARTIAL_FETCH: &str = "a fetch that died partway fixed pages no query is charged";
+
+/// Every (cell, law) a run breaks today, with why: the cells whose fault
+/// plan kills reads for good, and the overlap cohort under push (ROADMAP
+/// item 3). A change that mends one fails the test below until its row
+/// is deleted here.
+const EXPECTED_VIOLATIONS: [(&str, &str, &str); 16] = [
+    ("q6x6/pull/attach/window", CHARGED, PARTIAL_FETCH),
+    ("q6x6/pull/prefetch+window", CHARGED, PARTIAL_FETCH),
+    ("q6x6/pull/window-kills-all", CHARGED, PARTIAL_FETCH),
+    ("q6x6/pull/tail", CHARGED, PARTIAL_FETCH),
+    ("q6x6/pull/attach/late-tail", CHARGED, PARTIAL_FETCH),
+    ("full/pull/window", CHARGED, PARTIAL_FETCH),
+    ("lanes/pull/window", CHARGED, PARTIAL_FETCH),
+    ("q6x6/push/attach/window", CHARGED, PARTIAL_FETCH),
+    ("q6x6/push/prefetch+window", CHARGED, PARTIAL_FETCH),
+    ("q6x6/push/window-kills-all", CHARGED, PARTIAL_FETCH),
+    ("q6x6/push/tail", CHARGED, PARTIAL_FETCH),
+    ("q6x6/push/attach/late-tail", CHARGED, PARTIAL_FETCH),
+    ("full/push/window", CHARGED, PARTIAL_FETCH),
+    ("lanes/push/window", CHARGED, PARTIAL_FETCH),
+    ("base/window", CHARGED, PARTIAL_FETCH),
+    (
+        "overlap/push",
+        "(i) cpu <= end - start",
+        "item 3: a push rider's CPU is charged as if it ran beside the \
+         driver, not after it",
+    ),
+];
+
+/// A cohort that reaches item 3's bug, which no matrix cell does: one
+/// I/O-bound owner and two CPU-bound riders of one Q6 on a disk of 1 µs
+/// seeks and transfers, under push (the riders' CPU outgrows their
+/// elapsed time) and under pull (it does not).
+fn overlap_cohorts(db: &Database) -> Vec<Cell> {
+    let q6 = || q6(MONTHS as i64, 1);
+    let queries = vec![
+        q6(),
+        with_cpu(q6(), CpuClass::cpu_bound()),
+        with_cpu(q6(), CpuClass::cpu_bound()),
+    ];
+    let pool = scanshare_repro::tpch::workload::paper_pool_pages(db);
+    [Pull, Push]
+        .map(|d| {
+            let mut spec = cohort(queries.clone(), 0, pool, sharing(Grouping, d));
+            spec.engine.disk.seek = SimDuration::from_micros(1);
+            spec.engine.disk.transfer_per_page = SimDuration::from_micros(1);
+            let tag = if d == Pull { "pull" } else { "push" };
+            Cell {
+                name: format!("overlap/{tag}"),
+                spec,
+                reach: Reach::Any,
+            }
+        })
+        .into()
+}
+
+/// Laws (i) and (v) of item 13 over every cell and the overlap cohorts:
+/// each holds, or the (cell, law) pair is an expected violation.
+#[test]
+fn every_cell_keeps_the_conservation_laws_or_is_listed() {
+    let (db, mut cells) = matrix();
+    cells.extend(overlap_cohorts(&db));
+    let mut broken = Vec::new();
+    run_logged(&db, &cells, |name, r| {
+        broken.extend(
+            broken_laws(r)
+                .into_iter()
+                .map(|law| (name.to_string(), law)),
+        );
+    });
+    let mut expected: Vec<(String, &str)> = EXPECTED_VIOLATIONS
+        .iter()
+        .map(|&(cell, law, _)| (cell.to_string(), law))
+        .collect();
+    broken.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(broken, expected);
 }

@@ -240,15 +240,15 @@ fn push_delivery_is_stream_order_invariant() {
 /// role never moves.
 #[test]
 fn faulted_push_consumer_eviction_leaves_survivors_byte_stable() {
-    use scanshare_repro::core::{DecisionEvent, DeliveryMode, SharingPolicyKind};
+    use scanshare_repro::core::{DecisionEvent, DeliveryMode, Placement};
     use scanshare_repro::engine::FaultsConfig;
     use scanshare_repro::storage::{FaultKind, FaultPlan, FaultRule};
 
     let db = small_db(12, 30_000);
-    // The attach policy accepts any catch-up distance, so a very late
+    // The attach placement accepts any catch-up distance, so a very late
     // third stream still rides the existing driver and replays a long
     // prefix privately — stretching its life past the survivors'.
-    let mut cfg = SharingConfig::with_policy(0, SharingPolicyKind::Attach);
+    let mut cfg = SharingConfig::baseline(0, Placement::Attach);
     cfg.delivery = DeliveryMode::Push;
     let spec = |late_us: u64, faults: FaultsConfig| WorkloadSpec {
         streams: vec![

@@ -43,11 +43,12 @@ fn readme_documents_policy_selection_and_the_glossary() {
 
 #[test]
 fn the_documented_policy_api_compiles_and_runs() {
-    // The README tells library users to reach for SharingConfig::with_policy;
+    // The README tells library users to reach for SharingConfig::baseline;
     // keep that name honest.
-    use scanshare_repro::core::{SharingConfig, SharingPolicyKind};
-    let cfg = SharingConfig::with_policy(128, SharingPolicyKind::Elevator);
-    assert_eq!(cfg.policy, SharingPolicyKind::Elevator);
+    use scanshare_repro::core::{Placement, SharingConfig};
+    let cfg = SharingConfig::baseline(128, Placement::Elevator);
+    assert_eq!(cfg.placement, Placement::Elevator);
+    assert!(!cfg.enable_throttling && !cfg.enable_priorities);
     assert_eq!(cfg.pool_pages, 128);
 }
 
