@@ -912,6 +912,120 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
     );
 }
 
+/// `(cell name, digest)`: FNV-1a of [`without_answers`] of each cell's
+/// profiled report, computed by the commit before whole-page steps
+/// folded page subtotals. That change moves the last bits of sums and
+/// nothing else, so everything but the answers must still match these.
+const ANSWERLESS_DIGESTS: &[(&str, u64)] = &[
+    ("q6x6/pull/grouping/2000us", 0xb488bcb1e8b2fb32),
+    ("q6x6/pull/grouping/15000us", 0x9d80dbc408d674b6),
+    ("q6x6/pull/attach/2000us", 0xe0ab197a03464d68),
+    ("q6x6/pull/attach/15000us", 0xd08f74b4a60eb2fe),
+    ("q6x6/pull/elevator/2000us", 0x30d18ee8a2080acf),
+    ("q6x6/pull/elevator/15000us", 0xe2f68c41d319bf35),
+    ("q6x6/push/grouping/2000us", 0x19e36705af12dd32),
+    ("q6x6/push/grouping/15000us", 0x26ecfeccd0682591),
+    ("q6x6/push/attach/2000us", 0x87a9d1458bac925c),
+    ("q6x6/push/attach/15000us", 0xa7446d293aa98fcb),
+    ("q6x6/push/elevator/2000us", 0x40f1db2881bd8c81),
+    ("q6x6/push/elevator/15000us", 0xb5f596884b3d9815),
+    ("q6x6/pull/transient", 0x83c3a14a843989e5),
+    ("q6x6/pull/stalls", 0x792cb6af96037375),
+    ("q6x6/pull/prefetch", 0x5445895df68dafbc),
+    ("q6x6/pull/prefetch+transient", 0x745a1c4dcd2671dd),
+    ("q6x6/pull/attach/window", 0x90354fa558100ac8),
+    ("q6x6/pull/prefetch+window", 0xb6a86aaaf1feb14d),
+    ("q6x6/pull/window-kills-all", 0xe6c345b682358c7a),
+    ("q6x6/pull/tail", 0x9a50c1a5a7a42aa5),
+    ("q6x6/pull/attach/late-tail", 0x2caa0098be2d28fb),
+    ("full/pull/grouping", 0xe4402d4d3876f49f),
+    ("full/pull/elevator", 0x6708f46371244b34),
+    ("full/pull/window", 0xa372797b4a666fd1),
+    ("rid/pull", 0xf047197d1250467e),
+    ("lanes/pull", 0xf9914868c1a7cd48),
+    ("lanes/pull/window", 0x00ac622ae477e368),
+    ("tput/pull", 0xab06e380e061e712),
+    ("pool24/pull", 0x38bc7b86bffc790c),
+    ("q6x6/push/transient", 0x570b2bc69c7d999c),
+    ("q6x6/push/stalls", 0xbc6d31aacac13761),
+    ("q6x6/push/prefetch", 0x23749278d611923a),
+    ("q6x6/push/prefetch+transient", 0xa9798862b81561fa),
+    ("q6x6/push/attach/window", 0x70f861ed05a3c2d9),
+    ("q6x6/push/prefetch+window", 0xe05689eb7550348b),
+    ("q6x6/push/window-kills-all", 0x7030232103c3adfe),
+    ("q6x6/push/tail", 0x312c1a8269240493),
+    ("q6x6/push/attach/late-tail", 0xab899eeece5c2b35),
+    ("full/push/grouping", 0x6ff311aab5b60a0a),
+    ("full/push/elevator", 0x2f97463f5b6a49ad),
+    ("full/push/window", 0x5c17c58ee35fb7cc),
+    ("rid/push", 0xbe9faaacb79d9d06),
+    ("lanes/push", 0x21f5ba1f2f83378d),
+    ("lanes/push/window", 0xf2a6763d8a1f562a),
+    ("tput/push", 0xe5f4c269ac274ea7),
+    ("pool24/push", 0x7aac04ceffb99d65),
+    ("base", 0x75a4cc34896ce3a7),
+    ("base/transient", 0xef7e93aefecde330),
+    ("base/window", 0x462bbf5d6f51a6f4),
+];
+
+/// [`parent_bytes`] of a report with every `queries[*].result` removed.
+fn without_answers(json: &str) -> String {
+    use serde_json::{Map, Value};
+    let without = |v: &Value, drop: &str| {
+        let mut out = Map::new();
+        for (k, v) in v.as_object().expect("an object").iter() {
+            if k != drop {
+                out.insert(k, v.clone());
+            }
+        }
+        out
+    };
+    let v: Value = serde_json::from_str(&parent_bytes(json)).expect("report parses");
+    let mut out = Map::new();
+    for (k, v) in v.as_object().expect("report is an object").iter() {
+        match (k, v) {
+            ("queries", Value::Array(queries)) => {
+                let kept = queries.iter().map(|q| Value::Object(without(q, "result")));
+                out.insert(k, Value::Array(kept.collect()))
+            }
+            _ => out.insert(k, v.clone()),
+        }
+    }
+    serde_json::to_string(&Value::Object(out)).expect("report encodes")
+}
+
+#[test]
+fn every_cell_but_its_answers_serialises_to_the_parent_commits_bytes() {
+    let (db, cells) = matrix();
+    let mut table = String::new();
+    let mut moved = Vec::new();
+    for cell in &cells {
+        let hooks = RunHooks {
+            profiler: Some(SpanProfiler::default()),
+            ..RunHooks::default()
+        };
+        let r = run_workload_hooked(&db, &cell.spec, hooks)
+            .unwrap_or_else(|e| panic!("{}: {e}", cell.name));
+        let json = serde_json::to_string(&r).expect("report encodes");
+        assert!(json.contains("\"result\":"), "{}: no answer", cell.name);
+        let got = fnv1a(without_answers(&json).as_bytes());
+        table.push_str(&format!("    (\"{}\", 0x{got:016x}),\n", cell.name));
+        match ANSWERLESS_DIGESTS.iter().find(|(n, _)| *n == cell.name) {
+            Some((_, want)) if *want == got => {}
+            Some((_, want)) => moved.push(format!("{}: 0x{want:016x}", cell.name)),
+            None => moved.push(format!("{}: no digest", cell.name)),
+        }
+    }
+    assert!(
+        moved.is_empty() && ANSWERLESS_DIGESTS.len() == cells.len(),
+        "{} moves over {} cells ({} digest rows):\n{}\nthis run's table:\n{table}",
+        moved.len(),
+        cells.len(),
+        ANSWERLESS_DIGESTS.len(),
+        moved.join("\n")
+    );
+}
+
 /// Run every cell and hand `check` each report, after checking that its
 /// log, kept at the engine's default capacity, never filled and so
 /// dropped nothing (a dropped record would make every count below a
