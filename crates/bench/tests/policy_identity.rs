@@ -10,9 +10,12 @@
 //! was generated from the pre-refactor tree on the pinned smoke workload
 //! (the one row `smoke` of `exp::TABLE` runs); this test replays the
 //! workload and compares the full serialized report byte-for-byte. It
-//! was last regenerated when reports began writing every section, the
+//! was regenerated when reports began writing every section, the
 //! default-valued `faults`, `policy`, `profile`, `slo` and `push`
-//! included; nothing else in it moved.
+//! included; nothing else in it moved. It was last regenerated when
+//! whole-page steps began folding page subtotals: the sums of
+//! `queries[*].result` moved in their last bits, and every other byte,
+//! every count and group key included, stayed put.
 //!
 //! To regenerate the artifact (only after an *intentional* report
 //! change, never to paper over a policy-refactor drift):

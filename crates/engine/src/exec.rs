@@ -21,6 +21,7 @@ use scanshare_storage::{
 use crate::cost::EngineConfig;
 use crate::faults::{FaultEvent, FaultState, FaultSummary, FaultsConfig};
 use crate::metrics::Breakdown;
+use crate::scan_exec::PageMemo;
 
 /// Timing and counters of one extent fetch. The pages themselves land in
 /// the caller-provided `(PageId, slot)` vector: the caller borrows their
@@ -76,6 +77,9 @@ pub struct ExecWorld<'a> {
     pub sys_time: SimDuration,
     /// Total time tasks spent blocked on page availability.
     pub io_wait_time: SimDuration,
+    /// The page subtotals a run keeps for its whole-page steps. A world
+    /// built alone keeps none, so its steps fold every page they fix.
+    pub(crate) memo: Option<PageMemo>,
 }
 
 impl<'a> ExecWorld<'a> {
@@ -107,6 +111,7 @@ impl<'a> ExecWorld<'a> {
             user_time: SimDuration::ZERO,
             sys_time: SimDuration::ZERO,
             io_wait_time: SimDuration::ZERO,
+            memo: None,
         }
     }
 

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use scanshare::{Location, ObjectId, ScanDesc, ScanId, ScanKind};
 use scanshare_relstore::{ColType, Entry, HeapPage, Rid, Schema};
 use scanshare_storage::{
-    BufferPool, FileId, PageId, PagePriority, SimDuration, SimTime, StorageError,
+    BufferPool, FileId, PageBuf, PageId, PagePriority, SimDuration, SimTime, StorageError,
 };
 
 use crate::cost::{CpuClass, EngineConfig};
@@ -374,10 +374,6 @@ pub(crate) struct StepScratch {
     /// they fall into, for one class.
     kept: Vec<Entry>,
     kept_runs: Vec<StepRun>,
-    /// Each page of a whole-page step, in scan order, resolved once for
-    /// all its classes: where its rows lie — a range of its pool frame
-    /// (`Some(slot)`) when it is fixed-width, else of `gathered`.
-    regions: Vec<(Option<u32>, Range<usize>)>,
     /// Each page of a RID step, in `ids` order: its pool frame, and
     /// where its rows lie in the frame when it is fixed-width (an empty
     /// range when not).
@@ -393,9 +389,11 @@ pub(crate) struct StepScratch {
     /// consumer of a step selects into this one buffer, and the consumers
     /// of one class share the selection itself: it is made once a page.
     sel: Vec<u32>,
-    /// The rows of the pages that are not fixed-width, copied side by side
-    /// so the kernel sees dense regions.
+    /// The rows of a page that is not fixed-width, copied side by side
+    /// so the kernel sees a dense region.
     gathered: Vec<u8>,
+    /// The subtotal of the page a whole-page step folds last.
+    page: PageTotal,
     /// The step's consumers class by class — consumers whose compiled
     /// pipelines are equal sit side by side — in delivery order within a
     /// class and classes in order of their first member.
@@ -409,7 +407,7 @@ pub(crate) struct StepScratch {
 /// scan's schema. [`RowPipeline::compile`] flattens a [`Pred`] tree into
 /// a conjunction of these so the row kernel reads fields straight out of
 /// the row bytes — no `Box` chasing, no per-access offset lookup.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum PredLeaf {
     /// `lo <= i32 at off <= hi`.
     I32Between { off: usize, lo: i32, hi: i32 },
@@ -428,6 +426,16 @@ fn f64_at(row: &[u8], off: usize) -> f64 {
 #[inline(always)]
 fn row_at(region: &[u8], width: usize, i: u32) -> &[u8] {
     &region[i as usize * width..][..width]
+}
+
+/// The rows of a dense region of `width`-byte rows that `sel` names, in
+/// its order.
+fn selected<'a>(
+    region: &'a [u8],
+    width: usize,
+    sel: &'a [u32],
+) -> impl ExactSizeIterator<Item = &'a [u8]> + Clone {
+    sel.iter().map(move |&i| row_at(region, width, i))
 }
 
 impl PredLeaf {
@@ -470,7 +478,7 @@ impl PredLeaf {
 /// indexes resolved to byte offsets. The row kernel dominates simulator
 /// wall time, so it must not touch `Schema`. Consumers whose pipelines
 /// are equal form one class of a step: they select and decode alike.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RowPipeline {
     /// Conjunction of leaves; empty means every row qualifies.
     leaves: Vec<PredLeaf>,
@@ -554,51 +562,61 @@ impl RowPipeline {
         Ok(())
     }
 
-    /// The row kernel over dense `regions` of rows, in order, for every
-    /// state of a class at once. *Select*: each leaf in turn narrows the
-    /// selection vector `sel` to the rows of a region that pass it.
-    /// *Fold*: the survivors, in row order, are added to each of `states`
-    /// — without a predicate, in one pass over all the regions.
-    fn fold_regions<'r>(
-        &self,
-        states: &mut [AggState],
-        sel: &mut Vec<u32>,
-        regions: impl Iterator<Item = &'r [u8]> + Clone,
-    ) {
+    /// The row kernel over one dense `region` of rows, for each of
+    /// `sinks` in turn. *Select*: each leaf in turn narrows the selection
+    /// vector `sel` to the rows that pass it. *Fold*: the survivors, in
+    /// row order, are added to each sink — without a predicate, straight
+    /// from the region.
+    fn fold_region<S: Sink>(&self, sinks: &mut [S], sel: &mut Vec<u32>, region: &[u8]) {
         let stride = self.stride();
         if self.leaves.is_empty() {
-            let batches = regions.map(move |region| region.chunks_exact(stride));
-            return AggState::fold::<true>(states, self, batches);
+            for s in sinks {
+                s.take_rows(self, region.chunks_exact(stride));
+            }
+            return;
         }
-        for region in regions {
-            self.fold_selected(states, sel, region);
+        self.select(sel, region);
+        for s in sinks {
+            s.take_rows(self, selected(region, stride, sel));
         }
     }
 
-    /// The kernel over one dense `region`, its rows selected by index.
-    fn fold_selected(&self, states: &mut [AggState], sel: &mut Vec<u32>, region: &[u8]) {
+    /// Narrow `sel` to the rows of `region` that pass every leaf.
+    fn select(&self, sel: &mut Vec<u32>, region: &[u8]) {
         let stride = self.stride();
-        self.fold_rows(states, sel, region.len() / stride, move |i| {
-            row_at(region, stride, i)
-        });
+        sel.clear();
+        sel.extend(0..(region.len() / stride) as u32);
+        for leaf in &self.leaves {
+            leaf.filter(move |i| row_at(region, stride, i), sel);
+        }
     }
 
-    /// The kernel over `n` rows that `row` reads by index, wherever they
-    /// lie, in index order.
-    fn fold_rows<'a>(
+    /// Fold the rows of `frame`, a heap page of this pipeline's table,
+    /// into `total`, reset for this pipeline and emptied first: its page
+    /// subtotal. Returns the rows examined. A page that is not
+    /// fixed-width has its rows copied into `gathered` first.
+    fn fold_page(
         &self,
-        states: &mut [AggState],
+        total: &mut PageTotal,
         sel: &mut Vec<u32>,
-        n: usize,
-        row: impl Fn(u32) -> &'a [u8] + Copy,
-    ) {
-        sel.clear();
-        sel.extend(0..n as u32);
-        for leaf in &self.leaves {
-            leaf.filter(row, sel);
-        }
-        let rows = sel.iter().map(move |&i| row(i));
-        AggState::fold::<false>(states, self, std::iter::once(rows));
+        gathered: &mut Vec<u8>,
+        frame: &[u8],
+    ) -> EngineResult<u64> {
+        let page = HeapPage::new(frame)?;
+        let region = match page.dense_range(self.width) {
+            Some(dense) => &frame[dense],
+            None => {
+                gathered.clear();
+                for row in page.rows() {
+                    self.copy_fields(gathered, row?)?;
+                }
+                &gathered[..]
+            }
+        };
+        note_page_fold();
+        total.empty(self);
+        self.fold_region(std::slice::from_mut(total), sel, region);
+        Ok(page.num_rows() as u64)
     }
 
     /// Bytes from one row of a dense region to the next: a zero-column
@@ -613,11 +631,15 @@ impl RowPipeline {
 /// state can be borrowed independently while row bytes borrowed from
 /// the pool are live.
 ///
-/// Every accumulator — the count, each sum, each group's count and sums
-/// — receives its addends one row at a time in delivery order, whatever
-/// the page boundaries and whoever else rides the same pages:
-/// `QueryResult`s are compared bit for bit across commits, and f64
-/// addition does not associate.
+/// A whole-page step adds one *page subtotal* to it per page, in the
+/// order the consumer visits pages: the page's selected rows folded, in
+/// page order, into accumulators that start at +0.0 ([`Subtotal`]). A
+/// RID step folds its rows into it one at a time, in key order. Either
+/// way every accumulator — the count, each sum, each group's count and
+/// sums — receives the same addends in the same order whoever else rides
+/// the same pages, and whether a subtotal was folded afresh or kept from
+/// an earlier visit: `QueryResult`s are compared bit for bit across
+/// commits, and f64 addition does not associate.
 #[derive(Debug, Default)]
 pub(crate) struct AggState {
     count: u64,
@@ -661,7 +683,7 @@ fn find_group(slots: &[u32], keys: &[i64], key: i64) -> Option<usize> {
     }
 }
 
-/// A state's group table as a pass of the fold sees it.
+/// A group table as a pass of the fold sees it.
 trait Groups {
     /// The position of `key`'s group, if it has one.
     fn find(&self, key: i64) -> Option<usize>;
@@ -690,10 +712,13 @@ const LOCAL: usize = 8;
 /// to locals at fixed places instead of through the state's `Vec`s. A
 /// key is found with one probe: the keys' hashes are shifted until no two
 /// share a place in `at`.
+#[derive(Debug)]
 struct LocalGroups {
     keys: [i64; LOCAL],
     counts: [u64; LOCAL],
     sums: [[f64; LOCAL]; LOCAL],
+    /// The groups in use: the state's, then those the table started.
+    len: usize,
     /// The group each 6-bit hash leads to, or `u8::MAX` for none.
     at: [u8; 64],
     /// The Fibonacci multiplier shifted left so that the chosen six bits
@@ -702,21 +727,27 @@ struct LocalGroups {
     mul: u64,
 }
 
+/// The probe of a [`LocalGroups`] over `keys`: the group each 6-bit
+/// window leads to, and the multiplier that selects the window — the
+/// first shift, from 58 down, at which no two keys share a window.
+fn probe_for(keys: &[i64]) -> Option<([u8; 64], u64)> {
+    (0..59).rev().find_map(|shift| {
+        let mut at = [u8::MAX; 64];
+        let taken = |(g, &key)| std::mem::replace(&mut at[home_slot(key, shift, 63)], g) < 64;
+        (!(0..).zip(keys).any(taken)).then_some((at, FIBONACCI << (58 - shift)))
+    })
+}
+
 impl LocalGroups {
     /// `s`'s groups, of `n` sums each, if there are few enough and their
     /// hashes can be told apart.
     #[inline(never)]
     fn load(s: &AggState, n: usize) -> Option<LocalGroups> {
         let len = s.keys.len();
-        let (shift, at) = (0..59)
-            .rev()
-            .filter(|_| len <= LOCAL && n <= LOCAL)
-            .find_map(|shift| {
-                let mut at = [u8::MAX; 64];
-                let taken =
-                    |(g, &key)| std::mem::replace(&mut at[home_slot(key, shift, 63)], g) < 64;
-                (!(0..).zip(&s.keys).any(taken)).then_some((shift, at))
-            })?;
+        if len > LOCAL || n > LOCAL {
+            return None;
+        }
+        let (at, mul) = probe_for(&s.keys)?;
         let (mut keys, mut counts, mut sums) = ([0; LOCAL], [0; LOCAL], [[0.0; LOCAL]; LOCAL]);
         keys[..len].copy_from_slice(&s.keys);
         counts[..len].copy_from_slice(&s.counts);
@@ -727,17 +758,42 @@ impl LocalGroups {
             keys,
             counts,
             sums,
+            len,
             at,
-            mul: FIBONACCI << (58 - shift),
+            mul,
         })
     }
 
-    /// Write the counts and sums back to `s`, the state they came from.
+    /// Start an empty group for `key`, which the table lacks: its
+    /// position, or `None` when the table is full or no shift tells its
+    /// keys apart. The new group goes where its window leads when that is
+    /// free, and the windows are chosen again when it is not.
+    #[cold]
+    fn start(&mut self, key: i64) -> Option<usize> {
+        let g = self.len;
+        if g == LOCAL {
+            return None;
+        }
+        self.keys[g] = key;
+        let window = ((key as u64).wrapping_mul(self.mul) >> 58) as usize;
+        if self.at[window] == u8::MAX {
+            self.at[window] = g as u8;
+        } else {
+            (self.at, self.mul) = probe_for(&self.keys[..=g])?;
+        }
+        self.len += 1;
+        Some(g)
+    }
+
+    /// Write the counts and sums back to `s`, the state they came from,
+    /// after starting there the groups the table started, in its order.
     #[inline(never)]
     fn store(&self, s: &mut AggState, n: usize) {
-        let len = s.keys.len();
-        s.counts.copy_from_slice(&self.counts[..len]);
-        for (g, sums) in self.sums[..len].iter().enumerate() {
+        for &key in &self.keys[s.keys.len()..self.len] {
+            s.add_group(key, n);
+        }
+        s.counts.copy_from_slice(&self.counts[..self.len]);
+        for (g, sums) in self.sums[..self.len].iter().enumerate() {
             s.group_sums[g * n..][..n].copy_from_slice(&sums[..n]);
         }
     }
@@ -784,76 +840,83 @@ impl AggState {
         }
     }
 
-    /// Fold qualifying rows of `pipe`, batch after batch and in order,
-    /// into each of `states`: one pass over the rows per chunk of up to
-    /// four states, so a solitary consumer and a class of four alike walk
-    /// them once — grouped states only where `DENSE` rows lie in regions
-    /// of pages (Q1's), and alone otherwise: each such chunk is one more
-    /// copy of the grouped kernel.
-    fn fold<'a, const DENSE: bool>(
-        states: &mut [AggState],
-        pipe: &RowPipeline,
-        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
-    ) {
-        let chunk = if DENSE || pipe.group_offs.is_empty() {
-            4
-        } else {
-            1
-        };
-        for chunk in states.chunks_mut(chunk) {
-            let batches = batches.clone();
-            match chunk.len() {
-                1 => Self::fold_chunk::<1, DENSE>(chunk, pipe, batches),
-                2 => Self::fold_chunk::<2, DENSE>(chunk, pipe, batches),
-                3 => Self::fold_chunk::<3, DENSE>(chunk, pipe, batches),
-                _ => Self::fold_chunk::<4, DENSE>(chunk, pipe, batches),
+    /// Forget every group and empty every accumulator, for a fold of
+    /// `n_sums` sums from +0.0, keeping what is allocated.
+    fn reset(&mut self, n_sums: usize) {
+        self.count = 0;
+        self.sums.clear();
+        self.sums.resize(n_sums, 0.0);
+        self.keys.clear();
+        self.counts.clear();
+        self.group_sums.clear();
+        self.slots.clear();
+    }
+
+    /// Add a page subtotal: its count and sums to this state's, and each
+    /// of its groups, in its order, to the same group here — started,
+    /// empty, where this state has not met it.
+    fn add_page(&mut self, t: Subtotal<'_>) {
+        let n = t.sums.len();
+        self.count += t.count;
+        add(&mut self.sums, t.sums);
+        for (g, &key) in t.keys.iter().enumerate() {
+            if t.counts[g] == 0 {
+                continue;
             }
+            let at =
+                find_group(&self.slots, &self.keys, key).unwrap_or_else(|| self.add_group(key, n));
+            self.counts[at] += t.counts[g];
+            add(
+                &mut self.group_sums[at * n..][..n],
+                &t.group_sums[g * t.stride..][..n],
+            );
         }
     }
 
-    /// [`AggState::fold`] for rows that never fold as a class, a RID
-    /// step's: each state alone, so one copy of the kernel.
-    fn fold_alone<'a>(
-        states: &mut [AggState],
+    /// Fold qualifying rows of `pipe`, batch after batch and in order,
+    /// over this state's group table copied into a [`LocalGroups`] for the
+    /// fold while that holds it.
+    fn fold<'a>(
+        &mut self,
         pipe: &RowPipeline,
-        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
+        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]>>,
     ) {
-        for state in states.chunks_mut(1) {
-            Self::fold_chunk::<1, false>(state, pipe, batches.clone());
+        let n = pipe.sum_offs.len();
+        let mut local = match pipe.group_offs.is_empty() {
+            true => None,
+            false => LocalGroups::load(self, n),
+        };
+        self.fold_with(pipe, &mut local, batches);
+        if let Some(table) = local {
+            table.store(self, n);
         }
     }
 
-    /// The running sums are copied out of the `K` states of `chunk` for
-    /// the length of the fold — into arrays when a solitary state has at
-    /// most eight and the states of a class at most four each (four by
-    /// four fill the vector registers, and every array length is one more
-    /// copy of the body), so they stay in registers across the rows
-    /// instead of being loaded and stored through `&mut` for every row —
-    /// and continue from each state's totals so far.
-    fn fold_chunk<'a, const K: usize, const DENSE: bool>(
-        chunk: &mut [AggState],
+    /// [`AggState::fold`] over the groups `local` holds, if it holds them
+    /// (it is `None` once a row of a group it has no room for moves them
+    /// here). The running sums are copied out for the length of the fold
+    /// — into an array when there are at most eight (every array length
+    /// is one more copy of the body), so they stay in registers across the
+    /// rows instead of being loaded and stored through `&mut` for every
+    /// row — and continue from the totals so far.
+    fn fold_with<'a>(
+        &mut self,
         pipe: &RowPipeline,
-        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
+        local: &mut Option<LocalGroups>,
+        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]>>,
     ) {
-        let states: &mut [AggState; K] = chunk.try_into().expect("a chunk of K states");
         macro_rules! with_arrays_of {
             ($($n:literal)*) => {
                 match pipe.sum_offs.len() {
-                    $($n if K == 1 || $n <= 4 => {
+                    $($n => {
                         let offs: [usize; $n] = pipe.sum_offs[..].try_into().expect("length matched");
-                        let sums: [[f64; $n]; K] =
-                            states.each_ref().map(|s| s.sums[..].try_into().expect("one sum per offset"));
-                        let sums = Self::fold_into::<K, DENSE, _>(states, sums, offs, &pipe.group_offs, batches);
-                        for (s, sums) in states.iter_mut().zip(sums) {
-                            s.sums.copy_from_slice(&sums);
-                        }
+                        let sums: [f64; $n] = self.sums[..].try_into().expect("one sum per offset");
+                        let sums = self.fold_into(local, sums, offs, &pipe.group_offs, batches);
+                        self.sums.copy_from_slice(&sums);
                     })*
                     _ => {
-                        let sums = states.each_mut().map(|s| std::mem::take(&mut s.sums));
-                        let sums = Self::fold_into::<K, DENSE, _>(states, sums, &pipe.sum_offs[..], &pipe.group_offs, batches);
-                        for (s, sums) in states.iter_mut().zip(sums) {
-                            s.sums = sums;
-                        }
+                        let sums = std::mem::take(&mut self.sums);
+                        self.sums = self.fold_into(local, sums, &pipe.sum_offs[..], &pipe.group_offs, batches);
                     }
                 }
             };
@@ -861,65 +924,51 @@ impl AggState {
         with_arrays_of!(0 1 2 3 4 5 6 7 8);
     }
 
-    /// The one fold body, over the `K` states' running `sums` held in
-    /// arrays or `Vec`s (with the byte offset of each sum's column in
-    /// `offs`). A row's fields are decoded once and added to each state's
-    /// own accumulators in turn: every accumulator gets the addends, in
-    /// the order, a fold of its state alone gives it, and the states' add
-    /// chains overlap instead of queueing. Returns the sums.
-    fn fold_into<'a, const K: usize, const DENSE: bool, A: Fields>(
-        states: &mut [AggState; K],
-        mut sums: [A; K],
+    /// The one fold body, over the running `sums` held in an array or a
+    /// `Vec` (with the byte offset of each sum's column in `offs`): a
+    /// row's fields are decoded once and added. Returns the sums.
+    fn fold_into<'a, A: Fields>(
+        &mut self,
+        local: &mut Option<LocalGroups>,
+        mut sums: A,
         offs: impl AsRef<[usize]> + Copy,
         group_offs: &[usize],
-        mut batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]> + Clone> + Clone,
-    ) -> [A; K] {
+        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]>>,
+    ) -> A {
         if !group_offs.is_empty() {
-            assert!(DENSE || K == 1, "grouped states fold alone");
-            let rows = batches.next();
-            return Self::fold_groups(states, sums, offs, group_offs, rows, batches);
+            return self.fold_groups(local, sums, offs, group_offs, batches);
         }
-        // The current row's fields, decoded for all the states (beyond
-        // the array lengths this buffer is the one allocation of a pass).
-        let mut vals = sums[0].clone();
+        // The current row's fields (beyond the array lengths this buffer
+        // is the one allocation of a fold).
+        let mut vals = sums.clone();
         let vals = vals.as_mut();
-        let mut folded = 0;
         for rows in batches {
+            self.count += rows.len() as u64;
             for row in rows {
-                folded += 1;
                 decode(vals, offs, row);
-                for totals in &mut sums {
-                    add(totals.as_mut(), vals);
-                }
+                add(sums.as_mut(), vals);
             }
-        }
-        for s in states {
-            s.count += folded;
         }
         sums
     }
 
-    /// The grouped fold of `K` states, from `rows` on: each row goes to
-    /// every state's running `sums` and to its group's count and sums, in
-    /// passes over the states' group tables — copied into
-    /// [`LocalGroups`] while all are small, in place otherwise — that end
-    /// at a row of a group some state has not met. A chunk of several
-    /// with a large table leaves the rest to each state alone, so the
-    /// states of a chunk never probe the heap tables together. Returns
-    /// the sums.
+    /// The grouped fold: each row goes to the running `sums` and to its
+    /// group's count and sums — in a pass over the `local` table while it
+    /// holds the groups, and in place from the first row of a group it
+    /// has no room for. Returns the sums.
     #[inline(never)]
-    fn fold_groups<'a, const K: usize, A: Fields, I>(
-        states: &mut [AggState; K],
-        sums: [A; K],
+    fn fold_groups<'a, A: Fields, I>(
+        &mut self,
+        local: &mut Option<LocalGroups>,
+        sums: A,
         offs: impl AsRef<[usize]> + Copy,
         group_offs: &[usize],
-        mut rows: Option<I>,
-        mut batches: impl Iterator<Item = I> + Clone,
-    ) -> [A; K]
+        mut batches: impl Iterator<Item = I>,
+    ) -> A
     where
-        I: ExactSizeIterator<Item = &'a [u8]> + Clone,
+        I: ExactSizeIterator<Item = &'a [u8]>,
     {
-        let n = sums[0].as_ref().len();
+        let n = sums.as_ref().len();
         // One byte per group column, packed most significant first; one
         // or two columns (Q1's) without a loop. The closure copies what it
         // reads: borrowing these locals would pin them to memory.
@@ -932,49 +981,39 @@ impl AggState {
             true => ((row[hi] as i64) << 8 & mask) | row[lo] as i64,
             false => (group_offs.iter()).fold(0, |key, &off| (key << 8) | row[off] as i64),
         };
-        let vals = sums[0].clone();
+        let vals = sums.clone();
         let mut carry = Carry {
             sums,
             vals,
             folded: 0,
         };
-        loop {
-            let locals = states.each_ref().map(|s| LocalGroups::load(s, n));
-            let source = (&mut rows, &mut batches);
+        // A row of a group the table lacks ends a pass, which hands back
+        // its fields: the table starts the group and takes the row, and
+        // the next pass resumes after it. A row of a group the local table
+        // has no room for moves its groups to the state, which folds the
+        // rest in place.
+        let mut rows = batches.next();
+        while let Some(table) = local {
             let miss;
-            (carry, miss) = if locals.iter().all(Option::is_some) {
-                let mut tables = locals.map(Option::unwrap);
-                let pass = fold_pass(&mut tables, carry, offs, source, pack);
-                for (t, s) in tables.iter().zip(states.iter_mut()) {
-                    t.store(s, n);
-                }
-                pass
-            } else if K == 1 {
-                fold_pass(states, carry, offs, source, pack)
-            } else {
-                let Carry { sums, folded, .. } = carry;
-                let mut alone = states.iter_mut();
-                return sums.map(|sums| {
-                    let s = alone.next().expect("one state a sum");
-                    s.count += folded;
-                    let (rows, batches) = (rows.clone(), batches.clone());
-                    let state = std::array::from_mut(s);
-                    let [sums] = Self::fold_groups(state, [sums], offs, group_offs, rows, batches);
-                    sums
-                });
-            };
-            // A row of a group some state has not met: the states that
-            // lack it start it, and each takes the row, whose fields the
-            // pass handed back.
+            (carry, miss) = fold_pass(table, carry, offs, (&mut rows, &mut batches), pack);
             let Some(key) = miss else { break };
-            for s in states.iter_mut() {
-                let g = find_group(&s.slots, &s.keys, key).unwrap_or_else(|| s.add_group(key, n));
-                s.take(g, carry.vals.as_ref());
+            if let Some(g) = table.start(key) {
+                table.take(g, carry.vals.as_ref());
+                continue;
             }
+            table.store(self, n);
+            *local = None;
+            let g = self.add_group(key, n);
+            self.take(g, carry.vals.as_ref());
         }
-        for s in states {
-            s.count += carry.folded;
+        loop {
+            let miss;
+            (carry, miss) = fold_pass(self, carry, offs, (&mut rows, &mut batches), pack);
+            let Some(key) = miss else { break };
+            let g = self.add_group(key, n);
+            self.take(g, carry.vals.as_ref());
         }
+        self.count += carry.folded;
         carry.sums
     }
 
@@ -1006,6 +1045,270 @@ impl AggState {
     }
 }
 
+/// What one page adds to every consumer of a pipeline that visits it:
+/// the page's selected rows folded, in page order, into accumulators
+/// that start at +0.0 — a count, sums and a group table. Lent by the
+/// step scratch's `page` or by the run's [`PageMemo`]. A group at 0 rows
+/// is one an earlier page of the step had, not this page's: it adds
+/// nothing.
+#[derive(Debug, Clone, Copy)]
+struct Subtotal<'a> {
+    /// Rows of the page examined, selected or not.
+    rows: u64,
+    /// Rows selected.
+    count: u64,
+    sums: &'a [f64],
+    /// The groups: keys, their rows, and `sums.len()` sums for each, the
+    /// first `stride` apart.
+    keys: &'a [i64],
+    counts: &'a [u64],
+    group_sums: &'a [f64],
+    stride: usize,
+}
+
+/// A page subtotal as the kernel folds it: a state of its own, whose
+/// groups sit in a local table while it holds them. The table stays from
+/// page to page of a step, emptied, its groups at 0 rows, so that a page
+/// of the groups the last one had neither loads nor starts any.
+#[derive(Debug, Default)]
+struct PageTotal {
+    agg: AggState,
+    local: Option<LocalGroups>,
+}
+
+impl PageTotal {
+    /// Empty for the pages of `pipe`, with no group.
+    fn reset(&mut self, pipe: &RowPipeline) {
+        let n = pipe.sum_offs.len();
+        self.agg.reset(n);
+        self.local = match pipe.group_offs.is_empty() {
+            true => None,
+            false => LocalGroups::load(&self.agg, n),
+        };
+    }
+
+    /// Empty for the next page of `pipe`. Groups in the local table stay,
+    /// at 0 rows; groups that outgrew it are forgotten.
+    fn empty(&mut self, pipe: &RowPipeline) {
+        if self.local.is_none() && !pipe.group_offs.is_empty() {
+            return self.reset(pipe);
+        }
+        self.agg.count = 0;
+        // Loops, not `fill`: a call to `memset` a page costs more than the
+        // few words it clears.
+        for v in &mut self.agg.sums {
+            *v = 0.0;
+        }
+        if let Some(table) = &mut self.local {
+            for g in 0..table.len {
+                table.counts[g] = 0;
+                table.sums[g] = [0.0; LOCAL];
+            }
+        }
+    }
+
+    /// The page's subtotal, of which `rows` rows were examined.
+    fn subtotal(&self, rows: u64) -> Subtotal<'_> {
+        let a = &self.agg;
+        let (keys, counts, group_sums, stride) = match &self.local {
+            Some(t) => (
+                &t.keys[..t.len],
+                &t.counts[..t.len],
+                t.sums.as_flattened(),
+                LOCAL,
+            ),
+            None => (&a.keys[..], &a.counts[..], &a.group_sums[..], a.sums.len()),
+        };
+        Subtotal {
+            rows,
+            count: a.count,
+            sums: &a.sums,
+            keys,
+            counts,
+            group_sums,
+            stride,
+        }
+    }
+}
+
+impl Sink for PageTotal {
+    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>) {
+        self.agg
+            .fold_with(pipe, &mut self.local, std::iter::once(rows));
+    }
+}
+
+/// What the row kernel folds a region's selected rows into: a
+/// consumer's state, or a page subtotal.
+trait Sink {
+    /// Fold `rows` of `pipe`, in order.
+    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>);
+}
+
+impl Sink for AggState {
+    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>) {
+        self.fold(pipe, std::iter::once(rows));
+    }
+}
+
+/// The page subtotals a run has folded, so that a pipeline visiting a
+/// page again adds the subtotal it has instead of folding the page once
+/// more: with many scans of one table nearly every visit is such a
+/// repeat. A subtotal is found by (pipeline, page) — a pipeline's key is
+/// its position among the distinct pipelines the run has met, which each
+/// consumer looks up once — and holds the frame bytes it was folded
+/// from. Only a visit whose frame holds those same bytes adds it; any
+/// other folds the page again, so every answer still comes from the
+/// bytes the pool delivered. The numbers lie back to back in arenas and
+/// each pipeline finds a page's subtotal by its page number, so a
+/// subtotal costs its numbers and 52 bytes beside them.
+///
+/// A run keeps one (`workload::run_inner`); a world built alone does
+/// not, so its steps fold every page they fix.
+#[derive(Debug, Default)]
+pub(crate) struct PageMemo {
+    /// The pipelines met so far, each with where its subtotals are.
+    pipelines: Vec<(RowPipeline, PageIndex)>,
+    kept: Vec<Kept>,
+    /// Each subtotal's sums, then its groups'.
+    sums: Arena<f64>,
+    /// Each subtotal's group keys, and their rows: the two arenas take
+    /// the same runs, so a subtotal's groups start at one place in both.
+    keys: Arena<i64>,
+    counts: Arena<u64>,
+}
+
+/// Where one pipeline's subtotals are in a [`PageMemo`]: per file, an
+/// entry a page number — 0 for none, else the subtotal's position in
+/// `kept` plus one.
+type PageIndex = Vec<(FileId, Vec<u32>)>;
+
+/// One subtotal of a [`PageMemo`]: the frame bytes it was folded from,
+/// its two counts, and where its numbers start in the arenas.
+#[derive(Debug)]
+struct Kept {
+    frame: PageBuf,
+    rows: u32,
+    count: u32,
+    sums: (u32, u32),
+    groups: (u32, u32),
+    n_groups: u32,
+}
+
+/// Values kept back to back in blocks that never grow, so that keeping
+/// more copies nothing and leaves no outgrown allocation behind.
+#[derive(Debug)]
+struct Arena<T>(Vec<Vec<T>>);
+
+impl<T> Default for Arena<T> {
+    fn default() -> Self {
+        Arena(Vec::new())
+    }
+}
+
+/// The values a block of an [`Arena`] holds, unless one run needs more.
+const BLOCK: usize = 8192;
+
+impl<T: Copy> Arena<T> {
+    /// Keep the `len` `values` side by side; returns where they start: a
+    /// block, and a position in it.
+    fn push(&mut self, len: usize, values: impl Iterator<Item = T>) -> (u32, u32) {
+        if len == 0 {
+            return (0, 0);
+        }
+        if self.0.last().is_none_or(|b| b.capacity() - b.len() < len) {
+            self.0.push(Vec::with_capacity(len.max(BLOCK)));
+        }
+        let block = self.0.last_mut().expect("a block");
+        let at = block.len();
+        block.extend(values.take(len));
+        ((self.0.len() - 1) as u32, at as u32)
+    }
+
+    /// The `len` values kept from `at`.
+    fn get(&self, (block, at): (u32, u32), len: usize) -> &[T] {
+        match len {
+            0 => &[],
+            _ => &self.0[block as usize][at as usize..][..len],
+        }
+    }
+}
+
+impl PageMemo {
+    /// The key of `pipe`: its position among the pipelines met so far.
+    fn intern(&mut self, pipe: &RowPipeline) -> u32 {
+        let at = self.pipelines.iter().position(|(p, _)| p == pipe);
+        let at = at.unwrap_or_else(|| {
+            self.pipelines.push((pipe.clone(), Vec::new()));
+            self.pipelines.len() - 1
+        });
+        at as u32
+    }
+
+    /// The subtotal, of `n` sums, kept for pipeline `pipe` over `page`,
+    /// if it was folded from the bytes `frame` holds.
+    fn get(&self, pipe: u32, page: PageId, frame: &[u8], n: usize) -> Option<Subtotal<'_>> {
+        let files = &self.pipelines[pipe as usize].1;
+        let (_, pages) = files.iter().find(|(file, _)| *file == page.file)?;
+        let at = pages.get(page.page as usize)?.checked_sub(1)?;
+        let k = &self.kept[at as usize];
+        if k.frame.as_ptr() != frame.as_ptr() {
+            return None;
+        }
+        let (sums, g) = (self.sums.get(k.sums, n), k.n_groups as usize);
+        Some(Subtotal {
+            rows: k.rows as u64,
+            count: k.count as u64,
+            sums: &sums[..n],
+            keys: self.keys.get(k.groups, g),
+            counts: self.counts.get(k.groups, g),
+            group_sums: self.sums.get(k.sums, n + n * g).split_at(n).1,
+            stride: n,
+        })
+    }
+
+    /// Keep `t`, folded from `frame`'s bytes, for pipeline `pipe` over
+    /// `page`, unless that pair has a subtotal already.
+    fn keep(&mut self, pipe: u32, page: PageId, frame: &PageBuf, t: Subtotal<'_>) {
+        let files = &mut self.pipelines[pipe as usize].1;
+        let file = match files.iter().position(|(file, _)| *file == page.file) {
+            Some(file) => file,
+            None => {
+                files.push((page.file, Vec::new()));
+                files.len() - 1
+            }
+        };
+        let pages = &mut files[file].1;
+        let p = page.page as usize;
+        if pages.len() <= p {
+            pages.resize(p + 1, 0);
+        }
+        if pages[p] != 0 {
+            return;
+        }
+        let n = t.sums.len();
+        let groups = (0..t.keys.len()).filter(|&g| t.counts[g] > 0);
+        let group_sums = groups
+            .clone()
+            .flat_map(|g| &t.group_sums[g * t.stride..][..n]);
+        let sums = t.sums.iter().chain(group_sums).copied();
+        let n_groups = groups.clone().count();
+        let sums = self.sums.push(n * (1 + n_groups), sums);
+        let keys = self.keys.push(n_groups, groups.clone().map(|g| t.keys[g]));
+        self.counts.push(n_groups, groups.map(|g| t.counts[g]));
+        let at = |len: usize| u32::try_from(len).expect("fewer than 2^32 rows and subtotals");
+        self.kept.push(Kept {
+            frame: frame.clone(),
+            rows: at(t.rows as usize),
+            count: at(t.count as usize),
+            sums,
+            groups: keys,
+            n_groups: n_groups as u32,
+        });
+        pages[p] = at(self.kept.len());
+    }
+}
+
 /// Read the summed fields of `row`, at `offs`, into `vals`.
 #[inline(always)]
 fn decode(vals: &mut [f64], offs: impl AsRef<[usize]>, row: &[u8]) {
@@ -1029,28 +1332,29 @@ trait Fields: AsMut<[f64]> + AsRef<[f64]> + Clone {}
 impl<A: AsMut<[f64]> + AsRef<[f64]> + Clone> Fields for A {}
 
 /// What a pass of the grouped fold carries from row to row, by value so
-/// that it stays in registers: each state's running totals, the fields of
-/// the row decoded last, and the rows folded.
-struct Carry<const K: usize, A> {
-    sums: [A; K],
+/// that it stays in registers: the running totals, the fields of the row
+/// decoded last, and the rows folded.
+struct Carry<A> {
+    sums: A,
     vals: A,
     folded: u64,
 }
 
-/// One pass of a grouped fold over the states' group `tables`: the rows
-/// of the current batch and of the batches after it, until they end or a
-/// row arrives whose group some table lacks. A row's fields are decoded
-/// once and added to each state in turn. Takes the running values and
+/// One pass of a grouped fold over a group `table`: the rows of the
+/// current batch and of the batches after it, until they end or a row
+/// arrives whose group the table lacks. A row's fields are decoded once
+/// and added to the totals and to its group. Takes the running values and
 /// hands them back, that row counted and its fields in `vals`, with its
-/// key.
+/// key. The loop calls nothing: a call in it would keep the totals out
+/// of registers.
 #[inline(always)]
-fn fold_pass<'a, const K: usize, A: Fields, I: ExactSizeIterator<Item = &'a [u8]>>(
-    tables: &mut [impl Groups; K],
-    carry: Carry<K, A>,
+fn fold_pass<'a, A: Fields, I: ExactSizeIterator<Item = &'a [u8]>>(
+    table: &mut impl Groups,
+    carry: Carry<A>,
     offs: impl AsRef<[usize]> + Copy,
     (rows, batches): (&mut Option<I>, &mut impl Iterator<Item = I>),
     pack: impl Fn(&[u8]) -> i64,
-) -> (Carry<K, A>, Option<i64>) {
+) -> (Carry<A>, Option<i64>) {
     let Carry {
         mut sums,
         mut vals,
@@ -1061,21 +1365,13 @@ fn fold_pass<'a, const K: usize, A: Fields, I: ExactSizeIterator<Item = &'a [u8]
         let len = batch.len() as u64;
         while let Some(row) = batch.next() {
             decode(vals.as_mut(), offs, row);
-            for totals in &mut sums {
-                add(totals.as_mut(), vals.as_ref());
-            }
+            add(sums.as_mut(), vals.as_ref());
             let key = pack(row);
-            let mut at = [0; K];
-            for (g, t) in at.iter_mut().zip(&*tables) {
-                let Some(found) = t.find(key) else {
-                    folded += len - batch.len() as u64;
-                    return (Carry { sums, vals, folded }, Some(key));
-                };
-                *g = found;
-            }
-            for (t, g) in tables.iter_mut().zip(at) {
-                t.take(g, vals.as_ref());
-            }
+            let Some(g) = table.find(key) else {
+                folded += len - batch.len() as u64;
+                return (Carry { sums, vals, folded }, Some(key));
+            };
+            table.take(g, vals.as_ref());
         }
         folded += len;
         *rows = batches.next();
@@ -1142,6 +1438,9 @@ pub(crate) struct Consumer {
     pub(crate) scan: Option<ScanId>,
     /// Predicate + aggregate columns compiled against the table schema.
     pipeline: RowPipeline,
+    /// The pipeline's key in the run's [`PageMemo`], once a whole-page
+    /// step has looked it up.
+    memo_key: Option<u32>,
     cpu: CpuClass,
     agg: AggState,
     pub(crate) metrics: ScanMetrics,
@@ -1161,6 +1460,7 @@ impl Consumer {
         Ok(Consumer {
             scan: None,
             pipeline: RowPipeline::compile(&spec.pred, &spec.agg, schema, &spec.table)?,
+            memo_key: None,
             cpu: spec.cpu,
             agg: AggState::new(spec.agg.sum_cols.len()),
             metrics: ScanMetrics::default(),
@@ -1184,66 +1484,56 @@ impl Consumer {
 
 impl RowPipeline {
     /// Run the row kernel over one fetched extent for a class of this
-    /// pipeline's consumers, whose states are lent in `scratch.states`:
-    /// every page is walked once, whatever the size of the class, and a
-    /// whole-page step's pages as [`RowPipeline::resolve_pages`] left them. Row
+    /// pipeline's consumers, whose states are lent in `scratch.states`.
+    /// A whole-page step adds each page's subtotal to every state of the
+    /// class, page by page: the one `memo` keeps under this pipeline's key
+    /// where it has it, else the page folded afresh (and then kept). Row
     /// bytes are borrowed straight from the pinned pool frames and fields
     /// read at the pipeline's precompiled offsets. Returns the number of
     /// rows examined (the CPU-cost driver), whatever the number selected.
     fn fold_extent(
         &self,
         pool: &BufferPool,
+        mut memo: Option<(&mut PageMemo, u32)>,
         work: StepWork,
         scratch: &mut StepScratch,
     ) -> EngineResult<u64> {
-        match work {
-            StepWork::AllRows => {
-                let StepScratch {
-                    regions,
-                    gathered,
-                    sel,
-                    states,
-                    ..
-                } = scratch;
-                let bytes: usize = regions.iter().map(|(_, rows)| rows.len()).sum();
-                let regions = regions.iter().map(|(slot, rows)| match *slot {
-                    Some(slot) => &pool.slot_buf(slot)[rows.clone()],
-                    None => &gathered[rows.clone()],
-                });
-                self.fold_regions(states, sel, regions);
-                Ok((bytes / self.stride()) as u64)
-            }
-            StepWork::Rids(step) => self.fold_rids(pool, step, scratch),
-        }
-    }
-
-    /// Resolve each page of a whole-page step once, for every class that
-    /// folds it, into the scratch's `regions`: fixed-width heap pages
-    /// where they lie, odd layouts decoded slot by slot and copied side by
-    /// side into `gathered`, a whole number of strides each.
-    fn resolve_pages(&self, pool: &BufferPool, scratch: &mut StepScratch) -> EngineResult<()> {
-        let StepScratch {
-            pages,
-            regions,
-            gathered,
-            ..
-        } = scratch;
-        regions.clear();
-        gathered.clear();
-        for &(_, slot) in pages.iter() {
-            let page = HeapPage::new(pool.slot_buf(slot))?;
-            regions.push(match page.dense_range(self.width) {
-                Some(dense) => (Some(slot), dense),
-                None => {
-                    let from = gathered.len();
-                    for row in page.rows() {
-                        self.copy_fields(gathered, row?)?;
+        let StepWork::Rids(step) = work else {
+            let StepScratch {
+                pages,
+                sel,
+                gathered,
+                page,
+                states,
+                ..
+            } = scratch;
+            let n = self.sum_offs.len();
+            page.reset(self);
+            let mut seen = 0;
+            for &(id, slot) in pages.iter() {
+                let frame = pool.slot_buf(slot);
+                let kept = memo
+                    .as_ref()
+                    .and_then(|(m, pipe)| m.get(*pipe, id, frame, n));
+                let total = match kept {
+                    Some(total) => total,
+                    None => {
+                        let rows = self.fold_page(page, sel, gathered, frame)?;
+                        let total = page.subtotal(rows);
+                        if let Some((m, pipe)) = &mut memo {
+                            m.keep(*pipe, id, frame, total);
+                        }
+                        total
                     }
-                    (None, from..gathered.len())
+                };
+                for s in states.iter_mut() {
+                    s.add_page(total);
                 }
-            });
-        }
-        Ok(())
+                seen += total.rows;
+            }
+            return Ok(seen);
+        };
+        self.fold_rids(pool, step, scratch)
     }
 
     /// [`RowPipeline::fold_extent`] for a RID step, whose `step` entries
@@ -1302,7 +1592,7 @@ impl RowPipeline {
                     self.copy_fields(gathered, row)?;
                 }
             }
-            self.fold_selected(states, sel, gathered);
+            self.fold_region(states, sel, gathered);
             return Ok(step.len() as u64);
         }
         // With a predicate, the RIDs of each run whose rows pass it,
@@ -1330,7 +1620,9 @@ impl RowPipeline {
             let region = region(run);
             rids.iter().map(move |e| row(region, e))
         });
-        AggState::fold_alone(states, self, batches);
+        for s in states.iter_mut() {
+            s.fold(self, batches.clone());
+        }
         Ok(step.len() as u64)
     }
 
@@ -1422,9 +1714,7 @@ pub(crate) fn step_extent(
     );
 
     // I/O, once for all consumers.
-    let prof = world.profiler.clone();
-    let fetch_span = prof
-        .as_ref()
+    let fetch_span = (world.profiler.as_ref())
         .map(|p| p.begin_child("extent.fetch", now))
         .unwrap_or_else(scanshare::SpanId::none);
     let fetched = world.fetch_extent(now, &scratch.ids, &mut scratch.pages);
@@ -1450,7 +1740,7 @@ pub(crate) fn step_extent(
             addr,
             transient,
         }) => {
-            if let Some(p) = &prof {
+            if let Some(p) = &world.profiler {
                 p.attr(fetch_span, "error", "read_fault");
                 p.attr(fetch_span, "device", device.to_string());
                 p.end(fetch_span, now);
@@ -1472,7 +1762,7 @@ pub(crate) fn step_extent(
         }
         Err(e) => return Err(e.into()),
     };
-    if let Some(p) = &prof {
+    if let Some(p) = &world.profiler {
         p.attr(fetch_span, "hits", fetch.hits.to_string());
         p.attr(fetch_span, "misses", fetch.misses.to_string());
         p.attr(fetch_span, "requests", fetch.requests.to_string());
@@ -1489,8 +1779,7 @@ pub(crate) fn step_extent(
     // consumer is charged its own share, owner first. One span covers
     // them all and closes at the owner's completion (the step's track is
     // the owner's stream).
-    let cpu_span = prof
-        .as_ref()
+    let cpu_span = (world.profiler.as_ref())
         .map(|p| p.begin_child("cpu.process", fetch.ready))
         .unwrap_or_else(scanshare::SpanId::none);
     scratch.members.clear();
@@ -1498,25 +1787,26 @@ pub(crate) fn step_extent(
     let fusable = matches!(work, StepWork::AllRows);
     // Rows examined: the same for every class, they walk the same pages.
     let mut seen = 0u64;
-    // The row width the step's pages are resolved for: every class of a
-    // cursor reads one table, so they are resolved once a step.
-    let mut resolved = None;
     let mut start = 0;
     while start < order.len() {
         let end = gather_class(consumers, &mut scratch.members, start, fusable);
         note_class(end - start);
-        let pipe = &consumers[scratch.members[start]].pipeline;
-        if fusable && resolved != Some(pipe.width) {
-            pipe.resolve_pages(&world.pool, scratch)?;
-            resolved = Some(pipe.width);
-        }
+        // The run's memo keeps whole-page subtotals by pipeline.
+        let first = &mut consumers[scratch.members[start]];
+        let memo = match (&mut world.memo, fusable) {
+            (Some(memo), true) => {
+                let key = (first.memo_key).get_or_insert_with(|| memo.intern(&first.pipeline));
+                Some((memo, *key))
+            }
+            _ => None,
+        };
         let class = &scratch.members[start..end];
         let lent = class
             .iter()
             .map(|&ci| std::mem::take(&mut consumers[ci].agg));
         scratch.states.extend(lent);
         let pipe = &consumers[class[0]].pipeline;
-        let folded = pipe.fold_extent(&world.pool, work, scratch);
+        let folded = pipe.fold_extent(&world.pool, memo, work, scratch);
         let class = &scratch.members[start..end];
         for (&ci, agg) in class.iter().zip(scratch.states.drain(..)) {
             consumers[ci].agg = agg;
@@ -1533,7 +1823,7 @@ pub(crate) fn step_extent(
         rows += seen;
     }
     let done = consumers[owner].ready_at;
-    if let Some(p) = &prof {
+    if let Some(p) = &world.profiler {
         p.attr(cpu_span, "rows", rows.to_string());
         p.end(cpu_span, done);
     }
@@ -1557,7 +1847,7 @@ pub(crate) fn step_extent(
             grouped = out.role != scanshare::Role::Singleton;
             c.metrics.throttle_wait += wait;
             if wait > SimDuration::ZERO {
-                if let Some(p) = &prof {
+                if let Some(p) = &world.profiler {
                     let role = scanshare::decision::role_name(out.role);
                     let s = p.begin_child("throttle.wait", done);
                     p.attr(s, "wait_us", wait.as_micros().to_string());
@@ -1855,9 +2145,13 @@ impl ScanExec {
     }
 }
 
-/// Tests count the classes of more than one consumer that steps fold.
+/// Tests count the classes of more than one consumer that steps fold,
+/// and the pages the kernel folds.
 #[cfg(not(test))]
 fn note_class(_consumers: usize) {}
+
+#[cfg(not(test))]
+fn note_page_fold() {}
 
 #[cfg(test)]
 fn note_class(consumers: usize) {
@@ -1865,8 +2159,21 @@ fn note_class(consumers: usize) {
 }
 
 #[cfg(test)]
+fn note_page_fold() {
+    PAGE_FOLDS.with(|n| n.set(n.get() + 1));
+}
+
+#[cfg(test)]
 thread_local! {
     static FUSED_CLASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static PAGE_FOLDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many pages this thread's steps have folded so far, subtotals the
+/// memo had not counted.
+#[cfg(test)]
+pub(crate) fn page_folds() -> u64 {
+    PAGE_FOLDS.with(|n| n.get())
 }
 
 /// How many classes of more than one consumer this thread's steps have
@@ -2872,12 +3179,16 @@ mod tests {
 /// Naive answer oracle for the row kernel (the row-level slice of
 /// ROADMAP item 1a). The reference evaluator is the public one no
 /// production code calls — [`Pred::eval`], [`AggSpec::group_key`] and
-/// `RowRef::get_f64` — folded one row at a time in delivery order; the
-/// kernel must agree with it on every count and on every sum bit for
-/// bit. Written and run green against the per-row
+/// `RowRef::get_f64` — folded one row at a time in delivery order for a
+/// RID step, and for a whole-page step a page at a time: each page's rows
+/// into a subtotal from +0.0, added in delivery order. The kernel must
+/// agree with it on every count and on every sum bit for bit, and a
+/// whole-page fold with the row-at-a-time fold it replaced on every
+/// count and key, each sum within the bound a changed summation order
+/// keeps to ([`assert_near`]). Written and run green against the per-row
 /// `matches`/`accumulate` loop before that loop was replaced.
 mod kernel_oracle {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
     use scanshare_prng::Rng;
@@ -3033,13 +3344,18 @@ mod kernel_oracle {
         }
     }
 
-    /// The reference fold: one row at a time, through the public
-    /// evaluator.
+    /// The reference fold, through the public evaluator: one row at a
+    /// time, or a page at a time — the page's rows folded into a fresh
+    /// `Naive`, which is then added.
     #[derive(Default)]
     struct Naive {
         count: u64,
         sums: Vec<f64>,
         groups: BTreeMap<i64, (u64, Vec<f64>)>,
+        /// The absolute values of each sum's addends, and of each group's
+        /// sums', summed: what [`assert_near`] bounds a difference by.
+        abs: Vec<f64>,
+        group_abs: BTreeMap<i64, Vec<f64>>,
     }
 
     impl Naive {
@@ -3049,18 +3365,40 @@ mod kernel_oracle {
             }
             let n = spec.agg.sum_cols.len();
             self.sums.resize(n, 0.0);
+            self.abs.resize(n, 0.0);
             self.count += 1;
             for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
                 self.sums[i] += row.get_f64(c);
+                self.abs[i] += row.get_f64(c).abs();
             }
             if !spec.agg.group_by.is_empty() {
-                let g = self
-                    .groups
-                    .entry(spec.agg.group_key(row))
-                    .or_insert_with(|| (0, vec![0.0; n]));
+                let key = spec.agg.group_key(row);
+                let g = self.groups.entry(key).or_insert_with(|| (0, vec![0.0; n]));
+                let abs = self.group_abs.entry(key).or_insert_with(|| vec![0.0; n]);
                 g.0 += 1;
                 for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
                     g.1[i] += row.get_f64(c);
+                    abs[i] += row.get_f64(c).abs();
+                }
+            }
+        }
+
+        /// Fold one page's `rows` into a subtotal from +0.0, and add it:
+        /// its count and each sum, and each group's to the same group.
+        fn fold_page<'r>(&mut self, spec: &ScanSpec, rows: impl Iterator<Item = RowRef<'r>>) {
+            let mut page = Naive::default();
+            rows.for_each(|row| page.fold(spec, &row));
+            let n = spec.agg.sum_cols.len();
+            self.sums.resize(n, 0.0);
+            self.count += page.count;
+            for (i, sum) in self.sums.iter_mut().enumerate() {
+                *sum += page.sums.get(i).copied().unwrap_or(0.0);
+            }
+            for (key, (count, sums)) in page.groups {
+                let g = self.groups.entry(key).or_insert_with(|| (0, vec![0.0; n]));
+                g.0 += count;
+                for (total, sum) in g.1.iter_mut().zip(sums) {
+                    *total += sum;
                 }
             }
         }
@@ -3089,6 +3427,45 @@ mod kernel_oracle {
         assert_eq!(got_groups, want_groups, "{ctx}");
     }
 
+    /// `got` against `want`, a fold of the same rows in another order:
+    /// counts and group keys exact, and each sum of n addends within
+    /// 2(n − 1)·2⁻⁵³·Σ|xᵢ| of `want`'s — each order is within (n − 1)·2⁻⁵³·Σ|xᵢ| of
+    /// the exact sum, to first order. A sum with a non-finite addend is
+    /// the same infinity, or NaN, both ways. Returns whether any sum
+    /// differs in its bits.
+    fn assert_near(case: u64, spec: &ScanSpec, got: &QueryResult, want: &Naive) -> bool {
+        let ctx = format!("case {case}: {:?} / {:?}", spec.pred, spec.agg);
+        let mut moved = false;
+        let mut near = |got: &[f64], want: &[f64], abs: &[f64], n: u64| {
+            for ((&g, &w), &abs) in got.iter().zip(want).zip(abs) {
+                moved |= g.to_bits() != w.to_bits();
+                let bound = 2.0 * n.saturating_sub(1) as f64 * f64::EPSILON / 2.0 * abs;
+                let ok = match abs.is_finite() {
+                    true => (g - w).abs() <= bound,
+                    false => g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan(),
+                };
+                assert!(
+                    ok,
+                    "{ctx}: {g:e} vs {w:e}, bound {bound:e} over {n} addends"
+                );
+            }
+        };
+        assert_eq!(got.count, want.count, "{ctx}");
+        let mut want_sums = want.sums.clone();
+        want_sums.resize(spec.agg.sum_cols.len(), 0.0);
+        let mut abs = want.abs.clone();
+        abs.resize(want_sums.len(), 0.0);
+        near(&got.sums, &want_sums, &abs, want.count);
+        let got_keys: Vec<(i64, u64)> = got.groups.iter().map(|(k, g)| (*k, g.count)).collect();
+        let want_keys: Vec<(i64, u64)> = want.groups.iter().map(|(k, g)| (*k, g.0)).collect();
+        assert_eq!(got_keys, want_keys, "{ctx}");
+        for (key, g) in &got.groups {
+            let (count, sums) = &want.groups[key];
+            near(&g.sums, sums, &want.group_abs[key], *count);
+        }
+        moved
+    }
+
     /// What the cases reached, so the matrix cannot quietly stop
     /// exercising what it was built for.
     #[derive(Default)]
@@ -3103,6 +3480,8 @@ mod kernel_oracle {
         groups_17_to_300: u32,
         groups_over_300: u32,
         ninth_group_mid_page: u32,
+        pages_over_8_groups: u32,
+        sums_moved: u32,
         grouped_no_sums: u32,
         grouped_over_8_sums: u32,
         one_column_keys: u32,
@@ -3113,7 +3492,8 @@ mod kernel_oracle {
     /// so an aggregate that never groups must own its sums and nothing
     /// else (an eager 1 KB table per consumer once cost `tpch64_push` 7 %
     /// of its peak RSS), and a grouped one no more than its groups need:
-    /// the fold's local copy of a small table is not kept.
+    /// neither the fold's local copy of a small table nor a page subtotal
+    /// is kept.
     #[test]
     fn ungrouped_state_owns_only_its_sums() {
         for n in [0, 2, 8, 11] {
@@ -3126,7 +3506,7 @@ mod kernel_oracle {
             )
             .unwrap();
             let row = vec![0u8; schema().row_width()];
-            pipe.fold_regions(&mut agg, &mut Vec::new(), std::iter::once(&row[..]));
+            pipe.fold_region(&mut agg, &mut Vec::new(), &row);
             let [agg] = agg;
             assert_eq!((agg.count, agg.sums.capacity()), (1, n));
             assert_eq!(agg.keys.capacity(), 0);
@@ -3138,19 +3518,20 @@ mod kernel_oracle {
         let s = schema();
         let agg = AggSpec::grouped_sums((F0..F0 + 4).collect(), vec![C0, C0 + 1]);
         let pipe = RowPipeline::compile(&Pred::True, &agg, &s, "t").unwrap();
-        let mut page = Vec::new();
-        for r in 0..150 {
+        let mut page = HeapPageBuilder::new();
+        for r in 0..80 {
             let mut vals = vec![Value::I32(0), Value::I32(0)];
             vals.extend((0..N_F64).map(|i| Value::F64(i as f64)));
             vals.extend([b"ANR"[r % 3], b"FO"[r / 3 % 2], b'x'].map(Value::Ch));
             let mut row = vec![0; s.row_width()];
             s.encode_row(&vals, &mut row);
-            page.extend(row);
+            page.push(&row).expect("row fits");
         }
-        let mut agg = [AggState::new(4)];
-        pipe.fold_regions(&mut agg, &mut Vec::new(), std::iter::once(&page[..]));
-        let [agg] = agg;
-        assert_eq!((agg.count, agg.keys.len()), (150, 6));
+        let (mut total, mut agg) = (PageTotal::default(), AggState::new(4));
+        total.reset(&pipe);
+        let rows = pipe.fold_page(&mut total, &mut Vec::new(), &mut Vec::new(), &page.finish());
+        agg.add_page(total.subtotal(rows.unwrap()));
+        assert_eq!((agg.count, agg.keys.len()), (80, 6));
         let capacities = [
             agg.keys.capacity(),
             agg.counts.capacity(),
@@ -3344,15 +3725,14 @@ mod kernel_oracle {
                 .expect("page fetched");
             let page = HeapPage::new(pool.slot_buf(pages[at].1))?;
             if let Some(region) = page.dense_region(width) {
-                let mut slots = Vec::new();
+                gathered.clear();
                 for &(_, slot) in run {
                     if slot >= page.num_rows() {
                         page.row_bytes(slot)?;
                     }
-                    slots.push(slot as u32);
+                    gathered.extend_from_slice(row_at(region, stride, slot as u32));
                 }
-                let row = |i: u32| row_at(region, stride, slots[i as usize]);
-                pipe.fold_rows(states, &mut sel, slots.len(), row);
+                pipe.fold_region(states, &mut sel, &gathered);
             } else {
                 gathered.clear();
                 for &(_, slot) in run {
@@ -3363,7 +3743,7 @@ mod kernel_oracle {
                     gathered.extend_from_slice(fields);
                     gathered.resize(gathered.len() + stride - width, 0);
                 }
-                pipe.fold_regions(states, &mut sel, std::iter::once(&gathered[..]));
+                pipe.fold_region(states, &mut sel, &gathered);
             }
         }
         Ok(rids.len() as u64)
@@ -3456,7 +3836,9 @@ mod kernel_oracle {
                 reached.steps_of_16_pages += (scratch.ids.len() == 16) as u32;
                 reached.pages_out_of_order += scratch.ids.windows(2).any(|w| w[1] < w[0]) as u32;
                 reached.slots_repeated += rids.windows(2).any(|w| w[0] == w[1]) as u32;
-                let got = pipe.fold_extent(&world.pool, work, &mut scratch).unwrap();
+                let got = pipe
+                    .fold_extent(&world.pool, None, work, &mut scratch)
+                    .unwrap();
                 let rows = fold_rids_per_run(&pipe, &world.pool, &scratch.pages, &rids, &mut want)
                     .unwrap();
                 assert_eq!(got, rows, "case {case}");
@@ -3606,22 +3988,35 @@ mod kernel_oracle {
                 }
             }
 
+            let row = |&(p, r): &(usize, usize)| RowRef {
+                bytes: &pages[p][r],
+                schema: &s,
+            };
             for (sp, c) in specs.iter().zip(&consumers) {
                 let mut want = Naive::default();
-                for &(p, r) in &order {
+                for at in &order {
                     let before = want.groups.len();
-                    want.fold(
-                        sp,
-                        &RowRef {
-                            bytes: &pages[p][r],
-                            schema: &s,
-                        },
-                    );
-                    let ninth = before == 8 && want.groups.len() == 9 && r > 0;
+                    want.fold(sp, &row(at));
+                    let ninth = before == 8 && want.groups.len() == 9 && at.1 > 0;
                     reached.ninth_group_mid_page += ninth as u32;
                 }
                 let got = c.result();
-                assert_same(case, sp, &got, &want);
+                if rid_plan {
+                    assert_same(case, sp, &got, &want);
+                } else {
+                    // A whole-page step adds a subtotal a page; the
+                    // row-at-a-time fold it replaced is a bound away.
+                    let mut by_page = Naive::default();
+                    for page in order.chunk_by(|a, b| a.0 == b.0) {
+                        by_page.fold_page(sp, page.iter().map(row));
+                        let keys = page.iter().filter(|at| sp.pred.eval(&row(at)));
+                        let keys: BTreeSet<i64> =
+                            keys.map(|at| sp.agg.group_key(&row(at))).collect();
+                        reached.pages_over_8_groups += (keys.len() > 8) as u32;
+                    }
+                    assert_same(case, sp, &got, &by_page);
+                    reached.sums_moved += assert_near(case, sp, &got, &want) as u32;
+                }
                 reached.empty_result += (got.count == 0 && !order.is_empty()) as u32;
                 reached.sums_over_8 += (sp.agg.sum_cols.len() > 8 && got.count > 0) as u32;
                 reached.groups_17_to_300 += (17..=300).contains(&got.groups.len()) as u32;
@@ -3648,6 +4043,8 @@ mod kernel_oracle {
             ("more than 8 sum columns", r.sums_over_8),
             ("17..=300 groups", r.groups_17_to_300),
             ("more than 300 groups", r.groups_over_300),
+            ("pages of more than 8 groups", r.pages_over_8_groups),
+            ("sums the page subtotals moved", r.sums_moved),
         ] {
             assert!(n >= 5, "only {n} cases reached: {what}");
         }
@@ -3667,12 +4064,13 @@ mod kernel_oracle {
     }
 
     /// Riders of one pipeline are folded together. K = 1..=9 consumers
-    /// of one spec (so register chunks of four and every remainder are
-    /// hit) first fold *different* seeded rows on their own — a RID
-    /// replay each, so they ride with different running totals and have
-    /// met the groups in different orders — then ride one cursor over
-    /// the same pages. The reference is consumer-at-a-time: one naive
-    /// fold per consumer over its own rows, then the shared ones.
+    /// of one spec first fold *different* seeded rows on their own — a
+    /// RID replay each, so they ride with different running totals and
+    /// have met the groups in different orders — then ride one cursor
+    /// over the same pages, where each page's one subtotal is added to
+    /// all of them. The reference is consumer-at-a-time: one naive fold
+    /// per consumer over its own rows, row by row, then over the shared
+    /// pages, page by page.
     #[test]
     fn riders_of_one_pipeline_match_consumer_at_a_time_folds_bit_for_bit() {
         #[derive(Default)]
@@ -3805,8 +4203,9 @@ mod kernel_oracle {
             assert_eq!(fused, if k > 1 { steps } else { 0 }, "case {case}");
             let before: Vec<usize> = want.iter().map(|w| w.groups.len()).collect();
             for ci in 0..specs.len() {
-                lap.iter()
-                    .for_each(|at| want[ci].fold(&specs[ci], &row_ref(at)));
+                for page in lap.chunk_by(|a, b| a.0 == b.0) {
+                    want[ci].fold_page(&specs[ci], page.iter().map(row_ref));
+                }
                 assert_same(case, &specs[ci], &consumers[ci].result(), &want[ci]);
             }
             let past = |&ci: &usize| before[ci] <= 8 && want[ci].groups.len() > 8;
@@ -3851,19 +4250,187 @@ mod kernel_oracle {
         assert!(past >= 1, "no class of riders past 8 groups in the lap");
     }
 
+    /// A Q1-shaped spec over the oracle schema: no predicate, four sums
+    /// grouped by two chars.
+    fn q1_shape() -> ScanSpec {
+        ScanSpec {
+            pred: Pred::True,
+            agg: AggSpec::grouped_sums((F0..F0 + 4).collect(), vec![C0, C0 + 1]),
+            cpu: CpuClass::cpu_bound(),
+            ..spec(&mut Rng::seed_from_u64(1), 1, 0, false)
+        }
+    }
+
+    /// The run's memo at work: 8 staggered Q1-shaped queries over one
+    /// table fold each of its pages once, in the base mode (each scan from
+    /// the first page) and sharing (scans placed mid-range, wrapping) —
+    /// and every answer is the one a fold of its own pages gives: in base,
+    /// the naive page-at-a-time fold bit for bit, and under sharing, which
+    /// visits the pages in another order, the row-at-a-time fold within
+    /// the summation-order bound.
+    #[test]
+    fn a_run_of_staggered_scans_folds_each_page_once() {
+        use crate::workload::{run_workload, SharingMode, Stream, WorkloadSpec};
+        let s = schema();
+        let mut rng = Rng::seed_from_u64(0x0_9E40);
+        let rows: Vec<Vec<Value>> = (0..6_000)
+            .map(|_| {
+                let mut vals = vec![Value::I32(0), Value::I32(0)];
+                vals.extend((0..N_F64).map(|_| Value::F64(float(&mut rng, false))));
+                let flags = [
+                    b"ANR"[rng.bounded_u64(3) as usize],
+                    b"FO"[rng.bounded_u64(2) as usize],
+                ];
+                vals.extend(flags.into_iter().chain([b'x']).map(Value::Ch));
+                vals
+            })
+            .collect();
+        let mut db = Database::new(16);
+        db.create_heap_table("t", s.clone(), rows).unwrap();
+        let (file, n_pages) = (
+            db.table("t").unwrap().file(),
+            db.table("t").unwrap().num_pages(),
+        );
+        let pages: Vec<Vec<Vec<u8>>> = (0..n_pages)
+            .map(|p| {
+                let buf = db.store().read_page(PageId::new(file, p)).unwrap();
+                let page = HeapPage::new(&buf).unwrap();
+                (0..page.num_rows())
+                    .map(|r| page.row_bytes(r).unwrap().to_vec())
+                    .collect()
+            })
+            .collect();
+        let spec = q1_shape();
+        let row = |bytes| RowRef { bytes, schema: &s };
+        let (mut by_page, mut by_row) = (Naive::default(), Naive::default());
+        for page in &pages {
+            by_page.fold_page(&spec, page.iter().map(|r| row(r)));
+            page.iter().for_each(|r| by_row.fold(&spec, &row(r)));
+        }
+        assert!(n_pages >= 40 && by_page.groups.len() == 6);
+        for mode in [
+            SharingMode::Base,
+            SharingMode::ScanSharing(scanshare::SharingConfig::new(0)),
+        ] {
+            let workload = WorkloadSpec {
+                streams: (0..8)
+                    .map(|i| crate::workload::Stream {
+                        queries: vec![crate::query::Query::single("Q1", spec.clone())],
+                        start_offset: SimDuration::from_millis(3 * i),
+                    })
+                    .collect::<Vec<Stream>>(),
+                pool_pages: n_pages as usize + 64,
+                engine: EngineConfig::default(),
+                mode: mode.clone(),
+                faults: Default::default(),
+                slo: Default::default(),
+            };
+            let folds = page_folds();
+            let report = run_workload(&db, &workload).unwrap();
+            assert_eq!(page_folds() - folds, n_pages as u64, "{mode:?}");
+            assert_eq!(report.queries.len(), 8);
+            for q in &report.queries {
+                match mode {
+                    SharingMode::Base => assert_same(0, &spec, &q.result, &by_page),
+                    _ => _ = assert_near(0, &spec, &q.result, &by_row),
+                }
+            }
+            if let SharingMode::ScanSharing(_) = mode {
+                assert!(report.sharing.scans_joined > 0, "nobody joined mid-range");
+            }
+        }
+    }
+
+    /// A kept subtotal stands for the bytes it was folded from: a visit
+    /// to the same page id whose frame holds other bytes — here a memo
+    /// carried to a store whose one page differs — folds the page again
+    /// and answers from those bytes, while a visit to the first bytes
+    /// still adds the kept subtotal.
+    #[test]
+    fn a_kept_subtotal_of_other_bytes_is_folded_again() {
+        let s = schema();
+        let spec = q1_shape();
+        let one_page = |seed: u64| {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut b = HeapPageBuilder::new();
+            let mut rows = Vec::new();
+            for _ in 0..60 {
+                let mut vals = vec![Value::I32(0), Value::I32(0)];
+                vals.extend((0..N_F64).map(|_| Value::F64(float(&mut rng, false))));
+                vals.extend([b'A' + rng.bounded_u64(3) as u8, b'F', b'x'].map(Value::Ch));
+                let mut row = vec![0; s.row_width()];
+                s.encode_row(&vals, &mut row);
+                b.push(&row).expect("row fits");
+                rows.push(row);
+            }
+            let mut store = FileStore::new(16);
+            let file = store.create_file();
+            store.append_page(file, b.finish()).unwrap();
+            let mut want = Naive::default();
+            want.fold_page(&spec, rows.iter().map(|bytes| RowRef { bytes, schema: &s }));
+            (store, file, want)
+        };
+        let (a, file, want_a) = one_page(1);
+        let (b, file_b, want_b) = one_page(2);
+        assert_eq!(file, file_b);
+        assert_ne!(bits(&want_a.sums), bits(&want_b.sums));
+        // One scan over the page in `world`: its answer, and whether the
+        // page was folded.
+        let scan = |world: &mut ExecWorld<'_>| {
+            let mut consumers = [Consumer::new(&spec, &s, SimTime::ZERO).unwrap()];
+            let mut cursor = Cursor::new(file, Plan::new(Walk::Pages(1)));
+            let mut scratch = StepScratch::default();
+            let folds = page_folds();
+            step_extent(
+                world,
+                SimTime::ZERO,
+                &mut cursor,
+                &mut scratch,
+                &mut consumers,
+                &[0],
+                false,
+            )
+            .unwrap();
+            (consumers[0].result(), page_folds() - folds)
+        };
+        let world = |store| {
+            let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
+            ExecWorld::new(store, pool, EngineConfig::default(), None)
+        };
+        let mut on_a = world(&a);
+        on_a.memo = Some(PageMemo::default());
+        for folded in [1, 0] {
+            let (got, folds) = scan(&mut on_a);
+            assert_same(1, &spec, &got, &want_a);
+            assert_eq!(folds, folded);
+        }
+        let mut on_b = world(&b);
+        on_b.memo = on_a.memo.take();
+        for _ in 0..2 {
+            let (got, folds) = scan(&mut on_b);
+            assert_same(2, &spec, &got, &want_b);
+            assert_eq!(folds, 1);
+        }
+        let mut on_a = world(&a);
+        on_a.memo = on_b.memo.take();
+        let (got, folds) = scan(&mut on_a);
+        assert_same(3, &spec, &got, &want_a);
+        assert_eq!(folds, 0);
+    }
+
     /// The grouped fold of a class, pinned: K = 1..=4 states of one
     /// pipeline × N ∈ {0, 1, 4, 8, 9} sums (register arrays, and the
     /// `Vec`s beyond them) × one, two and three group columns. Each state
-    /// first folds rows of its own, so that the states of the class know
-    /// different groups: in the shared lap, a group new to one state only
-    /// arrives mid-page, and later a ninth group, mid-page, moves every
-    /// state onto its heap table mid-pass. Summands include ±0.0, NaN and
-    /// ±inf. Every answer must equal the naive fold's, and all of them
-    /// together hash to what the parent of the register-resident pass
-    /// computed.
+    /// first folds rows of its own, one at a time, so that the states of
+    /// the class know different groups: in the shared lap, a page
+    /// subtotal brings a group new to one state only, arriving mid-page,
+    /// and the next page's ninth group, mid-page, moves that page's fold
+    /// onto its heap table mid-pass. Summands include ±0.0, NaN and ±inf.
+    /// Every answer must equal the naive fold's, and all of them together
+    /// hash to what the first commit of page subtotals computed.
     #[test]
     fn grouped_fold_of_a_class_is_pinned_bit_for_bit() {
-        const PINNED: u64 = 0x8c52_2017_2b58_972d;
+        const PINNED: u64 = 0x8b0d_6d0c_e529_b74a;
         /// Rows a page, and the pages of the shared lap; the page after
         /// them holds the rows the states fold on their own.
         const ROWS: usize = 80;
@@ -3984,8 +4551,9 @@ mod kernel_oracle {
             let class: Vec<usize> = (0..k).collect();
             run(&mut consumers, Plan::new(Walk::Pages(LAP)), &class);
             for (c, want) in consumers.iter().zip(&mut want) {
-                for (p, r) in (0..LAP as usize).flat_map(|p| (0..ROWS).map(move |r| (p, r))) {
-                    fold(want, p, r);
+                for page in &pages[..LAP as usize] {
+                    let rows = page.iter().map(|(_, bytes)| RowRef { bytes, schema: &s });
+                    want.fold_page(&spec, rows);
                 }
                 let got = c.result();
                 assert_same(0, &spec, &got, want);

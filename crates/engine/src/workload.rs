@@ -29,7 +29,7 @@ use crate::faults::{FaultSummary, FaultsConfig};
 use crate::metrics::{QueryRecord, RunReport};
 use crate::push::{ConsumerId, PushEngine};
 use crate::query::{Query, QueryResult};
-use crate::scan_exec::{ScanExec, ScanMetrics};
+use crate::scan_exec::{PageMemo, ScanExec, ScanMetrics};
 
 /// Whether a run coordinates its scans.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -338,6 +338,9 @@ fn run_inner(db: &Database, spec: &WorkloadSpec, hooks: RunHooks<'_>) -> EngineR
     let mut world = ExecWorld::new(db.store(), pool, spec.engine.clone(), mgr);
     world.profiler = profiler.clone();
     world.enable_faults(&spec.faults);
+    // Every scan of the run that visits a page its pipeline has folded
+    // adds the subtotal kept then.
+    world.memo = Some(PageMemo::default());
     // Push delivery rides on the sharing manager; base modes and pull
     // configs run the exact pre-push code path.
     let mut push: Option<PushEngine> = match &spec.mode {

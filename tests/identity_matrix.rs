@@ -27,10 +27,15 @@
 //! copied into a clone of that commit with `PARENT_DIGESTS` empty, the
 //! test run there, and the table its failure message prints pasted in.
 //! After a *deliberate* behaviour change the same procedure regenerates
-//! them. The report digests were last regenerated when the engine's
-//! trace ring was retired: reports lost their `trace` key and their
-//! decision logs gained `ScanStarted`/`ScanWrapped`/`ScanEnded` records.
-//! The span digests and `LIFECYCLE_PINS` did not move.
+//! them. The report digests were regenerated when the engine's trace
+//! ring was retired: reports lost their `trace` key and their decision
+//! logs gained `ScanStarted`/`ScanWrapped`/`ScanEnded` records; the span
+//! digests and `LIFECYCLE_PINS` did not move. They were last regenerated,
+//! with `LIFECYCLE_PINS`' report digests, when whole-page steps began
+//! folding page subtotals, which moves the last bits of sums and nothing
+//! else: `ANSWERLESS_DIGESTS`, taken by the code before that change over
+//! every report with its answers removed, did not move, and neither did
+//! the span digests, the lifecycle digests or the two RID cells.
 //!
 //! Two more pins per cell, in `LIFECYCLE_PINS`, outlive such changes to
 //! what the report embeds: a digest of every scan's lifecycle row
@@ -440,299 +445,300 @@ fn cells(db: &Database, tpch: &TpchConfig) -> Vec<Cell> {
 const PARENT_DIGESTS: &[(&str, (u64, u64))] = &[
     (
         "q6x6/pull/grouping/2000us",
-        (0xd633ecacff2e2b82, 0x95223334d18f969c),
+        (0x506ad6d85144580c, 0x95223334d18f969c),
     ),
     (
         "q6x6/pull/grouping/15000us",
-        (0x56b6a003a8ae421f, 0x3cff24be873a7c6e),
+        (0x4e5a9c99e41998f1, 0x3cff24be873a7c6e),
     ),
     (
         "q6x6/pull/attach/2000us",
-        (0xd566181c4bd21338, 0xcb1204481d6c9e58),
+        (0x643d7ef045f17f2e, 0xcb1204481d6c9e58),
     ),
     (
         "q6x6/pull/attach/15000us",
-        (0xa51ef9d423b3360f, 0x4938e9beece127a1),
+        (0xf4c0e0d3d9400eff, 0x4938e9beece127a1),
     ),
     (
         "q6x6/pull/elevator/2000us",
-        (0xf2fd6cbd15df12bf, 0xba63164581646f4e),
+        (0x8dc0dfc6192f7ec5, 0xba63164581646f4e),
     ),
     (
         "q6x6/pull/elevator/15000us",
-        (0xea68c4fef82749ea, 0x064428d51059c668),
+        (0x4e92d6a62815d832, 0x064428d51059c668),
     ),
     (
         "q6x6/push/grouping/2000us",
-        (0x0bf46562b2eb8ffe, 0xd8e58efd151e36e5),
+        (0xafb5fd876f6d0ad6, 0xd8e58efd151e36e5),
     ),
     (
         "q6x6/push/grouping/15000us",
-        (0xe1b6d77f51a10817, 0x6365c979826221bb),
+        (0x9f7c54e727078f31, 0x6365c979826221bb),
     ),
     (
         "q6x6/push/attach/2000us",
-        (0x4a6c741b65341de8, 0x2c9355cd4443f619),
+        (0xa760794fa40afa50, 0x2c9355cd4443f619),
     ),
     (
         "q6x6/push/attach/15000us",
-        (0x429ec7ce4ee33373, 0xd75e6327573a3b44),
+        (0x8bfeca5d0f9cd747, 0xd75e6327573a3b44),
     ),
     (
         "q6x6/push/elevator/2000us",
-        (0x97f9e02614bcd36d, 0x77b86969e384d351),
+        (0x7668f7e2b96fc235, 0x77b86969e384d351),
     ),
     (
         "q6x6/push/elevator/15000us",
-        (0xb2927bb984d0451d, 0x1e0759d50cdbb298),
+        (0x111e4e2791a7f7e9, 0x1e0759d50cdbb298),
     ),
     (
         "q6x6/pull/transient",
-        (0x4a1227a3a2dc6d8d, 0x0ae9a219983f5a22),
+        (0x9108dd14150f74d3, 0x0ae9a219983f5a22),
     ),
-    ("q6x6/pull/stalls", (0x9769d47bc039dc2d, 0xeab013d5f2417d31)),
+    ("q6x6/pull/stalls", (0x7470fd747999f063, 0xeab013d5f2417d31)),
     (
         "q6x6/pull/prefetch",
-        (0x9e9c3ca9352fd8ed, 0x9621fdafd0a6f967),
+        (0xe16b793aec1bb5ee, 0x9621fdafd0a6f967),
     ),
     (
         "q6x6/pull/prefetch+transient",
-        (0x011737611351d9bb, 0x0a1df14971b65b84),
+        (0x6fbc684731ca21b5, 0x0a1df14971b65b84),
     ),
     (
         "q6x6/pull/attach/window",
-        (0x15b797d87e8fd98f, 0x4f130c544a4a866c),
+        (0xc6bf4d380c135164, 0x4f130c544a4a866c),
     ),
     (
         "q6x6/pull/prefetch+window",
-        (0x81f90144a842a872, 0xec915376ebba414e),
+        (0xdfd9acf0b8164c28, 0xec915376ebba414e),
     ),
     (
         "q6x6/pull/window-kills-all",
-        (0x3a0236315d4487d2, 0xeea3705e2346bb5e),
+        (0x07c8328e69153a30, 0xeea3705e2346bb5e),
     ),
-    ("q6x6/pull/tail", (0x65ee0c031fcbd6ab, 0x403e6a389915697d)),
+    ("q6x6/pull/tail", (0xb857e609af5bd671, 0x403e6a389915697d)),
     (
         "q6x6/pull/attach/late-tail",
-        (0x4c1eeb0ad3433911, 0xaa81c314a06f917b),
+        (0x536d60641be2fa53, 0xaa81c314a06f917b),
     ),
     (
         "full/pull/grouping",
-        (0x5b24f5c0f0167254, 0xe59f3380d775f05f),
+        (0x93653265b0720a06, 0xe59f3380d775f05f),
     ),
     (
         "full/pull/elevator",
-        (0xd7b9e535078193c7, 0x4ab80be4798fd1b2),
+        (0xff602d99a54a0985, 0x4ab80be4798fd1b2),
     ),
-    ("full/pull/window", (0x45c3060afbbfba9e, 0x3f48e5496fb129b0)),
+    ("full/pull/window", (0x71a3db74ee553a32, 0x3f48e5496fb129b0)),
     ("rid/pull", (0x42e3d7f0fca32147, 0xa363a7d38e6d7afe)),
-    ("lanes/pull", (0x7aa50d1763d114e5, 0x100e4c8000c63db7)),
+    ("lanes/pull", (0x42017ac054b4b7d9, 0x100e4c8000c63db7)),
     (
         "lanes/pull/window",
-        (0xa5039d567f052ded, 0x8f361589297c15f9),
+        (0xed3dfec054c0bf25, 0x8f361589297c15f9),
     ),
-    ("tput/pull", (0x3ef294b388be45d0, 0x8cc13f9cb137894b)),
-    ("pool24/pull", (0x8fe956197e593365, 0xb60592d4c99b0463)),
+    ("tput/pull", (0xf172dffdde221c47, 0x8cc13f9cb137894b)),
+    ("pool24/pull", (0x648ef18d92e777cd, 0xb60592d4c99b0463)),
     (
         "q6x6/push/transient",
-        (0xd564bf36f1da6c8a, 0xba6b9941e63e2e8f),
+        (0xd9beccb94eda497e, 0xba6b9941e63e2e8f),
     ),
-    ("q6x6/push/stalls", (0xd71f5e49e5d246bd, 0x44ac1887051d8e86)),
+    ("q6x6/push/stalls", (0xa19c98af2f0ec361, 0x44ac1887051d8e86)),
     (
         "q6x6/push/prefetch",
-        (0xa7765049eebc07d6, 0xe50b8cab5f23ac96),
+        (0x0f4a5fbb0ba05120, 0xe50b8cab5f23ac96),
     ),
     (
         "q6x6/push/prefetch+transient",
-        (0x0b4e71bcbe4e86cd, 0x0a7d3ca40f54d461),
+        (0xb1e1f1d635c65401, 0x0a7d3ca40f54d461),
     ),
     (
         "q6x6/push/attach/window",
-        (0x6bfe0cd414df5478, 0xde8a308d929a184f),
+        (0xae17d574ecd7bfa2, 0xde8a308d929a184f),
     ),
     (
         "q6x6/push/prefetch+window",
-        (0x1e68034b45f94f6d, 0x757a9e293af05f41),
+        (0xe1073cd69845f3b9, 0x757a9e293af05f41),
     ),
     (
         "q6x6/push/window-kills-all",
-        (0xacbd007cca1c0f34, 0xb656b50efd3160c2),
+        (0x64f876067b1ca8b6, 0xb656b50efd3160c2),
     ),
-    ("q6x6/push/tail", (0xa9211b5051dd9a71, 0x49c9037dbac56ae7)),
+    ("q6x6/push/tail", (0x1741941d6ac17b5d, 0x49c9037dbac56ae7)),
     (
         "q6x6/push/attach/late-tail",
-        (0xa1802d4fedd3f5ee, 0xb5d4d22091853840),
+        (0x309841db00ec1d66, 0xb5d4d22091853840),
     ),
     (
         "full/push/grouping",
-        (0xde7b17c7ad2cb719, 0x46c49ea6dc9f01ba),
+        (0x9b0309ae1b57c239, 0x46c49ea6dc9f01ba),
     ),
     (
         "full/push/elevator",
-        (0x5e14590dca624302, 0x11d8bf5e1a2dbc8f),
+        (0x7dab4e5918b6c74d, 0x11d8bf5e1a2dbc8f),
     ),
-    ("full/push/window", (0xcf63fc4addf29226, 0x9ca166f0a604ef7e)),
+    ("full/push/window", (0x258181b016470551, 0x9ca166f0a604ef7e)),
     ("rid/push", (0x0ccacaeb8ffc1a5f, 0xa363a7d38e6d7afe)),
-    ("lanes/push", (0x089c784594404408, 0xfeadf377ff7a941f)),
+    ("lanes/push", (0x5eb7122aebae0a3a, 0xfeadf377ff7a941f)),
     (
         "lanes/push/window",
-        (0x2a5e4004c238e1af, 0xd196e12ef676cb9f),
+        (0x35deef40cf8d5ba5, 0xd196e12ef676cb9f),
     ),
-    ("tput/push", (0x281f81223e22c4af, 0xaa929179f80d1484)),
-    ("pool24/push", (0x334038f0225c0d6b, 0x81bc1368cdbba976)),
-    ("base", (0xdc82b620b04623cb, 0x14ffc8e690a4607d)),
-    ("base/transient", (0x79ae8b9a3c642aaa, 0xbef7e41e2372f99d)),
-    ("base/window", (0xc413a84f52729c58, 0xb115c25b89243636)),
+    ("tput/push", (0xf9877cc52798ad9f, 0xaa929179f80d1484)),
+    ("pool24/push", (0x56e7e34c3b3e3099, 0x81bc1368cdbba976)),
+    ("base", (0x9e8405b9dfe3a4ab, 0x14ffc8e690a4607d)),
+    ("base/transient", (0xdaa46ecbb8b3c9bc, 0xbef7e41e2372f99d)),
+    ("base/window", (0x1ff90414d864ed6c, 0xb115c25b89243636)),
 ];
 
 /// `(cell name, (lifecycle digest, report digest without lifecycle))`,
-/// computed by the commit before the trace ring was retired.
+/// computed by the commit before the trace ring was retired; the report
+/// digests again when page subtotals moved the sums.
 const LIFECYCLE_PINS: &[(&str, (u64, u64))] = &[
     (
         "q6x6/pull/grouping/2000us",
-        (0x8d176c363b88cf96, 0x2d5ccc416f9b69db),
+        (0x8d176c363b88cf96, 0x4d44e1548a023db5),
     ),
     (
         "q6x6/pull/grouping/15000us",
-        (0xd140ce2bc206f91b, 0x7a81e6373aa07ae7),
+        (0xd140ce2bc206f91b, 0xb8e592217bd62401),
     ),
     (
         "q6x6/pull/attach/2000us",
-        (0xa3e93cf041985d6e, 0x0f33cdbf40c93739),
+        (0xa3e93cf041985d6e, 0xb7fd32706e21837f),
     ),
     (
         "q6x6/pull/attach/15000us",
-        (0x634b6e4ee5fa04f1, 0xd473d40a1e4ddc75),
+        (0x634b6e4ee5fa04f1, 0x3ba1a4deb0b18f85),
     ),
     (
         "q6x6/pull/elevator/2000us",
-        (0x8d176c363b88cf96, 0x10428dede5e416a2),
+        (0x8d176c363b88cf96, 0xecbc7e56522eb680),
     ),
     (
         "q6x6/pull/elevator/15000us",
-        (0x701093b04b78ca5f, 0x3c79b7468761add6),
+        (0x701093b04b78ca5f, 0x0baeb075c5447a2e),
     ),
     (
         "q6x6/push/grouping/2000us",
-        (0x30b9fe17b0f44535, 0x3c778454d4b0ed3a),
+        (0x30b9fe17b0f44535, 0xab995f00fb49be22),
     ),
     (
         "q6x6/push/grouping/15000us",
-        (0x56a70c498b32546c, 0x0c54e11501983b64),
+        (0x56a70c498b32546c, 0x99aa0159a875dc52),
     ),
     (
         "q6x6/push/attach/2000us",
-        (0x30b9fe17b0f44535, 0x673eb296ce0b3710),
+        (0x30b9fe17b0f44535, 0x5853e05ada269448),
     ),
     (
         "q6x6/push/attach/15000us",
-        (0xd425818e786215a6, 0x378a81b9105427b9),
+        (0xd425818e786215a6, 0x47552266e4fb6c35),
     ),
     (
         "q6x6/push/elevator/2000us",
-        (0x30b9fe17b0f44535, 0xc3edc9f30643d695),
+        (0x30b9fe17b0f44535, 0x0c65d4dd6e9608ed),
     ),
     (
         "q6x6/push/elevator/15000us",
-        (0xd425818e786215a6, 0x5357dfb590e8c43f),
+        (0xd425818e786215a6, 0x909bc7b96c029de3),
     ),
     (
         "q6x6/pull/transient",
-        (0x3709a80a454054b8, 0x066e9e6ed310adc4),
+        (0x3709a80a454054b8, 0xabebed9c2f74f91a),
     ),
-    ("q6x6/pull/stalls", (0x0057dc60c05732ae, 0x48de80e4b64ab92a)),
+    ("q6x6/pull/stalls", (0x0057dc60c05732ae, 0x4996d8e085b422e0)),
     (
         "q6x6/pull/prefetch",
-        (0xbbc3691696946f4c, 0xaf315bf391aab134),
+        (0xbbc3691696946f4c, 0xde1885c1edaac639),
     ),
     (
         "q6x6/pull/prefetch+transient",
-        (0x81f6c9a52bac9bd6, 0x047e4741942190b3),
+        (0x81f6c9a52bac9bd6, 0x904a25799fe88ae1),
     ),
     (
         "q6x6/pull/attach/window",
-        (0x73b93699f19e2c0b, 0xe9d12bd3bc6a3964),
+        (0x73b93699f19e2c0b, 0x132b552b1e6c58a9),
     ),
     (
         "q6x6/pull/prefetch+window",
-        (0x7e54e1353e642d65, 0x0d1384c7165d7c4a),
+        (0x7e54e1353e642d65, 0x3b348940fdac9ce0),
     ),
     (
         "q6x6/pull/window-kills-all",
-        (0x26c8973bb1425eac, 0x03cbba1f804ac6f9),
+        (0x26c8973bb1425eac, 0xc4b7bb7eddabd85f),
     ),
-    ("q6x6/pull/tail", (0x0843bb80c6e5a424, 0xbd4e609b4e6639d0)),
+    ("q6x6/pull/tail", (0x0843bb80c6e5a424, 0x34aa2c53629305fe)),
     (
         "q6x6/pull/attach/late-tail",
-        (0x78336de943758fa6, 0x376047564b21d283),
+        (0x78336de943758fa6, 0x5081d656108591ed),
     ),
     (
         "full/pull/grouping",
-        (0x8bddbe4bb793cf5e, 0x02986c29346c3a0e),
+        (0x8bddbe4bb793cf5e, 0xe8dd9bb88b242884),
     ),
     (
         "full/pull/elevator",
-        (0x1c2252d00293e90e, 0x7fc4841282aad139),
+        (0x1c2252d00293e90e, 0x808f745baa73e2bf),
     ),
-    ("full/pull/window", (0x345a04775885fe60, 0xff88e60f2d5f880e)),
+    ("full/pull/window", (0x345a04775885fe60, 0xc492ccd9b41d1f82)),
     ("rid/pull", (0x17360b5e6e0f7893, 0x3f5d5451aaa9529d)),
-    ("lanes/pull", (0x9b496330effc9aaf, 0x952cfe74225a4105)),
+    ("lanes/pull", (0x9b496330effc9aaf, 0xcedb8bc9f3462101)),
     (
         "lanes/pull/window",
-        (0xd07cd353578103db, 0xf93311f9dd7d187e),
+        (0xd07cd353578103db, 0x65da379d43995fb6),
     ),
-    ("tput/pull", (0x8d69b867eca34953, 0x5340a76efcc34880)),
-    ("pool24/pull", (0xac55667ef4263606, 0xca325e14c7e48132)),
+    ("tput/pull", (0x8d69b867eca34953, 0x599c14869255f17b)),
+    ("pool24/pull", (0xac55667ef4263606, 0x555ef6edb3a48ffa)),
     (
         "q6x6/push/transient",
-        (0xe156bbddf04e1abd, 0x5f71fd8c689c07ca),
+        (0xe156bbddf04e1abd, 0x2ad23851533ae7ee),
     ),
-    ("q6x6/push/stalls", (0x0976ab53da77d341, 0x4508a83c3e1df633)),
+    ("q6x6/push/stalls", (0x0976ab53da77d341, 0x048d7d750cd95317)),
     (
         "q6x6/push/prefetch",
-        (0x52503f2315b5ad93, 0xf53100db6c8c6381),
+        (0x52503f2315b5ad93, 0x2963b05575c7f68f),
     ),
     (
         "q6x6/push/prefetch+transient",
-        (0x0617b865cebfb164, 0xd39488132aa513fa),
+        (0x0617b865cebfb164, 0x7b506f60a9351dee),
     ),
     (
         "q6x6/push/attach/window",
-        (0x4793a969582e4d4e, 0xd70983e451c5126f),
+        (0x4793a969582e4d4e, 0x90c3f0a05cf73579),
     ),
     (
         "q6x6/push/prefetch+window",
-        (0xe22f69c9667d9dd1, 0x9413af47b1e881ef),
+        (0xe22f69c9667d9dd1, 0x591f6c059e14458b),
     ),
     (
         "q6x6/push/window-kills-all",
-        (0x1b373ce962988aef, 0x14a6ae9644510a9b),
+        (0x1b373ce962988aef, 0xa4bd463988b679d5),
     ),
-    ("q6x6/push/tail", (0x5544c96383260c4d, 0xdbc9a3aae81914ae)),
+    ("q6x6/push/tail", (0x5544c96383260c4d, 0xe83ec0b1611513aa)),
     (
         "q6x6/push/attach/late-tail",
-        (0x0cb5b9341df90a8d, 0xc0bf9841f50d7704),
+        (0x0cb5b9341df90a8d, 0x72443b148f7edf8c),
     ),
     (
         "full/push/grouping",
-        (0x7b1dd46e3c1bd284, 0x1f549a1540694061),
+        (0x7b1dd46e3c1bd284, 0x806dd49137e69501),
     ),
     (
         "full/push/elevator",
-        (0x0dc034f80eaa35c2, 0x32aeccb154dad72a),
+        (0x0dc034f80eaa35c2, 0xdd4fb5648b0da1bd),
     ),
-    ("full/push/window", (0x3193f7098178f340, 0xec3e8ce3afcf67a6)),
+    ("full/push/window", (0x3193f7098178f340, 0xa9da4cfe2e3348e9)),
     ("rid/push", (0x17360b5e6e0f7893, 0xb5daaf76e397e2c5)),
-    ("lanes/push", (0xe20ef9e82f481ee2, 0xaa86731fb3308dbe)),
+    ("lanes/push", (0xe20ef9e82f481ee2, 0xf2063b87aa7253d0)),
     (
         "lanes/push/window",
-        (0x68c7783e09c60d21, 0xe8a2dc6d3b7fc8b1),
+        (0x68c7783e09c60d21, 0xfc7847227582febb),
     ),
-    ("tput/push", (0x4248311b698aec0d, 0xb5aca9e86f39244f)),
-    ("pool24/push", (0x2fac00e8b7883a64, 0xab1817387757f453)),
-    ("base", (0xcbf29ce484222325, 0xdc82b620b04623cb)),
-    ("base/transient", (0xcbf29ce484222325, 0x79ae8b9a3c642aaa)),
-    ("base/window", (0xcbf29ce484222325, 0xc413a84f52729c58)),
+    ("tput/push", (0x4248311b698aec0d, 0x73092c824d9312ff)),
+    ("pool24/push", (0x2fac00e8b7883a64, 0xd185d3abf23d11cd)),
+    ("base", (0xcbf29ce484222325, 0x9e8405b9dfe3a4ab)),
+    ("base/transient", (0xcbf29ce484222325, 0xdaa46ecbb8b3c9bc)),
+    ("base/window", (0xcbf29ce484222325, 0x1ff90414d864ed6c)),
 ];
 
 /// FNV-1a of the run's lifecycle rows, one per scan in id order.

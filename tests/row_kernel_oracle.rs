@@ -3,20 +3,28 @@
 //!
 //! *Truth*: the public reference evaluator — `Pred::eval`,
 //! `AggSpec::group_key`, `RowRef::get_f64`, which no production code
-//! calls — folded one row at a time over the table's pages in the order
-//! an unshared scan delivers them must give the same `QueryResult`, bit
-//! for bit. (`scan_exec`'s `kernel_oracle` unit tests cross the same
-//! comparison with handcrafted pages, wraps and RID batches.) A RID scan
-//! placed mid-range by sharing folds its rows in another order, so the
-//! RID cases compare with the fold in key order: counts exactly, sums
-//! within 1e-12 relative.
+//! calls — over the rows the access path covers, in the order an
+//! unshared scan delivers them, must give the same `QueryResult`. Table
+//! and block index scans fold a subtotal a page: each page's rows from
+//! +0.0, then the pages in order; the reference folds the same way and
+//! must match bit for bit. It must also match the row-at-a-time fold the
+//! page subtotals replaced, on every count and group key, each sum within
+//! the bound a changed summation order keeps to (ROADMAP item 1(a)).
+//! (`scan_exec`'s `kernel_oracle` unit tests cross the same comparisons
+//! with handcrafted pages, wraps and RID batches.) A RID scan folds one
+//! row at a time in key order; placed mid-range by sharing it folds its
+//! rows in another order, so the RID cases compare with the fold in key
+//! order: counts exactly, sums within 1e-12 relative.
 //!
-//! *Stability*: the FNV-1a digest of each result equals a constant the
-//! commit preceding the page-at-a-time kernel computed — this file was
-//! run in a `git archive` of that commit with `PARENT_DIGESTS` zeroed and
-//! the four values its failure message printed were pasted in unedited.
-//! `RID_PARENT_DIGESTS` came the same way from the commit preceding the
-//! shared decoded index and the one-pass RID step.
+//! *Stability*: the FNV-1a digest of each result equals a constant.
+//! `PARENT_DIGESTS` were computed when whole-page steps began folding
+//! page subtotals (they moved in the last bits of sums only: every other
+//! byte of every identity-matrix report stayed put).
+//! `RID_PARENT_DIGESTS` came from the commit preceding the shared
+//! decoded index and the one-pass RID step: this file was run in a `git
+//! archive` of that commit with them zeroed and the values its failure
+//! message printed were pasted in unedited; page subtotals left them
+//! where they were.
 
 use std::collections::BTreeMap;
 
@@ -34,12 +42,13 @@ use scanshare_repro::storage::{
 };
 use scanshare_repro::tpch::{generate, q1, q6, TpchConfig};
 
-/// `(seed, query, digest)`, computed by the parent commit.
+/// `(seed, query, digest)`, computed when whole-page steps began folding
+/// page subtotals.
 const PARENT_DIGESTS: [(u64, &str, u64); 4] = [
-    (42, "Q1", 0xfe92a6bc39f39f6f),
-    (42, "Q6", 0xd2b21abcb9be0a5f),
-    (7, "Q1", 0x63eb044895550177),
-    (7, "Q6", 0x99edffd9efefbce6),
+    (42, "Q1", 0xd3135b8d079b9cdb),
+    (42, "Q6", 0x8842d40c5fcee50b),
+    (7, "Q1", 0x0372984986bcb896),
+    (7, "Q6", 0xd72f20c2faaea11b),
 ];
 
 /// FNV-1a over the result's count, sums and sorted groups, floats by bit
@@ -71,22 +80,20 @@ fn kernel(db: &Database, spec: &ScanSpec) -> QueryResult {
     scan.result()
 }
 
-/// The reference answer: every row the access path covers — every row
-/// of every page for table and block index scans, the indexed rows in
-/// key order for RID scans — in that order, through the public
-/// evaluator.
-fn naive(db: &Database, spec: &ScanSpec) -> QueryResult {
+/// Every row the access path covers — every row of every page for
+/// table and block index scans, the indexed rows in key order for RID
+/// scans — in that order, as (page, slot).
+fn covered(db: &Database, spec: &ScanSpec) -> Vec<(u32, u16)> {
     let table = db.table(&spec.table).expect("table exists");
-    let page = |p: u32| {
-        db.store()
-            .read_page(PageId::new(table.file(), p))
-            .expect("page reads")
-    };
     let every_row = |p: u32| {
-        let n = HeapPage::new(&page(p)).expect("heap page").num_rows();
+        let page = db
+            .store()
+            .read_page(PageId::new(table.file(), p))
+            .expect("page reads");
+        let n = HeapPage::new(&page).expect("heap page").num_rows();
         (0..n).map(move |slot| (p, slot))
     };
-    let rows: Vec<(u32, u16)> = match spec.access {
+    match spec.access {
         Access::FullTable => (0..table.num_pages()).flat_map(every_row).collect(),
         Access::IndexRange { lo, hi } => {
             let mdc = table.as_mdc().expect("clustered table");
@@ -109,50 +116,130 @@ fn naive(db: &Database, spec: &ScanSpec) -> QueryResult {
             .map(|e| Rid::unpack(e.payload))
             .map(|rid| (rid.page, rid.slot))
             .collect(),
-    };
+    }
+}
+
+/// The reference answer over `rows` through the public evaluator: one
+/// row at a time, or, `by_page`, each page's run of rows folded into a
+/// subtotal from +0.0 that is then added — count and sums, and each of
+/// its groups to the same group. Also returns the absolute values of
+/// each sum's addends, summed, and of each group's.
+fn fold(db: &Database, spec: &ScanSpec, rows: &[(u32, u16)], by_page: bool) -> Folded {
+    let table = db.table(&spec.table).expect("table exists");
     let n = spec.agg.sum_cols.len();
-    let mut out = QueryResult {
+    let empty = || QueryResult {
         sums: vec![0.0; n],
         ..QueryResult::default()
     };
-    for (p, slot) in rows {
-        let bytes = page(p);
-        let row = RowRef {
-            bytes: HeapPage::new(&bytes)
-                .expect("heap page")
-                .row_bytes(slot)
-                .expect("slot exists"),
-            schema: table.schema(),
-        };
-        if !spec.pred.eval(&row) {
-            continue;
+    // The position of `key`'s group in `r`, started if it has none.
+    let group = |r: &mut QueryResult, key: i64| match r.groups.binary_search_by_key(&key, |g| g.0) {
+        Ok(at) => at,
+        Err(at) => {
+            r.groups.insert(at, (key, Default::default()));
+            r.groups[at].1.sums = vec![0.0; n];
+            at
         }
-        out.count += 1;
-        let key = spec.agg.group_key(&row);
-        let at = match out.groups.binary_search_by_key(&key, |g| g.0) {
-            Ok(at) => at,
-            Err(at) => {
-                out.groups.insert(at, (key, Default::default()));
-                out.groups[at].1.sums = vec![0.0; n];
-                at
+    };
+    let mut out = Folded {
+        result: empty(),
+        abs: vec![0.0; n],
+        group_abs: BTreeMap::new(),
+    };
+    let runs: Vec<&[(u32, u16)]> = match by_page {
+        true => rows.chunk_by(|a, b| a.0 == b.0).collect(),
+        false => rows.chunks(1).collect(),
+    };
+    for run in runs {
+        let bytes = db
+            .store()
+            .read_page(PageId::new(table.file(), run[0].0))
+            .expect("page reads");
+        let page = HeapPage::new(&bytes).expect("heap page");
+        let mut sub = empty();
+        for &(_, slot) in run {
+            let row = RowRef {
+                bytes: page.row_bytes(slot).expect("slot exists"),
+                schema: table.schema(),
+            };
+            if !spec.pred.eval(&row) {
+                continue;
             }
-        };
-        let g = &mut out.groups[at].1;
-        g.count += 1;
-        for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
-            out.sums[i] += row.get_f64(c);
-            g.sums[i] += row.get_f64(c);
+            let key = spec.agg.group_key(&row);
+            let at = group(&mut sub, key);
+            let abs = out.group_abs.entry(key).or_insert_with(|| vec![0.0; n]);
+            sub.count += 1;
+            sub.groups[at].1.count += 1;
+            for (i, &c) in spec.agg.sum_cols.iter().enumerate() {
+                let x = row.get_f64(c);
+                sub.sums[i] += x;
+                sub.groups[at].1.sums[i] += x;
+                out.abs[i] += x.abs();
+                abs[i] += x.abs();
+            }
+        }
+        let r = &mut out.result;
+        r.count += sub.count;
+        for (total, x) in r.sums.iter_mut().zip(&sub.sums) {
+            *total += x;
+        }
+        for (key, g) in sub.groups {
+            let at = group(r, key);
+            r.groups[at].1.count += g.count;
+            for (total, x) in r.groups[at].1.sums.iter_mut().zip(&g.sums) {
+                *total += x;
+            }
         }
     }
     if spec.agg.group_by.is_empty() {
-        out.groups.clear();
+        out.result.groups.clear();
     }
     out
+}
+
+/// A reference answer, and what bounds a fold of its rows in another
+/// order: per sum, and per group and sum, its addends' absolute values,
+/// summed.
+struct Folded {
+    result: QueryResult,
+    abs: Vec<f64>,
+    group_abs: BTreeMap<i64, Vec<f64>>,
+}
+
+/// `got` against `want`, a fold of the same rows in another order:
+/// counts and group keys exact, and each sum of n addends within
+/// 2(n − 1)·2⁻⁵³·Σ|xᵢ| of `want`'s (each order is within (n − 1)·2⁻⁵³·Σ|xᵢ|
+/// of the exact sum, to first order). Returns whether any sum differs in
+/// its bits.
+fn assert_near(at: &str, got: &QueryResult, want: &Folded) -> bool {
+    let mut moved = false;
+    let mut near = |got: &[f64], want: &[f64], abs: &[f64], n: u64| {
+        assert_eq!(got.len(), want.len(), "{at}");
+        for ((&g, &w), &abs) in got.iter().zip(want).zip(abs) {
+            moved |= g.to_bits() != w.to_bits();
+            let bound = 2.0 * n.saturating_sub(1) as f64 * f64::EPSILON / 2.0 * abs;
+            assert!(
+                (g - w).abs() <= bound,
+                "{at}: {g:e} vs {w:e}, bound {bound:e}"
+            );
+        }
+    };
+    let r = &want.result;
+    assert_eq!(got.count, r.count, "{at}");
+    near(&got.sums, &r.sums, &want.abs, r.count);
+    let keys = |r: &QueryResult| -> Vec<(i64, u64)> {
+        r.groups.iter().map(|(k, g)| (*k, g.count)).collect()
+    };
+    assert_eq!(keys(got), keys(r), "{at}");
+    for ((key, g), (_, w)) in got.groups.iter().zip(&r.groups) {
+        near(&g.sums, &w.sums, &want.group_abs[key], w.count);
+    }
+    moved
 }
 
 #[test]
 fn q1_and_q6_equal_the_naive_fold_and_the_parents_digests() {
     let mut got = Vec::new();
+    let mut moved = false;
     for seed in [42u64, 7] {
         let cfg = TpchConfig {
             seed,
@@ -162,21 +249,20 @@ fn q1_and_q6_equal_the_naive_fold_and_the_parents_digests() {
         for query in [q1(), q6(cfg.months as i64, seed)] {
             let spec = &query.scans[0];
             let result = kernel(&db, spec);
-            assert!(
-                result.count > 0,
-                "{} at seed {seed} selects rows",
-                query.name
-            );
-            let want = naive(&db, spec);
+            let at = format!("{} at seed {seed}", query.name);
+            assert!(result.count > 0, "{at} selects rows");
+            let rows = covered(&db, spec);
+            let want = fold(&db, spec, &rows, true).result;
             assert_eq!(
                 digest(&result),
                 digest(&want),
-                "{} at seed {seed}: kernel {result:?} vs naive {want:?}",
-                query.name
+                "{at}: kernel {result:?} vs naive {want:?}"
             );
+            moved |= assert_near(&at, &result, &fold(&db, spec, &rows, false));
             got.push((seed, query.name.clone(), digest(&result)));
         }
     }
+    assert!(moved, "no sum differs from the row-at-a-time fold's");
     let table: String = got
         .iter()
         .map(|(seed, name, d)| format!("    ({seed}, {name:?}, {d:#018x}),\n"))
@@ -321,7 +407,8 @@ fn rid_scans_equal_the_naive_key_order_fold_and_the_parents_digests() {
             assert_eq!(results.len(), scans.len(), "{case}/{mode}: every query ran");
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for (name, result) in &results {
-                let want = naive(&db, scans[name]);
+                let spec = scans[name];
+                let want = fold(&db, spec, &covered(&db, spec), false).result;
                 let at = format!("{case}/{mode} {name}: kernel {result:?} vs naive {want:?}");
                 assert!(want.count > 0, "{at}");
                 assert_eq!(result.count, want.count, "{at}");
