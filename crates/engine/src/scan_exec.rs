@@ -1752,6 +1752,9 @@ pub(crate) fn step_extent(
             };
             let reason = format!("{kind} read fault on device {device} at page {addr}");
             let victim = &mut consumers[owner];
+            // The fetch fixed every page of the extent before the read
+            // died; they are the owner's fixes all the same.
+            victim.metrics.logical_reads += scratch.ids.len() as u64;
             let evicted = victim.scan.take();
             if let (Some(id), Some(mgr)) = (evicted, &world.mgr) {
                 mgr.evict_scan(id, now, &reason);

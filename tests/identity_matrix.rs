@@ -35,7 +35,12 @@
 //! folding page subtotals, which moves the last bits of sums and nothing
 //! else: `ANSWERLESS_DIGESTS`, taken by the code before that change over
 //! every report with its answers removed, did not move, and neither did
-//! the span digests, the lifecycle digests or the two RID cells.
+//! the span digests, the lifecycle digests or the two RID cells. The 15
+//! cells whose fault plan kills reads for good moved once more when a
+//! fetch that dies partway began charging its owner for the pages it
+//! fixed: their `queries[*].logical_reads` and nothing else, which
+//! `UNCHARGED_DIGESTS` (taken by the same code as `ANSWERLESS_DIGESTS`,
+//! over reports without answers or query fixes) holds them to.
 //!
 //! Two more pins per cell, in `LIFECYCLE_PINS`, outlive such changes to
 //! what the report embeds: a digest of every scan's lifecycle row
@@ -506,20 +511,20 @@ const PARENT_DIGESTS: &[(&str, (u64, u64))] = &[
     ),
     (
         "q6x6/pull/attach/window",
-        (0xc6bf4d380c135164, 0x4f130c544a4a866c),
+        (0x8eaff3cf77467b6c, 0x4f130c544a4a866c),
     ),
     (
         "q6x6/pull/prefetch+window",
-        (0xdfd9acf0b8164c28, 0xec915376ebba414e),
+        (0x2f708c9fa8248760, 0xec915376ebba414e),
     ),
     (
         "q6x6/pull/window-kills-all",
-        (0x07c8328e69153a30, 0xeea3705e2346bb5e),
+        (0x1418290802a493ca, 0xeea3705e2346bb5e),
     ),
-    ("q6x6/pull/tail", (0xb857e609af5bd671, 0x403e6a389915697d)),
+    ("q6x6/pull/tail", (0x347bdc285eeffde1, 0x403e6a389915697d)),
     (
         "q6x6/pull/attach/late-tail",
-        (0x536d60641be2fa53, 0xaa81c314a06f917b),
+        (0x014f5d6658ade06b, 0xaa81c314a06f917b),
     ),
     (
         "full/pull/grouping",
@@ -529,12 +534,12 @@ const PARENT_DIGESTS: &[(&str, (u64, u64))] = &[
         "full/pull/elevator",
         (0xff602d99a54a0985, 0x4ab80be4798fd1b2),
     ),
-    ("full/pull/window", (0x71a3db74ee553a32, 0x3f48e5496fb129b0)),
+    ("full/pull/window", (0x164e49db12e29533, 0x3f48e5496fb129b0)),
     ("rid/pull", (0x42e3d7f0fca32147, 0xa363a7d38e6d7afe)),
     ("lanes/pull", (0x42017ac054b4b7d9, 0x100e4c8000c63db7)),
     (
         "lanes/pull/window",
-        (0xed3dfec054c0bf25, 0x8f361589297c15f9),
+        (0xfe0ce3820dae8949, 0x8f361589297c15f9),
     ),
     ("tput/pull", (0xf172dffdde221c47, 0x8cc13f9cb137894b)),
     ("pool24/pull", (0x648ef18d92e777cd, 0xb60592d4c99b0463)),
@@ -553,20 +558,20 @@ const PARENT_DIGESTS: &[(&str, (u64, u64))] = &[
     ),
     (
         "q6x6/push/attach/window",
-        (0xae17d574ecd7bfa2, 0xde8a308d929a184f),
+        (0xf7fb7760f007dcf4, 0xde8a308d929a184f),
     ),
     (
         "q6x6/push/prefetch+window",
-        (0xe1073cd69845f3b9, 0x757a9e293af05f41),
+        (0x0b0901176d64d100, 0x757a9e293af05f41),
     ),
     (
         "q6x6/push/window-kills-all",
-        (0x64f876067b1ca8b6, 0xb656b50efd3160c2),
+        (0xe70c19f135f272ba, 0xb656b50efd3160c2),
     ),
-    ("q6x6/push/tail", (0x1741941d6ac17b5d, 0x49c9037dbac56ae7)),
+    ("q6x6/push/tail", (0x7f2d3a875884bfb8, 0x49c9037dbac56ae7)),
     (
         "q6x6/push/attach/late-tail",
-        (0x309841db00ec1d66, 0xb5d4d22091853840),
+        (0x5a88122d04df93e6, 0xb5d4d22091853840),
     ),
     (
         "full/push/grouping",
@@ -576,18 +581,18 @@ const PARENT_DIGESTS: &[(&str, (u64, u64))] = &[
         "full/push/elevator",
         (0x7dab4e5918b6c74d, 0x11d8bf5e1a2dbc8f),
     ),
-    ("full/push/window", (0x258181b016470551, 0x9ca166f0a604ef7e)),
+    ("full/push/window", (0xf645fbfe61bd2725, 0x9ca166f0a604ef7e)),
     ("rid/push", (0x0ccacaeb8ffc1a5f, 0xa363a7d38e6d7afe)),
     ("lanes/push", (0x5eb7122aebae0a3a, 0xfeadf377ff7a941f)),
     (
         "lanes/push/window",
-        (0x35deef40cf8d5ba5, 0xd196e12ef676cb9f),
+        (0xc30d8af21a3ef08d, 0xd196e12ef676cb9f),
     ),
     ("tput/push", (0xf9877cc52798ad9f, 0xaa929179f80d1484)),
     ("pool24/push", (0x56e7e34c3b3e3099, 0x81bc1368cdbba976)),
     ("base", (0x9e8405b9dfe3a4ab, 0x14ffc8e690a4607d)),
     ("base/transient", (0xdaa46ecbb8b3c9bc, 0xbef7e41e2372f99d)),
-    ("base/window", (0x1ff90414d864ed6c, 0xb115c25b89243636)),
+    ("base/window", (0xd6d4c48c4b521726, 0xb115c25b89243636)),
 ];
 
 /// `(cell name, (lifecycle digest, report digest without lifecycle))`,
@@ -657,20 +662,20 @@ const LIFECYCLE_PINS: &[(&str, (u64, u64))] = &[
     ),
     (
         "q6x6/pull/attach/window",
-        (0x73b93699f19e2c0b, 0x132b552b1e6c58a9),
+        (0x73b93699f19e2c0b, 0x160097a125d71ef1),
     ),
     (
         "q6x6/pull/prefetch+window",
-        (0x7e54e1353e642d65, 0x3b348940fdac9ce0),
+        (0x7e54e1353e642d65, 0xd4718e8de4b1d768),
     ),
     (
         "q6x6/pull/window-kills-all",
-        (0x26c8973bb1425eac, 0xc4b7bb7eddabd85f),
+        (0x26c8973bb1425eac, 0xc4f48aabec83aae1),
     ),
-    ("q6x6/pull/tail", (0x0843bb80c6e5a424, 0x34aa2c53629305fe)),
+    ("q6x6/pull/tail", (0x0843bb80c6e5a424, 0x73a7c485c889b0ee)),
     (
         "q6x6/pull/attach/late-tail",
-        (0x78336de943758fa6, 0x5081d656108591ed),
+        (0x78336de943758fa6, 0x2487eefec36f1ad5),
     ),
     (
         "full/pull/grouping",
@@ -680,12 +685,12 @@ const LIFECYCLE_PINS: &[(&str, (u64, u64))] = &[
         "full/pull/elevator",
         (0x1c2252d00293e90e, 0x808f745baa73e2bf),
     ),
-    ("full/pull/window", (0x345a04775885fe60, 0xc492ccd9b41d1f82)),
+    ("full/pull/window", (0x345a04775885fe60, 0x81e730d0625485d7)),
     ("rid/pull", (0x17360b5e6e0f7893, 0x3f5d5451aaa9529d)),
     ("lanes/pull", (0x9b496330effc9aaf, 0xcedb8bc9f3462101)),
     (
         "lanes/pull/window",
-        (0xd07cd353578103db, 0x65da379d43995fb6),
+        (0xd07cd353578103db, 0x1a153168f8041a82),
     ),
     ("tput/pull", (0x8d69b867eca34953, 0x599c14869255f17b)),
     ("pool24/pull", (0xac55667ef4263606, 0x555ef6edb3a48ffa)),
@@ -704,20 +709,20 @@ const LIFECYCLE_PINS: &[(&str, (u64, u64))] = &[
     ),
     (
         "q6x6/push/attach/window",
-        (0x4793a969582e4d4e, 0x90c3f0a05cf73579),
+        (0x4793a969582e4d4e, 0x07fb047e31311813),
     ),
     (
         "q6x6/push/prefetch+window",
-        (0xe22f69c9667d9dd1, 0x591f6c059e14458b),
+        (0xe22f69c9667d9dd1, 0xc73863f47d4a7a7a),
     ),
     (
         "q6x6/push/window-kills-all",
-        (0x1b373ce962988aef, 0xa4bd463988b679d5),
+        (0x1b373ce962988aef, 0x4e98f981ad202f19),
     ),
-    ("q6x6/push/tail", (0x5544c96383260c4d, 0xe83ec0b1611513aa)),
+    ("q6x6/push/tail", (0x5544c96383260c4d, 0x2ace73368d9e72b7)),
     (
         "q6x6/push/attach/late-tail",
-        (0x0cb5b9341df90a8d, 0x72443b148f7edf8c),
+        (0x0cb5b9341df90a8d, 0xb10be82ce34ec60c),
     ),
     (
         "full/push/grouping",
@@ -727,18 +732,18 @@ const LIFECYCLE_PINS: &[(&str, (u64, u64))] = &[
         "full/push/elevator",
         (0x0dc034f80eaa35c2, 0xdd4fb5648b0da1bd),
     ),
-    ("full/push/window", (0x3193f7098178f340, 0xa9da4cfe2e3348e9)),
+    ("full/push/window", (0x3193f7098178f340, 0xdb5ef9a7dbb96d8d)),
     ("rid/push", (0x17360b5e6e0f7893, 0xb5daaf76e397e2c5)),
     ("lanes/push", (0xe20ef9e82f481ee2, 0xf2063b87aa7253d0)),
     (
         "lanes/push/window",
-        (0x68c7783e09c60d21, 0xfc7847227582febb),
+        (0x68c7783e09c60d21, 0x874b8fe57b26cef3),
     ),
     ("tput/push", (0x4248311b698aec0d, 0x73092c824d9312ff)),
     ("pool24/push", (0x2fac00e8b7883a64, 0xd185d3abf23d11cd)),
     ("base", (0xcbf29ce484222325, 0x9e8405b9dfe3a4ab)),
     ("base/transient", (0xcbf29ce484222325, 0xdaa46ecbb8b3c9bc)),
-    ("base/window", (0xcbf29ce484222325, 0x1ff90414d864ed6c)),
+    ("base/window", (0xcbf29ce484222325, 0xd6d4c48c4b521726)),
 ];
 
 /// FNV-1a of the run's lifecycle rows, one per scan in id order.
@@ -921,7 +926,8 @@ fn every_cell_serialises_to_the_parent_commits_bytes() {
 /// `(cell name, digest)`: FNV-1a of [`without_answers`] of each cell's
 /// profiled report, computed by the commit before whole-page steps
 /// folded page subtotals. That change moves the last bits of sums and
-/// nothing else, so everything but the answers must still match these.
+/// nothing else, so everything but the answers must still match these —
+/// in every cell but those of [`UNCHARGED_DIGESTS`].
 const ANSWERLESS_DIGESTS: &[(&str, u64)] = &[
     ("q6x6/pull/grouping/2000us", 0xb488bcb1e8b2fb32),
     ("q6x6/pull/grouping/15000us", 0x9d80dbc408d674b6),
@@ -974,25 +980,48 @@ const ANSWERLESS_DIGESTS: &[(&str, u64)] = &[
     ("base/window", 0x462bbf5d6f51a6f4),
 ];
 
-/// [`parent_bytes`] of a report with every `queries[*].result` removed.
-fn without_answers(json: &str) -> String {
+/// `(cell name, digest)` of the cells whose fault plan kills reads for
+/// good: FNV-1a of [`without`] each cell's profiled report every query's
+/// `result` and `logical_reads`, computed by the same commit as
+/// [`ANSWERLESS_DIGESTS`]. Since a fetch that dies partway charges its
+/// owner for the pages it fixed, these cells' `logical_reads` moved (law
+/// (v) below), and nothing else of them may.
+const UNCHARGED_DIGESTS: &[(&str, u64)] = &[
+    ("q6x6/pull/attach/window", 0x0f7fe199a59a78db),
+    ("q6x6/pull/prefetch+window", 0x7f46dc39da4dcf9c),
+    ("q6x6/pull/window-kills-all", 0x86b57c0da9ecb990),
+    ("q6x6/pull/tail", 0x64bfd2ec7e25d41b),
+    ("q6x6/pull/attach/late-tail", 0x225a7251f5841f8e),
+    ("full/pull/window", 0x4ee86391e2771e1e),
+    ("lanes/pull/window", 0x54169f9dd03e45f9),
+    ("q6x6/push/attach/window", 0xac05d38bb86e0a23),
+    ("q6x6/push/prefetch+window", 0xe96f1683af485f38),
+    ("q6x6/push/window-kills-all", 0x2adfd3ec0feb3dcd),
+    ("q6x6/push/tail", 0xf5de878a56492625),
+    ("q6x6/push/attach/late-tail", 0xaadb3af0d1994ef7),
+    ("full/push/window", 0x70f2c102d670633e),
+    ("lanes/push/window", 0x44ad44afae1f562f),
+    ("base/window", 0x9604880430a8024a),
+];
+
+/// [`parent_bytes`] of a report with `fields` removed from every query.
+fn without(json: &str, fields: &[&str]) -> String {
     use serde_json::{Map, Value};
-    let without = |v: &Value, drop: &str| {
+    let query = |q: &Value| {
         let mut out = Map::new();
-        for (k, v) in v.as_object().expect("an object").iter() {
-            if k != drop {
+        for (k, v) in q.as_object().expect("a query is an object").iter() {
+            if !fields.contains(&k) {
                 out.insert(k, v.clone());
             }
         }
-        out
+        Value::Object(out)
     };
     let v: Value = serde_json::from_str(&parent_bytes(json)).expect("report parses");
     let mut out = Map::new();
     for (k, v) in v.as_object().expect("report is an object").iter() {
         match (k, v) {
             ("queries", Value::Array(queries)) => {
-                let kept = queries.iter().map(|q| Value::Object(without(q, "result")));
-                out.insert(k, Value::Array(kept.collect()))
+                out.insert(k, Value::Array(queries.iter().map(query).collect()))
             }
             _ => out.insert(k, v.clone()),
         }
@@ -1014,9 +1043,14 @@ fn every_cell_but_its_answers_serialises_to_the_parent_commits_bytes() {
             .unwrap_or_else(|e| panic!("{}: {e}", cell.name));
         let json = serde_json::to_string(&r).expect("report encodes");
         assert!(json.contains("\"result\":"), "{}: no answer", cell.name);
-        let got = fnv1a(without_answers(&json).as_bytes());
+        let charged = UNCHARGED_DIGESTS.iter().any(|(n, _)| *n == cell.name);
+        let (fields, pins): (&[&str], _) = match charged {
+            true => (&["result", "logical_reads"], UNCHARGED_DIGESTS),
+            false => (&["result"], ANSWERLESS_DIGESTS),
+        };
+        let got = fnv1a(without(&json, fields).as_bytes());
         table.push_str(&format!("    (\"{}\", 0x{got:016x}),\n", cell.name));
-        match ANSWERLESS_DIGESTS.iter().find(|(n, _)| *n == cell.name) {
+        match pins.iter().find(|(n, _)| *n == cell.name) {
             Some((_, want)) if *want == got => {}
             Some((_, want)) => moved.push(format!("{}: 0x{want:016x}", cell.name)),
             None => moved.push(format!("{}: no digest", cell.name)),
@@ -1168,41 +1202,19 @@ fn broken_laws(r: &RunReport) -> Vec<&'static str> {
     .collect()
 }
 
-/// Law (v)'s second half, broken wherever a read fails for good.
+/// Law (v)'s second half. A fetch that dies partway has fixed every page
+/// of its extent, and its owner is charged for them.
 const CHARGED: &str = "(v) sum of query fixes == pool fixes";
 
-/// Why [`CHARGED`] breaks: `fetch_extent` fixes an extent's pages before
-/// its read faults, and `step_extent` charges the owner only for a step
-/// that succeeds. Mending it moves the report digests.
-const PARTIAL_FETCH: &str = "a fetch that died partway fixed pages no query is charged";
-
-/// Every (cell, law) a run breaks today, with why: the cells whose fault
-/// plan kills reads for good, and the overlap cohort under push (ROADMAP
-/// item 3). A change that mends one fails the test below until its row
-/// is deleted here.
-const EXPECTED_VIOLATIONS: [(&str, &str, &str); 16] = [
-    ("q6x6/pull/attach/window", CHARGED, PARTIAL_FETCH),
-    ("q6x6/pull/prefetch+window", CHARGED, PARTIAL_FETCH),
-    ("q6x6/pull/window-kills-all", CHARGED, PARTIAL_FETCH),
-    ("q6x6/pull/tail", CHARGED, PARTIAL_FETCH),
-    ("q6x6/pull/attach/late-tail", CHARGED, PARTIAL_FETCH),
-    ("full/pull/window", CHARGED, PARTIAL_FETCH),
-    ("lanes/pull/window", CHARGED, PARTIAL_FETCH),
-    ("q6x6/push/attach/window", CHARGED, PARTIAL_FETCH),
-    ("q6x6/push/prefetch+window", CHARGED, PARTIAL_FETCH),
-    ("q6x6/push/window-kills-all", CHARGED, PARTIAL_FETCH),
-    ("q6x6/push/tail", CHARGED, PARTIAL_FETCH),
-    ("q6x6/push/attach/late-tail", CHARGED, PARTIAL_FETCH),
-    ("full/push/window", CHARGED, PARTIAL_FETCH),
-    ("lanes/push/window", CHARGED, PARTIAL_FETCH),
-    ("base/window", CHARGED, PARTIAL_FETCH),
-    (
-        "overlap/push",
-        "(i) cpu <= end - start",
-        "item 3: a push rider's CPU is charged as if it ran beside the \
-         driver, not after it",
-    ),
-];
+/// Every (cell, law) a run breaks today, with why: the overlap cohort
+/// under push (ROADMAP item 3). A change that mends one fails the test
+/// below until its row is deleted here.
+const EXPECTED_VIOLATIONS: [(&str, &str, &str); 1] = [(
+    "overlap/push",
+    "(i) cpu <= end - start",
+    "item 3: a push rider's CPU is charged as if it ran beside the \
+     driver, not after it",
+)];
 
 /// A cohort that reaches item 3's bug, which no matrix cell does: one
 /// I/O-bound owner and two CPU-bound riders of one Q6 on a disk of 1 µs
