@@ -1131,18 +1131,18 @@ impl PageTotal {
     }
 }
 
-impl Sink for PageTotal {
-    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>) {
-        self.agg
-            .fold_with(pipe, &mut self.local, std::iter::once(rows));
-    }
-}
-
 /// What the row kernel folds a region's selected rows into: a
 /// consumer's state, or a page subtotal.
 trait Sink {
     /// Fold `rows` of `pipe`, in order.
     fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>);
+}
+
+impl Sink for PageTotal {
+    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>) {
+        self.agg
+            .fold_with(pipe, &mut self.local, std::iter::once(rows));
+    }
 }
 
 impl Sink for AggState {
@@ -1222,7 +1222,8 @@ impl<T: Copy> Arena<T> {
         let block = self.0.last_mut().expect("a block");
         let at = block.len();
         block.extend(values.take(len));
-        ((self.0.len() - 1) as u32, at as u32)
+        let at32 = |v: usize| u32::try_from(v).expect("fewer than 2^32 blocks and values a block");
+        (at32(self.0.len() - 1), at32(at))
     }
 
     /// The `len` values kept from `at`.
@@ -1242,7 +1243,7 @@ impl PageMemo {
             self.pipelines.push((pipe.clone(), Vec::new()));
             self.pipelines.len() - 1
         });
-        at as u32
+        u32::try_from(at).expect("fewer than 2^32 pipelines")
     }
 
     /// The subtotal, of `n` sums, kept for pipeline `pipe` over `page`,
@@ -1255,14 +1256,15 @@ impl PageMemo {
         if k.frame.as_ptr() != frame.as_ptr() {
             return None;
         }
-        let (sums, g) = (self.sums.get(k.sums, n), k.n_groups as usize);
+        let g = k.n_groups as usize;
+        let (sums, group_sums) = self.sums.get(k.sums, n * (1 + g)).split_at(n);
         Some(Subtotal {
             rows: k.rows as u64,
             count: k.count as u64,
-            sums: &sums[..n],
+            sums,
             keys: self.keys.get(k.groups, g),
             counts: self.counts.get(k.groups, g),
-            group_sums: self.sums.get(k.sums, n + n * g).split_at(n).1,
+            group_sums,
             stride: n,
         })
     }
@@ -1303,7 +1305,7 @@ impl PageMemo {
             count: at(t.count as usize),
             sums,
             groups: keys,
-            n_groups: n_groups as u32,
+            n_groups: at(n_groups),
         });
         pages[p] = at(self.kept.len());
     }
@@ -1494,46 +1496,56 @@ impl RowPipeline {
     fn fold_extent(
         &self,
         pool: &BufferPool,
-        mut memo: Option<(&mut PageMemo, u32)>,
+        memo: Option<(&mut PageMemo, u32)>,
         work: StepWork,
         scratch: &mut StepScratch,
     ) -> EngineResult<u64> {
-        let StepWork::Rids(step) = work else {
-            let StepScratch {
-                pages,
-                sel,
-                gathered,
-                page,
-                states,
-                ..
-            } = scratch;
-            let n = self.sum_offs.len();
-            page.reset(self);
-            let mut seen = 0;
-            for &(id, slot) in pages.iter() {
-                let frame = pool.slot_buf(slot);
-                let kept = memo
-                    .as_ref()
-                    .and_then(|(m, pipe)| m.get(*pipe, id, frame, n));
-                let total = match kept {
-                    Some(total) => total,
-                    None => {
-                        let rows = self.fold_page(page, sel, gathered, frame)?;
-                        let total = page.subtotal(rows);
-                        if let Some((m, pipe)) = &mut memo {
-                            m.keep(*pipe, id, frame, total);
-                        }
-                        total
+        match work {
+            StepWork::AllRows => self.fold_pages(pool, memo, scratch),
+            StepWork::Rids(step) => self.fold_rids(pool, step, scratch),
+        }
+    }
+
+    /// [`RowPipeline::fold_extent`] for a whole-page step.
+    fn fold_pages(
+        &self,
+        pool: &BufferPool,
+        mut memo: Option<(&mut PageMemo, u32)>,
+        scratch: &mut StepScratch,
+    ) -> EngineResult<u64> {
+        let StepScratch {
+            pages,
+            sel,
+            gathered,
+            page,
+            states,
+            ..
+        } = scratch;
+        let n = self.sum_offs.len();
+        page.reset(self);
+        let mut seen = 0;
+        for &(id, slot) in pages.iter() {
+            let frame = pool.slot_buf(slot);
+            let kept = memo
+                .as_ref()
+                .and_then(|(m, pipe)| m.get(*pipe, id, frame, n));
+            let total = match kept {
+                Some(total) => total,
+                None => {
+                    let rows = self.fold_page(page, sel, gathered, frame)?;
+                    let total = page.subtotal(rows);
+                    if let Some((m, pipe)) = &mut memo {
+                        m.keep(*pipe, id, frame, total);
                     }
-                };
-                for s in states.iter_mut() {
-                    s.add_page(total);
+                    total
                 }
-                seen += total.rows;
+            };
+            for s in states.iter_mut() {
+                s.add_page(total);
             }
-            return Ok(seen);
-        };
-        self.fold_rids(pool, step, scratch)
+            seen += total.rows;
+        }
+        Ok(seen)
     }
 
     /// [`RowPipeline::fold_extent`] for a RID step, whose `step` entries
@@ -1798,7 +1810,9 @@ pub(crate) fn step_extent(
         let first = &mut consumers[scratch.members[start]];
         let memo = match (&mut world.memo, fusable) {
             (Some(memo), true) => {
-                let key = (first.memo_key).get_or_insert_with(|| memo.intern(&first.pipeline));
+                let key = first
+                    .memo_key
+                    .get_or_insert_with(|| memo.intern(&first.pipeline));
                 Some((memo, *key))
             }
             _ => None,
