@@ -594,8 +594,7 @@ mod tests {
     /// A filter scan, a `Pred::True` scan and a second filter scan ride
     /// one driver: two pipeline classes per extent, one of them folded
     /// for two riders at once. The answers are the ones the first commit
-    /// of page subtotals computed, bit for bit (before it, the ones the
-    /// commit before the class-major step computed).
+    /// of page subtotals computed, bit for bit.
     #[test]
     fn mixed_pipelines_ride_one_driver_as_two_classes() {
         let mut db = Database::new(16);

@@ -49,9 +49,14 @@ leg "benchmark crate (metric-name drift + --quick smoke)"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 leg "row-kernel, walk, grouping, manager, placement, policy and sampler oracles, release build"
-# The kernel's register chunks (K states × N sums, const-generic), the
-# local group tables a grouped fold copies a state's first eight groups
-# into (`LocalGroups`, one probe per row), the manager's grouping index
+# The fold's register-held sums (N of them, const-generic), the local
+# group tables a grouped fold holds at most eight groups in
+# (`LocalGroups`, one probe per row), the page subtotals a whole-page
+# step folds and adds to each state of a class, the run's memo of them
+# (kernel_oracle holds the subtotals to a naive page-subtotal fold bit
+# for bit and to the row-at-a-time fold within the summation-order
+# bound, counts one fold a page over a run of staggered scans, and folds
+# a kept subtotal of other bytes again), the manager's grouping index
 # and the placement estimator's sweep are release codegen: the debug
 # suite above proves the source, not what the optimiser makes of it, and
 # release is what every measurement runs. The core crate's grouping and
@@ -68,7 +73,8 @@ leg "row-kernel, walk, grouping, manager, placement, policy and sampler oracles,
 # the one ring walk of every cursor's steps, so the walk pin (every step
 # of table, block-index and RID plans, digested) runs here too.
 cargo test --release --offline -q -p scanshare-engine --lib -- kernel_oracle start_at_picks \
-    walk_pin rid_gather workload::tests::the_sampler_records_what_sampling_by_name_records
+    walk_pin rid_gather push::tests::mixed_pipelines_ride_one_driver_as_two_classes \
+    workload::tests::the_sampler_records_what_sampling_by_name_records
 cargo test --release --offline -q --test row_kernel_oracle
 cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: placement:: policy::
 
