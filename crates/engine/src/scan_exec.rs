@@ -4,11 +4,11 @@
 //! 16-page run for table scans, one MDC block for index scans) and a
 //! `Consumer` folds the rows of whatever pages it is handed into one
 //! query's aggregate. `step_extent` is the one place they meet: gather
-//! an extent, fetch and fix it once, run each distinct row pipeline once
-//! over the fixed pages for all the consumers that share it, charge
-//! every consumer its CPU share, make the paper's per-extent manager
-//! call (location update in, throttle wait and release priority out),
-//! release, advance, read ahead.
+//! an extent, fetch and fix it once, add each page's subtotal — folded
+//! once a run per distinct row pipeline — to every consumer of that
+//! pipeline, charge every consumer its CPU share, make the paper's
+//! per-extent manager call (location update in, throttle wait and
+//! release priority out), release, advance, read ahead.
 //!
 //! A [`ScanExec`] is a cursor with exactly one consumer — the pull
 //! delivery of the papers, which adds the other two manager calls:
