@@ -321,7 +321,7 @@ pub static TABLE: &[Experiment] = &[
         project: streams,
         claims: &[claim("min_pull_gain_step_pts", Ge, 0.0)],
     },
-    // About 25 s of a release build at its documented scale 0.1 (up to
+    // About 15 s of a release build at its documented scale 0.1 (up to
     // 512 streams x three modes) and far longer at 1.0, so it is run by
     // name and keeps that recipe.
     Experiment {

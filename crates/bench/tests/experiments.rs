@@ -9,7 +9,7 @@
 //! each wrote) and have not been edited since: a row that moves by one
 //! byte fails by name. `streams_push` shares `streams`' row code and
 //! differs only in its constant stream list (32 to 512 streams, about
-//! 25 s of a release build at scale 0.1, and `ci.sh` compares its file
+//! 15 s of a release build at scale 0.1, and `ci.sh` compares its file
 //! with `results/streams_push.json`), so `streams`' digests cover it. `smoke` is the exception:
 //! the row did not exist before ISSUE 23, which computed its digest
 //! itself, after showing its pull and push legs equal to the last digit
