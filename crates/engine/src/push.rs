@@ -592,11 +592,12 @@ mod tests {
     }
 
     /// A filter scan, a `Pred::True` scan and a second filter scan ride
-    /// one driver: two pipeline classes per extent, one of them folded
-    /// for two riders at once. The answers are the ones the first commit
-    /// of page subtotals computed, bit for bit.
+    /// one driver of a world with a memo: two pipelines per extent, and
+    /// the filter scans' pages are folded once for both of them. The
+    /// answers are the ones the first commit of page subtotals computed,
+    /// bit for bit.
     #[test]
-    fn mixed_pipelines_ride_one_driver_as_two_classes() {
+    fn mixed_pipelines_ride_one_driver_folding_each_page_once() {
         let mut db = Database::new(16);
         let schema = Schema::new(vec![
             Column::new("month", ColType::Int32),
@@ -629,18 +630,21 @@ mod tests {
             ..full_range(CpuClass::io_bound())
         };
         // The CPU class is no part of a pipeline: the two filter scans
-        // differ in it and are one class all the same.
+        // differ in it and share one pipeline all the same.
         let founder = ScanSpec {
             cpu: CpuClass::io_bound(),
             ..filter.clone()
         };
         let cohort = [(founder, 0), (plain, 1_000), (filter, 12_000)];
         let mut w = world(&db);
-        let fused_before = crate::scan_exec::fused_classes();
+        w.memo = Some(crate::scan_exec::PageMemo::default());
+        let folds = crate::scan_exec::page_folds();
         let (pe, seen) = drive(&db, &mut w, &cohort);
         assert_eq!((pe.summary().drivers, pe.summary().attaches), (1, 2));
-        // The eleven extents all three rode: the filter scans as one class.
-        assert_eq!(crate::scan_exec::fused_classes() - fused_before, 11);
+        // Each page of the table is folded once for each of the two
+        // pipelines: the filter scans share every fold, replays included.
+        let folds = crate::scan_exec::page_folds() - folds;
+        assert_eq!(folds, 2 * pe.summary().pages_delivered);
         let got: Vec<(u64, Vec<u64>)> = seen
             .iter()
             .map(|s| {

@@ -371,7 +371,7 @@ pub(crate) struct StepScratch {
     /// The runs of same-page RIDs a [`Walk::Rids`] step takes, in order.
     runs: Vec<StepRun>,
     /// A RID step's entries whose rows pass a predicate, and the runs
-    /// they fall into, for one class.
+    /// they fall into, for one consumer.
     kept: Vec<Entry>,
     kept_runs: Vec<StepRun>,
     /// Each page of a RID step, in `ids` order: its pool frame, and
@@ -386,21 +386,14 @@ pub(crate) struct StepScratch {
     faults: Vec<crate::faults::FaultEvent>,
     /// The row kernel's selection vector: indexes of the rows of the
     /// region being folded that passed the predicate so far. Every
-    /// consumer of a step selects into this one buffer, and the consumers
-    /// of one class share the selection itself: it is made once a page.
+    /// consumer of a step selects into this one buffer in turn.
     sel: Vec<u32>,
     /// The rows of a page that is not fixed-width, copied side by side
     /// so the kernel sees a dense region.
     gathered: Vec<u8>,
-    /// The subtotal of the page a whole-page step folds last.
-    page: PageTotal,
-    /// The step's consumers class by class — consumers whose compiled
-    /// pipelines are equal sit side by side — in delivery order within a
-    /// class and classes in order of their first member.
-    members: Vec<usize>,
-    /// The aggregation states of the class being folded, lent by its
-    /// consumers for the fold.
-    states: Vec<AggState>,
+    /// The subtotal of the page a whole-page step folds last: a state
+    /// reset for each page.
+    page: AggState,
 }
 
 /// One predicate leaf with its column byte offset resolved against the
@@ -475,9 +468,9 @@ impl PredLeaf {
 /// predicate flattened into [`PredLeaf`] conjuncts (left-to-right source
 /// order; leaves are pure, so filtering leaf by leaf keeps exactly the
 /// rows [`Pred::eval`]'s short-circuit does) and the aggregate's column
-/// indexes resolved to byte offsets. The row kernel dominates simulator
-/// wall time, so it must not touch `Schema`. Consumers whose pipelines
-/// are equal form one class of a step: they select and decode alike.
+/// indexes resolved to byte offsets. The row kernel is the simulator's
+/// inner loop, so it must not touch `Schema`. Consumers whose pipelines
+/// are equal share the page subtotals a run's [`PageMemo`] keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RowPipeline {
     /// Conjunction of leaves; empty means every row qualifies.
@@ -562,23 +555,17 @@ impl RowPipeline {
         Ok(())
     }
 
-    /// The row kernel over one dense `region` of rows, for each of
-    /// `sinks` in turn. *Select*: each leaf in turn narrows the selection
-    /// vector `sel` to the rows that pass it. *Fold*: the survivors, in
-    /// row order, are added to each sink — without a predicate, straight
-    /// from the region.
-    fn fold_region<S: Sink>(&self, sinks: &mut [S], sel: &mut Vec<u32>, region: &[u8]) {
+    /// The row kernel over one dense `region` of rows. *Select*: each
+    /// leaf in turn narrows the selection vector `sel` to the rows that
+    /// pass it. *Fold*: the survivors, in row order, are added to `agg` —
+    /// without a predicate, straight from the region.
+    fn fold_region(&self, agg: &mut AggState, sel: &mut Vec<u32>, region: &[u8]) {
         let stride = self.stride();
         if self.leaves.is_empty() {
-            for s in sinks {
-                s.take_rows(self, region.chunks_exact(stride));
-            }
-            return;
+            return agg.fold(self, region.chunks_exact(stride));
         }
         self.select(sel, region);
-        for s in sinks {
-            s.take_rows(self, selected(region, stride, sel));
-        }
+        agg.fold(self, selected(region, stride, sel));
     }
 
     /// Narrow `sel` to the rows of `region` that pass every leaf.
@@ -592,12 +579,12 @@ impl RowPipeline {
     }
 
     /// Fold the rows of `frame`, a heap page of this pipeline's table,
-    /// into `total`, reset for this pipeline and emptied first: its page
-    /// subtotal. Returns the rows examined. A page that is not
-    /// fixed-width has its rows copied into `gathered` first.
+    /// into `total`, reset first: its page subtotal. Returns the rows
+    /// examined. A page that is not fixed-width has its rows copied into
+    /// `gathered` first.
     fn fold_page(
         &self,
-        total: &mut PageTotal,
+        total: &mut AggState,
         sel: &mut Vec<u32>,
         gathered: &mut Vec<u8>,
         frame: &[u8],
@@ -614,8 +601,8 @@ impl RowPipeline {
             }
         };
         note_page_fold();
-        total.empty(self);
-        self.fold_region(std::slice::from_mut(total), sel, region);
+        total.reset(self.sum_offs.len());
+        self.fold_region(total, sel, region);
         Ok(page.num_rows() as u64)
     }
 
@@ -633,8 +620,9 @@ impl RowPipeline {
 ///
 /// A whole-page step adds one *page subtotal* to it per page, in the
 /// order the consumer visits pages: the page's selected rows folded, in
-/// page order, into accumulators that start at +0.0 ([`Subtotal`]). A
-/// RID step folds its rows into it one at a time, in key order. Either
+/// page order, into another `AggState`, reset for the page so that its
+/// accumulators start at +0.0 ([`Subtotal`]). A RID step folds its rows
+/// into it straight, in key order. Either
 /// way every accumulator — the count, each sum, each group's count and
 /// sums — receives the same addends in the same order whoever else rides
 /// the same pages, and whether a subtotal was folded afresh or kept from
@@ -680,136 +668,6 @@ fn find_group(slots: &[u32], keys: &[i64], key: i64) -> Option<usize> {
             g if keys[g - 1] == key => return Some(g - 1),
             _ => at = (at + 1) & mask,
         }
-    }
-}
-
-/// A group table as a pass of the fold sees it.
-trait Groups {
-    /// The position of `key`'s group, if it has one.
-    fn find(&self, key: i64) -> Option<usize>;
-    /// Count a row, whose summed fields are `vals`, into group `g`.
-    fn take(&mut self, g: usize, vals: &[f64]);
-}
-
-impl Groups for AggState {
-    #[inline(always)]
-    fn find(&self, key: i64) -> Option<usize> {
-        find_group(&self.slots, &self.keys, key)
-    }
-
-    #[inline(always)]
-    fn take(&mut self, g: usize, vals: &[f64]) {
-        let n = vals.len();
-        self.counts[g] += 1;
-        add(&mut self.group_sums[g * n..][..n], vals);
-    }
-}
-
-/// The most groups, and sums per group, a [`LocalGroups`] holds.
-const LOCAL: usize = 8;
-
-/// A small group table copied out of its state for a pass, so rows add
-/// to locals at fixed places instead of through the state's `Vec`s. A
-/// key is found with one probe: the keys' hashes are shifted until no two
-/// share a place in `at`.
-#[derive(Debug)]
-struct LocalGroups {
-    keys: [i64; LOCAL],
-    counts: [u64; LOCAL],
-    sums: [[f64; LOCAL]; LOCAL],
-    /// The groups in use: the state's, then those the table started.
-    len: usize,
-    /// The group each 6-bit hash leads to, or `u8::MAX` for none.
-    at: [u8; 64],
-    /// The Fibonacci multiplier shifted left so that the chosen six bits
-    /// of a key's product are its top six: the probe is one multiply and
-    /// one constant shift.
-    mul: u64,
-}
-
-/// The probe of a [`LocalGroups`] over `keys`: the group each 6-bit
-/// window leads to, and the multiplier that selects the window — the
-/// first shift, from 58 down, at which no two keys share a window.
-fn probe_for(keys: &[i64]) -> Option<([u8; 64], u64)> {
-    (0..59).rev().find_map(|shift| {
-        let mut at = [u8::MAX; 64];
-        let taken = |(g, &key)| std::mem::replace(&mut at[home_slot(key, shift, 63)], g) < 64;
-        (!(0..).zip(keys).any(taken)).then_some((at, FIBONACCI << (58 - shift)))
-    })
-}
-
-impl LocalGroups {
-    /// `s`'s groups, of `n` sums each, if there are few enough and their
-    /// hashes can be told apart.
-    #[inline(never)]
-    fn load(s: &AggState, n: usize) -> Option<LocalGroups> {
-        let len = s.keys.len();
-        if len > LOCAL || n > LOCAL {
-            return None;
-        }
-        let (at, mul) = probe_for(&s.keys)?;
-        let (mut keys, mut counts, mut sums) = ([0; LOCAL], [0; LOCAL], [[0.0; LOCAL]; LOCAL]);
-        keys[..len].copy_from_slice(&s.keys);
-        counts[..len].copy_from_slice(&s.counts);
-        for (g, sums) in sums[..len].iter_mut().enumerate() {
-            sums[..n].copy_from_slice(&s.group_sums[g * n..][..n]);
-        }
-        Some(LocalGroups {
-            keys,
-            counts,
-            sums,
-            len,
-            at,
-            mul,
-        })
-    }
-
-    /// Start an empty group for `key`, which the table lacks: its
-    /// position, or `None` when the table is full or no shift tells its
-    /// keys apart. The new group goes where its window leads when that is
-    /// free, and the windows are chosen again when it is not.
-    #[cold]
-    fn start(&mut self, key: i64) -> Option<usize> {
-        let g = self.len;
-        if g == LOCAL {
-            return None;
-        }
-        self.keys[g] = key;
-        let window = ((key as u64).wrapping_mul(self.mul) >> 58) as usize;
-        if self.at[window] == u8::MAX {
-            self.at[window] = g as u8;
-        } else {
-            (self.at, self.mul) = probe_for(&self.keys[..=g])?;
-        }
-        self.len += 1;
-        Some(g)
-    }
-
-    /// Write the counts and sums back to `s`, the state they came from,
-    /// after starting there the groups the table started, in its order.
-    #[inline(never)]
-    fn store(&self, s: &mut AggState, n: usize) {
-        for &key in &self.keys[s.keys.len()..self.len] {
-            s.add_group(key, n);
-        }
-        s.counts.copy_from_slice(&self.counts[..self.len]);
-        for (g, sums) in self.sums[..self.len].iter().enumerate() {
-            s.group_sums[g * n..][..n].copy_from_slice(&sums[..n]);
-        }
-    }
-}
-
-impl Groups for LocalGroups {
-    #[inline(always)]
-    fn find(&self, key: i64) -> Option<usize> {
-        let g = self.at[((key as u64).wrapping_mul(self.mul) >> 58) as usize] as usize;
-        (self.keys.get(g) == Some(&key)).then_some(g)
-    }
-
-    #[inline(always)]
-    fn take(&mut self, g: usize, vals: &[f64]) {
-        self.counts[g] += 1;
-        add(&mut self.sums[g], vals);
     }
 }
 
@@ -860,161 +718,60 @@ impl AggState {
         self.count += t.count;
         add(&mut self.sums, t.sums);
         for (g, &key) in t.keys.iter().enumerate() {
-            if t.counts[g] == 0 {
-                continue;
-            }
             let at =
                 find_group(&self.slots, &self.keys, key).unwrap_or_else(|| self.add_group(key, n));
             self.counts[at] += t.counts[g];
             add(
                 &mut self.group_sums[at * n..][..n],
-                &t.group_sums[g * t.stride..][..n],
+                &t.group_sums[g * n..][..n],
             );
         }
     }
 
-    /// Fold qualifying rows of `pipe`, batch after batch and in order,
-    /// over this state's group table copied into a [`LocalGroups`] for the
-    /// fold while that holds it.
+    /// Fold `rows` of `pipe`, in order. Without groups each sum takes its
+    /// column in one pass, so its running total stays in a local. With
+    /// groups the fold goes row by row: the row's key finds its group, or
+    /// starts one, and each summed field is decoded once and added to the
+    /// total and to the group.
     fn fold<'a>(
         &mut self,
         pipe: &RowPipeline,
-        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]>>,
+        rows: impl ExactSizeIterator<Item = &'a [u8]> + Clone,
     ) {
+        self.count += rows.len() as u64;
+        if pipe.group_offs.is_empty() {
+            for (sum, &off) in self.sums.iter_mut().zip(&pipe.sum_offs) {
+                *sum = rows.clone().fold(*sum, |sum, row| sum + f64_at(row, off));
+            }
+            return;
+        }
         let n = pipe.sum_offs.len();
-        let mut local = match pipe.group_offs.is_empty() {
-            true => None,
-            false => LocalGroups::load(self, n),
-        };
-        self.fold_with(pipe, &mut local, batches);
-        if let Some(table) = local {
-            table.store(self, n);
-        }
-    }
-
-    /// [`AggState::fold`] over the groups `local` holds, if it holds them
-    /// (it is `None` once a row of a group it has no room for moves them
-    /// here). The running sums are copied out for the length of the fold
-    /// — into an array when there are at most eight (every array length
-    /// is one more copy of the body), so they stay in registers across the
-    /// rows instead of being loaded and stored through `&mut` for every
-    /// row — and continue from the totals so far.
-    fn fold_with<'a>(
-        &mut self,
-        pipe: &RowPipeline,
-        local: &mut Option<LocalGroups>,
-        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]>>,
-    ) {
-        macro_rules! with_arrays_of {
-            ($($n:literal)*) => {
-                match pipe.sum_offs.len() {
-                    $($n => {
-                        let offs: [usize; $n] = pipe.sum_offs[..].try_into().expect("length matched");
-                        let sums: [f64; $n] = self.sums[..].try_into().expect("one sum per offset");
-                        let sums = self.fold_into(local, sums, offs, &pipe.group_offs, batches);
-                        self.sums.copy_from_slice(&sums);
-                    })*
-                    _ => {
-                        let sums = std::mem::take(&mut self.sums);
-                        self.sums = self.fold_into(local, sums, &pipe.sum_offs[..], &pipe.group_offs, batches);
-                    }
-                }
-            };
-        }
-        with_arrays_of!(0 1 2 3 4 5 6 7 8);
-    }
-
-    /// The one fold body, over the running `sums` held in an array or a
-    /// `Vec` (with the byte offset of each sum's column in `offs`): a
-    /// row's fields are decoded once and added. Returns the sums.
-    fn fold_into<'a, A: Fields>(
-        &mut self,
-        local: &mut Option<LocalGroups>,
-        mut sums: A,
-        offs: impl AsRef<[usize]> + Copy,
-        group_offs: &[usize],
-        batches: impl Iterator<Item = impl ExactSizeIterator<Item = &'a [u8]>>,
-    ) -> A {
-        if !group_offs.is_empty() {
-            return self.fold_groups(local, sums, offs, group_offs, batches);
-        }
-        // The current row's fields (beyond the array lengths this buffer
-        // is the one allocation of a fold).
-        let mut vals = sums.clone();
-        let vals = vals.as_mut();
-        for rows in batches {
-            self.count += rows.len() as u64;
-            for row in rows {
-                decode(vals, offs, row);
-                add(sums.as_mut(), vals);
+        for row in rows {
+            // One byte per group column, packed most significant first.
+            let key = (pipe.group_offs.iter()).fold(0, |key, &off| (key << 8) | row[off] as i64);
+            let g =
+                find_group(&self.slots, &self.keys, key).unwrap_or_else(|| self.add_group(key, n));
+            self.counts[g] += 1;
+            let group = &mut self.group_sums[g * n..][..n];
+            for ((total, sum), &off) in self.sums.iter_mut().zip(group).zip(&pipe.sum_offs) {
+                let v = f64_at(row, off);
+                *total += v;
+                *sum += v;
             }
         }
-        sums
     }
 
-    /// The grouped fold: each row goes to the running `sums` and to its
-    /// group's count and sums — in a pass over the `local` table while it
-    /// holds the groups, and in place from the first row of a group it
-    /// has no room for. Returns the sums.
-    #[inline(never)]
-    fn fold_groups<'a, A: Fields, I>(
-        &mut self,
-        local: &mut Option<LocalGroups>,
-        sums: A,
-        offs: impl AsRef<[usize]> + Copy,
-        group_offs: &[usize],
-        mut batches: impl Iterator<Item = I>,
-    ) -> A
-    where
-        I: ExactSizeIterator<Item = &'a [u8]>,
-    {
-        let n = sums.as_ref().len();
-        // One byte per group column, packed most significant first; one
-        // or two columns (Q1's) without a loop. The closure copies what it
-        // reads: borrowing these locals would pin them to memory.
-        let (short, hi, mask, lo) = match *group_offs {
-            [lo] => (true, lo, 0, lo),
-            [hi, lo] => (true, hi, !0, lo),
-            _ => (false, 0, 0, 0),
-        };
-        let pack = move |row: &[u8]| match short {
-            true => ((row[hi] as i64) << 8 & mask) | row[lo] as i64,
-            false => (group_offs.iter()).fold(0, |key, &off| (key << 8) | row[off] as i64),
-        };
-        let vals = sums.clone();
-        let mut carry = Carry {
-            sums,
-            vals,
-            folded: 0,
-        };
-        // A row of a group the table lacks ends a pass, which hands back
-        // its fields: the table starts the group and takes the row, and
-        // the next pass resumes after it. A row of a group the local table
-        // has no room for moves its groups to the state, which folds the
-        // rest in place.
-        let mut rows = batches.next();
-        while let Some(table) = local {
-            let miss;
-            (carry, miss) = fold_pass(table, carry, offs, (&mut rows, &mut batches), pack);
-            let Some(key) = miss else { break };
-            if let Some(g) = table.start(key) {
-                table.take(g, carry.vals.as_ref());
-                continue;
-            }
-            table.store(self, n);
-            *local = None;
-            let g = self.add_group(key, n);
-            self.take(g, carry.vals.as_ref());
+    /// This state as the subtotal of a page of which `rows` rows were
+    /// examined.
+    fn subtotal(&self, rows: u64) -> Subtotal<'_> {
+        Subtotal {
+            rows,
+            count: self.count,
+            sums: &self.sums,
+            keys: &self.keys,
+            counts: &self.counts,
+            group_sums: &self.group_sums,
         }
-        loop {
-            let miss;
-            (carry, miss) = fold_pass(self, carry, offs, (&mut rows, &mut batches), pack);
-            let Some(key) = miss else { break };
-            let g = self.add_group(key, n);
-            self.take(g, carry.vals.as_ref());
-        }
-        self.count += carry.folded;
-        carry.sums
     }
 
     /// Start an empty group for `key`; returns its position.
@@ -1048,9 +805,8 @@ impl AggState {
 /// What one page adds to every consumer of a pipeline that visits it:
 /// the page's selected rows folded, in page order, into accumulators
 /// that start at +0.0 — a count, sums and a group table. Lent by the
-/// step scratch's `page` or by the run's [`PageMemo`]. A group at 0 rows
-/// is one an earlier page of the step had, not this page's: it adds
-/// nothing.
+/// step scratch's `page`, an [`AggState`] reset for each page, or by the
+/// run's [`PageMemo`]. Every group it has met a row of the page.
 #[derive(Debug, Clone, Copy)]
 struct Subtotal<'a> {
     /// Rows of the page examined, selected or not.
@@ -1058,97 +814,10 @@ struct Subtotal<'a> {
     /// Rows selected.
     count: u64,
     sums: &'a [f64],
-    /// The groups: keys, their rows, and `sums.len()` sums for each, the
-    /// first `stride` apart.
+    /// The groups: keys, their rows, and `sums.len()` sums for each.
     keys: &'a [i64],
     counts: &'a [u64],
     group_sums: &'a [f64],
-    stride: usize,
-}
-
-/// A page subtotal as the kernel folds it: a state of its own, whose
-/// groups sit in a local table while it holds them. The table stays from
-/// page to page of a step, emptied, its groups at 0 rows, so that a page
-/// of the groups the last one had neither loads nor starts any.
-#[derive(Debug, Default)]
-struct PageTotal {
-    agg: AggState,
-    local: Option<LocalGroups>,
-}
-
-impl PageTotal {
-    /// Empty for the pages of `pipe`, with no group.
-    fn reset(&mut self, pipe: &RowPipeline) {
-        let n = pipe.sum_offs.len();
-        self.agg.reset(n);
-        self.local = match pipe.group_offs.is_empty() {
-            true => None,
-            false => LocalGroups::load(&self.agg, n),
-        };
-    }
-
-    /// Empty for the next page of `pipe`. Groups in the local table stay,
-    /// at 0 rows; groups that outgrew it are forgotten.
-    fn empty(&mut self, pipe: &RowPipeline) {
-        if self.local.is_none() && !pipe.group_offs.is_empty() {
-            return self.reset(pipe);
-        }
-        self.agg.count = 0;
-        // Loops, not `fill`: a call to `memset` a page costs more than the
-        // few words it clears.
-        for v in &mut self.agg.sums {
-            *v = 0.0;
-        }
-        if let Some(table) = &mut self.local {
-            for g in 0..table.len {
-                table.counts[g] = 0;
-                table.sums[g] = [0.0; LOCAL];
-            }
-        }
-    }
-
-    /// The page's subtotal, of which `rows` rows were examined.
-    fn subtotal(&self, rows: u64) -> Subtotal<'_> {
-        let a = &self.agg;
-        let (keys, counts, group_sums, stride) = match &self.local {
-            Some(t) => (
-                &t.keys[..t.len],
-                &t.counts[..t.len],
-                t.sums.as_flattened(),
-                LOCAL,
-            ),
-            None => (&a.keys[..], &a.counts[..], &a.group_sums[..], a.sums.len()),
-        };
-        Subtotal {
-            rows,
-            count: a.count,
-            sums: &a.sums,
-            keys,
-            counts,
-            group_sums,
-            stride,
-        }
-    }
-}
-
-/// What the row kernel folds a region's selected rows into: a
-/// consumer's state, or a page subtotal.
-trait Sink {
-    /// Fold `rows` of `pipe`, in order.
-    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>);
-}
-
-impl Sink for PageTotal {
-    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>) {
-        self.agg
-            .fold_with(pipe, &mut self.local, std::iter::once(rows));
-    }
-}
-
-impl Sink for AggState {
-    fn take_rows<'a>(&mut self, pipe: &RowPipeline, rows: impl ExactSizeIterator<Item = &'a [u8]>) {
-        self.fold(pipe, std::iter::once(rows));
-    }
 }
 
 /// The page subtotals a run has folded, so that a pipeline visiting a
@@ -1265,7 +934,6 @@ impl PageMemo {
             keys: self.keys.get(k.groups, g),
             counts: self.counts.get(k.groups, g),
             group_sums,
-            stride: n,
         })
     }
 
@@ -1288,16 +956,11 @@ impl PageMemo {
         if pages[p] != 0 {
             return;
         }
-        let n = t.sums.len();
-        let groups = (0..t.keys.len()).filter(|&g| t.counts[g] > 0);
-        let group_sums = groups
-            .clone()
-            .flat_map(|g| &t.group_sums[g * t.stride..][..n]);
-        let sums = t.sums.iter().chain(group_sums).copied();
-        let n_groups = groups.clone().count();
+        let (n, n_groups) = (t.sums.len(), t.keys.len());
+        let sums = t.sums.iter().chain(t.group_sums).copied();
         let sums = self.sums.push(n * (1 + n_groups), sums);
-        let keys = self.keys.push(n_groups, groups.clone().map(|g| t.keys[g]));
-        self.counts.push(n_groups, groups.map(|g| t.counts[g]));
+        let keys = self.keys.push(n_groups, t.keys.iter().copied());
+        self.counts.push(n_groups, t.counts.iter().copied());
         let at = |len: usize| u32::try_from(len).expect("fewer than 2^32 rows and subtotals");
         self.kept.push(Kept {
             frame: frame.clone(),
@@ -1311,74 +974,12 @@ impl PageMemo {
     }
 }
 
-/// Read the summed fields of `row`, at `offs`, into `vals`.
-#[inline(always)]
-fn decode(vals: &mut [f64], offs: impl AsRef<[usize]>, row: &[u8]) {
-    for (v, &off) in vals.iter_mut().zip(offs.as_ref()) {
-        *v = f64_at(row, off);
-    }
-}
-
-/// Add a row's summed fields to running totals.
+/// Add `vals` to running totals, one to one.
 #[inline(always)]
 fn add(totals: &mut [f64], vals: &[f64]) {
     for (a, v) in totals.iter_mut().zip(vals) {
         *a += v;
     }
-}
-
-/// A state's running sums, as the fold holds them: `[f64; N]` for the
-/// shapes it has a copy of the body for, a `Vec` beyond.
-trait Fields: AsMut<[f64]> + AsRef<[f64]> + Clone {}
-
-impl<A: AsMut<[f64]> + AsRef<[f64]> + Clone> Fields for A {}
-
-/// What a pass of the grouped fold carries from row to row, by value so
-/// that it stays in registers: the running totals, the fields of the row
-/// decoded last, and the rows folded.
-struct Carry<A> {
-    sums: A,
-    vals: A,
-    folded: u64,
-}
-
-/// One pass of a grouped fold over a group `table`: the rows of the
-/// current batch and of the batches after it, until they end or a row
-/// arrives whose group the table lacks. A row's fields are decoded once
-/// and added to the totals and to its group. Takes the running values and
-/// hands them back, that row counted and its fields in `vals`, with its
-/// key. The loop calls nothing: a call in it would keep the totals out
-/// of registers.
-#[inline(always)]
-fn fold_pass<'a, A: Fields, I: ExactSizeIterator<Item = &'a [u8]>>(
-    table: &mut impl Groups,
-    carry: Carry<A>,
-    offs: impl AsRef<[usize]> + Copy,
-    (rows, batches): (&mut Option<I>, &mut impl Iterator<Item = I>),
-    pack: impl Fn(&[u8]) -> i64,
-) -> (Carry<A>, Option<i64>) {
-    let Carry {
-        mut sums,
-        mut vals,
-        mut folded,
-    } = carry;
-    while let Some(batch) = rows {
-        // Rows are counted a batch at a time, from what is left of it.
-        let len = batch.len() as u64;
-        while let Some(row) = batch.next() {
-            decode(vals.as_mut(), offs, row);
-            add(sums.as_mut(), vals.as_ref());
-            let key = pack(row);
-            let Some(g) = table.find(key) else {
-                folded += len - batch.len() as u64;
-                return (Carry { sums, vals, folded }, Some(key));
-            };
-            table.take(g, vals.as_ref());
-        }
-        folded += len;
-        *rows = batches.next();
-    }
-    (Carry { sums, vals, folded }, None)
 }
 
 /// Measurements a finished scan hands back to its query.
@@ -1485,24 +1086,25 @@ impl Consumer {
 }
 
 impl RowPipeline {
-    /// Run the row kernel over one fetched extent for a class of this
-    /// pipeline's consumers, whose states are lent in `scratch.states`.
-    /// A whole-page step adds each page's subtotal to every state of the
-    /// class, page by page: the one `memo` keeps under this pipeline's key
-    /// where it has it, else the page folded afresh (and then kept). Row
-    /// bytes are borrowed straight from the pinned pool frames and fields
-    /// read at the pipeline's precompiled offsets. Returns the number of
-    /// rows examined (the CPU-cost driver), whatever the number selected.
+    /// Run the row kernel over one fetched extent for one consumer of
+    /// this pipeline, whose state is `agg`. A whole-page step adds each
+    /// page's subtotal to it, page by page: the one `memo` keeps under
+    /// this pipeline's key where it has it, else the page folded afresh
+    /// (and then kept). Row bytes are borrowed straight from the pinned
+    /// pool frames and fields read at the pipeline's precompiled offsets.
+    /// Returns the number of rows examined (the CPU-cost driver), whatever
+    /// the number selected.
     fn fold_extent(
         &self,
         pool: &BufferPool,
         memo: Option<(&mut PageMemo, u32)>,
         work: StepWork,
         scratch: &mut StepScratch,
+        agg: &mut AggState,
     ) -> EngineResult<u64> {
         match work {
-            StepWork::AllRows => self.fold_pages(pool, memo, scratch),
-            StepWork::Rids(step) => self.fold_rids(pool, step, scratch),
+            StepWork::AllRows => self.fold_pages(pool, memo, scratch, agg),
+            StepWork::Rids(step) => self.fold_rids(pool, step, scratch, agg),
         }
     }
 
@@ -1512,17 +1114,16 @@ impl RowPipeline {
         pool: &BufferPool,
         mut memo: Option<(&mut PageMemo, u32)>,
         scratch: &mut StepScratch,
+        agg: &mut AggState,
     ) -> EngineResult<u64> {
         let StepScratch {
             pages,
             sel,
             gathered,
             page,
-            states,
             ..
         } = scratch;
         let n = self.sum_offs.len();
-        page.reset(self);
         let mut seen = 0;
         for &(id, slot) in pages.iter() {
             let frame = pool.slot_buf(slot);
@@ -1540,9 +1141,7 @@ impl RowPipeline {
                     total
                 }
             };
-            for s in states.iter_mut() {
-                s.add_page(total);
-            }
+            agg.add_page(total);
             seen += total.rows;
         }
         Ok(seen)
@@ -1555,6 +1154,7 @@ impl RowPipeline {
         pool: &BufferPool,
         step: &[Entry],
         scratch: &mut StepScratch,
+        agg: &mut AggState,
     ) -> EngineResult<u64> {
         let StepScratch {
             ids,
@@ -1565,7 +1165,6 @@ impl RowPipeline {
             frames,
             sel,
             gathered,
-            states,
             ..
         } = scratch;
         let width = self.width;
@@ -1604,7 +1203,7 @@ impl RowPipeline {
                     self.copy_fields(gathered, row)?;
                 }
             }
-            self.fold_region(states, sel, gathered);
+            self.fold_region(agg, sel, gathered);
             return Ok(step.len() as u64);
         }
         // With a predicate, the RIDs of each run whose rows pass it,
@@ -1628,12 +1227,9 @@ impl RowPipeline {
                 (&kept[..], &kept_runs[..])
             }
         };
-        let batches = run_entries(runs, rows).map(|(run, rids)| {
+        for (run, rids) in run_entries(runs, rows) {
             let region = region(run);
-            rids.iter().map(move |e| row(region, e))
-        });
-        for s in states.iter_mut() {
-            s.fold(self, batches.clone());
+            agg.fold(self, rids.iter().map(|e| row(region, e)));
         }
         Ok(step.len() as u64)
     }
@@ -1650,27 +1246,6 @@ impl RowPipeline {
         gathered.resize(gathered.len() + self.stride() - width, 0);
         Ok(())
     }
-}
-
-/// Move the class of `members[start]` — the consumers further on whose
-/// pipelines equal its own — next to it, everyone else keeping their
-/// order, and return where the class ends. Only whole-page work is
-/// `fusable`: RID steps stay consumer-at-a-time, every consumer a class.
-fn gather_class(
-    consumers: &[Consumer],
-    members: &mut [usize],
-    start: usize,
-    fusable: bool,
-) -> usize {
-    let first = &consumers[members[start]].pipeline;
-    let mut end = start + 1;
-    for at in start + 1..members.len() {
-        if fusable && consumers[members[at]].pipeline == *first {
-            members[end..=at].rotate_right(1);
-            end += 1;
-        }
-    }
-    end
 }
 
 /// How one [`step_extent`] ended.
@@ -1789,47 +1364,27 @@ pub(crate) fn step_extent(
     o.metrics.logical_reads += pages;
     o.metrics.physical_reads += fetch.misses;
 
-    // CPU: every pipeline runs over the fixed pages before release —
-    // once per class of consumers, not once per consumer — and then each
-    // consumer is charged its own share, owner first. One span covers
-    // them all and closes at the owner's completion (the step's track is
-    // the owner's stream).
+    // CPU: each consumer's pipeline runs over the fixed pages before
+    // release, consumer by consumer — the run's memo keeps whole-page
+    // subtotals by pipeline, so riders of one pipeline fold a page once —
+    // and then each consumer is charged its own share, owner first. One
+    // span covers them all and closes at the owner's completion (the
+    // step's track is the owner's stream).
     let cpu_span = (world.profiler.as_ref())
         .map(|p| p.begin_child("cpu.process", fetch.ready))
         .unwrap_or_else(scanshare::SpanId::none);
-    scratch.members.clear();
-    scratch.members.extend_from_slice(order);
-    let fusable = matches!(work, StepWork::AllRows);
-    // Rows examined: the same for every class, they walk the same pages.
+    // Rows examined: the same for every consumer, they walk the same pages.
     let mut seen = 0u64;
-    let mut start = 0;
-    while start < order.len() {
-        let end = gather_class(consumers, &mut scratch.members, start, fusable);
-        note_class(end - start);
-        // The run's memo keeps whole-page subtotals by pipeline.
-        let first = &mut consumers[scratch.members[start]];
-        let memo = match (&mut world.memo, fusable) {
-            (Some(memo), true) => {
-                let key = first
-                    .memo_key
-                    .get_or_insert_with(|| memo.intern(&first.pipeline));
+    for &ci in order {
+        let c = &mut consumers[ci];
+        let memo = match (&mut world.memo, work) {
+            (Some(memo), StepWork::AllRows) => {
+                let key = c.memo_key.get_or_insert_with(|| memo.intern(&c.pipeline));
                 Some((memo, *key))
             }
             _ => None,
         };
-        let class = &scratch.members[start..end];
-        let lent = class
-            .iter()
-            .map(|&ci| std::mem::take(&mut consumers[ci].agg));
-        scratch.states.extend(lent);
-        let pipe = &consumers[class[0]].pipeline;
-        let folded = pipe.fold_extent(&world.pool, memo, work, scratch);
-        let class = &scratch.members[start..end];
-        for (&ci, agg) in class.iter().zip(scratch.states.drain(..)) {
-            consumers[ci].agg = agg;
-        }
-        seen = folded?;
-        start = end;
+        seen = (c.pipeline).fold_extent(&world.pool, memo, work, scratch, &mut c.agg)?;
     }
     let mut rows = 0u64;
     for &ci in order {
@@ -2162,18 +1717,9 @@ impl ScanExec {
     }
 }
 
-/// Tests count the classes of more than one consumer that steps fold,
-/// and the pages the kernel folds.
-#[cfg(not(test))]
-fn note_class(_consumers: usize) {}
-
+/// Tests count the pages the kernel folds.
 #[cfg(not(test))]
 fn note_page_fold() {}
-
-#[cfg(test)]
-fn note_class(consumers: usize) {
-    FUSED_CLASSES.with(|n| n.set(n.get() + (consumers > 1) as u64));
-}
 
 #[cfg(test)]
 fn note_page_fold() {
@@ -2182,7 +1728,6 @@ fn note_page_fold() {
 
 #[cfg(test)]
 thread_local! {
-    static FUSED_CLASSES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static PAGE_FOLDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -2191,13 +1736,6 @@ thread_local! {
 #[cfg(test)]
 pub(crate) fn page_folds() -> u64 {
     PAGE_FOLDS.with(|n| n.get())
-}
-
-/// How many classes of more than one consumer this thread's steps have
-/// folded so far.
-#[cfg(test)]
-pub(crate) fn fused_classes() -> u64 {
-    FUSED_CLASSES.with(|n| n.get())
 }
 
 #[cfg(test)]
@@ -3101,40 +2639,6 @@ mod tests {
         assert_eq!(eight.groups.len(), 2);
     }
 
-    /// Classes keep delivery order inside and first-member order among
-    /// themselves, and a RID step has no class of two.
-    #[test]
-    fn a_step_partitions_its_consumers_by_pipeline() {
-        let db = small_db();
-        let schema = db.table("orders").unwrap().schema().clone();
-        let consumer = |pred| Consumer::new(&table_spec(pred), &schema, SimTime::ZERO).unwrap();
-        let q6 = || consumer(Pred::I32Between(0, 0, 2));
-        // Seats 0..5: filter, plain, filter, another filter, plain.
-        let consumers = [
-            q6(),
-            consumer(Pred::True),
-            q6(),
-            consumer(Pred::I32Between(0, 0, 3)),
-            consumer(Pred::True),
-        ];
-        let classes = |order: &[usize], fusable| {
-            let mut members = order.to_vec();
-            let mut ends = Vec::new();
-            while ends.last().copied().unwrap_or(0) < members.len() {
-                let start = ends.last().copied().unwrap_or(0);
-                ends.push(gather_class(&consumers, &mut members, start, fusable));
-            }
-            (members, ends)
-        };
-        let order = [3, 0, 1, 2, 4];
-        assert_eq!(classes(&order, true), (vec![3, 0, 2, 1, 4], vec![1, 3, 5]));
-        assert_eq!(classes(&[2], true), (vec![2], vec![1]));
-        assert_eq!(
-            classes(&order, false),
-            (order.to_vec(), vec![1, 2, 3, 4, 5])
-        );
-    }
-
     #[test]
     fn index_scan_on_heap_table_is_rejected() {
         let db = small_db();
@@ -3509,12 +3013,11 @@ mod kernel_oracle {
     /// so an aggregate that never groups must own its sums and nothing
     /// else (an eager 1 KB table per consumer once cost `tpch64_push` 7 %
     /// of its peak RSS), and a grouped one no more than its groups need:
-    /// neither the fold's local copy of a small table nor a page subtotal
-    /// is kept.
+    /// no page subtotal is kept.
     #[test]
     fn ungrouped_state_owns_only_its_sums() {
         for n in [0, 2, 8, 11] {
-            let mut agg = [AggState::new(n)];
+            let mut agg = AggState::new(n);
             let pipe = RowPipeline::compile(
                 &Pred::True,
                 &AggSpec::sums((F0..F0 + n).map(|c| F0 + (c - F0) % N_F64).collect()),
@@ -3524,7 +3027,6 @@ mod kernel_oracle {
             .unwrap();
             let row = vec![0u8; schema().row_width()];
             pipe.fold_region(&mut agg, &mut Vec::new(), &row);
-            let [agg] = agg;
             assert_eq!((agg.count, agg.sums.capacity()), (1, n));
             assert_eq!(agg.keys.capacity(), 0);
             assert_eq!(agg.counts.capacity(), 0);
@@ -3544,8 +3046,7 @@ mod kernel_oracle {
             s.encode_row(&vals, &mut row);
             page.push(&row).expect("row fits");
         }
-        let (mut total, mut agg) = (PageTotal::default(), AggState::new(4));
-        total.reset(&pipe);
+        let (mut total, mut agg) = (AggState::default(), AggState::new(4));
         let rows = pipe.fold_page(&mut total, &mut Vec::new(), &mut Vec::new(), &page.finish());
         agg.add_page(total.subtotal(rows.unwrap()));
         assert_eq!((agg.count, agg.keys.len()), (80, 6));
@@ -3555,7 +3056,7 @@ mod kernel_oracle {
             agg.group_sums.capacity(),
             agg.slots.capacity(),
         ];
-        // What the same page left behind before the local tables.
+        // Six groups, started one by one.
         assert_eq!(capacities, [8, 8, 32, 64]);
     }
 
@@ -3735,6 +3236,11 @@ mod kernel_oracle {
         states: &mut [AggState],
     ) -> EngineResult<u64> {
         let (mut sel, mut gathered) = (Vec::new(), Vec::new());
+        let mut fold = |gathered: &[u8]| {
+            for s in states.iter_mut() {
+                pipe.fold_region(s, &mut sel, gathered);
+            }
+        };
         let (width, stride) = (pipe.width, pipe.stride());
         for run in rids.chunk_by(|a, b| a.0 == b.0) {
             let at = pages
@@ -3749,7 +3255,7 @@ mod kernel_oracle {
                     }
                     gathered.extend_from_slice(row_at(region, stride, slot as u32));
                 }
-                pipe.fold_region(states, &mut sel, &gathered);
+                fold(&gathered);
             } else {
                 gathered.clear();
                 for &(_, slot) in run {
@@ -3760,7 +3266,7 @@ mod kernel_oracle {
                     gathered.extend_from_slice(fields);
                     gathered.resize(gathered.len() + stride - width, 0);
                 }
-                pipe.fold_region(states, &mut sel, &gathered);
+                fold(&gathered);
             }
         }
         Ok(rids.len() as u64)
@@ -3833,7 +3339,7 @@ mod kernel_oracle {
             let page_of = |at: usize| entries.get(at).map(|e| Rid::unpack(e.payload).page);
             let mut plan = Plan::new(Walk::all_rids(entries.clone()));
             let mut scratch = StepScratch::default();
-            scratch.states.extend((0..k).map(|_| AggState::new(n_sums)));
+            let mut states: Vec<AggState> = (0..k).map(|_| AggState::new(n_sums)).collect();
             while !plan.done() {
                 scratch.ids.clear();
                 scratch.runs.clear();
@@ -3853,18 +3359,18 @@ mod kernel_oracle {
                 reached.steps_of_16_pages += (scratch.ids.len() == 16) as u32;
                 reached.pages_out_of_order += scratch.ids.windows(2).any(|w| w[1] < w[0]) as u32;
                 reached.slots_repeated += rids.windows(2).any(|w| w[0] == w[1]) as u32;
-                let got = pipe
-                    .fold_extent(&world.pool, None, work, &mut scratch)
-                    .unwrap();
                 let rows = fold_rids_per_run(&pipe, &world.pool, &scratch.pages, &rids, &mut want)
                     .unwrap();
-                assert_eq!(got, rows, "case {case}");
+                for agg in &mut states {
+                    let got = pipe.fold_extent(&world.pool, None, work, &mut scratch, agg);
+                    assert_eq!(got.unwrap(), rows, "case {case}");
+                }
                 world
                     .release_pages(&scratch.pages, PagePriority::Normal)
                     .unwrap();
                 plan.advance(units);
             }
-            for (got, want) in scratch.states.iter().zip(&want) {
+            for (got, want) in states.iter().zip(&want) {
                 let (got, want) = (got.result(), want.result());
                 let groups = |r: &QueryResult| {
                     r.groups
@@ -4065,7 +3571,7 @@ mod kernel_oracle {
         ] {
             assert!(n >= 5, "only {n} cases reached: {what}");
         }
-        // The bounds of the fold's local group tables.
+        // Group shapes the grouped fold meets.
         for (what, n) in [
             (
                 "a ninth group met past a page's first row",
@@ -4080,25 +3586,26 @@ mod kernel_oracle {
         }
     }
 
-    /// Riders of one pipeline are folded together. K = 1..=9 consumers
-    /// of one spec first fold *different* seeded rows on their own — a
-    /// RID replay each, so they ride with different running totals and
-    /// have met the groups in different orders — then ride one cursor
-    /// over the same pages, where each page's one subtotal is added to
-    /// all of them. The reference is consumer-at-a-time: one naive fold
-    /// per consumer over its own rows, row by row, then over the shared
-    /// pages, page by page.
+    /// Riders of one pipeline add the same page subtotals. K = 1..=9
+    /// consumers of one spec first fold *different* seeded rows on their
+    /// own — a RID replay each, so they ride with different running totals
+    /// and have met the groups in different orders — then ride one cursor
+    /// over the same pages: with a memo each page is folded once for all
+    /// of them, without one once for each. The reference is
+    /// consumer-at-a-time: one naive fold per consumer over its own rows,
+    /// row by row, then over the shared pages, page by page.
     #[test]
     fn riders_of_one_pipeline_match_consumer_at_a_time_folds_bit_for_bit() {
         #[derive(Default)]
         struct Reached {
-            fused_over_8_sums: u32,
-            fused_no_sums: u32,
-            fused_grouped_over_4_riders: u32,
-            fused_ungrouped: u32,
-            fused_with_leaves: u32,
-            fused_without_leaves: u32,
-            fused_slotted_pages: u32,
+            riders_over_8_sums: u32,
+            riders_no_sums: u32,
+            grouped_over_4_riders: u32,
+            riders_ungrouped: u32,
+            riders_with_leaves: u32,
+            riders_without_leaves: u32,
+            riders_over_slotted_pages: u32,
+            riders_with_a_memo: u32,
             newcomer_mid_page_in_some_riders_only: u32,
             a_stranger_between_riders: u32,
             riders_on_both_sides_of_8_groups: u32,
@@ -4122,7 +3629,7 @@ mod kernel_oracle {
                 continue;
             }
             // The riders' spec, and in some cases a stranger with another
-            // one seated between them: its class must not disturb theirs.
+            // one seated between them: it must not disturb theirs.
             let rider = spec(&mut rng, alphabet, n_groups, false);
             let mut specs = vec![rider.clone(); k];
             let mut riders: Vec<usize> = (0..k).collect();
@@ -4134,6 +3641,10 @@ mod kernel_oracle {
             }
             let pool = BufferPool::new(PoolConfig::new(64, ReplacementPolicy::Lru));
             let mut world = ExecWorld::new(&store, pool, EngineConfig::default(), None);
+            let memo = case % 2 == 0;
+            if memo {
+                world.memo = Some(PageMemo::default());
+            }
             let mut scratch = StepScratch::default();
             let mut consumers: Vec<Consumer> = specs
                 .iter()
@@ -4212,12 +3723,20 @@ mod kernel_oracle {
                 start: start_page,
                 ..Plan::new(Walk::Pages(n_pages as u32))
             };
-            let fused_before = fused_classes();
+            let folds = page_folds();
             run(&mut world, &mut scratch, &mut consumers, plan, &order);
-            // One class of riders per step, and only with company.
-            let steps = ((n_pages - start_page).div_ceil(16) + start_page.div_ceil(16)) as u64;
-            let fused = fused_classes() - fused_before;
-            assert_eq!(fused, if k > 1 { steps } else { 0 }, "case {case}");
+            // With a memo every page is folded once a pipeline, riders
+            // and all; without one, once a consumer.
+            let pipes = consumers.iter().map(|c| &c.pipeline);
+            let strangers = pipes
+                .filter(|&p| *p != consumers[riders[0]].pipeline)
+                .count();
+            let folders = match memo {
+                true => 1 + strangers.min(1),
+                false => specs.len(),
+            };
+            let want_folds = (n_pages * folders) as u64;
+            assert_eq!(page_folds() - folds, want_folds, "case {case}");
             let before: Vec<usize> = want.iter().map(|w| w.groups.len()).collect();
             for ci in 0..specs.len() {
                 for page in lap.chunk_by(|a, b| a.0 == b.0) {
@@ -4231,25 +3750,30 @@ mod kernel_oracle {
             if k > 1 {
                 let (n_sums, grouped) = (rider.agg.sum_cols.len(), !rider.agg.group_by.is_empty());
                 let rows = want[riders[0]].count > 0;
-                reached.fused_over_8_sums += (n_sums > 8 && rows) as u32;
-                reached.fused_no_sums += (n_sums == 0 && rows) as u32;
-                reached.fused_grouped_over_4_riders += (grouped && k > 4 && rows) as u32;
-                reached.fused_ungrouped += (!grouped && rows) as u32;
-                reached.fused_with_leaves += (rider.pred != Pred::True && rows) as u32;
-                reached.fused_without_leaves += (rider.pred == Pred::True) as u32;
-                reached.fused_slotted_pages +=
+                reached.riders_over_8_sums += (n_sums > 8 && rows) as u32;
+                reached.riders_no_sums += (n_sums == 0 && rows) as u32;
+                reached.grouped_over_4_riders += (grouped && k > 4 && rows) as u32;
+                reached.riders_ungrouped += (!grouped && rows) as u32;
+                reached.riders_with_leaves += (rider.pred != Pred::True && rows) as u32;
+                reached.riders_without_leaves += (rider.pred == Pred::True) as u32;
+                reached.riders_over_slotted_pages +=
                     pages.iter().flatten().any(|r| r.len() != s.row_width()) as u32;
+                reached.riders_with_a_memo += (memo && rows) as u32;
             }
         }
         let r = &reached;
         for (what, n) in [
-            ("riders with more than 8 sum columns", r.fused_over_8_sums),
-            ("riders that only count", r.fused_no_sums),
-            ("more than 4 grouped riders", r.fused_grouped_over_4_riders),
-            ("ungrouped riders", r.fused_ungrouped),
-            ("riders with a predicate", r.fused_with_leaves),
-            ("riders without a predicate", r.fused_without_leaves),
-            ("riders over slotted-fallback pages", r.fused_slotted_pages),
+            ("riders with more than 8 sum columns", r.riders_over_8_sums),
+            ("riders that only count", r.riders_no_sums),
+            ("more than 4 grouped riders", r.grouped_over_4_riders),
+            ("ungrouped riders", r.riders_ungrouped),
+            ("riders with a predicate", r.riders_with_leaves),
+            ("riders without a predicate", r.riders_without_leaves),
+            (
+                "riders over slotted-fallback pages",
+                r.riders_over_slotted_pages,
+            ),
+            ("riders sharing a memo", r.riders_with_a_memo),
             (
                 "a group new to some riders only, mid-page",
                 r.newcomer_mid_page_in_some_riders_only,
@@ -4262,9 +3786,9 @@ mod kernel_oracle {
             assert!(n >= 5, "only {n} cases reached: {what}");
         }
         let both = r.riders_on_both_sides_of_8_groups;
-        assert!(both >= 1, "no class of riders on both sides of 8 groups");
+        assert!(both >= 1, "no riders on both sides of 8 groups");
         let past = r.riders_past_8_groups_in_the_lap;
-        assert!(past >= 1, "no class of riders past 8 groups in the lap");
+        assert!(past >= 1, "no riders past 8 groups in the lap");
     }
 
     /// A Q1-shaped spec over the oracle schema: no predicate, four sums
@@ -4436,14 +3960,13 @@ mod kernel_oracle {
         assert_eq!(folds, 0);
     }
 
-    /// The grouped fold of a class, pinned: K = 1..=4 states of one
-    /// pipeline × N ∈ {0, 1, 4, 8, 9} sums (register arrays, and the
-    /// `Vec`s beyond them) × one, two and three group columns. Each state
-    /// first folds rows of its own, one at a time, so that the states of
-    /// the class know different groups: in the shared lap, a page
-    /// subtotal brings a group new to one state only, arriving mid-page,
-    /// and the next page's ninth group, mid-page, moves that page's fold
-    /// onto its heap table mid-pass. Summands include ±0.0, NaN and ±inf.
+    /// The grouped fold of riders of one pipeline, pinned: K = 1..=4
+    /// states of one pipeline × N ∈ {0, 1, 4, 8, 9} sums × one, two and
+    /// three group columns. Each state first folds rows of its own, one at
+    /// a time, so that the riders know different groups: in the shared
+    /// lap, a page subtotal brings a group new to one state only, arriving
+    /// mid-page, and the next page's ninth group arrives mid-page too.
+    /// Summands include ±0.0, NaN and ±inf.
     /// Every answer must equal the naive fold's, and all of them together
     /// hash to what the first commit of page subtotals computed.
     #[test]
@@ -4566,8 +4089,8 @@ mod kernel_oracle {
                 );
                 assert_eq!(want.groups.len(), if ci == 0 { 8 } else { 7 });
             }
-            let class: Vec<usize> = (0..k).collect();
-            run(&mut consumers, Plan::new(Walk::Pages(LAP)), &class);
+            let riders: Vec<usize> = (0..k).collect();
+            run(&mut consumers, Plan::new(Walk::Pages(LAP)), &riders);
             for (c, want) in consumers.iter().zip(&mut want) {
                 for page in &pages[..LAP as usize] {
                     let rows = page.iter().map(|(_, bytes)| RowRef { bytes, schema: &s });

@@ -904,9 +904,10 @@ mod tests {
     }
 
     /// Eight staggered riders of two pipelines — a Q1-like grouped
-    /// aggregate and a Q6-like filter, alternating — on one table.
+    /// aggregate and a Q6-like filter, alternating — on one table: pull
+    /// and push alike fold each page once for each pipeline, and agree.
     #[test]
-    fn riders_of_one_pipeline_are_folded_together_under_push_only() {
+    fn riders_of_one_pipeline_fold_each_page_once_under_pull_and_push() {
         use scanshare::DeliveryMode;
         let mut db = Database::new(16);
         let schema = Schema::new(vec![
@@ -971,13 +972,13 @@ mod tests {
             cfg.delivery = delivery;
             spec(&db, streams.clone(), SharingMode::ScanSharing(cfg))
         };
-        // Pull steps have one consumer each: nothing to fold together.
-        let fused = crate::scan_exec::fused_classes;
-        let before = fused();
+        let folds = crate::scan_exec::page_folds;
+        let before = folds();
         let pull = run_workload(&db, &mk(DeliveryMode::Pull)).unwrap();
-        assert_eq!(fused(), before);
+        let mid = folds();
         let push = run_workload(&db, &mk(DeliveryMode::Push)).unwrap();
-        assert!(fused() > before, "no class of riders was folded together");
+        let pages = db.total_table_pages();
+        assert_eq!((mid - before, folds() - mid), (2 * pages, 2 * pages));
         let ps = push.push.as_ref().expect("push summary");
         assert!(ps.attaches >= 6, "too few riders to fold together: {ps:?}");
 

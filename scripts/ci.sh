@@ -48,35 +48,57 @@ leg "benchmark crate (metric-name drift + --quick smoke)"
 # still matches BENCHMARK.json.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# Run, in a release build, the tests of a test target that the name
+# filters after `--` select: `release_tests CARGO_ARGS… -- FILTER…`. A
+# filter that selects no test fails the leg, so a renamed test cannot
+# leave it unnoticed.
+release_tests() {
+    local args=() filter listed
+    while [ "$1" != "--" ]; do
+        args+=("$1")
+        shift
+    done
+    shift
+    for filter in "$@"; do
+        listed=$(cargo test --release --offline -q "${args[@]}" -- --list "$filter")
+        if ! grep -q ': test$' <<<"$listed"; then
+            echo "FAIL: no test of ${args[*]} matches '$filter'" >&2
+            exit 1
+        fi
+    done
+    cargo test --release --offline -q "${args[@]}" -- "$@"
+}
+
 leg "row-kernel, walk, grouping, manager, placement, policy and sampler oracles, release build"
-# The fold's register-held sums (N of them, const-generic), the local
-# group tables a grouped fold holds at most eight groups in
-# (`LocalGroups`, one probe per row), the page subtotals a whole-page
-# step folds and adds to each state of a class, the run's memo of them
-# (kernel_oracle holds the subtotals to a naive page-subtotal fold bit
-# for bit and to the row-at-a-time fold within the summation-order
-# bound, counts one fold a page over a run of staggered scans, and folds
-# a kept subtotal of other bytes again), the manager's grouping index
-# and the placement estimator's sweep are release codegen: the debug
-# suite above proves the source, not what the optimiser makes of it, and
-# release is what every measurement runs. The core crate's grouping and
-# manager tests hold the index's oracle against the re-forming pass and
-# the manager's decisions over seeded call sequences; its placement tests
-# hold the sweep and both searches against the naive estimator bit for
-# bit; its policy tests pin the placement threshold and push-attach
-# answers each placement gives. A RID step takes whole runs of same-page RIDs off its index's
-# run table and folds them in one pass over the shared decoded index:
-# the run gather's per-entry reference (rid_gather), the fold's per-run
-# reference (in kernel_oracle), the joined-entry search and the RID
-# answer oracle run here too. Every measurement also runs the interval
-# sampler, so its by-name reference runs here as well. `Plan::gather` is
-# the one ring walk of every cursor's steps, so the walk pin (every step
-# of table, block-index and RID plans, digested) runs here too.
-cargo test --release --offline -q -p scanshare-engine --lib -- kernel_oracle start_at_picks \
-    walk_pin rid_gather push::tests::mixed_pipelines_ride_one_driver_as_two_classes \
+# The row kernel's one fold (ungrouped sums a column at a time, each
+# running total in a register; grouped rows one at a time through the
+# state's group table), the page subtotals a whole-page step folds and
+# adds to each consumer's state, the run's memo of them (kernel_oracle
+# holds the subtotals to a naive page-subtotal fold bit for bit and to
+# the row-at-a-time fold within the summation-order bound, counts one
+# fold a page over a run of staggered scans and over riders of one
+# pipeline, and folds a kept subtotal of other bytes again), the
+# manager's grouping index and the placement estimator's sweep are
+# release codegen: the debug suite above proves the source, not what the
+# optimiser makes of it, and release is what every measurement runs. The
+# core crate's grouping and manager tests hold the index's oracle against
+# the re-forming pass and the manager's decisions over seeded call
+# sequences; its placement tests hold the sweep and both searches against
+# the naive estimator bit for bit; its policy tests pin the placement
+# threshold and push-attach answers each placement gives. A RID step
+# takes whole runs of same-page RIDs off its index's run table and folds
+# them one after another straight from the shared decoded index: the run
+# gather's per-entry reference (rid_gather), the fold's per-run reference
+# (in kernel_oracle), the joined-entry search and the RID answer oracle
+# run here too. Every measurement also runs the interval sampler, so its
+# by-name reference runs here as well. `Plan::gather` is the one ring
+# walk of every cursor's steps, so the walk pin (every step of table,
+# block-index and RID plans, digested) runs here too.
+release_tests -p scanshare-engine --lib -- kernel_oracle start_at_picks walk_pin rid_gather \
+    push::tests::mixed_pipelines_ride_one_driver_folding_each_page_once \
     workload::tests::the_sampler_records_what_sampling_by_name_records
-cargo test --release --offline -q --test row_kernel_oracle
-cargo test --release --offline -q -p scanshare --lib -- grouping:: manager:: placement:: policy::
+release_tests --test row_kernel_oracle --
+release_tests -p scanshare --lib -- grouping:: manager:: placement:: policy::
 
 leg "CLI smoke: a profiled run renders, and run and watch twice byte for byte"
 # A run with --profile-out saves a Chrome trace and embeds the folded

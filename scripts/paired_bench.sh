@@ -16,11 +16,15 @@
 # nine tenths of the pairs, ties counting for neither, and the medians lie
 # further apart than the parent's own quartiles; everything else is
 # `unresolved`. Virtual-clock metrics and counts must be equal at every
-# seed: a difference is printed and the script exits 1.
+# seed: a difference is printed and the script exits 1. Beside each
+# verdict stands how far the change's median moved from the parent's, and
+# `OVER` when it is worse by more than the metric's `bound` in
+# BENCHMARK.json: the benchmark's regression rule, which a metric can break
+# while its verdict reads `unresolved`.
 #
 # One run's `slower` on a shared host is not enough to settle anything.
 # With --confirm, every workload on which a host-clock metric reads
-# `slower` is measured again, the same way, at the --confirm seeds (one
+# `slower` or a metric is over its bound is measured again, the same way, at the --confirm seeds (one
 # per pair, fresh ones), and the second verdict is printed beside the
 # first and recorded under "confirm" in the summary.
 #
@@ -137,7 +141,8 @@ measure() {
 
 # Summarise the runs file given last: stdout gets the table (with the
 # verdicts of the first pass beside these when its verdicts file comes
-# first), $verdicts the "workload metric verdict exact|host" lines, $frag
+# first), $verdicts the "workload metric verdict exact|host over|within"
+# lines (`-` for a metric without a bound), $frag
 # the JSON body of the workloads. Fails on a virtual-clock or count
 # difference.
 summarise() {
@@ -168,6 +173,7 @@ FILENAME ~ /BENCHMARK\.json$/ {
     if (e2e && $0 ~ /"per_layer"/) e2e = 0
     if (e2e && match($0, /"name": *"[^"]*"/)) { name = substr($0, RSTART, RLENGTH); gsub(/"name": *|"/, "", name) }
     if (e2e && match($0, /"better": *"[^"]*"/)) { b = substr($0, RSTART, RLENGTH); gsub(/"better": *|"/, "", b); better[name] = b }
+    if (e2e && match($0, /"bound": *[0-9.eE+-]+/)) { b = substr($0, RSTART, RLENGTH); gsub(/"bound": */, "", b); bound[name] = b + 0 }
     next
 }
 FILENAME ~ /verdicts/ { split($0, f, " "); first[f[1], f[2]] = f[3]; firsts = 1; next }
@@ -180,7 +186,7 @@ END {
     printf "" > out
     for (a = 1; a <= nw; a++) {
         w = ws[a]
-        printf "\n== %s ==\n%-24s %13s %13s %13s %13s %6s  %s\n", w, "metric", "parent med", "parent q1", "parent q3", "change med", "wins", (firsts ? "first / confirm" : "verdict")
+        printf "\n== %s ==\n%-24s %13s %13s %13s %13s %6s  %-14s %s\n", w, "metric", "parent med", "parent q1", "parent q3", "change med", "wins", "vs bound", (firsts ? "first / confirm" : "verdict")
         printf "%s\n\"%s\":{", (a > 1 ? "," : ""), w > out
         for (k = 1; k <= nm[w]; k++) {
             m = ms[w, k]
@@ -202,10 +208,21 @@ END {
             else if (losses >= 0.9 * pairs && gap > iqr) verdict = "slower"
             else verdict = "unresolved"
             shown = (firsts ? first[w, m] " / " verdict : verdict)
-            printf "%-24s %13.6g %13.6g %13.6g %13.6g %3d/%-2d  %s\n", m, med["parent"], q1["parent"], q3["parent"], med["change"], wins, pairs, shown
-            printf "%s\n\"%s\":{\"unit\":\"%s\",\"parent\":%s,\"change\":%s,\"wins\":%d,\"losses\":%d,\"verdict\":\"%s\"}", \
-                (k > 1 ? "," : ""), m, unit[m], pj, cj, wins, losses, verdict > out
-            print w, m, verdict, (exact ? "exact" : "host") > verdicts
+            # The median of the change against that of the parent, signed
+            # so that positive is worse, and whether that breaks the bound.
+            over = "-"; against = ""; bj = ""
+            if (m in bound) {
+                worse = (med["parent"] != 0 ? (med["change"] - med["parent"]) / med["parent"] : 0)
+                if (better[m] == "higher") worse = -worse
+                over = (worse > bound[m] ? "over" : "within")
+                against = sprintf("%+.1f%%%s", 100 * worse, (over == "over" ? " OVER" : ""))
+                bj = sprintf(",\"bound\":%.9g,\"worse_by\":%.9g,\"over_bound\":%s", bound[m], worse, (over == "over" ? "true" : "false"))
+                if (over == "over") { printf "OVER BOUND: %s %s median %.6g vs parent %.6g, worse by %.1f%% against a bound of %g%%\n", w, m, med["change"], med["parent"], 100 * worse, 100 * bound[m] > "/dev/stderr" }
+            }
+            printf "%-24s %13.6g %13.6g %13.6g %13.6g %3d/%-2d  %-14s %s\n", m, med["parent"], q1["parent"], q3["parent"], med["change"], wins, pairs, against, shown
+            printf "%s\n\"%s\":{\"unit\":\"%s\",\"parent\":%s,\"change\":%s,\"wins\":%d,\"losses\":%d,\"verdict\":\"%s\"%s}", \
+                (k > 1 ? "," : ""), m, unit[m], pj, cj, wins, losses, verdict, bj > out
+            print w, m, verdict, (exact ? "exact" : "host"), over > verdicts
         }
         printf "}" > out
     }
@@ -229,10 +246,11 @@ summarise "$runs"
 summary="{\"parent\":\"$parent_sha\",\"change\":\"$change_sha\",\"protocol\":{\"pairs\":$pairs,\"reps\":5,\"trace\":0,\"seeds\":[$(seed_json "$seeds")]},\"workloads\":{$(cat "$frag")}"
 
 if [ -n "$confirm" ]; then
-    slower=$(awk '$3 == "slower" && $4 == "host" && !seen[$1]++ { print $1 }' "$verdicts" | paste -sd, -)
+    slower=$(awk '($3 == "slower" && $4 == "host" || $5 == "over") && !seen[$1]++ { print $1 }' \
+        "$verdicts" | paste -sd, -)
     if [ -n "$slower" ]; then
         echo
-        echo "== confirming what read slower, at fresh seeds: $slower =="
+        echo "== confirming what read slower or over its bound, at fresh seeds: $slower =="
         cp "$verdicts" "$dir/verdicts-first.tsv"
         runs=$dir/runs-confirm.tsv verdicts=$dir/verdicts-confirm.tsv frag=$dir/workloads-confirm.json
         measure "$slower" "$confirm"
@@ -240,7 +258,7 @@ if [ -n "$confirm" ]; then
         confirmed=$(cat "$frag")
     else
         echo
-        echo "nothing read slower: no confirmation run"
+        echo "nothing read slower or over its bound: no confirmation run"
     fi
     summary="$summary,\"confirm\":{\"seeds\":[$(seed_json "$confirm")],\"workloads\":{${confirmed:-}}}"
 fi

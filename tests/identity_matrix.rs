@@ -1178,18 +1178,37 @@ fn every_cells_scans_start_and_end_exactly_once() {
     });
 }
 
-/// The conservation laws of ROADMAP item 13 that a finished report is
-/// checked against here, each by the name [`EXPECTED_VIOLATIONS`] uses.
-/// (i) One query is one thread: its CPU fits in its elapsed time. (v)
-/// Every pool fix is a hit or a miss, and is charged to the query it
-/// was made for.
-fn broken_laws(r: &RunReport) -> Vec<&'static str> {
+/// The conservation laws of ROADMAP item 13 that a finished report of a
+/// run on `engine` is checked against here, each by the name
+/// [`EXPECTED_VIOLATIONS`] uses. (i) One query is one thread: its CPU
+/// fits in its elapsed time. (ii) The CPU breakdown partitions
+/// `n_cpus × makespan`, and its busy half fits in it on its own:
+/// `ExecWorld::breakdown` clamps idle and I/O wait at zero, which would
+/// hide an overfull CPU in every share but the sum. (iv) The disks were
+/// busy no longer than they were there. (v) Every pool fix is a hit or a
+/// miss, and is charged to the query it was made for.
+fn broken_laws(r: &RunReport, engine: &EngineConfig) -> Vec<&'static str> {
     let fixes = r.pool.logical_reads;
     let charged: u64 = r.queries.iter().map(|q| q.logical_reads).sum();
+    let times = |n: u32| r.makespan.as_micros() * n as u64;
+    let b = &r.breakdown;
+    let busy = (b.user + b.system).as_micros();
     [
         (
             "(i) cpu <= end - start",
             r.queries.iter().all(|q| q.cpu <= q.end.since(q.start)),
+        ),
+        (
+            "(ii) user + system <= n_cpus * makespan",
+            busy <= times(engine.n_cpus),
+        ),
+        (
+            "(ii) user + system + idle + io_wait == n_cpus * makespan",
+            busy + (b.idle + b.io_wait).as_micros() == times(engine.n_cpus),
+        ),
+        (
+            "(iv) disk busy <= n_disks * makespan",
+            r.disk.busy.as_micros() <= times(engine.n_disks),
         ),
         (
             "(v) hits + misses == pool fixes",
@@ -1243,16 +1262,18 @@ fn overlap_cohorts(db: &Database) -> Vec<Cell> {
         .into()
 }
 
-/// Laws (i) and (v) of item 13 over every cell and the overlap cohorts:
-/// each holds, or the (cell, law) pair is an expected violation.
+/// Laws (i), (ii), (iv) and (v) of item 13 over every cell and the
+/// overlap cohorts, each cell's report against its own spec: each holds,
+/// or the (cell, law) pair is an expected violation.
 #[test]
 fn every_cell_keeps_the_conservation_laws_or_is_listed() {
     let (db, mut cells) = matrix();
     cells.extend(overlap_cohorts(&db));
     let mut broken = Vec::new();
     run_logged(&db, &cells, |name, r| {
+        let cell = cells.iter().find(|c| c.name == name).expect("a cell");
         broken.extend(
-            broken_laws(r)
+            broken_laws(r, &cell.spec.engine)
                 .into_iter()
                 .map(|law| (name.to_string(), law)),
         );
